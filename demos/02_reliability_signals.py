@@ -26,7 +26,7 @@ cfg = TrainConfig(epochs=6, batch_size=64, warmup_start=6, warmup_full=6,
 _, nets = co_train(train, meta, test, cfg, return_state=True)
 
 mcfg = MetaConfig(eta_inner=cfg.lr)
-co_probs = softmax(forward_batch(nets.net2.params, train.x, eval_mode=True).logits)
+co_probs = softmax(forward_batch(nets.net2.params, train.x).logits)
 pseudo = one_hot(co_probs.argmax(axis=1), 4)
 given = one_hot(train.y_obs, 4)
 

@@ -4,7 +4,7 @@ per-pair gating weight."""
 
 import numpy as np
 
-from noisylab import RamConfig, grg_weight, total_reliability
+from noisylab import RamConfig, total_reliability
 from noisylab.mixup import sample_lambda_batch
 
 cfg = RamConfig()
@@ -27,7 +27,7 @@ for r_i, r_j in [(1.0, 1.0), (3.0, 1.0), (0.1, 2.0), (2.0, 0.1)]:
 
 print("\ngating weight takes the stronger endpoint:")
 for r_i, r_j in [(0.4, 0.7), (cfg.r_min, cfg.r_min), (2.0, 0.1)]:
-    print("  max(%.1f, %.1f) = %.1f" % (r_i, r_j, grg_weight(r_i, r_j)))
+    print("  max(%.1f, %.1f) = %.1f" % (r_i, r_j, np.maximum(r_i, r_j)))
 print("a pair of two unreliable samples keeps weight r_min = %.1f," % cfg.r_min)
 print("so ambiguous mixes contribute little gradient instead of being")
 print("renormalized back to full mass.")

@@ -10,24 +10,11 @@ numeric path is checked against an independent brute-force oracle.
 
 __version__ = "0.1.0"
 
-from .contrastive import (CdclConfig, FeatureBank, build_bank, cdcl_grad,
-                          cdcl_loss, consensus_weights, normalize_beta,
-                          positive_sets)
-from .data import (AugmentConfig, Dataset, LabeledSample, MetaSet, NoiseSpec,
-                   ViewPair, augment, displaced_blobs, inject_asymmetric_noise,
-                   inject_symmetric_noise, load_dataset, make_blobs,
-                   make_views, save_dataset, split_meta)
-from .metrics import (OodScoreSet, RunReport, accuracy, auroc, fpr_at_95_tpr,
-                      msp_scores, pair_purity)
-from .mixup import (MixPair, RamConfig, build_pairs, grg_weight, ram_loss,
-                    sample_lambda, total_reliability)
-from .net import (Architecture, ModelParams, OptState, Schedule, ce_loss,
-                  forward, forward_batch, grad_batch, init_params,
-                  l2_normalize, load_checkpoint, per_sample_grads,
-                  save_checkpoint, sgd_step)
-from .reliability import (MetaConfig, ReliabilityBatch, disentangle,
-                          meta_gradients_closed, meta_gradients_fd)
-from .trainer import (NetPair, RefinedTarget, TrainConfig, co_train,
-                      confidence_filter, consistency_loss, refined_targets,
-                      reweighted_ce, total_loss, warmup)
-from .util import ConfigError, TrainingDiverged
+from .contrastive import CdclConfig, normalize_beta, positive_sets
+from .data import (displaced_blobs, inject_asymmetric_noise, inject_symmetric_noise,
+                   make_blobs, split_meta)
+from .metrics import OodScoreSet, auroc, fpr_at_95_tpr
+from .mixup import RamConfig, total_reliability
+from .reliability import (MetaConfig, disentangle, meta_gradients_closed,
+                          meta_gradients_fd)
+from .trainer import TrainConfig, co_train

@@ -140,7 +140,17 @@ def cmd_oracle(suite: str) -> int:
 
 def cmd_report(path: str) -> int:
     with open(path) as fh:
-        report = RunReport.from_json(fh.read())
+        text = fh.read()
+    try:
+        _print_report(RunReport.from_json(text))
+    except KeyError as exc:
+        raise ConfigError("%s is not a run report: missing key %s" % (path, exc))
+    except (ValueError, TypeError, AttributeError) as exc:
+        raise ConfigError("%s is not a run report: %s" % (path, exc))
+    return 0
+
+
+def _print_report(report: RunReport) -> None:
     summary = report.summary
     print("run report (schema v%d)" % report.schema_version)
     print("  epochs recorded : %d" % len(report.epochs))
@@ -163,7 +173,6 @@ def cmd_report(path: str) -> int:
         rendered = " ".join("%s=%s" % (k, "-" if losses[k] is None else "%.4f" % losses[k])
                             for k in ("ce_re", "cr", "ram", "cdcl"))
         print("  epoch %3d  acc=%.4f  %s" % (rec["epoch"], rec["test_acc"]["ensemble"], rendered))
-    return 0
 
 
 def main(argv=None) -> int:

@@ -128,7 +128,6 @@ SCHEMA: dict = {
     },
     "reliability": {
         "xi": _typed(_FLOAT, 1e-10),
-        "fd_step": _typed(_FLOAT, 1e-4),
         "stride": _typed(_INT, 1),
     },
     "ram": {
@@ -173,9 +172,6 @@ class RunConfig:
 
     def __getitem__(self, section: str) -> dict:
         return self.values[section]
-
-    def get(self, section: str, key: str):
-        return self.values[section][key]
 
 
 def parse_config_text(text: str) -> dict:
@@ -296,8 +292,7 @@ def to_train_config(cfg: RunConfig) -> TrainConfig:
         lr=t["lr"], momentum=t["momentum"], weight_decay=t["weight_decay"],
         decay_epochs=resolve_decay_epochs(cfg), decay_factor=t["decay_factor"],
         hidden=cfg["net"]["hidden"], proj=cfg["net"]["proj"],
-        xi=cfg["reliability"]["xi"], fd_step=cfg["reliability"]["fd_step"],
-        reliability_stride=cfg["reliability"]["stride"],
+        xi=cfg["reliability"]["xi"], reliability_stride=cfg["reliability"]["stride"],
         ram=resolve_ram(cfg), cdcl=resolve_cdcl(cfg), augment=resolve_augment(cfg),
         use_meta=t["use_meta"], use_ram=t["use_ram"], use_grg=t["use_grg"],
         use_cdcl=t["use_cdcl"], use_cr=t["use_cr"], use_refine=t["use_refine"],
@@ -334,8 +329,14 @@ def make_training_pool(cfg: RunConfig) -> Dataset:
         import os
 
         base = ds_cfg["load_dir"]
-        return load_dataset(os.path.join(base, "dataset.csv"),
+        pool = load_dataset(os.path.join(base, "dataset.csv"),
                             os.path.join(base, "dataset.json"))
+        # the test and OOD sets are generated from these keys
+        for key, loaded in (("dim", pool.dim), ("num_classes", pool.num_classes)):
+            if loaded != ds_cfg[key]:
+                raise ConfigError("dataset in %s has %s %d, but dataset.%s = %d"
+                                  % (base, key, loaded, key, ds_cfg[key]))
+        return pool
     pool = make_blobs(ds_cfg["num_classes"], ds_cfg["per_class"], ds_cfg["dim"],
                       ds_cfg["spread"], seeds["blobs_seed"])
     if ds_cfg["noise_mode"] == "symmetric":

@@ -83,22 +83,29 @@ def consensus_weights(beta_norm: np.ndarray, positives: list[np.ndarray]) -> lis
     return [beta_norm[i] * beta_norm[p] for i, p in enumerate(positives)]
 
 
-def build_bank(params: ModelParams, weak_x: np.ndarray, strong_x: np.ndarray,
-               pseudo_class: np.ndarray, beta: np.ndarray,
-               source_ids: np.ndarray | None = None) -> FeatureBank:
-    """Embed both views, normalize rows, duplicate per-sample metadata."""
-    n = len(pseudo_class)
-    if source_ids is None:
-        source_ids = np.arange(n)
-    emb_w = forward_batch(params, weak_x).emb
-    emb_s = forward_batch(params, strong_x).emb
-    raw = np.concatenate([emb_w, emb_s], axis=0)
+def _embed_bank(params: ModelParams, weak_x: np.ndarray, strong_x: np.ndarray,
+                pseudo_class: np.ndarray, beta: np.ndarray, source_ids: np.ndarray):
+    """The bank plus what its backward pass needs: the raw embeddings and
+    the two forward caches."""
+    out_w = forward_batch(params, weak_x)
+    out_s = forward_batch(params, strong_x)
+    raw = np.concatenate([out_w.emb, out_s.emb], axis=0)
     z = l2_normalize(raw)
     degenerate = np.linalg.norm(raw, axis=1) < DEGENERATE_NORM
     z[degenerate] = 0.0
     dup = lambda a: np.concatenate([np.asarray(a), np.asarray(a)])
-    return FeatureBank(z=z, pseudo_class=dup(pseudo_class), beta=dup(beta),
+    bank = FeatureBank(z=z, pseudo_class=dup(pseudo_class), beta=dup(beta),
                        source_ids=dup(source_ids), degenerate=degenerate)
+    return bank, raw, (out_w.cache, out_s.cache)
+
+
+def build_bank(params: ModelParams, weak_x: np.ndarray, strong_x: np.ndarray,
+               pseudo_class: np.ndarray, beta: np.ndarray,
+               source_ids: np.ndarray | None = None) -> FeatureBank:
+    """Embed both views, normalize rows, duplicate per-sample metadata."""
+    if source_ids is None:
+        source_ids = np.arange(len(pseudo_class))
+    return _embed_bank(params, weak_x, strong_x, pseudo_class, beta, source_ids)[0]
 
 
 def _loss_pieces(bank: FeatureBank, cfg: CdclConfig):
@@ -164,42 +171,21 @@ def cdcl_grad(params: ModelParams, weak_x: np.ndarray, strong_x: np.ndarray,
               cfg: CdclConfig) -> tuple[float, np.ndarray]:
     """Loss and flat parameter gradient through both view embeddings."""
     n = len(pseudo_class)
-    out_w = forward_batch(params, weak_x)
-    out_s = forward_batch(params, strong_x)
-    raw = np.concatenate([out_w.emb, out_s.emb], axis=0)
-    z = l2_normalize(raw)
-    degenerate = np.linalg.norm(raw, axis=1) < DEGENERATE_NORM
-    z[degenerate] = 0.0
-    dup = lambda a: np.concatenate([np.asarray(a), np.asarray(a)])
-    bank = FeatureBank(z=z, pseudo_class=dup(pseudo_class), beta=dup(beta),
-                       source_ids=dup(np.arange(n)), degenerate=degenerate)
+    bank, raw, (cache_w, cache_s) = _embed_bank(params, weak_x, strong_x, pseudo_class,
+                                                beta, np.arange(n))
     loss, dz = cdcl_feature_grad(bank, cfg)
-    draw = _normalization_backward(raw, dz, degenerate)
+    draw = _normalization_backward(raw, dz, bank.degenerate)
     zero_logits = np.zeros((n, params.arch.num_classes))
-    grad = (backward_batch(params, out_w.cache, zero_logits, draw[:n])
-            + backward_batch(params, out_s.cache, zero_logits, draw[n:]))
+    grad = (backward_batch(params, cache_w, zero_logits, draw[:n])
+            + backward_batch(params, cache_s, zero_logits, draw[n:]))
     return loss, grad
-
-
-def pair_match_counts(positives: list[np.ndarray], weights: list[np.ndarray],
-                      y_true_rows: np.ndarray) -> tuple[float, float, float, float]:
-    """Totals for purity tracking: (matches, pairs, gated matches, gate mass)."""
-    y = np.asarray(y_true_rows)
-    matches = pairs = wmatch = wsum = 0.0
-    for i, p in enumerate(positives):
-        if p.size == 0:
-            continue
-        same = (y[p] == y[i]).astype(np.float64)
-        matches += same.sum()
-        pairs += p.size
-        wmatch += (weights[i] * same).sum()
-        wsum += weights[i].sum()
-    return matches, pairs, wmatch, wsum
 
 
 def pair_match_counts_fast(pseudo_class_rows: np.ndarray, beta_norm_rows: np.ndarray,
                            y_true_rows: np.ndarray) -> tuple[float, float, float, float]:
-    """Matrix form of pair_match_counts for the per-batch bookkeeping."""
+    """Purity totals over the pseudo-label positives of a bank's rows:
+    (true-label matches, pairs, gated matches, gate mass), with each pair
+    gated by the product of its two normalized reliabilities."""
     pc = np.asarray(pseudo_class_rows)
     pos = pc[:, None] == pc[None, :]
     np.fill_diagonal(pos, False)

@@ -32,14 +32,6 @@ class NoiseSpec:
         return d
 
 
-@dataclass(frozen=True)
-class LabeledSample:
-    id: int
-    x: np.ndarray
-    y_true: int
-    y_obs: int
-
-
 @dataclass
 class Dataset:
     x: np.ndarray        # (N, D)
@@ -56,9 +48,6 @@ class Dataset:
     @property
     def dim(self) -> int:
         return self.x.shape[1]
-
-    def sample(self, i: int) -> LabeledSample:
-        return LabeledSample(int(self.ids[i]), self.x[i], int(self.y_true[i]), int(self.y_obs[i]))
 
     def validate(self, contiguous_ids: bool = False) -> None:
         if not np.all(np.isfinite(self.x)):
@@ -83,13 +72,6 @@ class MetaSet:
     @property
     def m(self) -> int:
         return self.x.shape[0]
-
-
-@dataclass(frozen=True)
-class ViewPair:
-    weak: np.ndarray
-    strong: np.ndarray
-    source_id: int
 
 
 def class_centers(num_classes: int, dim: int, radius: float = CENTER_RADIUS) -> np.ndarray:
@@ -202,35 +184,17 @@ def default_augment_config(spread: float) -> AugmentConfig:
     return AugmentConfig(sigma_weak=0.05 * spread, sigma_strong=0.15 * spread, p_drop=0.1)
 
 
-def augment(x: np.ndarray, strength: str, seed: int, cfg: AugmentConfig) -> np.ndarray:
-    """One augmented view of a single input vector.
+def make_views(x: np.ndarray, cfg: AugmentConfig, rng: np.random.Generator):
+    """Weak and strong views for a whole (N, D) block, drawn in a fixed order.
 
     weak: Gaussian jitter sigma_weak. strong: Gaussian jitter sigma_strong,
     then each coordinate zeroed independently with probability p_drop.
     """
     x = np.asarray(x, dtype=np.float64)
-    rng = np.random.default_rng(seed)
-    if strength == "weak":
-        return x + cfg.sigma_weak * rng.standard_normal(x.shape)
-    if strength == "strong":
-        out = x + cfg.sigma_strong * rng.standard_normal(x.shape)
-        return out * (rng.random(x.shape) >= cfg.p_drop)
-    raise ValueError("strength must be 'weak' or 'strong'")
-
-
-def make_views(x: np.ndarray, cfg: AugmentConfig, rng: np.random.Generator):
-    """Weak and strong views for a whole (N, D) block, drawn in a fixed order."""
-    x = np.asarray(x, dtype=np.float64)
     weak = x + cfg.sigma_weak * rng.standard_normal(x.shape)
     strong = x + cfg.sigma_strong * rng.standard_normal(x.shape)
     strong = strong * (rng.random(x.shape) >= cfg.p_drop)
     return weak, strong
-
-
-def view_pairs(x: np.ndarray, ids: np.ndarray, cfg: AugmentConfig,
-               rng: np.random.Generator) -> list[ViewPair]:
-    weak, strong = make_views(x, cfg, rng)
-    return [ViewPair(weak[i], strong[i], int(ids[i])) for i in range(len(ids))]
 
 
 def displaced_blobs(num_classes: int, per_class: int, dim: int, spread: float,
@@ -282,14 +246,29 @@ def save_dataset(ds: Dataset, csv_path, json_path, seed: int | None = None) -> N
 
 
 def load_dataset(csv_path, json_path) -> Dataset:
-    with open(json_path) as fh:
-        sidecar = json.load(fh)
+    """Read what save_dataset wrote. Malformed files raise ConfigError naming
+    the file and the cause."""
+    try:
+        with open(json_path) as fh:
+            sidecar = json.load(fh)
+        dim, num_classes = int(sidecar["dim"]), int(sidecar["num_classes"])
+        spec = None
+        if sidecar.get("noise_spec"):
+            raw = sidecar["noise_spec"]
+            pm = raw.get("pair_map")
+            spec = NoiseSpec(raw["mode"], rate=float(raw.get("rate", 0.0)),
+                             pair_map={int(k): int(v) for k, v in pm.items()} if pm else None,
+                             seed=raw.get("seed"))
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise ConfigError("%s: malformed dataset sidecar (%s: %s)"
+                          % (json_path, type(exc).__name__, exc))
     with open(csv_path) as fh:
         rows = [line.strip() for line in fh if line.strip()]
-    dim = int(sidecar["dim"])
     expected = "id,y_true,y_obs," + ",".join("x%d" % d for d in range(dim))
+    if len(rows) < 2:
+        raise ConfigError("%s holds no samples" % csv_path)
     if rows[0] != expected:
-        raise ConfigError("dataset CSV header mismatch")
+        raise ConfigError("%s: header does not match the sidecar's dim %d" % (csv_path, dim))
     n = len(rows) - 1
     ids = np.empty(n, dtype=np.int64)
     y_true = np.empty(n, dtype=np.int64)
@@ -297,14 +276,15 @@ def load_dataset(csv_path, json_path) -> Dataset:
     x = np.empty((n, dim))
     for i, row in enumerate(rows[1:]):
         cells = row.split(",")
-        ids[i], y_true[i], y_obs[i] = int(cells[0]), int(cells[1]), int(cells[2])
-        x[i] = [float(v) for v in cells[3:]]
-    spec = None
-    if sidecar.get("noise_spec"):
-        raw = sidecar["noise_spec"]
-        pm = raw.get("pair_map")
-        spec = NoiseSpec(raw["mode"], rate=float(raw.get("rate", 0.0)),
-                         pair_map={int(k): int(v) for k, v in pm.items()} if pm else None,
-                         seed=raw.get("seed"))
-    return Dataset(x=x, y_true=y_true, y_obs=y_obs, ids=ids,
-                   num_classes=int(sidecar["num_classes"]), noise_spec=spec)
+        try:
+            ids[i], y_true[i], y_obs[i] = int(cells[0]), int(cells[1]), int(cells[2])
+            x[i] = [float(v) for v in cells[3:]]
+        except (ValueError, IndexError) as exc:
+            raise ConfigError("%s row %d: %s" % (csv_path, i + 1, exc))
+    ds = Dataset(x=x, y_true=y_true, y_obs=y_obs, ids=ids,
+                 num_classes=num_classes, noise_spec=spec)
+    try:
+        ds.validate()
+    except ValueError as exc:
+        raise ConfigError("%s: %s" % (csv_path, exc))
+    return ds

@@ -1,5 +1,5 @@
-"""Evaluation quantities (accuracy, positive-pair purity, OOD separation
-scores) and the per-run report with its deterministic serialization."""
+"""Evaluation quantities (accuracy, OOD separation scores) and the per-run
+report with its deterministic serialization."""
 
 from __future__ import annotations
 
@@ -22,28 +22,6 @@ def accuracy(predictions: np.ndarray, true_labels: np.ndarray) -> float:
     if predictions.size == 0:
         raise ValueError("accuracy of an empty set is undefined")
     return float((predictions == true_labels).mean())
-
-
-def pair_purity(positive_sets: list[np.ndarray], weights: list[np.ndarray],
-                y_true_rows: np.ndarray) -> tuple[float | None, float | None]:
-    """Fraction of contrastive positives whose true labels agree.
-
-    Returns (raw, gated); gated weighs each pair by its gating weight. Either
-    value is None when its denominator is zero.
-    """
-    y = np.asarray(y_true_rows)
-    matches = pairs = wmatch = wsum = 0.0
-    for i, p in enumerate(positive_sets):
-        if p.size == 0:
-            continue
-        same = (y[p] == y[i]).astype(np.float64)
-        matches += same.sum()
-        pairs += p.size
-        wmatch += (np.asarray(weights[i]) * same).sum()
-        wsum += np.asarray(weights[i]).sum()
-    raw = matches / pairs if pairs > 0 else None
-    gated = wmatch / wsum if wsum > 0 else None
-    return raw, gated
 
 
 @dataclass
@@ -98,12 +76,12 @@ def fpr_at_95_tpr(scores: OodScoreSet) -> float:
 
 def msp_scores(params: ModelParams, inputs: np.ndarray) -> np.ndarray:
     """Maximum softmax probability per input, using the shared softmax."""
-    return softmax(forward_batch(params, inputs, eval_mode=True).logits).max(axis=1)
+    return softmax(forward_batch(params, inputs).logits).max(axis=1)
 
 
 def msp_scores_ensemble(params_list: list[ModelParams], inputs: np.ndarray) -> np.ndarray:
     """Max of the mean softmax across networks, matching ensembled prediction."""
-    probs = [softmax(forward_batch(p, inputs, eval_mode=True).logits) for p in params_list]
+    probs = [softmax(forward_batch(p, inputs).logits) for p in params_list]
     return np.mean(probs, axis=0).max(axis=1)
 
 

@@ -32,13 +32,15 @@ class RamConfig:
 
 
 @dataclass(frozen=True)
-class MixPair:
-    i: int
-    j: int
-    lam: float
-    w_mix: float
-    x_mix: np.ndarray
-    y_mix: np.ndarray
+class MixBatch:
+    """One mixed pair per row: row k mixes sample i[k] with partner j[k]."""
+
+    i: np.ndarray    # (B,) first endpoint
+    j: np.ndarray    # (B,) partner
+    lam: np.ndarray  # (B,) interpolation coefficient, weight of the first endpoint
+    w: np.ndarray    # (B,) gating weight
+    x: np.ndarray    # (B, D) mixed inputs
+    y: np.ndarray    # (B, C) mixed targets
 
 
 def total_reliability(alpha, beta, cfg: RamConfig):
@@ -101,16 +103,6 @@ def sample_lambda_batch(r_i: np.ndarray, r_j: np.ndarray, cfg: RamConfig,
     return _beta_from_gammas(cfg.gamma * r_i / denom, cfg.gamma * r_j / denom, rng)
 
 
-def sample_lambda(r_i: float, r_j: float, cfg: RamConfig,
-                  rng: np.random.Generator) -> float:
-    return float(sample_lambda_batch(np.array([r_i]), np.array([r_j]), cfg, rng)[0])
-
-
-def grg_weight(r_i: float, r_j: float):
-    """Gating weight of a mixed pair: the stronger endpoint's reliability."""
-    return np.maximum(r_i, r_j)
-
-
 def _partner_permutation(b: int, rng: np.random.Generator) -> np.ndarray:
     """Random permutation with no fixed points for b >= 2 (self only at b=1)."""
     perm = rng.permutation(b)
@@ -127,7 +119,7 @@ def _partner_permutation(b: int, rng: np.random.Generator) -> np.ndarray:
 def build_pairs(batch_x: np.ndarray, reliabilities: np.ndarray,
                 refined_targets: np.ndarray, cfg: RamConfig,
                 rng: np.random.Generator, symmetric: bool = False,
-                gate: bool = True) -> list[MixPair]:
+                gate: bool = True) -> MixBatch:
     """One mixed pair per sample, partners drawn as a random permutation.
 
     symmetric=True replaces the reliability-shaped Beta with the classic
@@ -145,31 +137,18 @@ def build_pairs(batch_x: np.ndarray, reliabilities: np.ndarray,
         lam = _beta_from_gammas(shapes, shapes, rng)
     else:
         lam = sample_lambda_batch(r, r[perm], cfg, rng)
-    w = grg_weight(r, r[perm]) if gate else np.ones(b)
-    pairs = []
-    for i in range(b):
-        j = int(perm[i])
-        x_mix = lam[i] * batch_x[i] + (1.0 - lam[i]) * batch_x[j]
-        y_mix = lam[i] * refined_targets[i] + (1.0 - lam[i]) * refined_targets[j]
-        pairs.append(MixPair(i, j, float(lam[i]), float(w[i]), x_mix, y_mix))
-    return pairs
+    # gating weight: the stronger endpoint's reliability
+    w = np.maximum(r, r[perm]) if gate else np.ones(b)
+    mix = lambda a: lam[:, None] * a + (1.0 - lam)[:, None] * a[perm]
+    return MixBatch(i=np.arange(b), j=perm, lam=lam, w=w,
+                    x=mix(batch_x), y=mix(refined_targets))
 
 
-def _stack_pairs(pairs: list[MixPair]):
-    x = np.stack([p.x_mix for p in pairs])
-    y = np.stack([p.y_mix for p in pairs])
-    w = np.array([p.w_mix for p in pairs])
-    return x, y, w
-
-
-def ram_loss(params: ModelParams, pairs: list[MixPair], cfg: RamConfig) -> float:
-    """(1/B) * sum over pairs of w_mix * CE(f(x_mix), y_mix); gates are not
+def ram_loss(params: ModelParams, pairs: MixBatch) -> float:
+    """(1/B) * sum over pairs of w * CE(f(x), y); gates are not
     renormalized, so weak pairs simply contribute less."""
-    x, y, w = _stack_pairs(pairs)
-    return weighted_ce_loss_grad(params, x, y, w)[0]
+    return ram_loss_grad(params, pairs)[0]
 
 
-def ram_loss_grad(params: ModelParams, pairs: list[MixPair],
-                  cfg: RamConfig) -> tuple[float, np.ndarray]:
-    x, y, w = _stack_pairs(pairs)
-    return weighted_ce_loss_grad(params, x, y, w)
+def ram_loss_grad(params: ModelParams, pairs: MixBatch) -> tuple[float, np.ndarray]:
+    return weighted_ce_loss_grad(params, pairs.x, pairs.y, pairs.w)

@@ -44,6 +44,17 @@ class Architecture:
         return sum(int(np.prod(s)) for _, s in self.param_shapes())
 
 
+def _param_views(arch: Architecture, flat: np.ndarray) -> dict:
+    """Named views into any vector living in the parameter space."""
+    views = {}
+    offset = 0
+    for name, shape in arch.param_shapes():
+        size = int(np.prod(shape))
+        views[name] = flat[offset:offset + size].reshape(shape)
+        offset += size
+    return views
+
+
 class ModelParams:
     """Flat parameter vector plus named views into each weight matrix.
 
@@ -63,17 +74,11 @@ class ModelParams:
             raise ValueError("non-finite parameter entries")
         object.__setattr__(self, "arch", arch)
         object.__setattr__(self, "flat", flat)
-        offset = 0
-        for name, shape in arch.param_shapes():
-            size = int(np.prod(shape))
-            object.__setattr__(self, name, flat[offset:offset + size].reshape(shape))
-            offset += size
+        for name, view in _param_views(arch, flat).items():
+            object.__setattr__(self, name, view)
 
     def __setattr__(self, name, value):
         raise AttributeError("ModelParams is read-only")
-
-    def copy(self) -> "ModelParams":
-        return ModelParams(self.arch, self.flat.copy())
 
 
 def init_params(arch: Architecture, seed: int) -> ModelParams:
@@ -95,18 +100,12 @@ class BatchForward:
     cache: tuple        # (x, h1p, h1, h2p, h2) for the backward pass
 
 
-@dataclass
-class ForwardOutput:
-    logits: np.ndarray
-    embedding: np.ndarray
-    cache: tuple
-
-
 def forward_batch(params: ModelParams, x: np.ndarray, eval_mode: bool = False) -> BatchForward:
     """Run the MLP on a (B, dim) batch.
 
-    eval_mode is accepted for contract parity with stateful networks; this
-    architecture has no train-time-only state, so it changes nothing.
+    This architecture has no train-time-only state, so eval_mode changes
+    nothing. The keyword stays because perfbench/worker.py's checkpoint
+    check passes eval_mode=True.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != params.arch.dim:
@@ -118,14 +117,6 @@ def forward_batch(params: ModelParams, x: np.ndarray, eval_mode: bool = False) -
     logits = h2 @ params.wc + params.bc
     emb = h2 @ params.wp + params.bp
     return BatchForward(logits, emb, (x, h1p, h1, h2p, h2))
-
-
-def forward(params: ModelParams, x: np.ndarray, eval_mode: bool = False) -> ForwardOutput:
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError("forward takes a single input vector; use forward_batch")
-    out = forward_batch(params, x[None, :], eval_mode=eval_mode)
-    return ForwardOutput(out.logits[0], out.emb[0], out.cache)
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -182,14 +173,13 @@ def backward_batch(params: ModelParams, cache: tuple, dlogits: np.ndarray,
 
 
 def weighted_ce_loss_grad(params: ModelParams, x: np.ndarray, targets: np.ndarray,
-                          weights: np.ndarray,
-                          eval_mode: bool = False) -> tuple[float, np.ndarray]:
+                          weights: np.ndarray) -> tuple[float, np.ndarray]:
     """Value and gradient of (1/B) * sum_i weights_i * CE(f(x_i), targets_i)."""
     x = np.asarray(x, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
     weights = np.asarray(weights, dtype=np.float64)
     b = x.shape[0]
-    out = forward_batch(params, x, eval_mode=eval_mode)
+    out = forward_batch(params, x)
     logp = log_softmax(out.logits)
     per = -(targets * logp).sum(axis=1)
     loss = float((weights * per).sum() / b)
@@ -198,52 +188,9 @@ def weighted_ce_loss_grad(params: ModelParams, x: np.ndarray, targets: np.ndarra
 
 
 def grad_batch(params: ModelParams, x: np.ndarray, targets: np.ndarray,
-               weights: np.ndarray, eval_mode: bool = False) -> np.ndarray:
+               weights: np.ndarray) -> np.ndarray:
     """Gradient of the weighted mean cross-entropy over a batch."""
-    return weighted_ce_loss_grad(params, x, targets, weights, eval_mode=eval_mode)[1]
-
-
-def _per_sample_from_dlogits(params: ModelParams, cache: tuple,
-                             dlogits: np.ndarray) -> np.ndarray:
-    """Per-sample flat gradients for a loss touching only the logits head."""
-    x, h1p, h1, h2p, h2 = cache
-    b = x.shape[0]
-    arch = params.arch
-    dh2p = (dlogits @ params.wc.T) * (h2p > 0)
-    dh1p = (dh2p @ params.w2.T) * (h1p > 0)
-    gw1 = np.einsum("bd,bh->bdh", x, dh1p).reshape(b, -1)
-    gw2 = np.einsum("bi,bj->bij", h1, dh2p).reshape(b, -1)
-    gwc = np.einsum("bh,bc->bhc", h2, dlogits).reshape(b, -1)
-    zeros_proj = np.zeros((b, arch.hidden * arch.proj + arch.proj))
-    return np.concatenate([gw1, dh1p, gw2, dh2p, gwc, dlogits, zeros_proj], axis=1)
-
-
-def per_sample_grads(params: ModelParams, x: np.ndarray, given_targets: np.ndarray,
-                     pseudo_targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-sample gradients of the two cross-entropy terms, scaled by 1/B.
-
-    Returns (g1, g2), each (B, n_params). With per-sample weights eps1, eps2
-    the gradient of the weighted composite batch loss is exactly
-    sum_i (eps1_i * g1_i + eps2_i * g2_i).
-    """
-    x = np.asarray(x, dtype=np.float64)
-    b = x.shape[0]
-    out = forward_batch(params, x)
-    probs = softmax(out.logits)
-    g1 = _per_sample_from_dlogits(params, out.cache, (probs - given_targets) / b)
-    g2 = _per_sample_from_dlogits(params, out.cache, (probs - pseudo_targets) / b)
-    return g1, g2
-
-
-def split_flat(arch: Architecture, flat: np.ndarray) -> dict:
-    """Named views into any vector living in the parameter space."""
-    views = {}
-    offset = 0
-    for name, shape in arch.param_shapes():
-        size = int(np.prod(shape))
-        views[name] = flat[offset:offset + size].reshape(shape)
-        offset += size
-    return views
+    return weighted_ce_loss_grad(params, x, targets, weights)[1]
 
 
 def per_sample_grad_dots(params: ModelParams, x: np.ndarray,
@@ -251,15 +198,15 @@ def per_sample_grad_dots(params: ModelParams, x: np.ndarray,
                          vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """<g_k_i, vec> for every sample, without materializing the gradients.
 
-    Same quantities as dotting per_sample_grads output with vec: each layer's
-    per-sample gradient is an outer product, so its inner product with vec's
-    matching block is (activation @ block) . delta.
+    Same quantities as dotting oracles.per_sample_grads output with vec:
+    each layer's per-sample gradient is an outer product, so its inner
+    product with vec's matching block is (activation @ block) . delta.
     """
     x = np.asarray(x, dtype=np.float64)
     b = x.shape[0]
     out = forward_batch(params, x)
     probs = softmax(out.logits)
-    v = split_flat(params.arch, np.asarray(vec, dtype=np.float64))
+    v = _param_views(params.arch, np.asarray(vec, dtype=np.float64))
     xc, h1p, h1, h2p, h2 = out.cache
     xv1 = x @ v["w1"]
     h1v2 = h1 @ v["w2"]

@@ -1,9 +1,10 @@
 """Independent brute-force oracles and the self-check suites built on them.
 
 Everything here deliberately avoids the production code paths it checks:
-gradients come from central finite differences, the contrastive loss from a
-scalar double loop, OOD separation from exhaustive pairwise counting, and
-Beta moments from closed forms.
+gradients come from central finite differences, per-sample gradients are
+materialized rather than dotted, the contrastive loss and positive-pair
+purity come from loops over anchors, OOD separation from exhaustive pairwise
+counting, and Beta moments from closed forms.
 """
 
 from __future__ import annotations
@@ -67,6 +68,56 @@ def naive_infonce(z: np.ndarray, pseudo_class: np.ndarray, beta: np.ndarray,
     if not anchor_terms:
         return 0.0
     return sum(anchor_terms) / len(anchor_terms)
+
+
+def pair_match_counts(positives: list[np.ndarray], weights: list[np.ndarray],
+                      y_true_rows: np.ndarray) -> tuple[float, float, float, float]:
+    """Loop restatement of contrastive.pair_match_counts_fast over explicit
+    positive sets and their gating weights."""
+    y = np.asarray(y_true_rows)
+    matches = pairs = wmatch = wsum = 0.0
+    for i, p in enumerate(positives):
+        if p.size == 0:
+            continue
+        same = (y[p] == y[i]).astype(np.float64)
+        matches += same.sum()
+        pairs += p.size
+        wmatch += (weights[i] * same).sum()
+        wsum += weights[i].sum()
+    return matches, pairs, wmatch, wsum
+
+
+def _per_sample_from_dlogits(params: net.ModelParams, cache: tuple,
+                             dlogits: np.ndarray) -> np.ndarray:
+    """Per-sample flat gradients for a loss touching only the logits head."""
+    x, h1p, h1, h2p, h2 = cache
+    b = x.shape[0]
+    arch = params.arch
+    dh2p = (dlogits @ params.wc.T) * (h2p > 0)
+    dh1p = (dh2p @ params.w2.T) * (h1p > 0)
+    gw1 = np.einsum("bd,bh->bdh", x, dh1p).reshape(b, -1)
+    gw2 = np.einsum("bi,bj->bij", h1, dh2p).reshape(b, -1)
+    gwc = np.einsum("bh,bc->bhc", h2, dlogits).reshape(b, -1)
+    zeros_proj = np.zeros((b, arch.hidden * arch.proj + arch.proj))
+    return np.concatenate([gw1, dh1p, gw2, dh2p, gwc, dlogits, zeros_proj], axis=1)
+
+
+def per_sample_grads(params: net.ModelParams, x: np.ndarray, given_targets: np.ndarray,
+                     pseudo_targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-sample gradients of the two cross-entropy terms, scaled by 1/B.
+
+    Returns (g1, g2), each (B, n_params). With per-sample weights eps1, eps2
+    the gradient of the weighted composite batch loss is exactly
+    sum_i (eps1_i * g1_i + eps2_i * g2_i). Materialized restatement of
+    net.per_sample_grad_dots.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    b = x.shape[0]
+    out = net.forward_batch(params, x)
+    probs = net.softmax(out.logits)
+    g1 = _per_sample_from_dlogits(params, out.cache, (probs - given_targets) / b)
+    g2 = _per_sample_from_dlogits(params, out.cache, (probs - pseudo_targets) / b)
+    return g1, g2
 
 
 def pairwise_auroc(id_scores: np.ndarray, ood_scores: np.ndarray) -> float:
@@ -170,8 +221,8 @@ def suite_losses() -> list[CheckResult]:
     ram_cfg = mixup.RamConfig()
     r = rng.random(4) * 1.5 + 0.2
     pairs = mixup.build_pairs(x, r, targets.astype(float), ram_cfg, np.random.default_rng(3))
-    _, gram = mixup.ram_loss_grad(params, pairs, ram_cfg)
-    fd_vs("mixup_loss_gradient", lambda p: mixup.ram_loss(p, pairs, ram_cfg), gram)
+    _, gram = mixup.ram_loss_grad(params, pairs)
+    fd_vs("mixup_loss_gradient", lambda p: mixup.ram_loss(p, pairs), gram)
 
     cd_cfg = contrastive.CdclConfig()
     strong = rng.standard_normal((4, 3))

@@ -60,8 +60,8 @@ def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
 
 
 def meta_loss(params: ModelParams, meta: MetaSet, num_classes: int) -> float:
-    """Mean cross-entropy on the held-out clean set, evaluation-mode forward."""
-    out = forward_batch(params, meta.x, eval_mode=True)
+    """Mean cross-entropy on the held-out clean set."""
+    out = forward_batch(params, meta.x)
     targets = one_hot(meta.y, num_classes)
     return float(-(targets * log_softmax(out.logits)).sum(axis=1).mean())
 
@@ -78,8 +78,7 @@ def meta_gradients_closed(params: ModelParams, batch_x: np.ndarray,
     if meta.m == 0:
         raise ConfigError("meta set must be nonempty")
     num_classes = given_targets.shape[1]
-    mgrad = grad_batch(params, meta.x, one_hot(meta.y, num_classes), np.ones(meta.m),
-                       eval_mode=True)
+    mgrad = grad_batch(params, meta.x, one_hot(meta.y, num_classes), np.ones(meta.m))
     d1, d2 = per_sample_grad_dots(params, batch_x, given_targets, pseudo_targets, mgrad)
     return -cfg.eta_inner * d1, -cfg.eta_inner * d2
 

@@ -33,6 +33,9 @@ _MIX_STREAM = 13
 SOURCE_CO = "co_prediction"
 SOURCE_GIVEN = "given_label"
 
+# Mixup pair kinds, indexed by the number of clean-labeled endpoints
+PAIR_KINDS = ("noisy_noisy", "clean_noisy", "clean_clean")
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -52,7 +55,6 @@ class TrainConfig:
     hidden: int = 64
     proj: int = 16
     xi: float = 1e-10
-    fd_step: float = 1e-4
     reliability_stride: int = 1
     ram: RamConfig = RamConfig()
     cdcl: CdclConfig = CdclConfig()
@@ -116,16 +118,6 @@ class NetPair:
     def states(self):
         return (self.net1, self.net2)
 
-    def params_of(self, name: str) -> ModelParams:
-        return self.net1.params if name == "net1" else self.net2.params
-
-
-@dataclass(frozen=True)
-class RefinedTarget:
-    dist: np.ndarray
-    source: str
-    confidence: float
-
 
 @dataclass
 class RefinedTargets:
@@ -134,11 +126,6 @@ class RefinedTargets:
     dists: np.ndarray       # (B, C)
     source: np.ndarray      # (B,) SOURCE_CO or SOURCE_GIVEN
     confidence: np.ndarray  # (B,) max co-network softmax
-    provider: str           # name of the network that produced the predictions
-
-    def per_sample(self) -> list[RefinedTarget]:
-        return [RefinedTarget(self.dists[i], str(self.source[i]), float(self.confidence[i]))
-                for i in range(len(self.confidence))]
 
 
 def warmup(t: int, cfg: TrainConfig) -> float:
@@ -159,7 +146,7 @@ def sharpen(probs: np.ndarray, temp: float) -> np.ndarray:
 
 
 def refined_targets(co_probs: np.ndarray, given_labels: np.ndarray,
-                    cfg: TrainConfig, provider: str = "co") -> RefinedTargets:
+                    cfg: TrainConfig) -> RefinedTargets:
     """Sharpened co-network prediction where it is confident, otherwise the
     observed label as a one-hot."""
     co_probs = np.asarray(co_probs, dtype=np.float64)
@@ -170,17 +157,15 @@ def refined_targets(co_probs: np.ndarray, given_labels: np.ndarray,
                      sharpen(co_probs, cfg.sharpen_temp),
                      one_hot(given_labels, num_classes))
     source = np.where(confident, SOURCE_CO, SOURCE_GIVEN)
-    return RefinedTargets(dists=dists, source=source, confidence=confidence,
-                          provider=provider)
+    return RefinedTargets(dists=dists, source=source, confidence=confidence)
 
 
-def given_label_targets(given_labels: np.ndarray, num_classes: int,
-                        provider: str = "co") -> RefinedTargets:
+def given_label_targets(given_labels: np.ndarray, num_classes: int) -> RefinedTargets:
     """Plain one-hot observed labels (refinement disabled)."""
     n = len(given_labels)
     return RefinedTargets(dists=one_hot(given_labels, num_classes),
                           source=np.array([SOURCE_GIVEN] * n),
-                          confidence=np.zeros(n), provider=provider)
+                          confidence=np.zeros(n))
 
 
 def confidence_filter(co_probs: np.ndarray, cfg: TrainConfig,
@@ -194,10 +179,6 @@ def confidence_filter(co_probs: np.ndarray, cfg: TrainConfig,
     if warmup_active:
         return np.arange(co_probs.shape[0])
     return np.flatnonzero(co_probs.max(axis=1) >= cfg.conf_threshold)
-
-
-def _dists_of(targets) -> np.ndarray:
-    return targets.dists if isinstance(targets, RefinedTargets) else np.asarray(targets)
 
 
 def reweighted_ce(params: ModelParams, weak_x: np.ndarray, targets,
@@ -216,7 +197,7 @@ def reweighted_ce_grad(params: ModelParams, weak_x: np.ndarray, targets,
     bc = np.asarray(bc, dtype=np.int64)
     if bc.size == 0:
         return 0.0, np.zeros(params.arch.n_params)
-    dists = _dists_of(targets)
+    dists = np.asarray(targets)
     r = np.asarray(reliabilities, dtype=np.float64)[bc]
     r_tilde = r / (r.mean() + cfg.ram.delta)
     weights = 1.0 + eta_w * r_tilde
@@ -234,8 +215,7 @@ def consistency_loss_grad(params: ModelParams, strong_x: np.ndarray, targets,
     bc = np.asarray(bc, dtype=np.int64)
     if bc.size == 0:
         return 0.0, np.zeros(params.arch.n_params)
-    dists = _dists_of(targets)
-    return weighted_ce_loss_grad(params, np.asarray(strong_x)[bc], dists[bc],
+    return weighted_ce_loss_grad(params, np.asarray(strong_x)[bc], np.asarray(targets)[bc],
                                  np.ones(bc.size))
 
 
@@ -268,11 +248,11 @@ class DiagnosticsWriter:
             self._rel.write(csv_line([epoch, batch_idx, int(ids[k]),
                                       float(alpha[k]), float(beta[k]), bool(clean[k])]))
 
-    def lambda_hist(self, epoch, hist_by_type, edges):
-        for pair_type in ("clean_clean", "clean_noisy", "noisy_noisy"):
-            counts = hist_by_type[pair_type]
+    def lambda_hist(self, epoch, hist_by_kind, edges):
+        for kind in (2, 1, 0):  # clean_clean first
+            counts = hist_by_kind[kind]
             for b in range(len(counts)):
-                self._lam.write(csv_line([epoch, pair_type, float(edges[b]),
+                self._lam.write(csv_line([epoch, PAIR_KINDS[kind], float(edges[b]),
                                           float(edges[b + 1]), int(counts[b])]))
 
     def purity_row(self, epoch, raw, gated):
@@ -293,10 +273,10 @@ class _EpochTally:
         self.beta = {True: [], False: []}
         self.wmix_sum = 0.0
         self.wmix_count = 0
-        self.lam_sums = {k: 0.0 for k in ("clean_clean", "clean_noisy", "noisy_noisy")}
-        self.lam_counts = {k: 0 for k in ("clean_clean", "clean_noisy", "noisy_noisy")}
-        self.lam_hist = {k: np.zeros(10, dtype=np.int64)
-                         for k in ("clean_clean", "clean_noisy", "noisy_noisy")}
+        # indexed by pair kind, the number of clean endpoints (PAIR_KINDS)
+        self.lam_sums = np.zeros(3)
+        self.lam_counts = np.zeros(3, dtype=np.int64)
+        self.lam_hist = np.zeros((3, 10), dtype=np.int64)
         self.purity = np.zeros(4)  # matches, pairs, gated matches, gate mass
         self.mass_gap = None
 
@@ -313,19 +293,15 @@ class _EpochTally:
         self.mass_gap = gap if self.mass_gap is None else max(self.mass_gap, gap)
 
     def add_pairs(self, pairs, clean):
-        lam = np.array([p.lam for p in pairs])
-        w = np.array([p.w_mix for p in pairs])
-        kinds = np.array([int(clean[p.i]) + int(clean[p.j]) for p in pairs])
-        self.wmix_sum += float(w.sum())
-        self.wmix_count += len(pairs)
+        lam = pairs.lam
+        kinds = clean[pairs.i].astype(np.int64) + clean[pairs.j]
+        self.wmix_sum += float(pairs.w.sum())
+        self.wmix_count += len(lam)
         bins = np.minimum((lam * 10.0).astype(np.int64), 9)
-        for code, kind in enumerate(("noisy_noisy", "clean_noisy", "clean_clean")):
-            mask = kinds == code
-            n = int(mask.sum())
-            if n:
-                self.lam_sums[kind] += float(lam[mask].sum())
-                self.lam_counts[kind] += n
-                np.add.at(self.lam_hist[kind], bins[mask], 1)
+        for kind in range(3):
+            self.lam_sums[kind] += lam[kinds == kind].sum()
+        self.lam_counts += np.bincount(kinds, minlength=3)
+        np.add.at(self.lam_hist, (kinds, bins), 1)
 
     def add_purity(self, counts):
         self.purity += np.asarray(counts)
@@ -352,18 +328,18 @@ class _EpochTally:
         return stats
 
     def lambda_stats(self):
-        if sum(self.lam_counts.values()) == 0:
+        if self.lam_counts.sum() == 0:
             return None
         out = {}
-        for kind in ("clean_clean", "clean_noisy", "noisy_noisy"):
-            n = self.lam_counts[kind]
-            out[kind] = {"count": n, "mean": self.lam_sums[kind] / n if n else None}
-        out["hist"] = [int(v) for v in sum(self.lam_hist.values())]
+        for kind, name in enumerate(PAIR_KINDS):
+            n = int(self.lam_counts[kind])
+            out[name] = {"count": n, "mean": float(self.lam_sums[kind]) / n if n else None}
+        out["hist"] = [int(v) for v in self.lam_hist.sum(axis=0)]
         return out
 
 
 def _evaluate(nets: NetPair, test: Dataset) -> dict:
-    probs = [softmax(forward_batch(st.params, test.x, eval_mode=True).logits)
+    probs = [softmax(forward_batch(st.params, test.x).logits)
              for st in nets.states()]
     acc1 = metrics.accuracy(probs[0].argmax(axis=1), test.y_true)
     acc2 = metrics.accuracy(probs[1].argmax(axis=1), test.y_true)
@@ -378,8 +354,7 @@ def co_train(train: Dataset, meta: MetaSet | None, test: Dataset, cfg: TrainConf
     """Run the full dual-network loop and return the RunReport.
 
     Supervision for each network comes exclusively from the other network's
-    frozen pre-update outputs within each batch; the report records that
-    provenance along with all per-epoch metrics.
+    frozen pre-update outputs within each batch.
     """
     if cfg.use_meta and (meta is None or meta.m == 0):
         raise ConfigError("reliability estimation needs a nonempty meta set")
@@ -427,27 +402,24 @@ def co_train(train: Dataset, meta: MetaSet | None, test: Dataset, cfg: TrainConf
 
             # frozen pre-update co-network outputs; net1 learns from net2's
             co_out = {
-                "net1": softmax(forward_batch(nets.net2.params, xw, eval_mode=True).logits),
-                "net2": softmax(forward_batch(nets.net1.params, xw, eval_mode=True).logits),
+                "net1": softmax(forward_batch(nets.net2.params, xw).logits),
+                "net2": softmax(forward_batch(nets.net1.params, xw).logits),
             }
-            provider = {"net1": "net2", "net2": "net1"}
 
             for st in nets.states():
                 co_probs = co_out[st.name]
-                assert provider[st.name] != st.name
                 pseudo_cls = co_probs.argmax(axis=1)
 
                 if cfg.use_refine:
-                    refined = refined_targets(co_probs, y_obs, cfg, provider=provider[st.name])
+                    refined = refined_targets(co_probs, y_obs, cfg)
                     bc = confidence_filter(co_probs, cfg, warmup_active=(w_t == 0.0))
                 else:
-                    refined = given_label_targets(y_obs, train.num_classes,
-                                                  provider=provider[st.name])
+                    refined = given_label_targets(y_obs, train.num_classes)
                     bc = np.arange(b)
 
                 if cfg.use_meta:
                     if batch_idx % cfg.reliability_stride == 0:
-                        mcfg = MetaConfig(eta_inner=lr_t, xi=cfg.xi, fd_step=cfg.fd_step)
+                        mcfg = MetaConfig(eta_inner=lr_t, xi=cfg.xi)
                         e1, e2 = meta_gradients_closed(
                             st.params, xw, one_hot(y_obs, train.num_classes),
                             one_hot(pseudo_cls, train.num_classes), meta, mcfg)
@@ -477,20 +449,20 @@ def co_train(train: Dataset, meta: MetaSet | None, test: Dataset, cfg: TrainConf
                     eta_eff = 0.0
 
                 comps = {}
-                lce, grad = reweighted_ce_grad(st.params, xw, refined, r, bc, cfg,
+                lce, grad = reweighted_ce_grad(st.params, xw, refined.dists, r, bc, cfg,
                                                eta_w=eta_eff)
                 comps["ce_re"] = lce
 
                 if w_t > 0.0:
                     if cfg.use_cr:
-                        lcr, gcr = consistency_loss_grad(st.params, xs, refined, bc)
+                        lcr, gcr = consistency_loss_grad(st.params, xs, refined.dists, bc)
                         comps["cr"] = lcr
                         grad = grad + w_t * gcr
                     if cfg.use_ram:
                         pairs = mixup.build_pairs(xw, r, refined.dists, cfg.ram,
                                                   st.mix_rng, symmetric=cfg.sym_ram,
                                                   gate=cfg.use_grg)
-                        lram, gram = mixup.ram_loss_grad(st.params, pairs, cfg.ram)
+                        lram, gram = mixup.ram_loss_grad(st.params, pairs)
                         comps["ram"] = lram
                         grad = grad + w_t * gram
                         tally.add_pairs(pairs, batch_clean)

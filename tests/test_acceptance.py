@@ -159,14 +159,14 @@ def test_criterion_02_loss_gradient_integrity():
         p = net.ModelParams(arch, flat)
         ce = trainer.reweighted_ce(p, xw, targets, r, bc, tcfg)
         cr = trainer.consistency_loss(p, xs, targets, bc)
-        ram = mixup.ram_loss(p, pairs, tcfg.ram)
+        ram = mixup.ram_loss(p, pairs)
         bank = contrastive.build_bank(p, xw, xs, pc, beta)
         cdcl = contrastive.cdcl_loss(bank, tcfg.cdcl)
         return {"ce_re": ce, "cr": cr, "ram": ram, "cdcl": cdcl}
 
     _, g_ce = trainer.reweighted_ce_grad(params, xw, targets, r, bc, tcfg)
     _, g_cr = trainer.consistency_loss_grad(params, xs, targets, bc)
-    _, g_ram = mixup.ram_loss_grad(params, pairs, tcfg.ram)
+    _, g_ram = mixup.ram_loss_grad(params, pairs)
     _, g_cd = contrastive.cdcl_grad(params, xw, xs, pc, beta, tcfg.cdcl)
     grads = {"ce_re": g_ce, "cr": g_cr, "ram": g_ram, "cdcl": g_cd,
              "total": g_ce + w_t * (g_cr + g_ram + tcfg.lambda_cdcl * g_cd)}

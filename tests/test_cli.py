@@ -74,6 +74,61 @@ class TestGenerate:
         assert cli.main(["generate", "--config", str(tmp_path / "nope.cfg"),
                          "--out", str(tmp_path)]) == 2
 
+    def test_removed_fd_step_key_exit_2(self, tmp_path, capsys):
+        bad = tmp_path / "old.cfg"
+        bad.write_text("[reliability]\nfd_step = 0.5\n")
+        assert cli.main(["generate", "--config", str(bad), "--out", str(tmp_path / "x")]) == 2
+        assert "reliability.fd_step" in capsys.readouterr().err
+
+
+def _label_out_of_range(data_dir, cfg_text):
+    # y_obs of the first sample set to 7 with 4 classes
+    csv = data_dir / "dataset.csv"
+    lines = csv.read_text().splitlines()
+    cells = lines[1].split(",")
+    cells[2] = "7"
+    lines[1] = ",".join(cells)
+    csv.write_text("\n".join(lines) + "\n")
+    return cfg_text
+
+
+def _empty_csv(data_dir, cfg_text):
+    (data_dir / "dataset.csv").write_text("")
+    return cfg_text
+
+
+def _sidecar_without_dim(data_dir, cfg_text):
+    sidecar = data_dir / "dataset.json"
+    raw = json.loads(sidecar.read_text())
+    del raw["dim"]
+    sidecar.write_text(json.dumps(raw))
+    return cfg_text
+
+
+def _dim_mismatch(data_dir, cfg_text):
+    # the files were generated with dim = 3; the run asks for 16
+    return cfg_text.replace("dim = 3", "dim = 16")
+
+
+class TestLoadedDataset:
+    @pytest.mark.parametrize("corrupt, expected", [
+        (_label_out_of_range, ["dataset.csv", "class index out of range"]),
+        (_empty_csv, ["dataset.csv", "no samples"]),
+        (_sidecar_without_dim, ["dataset.json", "'dim'"]),
+        (_dim_mismatch, ["dataset.dim"]),
+    ], ids=["label_out_of_range", "empty_csv", "sidecar_without_dim", "dim_mismatch"])
+    def test_malformed_dataset_exit_2(self, corrupt, expected, cfg_path, tmp_path, capsys):
+        data_dir = tmp_path / "data"
+        assert cli.main(["generate", "--config", cfg_path, "--out", str(data_dir)]) == 0
+        text = SMALL_RUN.replace("[dataset]\n", "[dataset]\nload_dir = %s\n" % data_dir)
+        path = tmp_path / "load.cfg"
+        path.write_text(corrupt(data_dir, text))
+        capsys.readouterr()
+        assert cli.main(["train", "--config", str(path), "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        for fragment in expected:
+            assert fragment in err
+
 
 class TestTrain:
     def test_full_run_outputs(self, cfg_path, tmp_path):
@@ -170,3 +225,9 @@ class TestReport:
         text = capsys.readouterr().out
         assert "final accuracy" in text
         assert "epochs recorded : 3" in text
+
+    def test_missing_key_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "partial.json"
+        path.write_text('{"schema_version": 1}')
+        assert cli.main(["report", str(path)]) == 2
+        assert "'config'" in capsys.readouterr().err

@@ -162,26 +162,22 @@ class TestSplitMeta:
 class TestAugment:
     def test_weak_no_jitter_identity(self):
         cfg = data.AugmentConfig(sigma_weak=0.0, sigma_strong=0.1, p_drop=0.0)
-        x = np.array([1.0, -2.0, 0.5])
-        assert np.array_equal(data.augment(x, "weak", 3, cfg), x)
+        x = np.array([[1.0, -2.0, 0.5]])
+        weak, _ = data.make_views(x, cfg, np.random.default_rng(3))
+        assert np.array_equal(weak, x)
 
     def test_full_dropout_zeroes_strong_view(self):
         cfg = data.AugmentConfig(sigma_weak=0.0, sigma_strong=0.1, p_drop=1.0)
-        out = data.augment(np.ones(5), "strong", 3, cfg)
-        assert np.all(out == 0.0)
+        _, strong = data.make_views(np.ones((1, 5)), cfg, np.random.default_rng(3))
+        assert np.all(strong == 0.0)
 
     def test_jitter_moment_monte_carlo(self):
         cfg = data.AugmentConfig(sigma_weak=0.05, sigma_strong=0.15, p_drop=0.1)
         x = np.array([0.3, -0.7])
-        draws = np.stack([data.augment(x, "weak", seed, cfg) for seed in range(10_000)])
-        offsets = draws - x
+        weak, _ = data.make_views(np.tile(x, (10_000, 1)), cfg, np.random.default_rng(0))
+        offsets = weak - x
         bound = 3 * 0.05 / np.sqrt(10_000)
         assert np.all(np.abs(offsets.mean(axis=0)) <= bound)
-
-    def test_invalid_strength(self):
-        cfg = data.AugmentConfig(0.1, 0.2, 0.1)
-        with pytest.raises(ValueError):
-            data.augment(np.ones(2), "medium", 0, cfg)
 
     def test_make_views_shapes_and_determinism(self):
         cfg = data.AugmentConfig(0.1, 0.2, 0.3)

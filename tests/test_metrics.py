@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from noisylab import metrics, net
+from noisylab.contrastive import pair_match_counts_fast
 from noisylab.oracles import pairwise_auroc, sweep_fpr_at_tpr
 
 
@@ -23,38 +24,36 @@ class TestAccuracy:
 
 
 class TestPairPurity:
+    """Positive-pair purity from the matrix-form counters: rows sharing a
+    pseudo-label are positives, each gated by the product of normalized
+    reliabilities; raw = matches / pairs, gated = gated matches / gate mass."""
+
     def test_all_matching(self):
-        sets = [np.array([1]), np.array([0])]
-        weights = [np.array([2.0]), np.array([2.0])]
-        raw, gated = metrics.pair_purity(sets, weights, np.array([5, 5]))
-        assert raw == 1.0 and gated == 1.0
+        matches, pairs, wmatch, wsum = pair_match_counts_fast(
+            np.array([0, 0]), np.array([2.0, 2.0]), np.array([5, 5]))
+        assert matches / pairs == 1.0 and wmatch / wsum == 1.0
 
     def test_constant_weights_equal_raw(self):
         rng = np.random.default_rng(0)
         pc = rng.integers(0, 2, 10)
-        from noisylab.contrastive import positive_sets
-
-        sets = positive_sets(pc)
-        weights = [np.full(len(s), 0.7) for s in sets]
         y = rng.integers(0, 2, 10)
-        raw, gated = metrics.pair_purity(sets, weights, y)
-        assert gated == pytest.approx(raw)
+        matches, pairs, wmatch, wsum = pair_match_counts_fast(pc, np.full(10, 0.7), y)
+        assert wmatch / wsum == pytest.approx(matches / pairs)
 
     def test_hand_fixture(self):
-        # pairs (0,1), (1,0), (2,3) have matches (1,1,0) and weights (1,1,2):
-        # raw = 2/3, gated = (1+1+0)/(1+1+2) = 0.5
-        sets = [np.array([1]), np.array([0]), np.array([3])]
-        weights = [np.array([1.0]), np.array([1.0]), np.array([2.0])]
+        # positives (0,1), (1,0), (2,3), (3,2) have matches (1,1,0,0) and
+        # weights (1,1,2,2): raw = 2/4, gated = (1+1)/(1+1+2+2) = 1/3
+        pc = np.array([0, 0, 1, 1])
+        bnorm = np.array([1.0, 1.0, np.sqrt(2.0), np.sqrt(2.0)])
         y = np.array([0, 0, 1, 2])
-        raw, gated = metrics.pair_purity(sets, weights, y)
-        assert raw == pytest.approx(2.0 / 3.0)
-        assert gated == pytest.approx(0.5)
+        matches, pairs, wmatch, wsum = pair_match_counts_fast(pc, bnorm, y)
+        assert matches / pairs == pytest.approx(0.5)
+        assert wmatch / wsum == pytest.approx(1.0 / 3.0)
 
     def test_empty_weights_reported_absent(self):
-        sets = [np.array([1]), np.array([0])]
-        weights = [np.array([0.0]), np.array([0.0])]
-        raw, gated = metrics.pair_purity(sets, weights, np.array([1, 1]))
-        assert raw == 1.0 and gated is None
+        matches, pairs, wmatch, wsum = pair_match_counts_fast(
+            np.array([0, 0]), np.array([0.0, 0.0]), np.array([1, 1]))
+        assert matches / pairs == 1.0 and wsum == 0.0
 
 
 class TestAuroc:

@@ -1,6 +1,8 @@
 """Reliability-arbitrated Mixup: clamping, the hand-written Beta sampler
 against analytic moments, gating, pairing, and the gated loss."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -91,24 +93,28 @@ class TestSampleLambda:
         se = draws.std() / np.sqrt(draws.size)
         assert draws.mean() > 0.5 + 3 * se
 
-    def test_scalar_wrapper(self):
-        lam = mixup.sample_lambda(1.0, 1.0, CFG, np.random.default_rng(6))
-        assert 0.0 < lam < 1.0
+
+def gate_weights(r):
+    """Gating weights build_pairs assigns to a batch with reliabilities r."""
+    b = len(r)
+    pairs = mixup.build_pairs(np.zeros((b, 2)), np.asarray(r), np.tile([1.0, 0.0], (b, 1)),
+                              CFG, np.random.default_rng(0))
+    return pairs.w
 
 
 class TestGrgWeight:
     def test_max_of_pair(self):
-        assert mixup.grg_weight(0.4, 0.7) == pytest.approx(0.7)
+        assert np.allclose(gate_weights([0.4, 0.7]), [0.7, 0.7])
 
     def test_both_weak_floor(self):
-        assert mixup.grg_weight(CFG.r_min, CFG.r_min) == pytest.approx(CFG.r_min)
+        assert np.allclose(gate_weights([CFG.r_min, CFG.r_min]), CFG.r_min)
 
     def test_symmetry_and_monotonicity(self):
         rng = np.random.default_rng(7)
         for _ in range(100):
             a, b = rng.uniform(CFG.r_min, CFG.r_max, 2)
-            assert mixup.grg_weight(a, b) == mixup.grg_weight(b, a)
-            assert mixup.grg_weight(a + 0.05, b) >= mixup.grg_weight(a, b)
+            assert np.array_equal(gate_weights([a, b]), gate_weights([b, a]))
+            assert gate_weights([a + 0.05, b])[0] >= gate_weights([a, b])[0]
 
 
 class TestBuildPairs:
@@ -117,9 +123,9 @@ class TestBuildPairs:
         targets = np.array([[1.0, 0.0]])
         pairs = mixup.build_pairs(x, np.array([1.0]), targets, CFG,
                                   np.random.default_rng(0))
-        assert len(pairs) == 1
-        assert pairs[0].i == pairs[0].j == 0
-        assert np.allclose(pairs[0].x_mix, x[0])
+        assert len(pairs.lam) == 1
+        assert pairs.i[0] == pairs.j[0] == 0
+        assert np.allclose(pairs.x[0], x[0])
 
     def test_no_self_pairs_beyond_singleton(self):
         rng = np.random.default_rng(1)
@@ -127,14 +133,14 @@ class TestBuildPairs:
             x = rng.standard_normal((b, 2))
             targets = np.tile([1.0, 0.0], (b, 1))
             pairs = mixup.build_pairs(x, np.ones(b), targets, CFG, rng)
-            assert all(p.i != p.j for p in pairs)
+            assert np.all(pairs.i != pairs.j)
 
     def test_partner_multiset_is_permutation(self):
         rng = np.random.default_rng(2)
         x = rng.standard_normal((16, 2))
         targets = np.tile([0.5, 0.5], (16, 1))
         pairs = mixup.build_pairs(x, np.ones(16), targets, CFG, rng)
-        assert sorted(p.j for p in pairs) == list(range(16))
+        assert sorted(pairs.j) == list(range(16))
 
     def test_mixture_invariants(self):
         rng = np.random.default_rng(3)
@@ -143,14 +149,17 @@ class TestBuildPairs:
         targets /= targets.sum(axis=1, keepdims=True)
         r = rng.uniform(CFG.r_min, CFG.r_max, 12)
         pairs = mixup.build_pairs(x, r, targets, CFG, rng)
-        for p in pairs:
-            assert 0.0 < p.lam < 1.0
-            assert CFG.r_min <= p.w_mix <= CFG.r_max
-            assert abs(p.y_mix.sum() - 1.0) < 1e-9
-            lo = np.minimum(x[p.i], x[p.j]) - 1e-12
-            hi = np.maximum(x[p.i], x[p.j]) + 1e-12
-            assert np.all(p.x_mix >= lo) and np.all(p.x_mix <= hi)
-            assert p.w_mix == pytest.approx(max(r[p.i], r[p.j]))
+        for k in range(12):
+            i, j = pairs.i[k], pairs.j[k]
+            assert 0.0 < pairs.lam[k] < 1.0
+            assert CFG.r_min <= pairs.w[k] <= CFG.r_max
+            assert abs(pairs.y[k].sum() - 1.0) < 1e-9
+            lo = np.minimum(x[i], x[j]) - 1e-12
+            hi = np.maximum(x[i], x[j]) + 1e-12
+            assert np.all(pairs.x[k] >= lo) and np.all(pairs.x[k] <= hi)
+            # the vectorized mix equals the per-pair expression bit for bit
+            assert np.array_equal(pairs.x[k], pairs.lam[k] * x[i] + (1.0 - pairs.lam[k]) * x[j])
+            assert pairs.w[k] == pytest.approx(max(r[i], r[j]))
 
     def test_gate_disabled_forces_unit_weights(self):
         rng = np.random.default_rng(4)
@@ -158,17 +167,17 @@ class TestBuildPairs:
         targets = np.tile([1.0, 0.0], (8, 1))
         pairs = mixup.build_pairs(x, rng.uniform(0.1, 2.0, 8), targets, CFG, rng,
                                   gate=False)
-        assert all(p.w_mix == 1.0 for p in pairs)
+        assert np.all(pairs.w == 1.0)
 
     def test_endpoint_lambda_recovers_first_target(self):
+        # every row is lam * first endpoint + (1 - lam) * partner, so a
+        # coefficient of one recovers the first endpoint's target
         x = np.array([[0.0, 0.0], [1.0, 1.0]])
         targets = np.array([[1.0, 0.0], [0.0, 1.0]])
         pairs = mixup.build_pairs(x, np.ones(2), targets, CFG,
                                   np.random.default_rng(5))
-        forced = mixup.MixPair(0, 1, 1.0, 1.0,
-                               1.0 * x[0] + 0.0 * x[1],
-                               1.0 * targets[0] + 0.0 * targets[1])
-        assert np.allclose(forced.y_mix, targets[0])
+        lam = pairs.lam[:, None]
+        assert np.allclose(pairs.y, lam * targets[pairs.i] + (1.0 - lam) * targets[pairs.j])
 
 
 class TestRamLoss:
@@ -187,24 +196,24 @@ class TestRamLoss:
 
     def test_zero_gates_zero_loss(self):
         params = self._params()
-        pairs = [mixup.MixPair(p.i, p.j, p.lam, 0.0, p.x_mix, p.y_mix)
-                 for p in self._pairs(0)]
-        assert mixup.ram_loss(params, pairs, CFG) == 0.0
+        pairs = self._pairs(0)
+        pairs = dataclasses.replace(pairs, w=np.zeros_like(pairs.w))
+        assert mixup.ram_loss(params, pairs) == 0.0
 
     def test_gate_scaling_linearity(self):
         params = self._params(1)
         pairs = self._pairs(1)
-        unit = [mixup.MixPair(p.i, p.j, p.lam, 1.0, p.x_mix, p.y_mix) for p in pairs]
-        scaled = [mixup.MixPair(p.i, p.j, p.lam, 3.7, p.x_mix, p.y_mix) for p in pairs]
-        base = mixup.ram_loss(params, unit, CFG)
-        assert mixup.ram_loss(params, scaled, CFG) == pytest.approx(3.7 * base, rel=1e-10)
+        unit = dataclasses.replace(pairs, w=np.full_like(pairs.w, 1.0))
+        scaled = dataclasses.replace(pairs, w=np.full_like(pairs.w, 3.7))
+        base = mixup.ram_loss(params, unit)
+        assert mixup.ram_loss(params, scaled) == pytest.approx(3.7 * base, rel=1e-10)
 
     def test_gradient_matches_finite_differences(self):
         params = self._params(2)
         pairs = self._pairs(2)
-        _, grad = mixup.ram_loss_grad(params, pairs, CFG)
-        fd = fd_gradient(lambda f: mixup.ram_loss(net.ModelParams(params.arch, f),
-                                                  pairs, CFG), params.flat)
+        _, grad = mixup.ram_loss_grad(params, pairs)
+        fd = fd_gradient(lambda f: mixup.ram_loss(net.ModelParams(params.arch, f), pairs),
+                         params.flat)
         assert max_rel_error(fd, grad) < 1e-5
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from noisylab import net
-from noisylab.oracles import fd_gradient, max_rel_error
+from noisylab.oracles import fd_gradient, max_rel_error, per_sample_grads
 
 
 def small_params(seed=0, arch=None, scale=0.4):
@@ -48,7 +48,7 @@ class TestForward:
     def test_zero_params_uniform_softmax(self):
         arch = net.Architecture(3, 4, 5, 2)
         p = net.ModelParams(arch, np.zeros(arch.n_params))
-        out = net.forward(p, np.array([1.0, -2.0, 0.5]))
+        out = net.forward_batch(p, np.array([[1.0, -2.0, 0.5]]))
         assert np.all(out.logits == 0.0)
         assert np.allclose(net.softmax(out.logits), 0.2)
 
@@ -63,8 +63,8 @@ class TestForward:
         views["bp"] = rng.standard_normal(2)
         flat = np.concatenate([views[name].ravel() for name, _ in arch.param_shapes()])
         p = net.ModelParams(arch, flat)
-        x = np.array([0.7, -1.3, 2.1])
-        out = net.forward(p, x)
+        x = np.array([[0.7, -1.3, 2.1]])
+        out = net.forward_batch(p, x)
         expected = np.maximum(x, 0.0) @ views["wc"] + views["bc"]
         assert np.allclose(out.logits, expected, atol=1e-14)
 
@@ -161,7 +161,7 @@ class TestPerSampleGrads:
         x = np.random.default_rng(4).standard_normal((1, 3))
         given = one_hot([1], 2)
         pseudo = one_hot([0], 2)
-        g1, g2 = net.per_sample_grads(p, x, given, pseudo)
+        g1, g2 = per_sample_grads(p, x, given, pseudo)
         ref = net.grad_batch(p, x, given, np.ones(1))
         assert max_rel_error(g1[0], ref) < 1e-12
 
@@ -171,7 +171,7 @@ class TestPerSampleGrads:
         x = rng.standard_normal((6, 3))
         given = one_hot(rng.integers(0, 2, 6), 2)
         pseudo = one_hot(rng.integers(0, 2, 6), 2)
-        g1, g2 = net.per_sample_grads(p, x, given, pseudo)
+        g1, g2 = per_sample_grads(p, x, given, pseudo)
         ref = net.grad_batch(p, x, given, np.ones(6))
         assert max_rel_error(g1.sum(axis=0), ref) < 1e-10
 
@@ -181,7 +181,7 @@ class TestPerSampleGrads:
         x = rng.standard_normal((3, 3))
         given = one_hot(rng.integers(0, 2, 3), 2)
         pseudo = one_hot(rng.integers(0, 2, 3), 2)
-        g1, _ = net.per_sample_grads(p, x, given, pseudo)
+        g1, _ = per_sample_grads(p, x, given, pseudo)
         i = 1
 
         def scaled_loss(flat):
@@ -199,7 +199,7 @@ class TestPerSampleGrads:
         given = one_hot(rng.integers(0, 2, 5), 2)
         pseudo = one_hot(rng.integers(0, 2, 5), 2)
         vec = rng.standard_normal(p.arch.n_params)
-        g1, g2 = net.per_sample_grads(p, x, given, pseudo)
+        g1, g2 = per_sample_grads(p, x, given, pseudo)
         d1, d2 = net.per_sample_grad_dots(p, x, given, pseudo, vec)
         assert max_rel_error(g1 @ vec, d1) < 1e-10
         assert max_rel_error(g2 @ vec, d2) < 1e-10

@@ -58,7 +58,7 @@ class TestRefinedTargets:
 
     def test_one_hot_co_prediction_fixed_point(self):
         co = np.array([[1.0, 0.0, 0.0, 0.0]])
-        ref = trainer.refined_targets(co, np.array([2]), self.CFG, provider="net2")
+        ref = trainer.refined_targets(co, np.array([2]), self.CFG)
         assert np.allclose(ref.dists[0], co[0])
         assert ref.source[0] == trainer.SOURCE_CO
 
@@ -83,13 +83,6 @@ class TestRefinedTargets:
         co /= co.sum(axis=1, keepdims=True)
         ref = trainer.refined_targets(co, rng.integers(0, 4, 10), self.CFG)
         assert np.allclose(ref.dists.sum(axis=1), 1.0, atol=1e-9)
-
-    def test_per_sample_view(self):
-        co = np.array([[0.97, 0.01, 0.01, 0.01]])
-        ref = trainer.refined_targets(co, np.array([1]), self.CFG, provider="net1")
-        one = ref.per_sample()[0]
-        assert isinstance(one, trainer.RefinedTarget)
-        assert one.confidence == pytest.approx(0.97)
 
 
 class TestConfidenceFilter:
@@ -264,9 +257,7 @@ class TestCoTrain:
 
     def test_provenance_sources_recorded(self):
         co = np.array([[0.97, 0.01, 0.01, 0.01], [0.4, 0.3, 0.2, 0.1]])
-        ref = trainer.refined_targets(co, np.array([3, 3]), tiny_cfg(epochs=10),
-                                      provider="net2")
-        assert ref.provider == "net2"
+        ref = trainer.refined_targets(co, np.array([3, 3]), tiny_cfg(epochs=10))
         assert list(ref.source) == [trainer.SOURCE_CO, trainer.SOURCE_GIVEN]
 
     def test_divergence_guard(self):
@@ -317,14 +308,14 @@ class TestCoTrain:
             p = net.ModelParams(arch, flat)
             ce = trainer.reweighted_ce(p, xw, targets, r, bc, cfg)
             cr = trainer.consistency_loss(p, xs, targets, bc)
-            ram = mixup.ram_loss(p, pairs, cfg.ram)
+            ram = mixup.ram_loss(p, pairs)
             bank = contrastive.build_bank(p, xw, xs, pc, beta)
             cdcl = contrastive.cdcl_loss(bank, cfg.cdcl)
             return ce + w_t * (cr + ram + cfg.lambda_cdcl * cdcl)
 
         _, g_ce = trainer.reweighted_ce_grad(params, xw, targets, r, bc, cfg)
         _, g_cr = trainer.consistency_loss_grad(params, xs, targets, bc)
-        _, g_ram = mixup.ram_loss_grad(params, pairs, cfg.ram)
+        _, g_ram = mixup.ram_loss_grad(params, pairs)
         _, g_cd = contrastive.cdcl_grad(params, xw, xs, pc, beta, cfg.cdcl)
         total_grad = g_ce + w_t * (g_cr + g_ram + cfg.lambda_cdcl * g_cd)
         fd = fd_gradient(value, params.flat)
