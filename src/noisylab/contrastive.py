@@ -2,8 +2,9 @@
 
 Positives are defined purely from pseudo-label agreement across the 2N rows
 (weak views first, strong views second); observed labels never enter this
-module, by interface. Each positive pair's attraction is gated by the product
-of the two sides' normalized pseudo-label reliabilities.
+module, by interface, and true labels enter only the purity diagnostics. Each
+positive pair's attraction is gated by the product of the two sides'
+normalized pseudo-label reliabilities.
 """
 
 from __future__ import annotations
@@ -83,20 +84,16 @@ def consensus_weights(beta_norm: np.ndarray, positives: list[np.ndarray]) -> lis
     return [beta_norm[i] * beta_norm[p] for i, p in enumerate(positives)]
 
 
-def _embed_bank(params: ModelParams, weak_x: np.ndarray, strong_x: np.ndarray,
-                pseudo_class: np.ndarray, beta: np.ndarray, source_ids: np.ndarray):
-    """The bank plus what its backward pass needs: the raw embeddings and
-    the two forward caches."""
-    out_w = forward_batch(params, weak_x)
-    out_s = forward_batch(params, strong_x)
-    raw = np.concatenate([out_w.emb, out_s.emb], axis=0)
+def _bank_from_raw(raw: np.ndarray, pseudo_class: np.ndarray, beta: np.ndarray,
+                   source_ids: np.ndarray) -> FeatureBank:
+    """The bank of raw (2N, P) embeddings, weak views first: rows normalized,
+    degenerate rows flagged and zeroed, per-sample metadata duplicated."""
     z = l2_normalize(raw)
     degenerate = np.linalg.norm(raw, axis=1) < DEGENERATE_NORM
     z[degenerate] = 0.0
     dup = lambda a: np.concatenate([np.asarray(a), np.asarray(a)])
-    bank = FeatureBank(z=z, pseudo_class=dup(pseudo_class), beta=dup(beta),
+    return FeatureBank(z=z, pseudo_class=dup(pseudo_class), beta=dup(beta),
                        source_ids=dup(source_ids), degenerate=degenerate)
-    return bank, raw, (out_w.cache, out_s.cache)
 
 
 def build_bank(params: ModelParams, weak_x: np.ndarray, strong_x: np.ndarray,
@@ -105,7 +102,8 @@ def build_bank(params: ModelParams, weak_x: np.ndarray, strong_x: np.ndarray,
     """Embed both views, normalize rows, duplicate per-sample metadata."""
     if source_ids is None:
         source_ids = np.arange(len(pseudo_class))
-    return _embed_bank(params, weak_x, strong_x, pseudo_class, beta, source_ids)[0]
+    raw = forward_batch(params, np.concatenate([weak_x, strong_x])).emb
+    return _bank_from_raw(raw, pseudo_class, beta, source_ids)
 
 
 def _loss_pieces(bank: FeatureBank, cfg: CdclConfig):
@@ -135,23 +133,37 @@ def cdcl_loss(bank: FeatureBank, cfg: CdclConfig) -> float:
     return float(per_anchor.mean())
 
 
-def cdcl_feature_grad(bank: FeatureBank, cfg: CdclConfig) -> tuple[float, np.ndarray]:
-    """Loss value and its gradient w.r.t. the normalized bank rows."""
+def cdcl_feature_grad(bank: FeatureBank, cfg: CdclConfig, y_true: np.ndarray | None = None):
+    """Loss value, its gradient w.r.t. the normalized bank rows and, given
+    the per-sample true labels, the purity totals of the positives
+    (true-label matches, pairs, gated matches, gate mass), each pair gated
+    by the product of its two normalized reliabilities; otherwise None."""
     logp, pos, w, pos_counts, valid = _loss_pieces(bank, cfg)
+    purity = None
+    if y_true is not None:
+        y = np.concatenate([np.asarray(y_true), np.asarray(y_true)])
+        hit = pos & (y[:, None] == y[None, :])
+        purity = (float(hit.sum()), float(pos_counts.sum()),
+                  float(w[hit].sum()), float(w[pos].sum()))
     n2 = bank.rows
     if not valid.any():
-        return 0.0, np.zeros_like(bank.z)
+        return 0.0, np.zeros_like(bank.z), purity
     gated = (w * np.where(pos, logp, 0.0)).sum(axis=1)
     loss = float((-gated[valid] / pos_counts[valid]).mean())
     # d loss / d logp_ij = -a_i * w_ij on positives, a_i = 1/(|V| * |P(i)|)
     a = np.zeros(n2)
     a[valid] = 1.0 / (valid.sum() * pos_counts[valid])
-    dlogp = -np.where(pos, w, 0.0) * a[:, None]
-    softmax_rows = np.exp(logp)
-    dsims = dlogp - dlogp.sum(axis=1, keepdims=True) * softmax_rows
+    dlogp = np.where(pos, w, 0.0)
+    dlogp *= -a[:, None]
+    del w
+    # the (2N)^2 temporaries reuse buffers in place: these matrices set the
+    # peak memory of a training step at large batch sizes
+    softmax_rows = np.exp(logp, out=logp)
+    softmax_rows *= dlogp.sum(axis=1, keepdims=True)
+    dsims = np.subtract(dlogp, softmax_rows, out=dlogp)
     np.fill_diagonal(dsims, 0.0)
     dz = (dsims + dsims.T) @ bank.z / cfg.tau
-    return loss, dz
+    return loss, dz, purity
 
 
 def _normalization_backward(raw: np.ndarray, dz: np.ndarray,
@@ -166,32 +178,19 @@ def _normalization_backward(raw: np.ndarray, dz: np.ndarray,
     return draw
 
 
+def cdcl_head(raw: np.ndarray, pseudo_class: np.ndarray, beta: np.ndarray,
+              cfg: CdclConfig, y_true: np.ndarray | None = None):
+    """Loss, its gradient w.r.t. the raw (2N, P) bank embeddings (weak
+    views first) and the purity totals of cdcl_feature_grad."""
+    bank = _bank_from_raw(raw, pseudo_class, beta, np.arange(len(pseudo_class)))
+    loss, dz, purity = cdcl_feature_grad(bank, cfg, y_true)
+    return loss, _normalization_backward(raw, dz, bank.degenerate), purity
+
+
 def cdcl_grad(params: ModelParams, weak_x: np.ndarray, strong_x: np.ndarray,
               pseudo_class: np.ndarray, beta: np.ndarray,
               cfg: CdclConfig) -> tuple[float, np.ndarray]:
     """Loss and flat parameter gradient through both view embeddings."""
-    n = len(pseudo_class)
-    bank, raw, (cache_w, cache_s) = _embed_bank(params, weak_x, strong_x, pseudo_class,
-                                                beta, np.arange(n))
-    loss, dz = cdcl_feature_grad(bank, cfg)
-    draw = _normalization_backward(raw, dz, bank.degenerate)
-    zero_logits = np.zeros((n, params.arch.num_classes))
-    grad = (backward_batch(params, cache_w, zero_logits, draw[:n])
-            + backward_batch(params, cache_s, zero_logits, draw[n:]))
-    return loss, grad
-
-
-def pair_match_counts_fast(pseudo_class_rows: np.ndarray, beta_norm_rows: np.ndarray,
-                           y_true_rows: np.ndarray) -> tuple[float, float, float, float]:
-    """Purity totals over the pseudo-label positives of a bank's rows:
-    (true-label matches, pairs, gated matches, gate mass), with each pair
-    gated by the product of its two normalized reliabilities."""
-    pc = np.asarray(pseudo_class_rows)
-    pos = pc[:, None] == pc[None, :]
-    np.fill_diagonal(pos, False)
-    y = np.asarray(y_true_rows)
-    same = y[:, None] == y[None, :]
-    w = np.outer(beta_norm_rows, beta_norm_rows)
-    hit = pos & same
-    return (float(hit.sum()), float(pos.sum()),
-            float(w[hit].sum()), float(w[pos].sum()))
+    out = forward_batch(params, np.concatenate([weak_x, strong_x]))
+    loss, draw, _ = cdcl_head(out.emb, pseudo_class, beta, cfg)
+    return loss, backward_batch(params, out.cache, np.zeros_like(out.logits), draw)

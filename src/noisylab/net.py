@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -39,20 +40,25 @@ class Architecture:
             ("wp", (h, p)), ("bp", (p,)),
         ]
 
-    @property
+    @cached_property
+    def layout(self) -> tuple:
+        """(name, shape, start, stop) of each block of the flat vector."""
+        blocks, offset = [], 0
+        for name, shape in self.param_shapes():
+            size = int(np.prod(shape))
+            blocks.append((name, shape, offset, offset + size))
+            offset += size
+        return tuple(blocks)
+
+    @cached_property
     def n_params(self) -> int:
-        return sum(int(np.prod(s)) for _, s in self.param_shapes())
+        return self.layout[-1][3]
 
 
 def _param_views(arch: Architecture, flat: np.ndarray) -> dict:
     """Named views into any vector living in the parameter space."""
-    views = {}
-    offset = 0
-    for name, shape in arch.param_shapes():
-        size = int(np.prod(shape))
-        views[name] = flat[offset:offset + size].reshape(shape)
-        offset += size
-    return views
+    return {name: flat[start:stop].reshape(shape)
+            for name, shape, start, stop in arch.layout}
 
 
 class ModelParams:
@@ -98,6 +104,10 @@ class BatchForward:
     logits: np.ndarray  # (B, C)
     emb: np.ndarray     # (B, P), pre-normalization
     cache: tuple        # (x, h1p, h1, h2p, h2) for the backward pass
+
+    def rows(self, sl: slice) -> "BatchForward":
+        """The forward of a contiguous block of rows (views, no copy)."""
+        return BatchForward(self.logits[sl], self.emb[sl], tuple(a[sl] for a in self.cache))
 
 
 def forward_batch(params: ModelParams, x: np.ndarray, eval_mode: bool = False) -> BatchForward:
@@ -172,18 +182,29 @@ def backward_batch(params: ModelParams, cache: tuple, dlogits: np.ndarray,
     ])
 
 
+def concat_caches(*caches: tuple) -> tuple:
+    """One backward cache over the rows of several forwards, in order."""
+    return tuple(np.concatenate(parts) for parts in zip(*caches))
+
+
+def weighted_ce_head(logits: np.ndarray, targets: np.ndarray,
+                     weights: np.ndarray) -> tuple[float, np.ndarray]:
+    """Value of (1/B) * sum_i weights_i * CE(logits_i, targets_i) and its
+    gradient w.r.t. the logits."""
+    targets = np.asarray(targets, dtype=np.float64)
+    weights = np.asarray(weights, dtype=np.float64)
+    b = logits.shape[0]
+    logp = log_softmax(logits)
+    per = -(targets * logp).sum(axis=1)
+    loss = float((weights * per).sum() / b)
+    return loss, (np.exp(logp) - targets) * (weights / b)[:, None]
+
+
 def weighted_ce_loss_grad(params: ModelParams, x: np.ndarray, targets: np.ndarray,
                           weights: np.ndarray) -> tuple[float, np.ndarray]:
     """Value and gradient of (1/B) * sum_i weights_i * CE(f(x_i), targets_i)."""
-    x = np.asarray(x, dtype=np.float64)
-    targets = np.asarray(targets, dtype=np.float64)
-    weights = np.asarray(weights, dtype=np.float64)
-    b = x.shape[0]
     out = forward_batch(params, x)
-    logp = log_softmax(out.logits)
-    per = -(targets * logp).sum(axis=1)
-    loss = float((weights * per).sum() / b)
-    dlogits = (np.exp(logp) - targets) * (weights / b)[:, None]
+    loss, dlogits = weighted_ce_head(out.logits, targets, weights)
     return loss, backward_batch(params, out.cache, dlogits)
 
 
@@ -193,21 +214,20 @@ def grad_batch(params: ModelParams, x: np.ndarray, targets: np.ndarray,
     return weighted_ce_loss_grad(params, x, targets, weights)[1]
 
 
-def per_sample_grad_dots(params: ModelParams, x: np.ndarray,
+def per_sample_grad_dots(params: ModelParams, out: BatchForward,
                          given_targets: np.ndarray, pseudo_targets: np.ndarray,
                          vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """<g_k_i, vec> for every sample, without materializing the gradients.
+    """<g_k_i, vec> for every sample of the cached forward `out`, without
+    materializing the gradients.
 
     Same quantities as dotting oracles.per_sample_grads output with vec:
     each layer's per-sample gradient is an outer product, so its inner
     product with vec's matching block is (activation @ block) . delta.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x, h1p, h1, h2p, h2 = out.cache
     b = x.shape[0]
-    out = forward_batch(params, x)
     probs = softmax(out.logits)
     v = _param_views(params.arch, np.asarray(vec, dtype=np.float64))
-    xc, h1p, h1, h2p, h2 = out.cache
     xv1 = x @ v["w1"]
     h1v2 = h1 @ v["w2"]
     h2vc = h2 @ v["wc"]

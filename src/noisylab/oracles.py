@@ -72,8 +72,8 @@ def naive_infonce(z: np.ndarray, pseudo_class: np.ndarray, beta: np.ndarray,
 
 def pair_match_counts(positives: list[np.ndarray], weights: list[np.ndarray],
                       y_true_rows: np.ndarray) -> tuple[float, float, float, float]:
-    """Loop restatement of contrastive.pair_match_counts_fast over explicit
-    positive sets and their gating weights."""
+    """Loop restatement of the purity totals of contrastive.cdcl_feature_grad
+    over explicit positive sets and their gating weights."""
     y = np.asarray(y_true_rows)
     matches = pairs = wmatch = wsum = 0.0
     for i, p in enumerate(positives):

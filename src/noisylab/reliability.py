@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import MetaSet
-from .net import (ModelParams, forward_batch, grad_batch, log_softmax,
+from .net import (BatchForward, ModelParams, forward_batch, grad_batch, log_softmax,
                   per_sample_grad_dots)
 from .util import ConfigError
 
@@ -68,18 +68,22 @@ def meta_loss(params: ModelParams, meta: MetaSet, num_classes: int) -> float:
 
 def meta_gradients_closed(params: ModelParams, batch_x: np.ndarray,
                           given_targets: np.ndarray, pseudo_targets: np.ndarray,
-                          meta: MetaSet, cfg: MetaConfig) -> tuple[np.ndarray, np.ndarray]:
+                          meta: MetaSet, cfg: MetaConfig,
+                          out: BatchForward | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Exact derivative of the held-out loss w.r.t. each per-sample weight.
 
     Returns (e1, e2): the sensitivities of the held-out loss to upweighting
     the observed-label term and the pseudo-label term of each sample, taken
-    at zero perturbation through a single virtual SGD step.
+    at zero perturbation through a single virtual SGD step. `out` is
+    batch_x's forward under params when the caller has it cached.
     """
     if meta.m == 0:
         raise ConfigError("meta set must be nonempty")
+    if out is None:
+        out = forward_batch(params, batch_x)
     num_classes = given_targets.shape[1]
     mgrad = grad_batch(params, meta.x, one_hot(meta.y, num_classes), np.ones(meta.m))
-    d1, d2 = per_sample_grad_dots(params, batch_x, given_targets, pseudo_targets, mgrad)
+    d1, d2 = per_sample_grad_dots(params, out, given_targets, pseudo_targets, mgrad)
     return -cfg.eta_inner * d1, -cfg.eta_inner * d2
 
 

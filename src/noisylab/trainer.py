@@ -7,6 +7,12 @@ cross-entropy, cross-view consistency, gated Mixup and gated contrastive
 terms are combined with a warm-up ramp; one momentum-SGD step per network.
 The two updates inside a batch read only frozen co-network outputs, so their
 order does not matter.
+
+Each network step runs one forward per distinct input block (the shared
+[weak; strong] views, the Mixup rows) and one backward pass for the whole
+objective: backward_batch is linear in its head gradients, so the terms'
+head gradients are summed first. The meta step's held-out gradient keeps
+its own forward and backward, since alpha and beta depend on it.
 """
 
 from __future__ import annotations
@@ -20,9 +26,9 @@ from . import contrastive, metrics, mixup
 from .contrastive import CdclConfig
 from .data import AugmentConfig, Dataset, MetaSet, make_views
 from .mixup import RamConfig, total_reliability
-from .net import (Architecture, ModelParams, OptState, Schedule, forward_batch,
-                  init_opt_state, init_params, sgd_step, softmax,
-                  weighted_ce_loss_grad)
+from .net import (Architecture, BatchForward, ModelParams, OptState, Schedule,
+                  backward_batch, concat_caches, forward_batch, init_opt_state,
+                  init_params, sgd_step, softmax, weighted_ce_head, weighted_ce_loss_grad)
 from .reliability import MetaConfig, disentangle, meta_gradients_closed, one_hot
 from .util import ConfigError, TrainingDiverged, child_rng, csv_line
 
@@ -80,11 +86,17 @@ class TrainConfig:
             raise ConfigError("warmup_full must not exceed epochs")
         if not (0.0 < self.conf_threshold <= 1.0):
             raise ConfigError("conf_threshold must lie in (0, 1]")
-        if self.sharpen_temp <= 0 or self.lr <= 0 or self.reliability_stride < 1:
-            raise ConfigError("invalid sharpen_temp, lr or reliability_stride")
-        for name in ("eta_w", "lambda_cdcl", "momentum", "weight_decay", "decay_factor"):
+        for name in ("sharpen_temp", "lr"):
+            if not getattr(self, name) > 0:  # also rejects NaN
+                raise ConfigError("trainer.%s must be positive" % name)
+        if self.reliability_stride < 1:
+            raise ConfigError("reliability.stride must be >= 1")
+        for name in ("hidden", "proj"):
+            if getattr(self, name) < 1:
+                raise ConfigError("net.%s must be >= 1" % name)
+        for name in ("eta_w", "lambda_cdcl", "lr", "momentum", "weight_decay", "decay_factor"):
             if not np.isfinite(getattr(self, name)):
-                raise ConfigError("%s must be finite" % name)
+                raise ConfigError("trainer.%s must be finite" % name)
 
 
 def train_config_dict(cfg: TrainConfig) -> dict:
@@ -189,19 +201,20 @@ def reweighted_ce(params: ModelParams, weak_x: np.ndarray, targets,
 
 def reweighted_ce_grad(params: ModelParams, weak_x: np.ndarray, targets,
                        reliabilities: np.ndarray, bc: np.ndarray,
-                       cfg: TrainConfig, eta_w: float | None = None):
+                       cfg: TrainConfig, eta_w: float | None = None,
+                       logits: np.ndarray | None = None):
     """Confidence-filtered cross-entropy with multiplier 1 + eta_w * r_tilde,
-    where r_tilde is each sample's reliability over the filtered-batch mean."""
+    where r_tilde is each sample's reliability over the filtered-batch mean.
+
+    Returns the loss and its flat parameter gradient; given `logits`,
+    weak_x's cached logits, the gradient w.r.t. those logits instead.
+    """
     if eta_w is None:
         eta_w = cfg.eta_w
     bc = np.asarray(bc, dtype=np.int64)
-    if bc.size == 0:
-        return 0.0, np.zeros(params.arch.n_params)
-    dists = np.asarray(targets)
     r = np.asarray(reliabilities, dtype=np.float64)[bc]
-    r_tilde = r / (r.mean() + cfg.ram.delta)
-    weights = 1.0 + eta_w * r_tilde
-    return weighted_ce_loss_grad(params, np.asarray(weak_x)[bc], dists[bc], weights)
+    weights = 1.0 + eta_w * (r / (r.mean() + cfg.ram.delta)) if bc.size else r
+    return _filtered_ce(params, weak_x, targets, weights, bc, logits)
 
 
 def consistency_loss(params: ModelParams, strong_x: np.ndarray, targets,
@@ -210,13 +223,27 @@ def consistency_loss(params: ModelParams, strong_x: np.ndarray, targets,
 
 
 def consistency_loss_grad(params: ModelParams, strong_x: np.ndarray, targets,
-                          bc: np.ndarray):
-    """Cross-entropy of the strong view against the same refined targets."""
+                          bc: np.ndarray, logits: np.ndarray | None = None):
+    """Cross-entropy of the strong view against the same refined targets;
+    returns what reweighted_ce_grad returns."""
     bc = np.asarray(bc, dtype=np.int64)
+    return _filtered_ce(params, strong_x, targets, np.ones(bc.size), bc, logits)
+
+
+def _filtered_ce(params, x, targets, weights, bc, logits):
+    """(1/|bc|) * sum over rows bc of weights * CE(f(x), targets), with its
+    flat parameter gradient, or given x's cached logits, its gradient w.r.t.
+    them (zero outside bc)."""
+    targets = np.asarray(targets)
+    if logits is not None:
+        dlogits = np.zeros_like(logits)
+        if bc.size == 0:
+            return 0.0, dlogits
+        loss, dlogits[bc] = weighted_ce_head(logits[bc], targets[bc], weights)
+        return loss, dlogits
     if bc.size == 0:
         return 0.0, np.zeros(params.arch.n_params)
-    return weighted_ce_loss_grad(params, np.asarray(strong_x)[bc], np.asarray(targets)[bc],
-                                 np.ones(bc.size))
+    return weighted_ce_loss_grad(params, np.asarray(x)[bc], targets[bc], weights)
 
 
 def total_loss(components: dict, t: int, cfg: TrainConfig) -> float:
@@ -226,6 +253,50 @@ def total_loss(components: dict, t: int, cfg: TrainConfig) -> float:
             + w * (components.get("cr", 0.0)
                    + components.get("ram", 0.0)
                    + cfg.lambda_cdcl * components.get("cdcl", 0.0)))
+
+
+def step_loss_grad(params: ModelParams, xw: np.ndarray, xs: np.ndarray, fw: BatchForward,
+                   targets: np.ndarray, r: np.ndarray, bc: np.ndarray, eta_w: float,
+                   w_t: float, cfg: TrainConfig, pairs: mixup.MixBatch | None = None,
+                   pseudo_cls: np.ndarray | None = None, gate_beta: np.ndarray | None = None,
+                   y_true: np.ndarray | None = None):
+    """Loss components, flat gradient and contrastive purity totals of one
+    network step.
+
+    fw is params' shared forward on [xw; xs], or on xw alone when no
+    strong-view term runs (w_t = 0, or use_cr and use_cdcl both off). Each
+    term's head gradient comes from the cached outputs with w_t and
+    lambda_cdcl folded in; the Mixup rows (`pairs`, needed when w_t > 0 and
+    use_ram) get their own forward; then one backward pass over
+    [xw; xs; x_mix] gives the gradient of ce + w_t * (cr + ram + lambda * cdcl).
+    The purity totals (contrastive.cdcl_feature_grad) are None unless the
+    contrastive term runs with y_true given.
+    """
+    b = len(xw)
+    comps = {}
+    dlogits = np.zeros_like(fw.logits)
+    demb = None
+    cache = fw.cache
+    purity = None
+    comps["ce_re"], dlogits[:b] = reweighted_ce_grad(params, xw, targets, r, bc, cfg,
+                                                     eta_w=eta_w, logits=fw.logits[:b])
+    if w_t > 0.0:
+        if cfg.use_cr:
+            comps["cr"], dcr = consistency_loss_grad(params, xs, targets, bc,
+                                                     logits=fw.logits[b:])
+            dlogits[b:] = w_t * dcr
+        if cfg.use_cdcl:  # before the Mixup forward, whose cache would add to its peak memory
+            comps["cdcl"], draw, purity = contrastive.cdcl_head(fw.emb, pseudo_cls, gate_beta,
+                                                                cfg.cdcl, y_true)
+            demb = (w_t * cfg.lambda_cdcl) * draw
+        if cfg.use_ram:
+            mix = forward_batch(params, pairs.x)
+            comps["ram"], dram = weighted_ce_head(mix.logits, pairs.y, pairs.w)
+            cache = concat_caches(fw.cache, mix.cache)
+            dlogits = np.concatenate([dlogits, w_t * dram])
+            if demb is not None:
+                demb = np.concatenate([demb, np.zeros((len(dram), demb.shape[1]))])
+    return comps, backward_batch(params, cache, dlogits, demb), purity
 
 
 class DiagnosticsWriter:
@@ -400,13 +471,18 @@ def co_train(train: Dataset, meta: MetaSet | None, test: Dataset, cfg: TrainConf
             batch_ids = train.ids[rows]
             b = len(rows)
 
-            # frozen pre-update co-network outputs; net1 learns from net2's
+            # one shared forward per net and batch; its weak-view rows are the
+            # frozen pre-update co-network outputs (net1 learns from net2's)
+            strong = w_t > 0.0 and (cfg.use_cr or cfg.use_cdcl)
+            x_in = np.concatenate([xw, xs]) if strong else xw
+            fwd = {st.name: forward_batch(st.params, x_in) for st in nets.states()}
             co_out = {
-                "net1": softmax(forward_batch(nets.net2.params, xw).logits),
-                "net2": softmax(forward_batch(nets.net1.params, xw).logits),
+                "net1": softmax(fwd["net2"].logits[:b]),
+                "net2": softmax(fwd["net1"].logits[:b]),
             }
 
             for st in nets.states():
+                fw = fwd[st.name]
                 co_probs = co_out[st.name]
                 pseudo_cls = co_probs.argmax(axis=1)
 
@@ -422,7 +498,8 @@ def co_train(train: Dataset, meta: MetaSet | None, test: Dataset, cfg: TrainConf
                         mcfg = MetaConfig(eta_inner=lr_t, xi=cfg.xi)
                         e1, e2 = meta_gradients_closed(
                             st.params, xw, one_hot(y_obs, train.num_classes),
-                            one_hot(pseudo_cls, train.num_classes), meta, mcfg)
+                            one_hot(pseudo_cls, train.num_classes), meta, mcfg,
+                            out=fw.rows(slice(0, b)))
                         if cfg.couple_meta:
                             shared = 0.5 * (e1 + e2)
                             rb = disentangle(shared, shared, mcfg, b, ids=batch_ids)
@@ -448,45 +525,29 @@ def co_train(train: Dataset, meta: MetaSet | None, test: Dataset, cfg: TrainConf
                     r = np.ones(b)
                     eta_eff = 0.0
 
-                comps = {}
-                lce, grad = reweighted_ce_grad(st.params, xw, refined.dists, r, bc, cfg,
-                                               eta_w=eta_eff)
-                comps["ce_re"] = lce
-
-                if w_t > 0.0:
-                    if cfg.use_cr:
-                        lcr, gcr = consistency_loss_grad(st.params, xs, refined.dists, bc)
-                        comps["cr"] = lcr
-                        grad = grad + w_t * gcr
-                    if cfg.use_ram:
-                        pairs = mixup.build_pairs(xw, r, refined.dists, cfg.ram,
-                                                  st.mix_rng, symmetric=cfg.sym_ram,
-                                                  gate=cfg.use_grg)
-                        lram, gram = mixup.ram_loss_grad(st.params, pairs)
-                        comps["ram"] = lram
-                        grad = grad + w_t * gram
-                        tally.add_pairs(pairs, batch_clean)
-                    if cfg.use_cdcl:
-                        gate_beta = beta if cfg.use_meta else np.ones(b)
-                        lcd, gcd = contrastive.cdcl_grad(st.params, xw, xs, pseudo_cls,
-                                                         gate_beta, cfg.cdcl)
-                        comps["cdcl"] = lcd
-                        grad = grad + w_t * cfg.lambda_cdcl * gcd
-                        pc2 = np.concatenate([pseudo_cls, pseudo_cls])
-                        bnorm = contrastive.normalize_beta(
-                            np.concatenate([gate_beta, gate_beta]), cfg.cdcl.range_eps)
-                        y2 = np.concatenate([train.y_true[rows], train.y_true[rows]])
-                        tally.add_purity(contrastive.pair_match_counts_fast(pc2, bnorm, y2))
+                pairs = None
+                if w_t > 0.0 and cfg.use_ram:
+                    pairs = mixup.build_pairs(xw, r, refined.dists, cfg.ram, st.mix_rng,
+                                              symmetric=cfg.sym_ram, gate=cfg.use_grg)
+                    tally.add_pairs(pairs, batch_clean)
+                comps, grad, purity = step_loss_grad(
+                    st.params, xw, xs, fw, refined.dists, r, bc, eta_eff, w_t, cfg, pairs=pairs,
+                    pseudo_cls=pseudo_cls, gate_beta=beta if cfg.use_meta else np.ones(b),
+                    y_true=train.y_true[rows])
+                if purity is not None:
+                    tally.add_purity(purity)
 
                 comps["total"] = total_loss(comps, t, cfg)
-                if not np.isfinite(comps["total"]):
+                finite_loss = np.isfinite(comps["total"])
+                if not (finite_loss and np.isfinite(grad).all()):
                     snapshot = {
                         "info": {"epoch": t, "batch": batch_idx, "net": st.name,
                                  "components": {k: str(v) for k, v in comps.items()}},
                         "params": {s.name: s.params for s in nets.states()},
                     }
-                    raise TrainingDiverged("non-finite loss at epoch %d batch %d (%s)"
-                                           % (t, batch_idx, st.name), snapshot)
+                    raise TrainingDiverged("non-finite %s at epoch %d batch %d (%s)"
+                                           % ("gradient" if finite_loss else "loss",
+                                              t, batch_idx, st.name), snapshot)
                 tally.add_loss(st.name, comps)
                 st.params, st.opt = sgd_step(st.params, grad, st.opt)
 

@@ -15,7 +15,8 @@ class ConfigError(ValueError):
 
 
 class TrainingDiverged(RuntimeError):
-    """Raised when a training loss goes non-finite; carries a snapshot dict."""
+    """Raised when a training loss or gradient goes non-finite; carries a
+    snapshot dict."""
 
     def __init__(self, message: str, snapshot: dict):
         super().__init__(message)

@@ -110,6 +110,29 @@ def _dim_mismatch(data_dir, cfg_text):
     return cfg_text.replace("dim = 3", "dim = 16")
 
 
+class TestInvalidValues:
+    @pytest.mark.parametrize("old, new, key", [
+        ("hidden = 16", "hidden = 0", "net.hidden"),
+        ("proj = 6", "proj = 0", "net.proj"),
+    ], ids=["hidden_0", "proj_0"])
+    def test_zero_width_net_exit_2(self, old, new, key, tmp_path, capsys):
+        path = tmp_path / "net.cfg"
+        path.write_text(SMALL_RUN.replace(old, new))
+        assert cli.main(["train", "--config", str(path), "--out", str(tmp_path / "r")]) == 2
+        assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line, key", [
+        ("lr = nan", "trainer.lr"),
+        ("lr = inf", "trainer.lr"),
+        ("sharpen_temp = nan", "trainer.sharpen_temp"),
+    ], ids=["lr_nan", "lr_inf", "sharpen_temp_nan"])
+    def test_non_finite_trainer_value_exit_2(self, line, key, tmp_path, capsys):
+        path = tmp_path / "nan.cfg"
+        path.write_text(SMALL_RUN.replace("[trainer]\n", "[trainer]\n%s\n" % line))
+        assert cli.main(["train", "--config", str(path), "--out", str(tmp_path / "r")]) == 2
+        assert key in capsys.readouterr().err
+
+
 class TestLoadedDataset:
     @pytest.mark.parametrize("corrupt, expected", [
         (_label_out_of_range, ["dataset.csv", "class index out of range"]),
@@ -186,6 +209,33 @@ class TestTrain:
         pur = open(os.path.join(out, "diag_purity.csv")).read().splitlines()
         assert pur[0] == "epoch,purity_raw,purity_gated"
         assert len(pur) == 4  # 3 epochs + header
+
+    def test_non_finite_gradient_aborts_with_snapshot(self, cfg_path, tmp_path, capsys,
+                                                       monkeypatch):
+        # a non-finite gradient behind a finite loss is a divergence: exit 1
+        # with the abort snapshot, not an exception from the parameter update
+        import numpy as np
+
+        from noisylab import trainer
+
+        backward = trainer.backward_batch
+
+        def poisoned(params, cache, dlogits, demb=None):
+            grad = backward(params, cache, dlogits, demb)
+            grad[0] = np.inf
+            return grad
+
+        monkeypatch.setattr(trainer, "backward_batch", poisoned)
+        out = tmp_path / "inf"
+        assert cli.main(["train", "--config", cfg_path, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "non-finite gradient at epoch 0 batch 0" in err
+        assert "Traceback" not in err
+        snap = json.loads((out / "abort_snapshot.json").read_text())
+        assert (snap["epoch"], snap["batch"], snap["net"]) == (0, 0, "net1")
+        assert np.isfinite(float(snap["components"]["total"]))
+        for name in ("abort_net1.bin", "abort_net2.bin"):
+            assert (out / name).exists()
 
     def test_checkpoints_loadable(self, cfg_path, tmp_path):
         from noisylab.net import load_checkpoint

@@ -241,12 +241,18 @@ class TestBankAndGradient:
         assert loss_g == pytest.approx(contrastive.cdcl_loss(bank, CFG), abs=1e-12)
 
     def test_purity_counters_agree(self):
+        # the totals the fused head gradient returns vs the loop oracle
+        params = self.params(4)
         rng = np.random.default_rng(4)
-        pc2 = np.concatenate([rng.integers(0, 3, 7)] * 2)
-        bnorm2 = np.concatenate([rng.random(7)] * 2)
-        y2 = np.concatenate([rng.integers(0, 3, 7)] * 2)
+        weak = rng.standard_normal((7, 3))
+        strong = rng.standard_normal((7, 3))
+        pc = rng.integers(0, 3, 7)
+        beta = rng.random(7)
+        y = rng.integers(0, 3, 7)
+        raw = net.forward_batch(params, np.concatenate([weak, strong])).emb
+        _, _, fused = contrastive.cdcl_head(raw, pc, beta, CFG, y)
+        pc2, y2 = np.concatenate([pc, pc]), np.concatenate([y, y])
         positives = contrastive.positive_sets(pc2)
-        weights = contrastive.consensus_weights(bnorm2, positives)
-        slow = pair_match_counts(positives, weights, y2)
-        fast = contrastive.pair_match_counts_fast(pc2, bnorm2, y2)
-        assert np.allclose(slow, fast)
+        weights = contrastive.consensus_weights(
+            contrastive.normalize_beta(np.concatenate([beta, beta]), CFG.range_eps), positives)
+        assert np.allclose(pair_match_counts(positives, weights, y2), fused, rtol=1e-12)

@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from noisylab import metrics, net
-from noisylab.contrastive import pair_match_counts_fast
+from noisylab import contrastive, data, metrics, net, trainer
 from noisylab.oracles import pairwise_auroc, sweep_fpr_at_tpr
 
 
@@ -23,37 +22,54 @@ class TestAccuracy:
             metrics.accuracy(np.array([]), np.array([]))
 
 
+def purity_counts(pc, beta, y):
+    """Purity totals of the two-view bank over samples (pc, beta, y), as the
+    contrastive head gradient returns them; the embeddings do not matter."""
+    raw = np.random.default_rng(0).standard_normal((2 * len(pc), 3))
+    return contrastive.cdcl_head(raw, np.asarray(pc), np.asarray(beta, dtype=float),
+                                 contrastive.CdclConfig(), np.asarray(y))[2]
+
+
 class TestPairPurity:
-    """Positive-pair purity from the matrix-form counters: rows sharing a
-    pseudo-label are positives, each gated by the product of normalized
-    reliabilities; raw = matches / pairs, gated = gated matches / gate mass."""
+    """Positive-pair purity from the contrastive loss's own masks: bank rows
+    (two views per sample) sharing a pseudo-label are positives, each gated
+    by the product of min-max normalized reliabilities; raw = matches /
+    pairs, gated = gated matches / gate mass."""
 
     def test_all_matching(self):
-        matches, pairs, wmatch, wsum = pair_match_counts_fast(
-            np.array([0, 0]), np.array([2.0, 2.0]), np.array([5, 5]))
+        matches, pairs, wmatch, wsum = purity_counts([0, 0], [2.0, 2.0], [5, 5])
         assert matches / pairs == 1.0 and wmatch / wsum == 1.0
 
     def test_constant_weights_equal_raw(self):
         rng = np.random.default_rng(0)
         pc = rng.integers(0, 2, 10)
         y = rng.integers(0, 2, 10)
-        matches, pairs, wmatch, wsum = pair_match_counts_fast(pc, np.full(10, 0.7), y)
+        matches, pairs, wmatch, wsum = purity_counts(pc, np.full(10, 0.7), y)
         assert wmatch / wsum == pytest.approx(matches / pairs)
 
     def test_hand_fixture(self):
-        # positives (0,1), (1,0), (2,3), (3,2) have matches (1,1,0,0) and
-        # weights (1,1,2,2): raw = 2/4, gated = (1+1)/(1+1+2+2) = 1/3
-        pc = np.array([0, 0, 1, 1])
-        bnorm = np.array([1.0, 1.0, np.sqrt(2.0), np.sqrt(2.0)])
-        y = np.array([0, 0, 1, 2])
-        matches, pairs, wmatch, wsum = pair_match_counts_fast(pc, bnorm, y)
-        assert matches / pairs == pytest.approx(0.5)
-        assert wmatch / wsum == pytest.approx(1.0 / 3.0)
+        # normalized reliabilities (0.5, 0.5, 1, 1, 0); bank rows 0-4 weak,
+        # 5-9 strong. Class 0 rows {0,1,5,6}: 12 pairs, all matching, weight
+        # 0.25 each. Class 1 rows {2,3,7,8}: 12 pairs, 4 matching (each
+        # sample with its other view), weight 1. Class 2 rows {4,9}: 2
+        # matching pairs, weight 0. raw = 18/26, gated = (3+4)/(3+12) = 7/15
+        pc = [0, 0, 1, 1, 2]
+        beta = [0.5, 0.5, 1.0, 1.0, 0.0]
+        y = [0, 0, 1, 2, 3]
+        matches, pairs, wmatch, wsum = purity_counts(pc, beta, y)
+        assert (matches, pairs) == (18.0, 26.0)
+        assert wmatch / wsum == pytest.approx(7.0 / 15.0)
 
     def test_empty_weights_reported_absent(self):
-        matches, pairs, wmatch, wsum = pair_match_counts_fast(
-            np.array([0, 0]), np.array([0.0, 0.0]), np.array([1, 1]))
-        assert matches / pairs == 1.0 and wsum == 0.0
+        # with no contrastive term no pair is gated, and an epoch reports
+        # no purity rather than a ratio over zero gate mass
+        pool = data.inject_symmetric_noise(data.make_blobs(2, 20, 3, 0.5, seed=1), 0.2, seed=2)
+        train, meta = data.split_meta(pool, 4, seed=3)
+        cfg = trainer.TrainConfig(epochs=2, batch_size=16, warmup_start=0, warmup_full=1,
+                                  hidden=8, proj=4, use_cdcl=False)
+        rec = trainer.co_train(train, meta, data.make_blobs(2, 5, 3, 0.5, seed=4), cfg).epochs[1]
+        assert rec["warmup_w"] == 1.0
+        assert rec["purity_raw"] is None and rec["purity_gated"] is None
 
 
 class TestAuroc:

@@ -200,7 +200,7 @@ class TestPerSampleGrads:
         pseudo = one_hot(rng.integers(0, 2, 5), 2)
         vec = rng.standard_normal(p.arch.n_params)
         g1, g2 = per_sample_grads(p, x, given, pseudo)
-        d1, d2 = net.per_sample_grad_dots(p, x, given, pseudo, vec)
+        d1, d2 = net.per_sample_grad_dots(p, net.forward_batch(p, x), given, pseudo, vec)
         assert max_rel_error(g1 @ vec, d1) < 1e-10
         assert max_rel_error(g2 @ vec, d2) < 1e-10
 

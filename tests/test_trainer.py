@@ -6,7 +6,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from noisylab import data, net, trainer
+from noisylab import contrastive, data, mixup, net, trainer
 from noisylab.data import AugmentConfig
 from noisylab.oracles import fd_gradient, max_rel_error
 from noisylab.util import ConfigError
@@ -287,8 +287,6 @@ class TestCoTrain:
     def test_total_gradient_matches_fd_through_composed_objective(self):
         # freeze one batch's assembled objective and check the exact summed
         # gradient against central differences
-        from noisylab import contrastive, mixup
-
         rng = np.random.default_rng(9)
         cfg = tiny_cfg(epochs=10, warmup_start=0, warmup_full=2)
         arch = net.Architecture(3, 4, 2, 3)
@@ -320,6 +318,90 @@ class TestCoTrain:
         total_grad = g_ce + w_t * (g_cr + g_ram + cfg.lambda_cdcl * g_cd)
         fd = fd_gradient(value, params.flat)
         assert max_rel_error(fd, total_grad) < 1e-5
+
+
+class TestFusedStep:
+    """One network step's single backward pass against the sum of the
+    per-term parameter gradients."""
+
+    B = 6
+
+    def setup_method(self):
+        rng = np.random.default_rng(11)
+        self.cfg = tiny_cfg(epochs=10)
+        arch = net.Architecture(3, 5, 3, 4)
+        self.params = net.ModelParams(arch, 0.4 * rng.standard_normal(arch.n_params))
+        self.xw = rng.standard_normal((self.B, 3))
+        self.xs = rng.standard_normal((self.B, 3))
+        t = np.abs(rng.standard_normal((self.B, 3)))
+        self.targets = t / t.sum(axis=1, keepdims=True)
+        self.r = rng.uniform(0.1, 2.0, self.B)
+        self.beta = rng.random(self.B)
+        self.pc = rng.integers(0, 3, self.B)
+        self.y = rng.integers(0, 3, self.B)
+        self.pairs = mixup.build_pairs(self.xw, self.r, self.targets, self.cfg.ram,
+                                       np.random.default_rng(1))
+
+    @pytest.mark.parametrize("w_t", [0.0, 0.4])
+    @pytest.mark.parametrize("bc", [[], [0, 2, 3], list(range(B))],
+                             ids=["empty_bc", "partial_bc", "full_bc"])
+    def test_fused_gradient_equals_sum_of_terms(self, bc, w_t):
+        cfg, p, xw, xs, targets, r = (self.cfg, self.params, self.xw, self.xs,
+                                      self.targets, self.r)
+        bc = np.asarray(bc, dtype=np.int64)
+        fw = net.forward_batch(p, np.concatenate([xw, xs]) if w_t > 0 else xw)
+        comps, grad, purity = trainer.step_loss_grad(
+            p, xw, xs, fw, targets, r, bc, cfg.eta_w, w_t, cfg,
+            pairs=self.pairs if w_t > 0 else None, pseudo_cls=self.pc,
+            gate_beta=self.beta, y_true=self.y)
+
+        terms = {"ce_re": trainer.reweighted_ce_grad(p, xw, targets, r, bc, cfg)}
+        expected = terms["ce_re"][1]
+        if w_t > 0:
+            terms["cr"] = trainer.consistency_loss_grad(p, xs, targets, bc)
+            terms["ram"] = mixup.ram_loss_grad(p, self.pairs)
+            terms["cdcl"] = contrastive.cdcl_grad(p, xw, xs, self.pc, self.beta, cfg.cdcl)
+            expected = expected + w_t * (terms["cr"][1] + terms["ram"][1]
+                                         + cfg.lambda_cdcl * terms["cdcl"][1])
+        assert np.linalg.norm(grad - expected) <= 1e-12 * np.linalg.norm(expected)
+        assert set(comps) == set(terms)
+        for key, (loss, _) in terms.items():
+            assert comps[key] == pytest.approx(loss, rel=1e-12, abs=1e-15)
+        assert (purity is None) == (w_t == 0)
+
+    def test_partner_reads_its_shared_forward(self, monkeypatch):
+        # each net's frozen co-network probabilities are, bit for bit, the
+        # softmax of the weak-view rows of its partner's shared forward
+        events = []
+        forward, refined = trainer.forward_batch, trainer.refined_targets
+
+        def recording_forward(params, x, eval_mode=False):
+            out = forward(params, x)
+            events.append(("forward", x, out))
+            return out
+
+        def recording_refined(co_probs, given_labels, cfg):
+            events.append(("co", co_probs, None))
+            return refined(co_probs, given_labels, cfg)
+
+        monkeypatch.setattr(trainer, "forward_batch", recording_forward)
+        monkeypatch.setattr(trainer, "refined_targets", recording_refined)
+        train, meta, test = tiny_data()
+        cfg = tiny_cfg(epochs=3)
+        trainer.co_train(train, meta, test, cfg)
+        checked = 0
+        for k, (kind, co_probs, _) in enumerate(events):
+            if kind != "co":
+                continue
+            # the batch's shared forwards: the last two forwards in a row on
+            # one input array (net1's, then net2's)
+            j = max(i for i in range(1, k) if events[i][0] == events[i - 1][0] == "forward"
+                    and events[i][1] is events[i - 1][1])
+            net2_steps_now = any(e[0] == "co" for e in events[j:k])
+            partner = events[j - 1][2] if net2_steps_now else events[j][2]
+            assert np.array_equal(net.softmax(partner.logits[:len(co_probs)]), co_probs)
+            checked += 1
+        assert checked == 2 * cfg.epochs * -(-train.n // cfg.batch_size)
 
 
 class TestConfigValidation:
