@@ -19,6 +19,7 @@ default, so an empty file is a valid full configuration.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -235,6 +236,11 @@ def load_config(path, seed_override: int | None = None,
 
 
 def _validate(cfg: RunConfig) -> None:
+    # first, so that a NaN, which passes no range check, is named as such
+    for section, keys in SCHEMA.items():
+        for key, (parser, _, _) in keys.items():
+            if parser is float and not math.isfinite(cfg[section][key]):
+                raise ConfigError("%s.%s must be finite" % (section, key))
     ds = cfg["dataset"]
     if ds["noise_mode"] not in ("none", "symmetric", "asymmetric"):
         raise ConfigError("dataset.noise_mode must be none, symmetric or asymmetric")
@@ -246,9 +252,11 @@ def _validate(cfg: RunConfig) -> None:
         v = cfg["augment"][key]
         if v != "auto":
             try:
-                float(v)
+                sigma = float(v)
             except ValueError:
                 raise ConfigError("augment.%s must be a float or 'auto'" % key)
+            if not math.isfinite(sigma):
+                raise ConfigError("augment.%s must be finite" % key)
     # instantiating the typed configs runs their own validation
     resolve_ram(cfg)
     resolve_cdcl(cfg)

@@ -55,8 +55,9 @@ def gamma_sample(shape, rng: np.random.Generator) -> np.ndarray:
     Shapes below 1 are boosted: draw Gamma(shape+1) and scale by U^(1/shape).
     """
     a = np.atleast_1d(np.asarray(shape, dtype=np.float64))
-    if np.any(a <= 0):
-        raise ValueError("gamma shape must be positive")
+    # a NaN shape would never be accepted below; both comparisons reject it
+    if not np.all((a > 0) & (a < np.inf)):
+        raise ValueError("gamma shape must be positive and finite")
     boost = a < 1.0
     d = np.where(boost, a + 1.0, a) - 1.0 / 3.0
     c = 1.0 / np.sqrt(9.0 * d)

@@ -3,8 +3,11 @@
 Everything here deliberately avoids the production code paths it checks:
 gradients come from central finite differences, per-sample gradients are
 materialized rather than dotted, the contrastive loss and positive-pair
-purity come from loops over anchors, OOD separation from exhaustive pairwise
-counting, and Beta moments from closed forms.
+purity come from loops over anchors or dense (2N)^2 masks, OOD separation
+from exhaustive pairwise counting, and Beta moments from closed forms. The one
+exception is the dense contrastive feature gradient, which repeats the
+production operation order on fresh arrays so that it pins that gradient bit
+for bit.
 """
 
 from __future__ import annotations
@@ -85,6 +88,55 @@ def pair_match_counts(positives: list[np.ndarray], weights: list[np.ndarray],
         wmatch += (weights[i] * same).sum()
         wsum += weights[i].sum()
     return matches, pairs, wmatch, wsum
+
+
+def dense_loss_pieces(bank: contrastive.FeatureBank, cfg: contrastive.CdclConfig):
+    """Dense (2N)^2 log-softmax, positives mask, gate matrix, positive
+    counts and valid anchors of the gated contrastive loss."""
+    z = bank.z
+    sims = (z @ z.T) / cfg.tau
+    np.fill_diagonal(sims, -np.inf)
+    row_max = sims.max(axis=1, keepdims=True)
+    logp = sims - (row_max + np.log(np.exp(sims - row_max).sum(axis=1, keepdims=True)))
+    pos = bank.pseudo_class[:, None] == bank.pseudo_class[None, :]
+    np.fill_diagonal(pos, False)
+    bnorm = contrastive.normalize_beta(bank.beta, cfg.range_eps)
+    w = np.outer(bnorm, bnorm)
+    pos_counts = pos.sum(axis=1)
+    valid = pos_counts >= 1
+    return logp, pos, w, pos_counts, valid
+
+
+def dense_cdcl_feature_grad(bank: contrastive.FeatureBank, cfg: contrastive.CdclConfig,
+                            y_true: np.ndarray | None = None):
+    """Dense restatement of contrastive.cdcl_feature_grad: the loss and the
+    purity totals are sums over the full (2N)^2 masks and gate matrix, and
+    the gradient runs production's operation sequence on freshly allocated
+    arrays, so the two gradients agree bit for bit."""
+    logp, pos, w, pos_counts, valid = dense_loss_pieces(bank, cfg)
+    purity = None
+    if y_true is not None:
+        y = np.concatenate([np.asarray(y_true), np.asarray(y_true)])
+        hit = pos & (y[:, None] == y[None, :])
+        purity = (float(hit.sum()), float(pos_counts.sum()),
+                  float(w[hit].sum()), float(w[pos].sum()))
+    n2 = bank.rows
+    if not valid.any():
+        return 0.0, np.zeros_like(bank.z), purity
+    gated = (w * np.where(pos, logp, 0.0)).sum(axis=1)
+    loss = float((-gated[valid] / pos_counts[valid]).mean())
+    # d loss / d logp_ij = -a_i * w_ij on positives, a_i = 1/(|V| * |P(i)|)
+    a = np.zeros(n2)
+    a[valid] = 1.0 / (valid.sum() * pos_counts[valid])
+    dlogp = np.where(pos, w, 0.0)
+    dlogp *= -a[:, None]
+    del w
+    softmax_rows = np.exp(logp, out=logp)
+    softmax_rows *= dlogp.sum(axis=1, keepdims=True)
+    dsims = np.subtract(dlogp, softmax_rows, out=dlogp)
+    np.fill_diagonal(dsims, 0.0)
+    dz = (dsims + dsims.T) @ bank.z / cfg.tau
+    return loss, dz, purity
 
 
 def _per_sample_from_dlogits(params: net.ModelParams, cache: tuple,
@@ -236,7 +288,8 @@ def suite_losses() -> list[CheckResult]:
 
 
 def suite_cdcl(n_seeds: int = 20) -> list[CheckResult]:
-    """Vectorized contrastive loss vs the scalar double-loop restatement."""
+    """Vectorized contrastive loss vs the scalar double-loop restatement, and
+    the feature gradient, loss and purity vs the dense form."""
     cfg = contrastive.CdclConfig()
     worst = 0.0
     for seed in range(n_seeds):
@@ -253,7 +306,36 @@ def suite_cdcl(n_seeds: int = 20) -> list[CheckResult]:
         fast = contrastive.cdcl_loss(bank, cfg)
         slow = naive_infonce(bank.z, bank.pseudo_class, bank.beta, cfg.tau, cfg.range_eps)
         worst = max(worst, abs(fast - slow))
-    return [_check("contrastive_vs_double_loop_%dbanks" % n_seeds, worst, 1e-10)]
+    return [_check("contrastive_vs_double_loop_%dbanks" % n_seeds, worst, 1e-10),
+            _check_cdcl_vs_dense(n_seeds)]
+
+
+def _check_cdcl_vs_dense(n_banks: int) -> CheckResult:
+    """cdcl_feature_grad vs dense_cdcl_feature_grad on raw banks of varying
+    size (sharing one set of work buffers, as a run does) with degenerate
+    rows: the gradient must agree bit for bit (otherwise the check reads
+    inf), the loss and purity totals to 1e-12 (absolutely below 1e-2)."""
+    cfg = contrastive.CdclConfig()
+    buffers = contrastive.CdclBuffers()
+    worst = 0.0
+    for seed in range(n_banks):
+        rng = np.random.default_rng(seed)
+        half = int(rng.integers(1, 65))
+        dup = lambda a: np.concatenate([a, a])
+        degenerate = np.arange(2 * half) < seed % 3
+        z = net.l2_normalize(rng.standard_normal((2 * half, 5)))
+        z[degenerate] = 0.0
+        bank = contrastive.FeatureBank(
+            z=z, pseudo_class=dup(rng.integers(0, 4, half)), beta=dup(rng.random(half)),
+            source_ids=dup(np.arange(half)), degenerate=degenerate)
+        y = rng.integers(0, 4, half)
+        loss, dz, purity = contrastive.cdcl_feature_grad(bank, cfg, y, buffers)
+        loss_d, dz_d, purity_d = dense_cdcl_feature_grad(bank, cfg, y)
+        if not np.array_equal(dz, dz_d):
+            worst = math.inf
+        worst = max(worst, max_rel_error(np.r_[loss, purity], np.r_[loss_d, purity_d],
+                                         zero_floor=1e-2))
+    return _check("cdcl_grad_bitexact_loss_purity_vs_dense_%dbanks" % n_banks, worst, 1e-12)
 
 
 def suite_beta(n_draws: int = 100_000) -> list[CheckResult]:

@@ -259,7 +259,8 @@ def step_loss_grad(params: ModelParams, xw: np.ndarray, xs: np.ndarray, fw: Batc
                    targets: np.ndarray, r: np.ndarray, bc: np.ndarray, eta_w: float,
                    w_t: float, cfg: TrainConfig, pairs: mixup.MixBatch | None = None,
                    pseudo_cls: np.ndarray | None = None, gate_beta: np.ndarray | None = None,
-                   y_true: np.ndarray | None = None):
+                   y_true: np.ndarray | None = None,
+                   cdcl_buffers: contrastive.CdclBuffers | None = None):
     """Loss components, flat gradient and contrastive purity totals of one
     network step.
 
@@ -270,7 +271,8 @@ def step_loss_grad(params: ModelParams, xw: np.ndarray, xs: np.ndarray, fw: Batc
     use_ram) get their own forward; then one backward pass over
     [xw; xs; x_mix] gives the gradient of ce + w_t * (cr + ram + lambda * cdcl).
     The purity totals (contrastive.cdcl_feature_grad) are None unless the
-    contrastive term runs with y_true given.
+    contrastive term runs with y_true given; cdcl_buffers are its reused
+    work matrices.
     """
     b = len(xw)
     comps = {}
@@ -287,7 +289,7 @@ def step_loss_grad(params: ModelParams, xw: np.ndarray, xs: np.ndarray, fw: Batc
             dlogits[b:] = w_t * dcr
         if cfg.use_cdcl:  # before the Mixup forward, whose cache would add to its peak memory
             comps["cdcl"], draw, purity = contrastive.cdcl_head(fw.emb, pseudo_cls, gate_beta,
-                                                                cfg.cdcl, y_true)
+                                                                cfg.cdcl, y_true, cdcl_buffers)
             demb = (w_t * cfg.lambda_cdcl) * draw
         if cfg.use_ram:
             mix = forward_batch(params, pairs.x)
@@ -441,6 +443,7 @@ def co_train(train: Dataset, meta: MetaSet | None, test: Dataset, cfg: TrainConf
                  np.full(train.n, 0.5), np.full(train.n, 0.5)),
     )
     clean_mask = train.y_obs == train.y_true
+    cdcl_buffers = contrastive.CdclBuffers()  # shared by both nets' sequential steps
 
     report = metrics.RunReport(
         config=config_echo if config_echo is not None else {"trainer": train_config_dict(cfg)},
@@ -533,7 +536,7 @@ def co_train(train: Dataset, meta: MetaSet | None, test: Dataset, cfg: TrainConf
                 comps, grad, purity = step_loss_grad(
                     st.params, xw, xs, fw, refined.dists, r, bc, eta_eff, w_t, cfg, pairs=pairs,
                     pseudo_cls=pseudo_cls, gate_beta=beta if cfg.use_meta else np.ones(b),
-                    y_true=train.y_true[rows])
+                    y_true=train.y_true[rows], cdcl_buffers=cdcl_buffers)
                 if purity is not None:
                     tally.add_purity(purity)
 

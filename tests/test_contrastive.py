@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from noisylab import contrastive, net
-from noisylab.oracles import fd_gradient, max_rel_error, naive_infonce, pair_match_counts
+from noisylab.oracles import (dense_cdcl_feature_grad, dense_loss_pieces, fd_gradient,
+                              max_rel_error, naive_infonce, pair_match_counts)
 
 CFG = contrastive.CdclConfig()
 
@@ -172,7 +173,7 @@ class TestCdclLoss:
         beta = rng.random(4)
 
         def loss_with_weights(wmat, bank):
-            logp, pos, _, counts, valid = contrastive._loss_pieces(bank, CFG)
+            logp, pos, _, counts, valid = dense_loss_pieces(bank, CFG)
             gated = (wmat * np.where(pos, logp, 0.0)).sum(axis=1)
             return float((-gated[valid] / counts[valid]).mean())
 
@@ -184,7 +185,7 @@ class TestCdclLoss:
         i, j = 0, 4  # a positive pair (same source, two views)
         bumped[i, j] += 0.25
         delta = loss_with_weights(bumped, bank) - base
-        logp, pos, _, counts, valid = contrastive._loss_pieces(bank, CFG)
+        logp, pos, _, counts, valid = dense_loss_pieces(bank, CFG)
         expected = -0.25 * logp[i, j] / (counts[i] * valid.sum())
         assert abs(delta - expected) < 1e-10
 
@@ -256,3 +257,63 @@ class TestBankAndGradient:
         weights = contrastive.consensus_weights(
             contrastive.normalize_beta(np.concatenate([beta, beta]), CFG.range_eps), positives)
         assert np.allclose(pair_match_counts(positives, weights, y2), fused, rtol=1e-12)
+
+
+class TestDenseParity:
+    """Production vs the dense (2N)^2 form: the gradient bit for bit, the
+    loss and purity totals (per-class sums in production) to 1e-12."""
+
+    @staticmethod
+    def random_bank(rng, half, classes, degenerate=0, uniform_beta=False):
+        beta = np.full(half, 0.4) if uniform_beta else rng.random(half)
+        bank = manual_bank(unit_rows(rng, 2 * half), rng.choice(classes, half), beta)
+        bank.z[:degenerate] = 0.0
+        bank.degenerate[:degenerate] = True
+        bank.validate()
+        return bank, rng.integers(0, 3, half)
+
+    def assert_parity(self, bank, y, buffers):
+        loss, dz, purity = contrastive.cdcl_feature_grad(bank, CFG, y, buffers)
+        loss_d, dz_d, purity_d = dense_cdcl_feature_grad(bank, CFG, y)
+        assert np.array_equal(dz, dz_d)
+        # relative to 1e-12; values below 1e-2 are compared absolutely to 1e-14,
+        # since the 2N = 2 loss is zero only up to rounding
+        assert max_rel_error(np.r_[loss, purity], np.r_[loss_d, purity_d],
+                             zero_floor=1e-2) < 1e-12
+
+    def test_random_banks(self):
+        buffers = contrastive.CdclBuffers()
+        for seed in range(12):
+            rng = np.random.default_rng(seed)
+            bank, y = self.random_bank(rng, int(rng.integers(2, 40)), np.arange(4))
+            self.assert_parity(bank, y, buffers)
+
+    @pytest.mark.parametrize("half, classes, degenerate, uniform_beta", [
+        (9, [0], 0, False),
+        (9, [0, 1, 2], 3, False),
+        (9, [0, 3], 0, False),
+        (9, [0, 1, 2], 0, True),
+        (1, [0, 1], 0, False),
+    ], ids=["single_class", "degenerate_rows", "class_ids_0_3", "uniform_beta", "2N_2"])
+    def test_edge_banks(self, half, classes, degenerate, uniform_beta):
+        rng = np.random.default_rng(half + len(classes))
+        bank, y = self.random_bank(rng, half, classes, degenerate, uniform_beta)
+        self.assert_parity(bank, y, contrastive.CdclBuffers())
+
+    def test_no_anchor_with_a_positive(self):
+        z = unit_rows(np.random.default_rng(3), 4)
+        bank = contrastive.FeatureBank(
+            z=z, pseudo_class=np.array([0, 1, 2, 3]), beta=np.array([0.1, 0.4, 0.2, 0.9]),
+            source_ids=np.arange(4), degenerate=np.zeros(4, dtype=bool))
+        y = np.array([0, 1])
+        self.assert_parity(bank, y, contrastive.CdclBuffers())
+        assert contrastive.cdcl_feature_grad(bank, CFG, y)[0] == 0.0
+
+    def test_buffers_reused_across_bank_sizes(self):
+        # a full batch of several row blocks, the smaller last batch, then a
+        # full batch again
+        buffers = contrastive.CdclBuffers()
+        rng = np.random.default_rng(11)
+        for half in (80, 7, 80):
+            bank, y = self.random_bank(rng, half, np.arange(4))
+            self.assert_parity(bank, y, buffers)

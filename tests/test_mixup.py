@@ -52,6 +52,13 @@ class TestGammaSampler:
         with pytest.raises(ValueError):
             mixup.gamma_sample(np.array([0.0]), np.random.default_rng(0))
 
+    @pytest.mark.parametrize("shape", [[np.nan], [np.inf], [1.0, np.nan]],
+                             ids=["nan", "inf", "valid_then_nan"])
+    def test_finite_shapes_required(self, shape):
+        # a NaN shape is never accepted by the rejection loop, which then never ends
+        with pytest.raises(ValueError):
+            mixup.gamma_sample(np.array(shape), np.random.default_rng(0))
+
 
 class TestSampleLambda:
     def test_symmetric_case_mean_half(self):
