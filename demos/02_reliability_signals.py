@@ -7,10 +7,10 @@ import numpy as np
 
 from noisylab import (MetaConfig, TrainConfig, co_train, disentangle,
                       inject_symmetric_noise, make_blobs,
-                      meta_gradients_closed, meta_gradients_fd, split_meta)
+                      meta_gradients_closed, split_meta)
 from noisylab.data import default_augment_config
 from noisylab.net import forward_batch, softmax
-from noisylab.oracles import max_rel_error
+from noisylab.oracles import max_rel_error, meta_gradients_fd
 from noisylab.reliability import one_hot
 
 pool = make_blobs(4, 150, 4, 0.5, seed=21)

@@ -4,10 +4,10 @@ against a scalar double-loop restatement."""
 
 import numpy as np
 
-from noisylab import CdclConfig, normalize_beta, positive_sets
-from noisylab.contrastive import FeatureBank, cdcl_loss, consensus_weights
+from noisylab import CdclConfig, normalize_beta
+from noisylab.contrastive import FeatureBank, cdcl_feature_grad
 from noisylab.net import l2_normalize
-from noisylab.oracles import naive_infonce
+from noisylab.oracles import consensus_weights, naive_infonce, positive_sets
 
 cfg = CdclConfig()
 rng = np.random.default_rng(5)
@@ -19,7 +19,6 @@ beta_half = rng.random(half)
 bank = FeatureBank(z=z,
                    pseudo_class=np.concatenate([pseudo_half, pseudo_half]),
                    beta=np.concatenate([beta_half, beta_half]),
-                   source_ids=np.concatenate([np.arange(half)] * 2),
                    degenerate=np.zeros(2 * half, dtype=bool))
 
 positives = positive_sets(bank.pseudo_class)
@@ -30,7 +29,7 @@ weights = consensus_weights(bnorm, positives)
 print("normalized reliabilities:", np.round(bnorm, 3))
 print("anchor 0 pair weights   :", np.round(weights[0], 3))
 
-fast = cdcl_loss(bank, cfg)
+fast, _, _ = cdcl_feature_grad(bank, cfg)
 slow = naive_infonce(bank.z, bank.pseudo_class, bank.beta, cfg.tau, cfg.range_eps)
 print("vectorized loss %.12f" % fast)
 print("double loop     %.12f" % slow)

@@ -20,7 +20,7 @@ from .data import dataset_csv_text, save_dataset
 from .metrics import RunReport, metrics_csv
 from .net import save_checkpoint
 from .trainer import DiagnosticsWriter, co_train
-from .util import ConfigError, TrainingDiverged, dumps_deterministic
+from .util import ConfigError, TrainingDiverged, dumps_deterministic, read_text
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -139,8 +139,7 @@ def cmd_oracle(suite: str) -> int:
 
 
 def cmd_report(path: str) -> int:
-    with open(path) as fh:
-        text = fh.read()
+    text = read_text(path)
     try:
         _print_report(RunReport.from_json(text))
     except KeyError as exc:
@@ -187,7 +186,6 @@ def main(argv=None) -> int:
             return cmd_oracle(args.suite)
         if args.command == "report":
             return cmd_report(args.path)
-        parser.error("unknown command")
     except ConfigError as exc:
         print("configuration error: %s" % exc, file=sys.stderr)
         return 2

@@ -30,7 +30,7 @@ from .data import (AugmentConfig, Dataset, default_augment_config,
                    inject_symmetric_noise, load_dataset, make_blobs, split_meta)
 from .mixup import RamConfig
 from .trainer import TrainConfig
-from .util import ConfigError, fmt_float
+from .util import ConfigError, fmt_float, read_text
 
 # seed-stream tags for everything derived from the one top-level seed
 _SEED_BLOBS = 10
@@ -230,9 +230,8 @@ def build_run_config(raw: dict, seed_override: int | None = None,
 
 def load_config(path, seed_override: int | None = None,
                 out_override: str | None = None) -> RunConfig:
-    with open(path) as fh:
-        return build_run_config(parse_config_text(fh.read()),
-                                seed_override=seed_override, out_override=out_override)
+    return build_run_config(parse_config_text(read_text(path)),
+                            seed_override=seed_override, out_override=out_override)
 
 
 def _validate(cfg: RunConfig) -> None:
@@ -241,6 +240,8 @@ def _validate(cfg: RunConfig) -> None:
         for key, (parser, _, _) in keys.items():
             if parser is float and not math.isfinite(cfg[section][key]):
                 raise ConfigError("%s.%s must be finite" % (section, key))
+    if cfg["run"]["seed"] < 0:  # seeds feed np.random.SeedSequence
+        raise ConfigError("run.seed must be nonnegative")
     ds = cfg["dataset"]
     if ds["noise_mode"] not in ("none", "symmetric", "asymmetric"):
         raise ConfigError("dataset.noise_mode must be none, symmetric or asymmetric")
@@ -405,14 +406,7 @@ def canonical_text(cfg: RunConfig) -> str:
             if (section, key) in _NON_EXPERIMENT_KEYS:
                 continue
             _, _, formatter = SCHEMA[section][key]
-            value = cfg[section][key]
-            if value is None:
-                rendered = ""
-            elif isinstance(value, float):
-                rendered = fmt_float(value)
-            else:
-                rendered = formatter(value)
-            lines.append("%s.%s=%s" % (section, key, rendered))
+            lines.append("%s.%s=%s" % (section, key, formatter(cfg[section][key])))
     return "\n".join(lines) + "\n"
 
 

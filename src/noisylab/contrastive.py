@@ -4,7 +4,10 @@ Positives are defined purely from pseudo-label agreement across the 2N rows
 (weak views first, strong views second); observed labels never enter this
 module, by interface, and true labels enter only the purity diagnostics. Each
 positive pair's attraction is gated by the product of the two sides'
-normalized pseudo-label reliabilities.
+normalized pseudo-label reliabilities. Training calls cdcl_head, which
+returns the gradient w.r.t. the raw bank embeddings for the network step's
+one backward pass; the reference forms (explicit positive sets and weights,
+the double loop, the dense form, the parameter gradient) live in oracles.py.
 
 A positive is any other row of the same pseudo-class and each gate b_i * b_j
 factors, so the loss value and the purity totals, which only report and never
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .net import ModelParams, backward_batch, forward_batch, l2_normalize
+from .net import l2_normalize
 from .util import ConfigError
 
 # below this pre-normalization norm a row is flagged degenerate and zeroed
@@ -46,24 +49,11 @@ class FeatureBank:
     z: np.ndarray             # (2N, P) unit rows (or flagged zero rows)
     pseudo_class: np.ndarray  # (2N,) pseudo-label per row, shared across views
     beta: np.ndarray          # (2N,) raw pseudo-label reliability per row
-    source_ids: np.ndarray    # (2N,)
     degenerate: np.ndarray    # (2N,) bool
 
     @property
     def rows(self) -> int:
         return self.z.shape[0]
-
-    def validate(self) -> None:
-        norms = np.linalg.norm(self.z, axis=1)
-        ok = np.abs(norms - 1.0) <= 1e-9
-        ok |= self.degenerate & (norms == 0.0)
-        if not ok.all():
-            raise ValueError("bank rows must be unit norm or flagged zero rows")
-        n = self.rows // 2
-        if not (np.array_equal(self.pseudo_class[:n], self.pseudo_class[n:])
-                and np.array_equal(self.beta[:n], self.beta[n:])
-                and np.array_equal(self.source_ids[:n], self.source_ids[n:])):
-            raise ValueError("view blocks disagree on pseudo_class/beta/ids")
 
 
 def normalize_beta(beta: np.ndarray, range_eps: float = 1e-6) -> np.ndarray:
@@ -80,23 +70,8 @@ def normalize_beta(beta: np.ndarray, range_eps: float = 1e-6) -> np.ndarray:
     return (beta - lo) / (hi - lo + 1e-8)
 
 
-def positive_sets(pseudo_class: np.ndarray) -> list[np.ndarray]:
-    """P(i) = rows sharing row i's pseudo-label, self excluded."""
-    pc = np.asarray(pseudo_class)
-    n = len(pc)
-    same = pc[:, None] == pc[None, :]
-    np.fill_diagonal(same, False)
-    return [np.flatnonzero(same[i]) for i in range(n)]
-
-
-def consensus_weights(beta_norm: np.ndarray, positives: list[np.ndarray]) -> list[np.ndarray]:
-    """w_ij = beta_norm_i * beta_norm_j for each j in P(i)."""
-    beta_norm = np.asarray(beta_norm, dtype=np.float64)
-    return [beta_norm[i] * beta_norm[p] for i, p in enumerate(positives)]
-
-
-def _bank_from_raw(raw: np.ndarray, pseudo_class: np.ndarray, beta: np.ndarray,
-                   source_ids: np.ndarray) -> FeatureBank:
+def _bank_from_raw(raw: np.ndarray, pseudo_class: np.ndarray,
+                   beta: np.ndarray) -> FeatureBank:
     """The bank of raw (2N, P) embeddings, weak views first: rows normalized,
     degenerate rows flagged and zeroed, per-sample metadata duplicated."""
     z = l2_normalize(raw)
@@ -104,17 +79,7 @@ def _bank_from_raw(raw: np.ndarray, pseudo_class: np.ndarray, beta: np.ndarray,
     z[degenerate] = 0.0
     dup = lambda a: np.concatenate([np.asarray(a), np.asarray(a)])
     return FeatureBank(z=z, pseudo_class=dup(pseudo_class), beta=dup(beta),
-                       source_ids=dup(source_ids), degenerate=degenerate)
-
-
-def build_bank(params: ModelParams, weak_x: np.ndarray, strong_x: np.ndarray,
-               pseudo_class: np.ndarray, beta: np.ndarray,
-               source_ids: np.ndarray | None = None) -> FeatureBank:
-    """Embed both views, normalize rows, duplicate per-sample metadata."""
-    if source_ids is None:
-        source_ids = np.arange(len(pseudo_class))
-    raw = forward_batch(params, np.concatenate([weak_x, strong_x])).emb
-    return _bank_from_raw(raw, pseudo_class, beta, source_ids)
+                       degenerate=degenerate)
 
 
 _BLOCK = 64  # rows per block of the (2N)^2 passes that need a second matrix
@@ -148,15 +113,10 @@ def _symmetrize(m: np.ndarray) -> None:
                 m[cols, rows] = t.T
 
 
-def cdcl_loss(bank: FeatureBank, cfg: CdclConfig) -> float:
-    """Gated InfoNCE over pseudo-label positives, averaged over anchors that
-    have at least one positive; zero when no anchor qualifies."""
-    return cdcl_feature_grad(bank, cfg)[0]
-
-
 def cdcl_feature_grad(bank: FeatureBank, cfg: CdclConfig, y_true: np.ndarray | None = None,
                       buffers: CdclBuffers | None = None):
-    """Loss value, its gradient w.r.t. the normalized bank rows and, given
+    """Gated InfoNCE loss (averaged over anchors with a positive, zero when
+    none has one), its gradient w.r.t. the normalized bank rows and, given
     the per-sample true labels, the purity totals of the positives
     (true-label matches, pairs, gated matches, gate mass), each pair gated
     by the product of its two normalized reliabilities; otherwise None.
@@ -241,15 +201,7 @@ def cdcl_head(raw: np.ndarray, pseudo_class: np.ndarray, beta: np.ndarray,
               buffers: CdclBuffers | None = None):
     """Loss, its gradient w.r.t. the raw (2N, P) bank embeddings (weak
     views first) and the purity totals of cdcl_feature_grad."""
-    bank = _bank_from_raw(raw, pseudo_class, beta, np.arange(len(pseudo_class)))
+    bank = _bank_from_raw(raw, pseudo_class, beta)
     loss, dz, purity = cdcl_feature_grad(bank, cfg, y_true, buffers)
     return loss, _normalization_backward(raw, dz, bank.degenerate), purity
 
-
-def cdcl_grad(params: ModelParams, weak_x: np.ndarray, strong_x: np.ndarray,
-              pseudo_class: np.ndarray, beta: np.ndarray,
-              cfg: CdclConfig) -> tuple[float, np.ndarray]:
-    """Loss and flat parameter gradient through both view embeddings."""
-    out = forward_batch(params, np.concatenate([weak_x, strong_x]))
-    loss, draw, _ = cdcl_head(out.emb, pseudo_class, beta, cfg)
-    return loss, backward_batch(params, out.cache, np.zeros_like(out.logits), draw)

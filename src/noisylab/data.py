@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .util import ConfigError, dumps_deterministic, fmt_float
+from .util import ConfigError, dumps_deterministic, fmt_float, read_text
 
 CENTER_RADIUS = 2.0
 
@@ -49,7 +49,7 @@ class Dataset:
     def dim(self) -> int:
         return self.x.shape[1]
 
-    def validate(self, contiguous_ids: bool = False) -> None:
+    def validate(self) -> None:
         if not np.all(np.isfinite(self.x)):
             raise ValueError("non-finite features")
         for arr in (self.y_true, self.y_obs):
@@ -57,8 +57,6 @@ class Dataset:
                 raise ValueError("class index out of range")
         if len(np.unique(self.ids)) != self.n:
             raise ValueError("duplicate sample ids")
-        if contiguous_ids and not np.array_equal(np.sort(self.ids), np.arange(self.n)):
-            raise ValueError("ids not contiguous from 0")
 
 
 @dataclass
@@ -74,24 +72,24 @@ class MetaSet:
         return self.x.shape[0]
 
 
-def class_centers(num_classes: int, dim: int, radius: float = CENTER_RADIUS) -> np.ndarray:
+def class_centers(num_classes: int, dim: int) -> np.ndarray:
     """Fixed per-class centers, evenly spaced on a circle in the first two dims."""
     angles = 2.0 * np.pi * np.arange(num_classes) / num_classes
     centers = np.zeros((num_classes, dim))
-    centers[:, 0] = radius * np.cos(angles)
-    centers[:, 1] = radius * np.sin(angles)
+    centers[:, 0] = CENTER_RADIUS * np.cos(angles)
+    centers[:, 1] = CENTER_RADIUS * np.sin(angles)
     return centers
 
 
 def make_blobs(num_classes: int, per_class: int, dim: int, spread: float,
-               seed: int, radius: float = CENTER_RADIUS) -> Dataset:
+               seed: int) -> Dataset:
     """Isotropic Gaussian blobs, one fixed center per class, clean labels."""
     if num_classes < 2 or per_class < 1 or dim < 2:
         raise ConfigError("need num_classes >= 2, per_class >= 1, dim >= 2")
     if spread < 0:
         raise ConfigError("spread must be nonnegative")
     rng = np.random.default_rng(seed)
-    centers = class_centers(num_classes, dim, radius)
+    centers = class_centers(num_classes, dim)
     n = num_classes * per_class
     y = np.repeat(np.arange(num_classes), per_class)
     x = centers[y] + spread * rng.standard_normal((n, dim))
@@ -248,9 +246,9 @@ def save_dataset(ds: Dataset, csv_path, json_path, seed: int | None = None) -> N
 def load_dataset(csv_path, json_path) -> Dataset:
     """Read what save_dataset wrote. Malformed files raise ConfigError naming
     the file and the cause."""
+    sidecar_text = read_text(json_path)
     try:
-        with open(json_path) as fh:
-            sidecar = json.load(fh)
+        sidecar = json.loads(sidecar_text)
         dim, num_classes = int(sidecar["dim"]), int(sidecar["num_classes"])
         spec = None
         if sidecar.get("noise_spec"):
@@ -262,8 +260,7 @@ def load_dataset(csv_path, json_path) -> Dataset:
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise ConfigError("%s: malformed dataset sidecar (%s: %s)"
                           % (json_path, type(exc).__name__, exc))
-    with open(csv_path) as fh:
-        rows = [line.strip() for line in fh if line.strip()]
+    rows = [line.strip() for line in read_text(csv_path).split("\n") if line.strip()]
     expected = "id,y_true,y_obs," + ",".join("x%d" % d for d in range(dim))
     if len(rows) < 2:
         raise ConfigError("%s holds no samples" % csv_path)

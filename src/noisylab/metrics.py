@@ -74,11 +74,6 @@ def fpr_at_95_tpr(scores: OodScoreSet) -> float:
     return 1.0
 
 
-def msp_scores(params: ModelParams, inputs: np.ndarray) -> np.ndarray:
-    """Maximum softmax probability per input, using the shared softmax."""
-    return softmax(forward_batch(params, inputs).logits).max(axis=1)
-
-
 def msp_scores_ensemble(params_list: list[ModelParams], inputs: np.ndarray) -> np.ndarray:
     """Max of the mean softmax across networks, matching ensembled prediction."""
     probs = [softmax(forward_batch(p, inputs).logits) for p in params_list]

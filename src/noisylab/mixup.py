@@ -1,6 +1,7 @@
 """Reliability-arbitrated Mixup: clamped total reliability, an asymmetric
 Beta law for the interpolation coefficient, per-pair gating by the stronger
-endpoint's reliability, and the gated Mixup cross-entropy.
+endpoint's reliability, and the mixed pairs. Their gated cross-entropy is
+net.weighted_ce_head; gates are not renormalized, so weak pairs contribute less.
 
 The Beta draw is built from two hand-written Marsaglia-Tsang Gamma samples;
 shapes below one use the boosting identity (sample shape+1, then multiply by
@@ -13,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .net import ModelParams, weighted_ce_loss_grad
 from .util import ConfigError
 
 
@@ -33,11 +33,10 @@ class RamConfig:
 
 @dataclass(frozen=True)
 class MixBatch:
-    """One mixed pair per row: row k mixes sample i[k] with partner j[k]."""
+    """One mixed pair per row: row k mixes sample k with partner j[k]."""
 
-    i: np.ndarray    # (B,) first endpoint
     j: np.ndarray    # (B,) partner
-    lam: np.ndarray  # (B,) interpolation coefficient, weight of the first endpoint
+    lam: np.ndarray  # (B,) interpolation coefficient, weight of sample k
     w: np.ndarray    # (B,) gating weight
     x: np.ndarray    # (B, D) mixed inputs
     y: np.ndarray    # (B, C) mixed targets
@@ -141,15 +140,5 @@ def build_pairs(batch_x: np.ndarray, reliabilities: np.ndarray,
     # gating weight: the stronger endpoint's reliability
     w = np.maximum(r, r[perm]) if gate else np.ones(b)
     mix = lambda a: lam[:, None] * a + (1.0 - lam)[:, None] * a[perm]
-    return MixBatch(i=np.arange(b), j=perm, lam=lam, w=w,
-                    x=mix(batch_x), y=mix(refined_targets))
+    return MixBatch(j=perm, lam=lam, w=w, x=mix(batch_x), y=mix(refined_targets))
 
-
-def ram_loss(params: ModelParams, pairs: MixBatch) -> float:
-    """(1/B) * sum over pairs of w * CE(f(x), y); gates are not
-    renormalized, so weak pairs simply contribute less."""
-    return ram_loss_grad(params, pairs)[0]
-
-
-def ram_loss_grad(params: ModelParams, pairs: MixBatch) -> tuple[float, np.ndarray]:
-    return weighted_ce_loss_grad(params, pairs.x, pairs.y, pairs.w)

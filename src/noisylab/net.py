@@ -139,19 +139,6 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return np.exp(log_softmax(logits))
 
 
-def ce_loss(logits: np.ndarray, target_dist: np.ndarray) -> float:
-    """Cross-entropy of a target distribution against softmax(logits)."""
-    target_dist = np.asarray(target_dist, dtype=np.float64)
-    if abs(target_dist.sum() - 1.0) > 1e-6:
-        raise ValueError("target distribution must sum to 1")
-    return float(-(target_dist * log_softmax(logits)).sum())
-
-
-def ce_batch(logits: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Per-row cross-entropy for (B, C) logits and (B, C) target rows."""
-    return -(targets * log_softmax(logits)).sum(axis=1)
-
-
 def backward_batch(params: ModelParams, cache: tuple, dlogits: np.ndarray,
                    demb: np.ndarray | None = None) -> np.ndarray:
     """Reverse pass from head gradients to the flat parameter gradient.
@@ -208,12 +195,6 @@ def weighted_ce_loss_grad(params: ModelParams, x: np.ndarray, targets: np.ndarra
     return loss, backward_batch(params, out.cache, dlogits)
 
 
-def grad_batch(params: ModelParams, x: np.ndarray, targets: np.ndarray,
-               weights: np.ndarray) -> np.ndarray:
-    """Gradient of the weighted mean cross-entropy over a batch."""
-    return weighted_ce_loss_grad(params, x, targets, weights)[1]
-
-
 def per_sample_grad_dots(params: ModelParams, out: BatchForward,
                          given_targets: np.ndarray, pseudo_targets: np.ndarray,
                          vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -258,13 +239,12 @@ class Schedule:
 @dataclass
 class OptState:
     velocity: np.ndarray
-    step: int
     epoch: int
     schedule: Schedule
 
 
 def init_opt_state(arch: Architecture, schedule: Schedule) -> OptState:
-    return OptState(np.zeros(arch.n_params), 0, 0, schedule)
+    return OptState(np.zeros(arch.n_params), 0, schedule)
 
 
 def sgd_step(params: ModelParams, grad: np.ndarray, state: OptState) -> tuple[ModelParams, OptState]:
@@ -273,21 +253,15 @@ def sgd_step(params: ModelParams, grad: np.ndarray, state: OptState) -> tuple[Mo
     lr = sched.lr_at(state.epoch)
     velocity = sched.momentum * state.velocity + grad + sched.weight_decay * params.flat
     new_params = ModelParams(params.arch, params.flat - lr * velocity)
-    return new_params, OptState(velocity, state.step + 1, state.epoch, sched)
+    return new_params, OptState(velocity, state.epoch, sched)
 
 
-def l2_normalize(v: np.ndarray, with_flag: bool = False):
-    """Rows scaled to unit norm via v / (||v|| + 1e-12).
-
-    An exactly zero vector maps to the zero vector; with_flag=True also
-    returns the mask of such degenerate rows.
-    """
+def l2_normalize(v: np.ndarray) -> np.ndarray:
+    """Rows scaled to unit norm via v / (||v|| + 1e-12); an exactly zero
+    vector maps to the zero vector."""
     v = np.asarray(v, dtype=np.float64)
     norms = np.linalg.norm(v, axis=-1, keepdims=True)
-    out = v / (norms + 1e-12)
-    if with_flag:
-        return out, np.squeeze(norms, axis=-1) == 0.0
-    return out
+    return v / (norms + 1e-12)
 
 
 def save_checkpoint(params: ModelParams, path) -> None:
@@ -305,9 +279,7 @@ def load_checkpoint(path) -> ModelParams:
         header = fh.read(struct.calcsize("<4sIIIII"))
         if len(header) < struct.calcsize("<4sIIIII") or header[:4] != CHECKPOINT_MAGIC:
             raise ValueError("not a parameter checkpoint: bad header")
-        magic, version, d, h, c, p = struct.unpack("<4sIIIII", header)
-        if magic != CHECKPOINT_MAGIC:
-            raise ValueError("not a parameter checkpoint: bad magic %r" % magic)
+        _, version, d, h, c, p = struct.unpack("<4sIIIII", header)
         if version != CHECKPOINT_VERSION:
             raise ValueError("unsupported checkpoint version %d" % version)
         arch = Architecture(d, h, c, p)

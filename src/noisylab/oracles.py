@@ -1,13 +1,16 @@
-"""Independent brute-force oracles and the self-check suites built on them.
+"""Independent brute-force oracles, the reference forms of production
+quantities, and the self-check suites built on them.
 
 Everything here deliberately avoids the production code paths it checks:
-gradients come from central finite differences, per-sample gradients are
-materialized rather than dotted, the contrastive loss and positive-pair
-purity come from loops over anchors or dense (2N)^2 masks, OOD separation
-from exhaustive pairwise counting, and Beta moments from closed forms. The one
-exception is the dense contrastive feature gradient, which repeats the
-production operation order on fresh arrays so that it pins that gradient bit
-for bit.
+gradients come from central finite differences, the meta-gradient from the
+literal virtual SGD update (Ren et al. 2018, "Learning to Reweight
+Examples"), per-sample gradients are materialized rather than dotted, the
+contrastive loss and positive-pair purity come from loops over explicit
+positive sets or dense (2N)^2 masks, OOD separation from exhaustive pairwise
+counting, and Beta moments from closed forms. Two exceptions: the dense
+contrastive feature gradient repeats production's operation order on fresh
+arrays, pinning that gradient bit for bit, and cdcl_grad wraps the production
+contrastive head in its own forward and backward to check that term alone.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import contrastive, mixup, net, reliability
+from . import contrastive, mixup, net, reliability, trainer
 from .data import MetaSet
 from .util import ConfigError
 
@@ -71,6 +74,20 @@ def naive_infonce(z: np.ndarray, pseudo_class: np.ndarray, beta: np.ndarray,
     if not anchor_terms:
         return 0.0
     return sum(anchor_terms) / len(anchor_terms)
+
+
+def positive_sets(pseudo_class: np.ndarray) -> list[np.ndarray]:
+    """P(i) = rows sharing row i's pseudo-label, self excluded."""
+    pc = np.asarray(pseudo_class)
+    same = pc[:, None] == pc[None, :]
+    np.fill_diagonal(same, False)
+    return [np.flatnonzero(row) for row in same]
+
+
+def consensus_weights(beta_norm: np.ndarray, positives: list[np.ndarray]) -> list[np.ndarray]:
+    """w_ij = beta_norm_i * beta_norm_j for each j in P(i)."""
+    beta_norm = np.asarray(beta_norm, dtype=np.float64)
+    return [beta_norm[i] * beta_norm[p] for i, p in enumerate(positives)]
 
 
 def pair_match_counts(positives: list[np.ndarray], weights: list[np.ndarray],
@@ -137,6 +154,70 @@ def dense_cdcl_feature_grad(bank: contrastive.FeatureBank, cfg: contrastive.Cdcl
     np.fill_diagonal(dsims, 0.0)
     dz = (dsims + dsims.T) @ bank.z / cfg.tau
     return loss, dz, purity
+
+
+def cdcl_grad(params: net.ModelParams, weak_x: np.ndarray, strong_x: np.ndarray,
+              pseudo_class: np.ndarray, beta: np.ndarray,
+              cfg: contrastive.CdclConfig) -> tuple[float, np.ndarray]:
+    """The contrastive term on its own: loss and flat parameter gradient
+    through both view embeddings."""
+    out = net.forward_batch(params, np.concatenate([weak_x, strong_x]))
+    loss, draw, _ = contrastive.cdcl_head(out.emb, pseudo_class, beta, cfg)
+    return loss, net.backward_batch(params, out.cache, np.zeros_like(out.logits), draw)
+
+
+def fused_step_fd_error(params: net.ModelParams, xw: np.ndarray, xs: np.ndarray,
+                        targets: np.ndarray, r: np.ndarray, bc: np.ndarray,
+                        pairs: mixup.MixBatch, pseudo_cls: np.ndarray, beta: np.ndarray,
+                        w_t: float, cfg: trainer.TrainConfig) -> float:
+    """Worst relative error of trainer.step_loss_grad's fused gradient
+    against central differences of its objective ce + w_t * (cr + ram +
+    lambda_cdcl * cdcl), each called as co_train calls it."""
+    strong = w_t > 0.0 and (cfg.use_cr or cfg.use_cdcl)
+
+    def step(p):
+        fw = net.forward_batch(p, np.concatenate([xw, xs]) if strong else xw)
+        comps, grad, _ = trainer.step_loss_grad(
+            p, xw, xs, fw, targets, r, bc, cfg.eta_w, w_t, cfg,
+            pairs=pairs if w_t > 0.0 else None, pseudo_cls=pseudo_cls, gate_beta=beta)
+        value = comps["ce_re"] + w_t * (comps.get("cr", 0.0) + comps.get("ram", 0.0)
+                                        + cfg.lambda_cdcl * comps.get("cdcl", 0.0))
+        return value, grad
+
+    fd = fd_gradient(lambda flat: step(net.ModelParams(params.arch, flat))[0], params.flat)
+    return max_rel_error(fd, step(params)[1])
+
+
+def meta_loss(params: net.ModelParams, meta: MetaSet, num_classes: int) -> float:
+    """Mean cross-entropy on the held-out clean set."""
+    out = net.forward_batch(params, meta.x)
+    targets = reliability.one_hot(meta.y, num_classes)
+    return float(-(targets * net.log_softmax(out.logits)).sum(axis=1).mean())
+
+
+def meta_gradients_fd(params: net.ModelParams, batch_x: np.ndarray,
+                      given_targets: np.ndarray, pseudo_targets: np.ndarray,
+                      meta: MetaSet, cfg: reliability.MetaConfig,
+                      step: float = 1e-4) -> tuple[np.ndarray, np.ndarray]:
+    """Literal virtual-update restatement of reliability.meta_gradients_closed.
+
+    For each sample and each of the two loss terms, perturb that weight by
+    +/- step, take one plain SGD step (no momentum, no weight decay) on the
+    composite weighted batch loss, evaluate the held-out loss at the stepped
+    parameters, and central-difference.
+    """
+    if meta.m == 0:
+        raise ConfigError("meta set must be nonempty")
+    b = len(batch_x)
+
+    def held_out_after_step(w: np.ndarray) -> float:
+        g = (net.weighted_ce_loss_grad(params, batch_x, given_targets, w[:b])[1]
+             + net.weighted_ce_loss_grad(params, batch_x, pseudo_targets, w[b:])[1])
+        stepped = net.ModelParams(params.arch, params.flat - cfg.eta_inner * g)
+        return meta_loss(stepped, meta, given_targets.shape[1])
+
+    e = fd_gradient(held_out_after_step, np.zeros(2 * b), step)
+    return e[:b], e[b:]
 
 
 def _per_sample_from_dlogits(params: net.ModelParams, cache: tuple,
@@ -246,7 +327,7 @@ def suite_meta(n_seeds: int = 100) -> list[CheckResult]:
     for seed in range(n_seeds):
         params, batch_x, given, pseudo, meta = _random_fixture(seed)
         closed = reliability.meta_gradients_closed(params, batch_x, given, pseudo, meta, cfg)
-        fd = reliability.meta_gradients_fd(params, batch_x, given, pseudo, meta, cfg)
+        fd = meta_gradients_fd(params, batch_x, given, pseudo, meta, cfg)
         worst = max(worst,
                     max_rel_error(closed[0], fd[0], zero_floor=1e-10),
                     max_rel_error(closed[1], fd[1], zero_floor=1e-10))
@@ -273,17 +354,24 @@ def suite_losses() -> list[CheckResult]:
     ram_cfg = mixup.RamConfig()
     r = rng.random(4) * 1.5 + 0.2
     pairs = mixup.build_pairs(x, r, targets.astype(float), ram_cfg, np.random.default_rng(3))
-    _, gram = mixup.ram_loss_grad(params, pairs)
-    fd_vs("mixup_loss_gradient", lambda p: mixup.ram_loss(p, pairs), gram)
+    _, gram = net.weighted_ce_loss_grad(params, pairs.x, pairs.y, pairs.w)
+    fd_vs("mixup_loss_gradient",
+          lambda p: net.weighted_ce_loss_grad(p, pairs.x, pairs.y, pairs.w)[0], gram)
 
     cd_cfg = contrastive.CdclConfig()
     strong = rng.standard_normal((4, 3))
     pc = np.array([0, 1, 0, 1])
     beta = rng.random(4)
-    _, gcd = contrastive.cdcl_grad(params, x, strong, pc, beta, cd_cfg)
+    _, gcd = cdcl_grad(params, x, strong, pc, beta, cd_cfg)
     fd_vs("contrastive_loss_gradient",
-          lambda p: contrastive.cdcl_loss(contrastive.build_bank(p, x, strong, pc, beta), cd_cfg),
-          gcd)
+          lambda p: cdcl_grad(p, x, strong, pc, beta, cd_cfg)[0], gcd)
+
+    # the whole network step: one shared forward, one backward, partial filter
+    tcfg = trainer.TrainConfig()
+    for w_t in (0.0, 0.4):
+        err = fused_step_fd_error(params, x, strong, targets, r, np.array([0, 2, 3]),
+                                  pairs, pc, beta, w_t, tcfg)
+        results.append(_check("fused_step_gradient_wt%g" % w_t, err, 1e-5))
     return results
 
 
@@ -301,9 +389,8 @@ def suite_cdcl(n_seeds: int = 20) -> list[CheckResult]:
         bank = contrastive.FeatureBank(
             z=z, pseudo_class=np.concatenate([pc_half, pc_half]),
             beta=np.concatenate([beta_half, beta_half]),
-            source_ids=np.concatenate([np.arange(n2 // 2)] * 2),
             degenerate=np.zeros(n2, dtype=bool))
-        fast = contrastive.cdcl_loss(bank, cfg)
+        fast = contrastive.cdcl_feature_grad(bank, cfg)[0]
         slow = naive_infonce(bank.z, bank.pseudo_class, bank.beta, cfg.tau, cfg.range_eps)
         worst = max(worst, abs(fast - slow))
     return [_check("contrastive_vs_double_loop_%dbanks" % n_seeds, worst, 1e-10),
@@ -327,7 +414,7 @@ def _check_cdcl_vs_dense(n_banks: int) -> CheckResult:
         z[degenerate] = 0.0
         bank = contrastive.FeatureBank(
             z=z, pseudo_class=dup(rng.integers(0, 4, half)), beta=dup(rng.random(half)),
-            source_ids=dup(np.arange(half)), degenerate=degenerate)
+            degenerate=degenerate)
         y = rng.integers(0, 4, half)
         loss, dz, purity = contrastive.cdcl_feature_grad(bank, cfg, y, buffers)
         loss_d, dz_d, purity_d = dense_cdcl_feature_grad(bank, cfg, y)

@@ -36,9 +36,6 @@ _ORDER_STREAM = 11
 _VIEW_STREAM = 12
 _MIX_STREAM = 13
 
-SOURCE_CO = "co_prediction"
-SOURCE_GIVEN = "given_label"
-
 # Mixup pair kinds, indexed by the number of clean-labeled endpoints
 PAIR_KINDS = ("noisy_noisy", "clean_noisy", "clean_clean")
 
@@ -131,15 +128,6 @@ class NetPair:
         return (self.net1, self.net2)
 
 
-@dataclass
-class RefinedTargets:
-    """Per-batch refined training targets with their provenance."""
-
-    dists: np.ndarray       # (B, C)
-    source: np.ndarray      # (B,) SOURCE_CO or SOURCE_GIVEN
-    confidence: np.ndarray  # (B,) max co-network softmax
-
-
 def warmup(t: int, cfg: TrainConfig) -> float:
     """Linear ramp from 0 at warmup_start to 1 at warmup_full."""
     if t < 0:
@@ -158,26 +146,15 @@ def sharpen(probs: np.ndarray, temp: float) -> np.ndarray:
 
 
 def refined_targets(co_probs: np.ndarray, given_labels: np.ndarray,
-                    cfg: TrainConfig) -> RefinedTargets:
-    """Sharpened co-network prediction where it is confident, otherwise the
-    observed label as a one-hot."""
+                    cfg: TrainConfig) -> np.ndarray:
+    """(B, C) targets: the sharpened co-network prediction where it is
+    confident, otherwise the observed label as a one-hot."""
     co_probs = np.asarray(co_probs, dtype=np.float64)
     num_classes = co_probs.shape[1]
-    confidence = co_probs.max(axis=1)
-    confident = confidence >= cfg.conf_threshold
-    dists = np.where(confident[:, None],
-                     sharpen(co_probs, cfg.sharpen_temp),
-                     one_hot(given_labels, num_classes))
-    source = np.where(confident, SOURCE_CO, SOURCE_GIVEN)
-    return RefinedTargets(dists=dists, source=source, confidence=confidence)
-
-
-def given_label_targets(given_labels: np.ndarray, num_classes: int) -> RefinedTargets:
-    """Plain one-hot observed labels (refinement disabled)."""
-    n = len(given_labels)
-    return RefinedTargets(dists=one_hot(given_labels, num_classes),
-                          source=np.array([SOURCE_GIVEN] * n),
-                          confidence=np.zeros(n))
+    confident = co_probs.max(axis=1) >= cfg.conf_threshold
+    return np.where(confident[:, None],
+                    sharpen(co_probs, cfg.sharpen_temp),
+                    one_hot(given_labels, num_classes))
 
 
 def confidence_filter(co_probs: np.ndarray, cfg: TrainConfig,
@@ -193,33 +170,19 @@ def confidence_filter(co_probs: np.ndarray, cfg: TrainConfig,
     return np.flatnonzero(co_probs.max(axis=1) >= cfg.conf_threshold)
 
 
-def reweighted_ce(params: ModelParams, weak_x: np.ndarray, targets,
-                  reliabilities: np.ndarray, bc: np.ndarray,
-                  cfg: TrainConfig, eta_w: float | None = None) -> float:
-    return reweighted_ce_grad(params, weak_x, targets, reliabilities, bc, cfg, eta_w)[0]
-
-
 def reweighted_ce_grad(params: ModelParams, weak_x: np.ndarray, targets,
                        reliabilities: np.ndarray, bc: np.ndarray,
-                       cfg: TrainConfig, eta_w: float | None = None,
-                       logits: np.ndarray | None = None):
+                       cfg: TrainConfig, eta_w: float, logits: np.ndarray | None = None):
     """Confidence-filtered cross-entropy with multiplier 1 + eta_w * r_tilde,
     where r_tilde is each sample's reliability over the filtered-batch mean.
 
     Returns the loss and its flat parameter gradient; given `logits`,
     weak_x's cached logits, the gradient w.r.t. those logits instead.
     """
-    if eta_w is None:
-        eta_w = cfg.eta_w
     bc = np.asarray(bc, dtype=np.int64)
     r = np.asarray(reliabilities, dtype=np.float64)[bc]
     weights = 1.0 + eta_w * (r / (r.mean() + cfg.ram.delta)) if bc.size else r
     return _filtered_ce(params, weak_x, targets, weights, bc, logits)
-
-
-def consistency_loss(params: ModelParams, strong_x: np.ndarray, targets,
-                     bc: np.ndarray) -> float:
-    return consistency_loss_grad(params, strong_x, targets, bc)[0]
 
 
 def consistency_loss_grad(params: ModelParams, strong_x: np.ndarray, targets,
@@ -367,7 +330,7 @@ class _EpochTally:
 
     def add_pairs(self, pairs, clean):
         lam = pairs.lam
-        kinds = clean[pairs.i].astype(np.int64) + clean[pairs.j]
+        kinds = clean.astype(np.int64) + clean[pairs.j]
         self.wmix_sum += float(pairs.w.sum())
         self.wmix_count += len(lam)
         bins = np.minimum((lam * 10.0).astype(np.int64), 9)
@@ -490,10 +453,10 @@ def co_train(train: Dataset, meta: MetaSet | None, test: Dataset, cfg: TrainConf
                 pseudo_cls = co_probs.argmax(axis=1)
 
                 if cfg.use_refine:
-                    refined = refined_targets(co_probs, y_obs, cfg)
+                    targets = refined_targets(co_probs, y_obs, cfg)
                     bc = confidence_filter(co_probs, cfg, warmup_active=(w_t == 0.0))
                 else:
-                    refined = given_label_targets(y_obs, train.num_classes)
+                    targets = one_hot(y_obs, train.num_classes)
                     bc = np.arange(b)
 
                 if cfg.use_meta:
@@ -505,9 +468,9 @@ def co_train(train: Dataset, meta: MetaSet | None, test: Dataset, cfg: TrainConf
                             out=fw.rows(slice(0, b)))
                         if cfg.couple_meta:
                             shared = 0.5 * (e1 + e2)
-                            rb = disentangle(shared, shared, mcfg, b, ids=batch_ids)
+                            rb = disentangle(shared, shared, mcfg, b)
                         else:
-                            rb = disentangle(e1, e2, mcfg, b, ids=batch_ids)
+                            rb = disentangle(e1, e2, mcfg, b)
                         gap = rb.mass_identity_gap(cfg.xi)
                         tally.add_reliability(rb.alpha, rb.beta, batch_clean, gap)
                         mass_gap_overall = gap if mass_gap_overall is None else max(mass_gap_overall, gap)
@@ -530,11 +493,11 @@ def co_train(train: Dataset, meta: MetaSet | None, test: Dataset, cfg: TrainConf
 
                 pairs = None
                 if w_t > 0.0 and cfg.use_ram:
-                    pairs = mixup.build_pairs(xw, r, refined.dists, cfg.ram, st.mix_rng,
+                    pairs = mixup.build_pairs(xw, r, targets, cfg.ram, st.mix_rng,
                                               symmetric=cfg.sym_ram, gate=cfg.use_grg)
                     tally.add_pairs(pairs, batch_clean)
                 comps, grad, purity = step_loss_grad(
-                    st.params, xw, xs, fw, refined.dists, r, bc, eta_eff, w_t, cfg, pairs=pairs,
+                    st.params, xw, xs, fw, targets, r, bc, eta_eff, w_t, cfg, pairs=pairs,
                     pseudo_cls=pseudo_cls, gate_beta=beta if cfg.use_meta else np.ones(b),
                     y_true=train.y_true[rows], cdcl_buffers=cdcl_buffers)
                 if purity is not None:

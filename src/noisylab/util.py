@@ -1,4 +1,5 @@
-"""Shared plumbing: errors, seeded RNG streams, deterministic JSON/CSV text."""
+"""Shared plumbing: errors, text input, seeded RNG streams, deterministic
+JSON/CSV text."""
 
 from __future__ import annotations
 
@@ -21,6 +22,15 @@ class TrainingDiverged(RuntimeError):
     def __init__(self, message: str, snapshot: dict):
         super().__init__(message)
         self.snapshot = snapshot
+
+
+def read_text(path) -> str:
+    """A file's UTF-8 text; undecodable bytes raise ConfigError naming the file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ConfigError("%s is not UTF-8 text: %s" % (path, exc))
 
 
 def child_rng(seed: int, *keys: int) -> np.random.Generator:

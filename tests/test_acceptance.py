@@ -157,17 +157,16 @@ def test_criterion_02_loss_gradient_integrity():
 
     def assemble(flat):
         p = net.ModelParams(arch, flat)
-        ce = trainer.reweighted_ce(p, xw, targets, r, bc, tcfg)
-        cr = trainer.consistency_loss(p, xs, targets, bc)
-        ram = mixup.ram_loss(p, pairs)
-        bank = contrastive.build_bank(p, xw, xs, pc, beta)
-        cdcl = contrastive.cdcl_loss(bank, tcfg.cdcl)
+        ce, _ = trainer.reweighted_ce_grad(p, xw, targets, r, bc, tcfg, tcfg.eta_w)
+        cr, _ = trainer.consistency_loss_grad(p, xs, targets, bc)
+        ram, _ = net.weighted_ce_loss_grad(p, pairs.x, pairs.y, pairs.w)
+        cdcl, _ = oracles.cdcl_grad(p, xw, xs, pc, beta, tcfg.cdcl)
         return {"ce_re": ce, "cr": cr, "ram": ram, "cdcl": cdcl}
 
-    _, g_ce = trainer.reweighted_ce_grad(params, xw, targets, r, bc, tcfg)
+    _, g_ce = trainer.reweighted_ce_grad(params, xw, targets, r, bc, tcfg, tcfg.eta_w)
     _, g_cr = trainer.consistency_loss_grad(params, xs, targets, bc)
-    _, g_ram = mixup.ram_loss_grad(params, pairs)
-    _, g_cd = contrastive.cdcl_grad(params, xw, xs, pc, beta, tcfg.cdcl)
+    _, g_ram = net.weighted_ce_loss_grad(params, pairs.x, pairs.y, pairs.w)
+    _, g_cd = oracles.cdcl_grad(params, xw, xs, pc, beta, tcfg.cdcl)
     grads = {"ce_re": g_ce, "cr": g_cr, "ram": g_ram, "cdcl": g_cd,
              "total": g_ce + w_t * (g_cr + g_ram + tcfg.lambda_cdcl * g_cd)}
     values = {
@@ -181,6 +180,10 @@ def test_criterion_02_loss_gradient_integrity():
     for name, value_fn in values.items():
         fd = oracles.fd_gradient(value_fn, params.flat)
         worst[name] = oracles.max_rel_error(fd, grads[name])
+    # the network step's fused gradient, as co_train computes it
+    for fused_wt in (0.0, 0.4):
+        worst["fused_wt%g" % fused_wt] = oracles.fused_step_fd_error(
+            params, xw, xs, targets, r, bc, pairs, pc, beta, fused_wt, tcfg)
     ok = all(v < 1e-5 for v in worst.values())
     _criterion(2, "loss gradient integrity", ok,
                " ".join("%s=%.1e" % (k, v) for k, v in worst.items()) + " (tol 1e-5)")
@@ -220,9 +223,9 @@ def test_criterion_05_contrastive_oracle_equivalence():
                    [-1.0, 1.0, -1.0], [-1.0, -1.0, 1.0]]) / np.sqrt(3.0)
     bank = contrastive.FeatureBank(
         z=z4, pseudo_class=np.array([0, 1, 0, 1]),
-        beta=np.array([0.5, 0.5, 0.5, 0.5]),
-        source_ids=np.array([0, 1, 0, 1]), degenerate=np.zeros(4, dtype=bool))
-    log3_err = abs(contrastive.cdcl_loss(bank, contrastive.CdclConfig()) - np.log(3.0))
+        beta=np.array([0.5, 0.5, 0.5, 0.5]), degenerate=np.zeros(4, dtype=bool))
+    log3_err = abs(contrastive.cdcl_feature_grad(bank, contrastive.CdclConfig())[0]
+                   - np.log(3.0))
     ok = all(r.passed for r in results) and log3_err < 1e-9
     _criterion(5, "contrastive oracle equivalence", ok,
                "max |fast - double loop| = %.2e (tol 1e-10); log3 case err %.2e (tol 1e-9)"

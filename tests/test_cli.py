@@ -3,6 +3,7 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
 from noisylab import cli, config
@@ -145,6 +146,18 @@ class TestInvalidValues:
         path.write_text(SMALL_RUN.replace("[trainer]\n", "[trainer]\n%s\n" % line))
         assert cli.main(["train", "--config", str(path), "--out", str(tmp_path / "r")]) == 2
         assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, flag", [
+        (SMALL_RUN.replace("seed = 5", "seed = -5"), []),
+        (SMALL_RUN, ["--seed", "-1"]),
+    ], ids=["config", "flag"])
+    def test_negative_seed_exit_2(self, text, flag, tmp_path, capsys):
+        # np.random.SeedSequence rejects negative entries with a raw ValueError
+        path = tmp_path / "seed.cfg"
+        path.write_text(text)
+        assert cli.main(["generate", "--config", str(path), "--out", str(tmp_path / "g")]
+                        + flag) == 2
+        assert "run.seed" in capsys.readouterr().err
 
     @pytest.mark.parametrize("section, key", NUMERIC_KEYS,
                              ids=["%s.%s" % sk for sk in NUMERIC_KEYS])
@@ -308,3 +321,113 @@ class TestReport:
         path.write_text('{"schema_version": 1}')
         assert cli.main(["report", str(path)]) == 2
         assert "'config'" in capsys.readouterr().err
+
+
+class TestNonUtf8Input:
+    @pytest.mark.parametrize("target", ["config", "dataset.csv", "dataset.json", "report"])
+    def test_undecodable_bytes_exit_2_naming_the_file(self, target, cfg_path, tmp_path,
+                                                     capsys):
+        data_dir = tmp_path / "data"
+        assert cli.main(["generate", "--config", cfg_path, "--out", str(data_dir)]) == 0
+        load = tmp_path / "load.cfg"
+        load.write_text(SMALL_RUN.replace("[dataset]\n", "[dataset]\nload_dir = %s\n" % data_dir))
+        out = ["--out", str(tmp_path / "out")]
+        if target == "config":
+            bad = tmp_path / "bad.cfg"
+            argv = ["generate", "--config", str(bad)] + out
+        elif target == "report":
+            bad = tmp_path / "report.json"
+            argv = ["report", str(bad)]
+        else:
+            bad = data_dir / target
+            argv = ["train", "--config", str(load)] + out
+        bad.write_bytes(b"\xff\xfe" + (bad.read_bytes() if bad.exists() else b"{}"))
+        capsys.readouterr()
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert str(bad) in err and "UTF-8" in err
+
+
+def _mutate(blob: bytes, rng) -> bytes:
+    """One to three byte flips, truncations or insertions at random offsets."""
+    out = bytearray(blob)
+    for _ in range(int(rng.integers(1, 4))):
+        kind = int(rng.integers(3))
+        if kind == 0 and out:
+            pos = int(rng.integers(len(out)))
+            out[pos] ^= int(rng.integers(1, 256))
+        elif kind == 1:
+            del out[int(rng.integers(len(out) + 1)):]
+        else:
+            out.insert(int(rng.integers(len(out) + 1)), int(rng.integers(256)))
+    return bytes(out)
+
+
+class TestFuzz:
+    """Seeded byte-level mutations of every file the CLI reads: each run
+    ends in exit 0, 1 or 2, never in an escaping exception."""
+
+    # epoch 0 of 1 is all warm-up, so a run that loads its data stays cheap
+    ONE_EPOCH = SMALL_RUN.replace("epochs = 3", "epochs = 1").replace(
+        "warmup_full = 2", "warmup_full = 1")
+
+    @staticmethod
+    def run_cli(argv, label, capsys):
+        try:
+            code = cli.main(argv)
+        except Exception as exc:  # the assertion names the input that escaped
+            pytest.fail("%s: %s escaped: %s" % (label, type(exc).__name__, exc))
+        capsys.readouterr()
+        assert code in (0, 1, 2), label
+
+    def test_mutated_configs(self, tmp_path, capsys):
+        rng = np.random.default_rng(2026)
+        path = tmp_path / "fuzz.cfg"
+        for case in range(150):
+            mutated = _mutate(SMALL_RUN.encode(), rng)
+            path.write_bytes(mutated)
+            self.run_cli(["generate", "--config", str(path), "--out", str(tmp_path / "g")],
+                         "config case %d %r" % (case, mutated), capsys)
+
+    @pytest.mark.parametrize("name", ["dataset.csv", "dataset.json"])
+    def test_mutated_dataset_files(self, name, cfg_path, tmp_path, capsys):
+        rng = np.random.default_rng(7 if name == "dataset.csv" else 8)
+        data_dir = tmp_path / "data"
+        assert cli.main(["generate", "--config", cfg_path, "--out", str(data_dir)]) == 0
+        clean = (data_dir / name).read_bytes()
+        path = tmp_path / "load.cfg"
+        path.write_text(self.ONE_EPOCH.replace("[dataset]\n",
+                                               "[dataset]\nload_dir = %s\n" % data_dir))
+        for case in range(40):
+            (data_dir / name).write_bytes(_mutate(clean, rng))
+            self.run_cli(["train", "--config", str(path), "--out", str(tmp_path / "r")],
+                         "%s case %d" % (name, case), capsys)
+
+    def test_mutated_reports(self, tmp_path, capsys):
+        rng = np.random.default_rng(9)
+        cfg = tmp_path / "one.cfg"
+        cfg.write_text(self.ONE_EPOCH)
+        out = tmp_path / "run"
+        assert cli.main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+        clean = (out / "report.json").read_bytes()
+        path = tmp_path / "fuzz.json"
+        for case in range(120):
+            path.write_bytes(_mutate(clean, rng))
+            self.run_cli(["report", str(path)], "report case %d" % case, capsys)
+
+    def test_mutated_checkpoints_raise_value_error(self, tmp_path):
+        from noisylab import net
+
+        rng = np.random.default_rng(10)
+        path = tmp_path / "ck.bin"
+        net.save_checkpoint(net.init_params(net.Architecture(3, 4, 2, 3), 1), path)
+        clean = path.read_bytes()
+        for case in range(200):
+            path.write_bytes(_mutate(clean, rng))
+            try:
+                net.load_checkpoint(path)
+            except ValueError:
+                pass
+            except Exception as exc:
+                pytest.fail("checkpoint case %d: %s escaped: %s"
+                            % (case, type(exc).__name__, exc))

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from noisylab import contrastive, net
-from noisylab.oracles import (dense_cdcl_feature_grad, dense_loss_pieces, fd_gradient,
-                              max_rel_error, naive_infonce, pair_match_counts)
+from noisylab.oracles import (cdcl_grad, consensus_weights, dense_cdcl_feature_grad,
+                              dense_loss_pieces, fd_gradient, max_rel_error, naive_infonce,
+                              pair_match_counts, positive_sets)
 
 CFG = contrastive.CdclConfig()
 
@@ -16,14 +17,16 @@ def unit_rows(rng, n, p=5):
 
 
 def manual_bank(z, pseudo_half, beta_half):
-    n2 = z.shape[0]
     return contrastive.FeatureBank(
         z=z,
         pseudo_class=np.concatenate([pseudo_half, pseudo_half]),
         beta=np.concatenate([beta_half, beta_half]),
-        source_ids=np.concatenate([np.arange(n2 // 2)] * 2),
-        degenerate=np.zeros(n2, dtype=bool),
+        degenerate=np.zeros(z.shape[0], dtype=bool),
     )
+
+
+def cdcl_loss(bank, cfg=CFG):
+    return contrastive.cdcl_feature_grad(bank, cfg)[0]
 
 
 class TestNormalizeBeta:
@@ -46,17 +49,17 @@ class TestNormalizeBeta:
 class TestPositiveSets:
     def test_all_distinct_classes_only_other_view(self):
         pc = np.array([0, 1, 2, 0, 1, 2])
-        sets = contrastive.positive_sets(pc)
+        sets = positive_sets(pc)
         assert all(len(s) == 1 for s in sets)
         assert sets[0][0] == 3 and sets[3][0] == 0
 
     def test_all_same_class(self):
-        sets = contrastive.positive_sets(np.zeros(6, dtype=int))
+        sets = positive_sets(np.zeros(6, dtype=int))
         assert all(len(s) == 5 for s in sets)
         assert all(i not in s for i, s in enumerate(sets))
 
     def test_two_source_enumeration(self):
-        sets = contrastive.positive_sets(np.array([0, 1, 0, 1]))
+        sets = positive_sets(np.array([0, 1, 0, 1]))
         assert list(sets[0]) == [2]
         assert list(sets[1]) == [3]
 
@@ -64,21 +67,21 @@ class TestPositiveSets:
 class TestConsensusWeights:
     def test_product_rule(self):
         bnorm = np.array([1.0, 0.5])
-        weights = contrastive.consensus_weights(bnorm, [np.array([1]), np.array([0])])
+        weights = consensus_weights(bnorm, [np.array([1]), np.array([0])])
         assert weights[0][0] == pytest.approx(0.5)
         assert weights[1][0] == pytest.approx(0.5)
 
     def test_zero_side_annihilates(self):
         bnorm = np.array([0.0, 0.8, 0.4])
-        positives = contrastive.positive_sets(np.zeros(3, dtype=int))
-        weights = contrastive.consensus_weights(bnorm, positives)
+        positives = positive_sets(np.zeros(3, dtype=int))
+        weights = consensus_weights(bnorm, positives)
         assert np.all(weights[0] == 0.0)
 
     def test_symmetry(self):
         rng = np.random.default_rng(0)
         bnorm = rng.random(8)
-        positives = contrastive.positive_sets(np.zeros(8, dtype=int))
-        weights = contrastive.consensus_weights(bnorm, positives)
+        positives = positive_sets(np.zeros(8, dtype=int))
+        weights = consensus_weights(bnorm, positives)
         for i in range(8):
             for idx, j in enumerate(positives[i]):
                 back = list(positives[j]).index(i)
@@ -97,7 +100,7 @@ class TestCdclLoss:
             [-1.0, -1.0, 1.0],
         ]) / np.sqrt(3.0)
         bank = manual_bank(z4, np.array([0, 1]), np.array([0.5, 0.5]))
-        assert contrastive.cdcl_loss(bank, CFG) == pytest.approx(np.log(3.0), abs=1e-9)
+        assert cdcl_loss(bank) == pytest.approx(np.log(3.0), abs=1e-9)
 
     def test_all_zero_gates_zero_loss(self):
         rng = np.random.default_rng(1)
@@ -118,7 +121,7 @@ class TestCdclLoss:
             pc = rng.integers(0, 3, half)
             beta = rng.random(half)
             bank = manual_bank(z, pc, beta)
-            fast = contrastive.cdcl_loss(bank, CFG)
+            fast = cdcl_loss(bank)
             slow = naive_infonce(bank.z, bank.pseudo_class, bank.beta,
                                  CFG.tau, CFG.range_eps)
             assert abs(fast - slow) < 1e-10
@@ -127,9 +130,8 @@ class TestCdclLoss:
         z = unit_rows(np.random.default_rng(3), 4)
         bank = contrastive.FeatureBank(
             z=z, pseudo_class=np.array([0, 1, 2, 3]),
-            beta=np.array([0.1, 0.4, 0.2, 0.9]),
-            source_ids=np.arange(4), degenerate=np.zeros(4, dtype=bool))
-        assert contrastive.cdcl_loss(bank, CFG) == 0.0
+            beta=np.array([0.1, 0.4, 0.2, 0.9]), degenerate=np.zeros(4, dtype=bool))
+        assert cdcl_loss(bank) == 0.0
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(4)
@@ -137,14 +139,12 @@ class TestCdclLoss:
         pc = np.concatenate([rng.integers(0, 2, 6)] * 2)
         beta = np.concatenate([rng.random(6)] * 2)
         bank = contrastive.FeatureBank(z=z, pseudo_class=pc, beta=beta,
-                                       source_ids=np.arange(12) % 6,
                                        degenerate=np.zeros(12, dtype=bool))
-        base = contrastive.cdcl_loss(bank, CFG)
+        base = cdcl_loss(bank)
         perm = rng.permutation(12)
-        permuted = contrastive.FeatureBank(z=z[perm], pseudo_class=pc[perm],
-                                           beta=beta[perm], source_ids=(np.arange(12) % 6)[perm],
+        permuted = contrastive.FeatureBank(z=z[perm], pseudo_class=pc[perm], beta=beta[perm],
                                            degenerate=np.zeros(12, dtype=bool))
-        assert abs(contrastive.cdcl_loss(permuted, CFG) - base) < 1e-10
+        assert abs(cdcl_loss(permuted) - base) < 1e-10
 
     def test_large_temperature_limit(self):
         # softmax over candidates approaches uniform: each gated term
@@ -156,9 +156,9 @@ class TestCdclLoss:
         beta = rng.random(half)
         bank = manual_bank(z, pc, beta)
         hot = contrastive.CdclConfig(tau=1e4)
-        loss = contrastive.cdcl_loss(bank, hot)
+        loss = cdcl_loss(bank, hot)
         bnorm = contrastive.normalize_beta(bank.beta)
-        pos = contrastive.positive_sets(bank.pseudo_class)
+        pos = positive_sets(bank.pseudo_class)
         expected = np.mean([
             np.log(2 * half - 1) * np.mean(bnorm[i] * bnorm[p])
             for i, p in enumerate(pos) if len(p)
@@ -203,9 +203,13 @@ class TestBankAndGradient:
         strong = rng.standard_normal((5, 3))
         pc = rng.integers(0, 2, 5)
         beta = rng.random(5)
-        bank = contrastive.build_bank(params, weak, strong, pc, beta)
-        bank.validate()
+        raw = net.forward_batch(params, np.concatenate([weak, strong])).emb
+        bank = contrastive._bank_from_raw(raw, pc, beta)
         assert bank.rows == 10
+        assert np.allclose(np.linalg.norm(bank.z, axis=1), 1.0, atol=1e-9)
+        assert not bank.degenerate.any()
+        assert np.array_equal(bank.pseudo_class, np.concatenate([pc, pc]))
+        assert np.array_equal(bank.beta, np.concatenate([beta, beta]))
 
     def test_observed_labels_cannot_enter(self):
         import inspect
@@ -220,12 +224,12 @@ class TestBankAndGradient:
         strong = rng.standard_normal((4, 3))
         pc = np.array([0, 1, 0, 1])
         beta = rng.random(4)
-        _, grad = contrastive.cdcl_grad(params, weak, strong, pc, beta, CFG)
+        _, grad = cdcl_grad(params, weak, strong, pc, beta, CFG)
 
         def value(flat):
-            bank = contrastive.build_bank(net.ModelParams(params.arch, flat),
-                                          weak, strong, pc, beta)
-            return contrastive.cdcl_loss(bank, CFG)
+            raw = net.forward_batch(net.ModelParams(params.arch, flat),
+                                    np.concatenate([weak, strong])).emb
+            return cdcl_loss(contrastive._bank_from_raw(raw, pc, beta))
 
         fd = fd_gradient(value, params.flat)
         assert max_rel_error(fd, grad) < 1e-5
@@ -237,9 +241,10 @@ class TestBankAndGradient:
         strong = rng.standard_normal((6, 3))
         pc = rng.integers(0, 2, 6)
         beta = rng.random(6)
-        loss_g, _ = contrastive.cdcl_grad(params, weak, strong, pc, beta, CFG)
-        bank = contrastive.build_bank(params, weak, strong, pc, beta)
-        assert loss_g == pytest.approx(contrastive.cdcl_loss(bank, CFG), abs=1e-12)
+        loss_g, _ = cdcl_grad(params, weak, strong, pc, beta, CFG)
+        raw = net.forward_batch(params, np.concatenate([weak, strong])).emb
+        bank = contrastive._bank_from_raw(raw, pc, beta)
+        assert loss_g == pytest.approx(cdcl_loss(bank), abs=1e-12)
 
     def test_purity_counters_agree(self):
         # the totals the fused head gradient returns vs the loop oracle
@@ -253,8 +258,8 @@ class TestBankAndGradient:
         raw = net.forward_batch(params, np.concatenate([weak, strong])).emb
         _, _, fused = contrastive.cdcl_head(raw, pc, beta, CFG, y)
         pc2, y2 = np.concatenate([pc, pc]), np.concatenate([y, y])
-        positives = contrastive.positive_sets(pc2)
-        weights = contrastive.consensus_weights(
+        positives = positive_sets(pc2)
+        weights = consensus_weights(
             contrastive.normalize_beta(np.concatenate([beta, beta]), CFG.range_eps), positives)
         assert np.allclose(pair_match_counts(positives, weights, y2), fused, rtol=1e-12)
 
@@ -269,7 +274,6 @@ class TestDenseParity:
         bank = manual_bank(unit_rows(rng, 2 * half), rng.choice(classes, half), beta)
         bank.z[:degenerate] = 0.0
         bank.degenerate[:degenerate] = True
-        bank.validate()
         return bank, rng.integers(0, 3, half)
 
     def assert_parity(self, bank, y, buffers):
@@ -304,7 +308,7 @@ class TestDenseParity:
         z = unit_rows(np.random.default_rng(3), 4)
         bank = contrastive.FeatureBank(
             z=z, pseudo_class=np.array([0, 1, 2, 3]), beta=np.array([0.1, 0.4, 0.2, 0.9]),
-            source_ids=np.arange(4), degenerate=np.zeros(4, dtype=bool))
+            degenerate=np.zeros(4, dtype=bool))
         y = np.array([0, 1])
         self.assert_parity(bank, y, contrastive.CdclBuffers())
         assert contrastive.cdcl_feature_grad(bank, CFG, y)[0] == 0.0

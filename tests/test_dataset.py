@@ -38,7 +38,8 @@ class TestMakeBlobs:
 
     def test_ids_contiguous(self):
         ds = data.make_blobs(3, 7, 2, 0.2, seed=1)
-        ds.validate(contiguous_ids=True)
+        ds.validate()
+        assert np.array_equal(ds.ids, np.arange(ds.n))
 
 
 class TestSymmetricNoise:

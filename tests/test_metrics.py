@@ -149,7 +149,8 @@ class TestMsp:
     def test_uniform_logits(self):
         arch = net.Architecture(3, 4, 4, 2)
         params = net.ModelParams(arch, np.zeros(arch.n_params))
-        scores = metrics.msp_scores(params, np.random.default_rng(0).standard_normal((5, 3)))
+        x = np.random.default_rng(0).standard_normal((5, 3))
+        scores = metrics.msp_scores_ensemble([params], x)
         assert np.allclose(scores, 0.25)
 
     def test_dominant_logit_limit(self):
@@ -160,7 +161,7 @@ class TestMsp:
         rng = np.random.default_rng(1)
         params = net.ModelParams(arch, 0.5 * rng.standard_normal(arch.n_params))
         x = rng.standard_normal((6, 3))
-        scores = metrics.msp_scores(params, x)
+        scores = metrics.msp_scores_ensemble([params], x)
         logits = net.forward_batch(params, x).logits
         assert np.allclose(scores, net.softmax(logits).max(axis=1), atol=1e-12)
 
@@ -168,7 +169,7 @@ class TestMsp:
         arch = net.Architecture(3, 4, 4, 2)
         rng = np.random.default_rng(2)
         params = net.ModelParams(arch, rng.standard_normal(arch.n_params))
-        scores = metrics.msp_scores(params, rng.standard_normal((50, 3)))
+        scores = metrics.msp_scores_ensemble([params], rng.standard_normal((50, 3)))
         assert np.all(scores >= 0.25 - 1e-12) and np.all(scores <= 1.0)
 
 

@@ -4,7 +4,7 @@ backward against central finite differences, optimizer closed forms."""
 import numpy as np
 import pytest
 
-from noisylab import net
+from noisylab import contrastive, net
 from noisylab.oracles import fd_gradient, max_rel_error, per_sample_grads
 
 
@@ -91,17 +91,24 @@ class TestForward:
 
 
 class TestCeLoss:
+    """The cross-entropy value of weighted_ce_head on one row at weight one."""
+
+    @staticmethod
+    def ce(logits, target):
+        return net.weighted_ce_head(np.atleast_2d(logits), np.atleast_2d(target),
+                                    np.ones(1))[0]
+
     def test_uniform_logits_log_c(self):
         logits = np.full(10, 1.7)
         target = np.zeros(10)
         target[3] = 1.0
-        assert abs(net.ce_loss(logits, target) - np.log(10)) < 1e-12
+        assert abs(self.ce(logits, target) - np.log(10)) < 1e-12
         soft = np.full(10, 0.1)
-        assert abs(net.ce_loss(logits, soft) - np.log(10)) < 1e-12
+        assert abs(self.ce(logits, soft) - np.log(10)) < 1e-12
 
     def test_large_margin_limit(self):
         logits = np.array([40.0, 0.0])
-        assert net.ce_loss(logits, np.array([1.0, 0.0])) < 1e-12
+        assert self.ce(logits, np.array([1.0, 0.0])) < 1e-12
 
     def test_matches_naive_at_moderate_logits(self):
         rng = np.random.default_rng(3)
@@ -109,11 +116,7 @@ class TestCeLoss:
         target = rng.random(6)
         target /= target.sum()
         naive = -np.sum(target * np.log(np.exp(logits) / np.exp(logits).sum()))
-        assert abs(net.ce_loss(logits, target) - naive) < 1e-10
-
-    def test_invalid_target_rejected(self):
-        with pytest.raises(ValueError):
-            net.ce_loss(np.zeros(3), np.array([0.5, 0.2, 0.2]))
+        assert abs(self.ce(logits, target) - naive) < 1e-10
 
     def test_nonnegative(self):
         rng = np.random.default_rng(8)
@@ -121,14 +124,16 @@ class TestCeLoss:
             logits = 3.0 * rng.standard_normal(4)
             target = rng.random(4)
             target /= target.sum()
-            assert net.ce_loss(logits, target) >= 0.0
+            assert self.ce(logits, target) >= 0.0
 
 
 class TestGradBatch:
+    """The parameter gradient of weighted_ce_loss_grad."""
+
     def test_zero_weights_zero_gradient(self):
         p = small_params(1)
         x = np.random.default_rng(1).standard_normal((4, 3))
-        g = net.grad_batch(p, x, one_hot([0, 1, 0, 1], 2), np.zeros(4))
+        g = net.weighted_ce_loss_grad(p, x, one_hot([0, 1, 0, 1], 2), np.zeros(4))[1]
         assert np.all(g == 0.0)
 
     def test_linear_in_weights(self):
@@ -138,9 +143,9 @@ class TestGradBatch:
         t = one_hot(rng.integers(0, 2, 5), 2)
         w1 = rng.random(5)
         w2 = rng.random(5)
-        ga = net.grad_batch(p, x, t, w1)
-        gb = net.grad_batch(p, x, t, w2)
-        gsum = net.grad_batch(p, x, t, w1 + w2)
+        ga = net.weighted_ce_loss_grad(p, x, t, w1)[1]
+        gb = net.weighted_ce_loss_grad(p, x, t, w2)[1]
+        gsum = net.weighted_ce_loss_grad(p, x, t, w1 + w2)[1]
         assert max_rel_error(ga + gb, gsum) < 1e-10
 
     def test_matches_finite_differences(self):
@@ -162,7 +167,7 @@ class TestPerSampleGrads:
         given = one_hot([1], 2)
         pseudo = one_hot([0], 2)
         g1, g2 = per_sample_grads(p, x, given, pseudo)
-        ref = net.grad_batch(p, x, given, np.ones(1))
+        ref = net.weighted_ce_loss_grad(p, x, given, np.ones(1))[1]
         assert max_rel_error(g1[0], ref) < 1e-12
 
     def test_sum_decomposition(self):
@@ -172,7 +177,7 @@ class TestPerSampleGrads:
         given = one_hot(rng.integers(0, 2, 6), 2)
         pseudo = one_hot(rng.integers(0, 2, 6), 2)
         g1, g2 = per_sample_grads(p, x, given, pseudo)
-        ref = net.grad_batch(p, x, given, np.ones(6))
+        ref = net.weighted_ce_loss_grad(p, x, given, np.ones(6))[1]
         assert max_rel_error(g1.sum(axis=0), ref) < 1e-10
 
     def test_per_sample_finite_differences(self):
@@ -187,7 +192,7 @@ class TestPerSampleGrads:
         def scaled_loss(flat):
             q = net.ModelParams(p.arch, flat)
             logits = net.forward_batch(q, x[i:i + 1]).logits
-            return net.ce_loss(logits[0], given[i]) / 3.0
+            return net.weighted_ce_head(logits, given[i:i + 1], np.ones(1))[0] / 3.0
 
         fd = fd_gradient(scaled_loss, p.flat)
         assert max_rel_error(fd, g1[i]) < 1e-5
@@ -247,9 +252,12 @@ class TestL2Normalize:
         assert np.allclose(net.l2_normalize(np.array([3.0, 4.0])), [0.6, 0.8])
 
     def test_zero_vector_flagged(self):
-        out, flag = net.l2_normalize(np.zeros(4), with_flag=True)
-        assert np.all(out == 0.0)
-        assert bool(flag)
+        # zero rows map to zero; the contrastive bank flags them degenerate
+        assert np.all(net.l2_normalize(np.zeros(4)) == 0.0)
+        raw = np.array([[0.0, 0.0, 0.0], [3.0, 4.0, 0.0]])
+        bank = contrastive._bank_from_raw(raw, np.array([0]), np.array([0.5]))
+        assert list(bank.degenerate) == [True, False]
+        assert np.all(bank.z[0] == 0.0)
 
 
 class TestCheckpoint:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from noisylab import data, net, reliability
-from noisylab.oracles import max_rel_error
+from noisylab.oracles import max_rel_error, meta_gradients_fd
 from noisylab.util import ConfigError
 
 CFG = reliability.MetaConfig(eta_inner=0.1)
@@ -51,7 +51,7 @@ class TestClosedForm:
     def test_matches_fd_oracle_on_logistic_fixture(self):
         params, batch_x, given, pseudo, meta = fixture(3)
         closed = reliability.meta_gradients_closed(params, batch_x, given, pseudo, meta, CFG)
-        fd = reliability.meta_gradients_fd(params, batch_x, given, pseudo, meta, CFG)
+        fd = meta_gradients_fd(params, batch_x, given, pseudo, meta, CFG)
         assert max_rel_error(closed[0], fd[0], zero_floor=1e-10) < 1e-3
         assert max_rel_error(closed[1], fd[1], zero_floor=1e-10) < 1e-3
 
@@ -60,7 +60,7 @@ class TestFdOracle:
     def test_zero_inner_rate_gives_zeros(self):
         params, batch_x, given, pseudo, meta = fixture(4)
         cfg = reliability.MetaConfig(eta_inner=0.0)
-        e1, e2 = reliability.meta_gradients_fd(params, batch_x, given, pseudo, meta, cfg)
+        e1, e2 = meta_gradients_fd(params, batch_x, given, pseudo, meta, cfg)
         assert np.all(e1 == 0.0) and np.all(e2 == 0.0)
 
     def test_meta_label_flip_antisymmetry(self):
@@ -76,8 +76,8 @@ class TestFdOracle:
         meta0 = data.MetaSet(x=rng.standard_normal((6, 3)),
                              y=np.zeros(6, dtype=int), ids=np.arange(6))
         meta1 = data.MetaSet(x=meta0.x, y=np.ones(6, dtype=int), ids=meta0.ids)
-        a1, a2 = reliability.meta_gradients_fd(params, batch_x, given, pseudo, meta0, CFG)
-        b1, b2 = reliability.meta_gradients_fd(params, batch_x, given, pseudo, meta1, CFG)
+        a1, a2 = meta_gradients_fd(params, batch_x, given, pseudo, meta0, CFG)
+        b1, b2 = meta_gradients_fd(params, batch_x, given, pseudo, meta1, CFG)
         assert np.allclose(a1, -b1, atol=1e-9)
         assert np.allclose(a2, -b2, atol=1e-9)
 
@@ -87,7 +87,7 @@ class TestFdOracle:
             params, batch_x, given, pseudo, meta = fixture(100 + seed)
             closed = reliability.meta_gradients_closed(params, batch_x, given,
                                                        pseudo, meta, CFG)
-            fd = reliability.meta_gradients_fd(params, batch_x, given, pseudo,
+            fd = meta_gradients_fd(params, batch_x, given, pseudo,
                                                meta, CFG)
             worst = max(worst,
                         max_rel_error(closed[0], fd[0], zero_floor=1e-10),

@@ -1,0 +1,70 @@
+"""The production modules carry only what runs outside the tests.
+
+Every public top-level function or class of src/noisylab (oracles.py, which
+holds the reference forms, aside) must be referenced by name from non-test
+code: the package itself, the demos or the benchmark worker. A form that only
+tests or oracles call belongs in oracles.py.
+"""
+
+import ast
+import glob
+import os
+
+ROOT = os.path.join(os.path.dirname(__file__), "..")
+PACKAGE = os.path.join(ROOT, "src", "noisylab")
+# oracles.py is where reference-only forms go; __init__.py only re-exports
+# names for the demos and the README, which count as users themselves
+NOT_PRODUCTION = {"oracles.py", "__init__.py"}
+
+# "module.name" -> why it stays although no non-test code refers to it.
+# Keep every entry commented; test_allowlist_is_current drops stale ones.
+ALLOWLIST: dict = {}
+
+
+def _production_modules():
+    return sorted(p for p in glob.glob(os.path.join(PACKAGE, "*.py"))
+                  if os.path.basename(p) not in NOT_PRODUCTION)
+
+
+def _tree(path):
+    with open(path, encoding="utf-8") as fh:
+        return ast.parse(fh.read(), filename=path)
+
+
+def _public_definitions():
+    for path in _production_modules():
+        module = os.path.splitext(os.path.basename(path))[0]
+        for node in _tree(path).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                yield "%s.%s" % (module, node.name)
+
+
+def _referenced_names():
+    users = (_production_modules() + sorted(glob.glob(os.path.join(ROOT, "demos", "*.py")))
+             + [os.path.join(ROOT, "perfbench", "worker.py")])
+    names = set()
+    for path in users:
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name)
+    return names
+
+
+def test_public_definitions_are_used_outside_tests():
+    referenced = _referenced_names()
+    unused = [qual for qual in _public_definitions()
+              if qual.split(".")[1] not in referenced and qual not in ALLOWLIST]
+    assert unused == [], ("public names only tests or oracles use; move them to "
+                          "oracles.py or delete them: %s" % ", ".join(unused))
+
+
+def test_allowlist_is_current():
+    defined = set(_public_definitions())
+    referenced = _referenced_names()
+    stale = [qual for qual in ALLOWLIST
+             if qual not in defined or qual.split(".")[1] in referenced]
+    assert stale == []

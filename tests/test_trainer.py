@@ -6,9 +6,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from noisylab import contrastive, data, mixup, net, trainer
+from noisylab import data, mixup, net, reliability, trainer
 from noisylab.data import AugmentConfig
-from noisylab.oracles import fd_gradient, max_rel_error
+from noisylab.oracles import cdcl_grad, fd_gradient, fused_step_fd_error, max_rel_error
 from noisylab.util import ConfigError
 
 
@@ -59,14 +59,12 @@ class TestRefinedTargets:
     def test_one_hot_co_prediction_fixed_point(self):
         co = np.array([[1.0, 0.0, 0.0, 0.0]])
         ref = trainer.refined_targets(co, np.array([2]), self.CFG)
-        assert np.allclose(ref.dists[0], co[0])
-        assert ref.source[0] == trainer.SOURCE_CO
+        assert np.allclose(ref[0], co[0])
 
     def test_low_confidence_falls_back_to_given(self):
         co = np.full((1, 4), 0.25)
         ref = trainer.refined_targets(co, np.array([2]), self.CFG)
-        assert np.allclose(ref.dists[0], [0, 0, 1, 0])
-        assert ref.source[0] == trainer.SOURCE_GIVEN
+        assert np.array_equal(ref[0], [0, 0, 1, 0])
 
     def test_uniform_stays_uniform_under_sharpening(self):
         assert np.allclose(trainer.sharpen(np.full((1, 4), 0.25), 0.5), 0.25)
@@ -82,7 +80,7 @@ class TestRefinedTargets:
         co = rng.random((10, 4))
         co /= co.sum(axis=1, keepdims=True)
         ref = trainer.refined_targets(co, rng.integers(0, 4, 10), self.CFG)
-        assert np.allclose(ref.dists.sum(axis=1), 1.0, atol=1e-9)
+        assert np.allclose(ref.sum(axis=1), 1.0, atol=1e-9)
 
 
 class TestConfidenceFilter:
@@ -121,33 +119,31 @@ class TestReweightedCe:
         self.r = rng.uniform(0.1, 2.0, 6)
         self.bc = np.arange(6)
 
+    def loss_grad(self, r, bc, eta_w=1.0, params=None):
+        return trainer.reweighted_ce_grad(params or self.params, self.x, self.targets,
+                                          r, bc, self.cfg, eta_w)
+
     def test_equal_reliabilities_give_constant_multiplier(self):
         r = np.full(6, 0.8)
-        loss = trainer.reweighted_ce(self.params, self.x, self.targets, r,
-                                     self.bc, self.cfg, eta_w=1.0)
-        plain = trainer.reweighted_ce(self.params, self.x, self.targets, r,
-                                      self.bc, self.cfg, eta_w=0.0)
+        loss = self.loss_grad(r, self.bc, eta_w=1.0)[0]
+        plain = self.loss_grad(r, self.bc, eta_w=0.0)[0]
         assert loss == pytest.approx(2.0 * plain, rel=1e-6)
 
     def test_eta_zero_is_plain_mean_ce(self):
-        loss = trainer.reweighted_ce(self.params, self.x, self.targets, self.r,
-                                     self.bc, self.cfg, eta_w=0.0)
-        logits = net.forward_batch(self.params, self.x).logits
-        expected = float(net.ce_batch(logits, self.targets).mean())
+        loss = self.loss_grad(self.r, self.bc, eta_w=0.0)[0]
+        logp = net.log_softmax(net.forward_batch(self.params, self.x).logits)
+        expected = float(-(self.targets * logp).sum(axis=1).mean())
         assert loss == pytest.approx(expected, abs=1e-12)
 
     def test_empty_filter_returns_zero(self):
-        loss, grad = trainer.reweighted_ce_grad(self.params, self.x, self.targets,
-                                                self.r, np.array([], dtype=int), self.cfg)
+        loss, grad = self.loss_grad(self.r, np.array([], dtype=int))
         assert loss == 0.0 and np.all(grad == 0.0)
 
     def test_gradient_matches_finite_differences(self):
         bc = np.array([0, 2, 3, 5])
-        _, grad = trainer.reweighted_ce_grad(self.params, self.x, self.targets,
-                                             self.r, bc, self.cfg)
-        fd = fd_gradient(lambda f: trainer.reweighted_ce(
-            net.ModelParams(self.params.arch, f), self.x, self.targets,
-            self.r, bc, self.cfg), self.params.flat)
+        _, grad = self.loss_grad(self.r, bc)
+        fd = fd_gradient(lambda f: self.loss_grad(
+            self.r, bc, params=net.ModelParams(self.params.arch, f))[0], self.params.flat)
         assert max_rel_error(fd, grad) < 1e-5
 
 
@@ -163,16 +159,16 @@ class TestConsistency:
     def test_equals_unweighted_ce_of_same_inputs(self):
         cfg = tiny_cfg(epochs=10)
         bc = np.arange(5)
-        ce = trainer.reweighted_ce(self.params, self.strong, self.targets,
-                                   np.ones(5), bc, cfg, eta_w=0.0)
-        cr = trainer.consistency_loss(self.params, self.strong, self.targets, bc)
+        ce, _ = trainer.reweighted_ce_grad(self.params, self.strong, self.targets,
+                                           np.ones(5), bc, cfg, 0.0)
+        cr, _ = trainer.consistency_loss_grad(self.params, self.strong, self.targets, bc)
         assert cr == pytest.approx(ce, abs=1e-12)
 
     def test_self_target_gives_entropy(self):
         logits = net.forward_batch(self.params, self.strong).logits
         probs = net.softmax(logits)
         bc = np.arange(5)
-        loss = trainer.consistency_loss(self.params, self.strong, probs, bc)
+        loss, _ = trainer.consistency_loss_grad(self.params, self.strong, probs, bc)
         entropy = float(-(probs * np.log(probs)).sum(axis=1).mean())
         assert loss == pytest.approx(entropy, abs=1e-10)
 
@@ -180,8 +176,8 @@ class TestConsistency:
         bc = np.array([1, 3])
         _, grad = trainer.consistency_loss_grad(self.params, self.strong,
                                                 self.targets, bc)
-        fd = fd_gradient(lambda f: trainer.consistency_loss(
-            net.ModelParams(self.params.arch, f), self.strong, self.targets, bc),
+        fd = fd_gradient(lambda f: trainer.consistency_loss_grad(
+            net.ModelParams(self.params.arch, f), self.strong, self.targets, bc)[0],
             self.params.flat)
         assert max_rel_error(fd, grad) < 1e-5
 
@@ -256,9 +252,12 @@ class TestCoTrain:
         assert report.summary["beta_min"] >= 0.0
 
     def test_provenance_sources_recorded(self):
+        # a confident row takes the sharpened co-prediction, the other its label
+        cfg = tiny_cfg(epochs=10)
         co = np.array([[0.97, 0.01, 0.01, 0.01], [0.4, 0.3, 0.2, 0.1]])
-        ref = trainer.refined_targets(co, np.array([3, 3]), tiny_cfg(epochs=10))
-        assert list(ref.source) == [trainer.SOURCE_CO, trainer.SOURCE_GIVEN]
+        ref = trainer.refined_targets(co, np.array([3, 3]), cfg)
+        assert np.array_equal(ref[0], trainer.sharpen(co[:1], cfg.sharpen_temp)[0])
+        assert np.array_equal(ref[1], reliability.one_hot([3], 4)[0])
 
     def test_divergence_guard(self):
         train, meta, test = tiny_data()
@@ -285,8 +284,9 @@ class TestCoTrain:
         assert strided.summary["mass_gap_max"] <= 1e-9
 
     def test_total_gradient_matches_fd_through_composed_objective(self):
-        # freeze one batch's assembled objective and check the exact summed
-        # gradient against central differences
+        # freeze one batch's assembled objective and check the network step's
+        # fused gradient (one forward per input block, one backward) against
+        # central differences
         rng = np.random.default_rng(9)
         cfg = tiny_cfg(epochs=10, warmup_start=0, warmup_full=2)
         arch = net.Architecture(3, 4, 2, 3)
@@ -300,24 +300,9 @@ class TestCoTrain:
         pc = rng.integers(0, 2, 5)
         bc = np.array([0, 1, 3])
         pairs = mixup.build_pairs(xw, r, targets, cfg.ram, np.random.default_rng(1))
-        w_t = 0.5
-
-        def value(flat):
-            p = net.ModelParams(arch, flat)
-            ce = trainer.reweighted_ce(p, xw, targets, r, bc, cfg)
-            cr = trainer.consistency_loss(p, xs, targets, bc)
-            ram = mixup.ram_loss(p, pairs)
-            bank = contrastive.build_bank(p, xw, xs, pc, beta)
-            cdcl = contrastive.cdcl_loss(bank, cfg.cdcl)
-            return ce + w_t * (cr + ram + cfg.lambda_cdcl * cdcl)
-
-        _, g_ce = trainer.reweighted_ce_grad(params, xw, targets, r, bc, cfg)
-        _, g_cr = trainer.consistency_loss_grad(params, xs, targets, bc)
-        _, g_ram = mixup.ram_loss_grad(params, pairs)
-        _, g_cd = contrastive.cdcl_grad(params, xw, xs, pc, beta, cfg.cdcl)
-        total_grad = g_ce + w_t * (g_cr + g_ram + cfg.lambda_cdcl * g_cd)
-        fd = fd_gradient(value, params.flat)
-        assert max_rel_error(fd, total_grad) < 1e-5
+        for w_t in (0.0, 0.5):
+            err = fused_step_fd_error(params, xw, xs, targets, r, bc, pairs, pc, beta, w_t, cfg)
+            assert err < 1e-5, w_t
 
 
 class TestFusedStep:
@@ -355,12 +340,13 @@ class TestFusedStep:
             pairs=self.pairs if w_t > 0 else None, pseudo_cls=self.pc,
             gate_beta=self.beta, y_true=self.y)
 
-        terms = {"ce_re": trainer.reweighted_ce_grad(p, xw, targets, r, bc, cfg)}
+        terms = {"ce_re": trainer.reweighted_ce_grad(p, xw, targets, r, bc, cfg, cfg.eta_w)}
         expected = terms["ce_re"][1]
         if w_t > 0:
+            pairs = self.pairs
             terms["cr"] = trainer.consistency_loss_grad(p, xs, targets, bc)
-            terms["ram"] = mixup.ram_loss_grad(p, self.pairs)
-            terms["cdcl"] = contrastive.cdcl_grad(p, xw, xs, self.pc, self.beta, cfg.cdcl)
+            terms["ram"] = net.weighted_ce_loss_grad(p, pairs.x, pairs.y, pairs.w)
+            terms["cdcl"] = cdcl_grad(p, xw, xs, self.pc, self.beta, cfg.cdcl)
             expected = expected + w_t * (terms["cr"][1] + terms["ram"][1]
                                          + cfg.lambda_cdcl * terms["cdcl"][1])
         assert np.linalg.norm(grad - expected) <= 1e-12 * np.linalg.norm(expected)
