@@ -19,7 +19,6 @@ default, so an empty file is a valid full configuration.
 from __future__ import annotations
 
 import hashlib
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +40,10 @@ _SEED_OOD = 14
 _SEED_NET1 = 21
 _SEED_NET2 = 22
 _SEED_LOOP = 23
+
+# Every float setting is a rate, scale or tolerance of order one or below; a
+# larger magnitude only overflows the arithmetic downstream.
+FLOAT_LIMIT = 1e6
 
 
 def _parse_bool(text: str) -> bool:
@@ -234,15 +237,30 @@ def load_config(path, seed_override: int | None = None,
                             seed_override=seed_override, out_override=out_override)
 
 
+def _check_float(name: str, value: float) -> None:
+    if not abs(value) <= FLOAT_LIMIT:  # also rejects NaN
+        raise ConfigError("%s must be finite and at most %g in magnitude" % (name, FLOAT_LIMIT))
+
+
 def _validate(cfg: RunConfig) -> None:
     # first, so that a NaN, which passes no range check, is named as such
     for section, keys in SCHEMA.items():
         for key, (parser, _, _) in keys.items():
-            if parser is float and not math.isfinite(cfg[section][key]):
-                raise ConfigError("%s.%s must be finite" % (section, key))
+            if parser is float:
+                _check_float("%s.%s" % (section, key), cfg[section][key])
     if cfg["run"]["seed"] < 0:  # seeds feed np.random.SeedSequence
         raise ConfigError("run.seed must be nonnegative")
     ds = cfg["dataset"]
+    # the generators check these too, but cannot name the key
+    sizes = [("num_classes", 2), ("per_class", 1), ("dim", 2), ("test_per_class", 1),
+             ("meta_size", 1 if cfg["trainer"]["use_meta"] else 0)]
+    if ds["ood_enabled"]:
+        sizes.append(("ood_per_class", 1))
+    for key, low in sizes:
+        if ds[key] < low:
+            raise ConfigError("dataset.%s must be >= %d" % (key, low))
+    if ds["spread"] < 0:
+        raise ConfigError("dataset.spread must be nonnegative")
     if ds["noise_mode"] not in ("none", "symmetric", "asymmetric"):
         raise ConfigError("dataset.noise_mode must be none, symmetric or asymmetric")
     if not 0.0 <= ds["noise_rate"] <= 1.0:
@@ -256,8 +274,7 @@ def _validate(cfg: RunConfig) -> None:
                 sigma = float(v)
             except ValueError:
                 raise ConfigError("augment.%s must be a float or 'auto'" % key)
-            if not math.isfinite(sigma):
-                raise ConfigError("augment.%s must be finite" % key)
+            _check_float("augment.%s" % key, sigma)
     # instantiating the typed configs runs their own validation
     resolve_ram(cfg)
     resolve_cdcl(cfg)
@@ -338,6 +355,8 @@ def make_training_pool(cfg: RunConfig) -> Dataset:
         import os
 
         base = ds_cfg["load_dir"]
+        if not os.path.isdir(base):
+            raise ConfigError("dataset.load_dir %r is not a directory" % base)
         pool = load_dataset(os.path.join(base, "dataset.csv"),
                             os.path.join(base, "dataset.json"))
         # the test and OOD sets are generated from these keys

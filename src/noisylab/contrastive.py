@@ -15,10 +15,15 @@ steer training, come from per-pseudo-class sums of b, b * z and b per true
 class in O(2N * K). Only the softmax denominator and the gradient need the
 (2N)^2 similarity matrix. The gradient keeps the dense operation order of
 oracles.dense_cdcl_feature_grad, bit for bit, in one work matrix reused across
-a run's steps (CdclBuffers) and row blocks of it: its float rounding steers the
-whole trajectory, and a per-class gradient, equal up to reassociation, moved
-an ablation seed enough to flip acceptance criterion 6, whose margin is about
-0.005.
+a run's steps (the "cdcl" role of a net.Buffers) and row blocks of it: its
+float rounding steers the whole trajectory, and a per-class gradient, equal up
+to reassociation, moved an ablation seed enough to flip acceptance criterion
+6, whose margin is about 0.005.
+
+For the same reason the similarities stay np.matmul(z, z.T, out=sims). Handing
+BLAS a contiguous copy of z.T is about 3x faster at 2N = 512, but it takes a
+different kernel path and differs from z @ z.T in the last bits on most banks
+(475 of 546 random 16-wide banks), which would move the trajectory.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .net import l2_normalize
+from .net import Buffers, l2_normalize
 from .util import ConfigError
 
 # below this pre-normalization norm a row is flagged degenerate and zeroed
@@ -85,22 +90,6 @@ def _bank_from_raw(raw: np.ndarray, pseudo_class: np.ndarray,
 _BLOCK = 64  # rows per block of the (2N)^2 passes that need a second matrix
 
 
-class CdclBuffers:
-    """The (2N)^2 work matrix of cdcl_feature_grad, reused across the steps
-    of one run. A smaller bank (the last partial batch) works in a view of
-    the leading entries, so the matrix is C-contiguous at its own size and
-    the row reductions run in the same order as on fresh arrays."""
-
-    def __init__(self):
-        self._flat = np.empty(0)
-
-    def matrix(self, n: int) -> np.ndarray:
-        size = n * n
-        if self._flat.size < size:
-            self._flat = np.empty(size)
-        return self._flat[:size].reshape(n, n)
-
-
 def _symmetrize(m: np.ndarray) -> None:
     """m += m.T in place, block by block (each entry is m_ij + m_ji)."""
     n = m.shape[0]
@@ -114,18 +103,19 @@ def _symmetrize(m: np.ndarray) -> None:
 
 
 def cdcl_feature_grad(bank: FeatureBank, cfg: CdclConfig, y_true: np.ndarray | None = None,
-                      buffers: CdclBuffers | None = None):
+                      buffers: Buffers | None = None):
     """Gated InfoNCE loss (averaged over anchors with a positive, zero when
     none has one), its gradient w.r.t. the normalized bank rows and, given
     the per-sample true labels, the purity totals of the positives
     (true-label matches, pairs, gated matches, gate mass), each pair gated
     by the product of its two normalized reliabilities; otherwise None.
-    `buffers` holds the (2N)^2 work matrix (a fresh one when None)."""
+    `buffers` holds the (2N)^2 work matrix (a fresh one when None); a
+    smaller bank (the last partial batch) works in a view of its leading
+    entries, C-contiguous at its own size, so the row reductions run in the
+    same order as on a fresh matrix."""
     z = bank.z
     n2 = bank.rows
-    if buffers is None:
-        buffers = CdclBuffers()
-    sims = buffers.matrix(n2)
+    sims = (buffers or Buffers()).array("cdcl", (n2, n2))
     blocks = [slice(i, min(i + _BLOCK, n2)) for i in range(0, n2, _BLOCK)]
     # logp_ij = log softmax over j != i of the similarities z_i.z_j / tau
     np.matmul(z, z.T, out=sims)
@@ -198,7 +188,7 @@ def _normalization_backward(raw: np.ndarray, dz: np.ndarray,
 
 def cdcl_head(raw: np.ndarray, pseudo_class: np.ndarray, beta: np.ndarray,
               cfg: CdclConfig, y_true: np.ndarray | None = None,
-              buffers: CdclBuffers | None = None):
+              buffers: Buffers | None = None):
     """Loss, its gradient w.r.t. the raw (2N, P) bank embeddings (weak
     views first) and the purity totals of cdcl_feature_grad."""
     bank = _bank_from_raw(raw, pseudo_class, beta)

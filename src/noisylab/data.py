@@ -146,7 +146,7 @@ def split_meta(ds: Dataset, m: int, seed: int) -> tuple[Dataset, MetaSet]:
     training remainder keeps its original ids and observed labels.
     """
     if m < 0 or m > ds.n:
-        raise ConfigError("meta size must lie in [0, N]")
+        raise ConfigError("meta_size %d must lie in [0, %d]" % (m, ds.n))
     rng = np.random.default_rng(seed)
     pools = []
     for c in range(ds.num_classes):
@@ -174,8 +174,11 @@ class AugmentConfig:
     p_drop: float
 
     def __post_init__(self):
-        if self.sigma_weak < 0 or self.sigma_strong < 0 or not 0 <= self.p_drop <= 1:
-            raise ConfigError("invalid augmentation parameters")
+        for name in ("sigma_weak", "sigma_strong"):
+            if not getattr(self, name) >= 0:
+                raise ConfigError("augment.%s must be nonnegative" % name)
+        if not 0 <= self.p_drop <= 1:
+            raise ConfigError("augment.p_drop must lie in [0, 1]")
 
 
 def default_augment_config(spread: float) -> AugmentConfig:

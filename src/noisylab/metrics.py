@@ -8,10 +8,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .net import ModelParams, forward_batch, softmax
+from .net import Buffers, ModelParams, forward_batch, softmax
 from .util import dumps_deterministic
 
 REPORT_SCHEMA_VERSION = 1
+# Evaluation forwards run on chunks of this many rows, so their buffers stay
+# small whatever the size of the evaluated set. Every quantity is row-wise, so
+# the chunk size changes no result.
+EVAL_ROWS = 256
 
 
 def accuracy(predictions: np.ndarray, true_labels: np.ndarray) -> float:
@@ -74,10 +78,28 @@ def fpr_at_95_tpr(scores: OodScoreSet) -> float:
     return 1.0
 
 
-def msp_scores_ensemble(params_list: list[ModelParams], inputs: np.ndarray) -> np.ndarray:
+def softmax_chunks(params_list: list[ModelParams], inputs: np.ndarray,
+                   buffers: Buffers | None = None):
+    """Each network's softmax on consecutive EVAL_ROWS-row chunks of inputs,
+    yielded as (row slice, [probabilities per network]).
+
+    The forwards run in `buffers`, where a chunk's logits last only until the
+    next forward, so each softmax is taken at once, into a fresh array.
+    """
+    buffers = buffers or Buffers()
+    for start in range(0, len(inputs), EVAL_ROWS):
+        rows = slice(start, start + EVAL_ROWS)
+        yield rows, [softmax(forward_batch(p, inputs[rows], buffers=buffers).logits)
+                     for p in params_list]
+
+
+def msp_scores_ensemble(params_list: list[ModelParams], inputs: np.ndarray,
+                        buffers: Buffers | None = None) -> np.ndarray:
     """Max of the mean softmax across networks, matching ensembled prediction."""
-    probs = [softmax(forward_batch(p, inputs).logits) for p in params_list]
-    return np.mean(probs, axis=0).max(axis=1)
+    scores = np.empty(len(inputs))
+    for rows, probs in softmax_chunks(params_list, inputs, buffers):
+        scores[rows] = np.mean(probs, axis=0).max(axis=1)
+    return scores
 
 
 @dataclass

@@ -59,24 +59,25 @@ def gamma_sample(shape, rng: np.random.Generator) -> np.ndarray:
         raise ValueError("gamma shape must be positive and finite")
     boost = a < 1.0
     d = np.where(boost, a + 1.0, a) - 1.0 / 3.0
-    c = 1.0 / np.sqrt(9.0 * d)
+    dc = np.array((d, 1.0 / np.sqrt(9.0 * d)))
+    di, ci = dc
     out = np.empty_like(d)
-    todo = np.ones(d.shape, dtype=bool)
-    while todo.any():
-        idx = np.flatnonzero(todo)
-        x = rng.standard_normal(idx.size)
-        u = rng.random(idx.size)
-        v = (1.0 + c[idx] * x) ** 3
-        ok = v > 0
-        if ok.any():
-            xi, ui, vi, di = x[ok], u[ok], v[ok], d[idx[ok]]
-            squeeze = ui < 1.0 - 0.0331 * xi ** 4
-            with np.errstate(divide="ignore"):
-                full = np.log(ui) < 0.5 * xi * xi + di * (1.0 - vi + np.log(vi))
-            accept = squeeze | full
-            hit = idx[ok][accept]
-            out[hit] = (di * vi)[accept]
-            todo[hit] = False
+    idx = np.arange(d.size)  # the draws still pending, in increasing order
+    # each round draws one normal and one uniform per pending draw; a draw
+    # with v <= 0 is rejected, and the nan or -inf its log(v) gives (like
+    # log(0) for u = 0) fails every comparison, so no warning is raised
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while True:
+            x = rng.standard_normal(idx.size)
+            u = rng.random(idx.size)
+            v = (1.0 + ci * x) ** 3
+            accept = (v > 0) & ((u < 1.0 - 0.0331 * x ** 4)
+                                | (np.log(u) < 0.5 * x * x + di * (1.0 - v + np.log(v))))
+            out[idx[accept]] = (di * v)[accept]
+            idx = idx[~accept]
+            if not idx.size:
+                break
+            di, ci = dc.take(idx, axis=1)
     if boost.any():
         u2 = rng.random(int(boost.sum()))
         out[boost] *= u2 ** (1.0 / a[boost])

@@ -6,10 +6,21 @@ Architecture: rectifier MLP trunk (dim -> hidden -> hidden), a linear
 classification head (hidden -> num_classes) and a linear projection head
 (hidden -> proj). Parameters live in one flat float64 vector so gradients
 support addition, scaling and inner products directly.
+
+A training run keeps its large per-step arrays in Buffers, created once and
+reused, instead of allocating (and having the allocator unmap) fresh ones
+every step. Lifetime rule: an array obtained from a Buffers object, directly
+or as part of a forward, cache or gradient computed into it, is valid until
+the next call on that same Buffers object; keep anything needed longer as a
+copy or in a derived array (a softmax, a slice sum). The one exception is by
+design: forward_batch(..., row0=k) keeps the first k rows of the previous
+forward, inside its own result. Without buffers the passes allocate fresh
+arrays, with the same bits.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from functools import cached_property
@@ -99,34 +110,94 @@ def init_params(arch: Architecture, seed: int) -> ModelParams:
     return ModelParams(arch, np.concatenate(parts))
 
 
+class Buffers:
+    """Arrays reused across the steps of one run, one per role.
+
+    array(role, shape) hands out a C-contiguous view of the leading entries
+    of the role's storage, so a smaller request (the last partial batch)
+    computes in the same memory order as a fresh array of its shape. Storage
+    grows on a larger request and keeps its contents when it does, so rows
+    written by one call stay readable through a larger view of the next.
+    Views are memoized by (role, shape): a step asks for the same few shapes
+    again and again.
+    """
+
+    def __init__(self):
+        self._store = {}
+        self._views = {}
+
+    def array(self, role: str, shape: tuple) -> np.ndarray:
+        view = self._views.get((role, shape))
+        if view is None:
+            size = math.prod(shape)
+            store = self._store.get(role)
+            if store is None or store.size < size:
+                grown = np.empty(size)
+                if store is not None:
+                    grown[:store.size] = store
+                self._store[role] = store = grown
+                self._views = {key: v for key, v in self._views.items() if key[0] != role}
+            view = self._views[(role, shape)] = store[:size].reshape(shape)
+        return view
+
+
 @dataclass
 class BatchForward:
     logits: np.ndarray  # (B, C)
     emb: np.ndarray     # (B, P), pre-normalization
-    cache: tuple        # (x, h1p, h1, h2p, h2) for the backward pass
+    cache: tuple        # (x, h1, h2) for the backward pass
 
     def rows(self, sl: slice) -> "BatchForward":
         """The forward of a contiguous block of rows (views, no copy)."""
         return BatchForward(self.logits[sl], self.emb[sl], tuple(a[sl] for a in self.cache))
 
 
-def forward_batch(params: ModelParams, x: np.ndarray, eval_mode: bool = False) -> BatchForward:
+def forward_batch(params: ModelParams, x: np.ndarray, eval_mode: bool = False,
+                  buffers: Buffers | None = None, row0: int = 0) -> BatchForward:
     """Run the MLP on a (B, dim) batch.
+
+    With `buffers`, every array of the result lives there, and x's rows go
+    after the first row0 rows of the buffers' previous forward, which stay
+    as they are: the result covers all row0 + B rows, so one backward pass
+    can run over both blocks (a network step's Mixup rows extend its shared
+    forward this way). Without buffers, row0 must be 0 and the arrays are
+    fresh.
 
     This architecture has no train-time-only state, so eval_mode changes
     nothing. The keyword stays because perfbench/worker.py's checkpoint
     check passes eval_mode=True.
     """
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != params.arch.dim:
-        raise ValueError("expected inputs of shape (B, %d)" % params.arch.dim)
-    h1p = x @ params.w1 + params.b1
-    h1 = np.maximum(h1p, 0.0)
-    h2p = h1 @ params.w2 + params.b2
-    h2 = np.maximum(h2p, 0.0)
-    logits = h2 @ params.wc + params.bc
-    emb = h2 @ params.wp + params.bp
-    return BatchForward(logits, emb, (x, h1p, h1, h2p, h2))
+    arch = params.arch
+    if x.ndim != 2 or x.shape[1] != arch.dim:
+        raise ValueError("expected inputs of shape (B, %d)" % arch.dim)
+    if buffers is None:
+        if row0:
+            raise ValueError("row0 needs the buffers holding the earlier rows")
+        buffers = Buffers()
+    n = row0 + x.shape[0]
+    xs = buffers.array("x", (n, arch.dim))
+    h1 = buffers.array("h1", (n, arch.hidden))
+    h2 = buffers.array("h2", (n, arch.hidden))
+    logits = buffers.array("logits", (n, arch.num_classes))
+    emb = buffers.array("emb", (n, arch.proj))
+    rows = (xs, h1, h2, logits, emb)
+    x_new, h1_new, h2_new, logits_new, emb_new = (
+        tuple(a[row0:] for a in rows) if row0 else rows)
+    # h = max(x @ w + b, 0) and the heads, each step in place: the same bits
+    # as fresh arrays
+    x_new[...] = x
+    np.matmul(x, params.w1, out=h1_new)
+    h1_new += params.b1
+    np.maximum(h1_new, 0.0, out=h1_new)
+    np.matmul(h1_new, params.w2, out=h2_new)
+    h2_new += params.b2
+    np.maximum(h2_new, 0.0, out=h2_new)
+    np.matmul(h2_new, params.wc, out=logits_new)
+    logits_new += params.bc
+    np.matmul(h2_new, params.wp, out=emb_new)
+    emb_new += params.bp
+    return BatchForward(logits, emb, (xs, h1, h2))
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -140,38 +211,42 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def backward_batch(params: ModelParams, cache: tuple, dlogits: np.ndarray,
-                   demb: np.ndarray | None = None) -> np.ndarray:
+                   demb: np.ndarray | None = None,
+                   buffers: Buffers | None = None) -> np.ndarray:
     """Reverse pass from head gradients to the flat parameter gradient.
 
     dlogits and demb are summed over the batch as given; callers bake any
-    1/B normalization and per-sample weights into them.
+    1/B normalization and per-sample weights into them. The rectifier masks
+    come from h > 0, which is hp > 0 since h = max(hp, 0). With `buffers`,
+    the temporaries and the returned gradient live there.
     """
-    x, h1p, h1, h2p, h2 = cache
-    gwc = h2.T @ dlogits
-    gbc = dlogits.sum(axis=0)
-    dh2 = dlogits @ params.wc.T
+    x, h1, h2 = cache
+    if buffers is None:
+        buffers = Buffers()
+    arch = params.arch
+    n = x.shape[0]
+    grad = buffers.array("grad", (arch.n_params,))
+    g = _param_views(arch, grad)
+    np.matmul(h2.T, dlogits, out=g["wc"])
+    np.add.reduce(dlogits, axis=0, out=g["bc"])
+    dh2 = buffers.array("dh2", (n, arch.hidden))
+    dh1 = buffers.array("dh1", (n, arch.hidden))
+    np.matmul(dlogits, params.wc.T, out=dh2)
     if demb is None:
-        gwp = np.zeros_like(params.wp)
-        gbp = np.zeros_like(params.bp)
+        g["wp"][...] = 0.0
+        g["bp"][...] = 0.0
     else:
-        gwp = h2.T @ demb
-        gbp = demb.sum(axis=0)
-        dh2 = dh2 + demb @ params.wp.T
-    dh2p = dh2 * (h2p > 0)
-    gw2 = h1.T @ dh2p
-    gb2 = dh2p.sum(axis=0)
-    dh1p = (dh2p @ params.w2.T) * (h1p > 0)
-    gw1 = x.T @ dh1p
-    gb1 = dh1p.sum(axis=0)
-    return np.concatenate([
-        gw1.ravel(), gb1, gw2.ravel(), gb2,
-        gwc.ravel(), gbc, gwp.ravel(), gbp,
-    ])
-
-
-def concat_caches(*caches: tuple) -> tuple:
-    """One backward cache over the rows of several forwards, in order."""
-    return tuple(np.concatenate(parts) for parts in zip(*caches))
+        np.matmul(h2.T, demb, out=g["wp"])
+        np.add.reduce(demb, axis=0, out=g["bp"])
+        dh2 += np.matmul(demb, params.wp.T, out=dh1)  # dh1 is free until below
+    dh2 *= h2 > 0
+    np.matmul(h1.T, dh2, out=g["w2"])
+    np.add.reduce(dh2, axis=0, out=g["b2"])
+    np.matmul(dh2, params.w2.T, out=dh1)
+    dh1 *= h1 > 0
+    np.matmul(x.T, dh1, out=g["w1"])
+    np.add.reduce(dh1, axis=0, out=g["b1"])
+    return grad
 
 
 def weighted_ce_head(logits: np.ndarray, targets: np.ndarray,
@@ -205,7 +280,7 @@ def per_sample_grad_dots(params: ModelParams, out: BatchForward,
     each layer's per-sample gradient is an outer product, so its inner
     product with vec's matching block is (activation @ block) . delta.
     """
-    x, h1p, h1, h2p, h2 = out.cache
+    x, h1, h2 = out.cache
     b = x.shape[0]
     probs = softmax(out.logits)
     v = _param_views(params.arch, np.asarray(vec, dtype=np.float64))
@@ -215,8 +290,8 @@ def per_sample_grad_dots(params: ModelParams, out: BatchForward,
     dots = []
     for targets in (given_targets, pseudo_targets):
         dl = (probs - targets) / b
-        dh2p = (dl @ params.wc.T) * (h2p > 0)
-        dh1p = (dh2p @ params.w2.T) * (h1p > 0)
+        dh2p = (dl @ params.wc.T) * (h2 > 0)
+        dh1p = (dh2p @ params.w2.T) * (h1 > 0)
         dots.append((xv1 * dh1p).sum(axis=1) + dh1p @ v["b1"]
                     + (h1v2 * dh2p).sum(axis=1) + dh2p @ v["b2"]
                     + (h2vc * dl).sum(axis=1) + dl @ v["bc"])

@@ -176,10 +176,13 @@ def fused_step_fd_error(params: net.ModelParams, xw: np.ndarray, xs: np.ndarray,
     strong = w_t > 0.0 and (cfg.use_cr or cfg.use_cdcl)
 
     def step(p):
-        fw = net.forward_batch(p, np.concatenate([xw, xs]) if strong else xw)
+        fw_buffers = net.Buffers()
+        fw = net.forward_batch(p, np.concatenate([xw, xs]) if strong else xw,
+                               buffers=fw_buffers)
         comps, grad, _ = trainer.step_loss_grad(
             p, xw, xs, fw, targets, r, bc, cfg.eta_w, w_t, cfg,
-            pairs=pairs if w_t > 0.0 else None, pseudo_cls=pseudo_cls, gate_beta=beta)
+            pairs=pairs if w_t > 0.0 else None, pseudo_cls=pseudo_cls, gate_beta=beta,
+            fw_buffers=fw_buffers)
         value = comps["ce_re"] + w_t * (comps.get("cr", 0.0) + comps.get("ram", 0.0)
                                         + cfg.lambda_cdcl * comps.get("cdcl", 0.0))
         return value, grad
@@ -223,11 +226,11 @@ def meta_gradients_fd(params: net.ModelParams, batch_x: np.ndarray,
 def _per_sample_from_dlogits(params: net.ModelParams, cache: tuple,
                              dlogits: np.ndarray) -> np.ndarray:
     """Per-sample flat gradients for a loss touching only the logits head."""
-    x, h1p, h1, h2p, h2 = cache
+    x, h1, h2 = cache
     b = x.shape[0]
     arch = params.arch
-    dh2p = (dlogits @ params.wc.T) * (h2p > 0)
-    dh1p = (dh2p @ params.w2.T) * (h1p > 0)
+    dh2p = (dlogits @ params.wc.T) * (h2 > 0)
+    dh1p = (dh2p @ params.w2.T) * (h1 > 0)
     gw1 = np.einsum("bd,bh->bdh", x, dh1p).reshape(b, -1)
     gw2 = np.einsum("bi,bj->bij", h1, dh2p).reshape(b, -1)
     gwc = np.einsum("bh,bc->bhc", h2, dlogits).reshape(b, -1)
@@ -403,7 +406,7 @@ def _check_cdcl_vs_dense(n_banks: int) -> CheckResult:
     rows: the gradient must agree bit for bit (otherwise the check reads
     inf), the loss and purity totals to 1e-12 (absolutely below 1e-2)."""
     cfg = contrastive.CdclConfig()
-    buffers = contrastive.CdclBuffers()
+    buffers = net.Buffers()
     worst = 0.0
     for seed in range(n_banks):
         rng = np.random.default_rng(seed)

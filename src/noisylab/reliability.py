@@ -55,21 +55,23 @@ def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
 def meta_gradients_closed(params: ModelParams, batch_x: np.ndarray,
                           given_targets: np.ndarray, pseudo_targets: np.ndarray,
                           meta: MetaSet, cfg: MetaConfig,
-                          out: BatchForward | None = None) -> tuple[np.ndarray, np.ndarray]:
+                          out: BatchForward | None = None,
+                          meta_targets: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Exact derivative of the held-out loss w.r.t. each per-sample weight.
 
     Returns (e1, e2): the sensitivities of the held-out loss to upweighting
     the observed-label term and the pseudo-label term of each sample, taken
     at zero perturbation through a single virtual SGD step. `out` is
-    batch_x's forward under params when the caller has it cached.
+    batch_x's forward under params and `meta_targets` the one-hot rows of
+    meta.y, when the caller has them.
     """
     if meta.m == 0:
         raise ConfigError("meta set must be nonempty")
     if out is None:
         out = forward_batch(params, batch_x)
-    num_classes = given_targets.shape[1]
-    mgrad = weighted_ce_loss_grad(params, meta.x, one_hot(meta.y, num_classes),
-                                  np.ones(meta.m))[1]
+    if meta_targets is None:
+        meta_targets = one_hot(meta.y, given_targets.shape[1])
+    mgrad = weighted_ce_loss_grad(params, meta.x, meta_targets, np.ones(meta.m))[1]
     d1, d2 = per_sample_grad_dots(params, out, given_targets, pseudo_targets, mgrad)
     return -cfg.eta_inner * d1, -cfg.eta_inner * d2
 

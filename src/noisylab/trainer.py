@@ -13,12 +13,18 @@ Each network step runs one forward per distinct input block (the shared
 objective: backward_batch is linear in its head gradients, so the terms'
 head gradients are summed first. The meta step's held-out gradient keeps
 its own forward and backward, since alpha and beta depend on it.
+
+The large arrays of a step live in net.Buffers created once per run: each
+net's shared forward in that net's own (both nets' forwards stay alive until
+each net's step), with its Mixup rows forwarded into the rows after it; the
+head gradients, the backward temporaries and the contrastive work matrix in
+one step buffer the two nets' sequential steps share; evaluation in one more.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -26,10 +32,10 @@ from . import contrastive, metrics, mixup
 from .contrastive import CdclConfig
 from .data import AugmentConfig, Dataset, MetaSet, make_views
 from .mixup import RamConfig, total_reliability
-from .net import (Architecture, BatchForward, ModelParams, OptState, Schedule,
-                  backward_batch, concat_caches, forward_batch, init_opt_state,
-                  init_params, sgd_step, softmax, weighted_ce_head, weighted_ce_loss_grad)
-from .reliability import MetaConfig, disentangle, meta_gradients_closed, one_hot
+from .net import (Architecture, BatchForward, Buffers, ModelParams, OptState, Schedule,
+                  backward_batch, forward_batch, init_opt_state, init_params, sgd_step,
+                  softmax, weighted_ce_head, weighted_ce_loss_grad)
+from .reliability import MetaConfig, disentangle, meta_gradients_closed
 from .util import ConfigError, TrainingDiverged, child_rng, csv_line
 
 _ORDER_STREAM = 11
@@ -117,6 +123,7 @@ class NetState:
     mix_rng: np.random.Generator
     alpha_store: np.ndarray
     beta_store: np.ndarray
+    buffers: Buffers = field(default_factory=Buffers)  # this net's shared forward
 
 
 @dataclass
@@ -145,16 +152,13 @@ def sharpen(probs: np.ndarray, temp: float) -> np.ndarray:
     return powered / powered.sum(axis=-1, keepdims=True)
 
 
-def refined_targets(co_probs: np.ndarray, given_labels: np.ndarray,
+def refined_targets(co_probs: np.ndarray, given_targets: np.ndarray,
                     cfg: TrainConfig) -> np.ndarray:
     """(B, C) targets: the sharpened co-network prediction where it is
-    confident, otherwise the observed label as a one-hot."""
+    confident, otherwise the observed label's one-hot row of given_targets."""
     co_probs = np.asarray(co_probs, dtype=np.float64)
-    num_classes = co_probs.shape[1]
     confident = co_probs.max(axis=1) >= cfg.conf_threshold
-    return np.where(confident[:, None],
-                    sharpen(co_probs, cfg.sharpen_temp),
-                    one_hot(given_labels, num_classes))
+    return np.where(confident[:, None], sharpen(co_probs, cfg.sharpen_temp), given_targets)
 
 
 def confidence_filter(co_probs: np.ndarray, cfg: TrainConfig,
@@ -222,24 +226,29 @@ def step_loss_grad(params: ModelParams, xw: np.ndarray, xs: np.ndarray, fw: Batc
                    targets: np.ndarray, r: np.ndarray, bc: np.ndarray, eta_w: float,
                    w_t: float, cfg: TrainConfig, pairs: mixup.MixBatch | None = None,
                    pseudo_cls: np.ndarray | None = None, gate_beta: np.ndarray | None = None,
-                   y_true: np.ndarray | None = None,
-                   cdcl_buffers: contrastive.CdclBuffers | None = None):
+                   y_true: np.ndarray | None = None, *, fw_buffers: Buffers,
+                   buffers: Buffers | None = None):
     """Loss components, flat gradient and contrastive purity totals of one
     network step.
 
     fw is params' shared forward on [xw; xs], or on xw alone when no
-    strong-view term runs (w_t = 0, or use_cr and use_cdcl both off). Each
-    term's head gradient comes from the cached outputs with w_t and
-    lambda_cdcl folded in; the Mixup rows (`pairs`, needed when w_t > 0 and
-    use_ram) get their own forward; then one backward pass over
-    [xw; xs; x_mix] gives the gradient of ce + w_t * (cr + ram + lambda * cdcl).
-    The purity totals (contrastive.cdcl_feature_grad) are None unless the
-    contrastive term runs with y_true given; cdcl_buffers are its reused
-    work matrices.
+    strong-view term runs (w_t = 0, or use_cr and use_cdcl both off),
+    computed in fw_buffers. Each term's head gradient comes from the cached
+    outputs with w_t and lambda_cdcl folded in; the Mixup rows (`pairs`,
+    needed when w_t > 0 and use_ram) are forwarded into the rows of
+    fw_buffers after fw's; then one backward pass over [xw; xs; x_mix] gives
+    the gradient of ce + w_t * (cr + ram + lambda * cdcl). The purity totals
+    (contrastive.cdcl_feature_grad) are None unless the contrastive term runs
+    with y_true given. `buffers` holds the head gradients, the backward
+    temporaries, the returned gradient and the contrastive work matrix.
     """
-    b = len(xw)
+    buffers = buffers or Buffers()
+    b, n = len(xw), len(fw.logits)
+    ram = w_t > 0.0 and cfg.use_ram
+    rows = n + (len(pairs.x) if ram else 0)
     comps = {}
-    dlogits = np.zeros_like(fw.logits)
+    dlogits = buffers.array("dlogits", (rows, fw.logits.shape[1]))
+    dlogits[b:] = 0.0  # the strong-view rows stay zero without the consistency term
     demb = None
     cache = fw.cache
     purity = None
@@ -249,19 +258,19 @@ def step_loss_grad(params: ModelParams, xw: np.ndarray, xs: np.ndarray, fw: Batc
         if cfg.use_cr:
             comps["cr"], dcr = consistency_loss_grad(params, xs, targets, bc,
                                                      logits=fw.logits[b:])
-            dlogits[b:] = w_t * dcr
-        if cfg.use_cdcl:  # before the Mixup forward, whose cache would add to its peak memory
+            np.multiply(w_t, dcr, out=dlogits[b:n])
+        if cfg.use_cdcl:
             comps["cdcl"], draw, purity = contrastive.cdcl_head(fw.emb, pseudo_cls, gate_beta,
-                                                                cfg.cdcl, y_true, cdcl_buffers)
-            demb = (w_t * cfg.lambda_cdcl) * draw
-        if cfg.use_ram:
-            mix = forward_batch(params, pairs.x)
-            comps["ram"], dram = weighted_ce_head(mix.logits, pairs.y, pairs.w)
-            cache = concat_caches(fw.cache, mix.cache)
-            dlogits = np.concatenate([dlogits, w_t * dram])
-            if demb is not None:
-                demb = np.concatenate([demb, np.zeros((len(dram), demb.shape[1]))])
-    return comps, backward_batch(params, cache, dlogits, demb), purity
+                                                                cfg.cdcl, y_true, buffers)
+            demb = buffers.array("demb", (rows, draw.shape[1]))
+            np.multiply(w_t * cfg.lambda_cdcl, draw, out=demb[:n])
+            demb[n:] = 0.0
+        if ram:
+            mix = forward_batch(params, pairs.x, buffers=fw_buffers, row0=n)
+            comps["ram"], dram = weighted_ce_head(mix.logits[n:], pairs.y, pairs.w)
+            np.multiply(w_t, dram, out=dlogits[n:])
+            cache = mix.cache
+    return comps, backward_batch(params, cache, dlogits, demb, buffers), purity
 
 
 class DiagnosticsWriter:
@@ -337,7 +346,7 @@ class _EpochTally:
         for kind in range(3):
             self.lam_sums[kind] += lam[kinds == kind].sum()
         self.lam_counts += np.bincount(kinds, minlength=3)
-        np.add.at(self.lam_hist, (kinds, bins), 1)
+        self.lam_hist += np.bincount(kinds * 10 + bins, minlength=30).reshape(3, 10)
 
     def add_purity(self, counts):
         self.purity += np.asarray(counts)
@@ -374,12 +383,25 @@ class _EpochTally:
         return out
 
 
-def _evaluate(nets: NetPair, test: Dataset) -> dict:
-    probs = [softmax(forward_batch(st.params, test.x).logits)
-             for st in nets.states()]
-    acc1 = metrics.accuracy(probs[0].argmax(axis=1), test.y_true)
-    acc2 = metrics.accuracy(probs[1].argmax(axis=1), test.y_true)
-    ens = metrics.accuracy((0.5 * (probs[0] + probs[1])).argmax(axis=1), test.y_true)
+def _diverged(what: str, t: int, batch_idx: int, name: str, comps: dict,
+              nets: NetPair) -> TrainingDiverged:
+    snapshot = {
+        "info": {"epoch": t, "batch": batch_idx, "net": name,
+                 "components": {k: str(v) for k, v in comps.items()}},
+        "params": {s.name: s.params for s in nets.states()},
+    }
+    return TrainingDiverged("non-finite %s at epoch %d batch %d (%s)"
+                            % (what, t, batch_idx, name), snapshot)
+
+
+def _evaluate(nets: NetPair, test: Dataset, buffers: Buffers) -> dict:
+    preds = np.empty((3, test.n), dtype=np.int64)  # net1, net2, ensemble
+    for rows, (p1, p2) in metrics.softmax_chunks([st.params for st in nets.states()],
+                                                 test.x, buffers):
+        preds[0, rows] = p1.argmax(axis=1)
+        preds[1, rows] = p2.argmax(axis=1)
+        preds[2, rows] = (0.5 * (p1 + p2)).argmax(axis=1)
+    acc1, acc2, ens = (metrics.accuracy(p, test.y_true) for p in preds)
     return {"net1": acc1, "net2": acc2, "ensemble": ens}
 
 
@@ -406,13 +428,16 @@ def co_train(train: Dataset, meta: MetaSet | None, test: Dataset, cfg: TrainConf
                  np.full(train.n, 0.5), np.full(train.n, 0.5)),
     )
     clean_mask = train.y_obs == train.y_true
-    cdcl_buffers = contrastive.CdclBuffers()  # shared by both nets' sequential steps
+    eye = np.eye(train.num_classes)  # one-hot rows of every label
+    meta_targets = eye[meta.y] if cfg.use_meta else None
+    step_buffers = Buffers()  # shared by both nets' sequential steps
+    eval_buffers = Buffers()
 
     report = metrics.RunReport(
         config=config_echo if config_echo is not None else {"trainer": train_config_dict(cfg)},
         seeds=seeds_echo if seeds_echo is not None else {
             "net1_seed": cfg.net1_seed, "net2_seed": cfg.net2_seed, "loop_seed": cfg.loop_seed},
-        initial={"test_acc": _evaluate(nets, test)},
+        initial={"test_acc": _evaluate(nets, test, eval_buffers)},
     )
 
     mass_gap_overall = None
@@ -433,6 +458,7 @@ def co_train(train: Dataset, meta: MetaSet | None, test: Dataset, cfg: TrainConf
             rows = order[b0:b0 + cfg.batch_size]
             xw, xs = weak_all[rows], strong_all[rows]
             y_obs = train.y_obs[rows]
+            given = eye[y_obs]
             batch_clean = clean_mask[rows]
             batch_ids = train.ids[rows]
             b = len(rows)
@@ -441,7 +467,8 @@ def co_train(train: Dataset, meta: MetaSet | None, test: Dataset, cfg: TrainConf
             # frozen pre-update co-network outputs (net1 learns from net2's)
             strong = w_t > 0.0 and (cfg.use_cr or cfg.use_cdcl)
             x_in = np.concatenate([xw, xs]) if strong else xw
-            fwd = {st.name: forward_batch(st.params, x_in) for st in nets.states()}
+            fwd = {st.name: forward_batch(st.params, x_in, buffers=st.buffers)
+                   for st in nets.states()}
             co_out = {
                 "net1": softmax(fwd["net2"].logits[:b]),
                 "net2": softmax(fwd["net1"].logits[:b]),
@@ -453,19 +480,18 @@ def co_train(train: Dataset, meta: MetaSet | None, test: Dataset, cfg: TrainConf
                 pseudo_cls = co_probs.argmax(axis=1)
 
                 if cfg.use_refine:
-                    targets = refined_targets(co_probs, y_obs, cfg)
+                    targets = refined_targets(co_probs, given, cfg)
                     bc = confidence_filter(co_probs, cfg, warmup_active=(w_t == 0.0))
                 else:
-                    targets = one_hot(y_obs, train.num_classes)
+                    targets = given
                     bc = np.arange(b)
 
                 if cfg.use_meta:
                     if batch_idx % cfg.reliability_stride == 0:
                         mcfg = MetaConfig(eta_inner=lr_t, xi=cfg.xi)
                         e1, e2 = meta_gradients_closed(
-                            st.params, xw, one_hot(y_obs, train.num_classes),
-                            one_hot(pseudo_cls, train.num_classes), meta, mcfg,
-                            out=fw.rows(slice(0, b)))
+                            st.params, xw, given, eye[pseudo_cls], meta, mcfg,
+                            out=fw.rows(slice(0, b)), meta_targets=meta_targets)
                         if cfg.couple_meta:
                             shared = 0.5 * (e1 + e2)
                             rb = disentangle(shared, shared, mcfg, b)
@@ -490,6 +516,8 @@ def co_train(train: Dataset, meta: MetaSet | None, test: Dataset, cfg: TrainConf
                     alpha = beta = None
                     r = np.ones(b)
                     eta_eff = 0.0
+                if not np.isfinite(r).all():  # the Beta sampler needs finite shapes
+                    raise _diverged("reliability", t, batch_idx, st.name, {}, nets)
 
                 pairs = None
                 if w_t > 0.0 and cfg.use_ram:
@@ -499,25 +527,19 @@ def co_train(train: Dataset, meta: MetaSet | None, test: Dataset, cfg: TrainConf
                 comps, grad, purity = step_loss_grad(
                     st.params, xw, xs, fw, targets, r, bc, eta_eff, w_t, cfg, pairs=pairs,
                     pseudo_cls=pseudo_cls, gate_beta=beta if cfg.use_meta else np.ones(b),
-                    y_true=train.y_true[rows], cdcl_buffers=cdcl_buffers)
+                    y_true=train.y_true[rows], fw_buffers=st.buffers, buffers=step_buffers)
                 if purity is not None:
                     tally.add_purity(purity)
 
                 comps["total"] = total_loss(comps, t, cfg)
                 finite_loss = np.isfinite(comps["total"])
                 if not (finite_loss and np.isfinite(grad).all()):
-                    snapshot = {
-                        "info": {"epoch": t, "batch": batch_idx, "net": st.name,
-                                 "components": {k: str(v) for k, v in comps.items()}},
-                        "params": {s.name: s.params for s in nets.states()},
-                    }
-                    raise TrainingDiverged("non-finite %s at epoch %d batch %d (%s)"
-                                           % ("gradient" if finite_loss else "loss",
-                                              t, batch_idx, st.name), snapshot)
+                    raise _diverged("gradient" if finite_loss else "loss", t, batch_idx,
+                                    st.name, comps, nets)
                 tally.add_loss(st.name, comps)
                 st.params, st.opt = sgd_step(st.params, grad, st.opt)
 
-        test_acc = _evaluate(nets, test)
+        test_acc = _evaluate(nets, test, eval_buffers)
         purity_raw = tally.purity[0] / tally.purity[1] if tally.purity[1] > 0 else None
         purity_gated = tally.purity[2] / tally.purity[3] if tally.purity[3] > 0 else None
         rec = {
@@ -558,8 +580,8 @@ def co_train(train: Dataset, meta: MetaSet | None, test: Dataset, cfg: TrainConf
     }
     if ood is not None:
         params_list = [st.params for st in nets.states()]
-        id_scores = metrics.msp_scores_ensemble(params_list, test.x)
-        ood_scores = metrics.msp_scores_ensemble(params_list, ood.x)
+        id_scores = metrics.msp_scores_ensemble(params_list, test.x, eval_buffers)
+        ood_scores = metrics.msp_scores_ensemble(params_list, ood.x, eval_buffers)
         score_set = metrics.OodScoreSet(id_scores, ood_scores)
         summary["ood"] = {"auroc": metrics.auroc(score_set),
                           "fpr95": metrics.fpr_at_95_tpr(score_set)}

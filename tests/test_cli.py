@@ -260,8 +260,8 @@ class TestTrain:
 
         backward = trainer.backward_batch
 
-        def poisoned(params, cache, dlogits, demb=None):
-            grad = backward(params, cache, dlogits, demb)
+        def poisoned(params, cache, dlogits, demb=None, buffers=None):
+            grad = backward(params, cache, dlogits, demb, buffers)
             grad[0] = np.inf
             return grad
 
@@ -363,6 +363,27 @@ def _mutate(blob: bytes, rng) -> bytes:
     return bytes(out)
 
 
+def _set_value(text: str, section: str, key: str, value: str) -> str:
+    """Config text with section.key set to value, in place or appended to
+    its section (which is added when missing)."""
+    out, current, done = [], None, False
+    for line in text.splitlines():
+        stripped = line.strip()
+        if stripped.startswith("[") and stripped.endswith("]"):
+            if current == section and not done:
+                out.append("%s = %s" % (key, value))
+                done = True
+            current = stripped[1:-1]
+        elif current == section and stripped.split("=", 1)[0].strip() == key:
+            line, done = "%s = %s" % (key, value), True
+        out.append(line)
+    if not done:
+        if current != section:
+            out.append("[%s]" % section)
+        out.append("%s = %s" % (key, value))
+    return "\n".join(out) + "\n"
+
+
 class TestFuzz:
     """Seeded byte-level mutations of every file the CLI reads: each run
     ends in exit 0, 1 or 2, never in an escaping exception."""
@@ -414,6 +435,36 @@ class TestFuzz:
         for case in range(120):
             path.write_bytes(_mutate(clean, rng))
             self.run_cli(["report", str(path)], "report case %d" % case, capsys)
+
+    def test_value_mutations_exit_0_or_name_the_key(self, tmp_path, capsys):
+        # every key of the schema set to its sign flip, zero, a huge number,
+        # nan/inf and a non-numeric token, in a one-epoch run whose every
+        # loss term runs from the first batch: each run completes or exits 2
+        # naming the key, and most values get past the parser to the checks
+        # behind it, which the byte flips above mostly do not reach
+        base = self.ONE_EPOCH.replace("warmup_start = 1", "warmup_start = 0").replace(
+            "warmup_full = 1", "warmup_full = 0")
+        raw = config.parse_config_text(base)
+        path = tmp_path / "value.cfg"
+        parsed = cases = 0
+        for section, keys in config.SCHEMA.items():
+            for key, (_, default, formatter) in keys.items():
+                current = raw.get(section, {}).get(key, formatter(default))
+                flipped = current[1:] if current.startswith("-") else "-" + current
+                for value in (flipped, "0", "1e308", "nan", "inf", "-inf", "abc"):
+                    path.write_text(_set_value(base, section, key, value))
+                    label = "%s.%s = %s" % (section, key, value)
+                    try:
+                        code = cli.main(["train", "--config", str(path),
+                                         "--out", str(tmp_path / "r")])
+                    except Exception as exc:
+                        pytest.fail("%s: %s escaped: %s" % (label, type(exc).__name__, exc))
+                    err = capsys.readouterr().err
+                    assert code == 0 or (code == 2 and key in err), (label, code, err)
+                    cases += 1
+                    parsed += "bad value for" not in err
+        assert cases == 7 * sum(len(keys) for keys in config.SCHEMA.values())
+        assert parsed > cases / 2, (parsed, cases)
 
     def test_mutated_checkpoints_raise_value_error(self, tmp_path):
         from noisylab import net

@@ -286,7 +286,7 @@ class TestDenseParity:
                              zero_floor=1e-2) < 1e-12
 
     def test_random_banks(self):
-        buffers = contrastive.CdclBuffers()
+        buffers = net.Buffers()
         for seed in range(12):
             rng = np.random.default_rng(seed)
             bank, y = self.random_bank(rng, int(rng.integers(2, 40)), np.arange(4))
@@ -302,7 +302,7 @@ class TestDenseParity:
     def test_edge_banks(self, half, classes, degenerate, uniform_beta):
         rng = np.random.default_rng(half + len(classes))
         bank, y = self.random_bank(rng, half, classes, degenerate, uniform_beta)
-        self.assert_parity(bank, y, contrastive.CdclBuffers())
+        self.assert_parity(bank, y, net.Buffers())
 
     def test_no_anchor_with_a_positive(self):
         z = unit_rows(np.random.default_rng(3), 4)
@@ -310,13 +310,13 @@ class TestDenseParity:
             z=z, pseudo_class=np.array([0, 1, 2, 3]), beta=np.array([0.1, 0.4, 0.2, 0.9]),
             degenerate=np.zeros(4, dtype=bool))
         y = np.array([0, 1])
-        self.assert_parity(bank, y, contrastive.CdclBuffers())
+        self.assert_parity(bank, y, net.Buffers())
         assert contrastive.cdcl_feature_grad(bank, CFG, y)[0] == 0.0
 
     def test_buffers_reused_across_bank_sizes(self):
         # a full batch of several row blocks, the smaller last batch, then a
         # full batch again
-        buffers = contrastive.CdclBuffers()
+        buffers = net.Buffers()
         rng = np.random.default_rng(11)
         for half in (80, 7, 80):
             bank, y = self.random_bank(rng, half, np.arange(4))

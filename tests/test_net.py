@@ -4,7 +4,7 @@ backward against central finite differences, optimizer closed forms."""
 import numpy as np
 import pytest
 
-from noisylab import contrastive, net
+from noisylab import contrastive, metrics, net
 from noisylab.oracles import fd_gradient, max_rel_error, per_sample_grads
 
 
@@ -88,6 +88,80 @@ class TestForward:
         a = net.forward_batch(p, x, eval_mode=False)
         b = net.forward_batch(p, x, eval_mode=True)
         assert np.array_equal(a.logits, b.logits)
+
+
+class TestBuffers:
+    """Forward and backward in reused buffers give the bits of fresh arrays."""
+
+    # batch sizes of the benchmark workloads and their last partial batches,
+    # each block (B, 2B, 3B rows) of a step, and shrinking between them
+    ROWS = (1, 8, 32, 40, 96, 168, 256, 512, 768)
+
+    def test_equal_to_fresh_arrays_through_one_shrinking_and_growing_set(self):
+        p = small_params(21, arch=net.Architecture(16, 64, 4, 16))
+        rng = np.random.default_rng(21)
+        fw_buffers, step_buffers = net.Buffers(), net.Buffers()
+        for n in self.ROWS + self.ROWS[::-1]:
+            x = rng.standard_normal((n, 16))
+            fresh = net.forward_batch(p, x)
+            reused = net.forward_batch(p, x, buffers=fw_buffers)
+            assert np.array_equal(fresh.logits, reused.logits), n
+            assert np.array_equal(fresh.emb, reused.emb), n
+            for a, b in zip(fresh.cache, reused.cache):
+                assert np.array_equal(a, b), n
+            dlogits = rng.standard_normal((n, 4))
+            for demb in (None, rng.standard_normal((n, 16))):
+                assert np.array_equal(net.backward_batch(p, fresh.cache, dlogits, demb),
+                                      net.backward_batch(p, reused.cache, dlogits, demb,
+                                                         step_buffers)), n
+
+    def test_extended_forward_equals_one_forward_over_all_rows(self):
+        # the Mixup rows of a step are forwarded after its shared forward
+        p = small_params(22, arch=net.Architecture(16, 64, 4, 16))
+        rng = np.random.default_rng(22)
+        buffers = net.Buffers()
+        for head, tail in ((64, 32), (512, 256), (32, 16)):
+            x = rng.standard_normal((head + tail, 16))
+            first = net.forward_batch(p, x[:head], buffers=buffers)
+            first_logits = first.logits.copy()
+            both = net.forward_batch(p, x[head:], buffers=buffers, row0=head)
+            fresh = net.forward_batch(p, x)
+            assert np.array_equal(both.logits, fresh.logits)
+            assert np.array_equal(both.logits[:head], first_logits)
+            for a, b in zip(both.cache, fresh.cache):
+                assert np.array_equal(a, b)
+
+    def test_row0_needs_buffers(self):
+        with pytest.raises(ValueError):
+            net.forward_batch(small_params(), np.zeros((2, 3)), row0=2)
+
+    def test_two_nets_caches_survive_each_others_forward(self):
+        arch = net.Architecture(16, 64, 4, 16)
+        p1, p2 = small_params(23, arch=arch), small_params(24, arch=arch)
+        x = np.random.default_rng(23).standard_normal((96, 16))
+        b1, b2 = net.Buffers(), net.Buffers()
+        out1 = net.forward_batch(p1, x, buffers=b1)
+        out2 = net.forward_batch(p2, x, buffers=b2)
+        for out, p in ((out1, p1), (out2, p2)):
+            fresh = net.forward_batch(p, x)
+            assert np.array_equal(out.logits, fresh.logits)
+            for a, b in zip(out.cache, fresh.cache):
+                assert np.array_equal(a, b)
+
+    def test_chunked_evaluation_equals_one_block(self):
+        arch = net.Architecture(16, 64, 4, 16)
+        params = [small_params(25, arch=arch), small_params(26, arch=arch)]
+        n = 3 * metrics.EVAL_ROWS + 77
+        x = np.random.default_rng(25).standard_normal((n, 16))
+        one_block = [net.softmax(net.forward_batch(p, x).logits) for p in params]
+        got = [np.empty((n, 4)), np.empty((n, 4))]
+        for rows, probs in metrics.softmax_chunks(params, x, net.Buffers()):
+            for g, pr in zip(got, probs):
+                g[rows] = pr
+        for g, ref in zip(got, one_block):
+            assert np.array_equal(g, ref)
+        assert np.array_equal(metrics.msp_scores_ensemble(params, x, net.Buffers()),
+                              np.mean(one_block, axis=0).max(axis=1))
 
 
 class TestCeLoss:

@@ -58,12 +58,12 @@ class TestRefinedTargets:
 
     def test_one_hot_co_prediction_fixed_point(self):
         co = np.array([[1.0, 0.0, 0.0, 0.0]])
-        ref = trainer.refined_targets(co, np.array([2]), self.CFG)
+        ref = trainer.refined_targets(co, reliability.one_hot([2], 4), self.CFG)
         assert np.allclose(ref[0], co[0])
 
     def test_low_confidence_falls_back_to_given(self):
         co = np.full((1, 4), 0.25)
-        ref = trainer.refined_targets(co, np.array([2]), self.CFG)
+        ref = trainer.refined_targets(co, reliability.one_hot([2], 4), self.CFG)
         assert np.array_equal(ref[0], [0, 0, 1, 0])
 
     def test_uniform_stays_uniform_under_sharpening(self):
@@ -79,7 +79,8 @@ class TestRefinedTargets:
         rng = np.random.default_rng(0)
         co = rng.random((10, 4))
         co /= co.sum(axis=1, keepdims=True)
-        ref = trainer.refined_targets(co, rng.integers(0, 4, 10), self.CFG)
+        ref = trainer.refined_targets(co, reliability.one_hot(rng.integers(0, 4, 10), 4),
+                                      self.CFG)
         assert np.allclose(ref.sum(axis=1), 1.0, atol=1e-9)
 
 
@@ -255,7 +256,7 @@ class TestCoTrain:
         # a confident row takes the sharpened co-prediction, the other its label
         cfg = tiny_cfg(epochs=10)
         co = np.array([[0.97, 0.01, 0.01, 0.01], [0.4, 0.3, 0.2, 0.1]])
-        ref = trainer.refined_targets(co, np.array([3, 3]), cfg)
+        ref = trainer.refined_targets(co, reliability.one_hot([3, 3], 4), cfg)
         assert np.array_equal(ref[0], trainer.sharpen(co[:1], cfg.sharpen_temp)[0])
         assert np.array_equal(ref[1], reliability.one_hot([3], 4)[0])
 
@@ -334,11 +335,13 @@ class TestFusedStep:
         cfg, p, xw, xs, targets, r = (self.cfg, self.params, self.xw, self.xs,
                                       self.targets, self.r)
         bc = np.asarray(bc, dtype=np.int64)
-        fw = net.forward_batch(p, np.concatenate([xw, xs]) if w_t > 0 else xw)
+        fw_buffers = net.Buffers()
+        fw = net.forward_batch(p, np.concatenate([xw, xs]) if w_t > 0 else xw,
+                               buffers=fw_buffers)
         comps, grad, purity = trainer.step_loss_grad(
             p, xw, xs, fw, targets, r, bc, cfg.eta_w, w_t, cfg,
             pairs=self.pairs if w_t > 0 else None, pseudo_cls=self.pc,
-            gate_beta=self.beta, y_true=self.y)
+            gate_beta=self.beta, y_true=self.y, fw_buffers=fw_buffers)
 
         terms = {"ce_re": trainer.reweighted_ce_grad(p, xw, targets, r, bc, cfg, cfg.eta_w)}
         expected = terms["ce_re"][1]
@@ -357,18 +360,19 @@ class TestFusedStep:
 
     def test_partner_reads_its_shared_forward(self, monkeypatch):
         # each net's frozen co-network probabilities are, bit for bit, the
-        # softmax of the weak-view rows of its partner's shared forward
+        # softmax of the weak-view rows of its partner's shared forward; the
+        # forward's logits live in reused buffers, so the record keeps a copy
         events = []
         forward, refined = trainer.forward_batch, trainer.refined_targets
 
-        def recording_forward(params, x, eval_mode=False):
-            out = forward(params, x)
-            events.append(("forward", x, out))
+        def recording_forward(params, x, eval_mode=False, buffers=None, row0=0):
+            out = forward(params, x, buffers=buffers, row0=row0)
+            events.append(("forward", x, out.logits.copy()))
             return out
 
-        def recording_refined(co_probs, given_labels, cfg):
+        def recording_refined(co_probs, given_targets, cfg):
             events.append(("co", co_probs, None))
-            return refined(co_probs, given_labels, cfg)
+            return refined(co_probs, given_targets, cfg)
 
         monkeypatch.setattr(trainer, "forward_batch", recording_forward)
         monkeypatch.setattr(trainer, "refined_targets", recording_refined)
@@ -385,7 +389,7 @@ class TestFusedStep:
                     and events[i][1] is events[i - 1][1])
             net2_steps_now = any(e[0] == "co" for e in events[j:k])
             partner = events[j - 1][2] if net2_steps_now else events[j][2]
-            assert np.array_equal(net.softmax(partner.logits[:len(co_probs)]), co_probs)
+            assert np.array_equal(net.softmax(partner[:len(co_probs)]), co_probs)
             checked += 1
         assert checked == 2 * cfg.epochs * -(-train.n // cfg.batch_size)
 
