@@ -27,9 +27,8 @@ print("trained to ensemble accuracy %.3f" % report.summary["last_acc"]["ensemble
 # far-field where a rectifier net extrapolates overconfidently
 ood = displaced_blobs(num_classes=4, per_class=100, dim=16, spread=0.6, seed=85,
                       radius_factor=1.0, angle_frac=0.5)
-params = [nets.net1.params, nets.net2.params]
-id_scores = msp_scores_ensemble(params, test.x)
-ood_scores = msp_scores_ensemble(params, ood.x)
+id_scores = msp_scores_ensemble(nets.params, test.x)
+ood_scores = msp_scores_ensemble(nets.params, ood.x)
 
 print("mean max-softmax: held-out %.3f, displaced %.3f"
       % (id_scores.mean(), ood_scores.mean()))

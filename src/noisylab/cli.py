@@ -19,7 +19,7 @@ from . import __version__, config, oracles
 from .data import dataset_csv_text, save_dataset
 from .metrics import RunReport, metrics_csv
 from .net import save_checkpoint
-from .trainer import DiagnosticsWriter, co_train
+from .trainer import NETS, DiagnosticsWriter, co_train
 from .util import ConfigError, TrainingDiverged, dumps_deterministic, read_text
 
 
@@ -98,8 +98,8 @@ def cmd_train(config_path: str, out_dir: str | None, seed: int | None,
         fh.write(report.to_json())
     with open(os.path.join(target, "metrics.csv"), "w") as fh:
         fh.write(metrics_csv(report))
-    save_checkpoint(nets.net1.params, os.path.join(target, "checkpoint_net1.bin"))
-    save_checkpoint(nets.net2.params, os.path.join(target, "checkpoint_net2.bin"))
+    for k, name in enumerate(NETS):
+        save_checkpoint(nets.params[k], os.path.join(target, "checkpoint_%s.bin" % name))
 
     cfg_hash = config.config_hash(cfg)
     manifest = {

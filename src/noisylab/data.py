@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .util import ConfigError, dumps_deterministic, fmt_float, read_text
+from .util import FLOAT_FMT, ConfigError, dumps_deterministic, read_text
 
 CENTER_RADIUS = 2.0
 
@@ -224,11 +224,12 @@ def displaced_blobs(num_classes: int, per_class: int, dim: int, spread: float,
 def dataset_csv_text(ds: Dataset) -> str:
     """Flat CSV rendering: header `id,y_true,y_obs,x0..x{D-1}`, one row each."""
     header = "id,y_true,y_obs," + ",".join("x%d" % d for d in range(ds.dim))
+    # one % per row, each value formatted as fmt_float formats it
+    row = "%d,%d,%d," + ",".join([FLOAT_FMT] * ds.dim)
     lines = [header]
-    for i in range(ds.n):
-        cells = [str(int(ds.ids[i])), str(int(ds.y_true[i])), str(int(ds.y_obs[i]))]
-        cells += [fmt_float(v) for v in ds.x[i]]
-        lines.append(",".join(cells))
+    for i, y_true, y_obs, x in zip(ds.ids.tolist(), ds.y_true.tolist(), ds.y_obs.tolist(),
+                                   ds.x):
+        lines.append(row % (i, y_true, y_obs, *x.tolist()))
     return "\n".join(lines) + "\n"
 
 

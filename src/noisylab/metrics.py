@@ -12,9 +12,12 @@ from .net import Buffers, ModelParams, forward_batch, softmax
 from .util import dumps_deterministic
 
 REPORT_SCHEMA_VERSION = 1
-# Evaluation forwards run on chunks of this many rows, so their buffers stay
-# small whatever the size of the evaluated set. Every quantity is row-wise, so
-# the chunk size changes no result.
+# Evaluation forwards run on chunks of this many rows per network, so their
+# buffers stay small whatever the size of the evaluated set. Every quantity is
+# row-wise, and a chunk of two or more rows gives each row the bits of one
+# unchunked forward; a 1-row tail chunk (a set of 1 mod EVAL_ROWS rows) runs
+# as matrix-vector products, whose last bits can differ, so the chunk size is
+# part of a result's bits.
 EVAL_ROWS = 256
 
 
@@ -67,21 +70,22 @@ def fpr_at_95_tpr(scores: OodScoreSet) -> float:
     """FPR at the most selective threshold keeping ID recall >= 0.95.
 
     Higher score means more ID-like; a sample counts positive at threshold t
-    when its score >= t.
+    when its score >= t. The candidate thresholds are the observed scores;
+    one searchsorted gives every candidate's recall (oracles.sweep_fpr_at_tpr
+    is the loop over candidates this replaces).
     """
-    candidates = np.unique(np.concatenate([scores.id_scores, scores.ood_scores]))[::-1]
+    candidates = np.unique(np.concatenate([scores.id_scores, scores.ood_scores]))
     n_id = scores.id_scores.size
-    for t in candidates:
-        tpr = (scores.id_scores >= t).sum() / n_id
-        if tpr >= 0.95:
-            return float((scores.ood_scores >= t).mean())
-    return 1.0
+    kept = n_id - np.searchsorted(np.sort(scores.id_scores), candidates, side="left")
+    passing = np.flatnonzero(kept / n_id >= 0.95)
+    if passing.size == 0:
+        return 1.0
+    return float((scores.ood_scores >= candidates[passing[-1]]).mean())
 
 
-def softmax_chunks(params_list: list[ModelParams], inputs: np.ndarray,
-                   buffers: Buffers | None = None):
-    """Each network's softmax on consecutive EVAL_ROWS-row chunks of inputs,
-    yielded as (row slice, [probabilities per network]).
+def softmax_chunks(params: ModelParams, inputs: np.ndarray, buffers: Buffers | None = None):
+    """The softmax of a network, or of each net of a stack, on consecutive
+    EVAL_ROWS-row chunks of inputs, yielded as (row slice, probabilities).
 
     The forwards run in `buffers`, where a chunk's logits last only until the
     next forward, so each softmax is taken at once, into a fresh array.
@@ -89,16 +93,16 @@ def softmax_chunks(params_list: list[ModelParams], inputs: np.ndarray,
     buffers = buffers or Buffers()
     for start in range(0, len(inputs), EVAL_ROWS):
         rows = slice(start, start + EVAL_ROWS)
-        yield rows, [softmax(forward_batch(p, inputs[rows], buffers=buffers).logits)
-                     for p in params_list]
+        yield rows, softmax(forward_batch(params, inputs[rows], buffers=buffers).logits)
 
 
-def msp_scores_ensemble(params_list: list[ModelParams], inputs: np.ndarray,
+def msp_scores_ensemble(params: ModelParams, inputs: np.ndarray,
                         buffers: Buffers | None = None) -> np.ndarray:
-    """Max of the mean softmax across networks, matching ensembled prediction."""
+    """Max of the mean softmax across a stack of networks (net.stack_params),
+    matching ensembled prediction."""
     scores = np.empty(len(inputs))
-    for rows, probs in softmax_chunks(params_list, inputs, buffers):
-        scores[rows] = np.mean(probs, axis=0).max(axis=1)
+    for rows, probs in softmax_chunks(params, inputs, buffers):
+        scores[rows] = probs.mean(axis=0).max(axis=1)
     return scores
 
 

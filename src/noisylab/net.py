@@ -7,15 +7,27 @@ classification head (hidden -> num_classes) and a linear projection head
 (hidden -> proj). Parameters live in one flat float64 vector so gradients
 support addition, scaling and inner products directly.
 
+One network or a stack of them: a flat vector of shape lead + (n_params,)
+holds one network when lead is () and a stack of networks side by side when
+lead is (K,). Every pass, head and step here accepts either, with one
+implementation: biases broadcast as b[..., None, :], transposes are .mT and
+batch sums run over axis -2, and the inputs may be shared by the stack
+((B, dim)) or given per network (lead + (B, dim)). Each net's slice of a
+stacked result has the bits of the single-net call with that net's
+parameters, because numpy runs the same kernel on each slice; co-training
+steps its two networks as one stack this way.
+
 A training run keeps its large per-step arrays in Buffers, created once and
 reused, instead of allocating (and having the allocator unmap) fresh ones
 every step. Lifetime rule: an array obtained from a Buffers object, directly
 or as part of a forward, cache or gradient computed into it, is valid until
 the next call on that same Buffers object; keep anything needed longer as a
 copy or in a derived array (a softmax, a slice sum). The one exception is by
-design: forward_batch(..., row0=k) keeps the first k rows of the previous
-forward, inside its own result. Without buffers the passes allocate fresh
-arrays, with the same bits.
+design: forward_batch(..., row0=k) keeps the first k rows of an earlier
+forward, inside its own result. A stack's arrays hold each net's rows as one
+block, so a forward that later rows will extend is sized for all of them
+when it runs (total_rows). Without buffers the passes allocate fresh arrays,
+with the same bits.
 """
 
 from __future__ import annotations
@@ -67,14 +79,18 @@ class Architecture:
 
 
 def _param_views(arch: Architecture, flat: np.ndarray) -> dict:
-    """Named views into any vector living in the parameter space."""
-    return {name: flat[start:stop].reshape(shape)
+    """Named views into any vector (or stack of vectors) living in the
+    parameter space."""
+    lead = flat.shape[:-1]
+    return {name: flat[..., start:stop].reshape(lead + shape)
             for name, shape, start, stop in arch.layout}
 
 
 class ModelParams:
     """Flat parameter vector plus named views into each weight matrix.
 
+    flat has shape lead + (n_params,): one network, or with lead = (K,) a
+    stack of K networks, whose views carry the same leading axis.
     Treated as immutable by callers; sgd_step returns a fresh instance.
     """
 
@@ -82,7 +98,7 @@ class ModelParams:
 
     def __init__(self, arch: Architecture, flat: np.ndarray):
         flat = np.ascontiguousarray(flat, dtype=np.float64)
-        if flat.shape != (arch.n_params,):
+        if flat.shape[-1:] != (arch.n_params,):
             raise ValueError(
                 "flat vector has %s entries, architecture needs %d"
                 % (flat.shape, arch.n_params)
@@ -96,6 +112,15 @@ class ModelParams:
 
     def __setattr__(self, name, value):
         raise AttributeError("ModelParams is read-only")
+
+    def __getitem__(self, k) -> "ModelParams":
+        """Network k of a stack (a view of its slice)."""
+        return ModelParams(self.arch, self.flat[k])
+
+
+def stack_params(nets) -> ModelParams:
+    """One stack (leading net axis) of networks of one architecture."""
+    return ModelParams(nets[0].arch, np.stack([p.flat for p in nets]))
 
 
 def init_params(arch: Architecture, seed: int) -> ModelParams:
@@ -143,25 +168,29 @@ class Buffers:
 
 @dataclass
 class BatchForward:
-    logits: np.ndarray  # (B, C)
-    emb: np.ndarray     # (B, P), pre-normalization
+    logits: np.ndarray  # lead + (B, C)
+    emb: np.ndarray     # lead + (B, P), pre-normalization
     cache: tuple        # (x, h1, h2) for the backward pass
 
     def rows(self, sl: slice) -> "BatchForward":
         """The forward of a contiguous block of rows (views, no copy)."""
-        return BatchForward(self.logits[sl], self.emb[sl], tuple(a[sl] for a in self.cache))
+        return BatchForward(self.logits[..., sl, :], self.emb[..., sl, :],
+                            tuple(a[..., sl, :] for a in self.cache))
 
 
 def forward_batch(params: ModelParams, x: np.ndarray, eval_mode: bool = False,
-                  buffers: Buffers | None = None, row0: int = 0) -> BatchForward:
-    """Run the MLP on a (B, dim) batch.
+                  buffers: Buffers | None = None, row0: int = 0,
+                  total_rows: int | None = None) -> BatchForward:
+    """Run the MLP (or each net of a stack) on a batch of inputs: (B, dim),
+    shared by a stack, or lead + (B, dim), one block per net.
 
-    With `buffers`, every array of the result lives there, and x's rows go
-    after the first row0 rows of the buffers' previous forward, which stay
-    as they are: the result covers all row0 + B rows, so one backward pass
-    can run over both blocks (a network step's Mixup rows extend its shared
-    forward this way). Without buffers, row0 must be 0 and the arrays are
-    fresh.
+    With `buffers`, every array of the result lives there, in arrays of
+    total_rows rows per net (default row0 + B), and x's rows go after the
+    first row0 rows, which an earlier forward into the same buffers with the
+    same total_rows wrote and which stay as they are: the result covers all
+    row0 + B rows, so one backward pass can run over both blocks (a network
+    step's Mixup rows extend its shared forward this way). Without buffers,
+    row0 must be 0 and the arrays are fresh.
 
     This architecture has no train-time-only state, so eval_mode changes
     nothing. The keyword stays because perfbench/worker.py's checkpoint
@@ -169,34 +198,35 @@ def forward_batch(params: ModelParams, x: np.ndarray, eval_mode: bool = False,
     """
     x = np.asarray(x, dtype=np.float64)
     arch = params.arch
-    if x.ndim != 2 or x.shape[1] != arch.dim:
+    lead = params.flat.shape[:-1]
+    if x.ndim not in (2, 2 + len(lead)) or x.shape[-1] != arch.dim:
         raise ValueError("expected inputs of shape (B, %d)" % arch.dim)
     if buffers is None:
         if row0:
             raise ValueError("row0 needs the buffers holding the earlier rows")
         buffers = Buffers()
-    n = row0 + x.shape[0]
-    xs = buffers.array("x", (n, arch.dim))
-    h1 = buffers.array("h1", (n, arch.hidden))
-    h2 = buffers.array("h2", (n, arch.hidden))
-    logits = buffers.array("logits", (n, arch.num_classes))
-    emb = buffers.array("emb", (n, arch.proj))
-    rows = (xs, h1, h2, logits, emb)
-    x_new, h1_new, h2_new, logits_new, emb_new = (
-        tuple(a[row0:] for a in rows) if row0 else rows)
+    n = row0 + x.shape[-2]
+    total = n if total_rows is None else total_rows
+    if total < n:
+        raise ValueError("total_rows %d is below the %d rows written" % (total, n))
+    rows = tuple(buffers.array(role, lead + (total, width)) for role, width in
+                 (("x", arch.dim), ("h1", arch.hidden), ("h2", arch.hidden),
+                  ("logits", arch.num_classes), ("emb", arch.proj)))
+    x_new, h1_new, h2_new, logits_new, emb_new = (a[..., row0:n, :] for a in rows)
     # h = max(x @ w + b, 0) and the heads, each step in place: the same bits
     # as fresh arrays
     x_new[...] = x
     np.matmul(x, params.w1, out=h1_new)
-    h1_new += params.b1
+    h1_new += params.b1[..., None, :]
     np.maximum(h1_new, 0.0, out=h1_new)
     np.matmul(h1_new, params.w2, out=h2_new)
-    h2_new += params.b2
+    h2_new += params.b2[..., None, :]
     np.maximum(h2_new, 0.0, out=h2_new)
     np.matmul(h2_new, params.wc, out=logits_new)
-    logits_new += params.bc
+    logits_new += params.bc[..., None, :]
     np.matmul(h2_new, params.wp, out=emb_new)
-    emb_new += params.bp
+    emb_new += params.bp[..., None, :]
+    xs, h1, h2, logits, emb = (a[..., :n, :] if n < total else a for a in rows)
     return BatchForward(logits, emb, (xs, h1, h2))
 
 
@@ -213,7 +243,8 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 def backward_batch(params: ModelParams, cache: tuple, dlogits: np.ndarray,
                    demb: np.ndarray | None = None,
                    buffers: Buffers | None = None) -> np.ndarray:
-    """Reverse pass from head gradients to the flat parameter gradient.
+    """Reverse pass from head gradients to the flat parameter gradient (one
+    per net of a stack).
 
     dlogits and demb are summed over the batch as given; callers bake any
     1/B normalization and per-sample weights into them. The rectifier masks
@@ -224,77 +255,95 @@ def backward_batch(params: ModelParams, cache: tuple, dlogits: np.ndarray,
     if buffers is None:
         buffers = Buffers()
     arch = params.arch
-    n = x.shape[0]
-    grad = buffers.array("grad", (arch.n_params,))
+    lead = params.flat.shape[:-1]
+    n = x.shape[-2]
+    grad = buffers.array("grad", lead + (arch.n_params,))
     g = _param_views(arch, grad)
-    np.matmul(h2.T, dlogits, out=g["wc"])
-    np.add.reduce(dlogits, axis=0, out=g["bc"])
-    dh2 = buffers.array("dh2", (n, arch.hidden))
-    dh1 = buffers.array("dh1", (n, arch.hidden))
-    np.matmul(dlogits, params.wc.T, out=dh2)
+    np.matmul(h2.mT, dlogits, out=g["wc"])
+    np.add.reduce(dlogits, axis=-2, out=g["bc"])
+    dh2 = buffers.array("dh2", lead + (n, arch.hidden))
+    dh1 = buffers.array("dh1", lead + (n, arch.hidden))
+    np.matmul(dlogits, params.wc.mT, out=dh2)
     if demb is None:
         g["wp"][...] = 0.0
         g["bp"][...] = 0.0
     else:
-        np.matmul(h2.T, demb, out=g["wp"])
-        np.add.reduce(demb, axis=0, out=g["bp"])
-        dh2 += np.matmul(demb, params.wp.T, out=dh1)  # dh1 is free until below
+        np.matmul(h2.mT, demb, out=g["wp"])
+        np.add.reduce(demb, axis=-2, out=g["bp"])
+        dh2 += np.matmul(demb, params.wp.mT, out=dh1)  # dh1 is free until below
     dh2 *= h2 > 0
-    np.matmul(h1.T, dh2, out=g["w2"])
-    np.add.reduce(dh2, axis=0, out=g["b2"])
-    np.matmul(dh2, params.w2.T, out=dh1)
+    np.matmul(h1.mT, dh2, out=g["w2"])
+    np.add.reduce(dh2, axis=-2, out=g["b2"])
+    np.matmul(dh2, params.w2.mT, out=dh1)
     dh1 *= h1 > 0
-    np.matmul(x.T, dh1, out=g["w1"])
-    np.add.reduce(dh1, axis=0, out=g["b1"])
+    np.matmul(x.mT, dh1, out=g["w1"])
+    np.add.reduce(dh1, axis=-2, out=g["b1"])
     return grad
 
 
 def weighted_ce_head(logits: np.ndarray, targets: np.ndarray,
-                     weights: np.ndarray) -> tuple[float, np.ndarray]:
+                     weights: np.ndarray) -> tuple[float | np.ndarray, np.ndarray]:
     """Value of (1/B) * sum_i weights_i * CE(logits_i, targets_i) and its
-    gradient w.r.t. the logits."""
+    gradient w.r.t. the logits; for a stack of logits, one value per net."""
     targets = np.asarray(targets, dtype=np.float64)
     weights = np.asarray(weights, dtype=np.float64)
-    b = logits.shape[0]
+    b = logits.shape[-2]
     logp = log_softmax(logits)
-    per = -(targets * logp).sum(axis=1)
-    loss = float((weights * per).sum() / b)
-    return loss, (np.exp(logp) - targets) * (weights / b)[:, None]
+    per = -(targets * logp).sum(axis=-1)
+    loss = (weights * per).sum(axis=-1) / b
+    return (loss if loss.ndim else float(loss),
+            (np.exp(logp) - targets) * (weights / b)[..., None])
 
 
 def weighted_ce_loss_grad(params: ModelParams, x: np.ndarray, targets: np.ndarray,
-                          weights: np.ndarray) -> tuple[float, np.ndarray]:
+                          weights: np.ndarray) -> tuple[float | np.ndarray, np.ndarray]:
     """Value and gradient of (1/B) * sum_i weights_i * CE(f(x_i), targets_i)."""
     out = forward_batch(params, x)
     loss, dlogits = weighted_ce_head(out.logits, targets, weights)
     return loss, backward_batch(params, out.cache, dlogits)
 
 
+def _matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """m @ v for matrices m and vectors v with matching leading axes."""
+    return np.matmul(m, v[..., None])[..., 0]
+
+
 def per_sample_grad_dots(params: ModelParams, out: BatchForward,
                          given_targets: np.ndarray, pseudo_targets: np.ndarray,
-                         vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """<g_k_i, vec> for every sample of the cached forward `out`, without
-    materializing the gradients.
+                         vec: np.ndarray,
+                         buffers: Buffers | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """<g_k_i, vec> for every sample of the cached forward `out` (per net of
+    a stack, with one vec each), without materializing the gradients.
 
     Same quantities as dotting oracles.per_sample_grads output with vec:
     each layer's per-sample gradient is an outer product, so its inner
-    product with vec's matching block is (activation @ block) . delta.
+    product with vec's matching block is (activation @ block) . delta. With
+    `buffers`, the (B, hidden) temporaries live in the backward pass's
+    "dh1" and "dh2" roles, which are free until the next backward.
     """
     x, h1, h2 = out.cache
-    b = x.shape[0]
+    arch = params.arch
+    lead = params.flat.shape[:-1]
+    b = x.shape[-2]
+    work = buffers or Buffers()
+    xv1, h1v2, prod = work.array("dh1", (3,) + lead + (b, arch.hidden))
+    dh2p, dh1p = work.array("dh2", (2,) + lead + (b, arch.hidden))
     probs = softmax(out.logits)
-    v = _param_views(params.arch, np.asarray(vec, dtype=np.float64))
-    xv1 = x @ v["w1"]
-    h1v2 = h1 @ v["w2"]
+    v = _param_views(arch, np.asarray(vec, dtype=np.float64))
+    np.matmul(x, v["w1"], out=xv1)
+    np.matmul(h1, v["w2"], out=h1v2)
     h2vc = h2 @ v["wc"]
+    mask1, mask2 = h1 > 0, h2 > 0
     dots = []
     for targets in (given_targets, pseudo_targets):
         dl = (probs - targets) / b
-        dh2p = (dl @ params.wc.T) * (h2 > 0)
-        dh1p = (dh2p @ params.w2.T) * (h1 > 0)
-        dots.append((xv1 * dh1p).sum(axis=1) + dh1p @ v["b1"]
-                    + (h1v2 * dh2p).sum(axis=1) + dh2p @ v["b2"]
-                    + (h2vc * dl).sum(axis=1) + dl @ v["bc"])
+        np.matmul(dl, params.wc.mT, out=dh2p)
+        dh2p *= mask2
+        np.matmul(dh2p, params.w2.mT, out=dh1p)
+        dh1p *= mask1
+        dots.append(np.multiply(xv1, dh1p, out=prod).sum(axis=-1) + _matvec(dh1p, v["b1"])
+                    + np.multiply(h1v2, dh2p, out=prod).sum(axis=-1) + _matvec(dh2p, v["b2"])
+                    + (h2vc * dl).sum(axis=-1) + _matvec(dl, v["bc"]))
     return dots[0], dots[1]
 
 
@@ -318,8 +367,9 @@ class OptState:
     schedule: Schedule
 
 
-def init_opt_state(arch: Architecture, schedule: Schedule) -> OptState:
-    return OptState(np.zeros(arch.n_params), 0, schedule)
+def init_opt_state(params: ModelParams, schedule: Schedule) -> OptState:
+    """Zero velocity for a network or a stack of them."""
+    return OptState(np.zeros_like(params.flat), 0, schedule)
 
 
 def sgd_step(params: ModelParams, grad: np.ndarray, state: OptState) -> tuple[ModelParams, OptState]:

@@ -15,6 +15,7 @@ contrastive head in its own forward and backward to check that term alone.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -170,25 +171,48 @@ def fused_step_fd_error(params: net.ModelParams, xw: np.ndarray, xs: np.ndarray,
                         targets: np.ndarray, r: np.ndarray, bc: np.ndarray,
                         pairs: mixup.MixBatch, pseudo_cls: np.ndarray, beta: np.ndarray,
                         w_t: float, cfg: trainer.TrainConfig) -> float:
-    """Worst relative error of trainer.step_loss_grad's fused gradient
-    against central differences of its objective ce + w_t * (cr + ram +
-    lambda_cdcl * cdcl), each called as co_train calls it."""
-    strong = w_t > 0.0 and (cfg.use_cr or cfg.use_cdcl)
+    """Worst relative error of each net's slice of trainer.step_loss_grad's
+    fused gradient, on a stack of two networks, against central differences
+    of that net's objective ce + w_t * (cr + ram + lambda_cdcl * cdcl), each
+    called as co_train calls it.
 
-    def step(p):
+    The first net is params with the given per-sample inputs; the second is
+    params' entries reversed, with every per-sample input in reverse row
+    order and the complementary filter, so the two slices differ in all a
+    net owns."""
+    b = len(xw)
+    flip = lambda a: np.asarray(a)[::-1]
+    stacked = lambda a: np.stack([a, flip(a)])
+    targets2, r2, pc2, beta2 = (stacked(a) for a in (targets, r, pseudo_cls, beta))
+    bc2 = [np.asarray(bc, dtype=np.int64), np.setdiff1d(np.arange(b), bc)]
+    pairs2 = [pairs, dataclasses.replace(pairs, w=flip(pairs.w), x=flip(pairs.x),
+                                         y=flip(pairs.y))]
+    x_in = np.concatenate([xw, xs]) if w_t > 0.0 and (cfg.use_cr or cfg.use_cdcl) else xw
+    mix_rows = b if w_t > 0.0 and cfg.use_ram else 0
+
+    def step(flat):
+        p = net.ModelParams(params.arch, flat)
         fw_buffers = net.Buffers()
-        fw = net.forward_batch(p, np.concatenate([xw, xs]) if strong else xw,
-                               buffers=fw_buffers)
+        fw = net.forward_batch(p, x_in, buffers=fw_buffers, total_rows=len(x_in) + mix_rows)
         comps, grad, _ = trainer.step_loss_grad(
-            p, xw, xs, fw, targets, r, bc, cfg.eta_w, w_t, cfg,
-            pairs=pairs if w_t > 0.0 else None, pseudo_cls=pseudo_cls, gate_beta=beta,
+            p, xw, xs, fw, targets2, r2, bc2, cfg.eta_w, w_t, cfg,
+            pairs=pairs2 if w_t > 0.0 else None, pseudo_cls=pc2, gate_beta=beta2,
             fw_buffers=fw_buffers)
-        value = comps["ce_re"] + w_t * (comps.get("cr", 0.0) + comps.get("ram", 0.0)
-                                        + cfg.lambda_cdcl * comps.get("cdcl", 0.0))
-        return value, grad
+        values = [c["ce_re"] + w_t * (c.get("cr", 0.0) + c.get("ram", 0.0)
+                                      + cfg.lambda_cdcl * c.get("cdcl", 0.0)) for c in comps]
+        return values, grad
 
-    fd = fd_gradient(lambda flat: step(net.ModelParams(params.arch, flat))[0], params.flat)
-    return max_rel_error(fd, step(params)[1])
+    flat = stacked(params.flat)
+    grad = step(flat)[1]
+    worst = 0.0
+    for k in range(2):
+        def value(flat_k):
+            moved = flat.copy()
+            moved[k] = flat_k
+            return step(moved)[0][k]
+
+        worst = max(worst, max_rel_error(fd_gradient(value, flat[k]), grad[k]))
+    return worst
 
 
 def meta_loss(params: net.ModelParams, meta: MetaSet, num_classes: int) -> float:
@@ -270,7 +294,9 @@ def pairwise_auroc(id_scores: np.ndarray, ood_scores: np.ndarray) -> float:
 
 def sweep_fpr_at_tpr(id_scores: np.ndarray, ood_scores: np.ndarray,
                      tpr_target: float = 0.95) -> float:
-    """Exhaustive threshold sweep for the FPR at the target ID recall."""
+    """Exhaustive threshold sweep for the FPR at the target ID recall: the
+    loop over candidate thresholds that metrics.fpr_at_95_tpr replaces with
+    one searchsorted."""
     best = None
     for t in sorted(set(list(id_scores) + list(ood_scores)), reverse=True):
         tpr = sum(1 for s in id_scores if s >= t) / len(id_scores)
@@ -451,10 +477,12 @@ def suite_beta(n_draws: int = 100_000) -> list[CheckResult]:
 
 
 def suite_auroc(n_seeds: int = 25) -> list[CheckResult]:
-    """Rank-based separation scores vs exhaustive pairwise counting."""
+    """Rank-based separation scores vs exhaustive pairwise counting, and the
+    searchsorted FPR at 95% recall vs the threshold sweep, also exactly on
+    tie-heavy sets of varying size (any disagreement reads inf)."""
     from .metrics import OodScoreSet, auroc, fpr_at_95_tpr
 
-    worst_auroc = worst_fpr = 0.0
+    worst_auroc = worst_fpr = worst_tied = 0.0
     for seed in range(n_seeds):
         rng = np.random.default_rng(seed)
         id_scores = np.round(rng.random(30), 2)  # rounding forces ties
@@ -462,8 +490,17 @@ def suite_auroc(n_seeds: int = 25) -> list[CheckResult]:
         scores = OodScoreSet(id_scores, ood_scores)
         worst_auroc = max(worst_auroc, abs(auroc(scores) - pairwise_auroc(id_scores, ood_scores)))
         worst_fpr = max(worst_fpr, abs(fpr_at_95_tpr(scores) - sweep_fpr_at_tpr(id_scores, ood_scores)))
+    for seed in range(100):
+        rng = np.random.default_rng(seed)
+        levels = int(rng.integers(1, 12))
+        id_scores = rng.integers(0, levels, int(rng.integers(1, 60))) / levels
+        ood_scores = rng.integers(0, levels, int(rng.integers(1, 60))) / levels - 0.1
+        if fpr_at_95_tpr(OodScoreSet(id_scores, ood_scores)) != sweep_fpr_at_tpr(
+                id_scores, ood_scores):
+            worst_tied = math.inf
     return [_check("auroc_vs_pairwise_%dsets" % n_seeds, worst_auroc, 1e-12),
-            _check("fpr95_vs_sweep_%dsets" % n_seeds, worst_fpr, 1e-12)]
+            _check("fpr95_vs_sweep_%dsets" % n_seeds, worst_fpr, 1e-12),
+            _check("fpr95_vs_sweep_100tied_sets", worst_tied, 1e-12)]
 
 
 SUITES = {

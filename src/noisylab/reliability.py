@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import MetaSet
-from .net import (BatchForward, ModelParams, forward_batch, per_sample_grad_dots,
-                  weighted_ce_loss_grad)
+from .net import (BatchForward, Buffers, ModelParams, forward_batch,
+                  per_sample_grad_dots, weighted_ce_loss_grad)
 from .util import ConfigError
 
 
@@ -56,14 +56,17 @@ def meta_gradients_closed(params: ModelParams, batch_x: np.ndarray,
                           given_targets: np.ndarray, pseudo_targets: np.ndarray,
                           meta: MetaSet, cfg: MetaConfig,
                           out: BatchForward | None = None,
-                          meta_targets: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+                          meta_targets: np.ndarray | None = None,
+                          buffers: Buffers | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Exact derivative of the held-out loss w.r.t. each per-sample weight.
 
     Returns (e1, e2): the sensitivities of the held-out loss to upweighting
     the observed-label term and the pseudo-label term of each sample, taken
-    at zero perturbation through a single virtual SGD step. `out` is
-    batch_x's forward under params and `meta_targets` the one-hot rows of
-    meta.y, when the caller has them.
+    at zero perturbation through a single virtual SGD step; for a stack of
+    networks (with pseudo_targets per net), one row of each per net. `out`
+    is batch_x's forward under params and `meta_targets` the one-hot rows of
+    meta.y, when the caller has them; `buffers` holds the per-sample
+    temporaries (net.per_sample_grad_dots).
     """
     if meta.m == 0:
         raise ConfigError("meta set must be nonempty")
@@ -72,7 +75,7 @@ def meta_gradients_closed(params: ModelParams, batch_x: np.ndarray,
     if meta_targets is None:
         meta_targets = one_hot(meta.y, given_targets.shape[1])
     mgrad = weighted_ce_loss_grad(params, meta.x, meta_targets, np.ones(meta.m))[1]
-    d1, d2 = per_sample_grad_dots(params, out, given_targets, pseudo_targets, mgrad)
+    d1, d2 = per_sample_grad_dots(params, out, given_targets, pseudo_targets, mgrad, buffers)
     return -cfg.eta_inner * d1, -cfg.eta_inner * d2
 
 

@@ -5,8 +5,13 @@ refined targets and confidences for the network being updated; the meta step
 turns held-out sensitivities into per-sample reliabilities; the reweighted
 cross-entropy, cross-view consistency, gated Mixup and gated contrastive
 terms are combined with a warm-up ramp; one momentum-SGD step per network.
-The two updates inside a batch read only frozen co-network outputs, so their
-order does not matter.
+The two updates inside a batch read only frozen co-network outputs, so they
+are independent and every array they touch has the same shape: co_train
+steps both networks as one stack along a leading net axis (net.ModelParams
+with lead (2,)), one pass per layer for the pair. What has per-net state or
+per-net sizes stays a loop over the two nets: Mixup pair sampling (each net
+owns its random stream), the confidence-filtered cross-entropy and
+consistency heads (each net keeps its own rows) and the contrastive head.
 
 Each network step runs one forward per distinct input block (the shared
 [weak; strong] views, the Mixup rows) and one backward pass for the whole
@@ -14,17 +19,18 @@ objective: backward_batch is linear in its head gradients, so the terms'
 head gradients are summed first. The meta step's held-out gradient keeps
 its own forward and backward, since alpha and beta depend on it.
 
-The large arrays of a step live in net.Buffers created once per run: each
-net's shared forward in that net's own (both nets' forwards stay alive until
-each net's step), with its Mixup rows forwarded into the rows after it; the
-head gradients, the backward temporaries and the contrastive work matrix in
-one step buffer the two nets' sequential steps share; evaluation in one more.
+The large arrays of a step live in net.Buffers created once per run: the
+stack's shared forward in one, with its Mixup rows forwarded into the rows
+after it (a stack holds each net's rows as one block, so that forward's
+arrays are sized for the Mixup rows before it runs); the head gradients, the
+backward temporaries, the per-sample meta temporaries and the contrastive
+work matrix in one step buffer; evaluation in one more.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -34,7 +40,7 @@ from .data import AugmentConfig, Dataset, MetaSet, make_views
 from .mixup import RamConfig, total_reliability
 from .net import (Architecture, BatchForward, Buffers, ModelParams, OptState, Schedule,
                   backward_batch, forward_batch, init_opt_state, init_params, sgd_step,
-                  softmax, weighted_ce_head, weighted_ce_loss_grad)
+                  softmax, stack_params, weighted_ce_head, weighted_ce_loss_grad)
 from .reliability import MetaConfig, disentangle, meta_gradients_closed
 from .util import ConfigError, TrainingDiverged, child_rng, csv_line
 
@@ -44,6 +50,8 @@ _MIX_STREAM = 13
 
 # Mixup pair kinds, indexed by the number of clean-labeled endpoints
 PAIR_KINDS = ("noisy_noisy", "clean_noisy", "clean_clean")
+# the co-trained networks, in the order of the stack's leading axis
+NETS = ("net1", "net2")
 
 
 @dataclass(frozen=True)
@@ -116,23 +124,14 @@ def train_config_dict(cfg: TrainConfig) -> dict:
 
 
 @dataclass
-class NetState:
-    name: str
-    params: ModelParams
-    opt: OptState
-    mix_rng: np.random.Generator
-    alpha_store: np.ndarray
+class NetStack:
+    """Both co-trained networks as one stack: index k of each leading net
+    axis is network NETS[k]."""
+    params: ModelParams             # flat (2, n_params)
+    opt: OptState                   # velocity (2, n_params)
+    mix_rngs: tuple                 # each net's Mixup random stream
+    alpha_store: np.ndarray         # (2, n) last alpha per net and sample
     beta_store: np.ndarray
-    buffers: Buffers = field(default_factory=Buffers)  # this net's shared forward
-
-
-@dataclass
-class NetPair:
-    net1: NetState
-    net2: NetState
-
-    def states(self):
-        return (self.net1, self.net2)
 
 
 def warmup(t: int, cfg: TrainConfig) -> float:
@@ -154,11 +153,11 @@ def sharpen(probs: np.ndarray, temp: float) -> np.ndarray:
 
 def refined_targets(co_probs: np.ndarray, given_targets: np.ndarray,
                     cfg: TrainConfig) -> np.ndarray:
-    """(B, C) targets: the sharpened co-network prediction where it is
+    """(..., B, C) targets: the sharpened co-network prediction where it is
     confident, otherwise the observed label's one-hot row of given_targets."""
     co_probs = np.asarray(co_probs, dtype=np.float64)
-    confident = co_probs.max(axis=1) >= cfg.conf_threshold
-    return np.where(confident[:, None], sharpen(co_probs, cfg.sharpen_temp), given_targets)
+    confident = co_probs.max(axis=-1) >= cfg.conf_threshold
+    return np.where(confident[..., None], sharpen(co_probs, cfg.sharpen_temp), given_targets)
 
 
 def confidence_filter(co_probs: np.ndarray, cfg: TrainConfig,
@@ -181,7 +180,8 @@ def reweighted_ce_grad(params: ModelParams, weak_x: np.ndarray, targets,
     where r_tilde is each sample's reliability over the filtered-batch mean.
 
     Returns the loss and its flat parameter gradient; given `logits`,
-    weak_x's cached logits, the gradient w.r.t. those logits instead.
+    weak_x's cached logits, the gradient w.r.t. those logits instead, and
+    params is not read.
     """
     bc = np.asarray(bc, dtype=np.int64)
     r = np.asarray(reliabilities, dtype=np.float64)[bc]
@@ -223,53 +223,64 @@ def total_loss(components: dict, t: int, cfg: TrainConfig) -> float:
 
 
 def step_loss_grad(params: ModelParams, xw: np.ndarray, xs: np.ndarray, fw: BatchForward,
-                   targets: np.ndarray, r: np.ndarray, bc: np.ndarray, eta_w: float,
-                   w_t: float, cfg: TrainConfig, pairs: mixup.MixBatch | None = None,
-                   pseudo_cls: np.ndarray | None = None, gate_beta: np.ndarray | None = None,
-                   y_true: np.ndarray | None = None, *, fw_buffers: Buffers,
-                   buffers: Buffers | None = None):
-    """Loss components, flat gradient and contrastive purity totals of one
-    network step.
+                   targets: np.ndarray, r: np.ndarray, bc, eta_w: float, w_t: float,
+                   cfg: TrainConfig, pairs: list | None = None,
+                   pseudo_cls: np.ndarray | None = None,
+                   gate_beta: np.ndarray | None = None, y_true: np.ndarray | None = None,
+                   *, fw_buffers: Buffers, buffers: Buffers | None = None):
+    """Loss components, flat gradients and contrastive purity totals of one
+    network step of a stack of K networks.
 
-    fw is params' shared forward on [xw; xs], or on xw alone when no
-    strong-view term runs (w_t = 0, or use_cr and use_cdcl both off),
-    computed in fw_buffers. Each term's head gradient comes from the cached
-    outputs with w_t and lambda_cdcl folded in; the Mixup rows (`pairs`,
-    needed when w_t > 0 and use_ram) are forwarded into the rows of
-    fw_buffers after fw's; then one backward pass over [xw; xs; x_mix] gives
-    the gradient of ce + w_t * (cr + ram + lambda * cdcl). The purity totals
-    (contrastive.cdcl_feature_grad) are None unless the contrastive term runs
-    with y_true given. `buffers` holds the head gradients, the backward
-    temporaries, the returned gradient and the contrastive work matrix.
+    params is the stack (lead (K,)); targets (K, B, C), r, pseudo_cls and
+    gate_beta (K, B) hold one block per net, bc and pairs (mixup.MixBatch)
+    one entry per net. fw is the stack's shared forward on [xw; xs], or on
+    xw alone when no strong-view term runs (w_t = 0, or use_cr and use_cdcl
+    both off), computed in fw_buffers with total_rows covering the Mixup
+    rows (B more per net) when those run (w_t > 0 and use_ram). Each term's
+    head gradient comes from the cached outputs with w_t and lambda_cdcl
+    folded in, the Mixup rows are forwarded into the rows of fw_buffers after
+    fw's, and one backward pass over [xw; xs; x_mix] gives each net's
+    gradient of ce + w_t * (cr + ram + lambda * cdcl). Returns a list of K
+    component dicts, the (K, n_params) gradient and a list of K purity
+    totals (contrastive.cdcl_feature_grad), each None unless the contrastive
+    term runs with y_true given. `buffers` holds the head gradients, the
+    backward temporaries, the returned gradient and the contrastive work
+    matrix.
     """
     buffers = buffers or Buffers()
-    b, n = len(xw), len(fw.logits)
+    nets = range(params.flat.shape[0])
+    b, n = len(xw), fw.logits.shape[-2]
     ram = w_t > 0.0 and cfg.use_ram
-    rows = n + (len(pairs.x) if ram else 0)
-    comps = {}
-    dlogits = buffers.array("dlogits", (rows, fw.logits.shape[1]))
-    dlogits[b:] = 0.0  # the strong-view rows stay zero without the consistency term
+    rows = n + (b if ram else 0)
+    comps = [{} for _ in nets]
+    purity = [None for _ in nets]
+    dlogits = buffers.array("dlogits", (len(nets), rows, fw.logits.shape[-1]))
+    dlogits[:, b:] = 0.0  # the strong-view rows stay zero without the consistency term
     demb = None
     cache = fw.cache
-    purity = None
-    comps["ce_re"], dlogits[:b] = reweighted_ce_grad(params, xw, targets, r, bc, cfg,
-                                                     eta_w=eta_w, logits=fw.logits[:b])
-    if w_t > 0.0:
-        if cfg.use_cr:
-            comps["cr"], dcr = consistency_loss_grad(params, xs, targets, bc,
-                                                     logits=fw.logits[b:])
-            np.multiply(w_t, dcr, out=dlogits[b:n])
-        if cfg.use_cdcl:
-            comps["cdcl"], draw, purity = contrastive.cdcl_head(fw.emb, pseudo_cls, gate_beta,
-                                                                cfg.cdcl, y_true, buffers)
-            demb = buffers.array("demb", (rows, draw.shape[1]))
-            np.multiply(w_t * cfg.lambda_cdcl, draw, out=demb[:n])
-            demb[n:] = 0.0
-        if ram:
-            mix = forward_batch(params, pairs.x, buffers=fw_buffers, row0=n)
-            comps["ram"], dram = weighted_ce_head(mix.logits[n:], pairs.y, pairs.w)
-            np.multiply(w_t, dram, out=dlogits[n:])
-            cache = mix.cache
+    for k in nets:
+        comps[k]["ce_re"], dlogits[k, :b] = reweighted_ce_grad(
+            params, xw, targets[k], r[k], bc[k], cfg, eta_w=eta_w, logits=fw.logits[k, :b])
+        if w_t > 0.0 and cfg.use_cr:
+            comps[k]["cr"], dcr = consistency_loss_grad(params, xs, targets[k], bc[k],
+                                                        logits=fw.logits[k, b:])
+            np.multiply(w_t, dcr, out=dlogits[k, b:n])
+    if w_t > 0.0 and cfg.use_cdcl:
+        demb = buffers.array("demb", (len(nets), rows, fw.emb.shape[-1]))
+        demb[:, n:] = 0.0
+        for k in nets:
+            comps[k]["cdcl"], draw, purity[k] = contrastive.cdcl_head(
+                fw.emb[k], pseudo_cls[k], gate_beta[k], cfg.cdcl, y_true, buffers)
+            np.multiply(w_t * cfg.lambda_cdcl, draw, out=demb[k, :n])
+    if ram:
+        mix = forward_batch(params, np.stack([p.x for p in pairs]), buffers=fw_buffers,
+                            row0=n, total_rows=rows)
+        losses, dram = weighted_ce_head(mix.logits[:, n:], np.stack([p.y for p in pairs]),
+                                        np.stack([p.w for p in pairs]))
+        np.multiply(w_t, dram, out=dlogits[:, n:])
+        for k in nets:
+            comps[k]["ram"] = float(losses[k])
+        cache = mix.cache
     return comps, backward_batch(params, cache, dlogits, demb, buffers), purity
 
 
@@ -383,24 +394,24 @@ class _EpochTally:
         return out
 
 
-def _diverged(what: str, t: int, batch_idx: int, name: str, comps: dict,
-              nets: NetPair) -> TrainingDiverged:
+def _diverged(what: str, t: int, batch_idx: int, k: int, comps: dict,
+              params: ModelParams) -> TrainingDiverged:
+    """The abort of net k's non-finite `what`; params is the stack as it was
+    before the batch."""
     snapshot = {
-        "info": {"epoch": t, "batch": batch_idx, "net": name,
-                 "components": {k: str(v) for k, v in comps.items()}},
-        "params": {s.name: s.params for s in nets.states()},
+        "info": {"epoch": t, "batch": batch_idx, "net": NETS[k],
+                 "components": {key: str(v) for key, v in comps.items()}},
+        "params": {name: params[i] for i, name in enumerate(NETS)},
     }
     return TrainingDiverged("non-finite %s at epoch %d batch %d (%s)"
-                            % (what, t, batch_idx, name), snapshot)
+                            % (what, t, batch_idx, NETS[k]), snapshot)
 
 
-def _evaluate(nets: NetPair, test: Dataset, buffers: Buffers) -> dict:
+def _evaluate(params: ModelParams, test: Dataset, buffers: Buffers) -> dict:
     preds = np.empty((3, test.n), dtype=np.int64)  # net1, net2, ensemble
-    for rows, (p1, p2) in metrics.softmax_chunks([st.params for st in nets.states()],
-                                                 test.x, buffers):
-        preds[0, rows] = p1.argmax(axis=1)
-        preds[1, rows] = p2.argmax(axis=1)
-        preds[2, rows] = (0.5 * (p1 + p2)).argmax(axis=1)
+    for rows, probs in metrics.softmax_chunks(params, test.x, buffers):
+        preds[:2, rows] = probs.argmax(axis=-1)
+        preds[2, rows] = (0.5 * (probs[0] + probs[1])).argmax(axis=1)
     acc1, acc2, ens = (metrics.accuracy(p, test.y_true) for p in preds)
     return {"net1": acc1, "net2": acc2, "ensemble": ens}
 
@@ -409,7 +420,8 @@ def co_train(train: Dataset, meta: MetaSet | None, test: Dataset, cfg: TrainConf
              ood: Dataset | None = None, diagnostics: DiagnosticsWriter | None = None,
              config_echo: dict | None = None, seeds_echo: dict | None = None,
              return_state: bool = False):
-    """Run the full dual-network loop and return the RunReport.
+    """Run the full dual-network loop and return the RunReport (and, with
+    return_state, the final NetStack).
 
     Supervision for each network comes exclusively from the other network's
     frozen pre-update outputs within each batch.
@@ -419,25 +431,23 @@ def co_train(train: Dataset, meta: MetaSet | None, test: Dataset, cfg: TrainConf
     arch = Architecture(train.dim, cfg.hidden, train.num_classes, cfg.proj)
     schedule = Schedule(cfg.lr, tuple(cfg.decay_epochs), cfg.decay_factor,
                         cfg.momentum, cfg.weight_decay)
-    nets = NetPair(
-        NetState("net1", init_params(arch, cfg.net1_seed), init_opt_state(arch, schedule),
-                 child_rng(cfg.net1_seed, _MIX_STREAM),
-                 np.full(train.n, 0.5), np.full(train.n, 0.5)),
-        NetState("net2", init_params(arch, cfg.net2_seed), init_opt_state(arch, schedule),
-                 child_rng(cfg.net2_seed, _MIX_STREAM),
-                 np.full(train.n, 0.5), np.full(train.n, 0.5)),
-    )
+    seeds = (cfg.net1_seed, cfg.net2_seed)
+    params = stack_params([init_params(arch, seed) for seed in seeds])
+    nets = NetStack(params, init_opt_state(params, schedule),
+                    tuple(child_rng(seed, _MIX_STREAM) for seed in seeds),
+                    np.full((2, train.n), 0.5), np.full((2, train.n), 0.5))
     clean_mask = train.y_obs == train.y_true
     eye = np.eye(train.num_classes)  # one-hot rows of every label
     meta_targets = eye[meta.y] if cfg.use_meta else None
-    step_buffers = Buffers()  # shared by both nets' sequential steps
+    fw_buffers = Buffers()    # the stack's shared forward and its Mixup rows
+    step_buffers = Buffers()  # head gradients, backward, meta and contrastive work
     eval_buffers = Buffers()
 
     report = metrics.RunReport(
         config=config_echo if config_echo is not None else {"trainer": train_config_dict(cfg)},
         seeds=seeds_echo if seeds_echo is not None else {
             "net1_seed": cfg.net1_seed, "net2_seed": cfg.net2_seed, "loop_seed": cfg.loop_seed},
-        initial={"test_acc": _evaluate(nets, test, eval_buffers)},
+        initial={"test_acc": _evaluate(nets.params, test, eval_buffers)},
     )
 
     mass_gap_overall = None
@@ -447,8 +457,7 @@ def co_train(train: Dataset, meta: MetaSet | None, test: Dataset, cfg: TrainConf
         tick = time.perf_counter()
         w_t = warmup(t, cfg)
         lr_t = schedule.lr_at(t)
-        for st in nets.states():
-            st.opt.epoch = t
+        nets.opt.epoch = t
         order = child_rng(cfg.loop_seed, _ORDER_STREAM, t).permutation(train.n)
         weak_all, strong_all = make_views(train.x, cfg.augment,
                                           child_rng(cfg.loop_seed, _VIEW_STREAM, t))
@@ -463,83 +472,86 @@ def co_train(train: Dataset, meta: MetaSet | None, test: Dataset, cfg: TrainConf
             batch_ids = train.ids[rows]
             b = len(rows)
 
-            # one shared forward per net and batch; its weak-view rows are the
-            # frozen pre-update co-network outputs (net1 learns from net2's)
+            # one shared forward of the stack per batch, sized for the Mixup
+            # rows that extend it; its weak-view rows are the frozen
+            # pre-update co-network outputs (net1 learns from net2's)
             strong = w_t > 0.0 and (cfg.use_cr or cfg.use_cdcl)
+            ram = w_t > 0.0 and cfg.use_ram
             x_in = np.concatenate([xw, xs]) if strong else xw
-            fwd = {st.name: forward_batch(st.params, x_in, buffers=st.buffers)
-                   for st in nets.states()}
-            co_out = {
-                "net1": softmax(fwd["net2"].logits[:b]),
-                "net2": softmax(fwd["net1"].logits[:b]),
-            }
+            fw = forward_batch(nets.params, x_in, buffers=fw_buffers,
+                               total_rows=len(x_in) + (b if ram else 0))
+            co_probs = softmax(fw.logits[::-1, :b])
+            pseudo_cls = co_probs.argmax(axis=-1)
 
-            for st in nets.states():
-                fw = fwd[st.name]
-                co_probs = co_out[st.name]
-                pseudo_cls = co_probs.argmax(axis=1)
+            if cfg.use_refine:
+                targets = refined_targets(co_probs, given, cfg)
+                bc = [confidence_filter(co_probs[k], cfg, warmup_active=(w_t == 0.0))
+                      for k in range(2)]
+            else:
+                targets = np.broadcast_to(given, (2,) + given.shape)
+                bc = [np.arange(b)] * 2
 
-                if cfg.use_refine:
-                    targets = refined_targets(co_probs, given, cfg)
-                    bc = confidence_filter(co_probs, cfg, warmup_active=(w_t == 0.0))
-                else:
-                    targets = given
-                    bc = np.arange(b)
-
-                if cfg.use_meta:
-                    if batch_idx % cfg.reliability_stride == 0:
-                        mcfg = MetaConfig(eta_inner=lr_t, xi=cfg.xi)
-                        e1, e2 = meta_gradients_closed(
-                            st.params, xw, given, eye[pseudo_cls], meta, mcfg,
-                            out=fw.rows(slice(0, b)), meta_targets=meta_targets)
-                        if cfg.couple_meta:
-                            shared = 0.5 * (e1 + e2)
-                            rb = disentangle(shared, shared, mcfg, b)
-                        else:
-                            rb = disentangle(e1, e2, mcfg, b)
+            if cfg.use_meta:
+                if batch_idx % cfg.reliability_stride == 0:
+                    mcfg = MetaConfig(eta_inner=lr_t, xi=cfg.xi)
+                    e1, e2 = meta_gradients_closed(
+                        nets.params, xw, given, eye[pseudo_cls], meta, mcfg,
+                        out=fw.rows(slice(0, b)), meta_targets=meta_targets,
+                        buffers=step_buffers)
+                    if cfg.couple_meta:
+                        e1 = e2 = 0.5 * (e1 + e2)
+                    for k in range(2):
+                        rb = disentangle(e1[k], e2[k], mcfg, b)
                         gap = rb.mass_identity_gap(cfg.xi)
                         tally.add_reliability(rb.alpha, rb.beta, batch_clean, gap)
                         mass_gap_overall = gap if mass_gap_overall is None else max(mass_gap_overall, gap)
                         lo_a, lo_b = float(rb.alpha.min()), float(rb.beta.min())
                         alpha_min = lo_a if alpha_min is None else min(alpha_min, lo_a)
                         beta_min = lo_b if beta_min is None else min(beta_min, lo_b)
-                        st.alpha_store[rows] = rb.alpha
-                        st.beta_store[rows] = rb.beta
+                        nets.alpha_store[k, rows] = rb.alpha
+                        nets.beta_store[k, rows] = rb.beta
                         if diagnostics is not None:
                             diagnostics.reliability_rows(t, batch_idx, batch_ids,
                                                          rb.alpha, rb.beta, batch_clean)
-                    alpha = st.alpha_store[rows]
-                    beta = st.beta_store[rows]
-                    r = total_reliability(alpha, beta, cfg.ram)
-                    eta_eff = cfg.eta_w
-                else:
-                    alpha = beta = None
-                    r = np.ones(b)
-                    eta_eff = 0.0
-                if not np.isfinite(r).all():  # the Beta sampler needs finite shapes
-                    raise _diverged("reliability", t, batch_idx, st.name, {}, nets)
+                beta = nets.beta_store[:, rows]
+                r = total_reliability(nets.alpha_store[:, rows], beta, cfg.ram)
+                eta_eff = cfg.eta_w
+            else:
+                beta = np.ones((2, b))
+                r = np.ones((2, b))
+                eta_eff = 0.0
+            finite_r = np.isfinite(r).all(axis=1)
+            if not finite_r.all():  # the Beta sampler needs finite shapes
+                raise _diverged("reliability", t, batch_idx, int(np.argmin(finite_r)), {},
+                                nets.params)
 
-                pairs = None
-                if w_t > 0.0 and cfg.use_ram:
-                    pairs = mixup.build_pairs(xw, r, targets, cfg.ram, st.mix_rng,
-                                              symmetric=cfg.sym_ram, gate=cfg.use_grg)
-                    tally.add_pairs(pairs, batch_clean)
-                comps, grad, purity = step_loss_grad(
-                    st.params, xw, xs, fw, targets, r, bc, eta_eff, w_t, cfg, pairs=pairs,
-                    pseudo_cls=pseudo_cls, gate_beta=beta if cfg.use_meta else np.ones(b),
-                    y_true=train.y_true[rows], fw_buffers=st.buffers, buffers=step_buffers)
-                if purity is not None:
-                    tally.add_purity(purity)
+            pairs = None
+            if ram:
+                pairs = [mixup.build_pairs(xw, r[k], targets[k], cfg.ram, nets.mix_rngs[k],
+                                           symmetric=cfg.sym_ram, gate=cfg.use_grg)
+                         for k in range(2)]
+                for p in pairs:
+                    tally.add_pairs(p, batch_clean)
+            comps, grad, purity = step_loss_grad(
+                nets.params, xw, xs, fw, targets, r, bc, eta_eff, w_t, cfg, pairs=pairs,
+                pseudo_cls=pseudo_cls, gate_beta=beta, y_true=train.y_true[rows],
+                fw_buffers=fw_buffers, buffers=step_buffers)
 
-                comps["total"] = total_loss(comps, t, cfg)
-                finite_loss = np.isfinite(comps["total"])
-                if not (finite_loss and np.isfinite(grad).all()):
-                    raise _diverged("gradient" if finite_loss else "loss", t, batch_idx,
-                                    st.name, comps, nets)
-                tally.add_loss(st.name, comps)
-                st.params, st.opt = sgd_step(st.params, grad, st.opt)
+            # both nets are checked before either moves, so an abort snapshot
+            # holds the stack as it was before this batch
+            for k in range(2):
+                comps[k]["total"] = total_loss(comps[k], t, cfg)
+                finite_loss = np.isfinite(comps[k]["total"])
+                if not (finite_loss and np.isfinite(grad[k]).all()):
+                    raise _diverged("gradient" if finite_loss else "loss", t, batch_idx, k,
+                                    comps[k], nets.params)
+            for k, name in enumerate(NETS):
+                if purity[k] is not None:
+                    tally.add_purity(purity[k])
+                tally.add_loss(name, comps[k])
+            nets.params, nets.opt = sgd_step(nets.params, grad, nets.opt)
 
-        test_acc = _evaluate(nets, test, eval_buffers)
+        test_acc = _evaluate(nets.params, test, eval_buffers)
         purity_raw = tally.purity[0] / tally.purity[1] if tally.purity[1] > 0 else None
         purity_gated = tally.purity[2] / tally.purity[3] if tally.purity[3] > 0 else None
         rec = {
@@ -579,9 +591,8 @@ def co_train(train: Dataset, meta: MetaSet | None, test: Dataset, cfg: TrainConf
         "ood": None,
     }
     if ood is not None:
-        params_list = [st.params for st in nets.states()]
-        id_scores = metrics.msp_scores_ensemble(params_list, test.x, eval_buffers)
-        ood_scores = metrics.msp_scores_ensemble(params_list, ood.x, eval_buffers)
+        id_scores = metrics.msp_scores_ensemble(nets.params, test.x, eval_buffers)
+        ood_scores = metrics.msp_scores_ensemble(nets.params, ood.x, eval_buffers)
         score_set = metrics.OodScoreSet(id_scores, ood_scores)
         summary["ood"] = {"auroc": metrics.auroc(score_set),
                           "fpr95": metrics.fpr_at_95_tpr(score_set)}

@@ -77,9 +77,8 @@ def _run_variant(cfg, overrides, want_scores=False):
     report, nets = co_train(train_set, meta, test, tcfg, ood=ood, return_state=True)
     scores = None
     if want_scores:
-        params = [nets.net1.params, nets.net2.params]
-        scores = (metrics.msp_scores_ensemble(params, test.x),
-                  metrics.msp_scores_ensemble(params, ood.x))
+        scores = (metrics.msp_scores_ensemble(nets.params, test.x),
+                  metrics.msp_scores_ensemble(nets.params, ood.x))
     return report, scores
 
 

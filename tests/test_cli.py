@@ -277,6 +277,36 @@ class TestTrain:
         for name in ("abort_net1.bin", "abort_net2.bin"):
             assert (out / name).exists()
 
+    def test_non_finite_second_net_aborts_before_either_net_moves(self, cfg_path, tmp_path,
+                                                                   capsys, monkeypatch):
+        # only net2's gradient is non-finite, at batch 1: the abort names net2,
+        # and both nets' abort checkpoints hold the parameters from before that
+        # batch, so net1 has not taken its step either
+        from noisylab import trainer
+        from noisylab.net import load_checkpoint
+
+        backward = trainer.backward_batch
+        seen = []
+
+        def poisoned(params, cache, dlogits, demb=None, buffers=None):
+            grad = backward(params, cache, dlogits, demb, buffers)
+            seen.append(params.flat.copy())
+            if len(seen) == 2:
+                grad[1, 0] = np.nan
+            return grad
+
+        monkeypatch.setattr(trainer, "backward_batch", poisoned)
+        out = tmp_path / "nan2"
+        assert cli.main(["train", "--config", cfg_path, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "non-finite gradient at epoch 0 batch 1 (net2)" in err
+        snap = json.loads((out / "abort_snapshot.json").read_text())
+        assert (snap["epoch"], snap["batch"], snap["net"]) == (0, 1, "net2")
+        assert not np.array_equal(seen[0], seen[1])  # batch 0 moved both nets
+        for k, name in enumerate(("net1", "net2")):
+            saved = load_checkpoint(out / ("abort_%s.bin" % name))
+            assert np.array_equal(saved.flat, seen[1][k]), name
+
     def test_checkpoints_loadable(self, cfg_path, tmp_path):
         from noisylab.net import load_checkpoint
 

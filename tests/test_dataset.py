@@ -5,7 +5,7 @@ import pytest
 from scipy import stats
 
 from noisylab import data
-from noisylab.util import ConfigError
+from noisylab.util import ConfigError, fmt_float
 
 
 class TestMakeBlobs:
@@ -211,6 +211,22 @@ class TestSerialization:
         data.save_dataset(ds, p2, tmp_path / "b.json", seed=2)
         assert p1.read_bytes() == p2.read_bytes()
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+
+    def test_csv_text_formats_each_value_as_fmt_float(self):
+        # the manifest fingerprints hash this text, so its bytes must not move:
+        # compare against per-value formatting on edge values
+        ds = data.make_blobs(2, 3, 4, 0.5, seed=1)
+        ds.x[0] = [-0.0, 5e-324, 1e300, -1e-300]
+        ds.x[1] = [0.1, -2.5, 1.0 / 3.0, np.nextafter(1.0, 2.0)]
+        ds.x[2] = [np.inf, -np.inf, np.nan, 1.7976931348623157e308]
+        lines = data.dataset_csv_text(ds).splitlines()
+        assert lines[0] == "id,y_true,y_obs,x0,x1,x2,x3"
+        assert len(lines) == ds.n + 1
+        for i, line in enumerate(lines[1:]):
+            cells = [str(int(ds.ids[i])), str(int(ds.y_true[i])), str(int(ds.y_obs[i]))]
+            assert line == ",".join(cells + [fmt_float(v) for v in ds.x[i]])
+        assert lines[1].endswith(",-0,4.9406564584124654e-324,1.0000000000000001e+300,-1e-300")
 
 
 def test_displaced_blobs_outside_hull():

@@ -135,6 +135,19 @@ class TestFpr95:
         assert metrics.fpr_at_95_tpr(s) == pytest.approx(sweep_fpr_at_tpr(id_s, ood_s), abs=1e-12)
         assert metrics.fpr_at_95_tpr(s) == pytest.approx(0.2)
 
+    def test_matches_loop_form_on_heavy_ties(self):
+        # few distinct levels, so most candidate thresholds are shared by
+        # many ID and OOD scores, and sets of one score per side
+        rng = np.random.default_rng(5)
+        for _ in range(300):
+            levels = int(rng.integers(1, 6))
+            id_s = rng.integers(0, levels, int(rng.integers(1, 40))) / levels
+            ood_s = rng.integers(0, levels, int(rng.integers(1, 40))) / levels
+            s = metrics.OodScoreSet(id_s, ood_s)
+            assert metrics.fpr_at_95_tpr(s) == sweep_fpr_at_tpr(id_s, ood_s)
+        s = metrics.OodScoreSet(np.full(19, 0.5), np.array([0.5, 0.4]))
+        assert metrics.fpr_at_95_tpr(s) == 0.5
+
     def test_matches_exhaustive_sweep_randomized(self):
         rng = np.random.default_rng(4)
         for _ in range(20):
@@ -150,7 +163,7 @@ class TestMsp:
         arch = net.Architecture(3, 4, 4, 2)
         params = net.ModelParams(arch, np.zeros(arch.n_params))
         x = np.random.default_rng(0).standard_normal((5, 3))
-        scores = metrics.msp_scores_ensemble([params], x)
+        scores = metrics.msp_scores_ensemble(net.stack_params([params]), x)
         assert np.allclose(scores, 0.25)
 
     def test_dominant_logit_limit(self):
@@ -161,7 +174,7 @@ class TestMsp:
         rng = np.random.default_rng(1)
         params = net.ModelParams(arch, 0.5 * rng.standard_normal(arch.n_params))
         x = rng.standard_normal((6, 3))
-        scores = metrics.msp_scores_ensemble([params], x)
+        scores = metrics.msp_scores_ensemble(net.stack_params([params]), x)
         logits = net.forward_batch(params, x).logits
         assert np.allclose(scores, net.softmax(logits).max(axis=1), atol=1e-12)
 
@@ -169,7 +182,7 @@ class TestMsp:
         arch = net.Architecture(3, 4, 4, 2)
         rng = np.random.default_rng(2)
         params = net.ModelParams(arch, rng.standard_normal(arch.n_params))
-        scores = metrics.msp_scores_ensemble([params], rng.standard_normal((50, 3)))
+        scores = metrics.msp_scores_ensemble(net.stack_params([params]), rng.standard_normal((50, 3)))
         assert np.all(scores >= 0.25 - 1e-12) and np.all(scores <= 1.0)
 
 

@@ -149,19 +149,147 @@ class TestBuffers:
                 assert np.array_equal(a, b)
 
     def test_chunked_evaluation_equals_one_block(self):
+        """Chunks of two or more rows give each row the bits of one unchunked
+        forward; a 1-row tail chunk runs as matrix-vector products, whose
+        last bits may differ."""
         arch = net.Architecture(16, 64, 4, 16)
         params = [small_params(25, arch=arch), small_params(26, arch=arch)]
-        n = 3 * metrics.EVAL_ROWS + 77
-        x = np.random.default_rng(25).standard_normal((n, 16))
-        one_block = [net.softmax(net.forward_batch(p, x).logits) for p in params]
-        got = [np.empty((n, 4)), np.empty((n, 4))]
-        for rows, probs in metrics.softmax_chunks(params, x, net.Buffers()):
-            for g, pr in zip(got, probs):
-                g[rows] = pr
-        for g, ref in zip(got, one_block):
-            assert np.array_equal(g, ref)
-        assert np.array_equal(metrics.msp_scores_ensemble(params, x, net.Buffers()),
-                              np.mean(one_block, axis=0).max(axis=1))
+        stack = net.stack_params(params)
+        rng = np.random.default_rng(25)
+        rows = metrics.EVAL_ROWS
+        for n in (3 * rows + 77, rows // 2 + 1, rows - 1, rows, rows + 1, rows + 2, 2 * rows + 1):
+            x = rng.standard_normal((n, 16))
+            one_block = np.stack([net.softmax(net.forward_batch(p, x).logits) for p in params])
+            got = np.empty((2, n, 4))
+            for chunk, probs in metrics.softmax_chunks(stack, x, net.Buffers()):
+                got[:, chunk] = probs
+            msp = metrics.msp_scores_ensemble(stack, x, net.Buffers())
+            one_msp = one_block.mean(axis=0).max(axis=1)
+            exact = n - 1 if n % rows == 1 else n
+            assert np.array_equal(got[:, :exact], one_block[:, :exact]), n
+            assert np.array_equal(msp[:exact], one_msp[:exact]), n
+            assert np.allclose(got, one_block, rtol=1e-12, atol=0.0), n
+            assert np.allclose(msp, one_msp, rtol=1e-12, atol=0.0), n
+
+
+class TestStacked:
+    """Each net's slice of a stacked pass has the bits of the single-net call
+    with that net's parameters (co-training steps its two nets as a stack)."""
+
+    # batch sizes of the benchmark workloads, their blocks (B, 2B, 3B rows)
+    # and partial last batches
+    ROWS = (1, 2, 8, 31, 32, 40, 64, 96, 168, 255, 256, 512, 768)
+    ARCH = net.Architecture(16, 64, 4, 16)
+
+    def nets(self, seed):
+        singles = [small_params(seed + k, arch=self.ARCH) for k in range(2)]
+        return singles, net.stack_params(singles)
+
+    @staticmethod
+    def assert_forward_equal(stacked, k, one):
+        assert np.array_equal(stacked.logits[k], one.logits)
+        assert np.array_equal(stacked.emb[k], one.emb)
+        for a, b in zip(stacked.cache, one.cache):
+            assert np.array_equal(a[k], b)
+
+    def test_slices_are_the_nets(self):
+        singles, stack = self.nets(30)
+        for k, p in enumerate(singles):
+            assert np.array_equal(stack[k].flat, p.flat)
+            for name in ("w1", "b1", "w2", "b2", "wc", "bc", "wp", "bp"):
+                assert np.array_equal(getattr(stack, name)[k], getattr(p, name))
+
+    def test_forward_and_backward(self):
+        singles, stack = self.nets(31)
+        rng = np.random.default_rng(31)
+        fw_buffers, step_buffers = net.Buffers(), net.Buffers()
+        for n in self.ROWS + self.ROWS[::-1]:
+            x = rng.standard_normal((n, 16))
+            dlogits = rng.standard_normal((2, n, 4))
+            demb = rng.standard_normal((2, n, 16))
+            fresh = net.forward_batch(stack, x)
+            reused = net.forward_batch(stack, x, buffers=fw_buffers)
+            ones = [net.forward_batch(p, x) for p in singles]
+            for k, one in enumerate(ones):
+                self.assert_forward_equal(fresh, k, one)
+                self.assert_forward_equal(reused, k, one)
+            for d in (None, demb):
+                grads = (net.backward_batch(stack, fresh.cache, dlogits, d),
+                         net.backward_batch(stack, reused.cache, dlogits, d, step_buffers))
+                for k, (p, one) in enumerate(zip(singles, ones)):
+                    ref = net.backward_batch(p, one.cache, dlogits[k],
+                                             None if d is None else d[k])
+                    for g in grads:
+                        assert np.array_equal(g[k], ref), (n, d is None)
+
+    def test_per_net_rows_extend_a_presized_shared_forward(self):
+        # the Mixup rows differ per net and go after the shared rows, in
+        # arrays sized for both blocks before the shared forward
+        singles, stack = self.nets(32)
+        rng = np.random.default_rng(32)
+        buffers = net.Buffers()
+        for head, tail in ((1, 1), (64, 32), (96, 32), (512, 256), (80, 40), (32, 16)):
+            shared = rng.standard_normal((head, 16))
+            mix = rng.standard_normal((2, tail, 16))
+            first = net.forward_batch(stack, shared, buffers=buffers, total_rows=head + tail)
+            first_logits = first.logits.copy()
+            both = net.forward_batch(stack, mix, buffers=buffers, row0=head,
+                                     total_rows=head + tail)
+            assert np.array_equal(both.logits[:, :head], first_logits)
+            for k, p in enumerate(singles):
+                single_buffers = net.Buffers()
+                net.forward_batch(p, shared, buffers=single_buffers)
+                self.assert_forward_equal(both, k, net.forward_batch(
+                    p, mix[k], buffers=single_buffers, row0=head))
+
+    def test_total_rows_must_cover_the_rows_written(self):
+        _, stack = self.nets(33)
+        with pytest.raises(ValueError):
+            net.forward_batch(stack, np.zeros((4, 16)), buffers=net.Buffers(), total_rows=3)
+
+    def test_heads_per_sample_dots_and_sgd(self):
+        singles, stack = self.nets(34)
+        rng = np.random.default_rng(34)
+        n_params = self.ARCH.n_params
+        buffers = net.Buffers()
+        sched = net.Schedule(base_lr=0.05, momentum=0.9, weight_decay=5e-4)
+        state = net.init_opt_state(stack, sched)
+        states = [net.init_opt_state(p, sched) for p in singles]
+        for n in self.ROWS:
+            logits = rng.standard_normal((2, n, 4))
+            targets = rng.random((2, n, 4))
+            weights = rng.random((2, n))
+            losses, dlogits = net.weighted_ce_head(logits, targets, weights)
+            x = rng.standard_normal((n, 16))
+            given = one_hot(rng.integers(0, 4, n), 4)
+            pseudo = one_hot(rng.integers(0, 4, (2, n)), 4)
+            vec = rng.standard_normal((2, n_params))
+            dots = net.per_sample_grad_dots(stack, net.forward_batch(stack, x), given, pseudo,
+                                            vec, buffers)
+            grad = rng.standard_normal((2, n_params))
+            stack, state = net.sgd_step(stack, grad, state)
+            for k, p in enumerate(singles):
+                loss, dl = net.weighted_ce_head(logits[k], targets[k], weights[k])
+                assert losses[k] == loss and np.array_equal(dlogits[k], dl)
+                ref = net.per_sample_grad_dots(p, net.forward_batch(p, x), given, pseudo[k],
+                                               vec[k])
+                for d, r in zip(dots, ref):
+                    assert np.array_equal(d[k], r), n
+                singles[k], states[k] = net.sgd_step(p, grad[k], states[k])
+                assert np.array_equal(stack.flat[k], singles[k].flat)
+                assert np.array_equal(state.velocity[k], states[k].velocity)
+
+    def test_chunked_evaluation(self):
+        singles, stack = self.nets(35)
+        rng = np.random.default_rng(35)
+        buffers = net.Buffers()
+        for n in (1, 255, 256, 257, 768, 2000):
+            x = rng.standard_normal((n, 16))
+            chunks = zip(metrics.softmax_chunks(stack, x, buffers),
+                         *(metrics.softmax_chunks(p, x) for p in singles))
+            for (rows, probs), *ones in chunks:
+                for k, (one_rows, one) in enumerate(ones):
+                    assert one_rows == rows and np.array_equal(probs[k], one), n
 
 
 class TestCeLoss:
@@ -288,7 +416,7 @@ class TestSgd:
     def test_zero_grad_identity(self):
         p = small_params(1)
         sched = net.Schedule(base_lr=0.1, momentum=0.0, weight_decay=0.0)
-        state = net.init_opt_state(p.arch, sched)
+        state = net.init_opt_state(p, sched)
         q, _ = net.sgd_step(p, np.zeros(p.arch.n_params), state)
         assert np.array_equal(q.flat, p.flat)
 
@@ -296,7 +424,7 @@ class TestSgd:
         p = small_params(2)
         g = np.random.default_rng(0).standard_normal(p.arch.n_params)
         sched = net.Schedule(base_lr=0.05, momentum=0.0, weight_decay=0.0)
-        q, _ = net.sgd_step(p, g, net.init_opt_state(p.arch, sched))
+        q, _ = net.sgd_step(p, g, net.init_opt_state(p, sched))
         assert np.allclose(q.flat, p.flat - 0.05 * g)
 
     def test_momentum_two_step_recurrence(self):
@@ -305,7 +433,7 @@ class TestSgd:
         p = small_params(3)
         g = np.random.default_rng(1).standard_normal(p.arch.n_params)
         sched = net.Schedule(base_lr=0.01, momentum=0.9, weight_decay=0.0)
-        q1, s1 = net.sgd_step(p, g, net.init_opt_state(p.arch, sched))
+        q1, s1 = net.sgd_step(p, g, net.init_opt_state(p, sched))
         q2, _ = net.sgd_step(q1, g, s1)
         assert np.allclose(q1.flat - q2.flat, 0.01 * 1.9 * g, atol=1e-15)
 

@@ -160,10 +160,10 @@ class TestSeparation:
         report, nets = co_train(train, meta, test, cfg, return_state=True)
 
         mcfg = reliability.MetaConfig(eta_inner=cfg.lr)
-        probs = net.softmax(net.forward_batch(nets.net2.params, train.x).logits)
+        probs = net.softmax(net.forward_batch(nets.params[1], train.x).logits)
         pseudo = reliability.one_hot(probs.argmax(axis=1), 4)
         given = reliability.one_hot(train.y_obs, 4)
-        e1, e2 = reliability.meta_gradients_closed(nets.net1.params, train.x,
+        e1, e2 = reliability.meta_gradients_closed(nets.params[0], train.x,
                                                    given, pseudo, meta, mcfg)
         rb = reliability.disentangle(e1, e2, mcfg, train.n)
         clean = train.y_obs == train.y_true

@@ -332,46 +332,60 @@ class TestFusedStep:
     @pytest.mark.parametrize("bc", [[], [0, 2, 3], list(range(B))],
                              ids=["empty_bc", "partial_bc", "full_bc"])
     def test_fused_gradient_equals_sum_of_terms(self, bc, w_t):
-        cfg, p, xw, xs, targets, r = (self.cfg, self.params, self.xw, self.xs,
-                                      self.targets, self.r)
-        bc = np.asarray(bc, dtype=np.int64)
+        # a stack of two nets: the second has its own parameters and every
+        # per-sample input in reverse row order, with the complementary filter
+        cfg, xw, xs = self.cfg, self.xw, self.xs
+        flip = lambda a: np.asarray(a)[::-1]
+        p = net.stack_params([self.params, net.ModelParams(self.params.arch,
+                                                           flip(self.params.flat))])
+        targets, r, pc, beta = (np.stack([a, flip(a)]) for a in
+                                (self.targets, self.r, self.pc, self.beta))
+        bcs = [np.asarray(bc, dtype=np.int64), np.setdiff1d(np.arange(self.B), bc)]
+        pairs = [self.pairs, dataclasses.replace(self.pairs, w=flip(self.pairs.w),
+                                                 x=flip(self.pairs.x), y=flip(self.pairs.y))]
         fw_buffers = net.Buffers()
-        fw = net.forward_batch(p, np.concatenate([xw, xs]) if w_t > 0 else xw,
-                               buffers=fw_buffers)
+        x_in = np.concatenate([xw, xs]) if w_t > 0 else xw
+        fw = net.forward_batch(p, x_in, buffers=fw_buffers,
+                               total_rows=len(x_in) + (self.B if w_t > 0 else 0))
         comps, grad, purity = trainer.step_loss_grad(
-            p, xw, xs, fw, targets, r, bc, cfg.eta_w, w_t, cfg,
-            pairs=self.pairs if w_t > 0 else None, pseudo_cls=self.pc,
-            gate_beta=self.beta, y_true=self.y, fw_buffers=fw_buffers)
+            p, xw, xs, fw, targets, r, bcs, cfg.eta_w, w_t, cfg,
+            pairs=pairs if w_t > 0 else None, pseudo_cls=pc,
+            gate_beta=beta, y_true=self.y, fw_buffers=fw_buffers)
 
-        terms = {"ce_re": trainer.reweighted_ce_grad(p, xw, targets, r, bc, cfg, cfg.eta_w)}
-        expected = terms["ce_re"][1]
-        if w_t > 0:
-            pairs = self.pairs
-            terms["cr"] = trainer.consistency_loss_grad(p, xs, targets, bc)
-            terms["ram"] = net.weighted_ce_loss_grad(p, pairs.x, pairs.y, pairs.w)
-            terms["cdcl"] = cdcl_grad(p, xw, xs, self.pc, self.beta, cfg.cdcl)
-            expected = expected + w_t * (terms["cr"][1] + terms["ram"][1]
-                                         + cfg.lambda_cdcl * terms["cdcl"][1])
-        assert np.linalg.norm(grad - expected) <= 1e-12 * np.linalg.norm(expected)
-        assert set(comps) == set(terms)
-        for key, (loss, _) in terms.items():
-            assert comps[key] == pytest.approx(loss, rel=1e-12, abs=1e-15)
-        assert (purity is None) == (w_t == 0)
+        for k in range(2):
+            pk = p[k]
+            terms = {"ce_re": trainer.reweighted_ce_grad(pk, xw, targets[k], r[k], bcs[k],
+                                                         cfg, cfg.eta_w)}
+            expected = terms["ce_re"][1]
+            if w_t > 0:
+                terms["cr"] = trainer.consistency_loss_grad(pk, xs, targets[k], bcs[k])
+                terms["ram"] = net.weighted_ce_loss_grad(pk, pairs[k].x, pairs[k].y,
+                                                         pairs[k].w)
+                terms["cdcl"] = cdcl_grad(pk, xw, xs, pc[k], beta[k], cfg.cdcl)
+                expected = expected + w_t * (terms["cr"][1] + terms["ram"][1]
+                                             + cfg.lambda_cdcl * terms["cdcl"][1])
+            assert np.linalg.norm(grad[k] - expected) <= 1e-12 * np.linalg.norm(expected)
+            assert set(comps[k]) == set(terms)
+            for key, (loss, _) in terms.items():
+                assert comps[k][key] == pytest.approx(loss, rel=1e-12, abs=1e-15)
+            assert (purity[k] is None) == (w_t == 0)
 
     def test_partner_reads_its_shared_forward(self, monkeypatch):
         # each net's frozen co-network probabilities are, bit for bit, the
-        # softmax of the weak-view rows of its partner's shared forward; the
-        # forward's logits live in reused buffers, so the record keeps a copy
+        # softmax of the weak-view rows of its partner's slice of the stack's
+        # shared forward; the forward's logits live in reused buffers, so the
+        # record keeps a copy
         events = []
         forward, refined = trainer.forward_batch, trainer.refined_targets
 
-        def recording_forward(params, x, eval_mode=False, buffers=None, row0=0):
-            out = forward(params, x, buffers=buffers, row0=row0)
-            events.append(("forward", x, out.logits.copy()))
+        def recording_forward(params, x, eval_mode=False, buffers=None, row0=0,
+                              total_rows=None):
+            out = forward(params, x, buffers=buffers, row0=row0, total_rows=total_rows)
+            events.append(("forward", row0, out.logits.copy()))
             return out
 
         def recording_refined(co_probs, given_targets, cfg):
-            events.append(("co", co_probs, None))
+            events.append(("co", None, co_probs))
             return refined(co_probs, given_targets, cfg)
 
         monkeypatch.setattr(trainer, "forward_batch", recording_forward)
@@ -380,18 +394,16 @@ class TestFusedStep:
         cfg = tiny_cfg(epochs=3)
         trainer.co_train(train, meta, test, cfg)
         checked = 0
-        for k, (kind, co_probs, _) in enumerate(events):
+        for k, (kind, _, co_probs) in enumerate(events):
             if kind != "co":
                 continue
-            # the batch's shared forwards: the last two forwards in a row on
-            # one input array (net1's, then net2's)
-            j = max(i for i in range(1, k) if events[i][0] == events[i - 1][0] == "forward"
-                    and events[i][1] is events[i - 1][1])
-            net2_steps_now = any(e[0] == "co" for e in events[j:k])
-            partner = events[j - 1][2] if net2_steps_now else events[j][2]
-            assert np.array_equal(net.softmax(partner[:len(co_probs)]), co_probs)
+            # the batch's shared forward: the last forward from row 0
+            shared = [e[2] for e in events[:k] if e[0] == "forward" and e[1] == 0][-1]
+            b = co_probs.shape[1]
+            assert np.array_equal(net.softmax(shared[1, :b]), co_probs[0])  # net1's partner
+            assert np.array_equal(net.softmax(shared[0, :b]), co_probs[1])  # net2's partner
             checked += 1
-        assert checked == 2 * cfg.epochs * -(-train.n // cfg.batch_size)
+        assert checked == cfg.epochs * -(-train.n // cfg.batch_size)
 
 
 class TestConfigValidation:
