@@ -23,15 +23,15 @@ cfg = TrainConfig(epochs=6, batch_size=64, warmup_start=6, warmup_full=6,
                   decay_epochs=(), hidden=32, proj=8,
                   augment=default_augment_config(0.5),
                   net1_seed=31, net2_seed=32, loop_seed=33)
-_, nets = co_train(train, meta, test, cfg, return_state=True)
+_, params = co_train(train, meta, test, cfg, return_state=True)
 
 mcfg = MetaConfig(eta_inner=cfg.lr)
-co_probs = softmax(forward_batch(nets.params[1], train.x).logits)
+co_probs = softmax(forward_batch(params[1], train.x).logits)
 pseudo = one_hot(co_probs.argmax(axis=1), 4)
 given = one_hot(train.y_obs, 4)
 
-e1, e2 = meta_gradients_closed(nets.params[0], train.x, given, pseudo, meta, mcfg)
-rb = disentangle(e1, e2, mcfg, train.n)
+e1, e2 = meta_gradients_closed(params[0], train.x, given, pseudo, meta, mcfg)
+rb = disentangle(e1, e2, mcfg)
 
 clean = train.y_obs == train.y_true
 print("alpha (observed-label reliability):")
@@ -44,9 +44,9 @@ print("batch mass sum(alpha+beta) = %.6f (batch size %d)"
 # the exact inner-product path agrees with running the one-step virtual
 # update literally and differencing through it
 rows = np.arange(8)
-e1c, e2c = meta_gradients_closed(nets.params[0], train.x[rows], given[rows],
+e1c, e2c = meta_gradients_closed(params[0], train.x[rows], given[rows],
                                  pseudo[rows], meta, mcfg)
-e1f, e2f = meta_gradients_fd(nets.params[0], train.x[rows], given[rows],
+e1f, e2f = meta_gradients_fd(params[0], train.x[rows], given[rows],
                              pseudo[rows], meta, mcfg)
 print("closed vs virtual-update oracle, max rel err: %.2e"
       % max(max_rel_error(e1c, e1f, 1e-10), max_rel_error(e2c, e2f, 1e-10)))

@@ -19,7 +19,7 @@ cfg = TrainConfig(epochs=16, batch_size=64, warmup_start=4, warmup_full=9,
                   decay_epochs=(10, 14), hidden=48, proj=12,
                   augment=default_augment_config(0.6),
                   net1_seed=91, net2_seed=92, loop_seed=93)
-report, nets = co_train(train, meta, test, cfg, return_state=True)
+report, params = co_train(train, meta, test, cfg, return_state=True)
 print("trained to ensemble accuracy %.3f" % report.summary["last_acc"]["ensemble"])
 
 # displaced blobs: same radius, rotated halfway between the training classes,
@@ -27,8 +27,8 @@ print("trained to ensemble accuracy %.3f" % report.summary["last_acc"]["ensemble
 # far-field where a rectifier net extrapolates overconfidently
 ood = displaced_blobs(num_classes=4, per_class=100, dim=16, spread=0.6, seed=85,
                       radius_factor=1.0, angle_frac=0.5)
-id_scores = msp_scores_ensemble(nets.params, test.x)
-ood_scores = msp_scores_ensemble(nets.params, ood.x)
+id_scores = msp_scores_ensemble(params, test.x)
+ood_scores = msp_scores_ensemble(params, ood.x)
 
 print("mean max-softmax: held-out %.3f, displaced %.3f"
       % (id_scores.mean(), ood_scores.mean()))

@@ -73,15 +73,13 @@ def cmd_train(config_path: str, out_dir: str | None, seed: int | None,
 
     train_set, meta, test, ood = config.make_datasets(cfg)
     tcfg = config.to_train_config(cfg)
-    writer = None
-    if diagnostics or cfg["run"]["diagnostics"]:
-        writer = DiagnosticsWriter(target)
+    writer = DiagnosticsWriter(target) if diagnostics else None
     try:
-        report, nets = co_train(train_set, meta, test, tcfg, ood=ood,
-                                diagnostics=writer,
-                                config_echo=config.canonical_dict(cfg),
-                                seeds_echo=config.derived_seeds(cfg),
-                                return_state=True)
+        report, params = co_train(train_set, meta, test, tcfg, ood=ood,
+                                  diagnostics=writer,
+                                  config_echo=config.canonical_dict(cfg),
+                                  seeds_echo=config.derived_seeds(cfg),
+                                  return_state=True)
     except TrainingDiverged as exc:
         snap = exc.snapshot
         with open(os.path.join(target, "abort_snapshot.json"), "w") as fh:
@@ -99,7 +97,7 @@ def cmd_train(config_path: str, out_dir: str | None, seed: int | None,
     with open(os.path.join(target, "metrics.csv"), "w") as fh:
         fh.write(metrics_csv(report))
     for k, name in enumerate(NETS):
-        save_checkpoint(nets.params[k], os.path.join(target, "checkpoint_%s.bin" % name))
+        save_checkpoint(params[k], os.path.join(target, "checkpoint_%s.bin" % name))
 
     cfg_hash = config.config_hash(cfg)
     manifest = {

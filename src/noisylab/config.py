@@ -103,7 +103,6 @@ SCHEMA: dict = {
     "run": {
         "seed": _typed(_INT, 7),
         "out_dir": _typed(_STR, "runs/out"),
-        "diagnostics": _typed(_BOOL, False),
     },
     "dataset": {
         "num_classes": _typed(_INT, 4),
@@ -132,7 +131,6 @@ SCHEMA: dict = {
     },
     "reliability": {
         "xi": _typed(_FLOAT, 1e-10),
-        "stride": _typed(_INT, 1),
     },
     "ram": {
         "gamma": _typed(_FLOAT, 4.0),
@@ -318,7 +316,7 @@ def to_train_config(cfg: RunConfig) -> TrainConfig:
         lr=t["lr"], momentum=t["momentum"], weight_decay=t["weight_decay"],
         decay_epochs=resolve_decay_epochs(cfg), decay_factor=t["decay_factor"],
         hidden=cfg["net"]["hidden"], proj=cfg["net"]["proj"],
-        xi=cfg["reliability"]["xi"], reliability_stride=cfg["reliability"]["stride"],
+        xi=cfg["reliability"]["xi"],
         ram=resolve_ram(cfg), cdcl=resolve_cdcl(cfg), augment=resolve_augment(cfg),
         use_meta=t["use_meta"], use_ram=t["use_ram"], use_grg=t["use_grg"],
         use_cdcl=t["use_cdcl"], use_cr=t["use_cr"], use_refine=t["use_refine"],
@@ -394,7 +392,7 @@ def make_datasets(cfg: RunConfig):
 
 # environmental keys: they steer where outputs land, not what is computed,
 # so they stay out of the canonical form, the hash and the report echo
-_NON_EXPERIMENT_KEYS = {("run", "out_dir"), ("run", "diagnostics")}
+_NON_EXPERIMENT_KEYS = {("run", "out_dir")}
 
 
 def canonical_dict(cfg: RunConfig) -> dict:

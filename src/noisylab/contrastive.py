@@ -45,8 +45,8 @@ class CdclConfig:
     range_eps: float = 1e-6   # reliability spread below which gating is uniform
 
     def __post_init__(self):
-        if self.tau <= 0:
-            raise ConfigError("tau must be positive")
+        if not self.tau > 0:  # also rejects NaN
+            raise ConfigError("cdcl.tau must be positive")
 
 
 @dataclass

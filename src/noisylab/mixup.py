@@ -25,10 +25,11 @@ class RamConfig:
     r_max: float = 2.0
 
     def __post_init__(self):
-        if not (0 < self.r_min < self.r_max):
-            raise ConfigError("need 0 < r_min < r_max")
-        if self.gamma <= 0 or self.delta <= 0:
-            raise ConfigError("gamma and delta must be positive")
+        for name in ("gamma", "delta", "r_min"):
+            if not getattr(self, name) > 0:  # also rejects NaN
+                raise ConfigError("ram.%s must be positive" % name)
+        if not self.r_max > self.r_min:
+            raise ConfigError("ram.r_max must exceed ram.r_min")
 
 
 @dataclass(frozen=True)
@@ -64,15 +65,16 @@ def gamma_sample(shape, rng: np.random.Generator) -> np.ndarray:
     out = np.empty_like(d)
     idx = np.arange(d.size)  # the draws still pending, in increasing order
     # each round draws one normal and one uniform per pending draw; a draw
-    # with v <= 0 is rejected, and the nan or -inf its log(v) gives (like
-    # log(0) for u = 0) fails every comparison, so no warning is raised
+    # with v <= 0 needs |x| >= 3*sqrt(d) >= 2.45, where the squeeze test
+    # fails, and its log(v) is nan or -inf, which fails the full test, so it
+    # is rejected without a guard; errstate silences those logs and log(0)
     with np.errstate(divide="ignore", invalid="ignore"):
         while True:
             x = rng.standard_normal(idx.size)
             u = rng.random(idx.size)
             v = (1.0 + ci * x) ** 3
-            accept = (v > 0) & ((u < 1.0 - 0.0331 * x ** 4)
-                                | (np.log(u) < 0.5 * x * x + di * (1.0 - v + np.log(v))))
+            accept = ((u < 1.0 - 0.0331 * x ** 4)
+                      | (np.log(u) < 0.5 * x * x + di * (1.0 - v + np.log(v))))
             out[idx[accept]] = (di * v)[accept]
             idx = idx[~accept]
             if not idx.size:

@@ -195,7 +195,7 @@ def fused_step_fd_error(params: net.ModelParams, xw: np.ndarray, xs: np.ndarray,
         fw_buffers = net.Buffers()
         fw = net.forward_batch(p, x_in, buffers=fw_buffers, total_rows=len(x_in) + mix_rows)
         comps, grad, _ = trainer.step_loss_grad(
-            p, xw, xs, fw, targets2, r2, bc2, cfg.eta_w, w_t, cfg,
+            p, xw, fw, targets2, r2, bc2, cfg.eta_w, w_t, cfg,
             pairs=pairs2 if w_t > 0.0 else None, pseudo_cls=pc2, gate_beta=beta2,
             fw_buffers=fw_buffers)
         values = [c["ce_re"] + w_t * (c.get("cr", 0.0) + c.get("ram", 0.0)

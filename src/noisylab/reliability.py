@@ -7,6 +7,10 @@ the held-out loss at zero perturbation is -eta * <grad of held-out loss,
 per-sample gradient>, with no approximation. oracles.meta_gradients_fd
 performs the virtual SGD update literally and central-differences through it
 to check this route.
+
+A stack of networks gets one row of sensitivities per net, and disentangle
+clamps and normalizes the whole stack in one call, each row along its own
+batch axis.
 """
 
 from __future__ import annotations
@@ -30,21 +34,21 @@ class MetaConfig:
         if self.eta_inner < 0:
             raise ConfigError("eta_inner must be nonnegative")
         if self.xi <= 0:
-            raise ConfigError("xi must be positive")
+            raise ConfigError("reliability.xi must be positive")
 
 
 @dataclass
 class ReliabilityBatch:
+    """(..., B) arrays: one batch, or one row per net of a stack."""
     alpha: np.ndarray  # observed-label reliability, >= 0
     beta: np.ndarray   # pseudo-label reliability, >= 0
-    raw1: np.ndarray   # clamped meta-gradients before batch normalization
-    raw2: np.ndarray
+    mass: np.ndarray   # (..., 1) S, each batch's clamped meta-gradient mass
 
     def mass_identity_gap(self, xi: float) -> float:
-        """|sum(alpha+beta) - B*S/(S+xi)| with S the total clamped raw mass."""
-        s = float(self.raw1.sum() + self.raw2.sum())
-        lhs = float(self.alpha.sum() + self.beta.sum())
-        return abs(lhs - len(self.alpha) * s / (s + xi))
+        """|sum(alpha+beta) - B*S/(S+xi)|, the largest over a stack's rows."""
+        s = self.mass[..., 0]
+        lhs = self.alpha.sum(axis=-1) + self.beta.sum(axis=-1)
+        return float(np.max(np.abs(lhs - self.alpha.shape[-1] * s / (s + xi))))
 
 
 def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
@@ -79,18 +83,20 @@ def meta_gradients_closed(params: ModelParams, batch_x: np.ndarray,
     return -cfg.eta_inner * d1, -cfg.eta_inner * d2
 
 
-def disentangle(e1_grads: np.ndarray, e2_grads: np.ndarray, cfg: MetaConfig,
-                batch_size: int) -> ReliabilityBatch:
-    """Clamp harmful directions to zero and normalize mass along the batch.
+def disentangle(e1_grads: np.ndarray, e2_grads: np.ndarray,
+                cfg: MetaConfig) -> ReliabilityBatch:
+    """Clamp harmful directions to zero and normalize mass along the batch,
+    the last axis of (..., B) meta-gradients.
 
     raw_k = max(-e_k, 0); alpha_i = raw1_i * B / (S + xi) and likewise beta,
-    with S the total raw mass, so sum(alpha + beta) = B * S / (S + xi).
+    with S the batch's total raw mass, so sum(alpha + beta) = B * S / (S + xi).
     """
     e1_grads = np.asarray(e1_grads, dtype=np.float64)
     e2_grads = np.asarray(e2_grads, dtype=np.float64)
-    if len(e1_grads) != batch_size or len(e2_grads) != batch_size:
-        raise ValueError("meta-gradient sequences must have length batch_size")
+    if e1_grads.shape != e2_grads.shape:
+        raise ValueError("e1 and e2 must have one shape")
     raw1 = np.maximum(-e1_grads, 0.0)
     raw2 = np.maximum(-e2_grads, 0.0)
-    scale = batch_size / (raw1.sum() + raw2.sum() + cfg.xi)
-    return ReliabilityBatch(alpha=raw1 * scale, beta=raw2 * scale, raw1=raw1, raw2=raw2)
+    mass = raw1.sum(axis=-1, keepdims=True) + raw2.sum(axis=-1, keepdims=True)
+    scale = e1_grads.shape[-1] / (mass + cfg.xi)
+    return ReliabilityBatch(alpha=raw1 * scale, beta=raw2 * scale, mass=mass)

@@ -2,16 +2,19 @@
 
 Each mini-batch: the co-network (frozen, pre-update) supplies pseudo-labels,
 refined targets and confidences for the network being updated; the meta step
-turns held-out sensitivities into per-sample reliabilities; the reweighted
+turns held-out sensitivities into per-sample reliabilities, re-estimated on
+every batch (the per-batch reweighting of Ren et al. 2018); the reweighted
 cross-entropy, cross-view consistency, gated Mixup and gated contrastive
 terms are combined with a warm-up ramp; one momentum-SGD step per network.
 The two updates inside a batch read only frozen co-network outputs, so they
 are independent and every array they touch has the same shape: co_train
 steps both networks as one stack along a leading net axis (net.ModelParams
-with lead (2,)), one pass per layer for the pair. What has per-net state or
-per-net sizes stays a loop over the two nets: Mixup pair sampling (each net
-owns its random stream), the confidence-filtered cross-entropy and
-consistency heads (each net keeps its own rows) and the contrastive head.
+with lead (2,)), one pass per layer for the pair, and clamps and normalizes
+the pair's reliabilities in one reliability.disentangle call. What has
+per-net state or per-net sizes stays a loop over the two nets: Mixup pair
+sampling (each net owns its random stream), the confidence-filtered
+cross-entropy and consistency heads (each net keeps its own rows) and the
+contrastive head.
 
 Each network step runs one forward per distinct input block (the shared
 [weak; strong] views, the Mixup rows) and one backward pass for the whole
@@ -30,7 +33,7 @@ work matrix in one step buffer; evaluation in one more.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -38,9 +41,9 @@ from . import contrastive, metrics, mixup
 from .contrastive import CdclConfig
 from .data import AugmentConfig, Dataset, MetaSet, make_views
 from .mixup import RamConfig, total_reliability
-from .net import (Architecture, BatchForward, Buffers, ModelParams, OptState, Schedule,
-                  backward_batch, forward_batch, init_opt_state, init_params, sgd_step,
-                  softmax, stack_params, weighted_ce_head, weighted_ce_loss_grad)
+from .net import (Architecture, BatchForward, Buffers, ModelParams, Schedule, backward_batch,
+                  forward_batch, init_opt_state, init_params, sgd_step, softmax, stack_params,
+                  weighted_ce_head, weighted_ce_loss_grad)
 from .reliability import MetaConfig, disentangle, meta_gradients_closed
 from .util import ConfigError, TrainingDiverged, child_rng, csv_line
 
@@ -72,7 +75,6 @@ class TrainConfig:
     hidden: int = 64
     proj: int = 16
     xi: float = 1e-10
-    reliability_stride: int = 1
     ram: RamConfig = RamConfig()
     cdcl: CdclConfig = CdclConfig()
     augment: AugmentConfig = AugmentConfig(0.05, 0.15, 0.1)
@@ -89,49 +91,24 @@ class TrainConfig:
     loop_seed: int = 3
 
     def __post_init__(self):
-        if self.epochs < 0 or self.batch_size < 1:
-            raise ConfigError("epochs must be >= 0 and batch_size >= 1")
-        if not (0 <= self.warmup_start <= self.warmup_full):
-            raise ConfigError("need 0 <= warmup_start <= warmup_full")
+        for key, low in (("trainer.epochs", 0), ("trainer.batch_size", 1),
+                         ("trainer.warmup_start", 0), ("net.hidden", 1), ("net.proj", 1)):
+            if getattr(self, key.split(".")[1]) < low:
+                raise ConfigError("%s must be >= %d" % (key, low))
+        if self.warmup_full < self.warmup_start:
+            raise ConfigError("trainer.warmup_full must be >= trainer.warmup_start")
         if self.epochs > 0 and self.warmup_full > self.epochs:
-            raise ConfigError("warmup_full must not exceed epochs")
+            raise ConfigError("trainer.warmup_full must not exceed trainer.epochs")
         if not (0.0 < self.conf_threshold <= 1.0):
-            raise ConfigError("conf_threshold must lie in (0, 1]")
+            raise ConfigError("trainer.conf_threshold must lie in (0, 1]")
         for name in ("sharpen_temp", "lr"):
             if not getattr(self, name) > 0:  # also rejects NaN
                 raise ConfigError("trainer.%s must be positive" % name)
-        if self.reliability_stride < 1:
-            raise ConfigError("reliability.stride must be >= 1")
-        for name in ("hidden", "proj"):
-            if getattr(self, name) < 1:
-                raise ConfigError("net.%s must be >= 1" % name)
+        if not self.xi > 0:
+            raise ConfigError("reliability.xi must be positive")
         for name in ("eta_w", "lambda_cdcl", "lr", "momentum", "weight_decay", "decay_factor"):
             if not np.isfinite(getattr(self, name)):
                 raise ConfigError("trainer.%s must be finite" % name)
-
-
-def train_config_dict(cfg: TrainConfig) -> dict:
-    out = {}
-    for f in fields(cfg):
-        v = getattr(cfg, f.name)
-        if isinstance(v, (RamConfig, CdclConfig, AugmentConfig)):
-            out[f.name] = {sf.name: getattr(v, sf.name) for sf in fields(v)}
-        elif isinstance(v, tuple):
-            out[f.name] = list(v)
-        else:
-            out[f.name] = v
-    return out
-
-
-@dataclass
-class NetStack:
-    """Both co-trained networks as one stack: index k of each leading net
-    axis is network NETS[k]."""
-    params: ModelParams             # flat (2, n_params)
-    opt: OptState                   # velocity (2, n_params)
-    mix_rngs: tuple                 # each net's Mixup random stream
-    alpha_store: np.ndarray         # (2, n) last alpha per net and sample
-    beta_store: np.ndarray
 
 
 def warmup(t: int, cfg: TrainConfig) -> float:
@@ -222,7 +199,7 @@ def total_loss(components: dict, t: int, cfg: TrainConfig) -> float:
                    + cfg.lambda_cdcl * components.get("cdcl", 0.0)))
 
 
-def step_loss_grad(params: ModelParams, xw: np.ndarray, xs: np.ndarray, fw: BatchForward,
+def step_loss_grad(params: ModelParams, xw: np.ndarray, fw: BatchForward,
                    targets: np.ndarray, r: np.ndarray, bc, eta_w: float, w_t: float,
                    cfg: TrainConfig, pairs: list | None = None,
                    pseudo_cls: np.ndarray | None = None,
@@ -233,13 +210,14 @@ def step_loss_grad(params: ModelParams, xw: np.ndarray, xs: np.ndarray, fw: Batc
 
     params is the stack (lead (K,)); targets (K, B, C), r, pseudo_cls and
     gate_beta (K, B) hold one block per net, bc and pairs (mixup.MixBatch)
-    one entry per net. fw is the stack's shared forward on [xw; xs], or on
-    xw alone when no strong-view term runs (w_t = 0, or use_cr and use_cdcl
-    both off), computed in fw_buffers with total_rows covering the Mixup
-    rows (B more per net) when those run (w_t > 0 and use_ram). Each term's
-    head gradient comes from the cached outputs with w_t and lambda_cdcl
-    folded in, the Mixup rows are forwarded into the rows of fw_buffers after
-    fw's, and one backward pass over [xw; xs; x_mix] gives each net's
+    one entry per net. fw is the stack's shared forward on [xw; xs] (xs, the
+    strong views, is read only through fw), or on xw alone when no
+    strong-view term runs (w_t = 0, or use_cr and use_cdcl both off),
+    computed in fw_buffers with total_rows covering the Mixup rows (B more
+    per net) when those run (w_t > 0 and use_ram). Each term's head gradient
+    comes from the cached outputs with w_t and lambda_cdcl folded in, the
+    Mixup rows are forwarded into the rows of fw_buffers after fw's, and one
+    backward pass over [xw; xs; x_mix] gives each net's
     gradient of ce + w_t * (cr + ram + lambda * cdcl). Returns a list of K
     component dicts, the (K, n_params) gradient and a list of K purity
     totals (contrastive.cdcl_feature_grad), each None unless the contrastive
@@ -262,7 +240,7 @@ def step_loss_grad(params: ModelParams, xw: np.ndarray, xs: np.ndarray, fw: Batc
         comps[k]["ce_re"], dlogits[k, :b] = reweighted_ce_grad(
             params, xw, targets[k], r[k], bc[k], cfg, eta_w=eta_w, logits=fw.logits[k, :b])
         if w_t > 0.0 and cfg.use_cr:
-            comps[k]["cr"], dcr = consistency_loss_grad(params, xs, targets[k], bc[k],
+            comps[k]["cr"], dcr = consistency_loss_grad(params, None, targets[k], bc[k],
                                                         logits=fw.logits[k, b:])
             np.multiply(w_t, dcr, out=dlogits[k, b:n])
     if w_t > 0.0 and cfg.use_cdcl:
@@ -300,9 +278,11 @@ class DiagnosticsWriter:
         self._pur.write("epoch,purity_raw,purity_gated\n")
 
     def reliability_rows(self, epoch, batch_idx, ids, alpha, beta, clean):
-        for k in range(len(ids)):
-            self._rel.write(csv_line([epoch, batch_idx, int(ids[k]),
-                                      float(alpha[k]), float(beta[k]), bool(clean[k])]))
+        """One row per sample of each net; alpha and beta hold a row per net."""
+        for alpha_k, beta_k in zip(alpha, beta):
+            for i in range(len(ids)):
+                self._rel.write(csv_line([epoch, batch_idx, int(ids[i]), float(alpha_k[i]),
+                                          float(beta_k[i]), bool(clean[i])]))
 
     def lambda_hist(self, epoch, hist_by_kind, edges):
         for kind in (2, 1, 0):  # clean_clean first
@@ -323,8 +303,8 @@ class _EpochTally:
     """Accumulates per-epoch sums across batches and both networks."""
 
     def __init__(self):
-        self.loss_sums = {"net1": {}, "net2": {}}
-        self.loss_counts = {"net1": {}, "net2": {}}
+        self.loss_sums = {name: {} for name in NETS}
+        self.batches = 0  # every batch of an epoch runs the same loss terms
         self.alpha = {True: [], False: []}
         self.beta = {True: [], False: []}
         self.wmix_sum = 0.0
@@ -336,16 +316,20 @@ class _EpochTally:
         self.purity = np.zeros(4)  # matches, pairs, gated matches, gate mass
         self.mass_gap = None
 
-    def add_loss(self, name, comps):
-        for key, value in comps.items():
-            self.loss_sums[name][key] = self.loss_sums[name].get(key, 0.0) + value
-            self.loss_counts[name][key] = self.loss_counts[name].get(key, 0) + 1
+    def add_loss(self, comps):
+        """One batch's component dicts, one per net."""
+        self.batches += 1
+        for name, net_comps in zip(NETS, comps):
+            sums = self.loss_sums[name]
+            for key, value in net_comps.items():
+                sums[key] = sums.get(key, 0.0) + value
 
-    def add_reliability(self, alpha, beta, clean, gap):
-        self.alpha[True].append(alpha[clean])
-        self.alpha[False].append(alpha[~clean])
-        self.beta[True].append(beta[clean])
-        self.beta[False].append(beta[~clean])
+    def add_reliability(self, rb, clean, gap):
+        """One batch's stacked reliabilities, net by net."""
+        self.alpha[True].append(rb.alpha[:, clean].ravel())
+        self.alpha[False].append(rb.alpha[:, ~clean].ravel())
+        self.beta[True].append(rb.beta[:, clean].ravel())
+        self.beta[False].append(rb.beta[:, ~clean].ravel())
         self.mass_gap = gap if self.mass_gap is None else max(self.mass_gap, gap)
 
     def add_pairs(self, pairs, clean):
@@ -363,15 +347,9 @@ class _EpochTally:
         self.purity += np.asarray(counts)
 
     def loss_means(self):
-        out = {}
-        for name in ("net1", "net2"):
-            out[name] = {}
-            for key in ("ce_re", "cr", "ram", "cdcl", "total"):
-                if self.loss_counts[name].get(key):
-                    out[name][key] = self.loss_sums[name][key] / self.loss_counts[name][key]
-                else:
-                    out[name][key] = None
-        return out
+        return {name: {key: sums[key] / self.batches if key in sums else None
+                       for key in ("ce_re", "cr", "ram", "cdcl", "total")}
+                for name, sums in self.loss_sums.items()}
 
     def reliability_stats(self):
         stats = {}
@@ -421,7 +399,7 @@ def co_train(train: Dataset, meta: MetaSet | None, test: Dataset, cfg: TrainConf
              config_echo: dict | None = None, seeds_echo: dict | None = None,
              return_state: bool = False):
     """Run the full dual-network loop and return the RunReport (and, with
-    return_state, the final NetStack).
+    return_state, the trained stack's ModelParams: params[k] is NETS[k]).
 
     Supervision for each network comes exclusively from the other network's
     frozen pre-update outputs within each batch.
@@ -433,9 +411,8 @@ def co_train(train: Dataset, meta: MetaSet | None, test: Dataset, cfg: TrainConf
                         cfg.momentum, cfg.weight_decay)
     seeds = (cfg.net1_seed, cfg.net2_seed)
     params = stack_params([init_params(arch, seed) for seed in seeds])
-    nets = NetStack(params, init_opt_state(params, schedule),
-                    tuple(child_rng(seed, _MIX_STREAM) for seed in seeds),
-                    np.full((2, train.n), 0.5), np.full((2, train.n), 0.5))
+    opt = init_opt_state(params, schedule)
+    mix_rngs = [child_rng(seed, _MIX_STREAM) for seed in seeds]  # one stream per net
     clean_mask = train.y_obs == train.y_true
     eye = np.eye(train.num_classes)  # one-hot rows of every label
     meta_targets = eye[meta.y] if cfg.use_meta else None
@@ -444,20 +421,19 @@ def co_train(train: Dataset, meta: MetaSet | None, test: Dataset, cfg: TrainConf
     eval_buffers = Buffers()
 
     report = metrics.RunReport(
-        config=config_echo if config_echo is not None else {"trainer": train_config_dict(cfg)},
+        config=config_echo if config_echo is not None else {"trainer": asdict(cfg)},
         seeds=seeds_echo if seeds_echo is not None else {
             "net1_seed": cfg.net1_seed, "net2_seed": cfg.net2_seed, "loop_seed": cfg.loop_seed},
-        initial={"test_acc": _evaluate(nets.params, test, eval_buffers)},
+        initial={"test_acc": _evaluate(params, test, eval_buffers)},
     )
 
-    mass_gap_overall = None
-    alpha_min = beta_min = None
+    lows = []  # each batch's (mass identity gap, smallest alpha, smallest beta)
 
     for t in range(cfg.epochs):
         tick = time.perf_counter()
         w_t = warmup(t, cfg)
         lr_t = schedule.lr_at(t)
-        nets.opt.epoch = t
+        opt.epoch = t
         order = child_rng(cfg.loop_seed, _ORDER_STREAM, t).permutation(train.n)
         weak_all, strong_all = make_views(train.x, cfg.augment,
                                           child_rng(cfg.loop_seed, _VIEW_STREAM, t))
@@ -466,10 +442,8 @@ def co_train(train: Dataset, meta: MetaSet | None, test: Dataset, cfg: TrainConf
         for batch_idx, b0 in enumerate(range(0, train.n, cfg.batch_size)):
             rows = order[b0:b0 + cfg.batch_size]
             xw, xs = weak_all[rows], strong_all[rows]
-            y_obs = train.y_obs[rows]
-            given = eye[y_obs]
+            given = eye[train.y_obs[rows]]
             batch_clean = clean_mask[rows]
-            batch_ids = train.ids[rows]
             b = len(rows)
 
             # one shared forward of the stack per batch, sized for the Mixup
@@ -478,7 +452,7 @@ def co_train(train: Dataset, meta: MetaSet | None, test: Dataset, cfg: TrainConf
             strong = w_t > 0.0 and (cfg.use_cr or cfg.use_cdcl)
             ram = w_t > 0.0 and cfg.use_ram
             x_in = np.concatenate([xw, xs]) if strong else xw
-            fw = forward_batch(nets.params, x_in, buffers=fw_buffers,
+            fw = forward_batch(params, x_in, buffers=fw_buffers,
                                total_rows=len(x_in) + (b if ram else 0))
             co_probs = softmax(fw.logits[::-1, :b])
             pseudo_cls = co_probs.argmax(axis=-1)
@@ -492,29 +466,21 @@ def co_train(train: Dataset, meta: MetaSet | None, test: Dataset, cfg: TrainConf
                 bc = [np.arange(b)] * 2
 
             if cfg.use_meta:
-                if batch_idx % cfg.reliability_stride == 0:
-                    mcfg = MetaConfig(eta_inner=lr_t, xi=cfg.xi)
-                    e1, e2 = meta_gradients_closed(
-                        nets.params, xw, given, eye[pseudo_cls], meta, mcfg,
-                        out=fw.rows(slice(0, b)), meta_targets=meta_targets,
-                        buffers=step_buffers)
-                    if cfg.couple_meta:
-                        e1 = e2 = 0.5 * (e1 + e2)
-                    for k in range(2):
-                        rb = disentangle(e1[k], e2[k], mcfg, b)
-                        gap = rb.mass_identity_gap(cfg.xi)
-                        tally.add_reliability(rb.alpha, rb.beta, batch_clean, gap)
-                        mass_gap_overall = gap if mass_gap_overall is None else max(mass_gap_overall, gap)
-                        lo_a, lo_b = float(rb.alpha.min()), float(rb.beta.min())
-                        alpha_min = lo_a if alpha_min is None else min(alpha_min, lo_a)
-                        beta_min = lo_b if beta_min is None else min(beta_min, lo_b)
-                        nets.alpha_store[k, rows] = rb.alpha
-                        nets.beta_store[k, rows] = rb.beta
-                        if diagnostics is not None:
-                            diagnostics.reliability_rows(t, batch_idx, batch_ids,
-                                                         rb.alpha, rb.beta, batch_clean)
-                beta = nets.beta_store[:, rows]
-                r = total_reliability(nets.alpha_store[:, rows], beta, cfg.ram)
+                mcfg = MetaConfig(eta_inner=lr_t, xi=cfg.xi)
+                e1, e2 = meta_gradients_closed(
+                    params, xw, given, eye[pseudo_cls], meta, mcfg,
+                    out=fw.rows(slice(0, b)), meta_targets=meta_targets, buffers=step_buffers)
+                if cfg.couple_meta:
+                    e1 = e2 = 0.5 * (e1 + e2)
+                rb = disentangle(e1, e2, mcfg)  # (2, b), each net along its own batch
+                lows.append((rb.mass_identity_gap(cfg.xi), float(rb.alpha.min()),
+                             float(rb.beta.min())))
+                tally.add_reliability(rb, batch_clean, lows[-1][0])
+                if diagnostics is not None:
+                    diagnostics.reliability_rows(t, batch_idx, train.ids[rows],
+                                                 rb.alpha, rb.beta, batch_clean)
+                beta = rb.beta
+                r = total_reliability(rb.alpha, beta, cfg.ram)
                 eta_eff = cfg.eta_w
             else:
                 beta = np.ones((2, b))
@@ -523,17 +489,17 @@ def co_train(train: Dataset, meta: MetaSet | None, test: Dataset, cfg: TrainConf
             finite_r = np.isfinite(r).all(axis=1)
             if not finite_r.all():  # the Beta sampler needs finite shapes
                 raise _diverged("reliability", t, batch_idx, int(np.argmin(finite_r)), {},
-                                nets.params)
+                                params)
 
             pairs = None
             if ram:
-                pairs = [mixup.build_pairs(xw, r[k], targets[k], cfg.ram, nets.mix_rngs[k],
+                pairs = [mixup.build_pairs(xw, r[k], targets[k], cfg.ram, mix_rngs[k],
                                            symmetric=cfg.sym_ram, gate=cfg.use_grg)
                          for k in range(2)]
                 for p in pairs:
                     tally.add_pairs(p, batch_clean)
             comps, grad, purity = step_loss_grad(
-                nets.params, xw, xs, fw, targets, r, bc, eta_eff, w_t, cfg, pairs=pairs,
+                params, xw, fw, targets, r, bc, eta_eff, w_t, cfg, pairs=pairs,
                 pseudo_cls=pseudo_cls, gate_beta=beta, y_true=train.y_true[rows],
                 fw_buffers=fw_buffers, buffers=step_buffers)
 
@@ -544,14 +510,14 @@ def co_train(train: Dataset, meta: MetaSet | None, test: Dataset, cfg: TrainConf
                 finite_loss = np.isfinite(comps[k]["total"])
                 if not (finite_loss and np.isfinite(grad[k]).all()):
                     raise _diverged("gradient" if finite_loss else "loss", t, batch_idx, k,
-                                    comps[k], nets.params)
-            for k, name in enumerate(NETS):
-                if purity[k] is not None:
-                    tally.add_purity(purity[k])
-                tally.add_loss(name, comps[k])
-            nets.params, nets.opt = sgd_step(nets.params, grad, nets.opt)
+                                    comps[k], params)
+            for p in purity:
+                if p is not None:
+                    tally.add_purity(p)
+            tally.add_loss(comps)
+            params, opt = sgd_step(params, grad, opt)
 
-        test_acc = _evaluate(nets.params, test, eval_buffers)
+        test_acc = _evaluate(params, test, eval_buffers)
         purity_raw = tally.purity[0] / tally.purity[1] if tally.purity[1] > 0 else None
         purity_gated = tally.purity[2] / tally.purity[3] if tally.purity[3] > 0 else None
         rec = {
@@ -574,30 +540,28 @@ def co_train(train: Dataset, meta: MetaSet | None, test: Dataset, cfg: TrainConf
             if tally.lambda_stats() is not None:
                 diagnostics.lambda_hist(t, tally.lam_hist, np.linspace(0.0, 1.0, 11))
 
-    last_acc = report.epochs[-1]["test_acc"] if report.epochs else report.initial["test_acc"]
-    if report.epochs:
-        best_idx = int(np.argmax([rec["test_acc"]["ensemble"] for rec in report.epochs]))
-        best = {"epoch": report.epochs[best_idx]["epoch"],
-                "ensemble": report.epochs[best_idx]["test_acc"]["ensemble"]}
-    else:
-        best = {"epoch": None, "ensemble": report.initial["test_acc"]["ensemble"]}
+    initial = {"epoch": None, "test_acc": report.initial["test_acc"]}
+    last = report.epochs[-1] if report.epochs else initial
+    # the first epoch of the best ensemble accuracy
+    best = max(report.epochs, key=lambda rec: rec["test_acc"]["ensemble"], default=initial)
+    gaps, alpha_lows, beta_lows = zip(*lows) if lows else ((), (), ())
     summary = {
-        "last_acc": last_acc,
-        "best_acc_ensemble": best["ensemble"],
+        "last_acc": last["test_acc"],
+        "best_acc_ensemble": best["test_acc"]["ensemble"],
         "best_epoch": best["epoch"],
-        "mass_gap_max": mass_gap_overall,
-        "alpha_min": alpha_min,
-        "beta_min": beta_min,
+        "mass_gap_max": max(gaps, default=None),
+        "alpha_min": min(alpha_lows, default=None),
+        "beta_min": min(beta_lows, default=None),
         "ood": None,
     }
     if ood is not None:
-        id_scores = metrics.msp_scores_ensemble(nets.params, test.x, eval_buffers)
-        ood_scores = metrics.msp_scores_ensemble(nets.params, ood.x, eval_buffers)
+        id_scores = metrics.msp_scores_ensemble(params, test.x, eval_buffers)
+        ood_scores = metrics.msp_scores_ensemble(params, ood.x, eval_buffers)
         score_set = metrics.OodScoreSet(id_scores, ood_scores)
         summary["ood"] = {"auroc": metrics.auroc(score_set),
                           "fpr95": metrics.fpr_at_95_tpr(score_set)}
     report.summary = summary
     report.validate()
     if return_state:
-        return report, nets
+        return report, params
     return report

@@ -74,11 +74,11 @@ def _fixture_config(seed: int, rate: str = "0.4"):
 def _run_variant(cfg, overrides, want_scores=False):
     train_set, meta, test, ood = cfgmod.make_datasets(cfg)
     tcfg = dataclasses.replace(cfgmod.to_train_config(cfg), **overrides)
-    report, nets = co_train(train_set, meta, test, tcfg, ood=ood, return_state=True)
+    report, params = co_train(train_set, meta, test, tcfg, ood=ood, return_state=True)
     scores = None
     if want_scores:
-        scores = (metrics.msp_scores_ensemble(nets.params, test.x),
-                  metrics.msp_scores_ensemble(nets.params, ood.x))
+        scores = (metrics.msp_scores_ensemble(params, test.x),
+                  metrics.msp_scores_ensemble(params, ood.x))
     return report, scores
 
 

@@ -76,10 +76,15 @@ class TestGenerate:
                          "--out", str(tmp_path)]) == 2
 
     def test_removed_fd_step_key_exit_2(self, tmp_path, capsys):
+        # keys that once existed are unknown now, like any other
         bad = tmp_path / "old.cfg"
-        bad.write_text("[reliability]\nfd_step = 0.5\n")
-        assert cli.main(["generate", "--config", str(bad), "--out", str(tmp_path / "x")]) == 2
-        assert "reliability.fd_step" in capsys.readouterr().err
+        for section, key, value in (("reliability", "fd_step", "0.5"),
+                                    ("reliability", "stride", "1"),
+                                    ("run", "diagnostics", "true")):
+            bad.write_text("[%s]\n%s = %s\n" % (section, key, value))
+            assert cli.main(["generate", "--config", str(bad),
+                             "--out", str(tmp_path / "x")]) == 2, key
+            assert "%s.%s" % (section, key) in capsys.readouterr().err
 
 
 def _label_out_of_range(data_dir, cfg_text):
@@ -490,7 +495,8 @@ class TestFuzz:
                     except Exception as exc:
                         pytest.fail("%s: %s escaped: %s" % (label, type(exc).__name__, exc))
                     err = capsys.readouterr().err
-                    assert code == 0 or (code == 2 and key in err), (label, code, err)
+                    named = "%s.%s" % (section, key) in err
+                    assert code == 0 or (code == 2 and named), (label, code, err)
                     cases += 1
                     parsed += "bad value for" not in err
         assert cases == 7 * sum(len(keys) for keys in config.SCHEMA.values())

@@ -97,21 +97,19 @@ class TestFdOracle:
 
 class TestDisentangle:
     def test_all_harmful_gives_zeros(self):
-        rb = reliability.disentangle(np.array([0.5, 1.0]), np.array([2.0, 0.1]),
-                                     CFG, 2)
+        rb = reliability.disentangle(np.array([0.5, 1.0]), np.array([2.0, 0.1]), CFG)
         assert np.all(rb.alpha == 0.0) and np.all(rb.beta == 0.0)
 
     def test_two_sample_hand_case(self):
         # raw masses (1,0) and (0,1): each normalized weight is B/(S+xi) ~ 1
-        rb = reliability.disentangle(np.array([-1.0, 0.0]), np.array([0.0, -1.0]),
-                                     CFG, 2)
+        rb = reliability.disentangle(np.array([-1.0, 0.0]), np.array([0.0, -1.0]), CFG)
         assert np.allclose(rb.alpha, [1.0, 0.0], atol=1e-9)
         assert np.allclose(rb.beta, [0.0, 1.0], atol=1e-9)
         assert abs(rb.alpha.sum() + rb.beta.sum() - 2.0) < 1e-9
 
     def test_uniform_raws_give_half(self):
         e = np.full(6, -0.37)
-        rb = reliability.disentangle(e, e, CFG, 6)
+        rb = reliability.disentangle(e, e, CFG)
         assert np.allclose(rb.alpha, 0.5, atol=1e-9)
         assert np.allclose(rb.beta, 0.5, atol=1e-9)
 
@@ -121,7 +119,7 @@ class TestDisentangle:
             b = int(rng.integers(1, 40))
             e1 = rng.standard_normal(b) * 10.0 ** rng.integers(-8, 3)
             e2 = rng.standard_normal(b) * 10.0 ** rng.integers(-8, 3)
-            rb = reliability.disentangle(e1, e2, CFG, b)
+            rb = reliability.disentangle(e1, e2, CFG)
             assert np.all(rb.alpha >= 0.0) and np.all(rb.beta >= 0.0)
             total = rb.alpha.sum() + rb.beta.sum()
             assert total <= b + 1e-9
@@ -131,16 +129,58 @@ class TestDisentangle:
         rng = np.random.default_rng(1)
         e1 = rng.standard_normal(8)
         e2 = rng.standard_normal(8)
-        a = reliability.disentangle(e1, e2, CFG, 8)
-        b = reliability.disentangle(173.5 * e1, 173.5 * e2, CFG, 8)
+        a = reliability.disentangle(e1, e2, CFG)
+        b = reliability.disentangle(173.5 * e1, 173.5 * e2, CFG)
         assert max_rel_error(a.alpha, b.alpha, zero_floor=1e-12) < 1e-10
         assert max_rel_error(a.beta, b.beta, zero_floor=1e-12) < 1e-10
 
     def test_saturated_mass_when_raws_dominate_xi(self):
         rng = np.random.default_rng(2)
-        rb = reliability.disentangle(-rng.random(16) - 0.5, -rng.random(16) - 0.5,
-                                     CFG, 16)
+        rb = reliability.disentangle(-rng.random(16) - 0.5, -rng.random(16) - 0.5, CFG)
         assert abs(rb.alpha.sum() + rb.beta.sum() - 16.0) < 1e-6
+
+
+class TestStacked:
+    """disentangle and mass_identity_gap on a (2, B) stack: slice k equals
+    the 1-D call on row k, bit for bit, and the gap is the larger one."""
+
+    @staticmethod
+    def check(e1, e2):
+        stacked = reliability.disentangle(e1, e2, CFG)
+        gaps = []
+        for k in range(2):
+            single = reliability.disentangle(e1[k], e2[k], CFG)
+            for name in ("alpha", "beta", "mass"):
+                assert np.array_equal(getattr(stacked, name)[k], getattr(single, name)), name
+            gaps.append(single.mass_identity_gap(CFG.xi))
+        assert np.array_equal(stacked.mass_identity_gap(CFG.xi), max(gaps))
+        return stacked
+
+    def test_matches_per_net_calls(self):
+        rng = np.random.default_rng(3)
+        for b in range(1, 301):
+            scale = 10.0 ** rng.integers(-8, 3, size=(2, 1))
+            self.check(rng.standard_normal((2, b)) * scale,
+                       rng.standard_normal((2, b)) * scale)
+
+    def test_all_harmful_batch(self):
+        rng = np.random.default_rng(4)
+        rb = self.check(rng.random((2, 12)), rng.random((2, 12)))  # S = 0 for both nets
+        assert np.all(rb.alpha == 0.0) and np.all(rb.beta == 0.0)
+
+    def test_one_net_starved(self):
+        # net 1's only helpful direction is far below xi; net 2 is healthy
+        rng = np.random.default_rng(5)
+        e1, e2 = rng.random((2, 10)), rng.random((2, 10))
+        e1[0, 3] = -1e-14
+        e1[1], e2[1] = -rng.random(10), -rng.random(10)
+        rb = self.check(e1, e2)
+        assert (rb.alpha[0] + rb.beta[0]).sum() < 1.0
+        assert abs((rb.alpha[1] + rb.beta[1]).sum() - 10.0) < 1e-9
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError):
+            reliability.disentangle(np.zeros((2, 3)), np.zeros(3), CFG)
 
 
 class TestSeparation:
@@ -157,14 +197,14 @@ class TestSeparation:
                           decay_epochs=(), hidden=32, proj=8,
                           augment=default_augment_config(0.5),
                           net1_seed=31, net2_seed=32, loop_seed=33)
-        report, nets = co_train(train, meta, test, cfg, return_state=True)
+        report, params = co_train(train, meta, test, cfg, return_state=True)
 
         mcfg = reliability.MetaConfig(eta_inner=cfg.lr)
-        probs = net.softmax(net.forward_batch(nets.params[1], train.x).logits)
+        probs = net.softmax(net.forward_batch(params[1], train.x).logits)
         pseudo = reliability.one_hot(probs.argmax(axis=1), 4)
         given = reliability.one_hot(train.y_obs, 4)
-        e1, e2 = reliability.meta_gradients_closed(nets.params[0], train.x,
+        e1, e2 = reliability.meta_gradients_closed(params[0], train.x,
                                                    given, pseudo, meta, mcfg)
-        rb = reliability.disentangle(e1, e2, mcfg, train.n)
+        rb = reliability.disentangle(e1, e2, mcfg)
         clean = train.y_obs == train.y_true
         assert rb.alpha[clean].mean() > rb.alpha[~clean].mean()

@@ -3,7 +3,8 @@
 Every public top-level function or class of src/noisylab (oracles.py, which
 holds the reference forms, aside) must be referenced by name from non-test
 code: the package itself, the demos or the benchmark worker. A form that only
-tests or oracles call belongs in oracles.py.
+tests or oracles call belongs in oracles.py. Every parameter of a function
+defined there is read in its body: a parameter nothing reads is a no-op.
 """
 
 import ast
@@ -68,3 +69,38 @@ def test_allowlist_is_current():
     stale = [qual for qual in ALLOWLIST
              if qual not in defined or qual.split(".")[1] in referenced]
     assert stale == []
+
+
+# "module.function.parameter" -> why it stays although the body never reads it.
+UNREAD_ALLOWLIST = {
+    # perfbench/worker.py passes eval_mode=True; forward_batch has no
+    # train-time-only behaviour for it to switch off
+    "net.forward_batch.eval_mode": "passed by the benchmark worker",
+}
+
+
+def _unread_parameters():
+    for path in _production_modules():
+        module = os.path.splitext(os.path.basename(path))[0]
+        for node in ast.walk(_tree(path)):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            if node.name.startswith("__") and node.name.endswith("__"):
+                continue
+            args = node.args
+            params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+            params += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
+            read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name)}
+            for name in params:
+                if name not in read:
+                    yield "%s.%s.%s" % (module, node.name, name)
+
+
+def test_every_parameter_is_read():
+    unread = [qual for qual in _unread_parameters() if qual not in UNREAD_ALLOWLIST]
+    assert unread == [], "parameters no body reads; delete them: %s" % ", ".join(unread)
+
+
+def test_unread_allowlist_is_current():
+    assert sorted(set(UNREAD_ALLOWLIST) - set(_unread_parameters())) == []

@@ -276,14 +276,6 @@ class TestCoTrain:
         assert len(report.wall_seconds) == 1
         assert "wall" not in report.to_json()
 
-    def test_reliability_stride_reuses_last_values(self):
-        train, meta, test = tiny_data(n_per=60)  # several batches per epoch
-        dense = trainer.co_train(train, meta, test, tiny_cfg(), config_echo={})
-        strided = trainer.co_train(train, meta, test,
-                                   tiny_cfg(reliability_stride=3), config_echo={})
-        assert dense.to_json() != strided.to_json()
-        assert strided.summary["mass_gap_max"] <= 1e-9
-
     def test_total_gradient_matches_fd_through_composed_objective(self):
         # freeze one batch's assembled objective and check the network step's
         # fused gradient (one forward per input block, one backward) against
@@ -348,7 +340,7 @@ class TestFusedStep:
         fw = net.forward_batch(p, x_in, buffers=fw_buffers,
                                total_rows=len(x_in) + (self.B if w_t > 0 else 0))
         comps, grad, purity = trainer.step_loss_grad(
-            p, xw, xs, fw, targets, r, bcs, cfg.eta_w, w_t, cfg,
+            p, xw, fw, targets, r, bcs, cfg.eta_w, w_t, cfg,
             pairs=pairs if w_t > 0 else None, pseudo_cls=pc,
             gate_beta=beta, y_true=self.y, fw_buffers=fw_buffers)
 
