@@ -5,9 +5,8 @@ literal virtual-update finite-difference oracle."""
 
 import numpy as np
 
-from noisylab import (MetaConfig, TrainConfig, co_train, disentangle,
-                      inject_symmetric_noise, make_blobs,
-                      meta_gradients_closed, split_meta)
+from noisylab import (TrainConfig, co_train, disentangle, inject_symmetric_noise,
+                      make_blobs, meta_gradients_closed, split_meta)
 from noisylab.data import default_augment_config
 from noisylab.net import forward_batch, softmax
 from noisylab.oracles import max_rel_error, meta_gradients_fd
@@ -25,13 +24,12 @@ cfg = TrainConfig(epochs=6, batch_size=64, warmup_start=6, warmup_full=6,
                   net1_seed=31, net2_seed=32, loop_seed=33)
 _, params = co_train(train, meta, test, cfg, return_state=True)
 
-mcfg = MetaConfig(eta_inner=cfg.lr)
 co_probs = softmax(forward_batch(params[1], train.x).logits)
 pseudo = one_hot(co_probs.argmax(axis=1), 4)
 given = one_hot(train.y_obs, 4)
 
-e1, e2 = meta_gradients_closed(params[0], train.x, given, pseudo, meta, mcfg)
-rb = disentangle(e1, e2, mcfg)
+e1, e2 = meta_gradients_closed(params[0], train.x, given, pseudo, meta, cfg.lr)
+rb = disentangle(e1, e2)
 
 clean = train.y_obs == train.y_true
 print("alpha (observed-label reliability):")
@@ -45,8 +43,8 @@ print("batch mass sum(alpha+beta) = %.6f (batch size %d)"
 # update literally and differencing through it
 rows = np.arange(8)
 e1c, e2c = meta_gradients_closed(params[0], train.x[rows], given[rows],
-                                 pseudo[rows], meta, mcfg)
+                                 pseudo[rows], meta, cfg.lr)
 e1f, e2f = meta_gradients_fd(params[0], train.x[rows], given[rows],
-                             pseudo[rows], meta, mcfg)
+                             pseudo[rows], meta, cfg.lr)
 print("closed vs virtual-update oracle, max rel err: %.2e"
       % max(max_rel_error(e1c, e1f, 1e-10), max_rel_error(e2c, e2f, 1e-10)))

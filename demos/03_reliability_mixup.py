@@ -5,7 +5,7 @@ per-pair gating weight."""
 import numpy as np
 
 from noisylab import RamConfig, total_reliability
-from noisylab.mixup import sample_lambda_batch
+from noisylab.mixup import DELTA, sample_lambda_batch
 
 cfg = RamConfig()
 rng = np.random.default_rng(0)
@@ -19,7 +19,7 @@ print("\ninterpolation coefficient under different reliability pairs"
       " (10^5 draws each):")
 for r_i, r_j in [(1.0, 1.0), (3.0, 1.0), (0.1, 2.0), (2.0, 0.1)]:
     lam = sample_lambda_batch(np.full(n, r_i), np.full(n, r_j), cfg, rng)
-    denom = r_i + r_j + cfg.delta
+    denom = r_i + r_j + DELTA
     a, b = cfg.gamma * r_i / denom, cfg.gamma * r_j / denom
     print("  r_i=%.1f r_j=%.1f: Beta(%.2f, %.2f)  mean %.3f (analytic %.3f)"
           "  frac>0.5 %.3f" % (r_i, r_j, a, b, lam.mean(), a / (a + b),

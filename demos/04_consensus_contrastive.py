@@ -24,13 +24,13 @@ bank = FeatureBank(z=z,
 positives = positive_sets(bank.pseudo_class)
 print("positive set sizes per anchor:", [len(p) for p in positives])
 
-bnorm = normalize_beta(bank.beta, cfg.range_eps)
+bnorm = normalize_beta(bank.beta)
 weights = consensus_weights(bnorm, positives)
 print("normalized reliabilities:", np.round(bnorm, 3))
 print("anchor 0 pair weights   :", np.round(weights[0], 3))
 
 fast, _, _ = cdcl_feature_grad(bank, cfg)
-slow = naive_infonce(bank.z, bank.pseudo_class, bank.beta, cfg.tau, cfg.range_eps)
+slow = naive_infonce(bank.z, bank.pseudo_class, bank.beta, cfg.tau)
 print("vectorized loss %.12f" % fast)
 print("double loop     %.12f" % slow)
 print("difference      %.2e" % abs(fast - slow))

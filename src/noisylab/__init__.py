@@ -15,5 +15,5 @@ from .data import (displaced_blobs, inject_asymmetric_noise, inject_symmetric_no
                    make_blobs, split_meta)
 from .metrics import OodScoreSet, auroc, fpr_at_95_tpr
 from .mixup import RamConfig, total_reliability
-from .reliability import MetaConfig, disentangle, meta_gradients_closed
+from .reliability import disentangle, meta_gradients_closed
 from .trainer import TrainConfig, co_train

@@ -19,7 +19,6 @@ default, so an empty file is a valid full configuration.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,9 +69,16 @@ def _parse_pair_map(text: str):
         return None
     out = {}
     for piece in text.split(","):
-        src, dst = piece.split(":")
-        out[int(src)] = int(dst)
+        src, dst = (int(v) for v in piece.split(":"))
+        if src in out:
+            raise ValueError("class %d is mapped twice" % src)
+        out[src] = dst
     return out
+
+
+def _parse_sigma(text: str):
+    text = text.strip()
+    return "auto" if text == "auto" else float(text)
 
 
 def _fmt_int_list(value) -> str:
@@ -85,6 +91,10 @@ def _fmt_pair_map(value) -> str:
     if value is None:
         return ""
     return ",".join("%d:%d" % (k, value[k]) for k in sorted(value))
+
+
+def _fmt_sigma(value) -> str:
+    return "auto" if value == "auto" else fmt_float(value)
 
 
 # key -> (parser, default, formatter)
@@ -121,26 +131,21 @@ SCHEMA: dict = {
         "ood_angle_frac": _typed(_FLOAT, 0.5),
     },
     "augment": {
-        "sigma_weak": _typed(_STR, "auto"),
-        "sigma_strong": _typed(_STR, "auto"),
+        "sigma_weak": (_parse_sigma, "auto", _fmt_sigma),
+        "sigma_strong": (_parse_sigma, "auto", _fmt_sigma),
         "p_drop": _typed(_FLOAT, 0.1),
     },
     "net": {
         "hidden": _typed(_INT, 64),
         "proj": _typed(_INT, 16),
     },
-    "reliability": {
-        "xi": _typed(_FLOAT, 1e-10),
-    },
     "ram": {
         "gamma": _typed(_FLOAT, 4.0),
-        "delta": _typed(_FLOAT, 1e-8),
         "r_min": _typed(_FLOAT, 0.1),
         "r_max": _typed(_FLOAT, 2.0),
     },
     "cdcl": {
         "tau": _typed(_FLOAT, 0.2),
-        "range_eps": _typed(_FLOAT, 1e-6),
     },
     "trainer": {
         "epochs": _typed(_INT, 40),
@@ -168,14 +173,6 @@ SCHEMA: dict = {
 }
 
 
-@dataclass
-class RunConfig:
-    values: dict  # {section: {key: typed value}}
-
-    def __getitem__(self, section: str) -> dict:
-        return self.values[section]
-
-
 def parse_config_text(text: str) -> dict:
     """Sectioned key=value lines into raw strings; '#' starts a comment."""
     raw: dict = {}
@@ -201,8 +198,9 @@ def parse_config_text(text: str) -> dict:
 
 
 def build_run_config(raw: dict, seed_override: int | None = None,
-                     out_override: str | None = None) -> RunConfig:
-    """Typed, validated configuration; unknown sections/keys are named."""
+                     out_override: str | None = None) -> dict:
+    """Typed, validated configuration, {section: {key: typed value}};
+    unknown sections/keys are named."""
     values: dict = {}
     for section, entries in raw.items():
         if section not in SCHEMA:
@@ -224,13 +222,12 @@ def build_run_config(raw: dict, seed_override: int | None = None,
         values["run"]["seed"] = int(seed_override)
     if out_override is not None:
         values["run"]["out_dir"] = str(out_override)
-    cfg = RunConfig(values)
-    _validate(cfg)
-    return cfg
+    _validate(values)
+    return values
 
 
 def load_config(path, seed_override: int | None = None,
-                out_override: str | None = None) -> RunConfig:
+                out_override: str | None = None) -> dict:
     return build_run_config(parse_config_text(read_text(path)),
                             seed_override=seed_override, out_override=out_override)
 
@@ -240,12 +237,12 @@ def _check_float(name: str, value: float) -> None:
         raise ConfigError("%s must be finite and at most %g in magnitude" % (name, FLOAT_LIMIT))
 
 
-def _validate(cfg: RunConfig) -> None:
+def _validate(cfg: dict) -> None:
     # first, so that a NaN, which passes no range check, is named as such
-    for section, keys in SCHEMA.items():
-        for key, (parser, _, _) in keys.items():
-            if parser is float:
-                _check_float("%s.%s" % (section, key), cfg[section][key])
+    for section, values in cfg.items():
+        for key, value in values.items():
+            if isinstance(value, float):
+                _check_float("%s.%s" % (section, key), value)
     if cfg["run"]["seed"] < 0:  # seeds feed np.random.SeedSequence
         raise ConfigError("run.seed must be nonnegative")
     ds = cfg["dataset"]
@@ -265,47 +262,32 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError("dataset.noise_rate must lie in [0, 1]")
     if ds["noise_mode"] == "asymmetric" and ds["pair_map"] is None:
         raise ConfigError("asymmetric noise needs dataset.pair_map")
-    for key in ("sigma_weak", "sigma_strong"):
-        v = cfg["augment"][key]
-        if v != "auto":
-            try:
-                sigma = float(v)
-            except ValueError:
-                raise ConfigError("augment.%s must be a float or 'auto'" % key)
-            _check_float("augment.%s" % key, sigma)
+    for src, dst in (ds["pair_map"] or {}).items():
+        if not (0 <= src < ds["num_classes"] and 0 <= dst < ds["num_classes"]):
+            raise ConfigError("dataset.pair_map entry %d:%d names a class outside 0..%d"
+                              % (src, dst, ds["num_classes"] - 1))
+        if src == dst:
+            raise ConfigError("dataset.pair_map must not map class %d to itself" % src)
     # instantiating the typed configs runs their own validation
-    resolve_ram(cfg)
-    resolve_cdcl(cfg)
     to_train_config(cfg)
 
 
-def resolve_ram(cfg: RunConfig) -> RamConfig:
-    r = cfg["ram"]
-    return RamConfig(gamma=r["gamma"], delta=r["delta"], r_min=r["r_min"], r_max=r["r_max"])
-
-
-def resolve_cdcl(cfg: RunConfig) -> CdclConfig:
-    c = cfg["cdcl"]
-    return CdclConfig(tau=c["tau"], range_eps=c["range_eps"])
-
-
-def resolve_augment(cfg: RunConfig) -> AugmentConfig:
+def resolve_augment(cfg: dict) -> AugmentConfig:
     a = cfg["augment"]
-    spread = cfg["dataset"]["spread"]
-    base = default_augment_config(spread)
-    sigma_w = base.sigma_weak if a["sigma_weak"] == "auto" else float(a["sigma_weak"])
-    sigma_s = base.sigma_strong if a["sigma_strong"] == "auto" else float(a["sigma_strong"])
+    base = default_augment_config(cfg["dataset"]["spread"])
+    sigma_w = base.sigma_weak if a["sigma_weak"] == "auto" else a["sigma_weak"]
+    sigma_s = base.sigma_strong if a["sigma_strong"] == "auto" else a["sigma_strong"]
     return AugmentConfig(sigma_weak=sigma_w, sigma_strong=sigma_s, p_drop=a["p_drop"])
 
 
-def resolve_decay_epochs(cfg: RunConfig):
+def resolve_decay_epochs(cfg: dict):
     t = cfg["trainer"]
     if t["decay_epochs"] == "auto":
         return (int(t["epochs"] * 0.6), int(t["epochs"] * 0.85))
     return tuple(t["decay_epochs"])
 
 
-def to_train_config(cfg: RunConfig) -> TrainConfig:
+def to_train_config(cfg: dict) -> TrainConfig:
     t = cfg["trainer"]
     seed = cfg["run"]["seed"]
     return TrainConfig(
@@ -316,8 +298,8 @@ def to_train_config(cfg: RunConfig) -> TrainConfig:
         lr=t["lr"], momentum=t["momentum"], weight_decay=t["weight_decay"],
         decay_epochs=resolve_decay_epochs(cfg), decay_factor=t["decay_factor"],
         hidden=cfg["net"]["hidden"], proj=cfg["net"]["proj"],
-        xi=cfg["reliability"]["xi"],
-        ram=resolve_ram(cfg), cdcl=resolve_cdcl(cfg), augment=resolve_augment(cfg),
+        ram=RamConfig(**cfg["ram"]), cdcl=CdclConfig(**cfg["cdcl"]),
+        augment=resolve_augment(cfg),
         use_meta=t["use_meta"], use_ram=t["use_ram"], use_grg=t["use_grg"],
         use_cdcl=t["use_cdcl"], use_cr=t["use_cr"], use_refine=t["use_refine"],
         couple_meta=t["couple_meta"], sym_ram=t["sym_ram"],
@@ -330,7 +312,7 @@ def _derive(seed: int, tag: int) -> int:
     return int(np.random.SeedSequence([int(seed), tag]).generate_state(1)[0])
 
 
-def derived_seeds(cfg: RunConfig) -> dict:
+def derived_seeds(cfg: dict) -> dict:
     seed = cfg["run"]["seed"]
     return {
         "seed": seed,
@@ -345,7 +327,7 @@ def derived_seeds(cfg: RunConfig) -> dict:
     }
 
 
-def make_training_pool(cfg: RunConfig) -> Dataset:
+def make_training_pool(cfg: dict) -> Dataset:
     """The full (noisy, pre-split) training pool described by [dataset]."""
     ds_cfg = cfg["dataset"]
     seeds = derived_seeds(cfg)
@@ -373,7 +355,7 @@ def make_training_pool(cfg: RunConfig) -> Dataset:
     return pool
 
 
-def make_datasets(cfg: RunConfig):
+def make_datasets(cfg: dict):
     """(train, meta, test, ood-or-None) for one run."""
     ds_cfg = cfg["dataset"]
     seeds = derived_seeds(cfg)
@@ -395,7 +377,7 @@ def make_datasets(cfg: RunConfig):
 _NON_EXPERIMENT_KEYS = {("run", "out_dir")}
 
 
-def canonical_dict(cfg: RunConfig) -> dict:
+def canonical_dict(cfg: dict) -> dict:
     """Nested plain dict with resolved values, ready for the report echo."""
     out: dict = {}
     for section in sorted(SCHEMA):
@@ -407,15 +389,16 @@ def canonical_dict(cfg: RunConfig) -> dict:
             if isinstance(value, tuple):
                 value = list(value)
             out[section][key] = value
+    augment = resolve_augment(cfg)
     out["resolved"] = {
         "decay_epochs": list(resolve_decay_epochs(cfg)),
-        "sigma_weak": resolve_augment(cfg).sigma_weak,
-        "sigma_strong": resolve_augment(cfg).sigma_strong,
+        "sigma_weak": augment.sigma_weak,
+        "sigma_strong": augment.sigma_strong,
     }
     return out
 
 
-def canonical_text(cfg: RunConfig) -> str:
+def canonical_text(cfg: dict) -> str:
     """Sorted section.key=value lines with normalized float formatting."""
     lines = []
     for section in sorted(SCHEMA):
@@ -427,5 +410,5 @@ def canonical_text(cfg: RunConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def config_hash(cfg: RunConfig) -> str:
+def config_hash(cfg: dict) -> str:
     return hashlib.sha256(canonical_text(cfg).encode()).hexdigest()

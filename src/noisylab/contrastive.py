@@ -37,12 +37,13 @@ from .util import ConfigError
 
 # below this pre-normalization norm a row is flagged degenerate and zeroed
 DEGENERATE_NORM = 1e-6
+# below this spread of a batch's reliabilities the gating is uniform
+RANGE_EPS = 1e-6
 
 
 @dataclass(frozen=True)
 class CdclConfig:
     tau: float = 0.2          # softmax temperature on cosine similarities
-    range_eps: float = 1e-6   # reliability spread below which gating is uniform
 
     def __post_init__(self):
         if not self.tau > 0:  # also rejects NaN
@@ -61,16 +62,16 @@ class FeatureBank:
         return self.z.shape[0]
 
 
-def normalize_beta(beta: np.ndarray, range_eps: float = 1e-6) -> np.ndarray:
+def normalize_beta(beta: np.ndarray) -> np.ndarray:
     """Min-max normalization of the pseudo-label reliabilities to [0, 1].
 
-    A batch with no spread carries no ranking information; the literal
-    formula would zero every weight and silently disable the loss, so such
-    batches fall back to uniform weight one instead.
+    A batch with no spread (below RANGE_EPS) carries no ranking information;
+    the literal formula would zero every weight and silently disable the
+    loss, so such batches fall back to uniform weight one instead.
     """
     beta = np.asarray(beta, dtype=np.float64)
     lo, hi = beta.min(), beta.max()
-    if hi - lo < range_eps:
+    if hi - lo < RANGE_EPS:
         return np.ones_like(beta)
     return (beta - lo) / (hi - lo + 1e-8)
 
@@ -133,7 +134,7 @@ def cdcl_feature_grad(bank: FeatureBank, cfg: CdclConfig, y_true: np.ndarray | N
     # class sum minus row i's own term
     cls = np.asarray(bank.pseudo_class)  # class indices 0..K-1
     member = (cls == np.arange(cls.max() + 1)[:, None]).astype(np.float64)  # (K, 2N)
-    bnorm = normalize_beta(bank.beta, cfg.range_eps)
+    bnorm = normalize_beta(bank.beta)
     pos_counts = np.bincount(cls)[cls] - 1
     valid = pos_counts >= 1
     b_pos = (member @ bnorm)[cls] - bnorm  # sum of b_j over the positives of row i

@@ -44,18 +44,10 @@ class OodScoreSet:
 
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
-    """1-based ranks with ties averaged."""
-    order = np.argsort(values, kind="mergesort")
-    ranks = np.empty(len(values))
-    sorted_vals = values[order]
-    i = 0
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+    """1-based ranks with ties averaged: a run of `count` equal values
+    ending at sorted position `end` (1-based) shares end - (count - 1) / 2."""
+    _, run, counts = np.unique(values, return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - 0.5 * (counts - 1))[run]
 
 
 def auroc(scores: OodScoreSet) -> float:

@@ -16,16 +16,18 @@ import numpy as np
 
 from .util import ConfigError
 
+# guards the Beta shape parameters' denominator r_i + r_j
+DELTA = 1e-8
+
 
 @dataclass(frozen=True)
 class RamConfig:
     gamma: float = 4.0      # baseline Beta concentration
-    delta: float = 1e-8     # guards the shape-parameter denominator
     r_min: float = 0.1
     r_max: float = 2.0
 
     def __post_init__(self):
-        for name in ("gamma", "delta", "r_min"):
+        for name in ("gamma", "r_min"):
             if not getattr(self, name) > 0:  # also rejects NaN
                 raise ConfigError("ram.%s must be positive" % name)
         if not self.r_max > self.r_min:
@@ -99,10 +101,10 @@ def _beta_from_gammas(a_shapes: np.ndarray, b_shapes: np.ndarray,
 def sample_lambda_batch(r_i: np.ndarray, r_j: np.ndarray, cfg: RamConfig,
                         rng: np.random.Generator) -> np.ndarray:
     """Interpolation coefficients, one per pair, skewed toward the more
-    reliable endpoint: Beta(gamma*r_i/(r_i+r_j+delta), gamma*r_j/(...))."""
+    reliable endpoint: Beta(gamma*r_i/(r_i+r_j+DELTA), gamma*r_j/(...))."""
     r_i = np.asarray(r_i, dtype=np.float64)
     r_j = np.asarray(r_j, dtype=np.float64)
-    denom = r_i + r_j + cfg.delta
+    denom = r_i + r_j + DELTA
     return _beta_from_gammas(cfg.gamma * r_i / denom, cfg.gamma * r_j / denom, rng)
 
 

@@ -347,38 +347,12 @@ def per_sample_grad_dots(params: ModelParams, out: BatchForward,
     return dots[0], dots[1]
 
 
-@dataclass(frozen=True)
-class Schedule:
-    base_lr: float
-    decay_epochs: tuple[int, ...] = ()
-    decay_factor: float = 0.1
-    momentum: float = 0.9
-    weight_decay: float = 5e-4
-
-    def lr_at(self, epoch: int) -> float:
-        drops = sum(1 for e in self.decay_epochs if epoch >= e)
-        return self.base_lr * self.decay_factor ** drops
-
-
-@dataclass
-class OptState:
-    velocity: np.ndarray
-    epoch: int
-    schedule: Schedule
-
-
-def init_opt_state(params: ModelParams, schedule: Schedule) -> OptState:
-    """Zero velocity for a network or a stack of them."""
-    return OptState(np.zeros_like(params.flat), 0, schedule)
-
-
-def sgd_step(params: ModelParams, grad: np.ndarray, state: OptState) -> tuple[ModelParams, OptState]:
-    """Momentum SGD with coupled weight decay and stepwise lr decay."""
-    sched = state.schedule
-    lr = sched.lr_at(state.epoch)
-    velocity = sched.momentum * state.velocity + grad + sched.weight_decay * params.flat
-    new_params = ModelParams(params.arch, params.flat - lr * velocity)
-    return new_params, OptState(velocity, state.epoch, sched)
+def sgd_step(params: ModelParams, grad: np.ndarray, velocity: np.ndarray, lr: float,
+             momentum: float, weight_decay: float) -> tuple[ModelParams, np.ndarray]:
+    """Momentum SGD with coupled weight decay: the new parameters and
+    velocity (for a network or a stack of them)."""
+    velocity = momentum * velocity + grad + weight_decay * params.flat
+    return ModelParams(params.arch, params.flat - lr * velocity), velocity
 
 
 def l2_normalize(v: np.ndarray) -> np.ndarray:

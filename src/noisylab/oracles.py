@@ -53,11 +53,11 @@ def max_rel_error(a: np.ndarray, b: np.ndarray, zero_floor: float = 1e-8) -> flo
 
 
 def naive_infonce(z: np.ndarray, pseudo_class: np.ndarray, beta: np.ndarray,
-                  tau: float, range_eps: float = 1e-6) -> float:
+                  tau: float) -> float:
     """Scalar-math double-loop restatement of the gated contrastive loss."""
     n = len(pseudo_class)
     lo, hi = min(beta), max(beta)
-    if hi - lo < range_eps:
+    if hi - lo < contrastive.RANGE_EPS:
         bnorm = [1.0] * n
     else:
         bnorm = [(bv - lo) / (hi - lo + 1e-8) for bv in beta]
@@ -118,7 +118,7 @@ def dense_loss_pieces(bank: contrastive.FeatureBank, cfg: contrastive.CdclConfig
     logp = sims - (row_max + np.log(np.exp(sims - row_max).sum(axis=1, keepdims=True)))
     pos = bank.pseudo_class[:, None] == bank.pseudo_class[None, :]
     np.fill_diagonal(pos, False)
-    bnorm = contrastive.normalize_beta(bank.beta, cfg.range_eps)
+    bnorm = contrastive.normalize_beta(bank.beta)
     w = np.outer(bnorm, bnorm)
     pos_counts = pos.sum(axis=1)
     valid = pos_counts >= 1
@@ -224,7 +224,7 @@ def meta_loss(params: net.ModelParams, meta: MetaSet, num_classes: int) -> float
 
 def meta_gradients_fd(params: net.ModelParams, batch_x: np.ndarray,
                       given_targets: np.ndarray, pseudo_targets: np.ndarray,
-                      meta: MetaSet, cfg: reliability.MetaConfig,
+                      meta: MetaSet, eta_inner: float,
                       step: float = 1e-4) -> tuple[np.ndarray, np.ndarray]:
     """Literal virtual-update restatement of reliability.meta_gradients_closed.
 
@@ -240,7 +240,7 @@ def meta_gradients_fd(params: net.ModelParams, batch_x: np.ndarray,
     def held_out_after_step(w: np.ndarray) -> float:
         g = (net.weighted_ce_loss_grad(params, batch_x, given_targets, w[:b])[1]
              + net.weighted_ce_loss_grad(params, batch_x, pseudo_targets, w[b:])[1])
-        stepped = net.ModelParams(params.arch, params.flat - cfg.eta_inner * g)
+        stepped = net.ModelParams(params.arch, params.flat - eta_inner * g)
         return meta_loss(stepped, meta, given_targets.shape[1])
 
     e = fd_gradient(held_out_after_step, np.zeros(2 * b), step)
@@ -351,12 +351,11 @@ def _random_fixture(seed: int):
 
 def suite_meta(n_seeds: int = 100) -> list[CheckResult]:
     """Exact meta-gradients vs the literal virtual-update oracle."""
-    cfg = reliability.MetaConfig(eta_inner=0.1)
     worst = 0.0
     for seed in range(n_seeds):
         params, batch_x, given, pseudo, meta = _random_fixture(seed)
-        closed = reliability.meta_gradients_closed(params, batch_x, given, pseudo, meta, cfg)
-        fd = meta_gradients_fd(params, batch_x, given, pseudo, meta, cfg)
+        closed = reliability.meta_gradients_closed(params, batch_x, given, pseudo, meta, 0.1)
+        fd = meta_gradients_fd(params, batch_x, given, pseudo, meta, 0.1)
         worst = max(worst,
                     max_rel_error(closed[0], fd[0], zero_floor=1e-10),
                     max_rel_error(closed[1], fd[1], zero_floor=1e-10))
@@ -420,7 +419,7 @@ def suite_cdcl(n_seeds: int = 20) -> list[CheckResult]:
             beta=np.concatenate([beta_half, beta_half]),
             degenerate=np.zeros(n2, dtype=bool))
         fast = contrastive.cdcl_feature_grad(bank, cfg)[0]
-        slow = naive_infonce(bank.z, bank.pseudo_class, bank.beta, cfg.tau, cfg.range_eps)
+        slow = naive_infonce(bank.z, bank.pseudo_class, bank.beta, cfg.tau)
         worst = max(worst, abs(fast - slow))
     return [_check("contrastive_vs_double_loop_%dbanks" % n_seeds, worst, 1e-10),
             _check_cdcl_vs_dense(n_seeds)]
@@ -462,7 +461,7 @@ def suite_beta(n_draws: int = 100_000) -> list[CheckResult]:
         rng = np.random.default_rng(1234)
         draws = mixup.sample_lambda_batch(np.full(n_draws, r_i), np.full(n_draws, r_j),
                                           ram_cfg, rng)
-        denom = r_i + r_j + ram_cfg.delta
+        denom = r_i + r_j + mixup.DELTA
         a, b = ram_cfg.gamma * r_i / denom, ram_cfg.gamma * r_j / denom
         mean, var = beta_mean_var(a, b)
         mu4 = beta_central_moment4(a, b)

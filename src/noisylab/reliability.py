@@ -24,17 +24,8 @@ from .net import (BatchForward, Buffers, ModelParams, forward_batch,
                   per_sample_grad_dots, weighted_ce_loss_grad)
 from .util import ConfigError
 
-
-@dataclass(frozen=True)
-class MetaConfig:
-    eta_inner: float          # learning rate of the one-step virtual update
-    xi: float = 1e-10         # guards the batch normalization against S = 0
-
-    def __post_init__(self):
-        if self.eta_inner < 0:
-            raise ConfigError("eta_inner must be nonnegative")
-        if self.xi <= 0:
-            raise ConfigError("reliability.xi must be positive")
+# guards the batch normalization of alpha and beta against a mass S = 0
+XI = 1e-10
 
 
 @dataclass
@@ -44,11 +35,11 @@ class ReliabilityBatch:
     beta: np.ndarray   # pseudo-label reliability, >= 0
     mass: np.ndarray   # (..., 1) S, each batch's clamped meta-gradient mass
 
-    def mass_identity_gap(self, xi: float) -> float:
-        """|sum(alpha+beta) - B*S/(S+xi)|, the largest over a stack's rows."""
+    def mass_identity_gap(self) -> float:
+        """|sum(alpha+beta) - B*S/(S+XI)|, the largest over a stack's rows."""
         s = self.mass[..., 0]
         lhs = self.alpha.sum(axis=-1) + self.beta.sum(axis=-1)
-        return float(np.max(np.abs(lhs - self.alpha.shape[-1] * s / (s + xi))))
+        return float(np.max(np.abs(lhs - self.alpha.shape[-1] * s / (s + XI))))
 
 
 def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
@@ -58,7 +49,7 @@ def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
 
 def meta_gradients_closed(params: ModelParams, batch_x: np.ndarray,
                           given_targets: np.ndarray, pseudo_targets: np.ndarray,
-                          meta: MetaSet, cfg: MetaConfig,
+                          meta: MetaSet, eta_inner: float,
                           out: BatchForward | None = None,
                           meta_targets: np.ndarray | None = None,
                           buffers: Buffers | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -66,12 +57,14 @@ def meta_gradients_closed(params: ModelParams, batch_x: np.ndarray,
 
     Returns (e1, e2): the sensitivities of the held-out loss to upweighting
     the observed-label term and the pseudo-label term of each sample, taken
-    at zero perturbation through a single virtual SGD step; for a stack of
-    networks (with pseudo_targets per net), one row of each per net. `out`
-    is batch_x's forward under params and `meta_targets` the one-hot rows of
-    meta.y, when the caller has them; `buffers` holds the per-sample
-    temporaries (net.per_sample_grad_dots).
+    at zero perturbation through a single virtual SGD step of learning rate
+    eta_inner; for a stack of networks (with pseudo_targets per net), one
+    row of each per net. `out` is batch_x's forward under params and
+    `meta_targets` the one-hot rows of meta.y, when the caller has them;
+    `buffers` holds the per-sample temporaries (net.per_sample_grad_dots).
     """
+    if eta_inner < 0:
+        raise ConfigError("eta_inner must be nonnegative")
     if meta.m == 0:
         raise ConfigError("meta set must be nonempty")
     if out is None:
@@ -80,16 +73,15 @@ def meta_gradients_closed(params: ModelParams, batch_x: np.ndarray,
         meta_targets = one_hot(meta.y, given_targets.shape[1])
     mgrad = weighted_ce_loss_grad(params, meta.x, meta_targets, np.ones(meta.m))[1]
     d1, d2 = per_sample_grad_dots(params, out, given_targets, pseudo_targets, mgrad, buffers)
-    return -cfg.eta_inner * d1, -cfg.eta_inner * d2
+    return -eta_inner * d1, -eta_inner * d2
 
 
-def disentangle(e1_grads: np.ndarray, e2_grads: np.ndarray,
-                cfg: MetaConfig) -> ReliabilityBatch:
+def disentangle(e1_grads: np.ndarray, e2_grads: np.ndarray) -> ReliabilityBatch:
     """Clamp harmful directions to zero and normalize mass along the batch,
     the last axis of (..., B) meta-gradients.
 
-    raw_k = max(-e_k, 0); alpha_i = raw1_i * B / (S + xi) and likewise beta,
-    with S the batch's total raw mass, so sum(alpha + beta) = B * S / (S + xi).
+    raw_k = max(-e_k, 0); alpha_i = raw1_i * B / (S + XI) and likewise beta,
+    with S the batch's total raw mass, so sum(alpha + beta) = B * S / (S + XI).
     """
     e1_grads = np.asarray(e1_grads, dtype=np.float64)
     e2_grads = np.asarray(e2_grads, dtype=np.float64)
@@ -98,5 +90,5 @@ def disentangle(e1_grads: np.ndarray, e2_grads: np.ndarray,
     raw1 = np.maximum(-e1_grads, 0.0)
     raw2 = np.maximum(-e2_grads, 0.0)
     mass = raw1.sum(axis=-1, keepdims=True) + raw2.sum(axis=-1, keepdims=True)
-    scale = e1_grads.shape[-1] / (mass + cfg.xi)
+    scale = e1_grads.shape[-1] / (mass + XI)
     return ReliabilityBatch(alpha=raw1 * scale, beta=raw2 * scale, mass=mass)

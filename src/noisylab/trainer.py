@@ -40,11 +40,11 @@ import numpy as np
 from . import contrastive, metrics, mixup
 from .contrastive import CdclConfig
 from .data import AugmentConfig, Dataset, MetaSet, make_views
-from .mixup import RamConfig, total_reliability
-from .net import (Architecture, BatchForward, Buffers, ModelParams, Schedule, backward_batch,
-                  forward_batch, init_opt_state, init_params, sgd_step, softmax, stack_params,
+from .mixup import DELTA, RamConfig, total_reliability
+from .net import (Architecture, BatchForward, Buffers, ModelParams, backward_batch,
+                  forward_batch, init_params, sgd_step, softmax, stack_params,
                   weighted_ce_head, weighted_ce_loss_grad)
-from .reliability import MetaConfig, disentangle, meta_gradients_closed
+from .reliability import disentangle, meta_gradients_closed
 from .util import ConfigError, TrainingDiverged, child_rng, csv_line
 
 _ORDER_STREAM = 11
@@ -74,7 +74,6 @@ class TrainConfig:
     decay_factor: float = 0.1
     hidden: int = 64
     proj: int = 16
-    xi: float = 1e-10
     ram: RamConfig = RamConfig()
     cdcl: CdclConfig = CdclConfig()
     augment: AugmentConfig = AugmentConfig(0.05, 0.15, 0.1)
@@ -104,9 +103,13 @@ class TrainConfig:
         for name in ("sharpen_temp", "lr"):
             if not getattr(self, name) > 0:  # also rejects NaN
                 raise ConfigError("trainer.%s must be positive" % name)
-        if not self.xi > 0:
-            raise ConfigError("reliability.xi must be positive")
-        for name in ("eta_w", "lambda_cdcl", "lr", "momentum", "weight_decay", "decay_factor"):
+        # a negative rate, decay or weight turns a step or a term into ascent
+        for name in ("eta_w", "lambda_cdcl", "weight_decay", "decay_factor"):
+            if not getattr(self, name) >= 0:  # also rejects NaN
+                raise ConfigError("trainer.%s must be nonnegative" % name)
+        if not 0.0 <= self.momentum < 1.0:
+            raise ConfigError("trainer.momentum must lie in [0, 1)")
+        for name in ("eta_w", "lambda_cdcl", "lr", "weight_decay", "decay_factor"):
             if not np.isfinite(getattr(self, name)):
                 raise ConfigError("trainer.%s must be finite" % name)
 
@@ -120,6 +123,12 @@ def warmup(t: int, cfg: TrainConfig) -> float:
     if t >= cfg.warmup_full:
         return 1.0
     return (t - cfg.warmup_start) / (cfg.warmup_full - cfg.warmup_start)
+
+
+def lr_at(t: int, cfg: TrainConfig) -> float:
+    """Step decay: lr times decay_factor for each decay epoch reached."""
+    drops = sum(1 for e in cfg.decay_epochs if t >= e)
+    return cfg.lr * cfg.decay_factor ** drops
 
 
 def sharpen(probs: np.ndarray, temp: float) -> np.ndarray:
@@ -152,9 +161,10 @@ def confidence_filter(co_probs: np.ndarray, cfg: TrainConfig,
 
 def reweighted_ce_grad(params: ModelParams, weak_x: np.ndarray, targets,
                        reliabilities: np.ndarray, bc: np.ndarray,
-                       cfg: TrainConfig, eta_w: float, logits: np.ndarray | None = None):
+                       eta_w: float, logits: np.ndarray | None = None):
     """Confidence-filtered cross-entropy with multiplier 1 + eta_w * r_tilde,
-    where r_tilde is each sample's reliability over the filtered-batch mean.
+    where r_tilde is each sample's reliability over the filtered-batch mean
+    (plus mixup.DELTA, which guards an all-zero mean).
 
     Returns the loss and its flat parameter gradient; given `logits`,
     weak_x's cached logits, the gradient w.r.t. those logits instead, and
@@ -162,7 +172,7 @@ def reweighted_ce_grad(params: ModelParams, weak_x: np.ndarray, targets,
     """
     bc = np.asarray(bc, dtype=np.int64)
     r = np.asarray(reliabilities, dtype=np.float64)[bc]
-    weights = 1.0 + eta_w * (r / (r.mean() + cfg.ram.delta)) if bc.size else r
+    weights = 1.0 + eta_w * (r / (r.mean() + DELTA)) if bc.size else r
     return _filtered_ce(params, weak_x, targets, weights, bc, logits)
 
 
@@ -238,7 +248,7 @@ def step_loss_grad(params: ModelParams, xw: np.ndarray, fw: BatchForward,
     cache = fw.cache
     for k in nets:
         comps[k]["ce_re"], dlogits[k, :b] = reweighted_ce_grad(
-            params, xw, targets[k], r[k], bc[k], cfg, eta_w=eta_w, logits=fw.logits[k, :b])
+            params, xw, targets[k], r[k], bc[k], eta_w=eta_w, logits=fw.logits[k, :b])
         if w_t > 0.0 and cfg.use_cr:
             comps[k]["cr"], dcr = consistency_loss_grad(params, None, targets[k], bc[k],
                                                         logits=fw.logits[k, b:])
@@ -407,11 +417,9 @@ def co_train(train: Dataset, meta: MetaSet | None, test: Dataset, cfg: TrainConf
     if cfg.use_meta and (meta is None or meta.m == 0):
         raise ConfigError("reliability estimation needs a nonempty meta set")
     arch = Architecture(train.dim, cfg.hidden, train.num_classes, cfg.proj)
-    schedule = Schedule(cfg.lr, tuple(cfg.decay_epochs), cfg.decay_factor,
-                        cfg.momentum, cfg.weight_decay)
     seeds = (cfg.net1_seed, cfg.net2_seed)
     params = stack_params([init_params(arch, seed) for seed in seeds])
-    opt = init_opt_state(params, schedule)
+    velocity = np.zeros_like(params.flat)
     mix_rngs = [child_rng(seed, _MIX_STREAM) for seed in seeds]  # one stream per net
     clean_mask = train.y_obs == train.y_true
     eye = np.eye(train.num_classes)  # one-hot rows of every label
@@ -432,8 +440,7 @@ def co_train(train: Dataset, meta: MetaSet | None, test: Dataset, cfg: TrainConf
     for t in range(cfg.epochs):
         tick = time.perf_counter()
         w_t = warmup(t, cfg)
-        lr_t = schedule.lr_at(t)
-        opt.epoch = t
+        lr_t = lr_at(t, cfg)
         order = child_rng(cfg.loop_seed, _ORDER_STREAM, t).permutation(train.n)
         weak_all, strong_all = make_views(train.x, cfg.augment,
                                           child_rng(cfg.loop_seed, _VIEW_STREAM, t))
@@ -466,14 +473,13 @@ def co_train(train: Dataset, meta: MetaSet | None, test: Dataset, cfg: TrainConf
                 bc = [np.arange(b)] * 2
 
             if cfg.use_meta:
-                mcfg = MetaConfig(eta_inner=lr_t, xi=cfg.xi)
                 e1, e2 = meta_gradients_closed(
-                    params, xw, given, eye[pseudo_cls], meta, mcfg,
+                    params, xw, given, eye[pseudo_cls], meta, lr_t,
                     out=fw.rows(slice(0, b)), meta_targets=meta_targets, buffers=step_buffers)
                 if cfg.couple_meta:
                     e1 = e2 = 0.5 * (e1 + e2)
-                rb = disentangle(e1, e2, mcfg)  # (2, b), each net along its own batch
-                lows.append((rb.mass_identity_gap(cfg.xi), float(rb.alpha.min()),
+                rb = disentangle(e1, e2)  # (2, b), each net along its own batch
+                lows.append((rb.mass_identity_gap(), float(rb.alpha.min()),
                              float(rb.beta.min())))
                 tally.add_reliability(rb, batch_clean, lows[-1][0])
                 if diagnostics is not None:
@@ -515,7 +521,8 @@ def co_train(train: Dataset, meta: MetaSet | None, test: Dataset, cfg: TrainConf
                 if p is not None:
                     tally.add_purity(p)
             tally.add_loss(comps)
-            params, opt = sgd_step(params, grad, opt)
+            params, velocity = sgd_step(params, grad, velocity, lr_t, cfg.momentum,
+                                        cfg.weight_decay)
 
         test_acc = _evaluate(params, test, eval_buffers)
         purity_raw = tally.purity[0] / tally.purity[1] if tally.purity[1] > 0 else None

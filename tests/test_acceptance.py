@@ -156,13 +156,13 @@ def test_criterion_02_loss_gradient_integrity():
 
     def assemble(flat):
         p = net.ModelParams(arch, flat)
-        ce, _ = trainer.reweighted_ce_grad(p, xw, targets, r, bc, tcfg, tcfg.eta_w)
+        ce, _ = trainer.reweighted_ce_grad(p, xw, targets, r, bc, tcfg.eta_w)
         cr, _ = trainer.consistency_loss_grad(p, xs, targets, bc)
         ram, _ = net.weighted_ce_loss_grad(p, pairs.x, pairs.y, pairs.w)
         cdcl, _ = oracles.cdcl_grad(p, xw, xs, pc, beta, tcfg.cdcl)
         return {"ce_re": ce, "cr": cr, "ram": ram, "cdcl": cdcl}
 
-    _, g_ce = trainer.reweighted_ce_grad(params, xw, targets, r, bc, tcfg, tcfg.eta_w)
+    _, g_ce = trainer.reweighted_ce_grad(params, xw, targets, r, bc, tcfg.eta_w)
     _, g_cr = trainer.consistency_loss_grad(params, xs, targets, bc)
     _, g_ram = net.weighted_ce_loss_grad(params, pairs.x, pairs.y, pairs.w)
     _, g_cd = oracles.cdcl_grad(params, xw, xs, pc, beta, tcfg.cdcl)
@@ -196,7 +196,7 @@ def test_criterion_03_normalization_invariants(ablation_grid):
         bmins.append(report.summary["beta_min"])
     ok = max(gaps) <= 1e-9 and min(amins) >= 0.0 and min(bmins) >= 0.0
     _criterion(3, "batch-mass identity and nonnegativity", ok,
-               "max |sum(a+b) - B*S/(S+xi)| = %.2e (tol 1e-9), min alpha %.2e, min beta %.2e"
+               "max |sum(a+b) - B*S/(S+XI)| = %.2e (tol 1e-9), min alpha %.2e, min beta %.2e"
                % (max(gaps), min(amins), min(bmins)))
 
 
@@ -206,7 +206,7 @@ def test_criterion_04_beta_sampler_fidelity():
     ok = all(r.passed for r in results)
     # the equal-reliability case is Beta(gamma/2, gamma/2) by construction
     cfg = mixup.RamConfig()
-    denom = 2.0 + cfg.delta
+    denom = 2.0 + mixup.DELTA
     shape = cfg.gamma * 1.0 / denom
     sym_ok = abs(shape - cfg.gamma / 2.0) < 1e-7
     _criterion(4, "Beta sampler fidelity", ok and sym_ok,

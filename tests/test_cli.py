@@ -76,15 +76,21 @@ class TestGenerate:
                          "--out", str(tmp_path)]) == 2
 
     def test_removed_fd_step_key_exit_2(self, tmp_path, capsys):
-        # keys that once existed are unknown now, like any other
+        # keys that once existed are unknown now, like any other; the whole
+        # [reliability] section is gone, so its keys fail on the section name
         bad = tmp_path / "old.cfg"
-        for section, key, value in (("reliability", "fd_step", "0.5"),
-                                    ("reliability", "stride", "1"),
-                                    ("run", "diagnostics", "true")):
+        for section, key, value, named in (
+                ("reliability", "fd_step", "0.5", "'[reliability]'"),
+                ("reliability", "stride", "1", "'[reliability]'"),
+                ("reliability", "xi", "1e-10", "'[reliability]'"),
+                ("run", "diagnostics", "true", "'run.diagnostics'"),
+                ("ram", "delta", "1e-8", "'ram.delta'"),
+                ("cdcl", "range_eps", "1e-6", "'cdcl.range_eps'")):
             bad.write_text("[%s]\n%s = %s\n" % (section, key, value))
             assert cli.main(["generate", "--config", str(bad),
                              "--out", str(tmp_path / "x")]) == 2, key
-            assert "%s.%s" % (section, key) in capsys.readouterr().err
+            err = capsys.readouterr().err
+            assert "unknown config" in err and named in err, key
 
 
 def _label_out_of_range(data_dir, cfg_text):
@@ -151,6 +157,20 @@ class TestInvalidValues:
         path.write_text(SMALL_RUN.replace("[trainer]\n", "[trainer]\n%s\n" % line))
         assert cli.main(["train", "--config", str(path), "--out", str(tmp_path / "r")]) == 2
         assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [
+        ("momentum", "1.5"), ("momentum", "1.0"), ("momentum", "-0.5"),
+        ("weight_decay", "-5"), ("decay_factor", "-0.5"), ("eta_w", "-3"),
+        ("lambda_cdcl", "-1"),
+    ], ids=["momentum_1.5", "momentum_1", "momentum_-0.5", "weight_decay_-5",
+            "decay_factor_-0.5", "eta_w_-3", "lambda_cdcl_-1"])
+    def test_out_of_range_optimizer_value_exit_2(self, key, value, tmp_path, capsys):
+        # a run with any of these would ascend or diverge instead of stopping
+        # at load with the key named
+        path = tmp_path / "range.cfg"
+        path.write_text(_small_run_with("trainer", key, value))
+        assert cli.main(["train", "--config", str(path), "--out", str(tmp_path / "r")]) == 2
+        assert "trainer.%s" % key in capsys.readouterr().err
 
     @pytest.mark.parametrize("text, flag", [
         (SMALL_RUN.replace("seed = 5", "seed = -5"), []),

@@ -69,6 +69,17 @@ class TestParsing:
         cfg = config.build_run_config(config.parse_config_text(text))
         assert cfg["dataset"]["pair_map"] == {0: 1, 1: 0, 2: 3, 3: 2}
 
+    @pytest.mark.parametrize("pair_map", ["0:1,0:2", "0:4", "-1:0", "2:2"],
+                             ids=["repeated_source", "target_out_of_range",
+                                  "source_out_of_range", "self_map"])
+    def test_bad_pair_map_named(self, pair_map):
+        # rejected at load time, also when no noise is injected from it
+        for mode in ("asymmetric", "symmetric"):
+            text = MINIMAL.replace("noise_mode = symmetric",
+                                   "noise_mode = %s\npair_map = %s" % (mode, pair_map))
+            with pytest.raises(ConfigError, match="dataset.pair_map"):
+                config.build_run_config(config.parse_config_text(text))
+
     def test_asymmetric_requires_pair_map(self):
         with pytest.raises(ConfigError, match="pair_map"):
             config.build_run_config(config.parse_config_text(
@@ -121,7 +132,36 @@ class TestResolution:
         assert 0.2 < clean.mean() < 0.6
 
 
+# every key that holds a float, and the sigmas, which are floats unless 'auto'
+FLOAT_KEYS = [(section, key) for section, keys in config.SCHEMA.items()
+              for key, (_, default, _) in keys.items() if isinstance(default, float)]
+FLOAT_KEYS += [("augment", "sigma_weak"), ("augment", "sigma_strong")]
+
+
+def _with(section, key, value):
+    raw = config.parse_config_text(MINIMAL)
+    raw.setdefault(section, {})[key] = value
+    return config.build_run_config(raw)
+
+
 class TestCanonicalization:
+    @pytest.mark.parametrize("section, key", FLOAT_KEYS,
+                             ids=["%s.%s" % sk for sk in FLOAT_KEYS])
+    def test_float_spellings_share_hash_and_echo(self, section, key):
+        value = config.SCHEMA[section][key][1]
+        value = 0.1 if value == "auto" else value
+        cfgs = [_with(section, key, spelling)
+                for spelling in (repr(value), "%.20e" % value, "%.25f" % value)]
+        assert len({config.config_hash(cfg) for cfg in cfgs}) == 1
+        assert [config.canonical_dict(cfg)[section][key] for cfg in cfgs] == [value] * 3
+
+    def test_auto_sigma_stays_auto(self):
+        cfg = _with("augment", "sigma_weak", "auto")
+        assert "augment.sigma_weak=auto\n" in config.canonical_text(cfg)
+        assert config.canonical_dict(cfg)["augment"]["sigma_weak"] == "auto"
+        with pytest.raises(ConfigError, match="augment.sigma_weak"):
+            _with("augment", "sigma_weak", "automatic")
+
     def test_hash_stable_and_order_insensitive(self):
         a = config.build_run_config(config.parse_config_text(MINIMAL))
         reordered = MINIMAL.replace("seed = 11\nout_dir = runs/test",

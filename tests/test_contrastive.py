@@ -109,7 +109,7 @@ class TestCdclLoss:
         bank.beta = np.where(np.arange(8) % 2 == 0, 0.0, 1.0)  # every pair hits a zero
         pc = np.zeros(8, dtype=int)
         bank.pseudo_class = pc
-        bnorm = contrastive.normalize_beta(bank.beta, CFG.range_eps)
+        bnorm = contrastive.normalize_beta(bank.beta)
         w = np.outer(bnorm, bnorm)
         assert (w[bnorm == 0.0] == 0.0).all()
 
@@ -122,8 +122,7 @@ class TestCdclLoss:
             beta = rng.random(half)
             bank = manual_bank(z, pc, beta)
             fast = cdcl_loss(bank)
-            slow = naive_infonce(bank.z, bank.pseudo_class, bank.beta,
-                                 CFG.tau, CFG.range_eps)
+            slow = naive_infonce(bank.z, bank.pseudo_class, bank.beta, CFG.tau)
             assert abs(fast - slow) < 1e-10
 
     def test_no_positives_returns_zero(self):
@@ -260,7 +259,7 @@ class TestBankAndGradient:
         pc2, y2 = np.concatenate([pc, pc]), np.concatenate([y, y])
         positives = positive_sets(pc2)
         weights = consensus_weights(
-            contrastive.normalize_beta(np.concatenate([beta, beta]), CFG.range_eps), positives)
+            contrastive.normalize_beta(np.concatenate([beta, beta])), positives)
         assert np.allclose(pair_match_counts(positives, weights, y2), fused, rtol=1e-12)
 
 

@@ -109,6 +109,17 @@ class TestAuroc:
         b = metrics.auroc(metrics.OodScoreSet(ood_s, id_s))
         assert a + b == pytest.approx(1.0, abs=1e-12)
 
+    def test_average_ranks_match_scipy_with_ties(self):
+        from scipy.stats import rankdata
+
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(1, 600))
+            levels = int(rng.integers(1, 30))
+            for values in (rng.integers(0, levels, n) / levels, rng.random(n)):
+                assert np.array_equal(metrics._average_ranks(values),
+                                      rankdata(values, method="average")), seed
+
     def test_empty_side_rejected(self):
         with pytest.raises(ValueError):
             metrics.OodScoreSet(np.array([]), np.array([0.5]))

@@ -145,7 +145,7 @@ class TestSampleLambda:
 
     def test_shape_parameters_sum_below_gamma(self):
         for r_i, r_j in [(0.1, 0.1), (2.0, 2.0), (0.1, 2.0)]:
-            denom = r_i + r_j + CFG.delta
+            denom = r_i + r_j + mixup.DELTA
             a = CFG.gamma * r_i / denom
             b = CFG.gamma * r_j / denom
             assert a + b < CFG.gamma

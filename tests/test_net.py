@@ -6,6 +6,7 @@ import pytest
 
 from noisylab import contrastive, metrics, net
 from noisylab.oracles import fd_gradient, max_rel_error, per_sample_grads
+from noisylab.trainer import TrainConfig, lr_at
 
 
 def small_params(seed=0, arch=None, scale=0.4):
@@ -252,9 +253,8 @@ class TestStacked:
         rng = np.random.default_rng(34)
         n_params = self.ARCH.n_params
         buffers = net.Buffers()
-        sched = net.Schedule(base_lr=0.05, momentum=0.9, weight_decay=5e-4)
-        state = net.init_opt_state(stack, sched)
-        states = [net.init_opt_state(p, sched) for p in singles]
+        velocity = np.zeros_like(stack.flat)
+        velocities = [np.zeros_like(p.flat) for p in singles]
         for n in self.ROWS:
             logits = rng.standard_normal((2, n, 4))
             targets = rng.random((2, n, 4))
@@ -267,7 +267,7 @@ class TestStacked:
             dots = net.per_sample_grad_dots(stack, net.forward_batch(stack, x), given, pseudo,
                                             vec, buffers)
             grad = rng.standard_normal((2, n_params))
-            stack, state = net.sgd_step(stack, grad, state)
+            stack, velocity = net.sgd_step(stack, grad, velocity, 0.05, 0.9, 5e-4)
             for k, p in enumerate(singles):
                 loss, dl = net.weighted_ce_head(logits[k], targets[k], weights[k])
                 assert losses[k] == loss and np.array_equal(dlogits[k], dl)
@@ -275,9 +275,10 @@ class TestStacked:
                                                vec[k])
                 for d, r in zip(dots, ref):
                     assert np.array_equal(d[k], r), n
-                singles[k], states[k] = net.sgd_step(p, grad[k], states[k])
+                singles[k], velocities[k] = net.sgd_step(p, grad[k], velocities[k], 0.05, 0.9,
+                                                         5e-4)
                 assert np.array_equal(stack.flat[k], singles[k].flat)
-                assert np.array_equal(state.velocity[k], states[k].velocity)
+                assert np.array_equal(velocity[k], velocities[k])
 
     def test_chunked_evaluation(self):
         singles, stack = self.nets(35)
@@ -415,16 +416,14 @@ class TestPerSampleGrads:
 class TestSgd:
     def test_zero_grad_identity(self):
         p = small_params(1)
-        sched = net.Schedule(base_lr=0.1, momentum=0.0, weight_decay=0.0)
-        state = net.init_opt_state(p, sched)
-        q, _ = net.sgd_step(p, np.zeros(p.arch.n_params), state)
+        zero = np.zeros(p.arch.n_params)
+        q, _ = net.sgd_step(p, zero, zero, 0.1, 0.0, 0.0)
         assert np.array_equal(q.flat, p.flat)
 
     def test_plain_gradient_descent_reduction(self):
         p = small_params(2)
         g = np.random.default_rng(0).standard_normal(p.arch.n_params)
-        sched = net.Schedule(base_lr=0.05, momentum=0.0, weight_decay=0.0)
-        q, _ = net.sgd_step(p, g, net.init_opt_state(p, sched))
+        q, _ = net.sgd_step(p, g, np.zeros_like(g), 0.05, 0.0, 0.0)
         assert np.allclose(q.flat, p.flat - 0.05 * g)
 
     def test_momentum_two_step_recurrence(self):
@@ -432,17 +431,16 @@ class TestSgd:
         # displacement is lr * 1.9 * g at mu = 0.9
         p = small_params(3)
         g = np.random.default_rng(1).standard_normal(p.arch.n_params)
-        sched = net.Schedule(base_lr=0.01, momentum=0.9, weight_decay=0.0)
-        q1, s1 = net.sgd_step(p, g, net.init_opt_state(p, sched))
-        q2, _ = net.sgd_step(q1, g, s1)
+        q1, v1 = net.sgd_step(p, g, np.zeros_like(g), 0.01, 0.9, 0.0)
+        q2, _ = net.sgd_step(q1, g, v1, 0.01, 0.9, 0.0)
         assert np.allclose(q1.flat - q2.flat, 0.01 * 1.9 * g, atol=1e-15)
 
     def test_step_decay_schedule(self):
-        sched = net.Schedule(base_lr=0.05, decay_epochs=(10, 20), decay_factor=0.1)
-        assert sched.lr_at(0) == 0.05
-        assert sched.lr_at(9) == 0.05
-        assert abs(sched.lr_at(10) - 0.005) < 1e-15
-        assert abs(sched.lr_at(25) - 0.0005) < 1e-15
+        cfg = TrainConfig(epochs=30, lr=0.05, decay_epochs=(10, 20), decay_factor=0.1)
+        assert lr_at(0, cfg) == 0.05
+        assert lr_at(9, cfg) == 0.05
+        assert abs(lr_at(10, cfg) - 0.005) < 1e-15
+        assert abs(lr_at(25, cfg) - 0.0005) < 1e-15
 
 
 class TestL2Normalize:

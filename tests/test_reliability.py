@@ -8,7 +8,7 @@ from noisylab import data, net, reliability
 from noisylab.oracles import max_rel_error, meta_gradients_fd
 from noisylab.util import ConfigError
 
-CFG = reliability.MetaConfig(eta_inner=0.1)
+ETA = 0.1  # the inner learning rate of the virtual update
 
 
 def fixture(seed, b=4, m=8):
@@ -30,15 +30,19 @@ class TestClosedForm:
         params, batch_x, given, pseudo, meta = fixture(0)
         probs = net.softmax(net.forward_batch(params, batch_x).logits)
         e1, _ = reliability.meta_gradients_closed(params, batch_x, probs, pseudo,
-                                                  meta, CFG)
+                                                  meta, ETA)
         assert np.all(np.abs(e1) < 1e-15)
 
     def test_zero_inner_rate_gives_zeros(self):
         params, batch_x, given, pseudo, meta = fixture(1)
-        cfg = reliability.MetaConfig(eta_inner=0.0)
         e1, e2 = reliability.meta_gradients_closed(params, batch_x, given, pseudo,
-                                                   meta, cfg)
+                                                   meta, 0.0)
         assert np.all(e1 == 0.0) and np.all(e2 == 0.0)
+
+    def test_negative_inner_rate_rejected(self):
+        params, batch_x, given, pseudo, meta = fixture(1)
+        with pytest.raises(ConfigError, match="eta_inner"):
+            reliability.meta_gradients_closed(params, batch_x, given, pseudo, meta, -0.1)
 
     def test_empty_meta_rejected(self):
         params, batch_x, given, pseudo, _ = fixture(2)
@@ -46,12 +50,12 @@ class TestClosedForm:
                              ids=np.zeros(0, dtype=int))
         with pytest.raises(ConfigError):
             reliability.meta_gradients_closed(params, batch_x, given, pseudo,
-                                              empty, CFG)
+                                              empty, ETA)
 
     def test_matches_fd_oracle_on_logistic_fixture(self):
         params, batch_x, given, pseudo, meta = fixture(3)
-        closed = reliability.meta_gradients_closed(params, batch_x, given, pseudo, meta, CFG)
-        fd = meta_gradients_fd(params, batch_x, given, pseudo, meta, CFG)
+        closed = reliability.meta_gradients_closed(params, batch_x, given, pseudo, meta, ETA)
+        fd = meta_gradients_fd(params, batch_x, given, pseudo, meta, ETA)
         assert max_rel_error(closed[0], fd[0], zero_floor=1e-10) < 1e-3
         assert max_rel_error(closed[1], fd[1], zero_floor=1e-10) < 1e-3
 
@@ -59,8 +63,7 @@ class TestClosedForm:
 class TestFdOracle:
     def test_zero_inner_rate_gives_zeros(self):
         params, batch_x, given, pseudo, meta = fixture(4)
-        cfg = reliability.MetaConfig(eta_inner=0.0)
-        e1, e2 = meta_gradients_fd(params, batch_x, given, pseudo, meta, cfg)
+        e1, e2 = meta_gradients_fd(params, batch_x, given, pseudo, meta, 0.0)
         assert np.all(e1 == 0.0) and np.all(e2 == 0.0)
 
     def test_meta_label_flip_antisymmetry(self):
@@ -76,8 +79,8 @@ class TestFdOracle:
         meta0 = data.MetaSet(x=rng.standard_normal((6, 3)),
                              y=np.zeros(6, dtype=int), ids=np.arange(6))
         meta1 = data.MetaSet(x=meta0.x, y=np.ones(6, dtype=int), ids=meta0.ids)
-        a1, a2 = meta_gradients_fd(params, batch_x, given, pseudo, meta0, CFG)
-        b1, b2 = meta_gradients_fd(params, batch_x, given, pseudo, meta1, CFG)
+        a1, a2 = meta_gradients_fd(params, batch_x, given, pseudo, meta0, ETA)
+        b1, b2 = meta_gradients_fd(params, batch_x, given, pseudo, meta1, ETA)
         assert np.allclose(a1, -b1, atol=1e-9)
         assert np.allclose(a2, -b2, atol=1e-9)
 
@@ -86,9 +89,8 @@ class TestFdOracle:
         for seed in range(30):
             params, batch_x, given, pseudo, meta = fixture(100 + seed)
             closed = reliability.meta_gradients_closed(params, batch_x, given,
-                                                       pseudo, meta, CFG)
-            fd = meta_gradients_fd(params, batch_x, given, pseudo,
-                                               meta, CFG)
+                                                       pseudo, meta, ETA)
+            fd = meta_gradients_fd(params, batch_x, given, pseudo, meta, ETA)
             worst = max(worst,
                         max_rel_error(closed[0], fd[0], zero_floor=1e-10),
                         max_rel_error(closed[1], fd[1], zero_floor=1e-10))
@@ -97,19 +99,19 @@ class TestFdOracle:
 
 class TestDisentangle:
     def test_all_harmful_gives_zeros(self):
-        rb = reliability.disentangle(np.array([0.5, 1.0]), np.array([2.0, 0.1]), CFG)
+        rb = reliability.disentangle(np.array([0.5, 1.0]), np.array([2.0, 0.1]))
         assert np.all(rb.alpha == 0.0) and np.all(rb.beta == 0.0)
 
     def test_two_sample_hand_case(self):
-        # raw masses (1,0) and (0,1): each normalized weight is B/(S+xi) ~ 1
-        rb = reliability.disentangle(np.array([-1.0, 0.0]), np.array([0.0, -1.0]), CFG)
+        # raw masses (1,0) and (0,1): each normalized weight is B/(S+XI) ~ 1
+        rb = reliability.disentangle(np.array([-1.0, 0.0]), np.array([0.0, -1.0]))
         assert np.allclose(rb.alpha, [1.0, 0.0], atol=1e-9)
         assert np.allclose(rb.beta, [0.0, 1.0], atol=1e-9)
         assert abs(rb.alpha.sum() + rb.beta.sum() - 2.0) < 1e-9
 
     def test_uniform_raws_give_half(self):
         e = np.full(6, -0.37)
-        rb = reliability.disentangle(e, e, CFG)
+        rb = reliability.disentangle(e, e)
         assert np.allclose(rb.alpha, 0.5, atol=1e-9)
         assert np.allclose(rb.beta, 0.5, atol=1e-9)
 
@@ -119,24 +121,24 @@ class TestDisentangle:
             b = int(rng.integers(1, 40))
             e1 = rng.standard_normal(b) * 10.0 ** rng.integers(-8, 3)
             e2 = rng.standard_normal(b) * 10.0 ** rng.integers(-8, 3)
-            rb = reliability.disentangle(e1, e2, CFG)
+            rb = reliability.disentangle(e1, e2)
             assert np.all(rb.alpha >= 0.0) and np.all(rb.beta >= 0.0)
             total = rb.alpha.sum() + rb.beta.sum()
             assert total <= b + 1e-9
-            assert rb.mass_identity_gap(CFG.xi) < 1e-9
+            assert rb.mass_identity_gap() < 1e-9
 
     def test_scale_equivariance(self):
         rng = np.random.default_rng(1)
         e1 = rng.standard_normal(8)
         e2 = rng.standard_normal(8)
-        a = reliability.disentangle(e1, e2, CFG)
-        b = reliability.disentangle(173.5 * e1, 173.5 * e2, CFG)
+        a = reliability.disentangle(e1, e2)
+        b = reliability.disentangle(173.5 * e1, 173.5 * e2)
         assert max_rel_error(a.alpha, b.alpha, zero_floor=1e-12) < 1e-10
         assert max_rel_error(a.beta, b.beta, zero_floor=1e-12) < 1e-10
 
     def test_saturated_mass_when_raws_dominate_xi(self):
         rng = np.random.default_rng(2)
-        rb = reliability.disentangle(-rng.random(16) - 0.5, -rng.random(16) - 0.5, CFG)
+        rb = reliability.disentangle(-rng.random(16) - 0.5, -rng.random(16) - 0.5)
         assert abs(rb.alpha.sum() + rb.beta.sum() - 16.0) < 1e-6
 
 
@@ -146,14 +148,14 @@ class TestStacked:
 
     @staticmethod
     def check(e1, e2):
-        stacked = reliability.disentangle(e1, e2, CFG)
+        stacked = reliability.disentangle(e1, e2)
         gaps = []
         for k in range(2):
-            single = reliability.disentangle(e1[k], e2[k], CFG)
+            single = reliability.disentangle(e1[k], e2[k])
             for name in ("alpha", "beta", "mass"):
                 assert np.array_equal(getattr(stacked, name)[k], getattr(single, name)), name
-            gaps.append(single.mass_identity_gap(CFG.xi))
-        assert np.array_equal(stacked.mass_identity_gap(CFG.xi), max(gaps))
+            gaps.append(single.mass_identity_gap())
+        assert np.array_equal(stacked.mass_identity_gap(), max(gaps))
         return stacked
 
     def test_matches_per_net_calls(self):
@@ -169,7 +171,7 @@ class TestStacked:
         assert np.all(rb.alpha == 0.0) and np.all(rb.beta == 0.0)
 
     def test_one_net_starved(self):
-        # net 1's only helpful direction is far below xi; net 2 is healthy
+        # net 1's only helpful direction is far below XI; net 2 is healthy
         rng = np.random.default_rng(5)
         e1, e2 = rng.random((2, 10)), rng.random((2, 10))
         e1[0, 3] = -1e-14
@@ -180,7 +182,7 @@ class TestStacked:
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            reliability.disentangle(np.zeros((2, 3)), np.zeros(3), CFG)
+            reliability.disentangle(np.zeros((2, 3)), np.zeros(3))
 
 
 class TestSeparation:
@@ -199,12 +201,11 @@ class TestSeparation:
                           net1_seed=31, net2_seed=32, loop_seed=33)
         report, params = co_train(train, meta, test, cfg, return_state=True)
 
-        mcfg = reliability.MetaConfig(eta_inner=cfg.lr)
         probs = net.softmax(net.forward_batch(params[1], train.x).logits)
         pseudo = reliability.one_hot(probs.argmax(axis=1), 4)
         given = reliability.one_hot(train.y_obs, 4)
         e1, e2 = reliability.meta_gradients_closed(params[0], train.x,
-                                                   given, pseudo, meta, mcfg)
-        rb = reliability.disentangle(e1, e2, mcfg)
+                                                   given, pseudo, meta, cfg.lr)
+        rb = reliability.disentangle(e1, e2)
         clean = train.y_obs == train.y_true
         assert rb.alpha[clean].mean() > rb.alpha[~clean].mean()

@@ -4,7 +4,9 @@ Every public top-level function or class of src/noisylab (oracles.py, which
 holds the reference forms, aside) must be referenced by name from non-test
 code: the package itself, the demos or the benchmark worker. A form that only
 tests or oracles call belongs in oracles.py. Every parameter of a function
-defined there is read in its body: a parameter nothing reads is a no-op.
+defined there is read in its body, and every field of a typed run
+configuration is read as an attribute outside its own class: a parameter or
+setting nothing reads is a no-op.
 """
 
 import ast
@@ -104,3 +106,47 @@ def test_every_parameter_is_read():
 
 def test_unread_allowlist_is_current():
     assert sorted(set(UNREAD_ALLOWLIST) - set(_unread_parameters())) == []
+
+
+# the typed run configurations: each field is a setting some code must read
+CONFIG_CLASSES = ("TrainConfig", "RamConfig", "CdclConfig", "AugmentConfig")
+
+
+def _config_fields():
+    """(class name, "module.Class.field") for every field of CONFIG_CLASSES."""
+    for path in _production_modules():
+        module = os.path.splitext(os.path.basename(path))[0]
+        for node in _tree(path).body:
+            if isinstance(node, ast.ClassDef) and node.name in CONFIG_CLASSES:
+                for stmt in node.body:
+                    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                        yield node.name, "%s.%s.%s" % (module, node.name, stmt.target.id)
+
+
+def _attribute_reads():
+    """(enclosing config class or None, name) of every x.name read in the
+    production modules."""
+    reads = set()
+
+    def visit(node, owner):
+        if isinstance(node, ast.ClassDef) and node.name in CONFIG_CLASSES:
+            owner = node.name
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            reads.add((owner, node.attr))
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    for path in _production_modules():
+        visit(_tree(path), None)
+    return reads
+
+
+def test_config_classes_found():
+    assert sorted({cls for cls, _ in _config_fields()}) == sorted(CONFIG_CLASSES)
+
+
+def test_every_config_field_is_read():
+    reads = _attribute_reads()
+    unread = [qual for cls, qual in _config_fields()
+              if not any(owner != cls and name == qual.split(".")[-1] for owner, name in reads)]
+    assert unread == [], "config fields nothing reads; delete them: %s" % ", ".join(unread)

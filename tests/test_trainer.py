@@ -110,7 +110,6 @@ class TestConfidenceFilter:
 
 class TestReweightedCe:
     def setup_method(self):
-        self.cfg = tiny_cfg(epochs=10)
         arch = net.Architecture(3, 4, 2, 3)
         rng = np.random.default_rng(1)
         self.params = net.ModelParams(arch, 0.4 * rng.standard_normal(arch.n_params))
@@ -122,7 +121,7 @@ class TestReweightedCe:
 
     def loss_grad(self, r, bc, eta_w=1.0, params=None):
         return trainer.reweighted_ce_grad(params or self.params, self.x, self.targets,
-                                          r, bc, self.cfg, eta_w)
+                                          r, bc, eta_w)
 
     def test_equal_reliabilities_give_constant_multiplier(self):
         r = np.full(6, 0.8)
@@ -158,10 +157,9 @@ class TestConsistency:
         self.targets = t / t.sum(axis=1, keepdims=True)
 
     def test_equals_unweighted_ce_of_same_inputs(self):
-        cfg = tiny_cfg(epochs=10)
         bc = np.arange(5)
         ce, _ = trainer.reweighted_ce_grad(self.params, self.strong, self.targets,
-                                           np.ones(5), bc, cfg, 0.0)
+                                           np.ones(5), bc, 0.0)
         cr, _ = trainer.consistency_loss_grad(self.params, self.strong, self.targets, bc)
         assert cr == pytest.approx(ce, abs=1e-12)
 
@@ -347,7 +345,7 @@ class TestFusedStep:
         for k in range(2):
             pk = p[k]
             terms = {"ce_re": trainer.reweighted_ce_grad(pk, xw, targets[k], r[k], bcs[k],
-                                                         cfg, cfg.eta_w)}
+                                                         cfg.eta_w)}
             expected = terms["ce_re"][1]
             if w_t > 0:
                 terms["cr"] = trainer.consistency_loss_grad(pk, xs, targets[k], bcs[k])
