@@ -288,24 +288,17 @@ def resolve_decay_epochs(cfg: dict):
 
 
 def to_train_config(cfg: dict) -> TrainConfig:
-    t = cfg["trainer"]
+    """The [trainer] and [net] keys are TrainConfig's field names; the rest
+    is resolved or built here."""
     seed = cfg["run"]["seed"]
-    return TrainConfig(
-        epochs=t["epochs"], batch_size=t["batch_size"],
-        warmup_start=t["warmup_start"], warmup_full=t["warmup_full"],
-        eta_w=t["eta_w"], lambda_cdcl=t["lambda_cdcl"],
-        conf_threshold=t["conf_threshold"], sharpen_temp=t["sharpen_temp"],
-        lr=t["lr"], momentum=t["momentum"], weight_decay=t["weight_decay"],
-        decay_epochs=resolve_decay_epochs(cfg), decay_factor=t["decay_factor"],
-        hidden=cfg["net"]["hidden"], proj=cfg["net"]["proj"],
-        ram=RamConfig(**cfg["ram"]), cdcl=CdclConfig(**cfg["cdcl"]),
-        augment=resolve_augment(cfg),
-        use_meta=t["use_meta"], use_ram=t["use_ram"], use_grg=t["use_grg"],
-        use_cdcl=t["use_cdcl"], use_cr=t["use_cr"], use_refine=t["use_refine"],
-        couple_meta=t["couple_meta"], sym_ram=t["sym_ram"],
-        net1_seed=_derive(seed, _SEED_NET1), net2_seed=_derive(seed, _SEED_NET2),
-        loop_seed=_derive(seed, _SEED_LOOP),
-    )
+    return TrainConfig(**{
+        **cfg["trainer"], **cfg["net"],
+        "decay_epochs": resolve_decay_epochs(cfg),
+        "ram": RamConfig(**cfg["ram"]), "cdcl": CdclConfig(**cfg["cdcl"]),
+        "augment": resolve_augment(cfg),
+        "net1_seed": _derive(seed, _SEED_NET1), "net2_seed": _derive(seed, _SEED_NET2),
+        "loop_seed": _derive(seed, _SEED_LOOP),
+    })
 
 
 def _derive(seed: int, tag: int) -> int:
@@ -388,6 +381,8 @@ def canonical_dict(cfg: dict) -> dict:
             value = cfg[section][key]
             if isinstance(value, tuple):
                 value = list(value)
+            elif isinstance(value, dict):  # pair_map: JSON keys are strings
+                value = {str(k): v for k, v in sorted(value.items())}
             out[section][key] = value
     augment = resolve_augment(cfg)
     out["resolved"] = {

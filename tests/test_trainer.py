@@ -8,7 +8,8 @@ import pytest
 
 from noisylab import data, mixup, net, reliability, trainer
 from noisylab.data import AugmentConfig
-from noisylab.oracles import cdcl_grad, fd_gradient, fused_step_fd_error, max_rel_error
+from noisylab.oracles import (cdcl_grad, fd_gradient, fused_step_fd_error, head_grad,
+                              max_rel_error)
 from noisylab.util import ConfigError
 
 
@@ -109,6 +110,9 @@ class TestConfidenceFilter:
 
 
 class TestReweightedCe:
+    """The head on cached logits, and through a forward and backward pass
+    (oracles.head_grad) where a parameter gradient is needed."""
+
     def setup_method(self):
         arch = net.Architecture(3, 4, 2, 3)
         rng = np.random.default_rng(1)
@@ -120,8 +124,8 @@ class TestReweightedCe:
         self.bc = np.arange(6)
 
     def loss_grad(self, r, bc, eta_w=1.0, params=None):
-        return trainer.reweighted_ce_grad(params or self.params, self.x, self.targets,
-                                          r, bc, eta_w)
+        return head_grad(params or self.params, self.x, trainer.reweighted_ce_grad,
+                         self.targets, r, bc, eta_w)
 
     def test_equal_reliabilities_give_constant_multiplier(self):
         r = np.full(6, 0.8)
@@ -146,6 +150,15 @@ class TestReweightedCe:
             self.r, bc, params=net.ModelParams(self.params.arch, f))[0], self.params.flat)
         assert max_rel_error(fd, grad) < 1e-5
 
+    def test_logit_gradient_matches_fd_and_is_zero_outside_filter(self):
+        bc = np.array([1, 2, 4])
+        logits = net.forward_batch(self.params, self.x).logits
+        _, dlogits = trainer.reweighted_ce_grad(logits, self.targets, self.r, bc, 1.0)
+        fd = fd_gradient(lambda flat: trainer.reweighted_ce_grad(
+            flat.reshape(logits.shape), self.targets, self.r, bc, 1.0)[0], logits.ravel())
+        assert max_rel_error(fd, dlogits) < 1e-5
+        assert np.all(dlogits[[0, 3, 5]] == 0.0)
+
 
 class TestConsistency:
     def setup_method(self):
@@ -153,51 +166,107 @@ class TestConsistency:
         rng = np.random.default_rng(2)
         self.params = net.ModelParams(arch, 0.4 * rng.standard_normal(arch.n_params))
         self.strong = rng.standard_normal((5, 3))
+        self.logits = net.forward_batch(self.params, self.strong).logits
         t = np.abs(rng.standard_normal((5, 2)))
         self.targets = t / t.sum(axis=1, keepdims=True)
 
     def test_equals_unweighted_ce_of_same_inputs(self):
         bc = np.arange(5)
-        ce, _ = trainer.reweighted_ce_grad(self.params, self.strong, self.targets,
-                                           np.ones(5), bc, 0.0)
-        cr, _ = trainer.consistency_loss_grad(self.params, self.strong, self.targets, bc)
+        ce, dce = trainer.reweighted_ce_grad(self.logits, self.targets, np.ones(5), bc, 0.0)
+        cr, dcr = trainer.consistency_loss_grad(self.logits, self.targets, bc)
         assert cr == pytest.approx(ce, abs=1e-12)
+        assert np.allclose(dcr, dce, rtol=0.0, atol=1e-15)
 
     def test_self_target_gives_entropy(self):
-        logits = net.forward_batch(self.params, self.strong).logits
-        probs = net.softmax(logits)
+        probs = net.softmax(self.logits)
         bc = np.arange(5)
-        loss, _ = trainer.consistency_loss_grad(self.params, self.strong, probs, bc)
+        loss, _ = trainer.consistency_loss_grad(self.logits, probs, bc)
         entropy = float(-(probs * np.log(probs)).sum(axis=1).mean())
         assert loss == pytest.approx(entropy, abs=1e-10)
 
     def test_gradient_matches_finite_differences(self):
         bc = np.array([1, 3])
-        _, grad = trainer.consistency_loss_grad(self.params, self.strong,
-                                                self.targets, bc)
-        fd = fd_gradient(lambda f: trainer.consistency_loss_grad(
-            net.ModelParams(self.params.arch, f), self.strong, self.targets, bc)[0],
-            self.params.flat)
+        _, grad = head_grad(self.params, self.strong, trainer.consistency_loss_grad,
+                            self.targets, bc)
+        fd = fd_gradient(lambda f: head_grad(
+            net.ModelParams(self.params.arch, f), self.strong, trainer.consistency_loss_grad,
+            self.targets, bc)[0], self.params.flat)
         assert max_rel_error(fd, grad) < 1e-5
 
 
-class TestTotalLoss:
+class _StepFixture:
+    """One batch of a stack of two nets: the second has its own parameters
+    and every per-sample input in reverse row order, with the complementary
+    filter."""
+
+    B = 6
+
+    def setup_method(self):
+        rng = np.random.default_rng(11)
+        self.cfg = tiny_cfg(epochs=10)
+        arch = net.Architecture(3, 5, 3, 4)
+        self.params = net.ModelParams(arch, 0.4 * rng.standard_normal(arch.n_params))
+        self.xw = rng.standard_normal((self.B, 3))
+        self.xs = rng.standard_normal((self.B, 3))
+        t = np.abs(rng.standard_normal((self.B, 3)))
+        self.targets = t / t.sum(axis=1, keepdims=True)
+        self.r = rng.uniform(0.1, 2.0, self.B)
+        self.beta = rng.random(self.B)
+        self.pc = rng.integers(0, 3, self.B)
+        self.y = rng.integers(0, 3, self.B)
+        self.pairs = mixup.build_pairs(self.xw, self.r, self.targets, self.cfg.ram,
+                                       np.random.default_rng(1))
+
+    def stacked(self, bc):
+        """The stack's parameters, per-net inputs, filters and Mixup pairs."""
+        flip = lambda a: np.asarray(a)[::-1]
+        p = net.stack_params([self.params, net.ModelParams(self.params.arch,
+                                                           flip(self.params.flat))])
+        per_net = tuple(np.stack([a, flip(a)]) for a in
+                        (self.targets, self.r, self.pc, self.beta))
+        bcs = [np.asarray(bc, dtype=np.int64), np.setdiff1d(np.arange(self.B), bc)]
+        pairs = [self.pairs, dataclasses.replace(self.pairs, w=flip(self.pairs.w),
+                                                 x=flip(self.pairs.x), y=flip(self.pairs.y))]
+        return p, per_net, bcs, pairs
+
+    def step(self, bc, w_t, cfg):
+        """step_loss_grad as co_train calls it, with the stack and its inputs."""
+        p, (targets, r, pc, beta), bcs, pairs = self.stacked(bc)
+        buffers = net.Buffers()
+        fw = trainer.step_forward(p, self.xw, self.xs, w_t, cfg, buffers)
+        comps, grad, purity = trainer.step_loss_grad(
+            p, self.xw, fw, targets, r, bcs, cfg.eta_w, w_t, cfg,
+            pairs=pairs if w_t > 0 else None, pseudo_cls=pc,
+            gate_beta=beta, y_true=self.y, buffers=buffers)
+        return comps, grad, purity
+
+
+class TestTotalLoss(_StepFixture):
+    """The objective's value, as step_loss_grad records it for each net."""
+
+    BC = [0, 2, 3]
+
     def test_warmup_zero_is_ce_only(self):
-        cfg = tiny_cfg(epochs=10, warmup_start=5, warmup_full=6)
-        comps = {"ce_re": 1.3, "cr": 9.0, "ram": 9.0, "cdcl": 9.0}
-        assert trainer.total_loss(comps, 0, cfg) == pytest.approx(1.3)
+        comps, _, _ = self.step(self.BC, 0.0, self.cfg)
+        for c in comps:
+            assert set(c) == {"ce_re", "total"}
+            assert c["total"] == c["ce_re"]
 
     def test_full_warmup_no_contrastive(self):
-        cfg = tiny_cfg(epochs=10, warmup_start=1, warmup_full=2, lambda_cdcl=0.0)
-        comps = {"ce_re": 1.0, "cr": 0.5, "ram": 0.25, "cdcl": 7.0}
-        assert trainer.total_loss(comps, 5, cfg) == pytest.approx(1.75)
+        cfg = dataclasses.replace(self.cfg, lambda_cdcl=0.0)
+        comps, _, _ = self.step(self.BC, 1.0, cfg)
+        for c in comps:
+            assert c["cdcl"] != 0.0
+            assert c["total"] == pytest.approx(c["ce_re"] + c["cr"] + c["ram"],
+                                               rel=1e-15, abs=0.0)
 
     def test_linear_in_contrastive_coefficient(self):
-        comps = {"ce_re": 1.0, "cr": 0.5, "ram": 0.25, "cdcl": 0.8}
-        c1 = tiny_cfg(epochs=10, warmup_start=0, warmup_full=1, lambda_cdcl=0.5)
-        c2 = tiny_cfg(epochs=10, warmup_start=0, warmup_full=1, lambda_cdcl=0.6)
-        delta = trainer.total_loss(comps, 5, c2) - trainer.total_loss(comps, 5, c1)
-        assert delta == pytest.approx(0.1 * 0.8, abs=1e-12)
+        low, _, _ = self.step(self.BC, 1.0, dataclasses.replace(self.cfg, lambda_cdcl=0.5))
+        high, _, _ = self.step(self.BC, 1.0, dataclasses.replace(self.cfg, lambda_cdcl=0.6))
+        for c1, c2 in zip(low, high):
+            assert {key: v for key, v in c1.items() if key != "total"} == \
+                {key: v for key, v in c2.items() if key != "total"}
+            assert c2["total"] - c1["total"] == pytest.approx(0.1 * c1["cdcl"], abs=1e-12)
 
 
 class TestCoTrain:
@@ -296,66 +365,32 @@ class TestCoTrain:
             assert err < 1e-5, w_t
 
 
-class TestFusedStep:
+class TestFusedStep(_StepFixture):
     """One network step's single backward pass against the sum of the
     per-term parameter gradients."""
 
-    B = 6
-
-    def setup_method(self):
-        rng = np.random.default_rng(11)
-        self.cfg = tiny_cfg(epochs=10)
-        arch = net.Architecture(3, 5, 3, 4)
-        self.params = net.ModelParams(arch, 0.4 * rng.standard_normal(arch.n_params))
-        self.xw = rng.standard_normal((self.B, 3))
-        self.xs = rng.standard_normal((self.B, 3))
-        t = np.abs(rng.standard_normal((self.B, 3)))
-        self.targets = t / t.sum(axis=1, keepdims=True)
-        self.r = rng.uniform(0.1, 2.0, self.B)
-        self.beta = rng.random(self.B)
-        self.pc = rng.integers(0, 3, self.B)
-        self.y = rng.integers(0, 3, self.B)
-        self.pairs = mixup.build_pairs(self.xw, self.r, self.targets, self.cfg.ram,
-                                       np.random.default_rng(1))
-
     @pytest.mark.parametrize("w_t", [0.0, 0.4])
-    @pytest.mark.parametrize("bc", [[], [0, 2, 3], list(range(B))],
+    @pytest.mark.parametrize("bc", [[], [0, 2, 3], list(range(_StepFixture.B))],
                              ids=["empty_bc", "partial_bc", "full_bc"])
     def test_fused_gradient_equals_sum_of_terms(self, bc, w_t):
-        # a stack of two nets: the second has its own parameters and every
-        # per-sample input in reverse row order, with the complementary filter
         cfg, xw, xs = self.cfg, self.xw, self.xs
-        flip = lambda a: np.asarray(a)[::-1]
-        p = net.stack_params([self.params, net.ModelParams(self.params.arch,
-                                                           flip(self.params.flat))])
-        targets, r, pc, beta = (np.stack([a, flip(a)]) for a in
-                                (self.targets, self.r, self.pc, self.beta))
-        bcs = [np.asarray(bc, dtype=np.int64), np.setdiff1d(np.arange(self.B), bc)]
-        pairs = [self.pairs, dataclasses.replace(self.pairs, w=flip(self.pairs.w),
-                                                 x=flip(self.pairs.x), y=flip(self.pairs.y))]
-        fw_buffers = net.Buffers()
-        x_in = np.concatenate([xw, xs]) if w_t > 0 else xw
-        fw = net.forward_batch(p, x_in, buffers=fw_buffers,
-                               total_rows=len(x_in) + (self.B if w_t > 0 else 0))
-        comps, grad, purity = trainer.step_loss_grad(
-            p, xw, fw, targets, r, bcs, cfg.eta_w, w_t, cfg,
-            pairs=pairs if w_t > 0 else None, pseudo_cls=pc,
-            gate_beta=beta, y_true=self.y, fw_buffers=fw_buffers)
-
+        comps, grad, purity = self.step(bc, w_t, cfg)
+        p, (targets, r, pc, beta), bcs, pairs = self.stacked(bc)
         for k in range(2):
             pk = p[k]
-            terms = {"ce_re": trainer.reweighted_ce_grad(pk, xw, targets[k], r[k], bcs[k],
-                                                         cfg.eta_w)}
+            terms = {"ce_re": head_grad(pk, xw, trainer.reweighted_ce_grad, targets[k], r[k],
+                                        bcs[k], cfg.eta_w)}
             expected = terms["ce_re"][1]
             if w_t > 0:
-                terms["cr"] = trainer.consistency_loss_grad(pk, xs, targets[k], bcs[k])
+                terms["cr"] = head_grad(pk, xs, trainer.consistency_loss_grad, targets[k],
+                                        bcs[k])
                 terms["ram"] = net.weighted_ce_loss_grad(pk, pairs[k].x, pairs[k].y,
                                                          pairs[k].w)
                 terms["cdcl"] = cdcl_grad(pk, xw, xs, pc[k], beta[k], cfg.cdcl)
                 expected = expected + w_t * (terms["cr"][1] + terms["ram"][1]
                                              + cfg.lambda_cdcl * terms["cdcl"][1])
             assert np.linalg.norm(grad[k] - expected) <= 1e-12 * np.linalg.norm(expected)
-            assert set(comps[k]) == set(terms)
+            assert set(comps[k]) == set(terms) | {"total"}
             for key, (loss, _) in terms.items():
                 assert comps[k][key] == pytest.approx(loss, rel=1e-12, abs=1e-15)
             assert (purity[k] is None) == (w_t == 0)
