@@ -6,6 +6,12 @@ net.weighted_ce_head; gates are not renormalized, so weak pairs contribute less.
 The Beta draw is built from two hand-written Marsaglia-Tsang Gamma samples;
 shapes below one use the boosting identity (sample shape+1, then multiply by
 U^(1/shape)). numpy's own gamma/beta samplers are deliberately not used.
+
+Pairs for a stack of networks are built in one call with one generator per
+net: each generator makes exactly the draws, in the same order, of its
+net's single-net call (permutation, then the rejection rounds and boost
+draws of the first Gamma sample, then those of the second), while each
+rejection round tests all nets' pending draws at once.
 """
 
 from __future__ import annotations
@@ -36,13 +42,14 @@ class RamConfig:
 
 @dataclass(frozen=True)
 class MixBatch:
-    """One mixed pair per row: row k mixes sample k with partner j[k]."""
+    """One mixed pair per row: row k mixes sample k with partner j[k]. For a
+    stack of networks every field has a leading net axis."""
 
-    j: np.ndarray    # (B,) partner
-    lam: np.ndarray  # (B,) interpolation coefficient, weight of sample k
-    w: np.ndarray    # (B,) gating weight
-    x: np.ndarray    # (B, D) mixed inputs
-    y: np.ndarray    # (B, C) mixed targets
+    j: np.ndarray    # (..., B) partner
+    lam: np.ndarray  # (..., B) interpolation coefficient, weight of sample k
+    w: np.ndarray    # (..., B) gating weight
+    x: np.ndarray    # (..., B, D) mixed inputs
+    y: np.ndarray    # (..., B, C) mixed targets
 
 
 def total_reliability(alpha, beta, cfg: RamConfig):
@@ -51,15 +58,38 @@ def total_reliability(alpha, beta, cfg: RamConfig):
                    cfg.r_min, cfg.r_max)
 
 
-def gamma_sample(shape, rng: np.random.Generator) -> np.ndarray:
+def _generators(rng) -> list:
+    """One Generator, or a stack's sequence of them, as a list."""
+    return [rng] if isinstance(rng, np.random.Generator) else list(rng)
+
+
+def _draws(rngs: list, bounds: list, method: str) -> np.ndarray:
+    """One array of draws in which generator k fills [bounds[k], bounds[k+1])
+    by its `method` (standard_normal or random); an empty slice draws nothing,
+    so each generator sees only its own draws."""
+    out = np.empty(bounds[-1])
+    for g, lo, hi in zip(rngs, bounds, bounds[1:]):
+        if hi > lo:
+            getattr(g, method)(out=out[lo:hi])
+    return out
+
+
+def gamma_sample(shape, rng) -> np.ndarray:
     """Marsaglia-Tsang Gamma(shape, 1) draws, vectorized over shape.
 
-    Shapes below 1 are boosted: draw Gamma(shape+1) and scale by U^(1/shape).
+    rng is one Generator, or a sequence of K of them for a stack of shapes
+    (K, B): generator k draws row k with the bits and the stream of
+    gamma_sample(shape[k], rng[k]), and each rejection round tests every
+    row's pending draws in one pass. Shapes below 1 are boosted: draw
+    Gamma(shape+1) and scale by U^(1/shape).
     """
-    a = np.atleast_1d(np.asarray(shape, dtype=np.float64))
+    rngs = _generators(rng)
+    a = np.asarray(shape, dtype=np.float64).ravel()  # row after row
     # a NaN shape would never be accepted below; both comparisons reject it
     if not np.all((a > 0) & (a < np.inf)):
         raise ValueError("gamma shape must be positive and finite")
+    edges = np.arange(1, len(rngs)) * (a.size // len(rngs))  # first draw of rows 1..K-1
+    split = lambda idx: [0, *np.searchsorted(idx, edges).tolist(), idx.size]
     boost = a < 1.0
     d = np.where(boost, a + 1.0, a) - 1.0 / 3.0
     dc = np.array((d, 1.0 / np.sqrt(9.0 * d)))
@@ -72,8 +102,9 @@ def gamma_sample(shape, rng: np.random.Generator) -> np.ndarray:
     # is rejected without a guard; errstate silences those logs and log(0)
     with np.errstate(divide="ignore", invalid="ignore"):
         while True:
-            x = rng.standard_normal(idx.size)
-            u = rng.random(idx.size)
+            bounds = split(idx)
+            x = _draws(rngs, bounds, "standard_normal")
+            u = _draws(rngs, bounds, "random")
             v = (1.0 + ci * x) ** 3
             accept = ((u < 1.0 - 0.0331 * x ** 4)
                       | (np.log(u) < 0.5 * x * x + di * (1.0 - v + np.log(v))))
@@ -83,13 +114,12 @@ def gamma_sample(shape, rng: np.random.Generator) -> np.ndarray:
                 break
             di, ci = dc.take(idx, axis=1)
     if boost.any():
-        u2 = rng.random(int(boost.sum()))
+        u2 = _draws(rngs, split(np.flatnonzero(boost)), "random")
         out[boost] *= u2 ** (1.0 / a[boost])
-    return out if np.ndim(shape) else float(out[0])
+    return out.reshape(np.shape(shape)) if np.ndim(shape) else float(out[0])
 
 
-def _beta_from_gammas(a_shapes: np.ndarray, b_shapes: np.ndarray,
-                      rng: np.random.Generator) -> np.ndarray:
+def _beta_from_gammas(a_shapes: np.ndarray, b_shapes: np.ndarray, rng) -> np.ndarray:
     ga = gamma_sample(a_shapes, rng)
     gb = gamma_sample(b_shapes, rng)
     total = ga + gb
@@ -98,10 +128,10 @@ def _beta_from_gammas(a_shapes: np.ndarray, b_shapes: np.ndarray,
     return np.clip(lam, 1e-12, 1.0 - 1e-12)
 
 
-def sample_lambda_batch(r_i: np.ndarray, r_j: np.ndarray, cfg: RamConfig,
-                        rng: np.random.Generator) -> np.ndarray:
+def sample_lambda_batch(r_i: np.ndarray, r_j: np.ndarray, cfg: RamConfig, rng) -> np.ndarray:
     """Interpolation coefficients, one per pair, skewed toward the more
-    reliable endpoint: Beta(gamma*r_i/(r_i+r_j+DELTA), gamma*r_j/(...))."""
+    reliable endpoint: Beta(gamma*r_i/(r_i+r_j+DELTA), gamma*r_j/(...)).
+    rng is one Generator, or one per row of a stack (gamma_sample)."""
     r_i = np.asarray(r_i, dtype=np.float64)
     r_j = np.asarray(r_j, dtype=np.float64)
     denom = r_i + r_j + DELTA
@@ -122,11 +152,15 @@ def _partner_permutation(b: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def build_pairs(batch_x: np.ndarray, reliabilities: np.ndarray,
-                refined_targets: np.ndarray, cfg: RamConfig,
-                rng: np.random.Generator, symmetric: bool = False,
-                gate: bool = True) -> MixBatch:
+                refined_targets: np.ndarray, cfg: RamConfig, rng,
+                symmetric: bool = False, gate: bool = True) -> MixBatch:
     """One mixed pair per sample, partners drawn as a random permutation.
 
+    For one network: reliabilities (B,), refined_targets (B, C) and one
+    Generator. For a stack of K: reliabilities (K, B), refined_targets
+    (K, B, C) and K generators, and net k's slice of every field has the
+    bits of its single-net call with its own generator, whose stream it
+    leaves where that call would. batch_x (B, D) is shared either way.
     symmetric=True replaces the reliability-shaped Beta with the classic
     Beta(gamma, gamma); gate=False forces every gating weight to one.
     """
@@ -136,14 +170,17 @@ def build_pairs(batch_x: np.ndarray, reliabilities: np.ndarray,
     b = batch_x.shape[0]
     if b == 0:
         raise ValueError("batch must be nonempty")
-    perm = _partner_permutation(b, rng)
+    rngs = _generators(rng)
+    perm = np.stack([_partner_permutation(b, g) for g in rngs]).reshape(r.shape)
+    r_perm = np.take_along_axis(r, perm, axis=-1)
     if symmetric:
-        shapes = np.full(b, cfg.gamma)
-        lam = _beta_from_gammas(shapes, shapes, rng)
+        shapes = np.full(r.shape, cfg.gamma)
+        lam = _beta_from_gammas(shapes, shapes, rngs)
     else:
-        lam = sample_lambda_batch(r, r[perm], cfg, rng)
+        lam = sample_lambda_batch(r, r_perm, cfg, rngs)
     # gating weight: the stronger endpoint's reliability
-    w = np.maximum(r, r[perm]) if gate else np.ones(b)
-    mix = lambda a: lam[:, None] * a + (1.0 - lam)[:, None] * a[perm]
-    return MixBatch(j=perm, lam=lam, w=w, x=mix(batch_x), y=mix(refined_targets))
-
+    w = np.maximum(r, r_perm) if gate else np.ones(r.shape)
+    keep, rest = lam[..., None], (1.0 - lam)[..., None]
+    return MixBatch(j=perm, lam=lam, w=w, x=keep * batch_x + rest * batch_x[perm],
+                    y=keep * refined_targets
+                    + rest * np.take_along_axis(refined_targets, perm[..., None], axis=-2))

@@ -313,7 +313,8 @@ def _matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
 def per_sample_grad_dots(params: ModelParams, out: BatchForward,
                          given_targets: np.ndarray, pseudo_targets: np.ndarray,
                          vec: np.ndarray,
-                         buffers: Buffers | None = None) -> tuple[np.ndarray, np.ndarray]:
+                         buffers: Buffers | None = None,
+                         probs: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """<g_k_i, vec> for every sample of the cached forward `out` (per net of
     a stack, with one vec each), without materializing the gradients.
 
@@ -321,7 +322,8 @@ def per_sample_grad_dots(params: ModelParams, out: BatchForward,
     each layer's per-sample gradient is an outer product, so its inner
     product with vec's matching block is (activation @ block) . delta. With
     `buffers`, the (B, hidden) temporaries live in the backward pass's
-    "dh1" and "dh2" roles, which are free until the next backward.
+    "dh1" and "dh2" roles, which are free until the next backward. `probs`
+    is softmax(out.logits) when the caller has it.
     """
     x, h1, h2 = out.cache
     arch = params.arch
@@ -330,7 +332,8 @@ def per_sample_grad_dots(params: ModelParams, out: BatchForward,
     work = buffers or Buffers()
     xv1, h1v2, prod = work.array("dh1", (3,) + lead + (b, arch.hidden))
     dh2p, dh1p = work.array("dh2", (2,) + lead + (b, arch.hidden))
-    probs = softmax(out.logits)
+    if probs is None:
+        probs = softmax(out.logits)
     v = _param_views(arch, np.asarray(vec, dtype=np.float64))
     np.matmul(x, v["w1"], out=xv1)
     np.matmul(h1, v["w2"], out=h1v2)

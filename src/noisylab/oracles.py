@@ -16,7 +16,6 @@ and backward to check each term alone.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -196,8 +195,8 @@ def fused_step_fd_error(params: net.ModelParams, xw: np.ndarray, xs: np.ndarray,
     stacked = lambda a: np.stack([a, flip(a)])
     targets2, r2, pc2, beta2 = (stacked(a) for a in (targets, r, pseudo_cls, beta))
     bc2 = [np.asarray(bc, dtype=np.int64), np.setdiff1d(np.arange(b), bc)]
-    pairs2 = [pairs, dataclasses.replace(pairs, w=flip(pairs.w), x=flip(pairs.x),
-                                         y=flip(pairs.y))]
+    pairs2 = mixup.MixBatch(j=np.stack([pairs.j, pairs.j]), lam=np.stack([pairs.lam, pairs.lam]),
+                            w=stacked(pairs.w), x=stacked(pairs.x), y=stacked(pairs.y))
 
     def step(flat):
         p = net.ModelParams(params.arch, flat)

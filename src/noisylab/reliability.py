@@ -51,6 +51,7 @@ def meta_gradients_closed(params: ModelParams, batch_x: np.ndarray,
                           given_targets: np.ndarray, pseudo_targets: np.ndarray,
                           meta: MetaSet, eta_inner: float,
                           out: BatchForward | None = None,
+                          probs: np.ndarray | None = None,
                           meta_targets: np.ndarray | None = None,
                           buffers: Buffers | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Exact derivative of the held-out loss w.r.t. each per-sample weight.
@@ -59,8 +60,9 @@ def meta_gradients_closed(params: ModelParams, batch_x: np.ndarray,
     the observed-label term and the pseudo-label term of each sample, taken
     at zero perturbation through a single virtual SGD step of learning rate
     eta_inner; for a stack of networks (with pseudo_targets per net), one
-    row of each per net. `out` is batch_x's forward under params and
-    `meta_targets` the one-hot rows of meta.y, when the caller has them;
+    row of each per net. `out` is batch_x's forward under params, `probs`
+    the softmax of its logits and `meta_targets` the one-hot rows of meta.y,
+    when the caller has them;
     `buffers` holds the per-sample temporaries (net.per_sample_grad_dots).
     """
     if eta_inner < 0:
@@ -72,7 +74,8 @@ def meta_gradients_closed(params: ModelParams, batch_x: np.ndarray,
     if meta_targets is None:
         meta_targets = one_hot(meta.y, given_targets.shape[1])
     mgrad = weighted_ce_loss_grad(params, meta.x, meta_targets, np.ones(meta.m))[1]
-    d1, d2 = per_sample_grad_dots(params, out, given_targets, pseudo_targets, mgrad, buffers)
+    d1, d2 = per_sample_grad_dots(params, out, given_targets, pseudo_targets, mgrad,
+                                  buffers, probs)
     return -eta_inner * d1, -eta_inner * d2
 
 

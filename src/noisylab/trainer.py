@@ -10,11 +10,13 @@ The two updates inside a batch read only frozen co-network outputs, so they
 are independent and every array they touch has the same shape: co_train
 steps both networks as one stack along a leading net axis (net.ModelParams
 with lead (2,)), one pass per layer for the pair, and clamps and normalizes
-the pair's reliabilities in one reliability.disentangle call. What has
-per-net state or per-net sizes stays a loop over the two nets: Mixup pair
-sampling (each net owns its random stream), the confidence-filtered
-cross-entropy and consistency heads (each net keeps its own rows) and the
-contrastive head.
+the pair's reliabilities in one reliability.disentangle call. Mixup pair
+sampling and the contrastive head's row work also run once for the pair:
+each net keeps its own random stream, and the contrastive head's (2B)^2
+passes run net by net in one work matrix. The confidence-filtered
+cross-entropy and consistency heads stay a loop over the two nets, since
+each net keeps its own rows and perfbench/worker.py's row-count probe reads
+one reweighted_ce_grad call per net.
 
 Each network step has one form: step_forward runs the stack's shared forward
 (on [weak; strong] views when a strong-view term runs), and step_loss_grad
@@ -210,7 +212,7 @@ def step_forward(params: ModelParams, xw: np.ndarray, xs: np.ndarray, w_t: float
 
 def step_loss_grad(params: ModelParams, xw: np.ndarray, fw: BatchForward,
                    targets: np.ndarray, r: np.ndarray, bc, eta_w: float, w_t: float,
-                   cfg: TrainConfig, pairs: list | None = None,
+                   cfg: TrainConfig, pairs: mixup.MixBatch | None = None,
                    pseudo_cls: np.ndarray | None = None,
                    gate_beta: np.ndarray | None = None, y_true: np.ndarray | None = None,
                    *, buffers: Buffers):
@@ -218,8 +220,9 @@ def step_loss_grad(params: ModelParams, xw: np.ndarray, fw: BatchForward,
     network step of a stack of K networks.
 
     params is the stack (lead (K,)); targets (K, B, C), r, pseudo_cls and
-    gate_beta (K, B) hold one block per net, bc and pairs (mixup.MixBatch)
-    one entry per net. fw is step_forward's result in the same `buffers`.
+    gate_beta (K, B) and every field of pairs (a stacked mixup.MixBatch)
+    hold one block per net, and bc one entry per net. fw is step_forward's
+    result in the same `buffers`.
     Each term's head gradient comes from the cached outputs with w_t and
     lambda_cdcl folded in, the Mixup rows are forwarded into the rows after
     fw's, and one backward pass over [xw; xs; x_mix] gives each net's
@@ -250,15 +253,16 @@ def step_loss_grad(params: ModelParams, xw: np.ndarray, fw: BatchForward,
     if w_t > 0.0 and cfg.use_cdcl:
         demb = buffers.array("demb", (len(nets), rows, fw.emb.shape[-1]))
         demb[:, n:] = 0.0
+        losses, _, pur = contrastive.cdcl_head(fw.emb, pseudo_cls, gate_beta, cfg.cdcl,
+                                               y_true, buffers, out=demb[:, :n])
+        demb[:, :n] *= w_t * cfg.lambda_cdcl
         for k in nets:
-            comps[k]["cdcl"], draw, purity[k] = contrastive.cdcl_head(
-                fw.emb[k], pseudo_cls[k], gate_beta[k], cfg.cdcl, y_true, buffers)
-            np.multiply(w_t * cfg.lambda_cdcl, draw, out=demb[k, :n])
+            comps[k]["cdcl"] = float(losses[k])
+        if pur is not None:
+            purity = list(pur)
     if ram:
-        mix = forward_batch(params, np.stack([p.x for p in pairs]), buffers=buffers,
-                            row0=n, total_rows=rows)
-        losses, dram = weighted_ce_head(mix.logits[:, n:], np.stack([p.y for p in pairs]),
-                                        np.stack([p.w for p in pairs]))
+        mix = forward_batch(params, pairs.x, buffers=buffers, row0=n, total_rows=rows)
+        losses, dram = weighted_ce_head(mix.logits[:, n:], pairs.y, pairs.w)
         np.multiply(w_t, dram, out=dlogits[:, n:])
         for k in nets:
             comps[k]["ram"] = float(losses[k])
@@ -340,15 +344,17 @@ class _EpochTally:
         self.mass_gap = gap if self.mass_gap is None else max(self.mass_gap, gap)
 
     def add_pairs(self, pairs, clean):
+        """One batch's stacked Mixup pairs; the float sums run net by net."""
         lam = pairs.lam
         kinds = clean.astype(np.int64) + clean[pairs.j]
-        self.wmix_sum += float(pairs.w.sum())
-        self.wmix_count += len(lam)
+        for w, lam_k, kinds_k in zip(pairs.w, lam, kinds):
+            self.wmix_sum += float(w.sum())
+            for kind in range(3):
+                self.lam_sums[kind] += lam_k[kinds_k == kind].sum()
+        self.wmix_count += lam.size
         bins = np.minimum((lam * 10.0).astype(np.int64), 9)
-        for kind in range(3):
-            self.lam_sums[kind] += lam[kinds == kind].sum()
-        self.lam_counts += np.bincount(kinds, minlength=3)
-        self.lam_hist += np.bincount(kinds * 10 + bins, minlength=30).reshape(3, 10)
+        self.lam_counts += np.bincount(kinds.ravel(), minlength=3)
+        self.lam_hist += np.bincount((kinds * 10 + bins).ravel(), minlength=30).reshape(3, 10)
 
     def add_purity(self, counts):
         self.purity += np.asarray(counts)
@@ -466,7 +472,8 @@ def co_train(train: Dataset, meta: MetaSet | None, test: Dataset, cfg: TrainConf
             if cfg.use_meta:
                 e1, e2 = meta_gradients_closed(
                     params, xw, given, eye[pseudo_cls], meta, lr_t,
-                    out=fw.rows(slice(0, b)), meta_targets=meta_targets, buffers=buffers)
+                    out=fw.rows(slice(0, b)), probs=co_probs[::-1],
+                    meta_targets=meta_targets, buffers=buffers)
                 if cfg.couple_meta:
                     e1 = e2 = 0.5 * (e1 + e2)
                 rb = disentangle(e1, e2)  # (2, b), each net along its own batch
@@ -490,11 +497,9 @@ def co_train(train: Dataset, meta: MetaSet | None, test: Dataset, cfg: TrainConf
 
             pairs = None
             if w_t > 0.0 and cfg.use_ram:
-                pairs = [mixup.build_pairs(xw, r[k], targets[k], cfg.ram, mix_rngs[k],
-                                           symmetric=cfg.sym_ram, gate=cfg.use_grg)
-                         for k in range(2)]
-                for p in pairs:
-                    tally.add_pairs(p, batch_clean)
+                pairs = mixup.build_pairs(xw, r, targets, cfg.ram, mix_rngs,
+                                          symmetric=cfg.sym_ram, gate=cfg.use_grg)
+                tally.add_pairs(pairs, batch_clean)
             comps, grad, purity = step_loss_grad(
                 params, xw, fw, targets, r, bc, eta_eff, w_t, cfg, pairs=pairs,
                 pseudo_cls=pseudo_cls, gate_beta=beta, y_true=train.y_true[rows],

@@ -320,3 +320,80 @@ class TestDenseParity:
         for half in (80, 7, 80):
             bank, y = self.random_bank(rng, half, np.arange(4))
             self.assert_parity(bank, y, buffers)
+
+
+class TestStackedHead:
+    """A stack of banks (leading net axis) against each net's single-bank
+    call: loss, gradient and purity totals bit for bit."""
+
+    @staticmethod
+    def random_stack(rng, half, classes=(3, 3), p=5):
+        raw = rng.standard_normal((2, 2 * half, p))
+        pc = np.stack([rng.integers(0, c, half) for c in classes])
+        return raw, pc, rng.random((2, half)), rng.integers(0, 3, half)
+
+    def assert_slices(self, raw, pc, beta, y, out=None):
+        buffers = net.Buffers()
+        loss, draw, purity = contrastive.cdcl_head(raw, pc, beta, CFG, y, buffers, out=out)
+        assert loss.shape == (2,) and purity.shape == (2, 4)
+        if out is not None:
+            assert draw is out
+        for k in range(2):
+            loss_k, draw_k, purity_k = contrastive.cdcl_head(raw[k], pc[k], beta[k], CFG, y,
+                                                             net.Buffers())
+            assert loss[k] == loss_k
+            assert np.array_equal(draw[k], draw_k)
+            assert np.array_equal(purity[k], purity_k)
+        return loss, draw, purity
+
+    def test_random_stacks(self):
+        rng = np.random.default_rng(21)
+        for _ in range(20):
+            self.assert_slices(*self.random_stack(rng, int(rng.integers(1, 90))))
+
+    @pytest.mark.parametrize("classes", [(2, 4), (4, 1), (1, 7)])
+    def test_different_largest_pseudo_classes(self, classes):
+        # each net's class sums run over its own class count
+        rng = np.random.default_rng(sum(classes))
+        for half in (8, 16, 40):
+            raw, pc, beta, y = self.random_stack(rng, half, classes)
+            pc[:, 0] = np.array(classes) - 1  # each net reaches its largest class
+            self.assert_slices(raw, pc, beta, y)
+
+    def test_no_spread_in_one_net(self):
+        raw, pc, beta, y = self.random_stack(np.random.default_rng(22), 8)
+        beta[1] = 0.3  # RANGE_EPS fallback: uniform gates in net 2 only
+        bnorm = contrastive.normalize_beta(beta)
+        assert np.all(bnorm[1] == 1.0) and not np.all(bnorm[0] == 1.0)
+        self.assert_slices(raw, pc, beta, y)
+
+    def test_degenerate_row_in_one_net(self):
+        raw, pc, beta, y = self.random_stack(np.random.default_rng(23), 8)
+        raw[0, [2, 11]] = 0.0
+        _, draw, _ = self.assert_slices(raw, pc, beta, y)
+        assert np.all(draw[0, [2, 11]] == 0.0) and np.all(draw[1] != 0.0)
+
+    def test_partial_batch_into_a_wider_gradient_buffer(self):
+        # 2B = 16 rows written into the first rows of each net's block of a
+        # larger array, as the network step's "demb" rows are
+        raw, pc, beta, y = self.random_stack(np.random.default_rng(24), 8)
+        demb = np.full((2, 24, 5), np.nan)
+        self.assert_slices(raw, pc, beta, y, out=demb[:, :16])
+        assert np.isnan(demb[:, 16:]).all()
+
+    def test_one_net_without_a_positive(self):
+        rng = np.random.default_rng(25)
+        z = unit_rows(rng, 8).reshape(2, 4, 5)
+        pc = np.array([[0, 1, 0, 1], [0, 1, 2, 3]])  # no positive in net 2
+        stack = contrastive.FeatureBank(z=z, pseudo_class=pc, beta=rng.random((2, 4)),
+                                        degenerate=np.zeros((2, 4), dtype=bool))
+        y = np.array([0, 1])
+        loss, dz, purity = contrastive.cdcl_feature_grad(stack, CFG, y, net.Buffers())
+        for k in range(2):
+            bank = contrastive.FeatureBank(z=z[k], pseudo_class=pc[k], beta=stack.beta[k],
+                                           degenerate=stack.degenerate[k])
+            loss_k, dz_k, purity_k = dense_cdcl_feature_grad(bank, CFG, y)
+            assert np.array_equal(dz[k], dz_k)
+            assert loss[k] == pytest.approx(loss_k, rel=1e-12)
+            assert np.allclose(purity[k], purity_k, rtol=1e-12)
+        assert loss[1] == 0.0 and np.all(dz[1] == 0.0)

@@ -290,3 +290,82 @@ def test_config_validation():
         mixup.RamConfig(r_min=0.5, r_max=0.2)
     with pytest.raises(ConfigError):
         mixup.RamConfig(gamma=0.0)
+
+
+class CountingRng:
+    """A Generator that counts its rejection rounds (standard_normal calls)."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.rounds = 0
+
+    def standard_normal(self, *args, **kwargs):
+        self.rounds += 1
+        return self.rng.standard_normal(*args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+
+class TestStackedSampler:
+    """A stack (leading net axis, one generator per net) against each net's
+    single-net call: the same bits, and each generator left where its own
+    call leaves it."""
+
+    @staticmethod
+    def assert_pairs(x, r, targets, seeds, **kwargs):
+        stack_rngs = [np.random.default_rng(s) for s in seeds]
+        pairs = mixup.build_pairs(x, r, targets, CFG, stack_rngs, **kwargs)
+        for k, seed in enumerate(seeds):
+            rng = np.random.default_rng(seed)
+            one = mixup.build_pairs(x, r[k], targets[k], CFG, rng, **kwargs)
+            for field in ("j", "lam", "w", "x", "y"):
+                assert np.array_equal(getattr(pairs, field)[k], getattr(one, field)), field
+            assert stack_rngs[k].random() == rng.random()
+        return pairs
+
+    @staticmethod
+    def batch(rng, b, c=3):
+        t = rng.random((2, b, c))
+        return (rng.standard_normal((b, 4)), rng.uniform(0.1, 2.0, (2, b)),
+                t / t.sum(-1, keepdims=True))
+
+    @pytest.mark.parametrize("symmetric, gate", [(False, True), (True, True), (False, False)],
+                             ids=["shaped", "symmetric", "no_gate"])
+    @pytest.mark.parametrize("b", [1, 8, 32])
+    def test_pairs_equal_single_net_calls(self, b, symmetric, gate):
+        rng = np.random.default_rng(b)
+        for trial in range(10):
+            x, r, targets = self.batch(rng, b)
+            self.assert_pairs(x, r, targets, (3 * trial, 3 * trial + 1),
+                              symmetric=symmetric, gate=gate)
+
+    def test_one_row_without_a_boost_draw(self):
+        # equal reliabilities give shape gamma/2 = 2 throughout net 1's row,
+        # while net 2's spread puts shapes below one
+        rng = np.random.default_rng(30)
+        x, r, targets = self.batch(rng, 16)
+        r[0] = 1.0
+        r[1] = np.where(np.arange(16) % 2, 0.1, 2.0)
+        self.assert_pairs(x, r, targets, (5, 6))
+
+    def test_rows_needing_different_rounds(self):
+        # find seeds for which net 1's row is done in round one and net 2's
+        # needs more, then draw the stack with them
+        shapes = np.full((2, 24), 1.5)
+        found = None
+        for s in range(200):
+            counts = [CountingRng(seed) for seed in (2 * s, 2 * s + 1)]
+            for k, g in enumerate(counts):
+                mixup.gamma_sample(shapes[k:k + 1], [g])  # a stack of one row
+            if counts[0].rounds == 1 and counts[1].rounds > 1:
+                found = (2 * s, 2 * s + 1)
+                break
+        assert found is not None
+        stack_rngs = [CountingRng(seed) for seed in found]
+        draws = mixup.gamma_sample(shapes, stack_rngs)
+        assert stack_rngs[0].rounds == 1  # a finished row draws nothing more
+        for k, seed in enumerate(found):
+            rng = np.random.default_rng(seed)
+            assert np.array_equal(draws[k], mixup.gamma_sample(shapes[k], rng))
+            assert stack_rngs[k].random() == rng.random()

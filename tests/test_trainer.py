@@ -220,13 +220,14 @@ class _StepFixture:
     def stacked(self, bc):
         """The stack's parameters, per-net inputs, filters and Mixup pairs."""
         flip = lambda a: np.asarray(a)[::-1]
+        stack = lambda a: np.stack([a, flip(a)])
         p = net.stack_params([self.params, net.ModelParams(self.params.arch,
                                                            flip(self.params.flat))])
-        per_net = tuple(np.stack([a, flip(a)]) for a in
-                        (self.targets, self.r, self.pc, self.beta))
+        per_net = tuple(stack(a) for a in (self.targets, self.r, self.pc, self.beta))
         bcs = [np.asarray(bc, dtype=np.int64), np.setdiff1d(np.arange(self.B), bc)]
-        pairs = [self.pairs, dataclasses.replace(self.pairs, w=flip(self.pairs.w),
-                                                 x=flip(self.pairs.x), y=flip(self.pairs.y))]
+        pairs = mixup.MixBatch(j=np.stack([self.pairs.j] * 2), lam=np.stack([self.pairs.lam] * 2),
+                               w=stack(self.pairs.w), x=stack(self.pairs.x),
+                               y=stack(self.pairs.y))
         return p, per_net, bcs, pairs
 
     def step(self, bc, w_t, cfg):
@@ -384,8 +385,8 @@ class TestFusedStep(_StepFixture):
             if w_t > 0:
                 terms["cr"] = head_grad(pk, xs, trainer.consistency_loss_grad, targets[k],
                                         bcs[k])
-                terms["ram"] = net.weighted_ce_loss_grad(pk, pairs[k].x, pairs[k].y,
-                                                         pairs[k].w)
+                terms["ram"] = net.weighted_ce_loss_grad(pk, pairs.x[k], pairs.y[k],
+                                                         pairs.w[k])
                 terms["cdcl"] = cdcl_grad(pk, xw, xs, pc[k], beta[k], cfg.cdcl)
                 expected = expected + w_t * (terms["cr"][1] + terms["ram"][1]
                                              + cfg.lambda_cdcl * terms["cdcl"][1])
@@ -429,6 +430,55 @@ class TestFusedStep(_StepFixture):
             assert np.array_equal(net.softmax(shared[0, :b]), co_probs[1])  # net2's partner
             checked += 1
         assert checked == cfg.epochs * -(-train.n // cfg.batch_size)
+
+    def test_meta_step_reuses_the_weak_view_softmax(self, monkeypatch):
+        # the probabilities co_train hands the meta step are, bit for bit,
+        # the softmax the meta step would compute from its cached forward
+        calls = []
+        inner = trainer.meta_gradients_closed
+
+        def recording(params, batch_x, given, pseudo, meta, eta, out=None, probs=None,
+                      **kwargs):
+            assert probs is not None
+            assert np.array_equal(probs, net.softmax(out.logits))
+            calls.append(probs.shape)
+            return inner(params, batch_x, given, pseudo, meta, eta, out=out, probs=probs,
+                         **kwargs)
+
+        monkeypatch.setattr(trainer, "meta_gradients_closed", recording)
+        train, meta, test = tiny_data()
+        cfg = tiny_cfg(epochs=2)
+        trainer.co_train(train, meta, test, cfg)
+        assert len(calls) == cfg.epochs * -(-train.n // cfg.batch_size)
+
+
+class TestEpochTally:
+    def test_stacked_pairs_sum_net_by_net(self):
+        # the float sums add net 1's pairs before net 2's, batch after batch
+        rng = np.random.default_rng(3)
+        b, cfg = 40, mixup.RamConfig()
+        clean = rng.random(b) < 0.6
+        gens = [np.random.default_rng(1), np.random.default_rng(2)]
+        tally = trainer._EpochTally()
+        lam_sums, wmix, kinds_all, lam_all = np.zeros(3), 0.0, [], []
+        for _ in range(5):
+            x, r = rng.standard_normal((b, 2)), rng.uniform(0.1, 2.0, (2, b))
+            pairs = mixup.build_pairs(x, r, np.full((2, b, 2), 0.5), cfg, gens)
+            tally.add_pairs(pairs, clean)
+            for k in range(2):
+                kinds = clean.astype(np.int64) + clean[pairs.j[k]]
+                wmix += float(pairs.w[k].sum())
+                for kind in range(3):
+                    lam_sums[kind] += pairs.lam[k][kinds == kind].sum()
+                kinds_all.append(kinds)
+                lam_all.append(pairs.lam[k])
+        assert tally.wmix_sum == wmix and tally.wmix_count == 5 * 2 * b
+        assert np.array_equal(tally.lam_sums, lam_sums)
+        kinds, lam = np.concatenate(kinds_all), np.concatenate(lam_all)
+        assert np.array_equal(tally.lam_counts, np.bincount(kinds, minlength=3))
+        bins = np.minimum((lam * 10).astype(np.int64), 9)
+        assert np.array_equal(tally.lam_hist,
+                              np.bincount(kinds * 10 + bins, minlength=30).reshape(3, 10))
 
 
 class TestConfigValidation:
