@@ -2,8 +2,8 @@
 
 Subcommands: generate (write dataset files), train (full co-training run),
 oracle (self-check suites against the brute-force oracles), report
-(pretty-print a run report). Exit codes: 0 success, 1 runtime failure,
-2 configuration error.
+(pretty-print a run report). Exit codes: 0 success, 1 runtime failure
+(including running out of memory), 2 configuration or input error.
 """
 
 from __future__ import annotations
@@ -187,9 +187,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print("configuration error: %s" % exc, file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
+    except MemoryError as exc:
+        print("error: out of memory: %s" % exc, file=sys.stderr)
+        return 1
     except (OSError, RuntimeError, json.JSONDecodeError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1

@@ -12,13 +12,16 @@ Format example::
     noise_mode = symmetric
     noise_rate = 0.4
 
-Unknown sections or keys are rejected by name. Every value has a typed
-default, so an empty file is a valid full configuration.
+Unknown sections or keys are rejected by name. Every key has a default (a
+typed setting's is its dataclass field's), so an empty file is a valid full
+configuration.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
+import typing
 
 import numpy as np
 
@@ -97,79 +100,66 @@ def _fmt_sigma(value) -> str:
     return "auto" if value == "auto" else fmt_float(value)
 
 
+def _fmt_bool(value) -> str:
+    return "true" if value else "false"
+
+
+# a typed field's (parser, formatter), by its annotated type
+_KINDS = {int: (int, str), float: (float, fmt_float), bool: (_parse_bool, _fmt_bool)}
+
+
+def _fields(cls, keys=None, **written) -> dict:
+    """SCHEMA entries for the fields `keys` of the typed config `cls` (all of
+    them by default): each is parsed and formatted by its annotated type and
+    defaults to the field's own default. `written` holds the entries of the
+    fields that have no typed default."""
+    types = typing.get_type_hints(cls)
+    defaults = {f.name: f.default for f in dataclasses.fields(cls)}
+    out = {}
+    for key in keys or defaults:
+        if key in written:
+            out[key] = written[key]
+        else:
+            parser, formatter = _KINDS[types[key]]
+            out[key] = (parser, defaults[key], formatter)
+    return out
+
+
+_AUTO_SIGMA = (_parse_sigma, "auto", _fmt_sigma)
+
 # key -> (parser, default, formatter)
-_INT = (int, None, str)
-_FLOAT = (float, None, fmt_float)
-_BOOL = (_parse_bool, None, lambda v: "true" if v else "false")
-_STR = (str, None, str)
-
-
-def _typed(kind, default):
-    parser, _, formatter = kind
-    return (parser, default, formatter)
-
-
 SCHEMA: dict = {
     "run": {
-        "seed": _typed(_INT, 7),
-        "out_dir": _typed(_STR, "runs/out"),
+        "seed": (int, 7, str),
+        "out_dir": (str, "runs/out", str),
     },
     "dataset": {
-        "num_classes": _typed(_INT, 4),
-        "per_class": _typed(_INT, 500),
-        "dim": _typed(_INT, 2),
-        "spread": _typed(_FLOAT, 0.9),
-        "noise_mode": _typed(_STR, "symmetric"),
-        "noise_rate": _typed(_FLOAT, 0.4),
+        "num_classes": (int, 4, str),
+        "per_class": (int, 500, str),
+        "dim": (int, 2, str),
+        "spread": (float, 0.9, fmt_float),
+        "noise_mode": (str, "symmetric", str),
+        "noise_rate": (float, 0.4, fmt_float),
         "pair_map": (_parse_pair_map, None, _fmt_pair_map),
-        "meta_size": _typed(_INT, 40),
-        "test_per_class": _typed(_INT, 250),
-        "load_dir": _typed(_STR, ""),
-        "ood_enabled": _typed(_BOOL, True),
-        "ood_per_class": _typed(_INT, 250),
-        "ood_radius_factor": _typed(_FLOAT, 1.0),
-        "ood_angle_frac": _typed(_FLOAT, 0.5),
+        "meta_size": (int, 40, str),
+        "test_per_class": (int, 250, str),
+        "load_dir": (str, "", str),
+        "ood_enabled": (_parse_bool, True, _fmt_bool),
+        "ood_per_class": (int, 250, str),
+        "ood_radius_factor": (float, 1.0, fmt_float),
+        "ood_angle_frac": (float, 0.5, fmt_float),
     },
-    "augment": {
-        "sigma_weak": (_parse_sigma, "auto", _fmt_sigma),
-        "sigma_strong": (_parse_sigma, "auto", _fmt_sigma),
-        "p_drop": _typed(_FLOAT, 0.1),
-    },
-    "net": {
-        "hidden": _typed(_INT, 64),
-        "proj": _typed(_INT, 16),
-    },
-    "ram": {
-        "gamma": _typed(_FLOAT, 4.0),
-        "r_min": _typed(_FLOAT, 0.1),
-        "r_max": _typed(_FLOAT, 2.0),
-    },
-    "cdcl": {
-        "tau": _typed(_FLOAT, 0.2),
-    },
-    "trainer": {
-        "epochs": _typed(_INT, 40),
-        "batch_size": _typed(_INT, 64),
-        "warmup_start": _typed(_INT, 5),
-        "warmup_full": _typed(_INT, 15),
-        "eta_w": _typed(_FLOAT, 1.0),
-        "lambda_cdcl": _typed(_FLOAT, 0.5),
-        "conf_threshold": _typed(_FLOAT, 0.9),
-        "sharpen_temp": _typed(_FLOAT, 0.5),
-        "lr": _typed(_FLOAT, 0.05),
-        "momentum": _typed(_FLOAT, 0.9),
-        "weight_decay": _typed(_FLOAT, 5e-4),
-        "decay_epochs": (_parse_int_list, "auto", _fmt_int_list),
-        "decay_factor": _typed(_FLOAT, 0.1),
-        "use_meta": _typed(_BOOL, True),
-        "use_ram": _typed(_BOOL, True),
-        "use_grg": _typed(_BOOL, True),
-        "use_cdcl": _typed(_BOOL, True),
-        "use_cr": _typed(_BOOL, True),
-        "use_refine": _typed(_BOOL, True),
-        "couple_meta": _typed(_BOOL, False),
-        "sym_ram": _typed(_BOOL, False),
-    },
+    "augment": _fields(AugmentConfig, sigma_weak=_AUTO_SIGMA, sigma_strong=_AUTO_SIGMA),
+    "net": _fields(TrainConfig, ("hidden", "proj")),
+    "ram": _fields(RamConfig),
+    "cdcl": _fields(CdclConfig),
+    "trainer": _fields(
+        TrainConfig,
+        ("epochs", "batch_size", "warmup_start", "warmup_full", "eta_w", "lambda_cdcl",
+         "conf_threshold", "sharpen_temp", "lr", "momentum", "weight_decay", "decay_epochs",
+         "decay_factor", "use_meta", "use_ram", "use_grg", "use_cdcl", "use_cr",
+         "use_refine", "couple_meta", "sym_ram"),
+        decay_epochs=(_parse_int_list, "auto", _fmt_int_list)),
 }
 
 
@@ -272,32 +262,22 @@ def _validate(cfg: dict) -> None:
     to_train_config(cfg)
 
 
-def resolve_augment(cfg: dict) -> AugmentConfig:
-    a = cfg["augment"]
-    base = default_augment_config(cfg["dataset"]["spread"])
-    sigma_w = base.sigma_weak if a["sigma_weak"] == "auto" else a["sigma_weak"]
-    sigma_s = base.sigma_strong if a["sigma_strong"] == "auto" else a["sigma_strong"]
-    return AugmentConfig(sigma_weak=sigma_w, sigma_strong=sigma_s, p_drop=a["p_drop"])
-
-
-def resolve_decay_epochs(cfg: dict):
-    t = cfg["trainer"]
-    if t["decay_epochs"] == "auto":
-        return (int(t["epochs"] * 0.6), int(t["epochs"] * 0.85))
-    return tuple(t["decay_epochs"])
-
-
 def to_train_config(cfg: dict) -> TrainConfig:
-    """The [trainer] and [net] keys are TrainConfig's field names; the rest
-    is resolved or built here."""
-    seed = cfg["run"]["seed"]
+    """The [trainer] and [net] keys are TrainConfig's field names. The rest is
+    built here, the one place that resolves 'auto' decay epochs and sigmas."""
+    t = cfg["trainer"]
+    decay = t["decay_epochs"]
+    if decay == "auto":
+        decay = (int(t["epochs"] * 0.6), int(t["epochs"] * 0.85))
+    explicit = {key: value for key, value in cfg["augment"].items() if value != "auto"}
+    seeds = derived_seeds(cfg)
     return TrainConfig(**{
-        **cfg["trainer"], **cfg["net"],
-        "decay_epochs": resolve_decay_epochs(cfg),
+        **t, **cfg["net"],
+        "decay_epochs": tuple(decay),
         "ram": RamConfig(**cfg["ram"]), "cdcl": CdclConfig(**cfg["cdcl"]),
-        "augment": resolve_augment(cfg),
-        "net1_seed": _derive(seed, _SEED_NET1), "net2_seed": _derive(seed, _SEED_NET2),
-        "loop_seed": _derive(seed, _SEED_LOOP),
+        "augment": dataclasses.replace(default_augment_config(cfg["dataset"]["spread"]),
+                                       **explicit),
+        **{key: seeds[key] for key in ("net1_seed", "net2_seed", "loop_seed")},
     })
 
 
@@ -353,6 +333,9 @@ def make_datasets(cfg: dict):
     ds_cfg = cfg["dataset"]
     seeds = derived_seeds(cfg)
     pool = make_training_pool(cfg)
+    if ds_cfg["meta_size"] >= pool.n:
+        raise ConfigError("dataset.meta_size = %d leaves none of the pool's %d samples "
+                          "for training" % (ds_cfg["meta_size"], pool.n))
     train, meta = split_meta(pool, ds_cfg["meta_size"], seeds["split_seed"])
     test = make_blobs(ds_cfg["num_classes"], ds_cfg["test_per_class"], ds_cfg["dim"],
                       ds_cfg["spread"], seeds["test_seed"])
@@ -384,11 +367,11 @@ def canonical_dict(cfg: dict) -> dict:
             elif isinstance(value, dict):  # pair_map: JSON keys are strings
                 value = {str(k): v for k, v in sorted(value.items())}
             out[section][key] = value
-    augment = resolve_augment(cfg)
+    tcfg = to_train_config(cfg)
     out["resolved"] = {
-        "decay_epochs": list(resolve_decay_epochs(cfg)),
-        "sigma_weak": augment.sigma_weak,
-        "sigma_strong": augment.sigma_strong,
+        "decay_epochs": list(tcfg.decay_epochs),
+        "sigma_weak": tcfg.augment.sigma_weak,
+        "sigma_strong": tcfg.augment.sigma_strong,
     }
     return out
 

@@ -171,7 +171,7 @@ def split_meta(ds: Dataset, m: int, seed: int) -> tuple[Dataset, MetaSet]:
 class AugmentConfig:
     sigma_weak: float
     sigma_strong: float
-    p_drop: float
+    p_drop: float = 0.1
 
     def __post_init__(self):
         for name in ("sigma_weak", "sigma_strong"):
@@ -182,7 +182,7 @@ class AugmentConfig:
 
 
 def default_augment_config(spread: float) -> AugmentConfig:
-    return AugmentConfig(sigma_weak=0.05 * spread, sigma_strong=0.15 * spread, p_drop=0.1)
+    return AugmentConfig(sigma_weak=0.05 * spread, sigma_strong=0.15 * spread)
 
 
 def make_views(x: np.ndarray, cfg: AugmentConfig, rng: np.random.Generator):

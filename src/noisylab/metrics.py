@@ -88,13 +88,22 @@ def softmax_chunks(params: ModelParams, inputs: np.ndarray, buffers: Buffers | N
         yield rows, softmax(forward_batch(params, inputs[rows], buffers=buffers).logits)
 
 
+def ensemble_chunks(params: ModelParams, inputs: np.ndarray,
+                    buffers: Buffers | None = None):
+    """softmax_chunks of a stack of networks (net.stack_params) with the
+    ensemble's prediction, the mean softmax across the nets, yielded as (row
+    slice, per-net probabilities, ensemble probabilities)."""
+    for rows, probs in softmax_chunks(params, inputs, buffers):
+        yield rows, probs, probs.mean(axis=0)
+
+
 def msp_scores_ensemble(params: ModelParams, inputs: np.ndarray,
                         buffers: Buffers | None = None) -> np.ndarray:
-    """Max of the mean softmax across a stack of networks (net.stack_params),
-    matching ensembled prediction."""
+    """Max of the ensemble's softmax (ensemble_chunks), matching ensembled
+    prediction."""
     scores = np.empty(len(inputs))
-    for rows, probs in softmax_chunks(params, inputs, buffers):
-        scores[rows] = probs.mean(axis=0).max(axis=1)
+    for rows, _, ens in ensemble_chunks(params, inputs, buffers):
+        scores[rows] = ens.max(axis=1)
     return scores
 
 

@@ -43,7 +43,7 @@ import numpy as np
 
 from . import contrastive, metrics, mixup
 from .contrastive import CdclConfig
-from .data import AugmentConfig, Dataset, MetaSet, make_views
+from .data import AugmentConfig, Dataset, MetaSet, default_augment_config, make_views
 from .mixup import DELTA, RamConfig, total_reliability
 from .net import (Architecture, BatchForward, Buffers, ModelParams, backward_batch,
                   forward_batch, init_params, sgd_step, softmax, stack_params,
@@ -63,7 +63,7 @@ NETS = ("net1", "net2")
 
 @dataclass(frozen=True)
 class TrainConfig:
-    epochs: int = 30
+    epochs: int = 40
     batch_size: int = 64
     warmup_start: int = 5
     warmup_full: int = 15
@@ -80,7 +80,7 @@ class TrainConfig:
     proj: int = 16
     ram: RamConfig = RamConfig()
     cdcl: CdclConfig = CdclConfig()
-    augment: AugmentConfig = AugmentConfig(0.05, 0.15, 0.1)
+    augment: AugmentConfig = default_augment_config(1.0)
     use_meta: bool = True
     use_ram: bool = True
     use_grg: bool = True
@@ -398,13 +398,17 @@ def _diverged(what: str, t: int, batch_idx: int, k: int, comps: dict,
                             % (what, t, batch_idx, NETS[k]), snapshot)
 
 
-def _evaluate(params: ModelParams, test: Dataset, buffers: Buffers) -> dict:
+def _evaluate(params: ModelParams, test: Dataset, buffers: Buffers):
+    """Test accuracy of each net and of the ensemble, and the ensemble's MSP
+    scores (metrics.msp_scores_ensemble) on the test set."""
     preds = np.empty((3, test.n), dtype=np.int64)  # net1, net2, ensemble
-    for rows, probs in metrics.softmax_chunks(params, test.x, buffers):
+    scores = np.empty(test.n)
+    for rows, probs, ens in metrics.ensemble_chunks(params, test.x, buffers):
         preds[:2, rows] = probs.argmax(axis=-1)
-        preds[2, rows] = (0.5 * (probs[0] + probs[1])).argmax(axis=1)
-    acc1, acc2, ens = (metrics.accuracy(p, test.y_true) for p in preds)
-    return {"net1": acc1, "net2": acc2, "ensemble": ens}
+        preds[2, rows] = ens.argmax(axis=1)
+        scores[rows] = ens.max(axis=1)
+    acc1, acc2, acc_ens = (metrics.accuracy(p, test.y_true) for p in preds)
+    return {"net1": acc1, "net2": acc2, "ensemble": acc_ens}, scores
 
 
 def co_train(train: Dataset, meta: MetaSet | None, test: Dataset, cfg: TrainConfig,
@@ -429,11 +433,12 @@ def co_train(train: Dataset, meta: MetaSet | None, test: Dataset, cfg: TrainConf
     meta_targets = eye[meta.y] if cfg.use_meta else None
     buffers = Buffers()  # the run's one workspace: forward, step and evaluation
 
+    test_acc, id_scores = _evaluate(params, test, buffers)
     report = metrics.RunReport(
         config=config_echo if config_echo is not None else {"trainer": asdict(cfg)},
         seeds=seeds_echo if seeds_echo is not None else {
             "net1_seed": cfg.net1_seed, "net2_seed": cfg.net2_seed, "loop_seed": cfg.loop_seed},
-        initial={"test_acc": _evaluate(params, test, buffers)},
+        initial={"test_acc": test_acc},
     )
 
     lows = []  # each batch's (mass identity gap, smallest alpha, smallest beta)
@@ -519,7 +524,7 @@ def co_train(train: Dataset, meta: MetaSet | None, test: Dataset, cfg: TrainConf
             params, velocity = sgd_step(params, grad, velocity, lr_t, cfg.momentum,
                                         cfg.weight_decay)
 
-        test_acc = _evaluate(params, test, buffers)
+        test_acc, id_scores = _evaluate(params, test, buffers)
         purity_raw = tally.purity[0] / tally.purity[1] if tally.purity[1] > 0 else None
         purity_gated = tally.purity[2] / tally.purity[3] if tally.purity[3] > 0 else None
         rec = {
@@ -556,8 +561,7 @@ def co_train(train: Dataset, meta: MetaSet | None, test: Dataset, cfg: TrainConf
         "beta_min": min(beta_lows, default=None),
         "ood": None,
     }
-    if ood is not None:
-        id_scores = metrics.msp_scores_ensemble(params, test.x, buffers)
+    if ood is not None:  # id_scores are the last evaluation's, of the final params
         ood_scores = metrics.msp_scores_ensemble(params, ood.x, buffers)
         score_set = metrics.OodScoreSet(id_scores, ood_scores)
         summary["ood"] = {"auroc": metrics.auroc(score_set),

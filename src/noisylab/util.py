@@ -25,10 +25,13 @@ class TrainingDiverged(RuntimeError):
 
 
 def read_text(path) -> str:
-    """A file's UTF-8 text; undecodable bytes raise ConfigError naming the file."""
+    """A file's UTF-8 text; a file that cannot be read (missing, a directory)
+    or holds undecodable bytes raises ConfigError naming the file."""
     try:
         with open(path, encoding="utf-8") as fh:
             return fh.read()
+    except OSError as exc:
+        raise ConfigError("cannot read %s: %s" % (path, exc.strerror or exc))
     except UnicodeDecodeError as exc:
         raise ConfigError("%s is not UTF-8 text: %s" % (path, exc))
 

@@ -80,6 +80,15 @@ class TestGenerate:
         assert cli.main(["generate", "--config", str(tmp_path / "nope.cfg"),
                          "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("command", ["generate", "train"])
+    def test_directory_as_config_exit_2(self, command, tmp_path, capsys):
+        folder = tmp_path / "cfgdir"
+        folder.mkdir()
+        assert cli.main([command, "--config", str(folder),
+                         "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and str(folder) in err
+
     def test_removed_fd_step_key_exit_2(self, tmp_path, capsys):
         # keys that once existed are unknown now, like any other; the whole
         # [reliability] section is gone, so its keys fail on the section name
@@ -262,6 +271,37 @@ class TestTrain:
         a = open(os.path.join(out1, "report.json")).read()
         b = open(os.path.join(out2, "report.json")).read()
         assert a != b
+
+    @pytest.mark.parametrize("loaded", [False, True], ids=["generated", "load_dir"])
+    def test_meta_set_of_the_whole_pool_exit_2(self, loaded, tmp_path, capsys):
+        # 2 classes of 10 samples and a meta set of 20 would train on nothing
+        text = SMALL_RUN.replace("num_classes = 4", "num_classes = 2").replace(
+            "per_class = 40", "per_class = 10").replace("meta_size = 8", "meta_size = 20")
+        if loaded:
+            gen = tmp_path / "gen.cfg"
+            gen.write_text(text)
+            data_dir = tmp_path / "data"
+            assert cli.main(["generate", "--config", str(gen), "--out", str(data_dir)]) == 0
+            text = text.replace("[dataset]\n", "[dataset]\nload_dir = %s\n" % data_dir)
+        path = tmp_path / "whole.cfg"
+        path.write_text(text)
+        capsys.readouterr()
+        out = tmp_path / "run"
+        assert cli.main(["train", "--config", str(path), "--out", str(out)]) == 2
+        assert "dataset.meta_size" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
+    def test_out_of_memory_exit_1_without_traceback(self, cfg_path, tmp_path, capsys,
+                                                     monkeypatch):
+        def exhausted(cfg):
+            raise MemoryError("Unable to allocate 22.4 GiB for an array")
+
+        monkeypatch.setattr(config, "make_training_pool", exhausted)
+        for command in ("generate", "train"):
+            assert cli.main([command, "--config", cfg_path,
+                             "--out", str(tmp_path / command)]) == 1, command
+            err = capsys.readouterr().err
+            assert err == "error: out of memory: Unable to allocate 22.4 GiB for an array\n"
 
     def test_epochs_zero_initial_only(self, tmp_path):
         text = SMALL_RUN.replace("epochs = 3", "epochs = 0")
@@ -458,6 +498,14 @@ class TestReport:
         text = capsys.readouterr().out
         assert "final accuracy" in text
         assert "epochs recorded : 3" in text
+
+    @pytest.mark.parametrize("make", [lambda path: None, lambda path: path.mkdir()],
+                             ids=["missing", "directory"])
+    def test_unreadable_report_exit_2(self, make, tmp_path, capsys):
+        path = tmp_path / "report.json"
+        make(path)
+        assert cli.main(["report", str(path)]) == 2
+        assert str(path) in capsys.readouterr().err
 
     def test_missing_key_exit_2(self, tmp_path, capsys):
         path = tmp_path / "partial.json"

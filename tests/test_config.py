@@ -1,9 +1,12 @@
 """Config parsing, strict validation, canonicalization and hashing."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from noisylab import config
+from noisylab.trainer import TrainConfig
 from noisylab.util import ConfigError
 
 MINIMAL = """
@@ -94,25 +97,38 @@ class TestParsing:
 class TestResolution:
     def test_auto_augment_follows_spread(self):
         cfg = config.build_run_config(config.parse_config_text(MINIMAL))
-        aug = config.resolve_augment(cfg)
+        aug = config.to_train_config(cfg).augment
         assert aug.sigma_weak == pytest.approx(0.05 * 0.5)
         assert aug.sigma_strong == pytest.approx(0.15 * 0.5)
 
     def test_explicit_augment_overrides(self):
         text = MINIMAL + "\n[augment]\nsigma_weak = 0.33\n"
         cfg = config.build_run_config(config.parse_config_text(text))
-        assert config.resolve_augment(cfg).sigma_weak == pytest.approx(0.33)
+        assert config.to_train_config(cfg).augment.sigma_weak == pytest.approx(0.33)
 
     def test_auto_decay_epochs(self):
         cfg = config.build_run_config(config.parse_config_text(
             MINIMAL.replace("epochs = 2", "epochs = 40")))
-        assert config.resolve_decay_epochs(cfg) == (24, 34)
+        assert config.to_train_config(cfg).decay_epochs == (24, 34)
 
     def test_explicit_decay_epochs(self):
         text = MINIMAL + "\n" + "[trainer]".replace("[trainer]", "")  # keep layout
         cfg = config.build_run_config(config.parse_config_text(
             MINIMAL + "decay_epochs = 1,2\n"))
-        assert config.resolve_decay_epochs(cfg) == (1, 2)
+        assert config.to_train_config(cfg).decay_epochs == (1, 2)
+
+    def test_empty_config_matches_train_config_defaults(self):
+        # a setting's default lives in its dataclass: an empty file differs
+        # from TrainConfig() only where to_train_config resolves a value
+        tcfg = config.to_train_config(config.build_run_config({}))
+        default = TrainConfig()
+        unresolved = dataclasses.replace(
+            tcfg, decay_epochs=default.decay_epochs,
+            augment=dataclasses.replace(tcfg.augment, sigma_weak=default.augment.sigma_weak,
+                                        sigma_strong=default.augment.sigma_strong),
+            net1_seed=default.net1_seed, net2_seed=default.net2_seed,
+            loop_seed=default.loop_seed)
+        assert unresolved == default
 
     def test_derived_seeds_stable(self):
         cfg = config.build_run_config(config.parse_config_text(MINIMAL))

@@ -150,3 +150,24 @@ def test_every_config_field_is_read():
     unread = [qual for cls, qual in _config_fields()
               if not any(owner != cls and name == qual.split(".")[-1] for owner, name in reads)]
     assert unread == [], "config fields nothing reads; delete them: %s" % ", ".join(unread)
+
+
+# the sections of the config file that hold each typed configuration's keys
+CONFIG_SECTIONS = {"TrainConfig": ("trainer", "net"), "RamConfig": ("ram",),
+                   "CdclConfig": ("cdcl",), "AugmentConfig": ("augment",)}
+# the TrainConfig fields config.to_train_config derives from run.seed
+DERIVED_FIELDS = {"net1_seed", "net2_seed", "loop_seed"}
+
+
+def test_every_config_field_has_a_key():
+    """A setting is written once, in its dataclass, and reaches the file
+    format by its name in one section's key list; a field that holds a nested
+    configuration is named like that configuration's section."""
+    from noisylab import config
+
+    keyless = []
+    for cls, qual in _config_fields():
+        named = set(config.SCHEMA).union(*(config.SCHEMA[s] for s in CONFIG_SECTIONS[cls]))
+        if qual.split(".")[-1] not in named | DERIVED_FIELDS:
+            keyless.append(qual)
+    assert keyless == [], "config fields with no config key: %s" % ", ".join(keyless)
