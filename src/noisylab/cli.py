@@ -142,7 +142,7 @@ def cmd_report(path: str) -> int:
         _print_report(RunReport.from_json(text))
     except KeyError as exc:
         raise ConfigError("%s is not a run report: missing key %s" % (path, exc))
-    except (ValueError, TypeError, AttributeError) as exc:
+    except (ValueError, TypeError, AttributeError, OverflowError) as exc:
         raise ConfigError("%s is not a run report: %s" % (path, exc))
     return 0
 

@@ -261,14 +261,16 @@ def load_dataset(csv_path, json_path) -> Dataset:
             spec = NoiseSpec(raw["mode"], rate=float(raw.get("rate", 0.0)),
                              pair_map={int(k): int(v) for k, v in pm.items()} if pm else None,
                              seed=raw.get("seed"))
-    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+    except (ValueError, KeyError, TypeError, AttributeError, OverflowError) as exc:
         raise ConfigError("%s: malformed dataset sidecar (%s: %s)"
                           % (json_path, type(exc).__name__, exc))
     rows = [line.strip() for line in read_text(csv_path).split("\n") if line.strip()]
-    expected = "id,y_true,y_obs," + ",".join("x%d" % d for d in range(dim))
     if len(rows) < 2:
         raise ConfigError("%s holds no samples" % csv_path)
-    if rows[0] != expected:
+    # a dim above the header's comma count cannot match it, and its expected
+    # header might not fit in memory
+    if dim > rows[0].count(",") or \
+            rows[0] != "id,y_true,y_obs," + ",".join("x%d" % d for d in range(dim)):
         raise ConfigError("%s: header does not match the sidecar's dim %d" % (csv_path, dim))
     n = len(rows) - 1
     ids = np.empty(n, dtype=np.int64)

@@ -75,9 +75,12 @@ def fpr_at_95_tpr(scores: OodScoreSet) -> float:
     return float((scores.ood_scores >= candidates[passing[-1]]).mean())
 
 
-def softmax_chunks(params: ModelParams, inputs: np.ndarray, buffers: Buffers | None = None):
-    """The softmax of a network, or of each net of a stack, on consecutive
-    EVAL_ROWS-row chunks of inputs, yielded as (row slice, probabilities).
+def ensemble_chunks(params: ModelParams, inputs: np.ndarray,
+                    buffers: Buffers | None = None):
+    """The softmax of each net of a stack (net.stack_params) and the
+    ensemble's prediction, the mean softmax across the nets, on consecutive
+    EVAL_ROWS-row chunks of inputs, yielded as (row slice, per-net
+    probabilities, ensemble probabilities).
 
     The forwards run in `buffers`, where a chunk's logits last only until the
     next forward, so each softmax is taken at once, into a fresh array.
@@ -85,15 +88,7 @@ def softmax_chunks(params: ModelParams, inputs: np.ndarray, buffers: Buffers | N
     buffers = buffers or Buffers()
     for start in range(0, len(inputs), EVAL_ROWS):
         rows = slice(start, start + EVAL_ROWS)
-        yield rows, softmax(forward_batch(params, inputs[rows], buffers=buffers).logits)
-
-
-def ensemble_chunks(params: ModelParams, inputs: np.ndarray,
-                    buffers: Buffers | None = None):
-    """softmax_chunks of a stack of networks (net.stack_params) with the
-    ensemble's prediction, the mean softmax across the nets, yielded as (row
-    slice, per-net probabilities, ensemble probabilities)."""
-    for rows, probs in softmax_chunks(params, inputs, buffers):
+        probs = softmax(forward_batch(params, inputs[rows], buffers=buffers).logits)
         yield rows, probs, probs.mean(axis=0)
 
 

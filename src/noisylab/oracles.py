@@ -202,12 +202,12 @@ def fused_step_fd_error(params: net.ModelParams, xw: np.ndarray, xs: np.ndarray,
         p = net.ModelParams(params.arch, flat)
         buffers = net.Buffers()
         fw = trainer.step_forward(p, xw, xs, w_t, cfg, buffers)
-        comps, grad, _ = trainer.step_loss_grad(
+        losses, grad, _ = trainer.step_loss_grad(
             p, xw, fw, targets2, r2, bc2, cfg.eta_w, w_t, cfg,
             pairs=pairs2 if w_t > 0.0 else None, pseudo_cls=pc2, gate_beta=beta2,
             buffers=buffers)
-        values = [c["ce_re"] + w_t * (c.get("cr", 0.0) + c.get("ram", 0.0)
-                                      + cfg.lambda_cdcl * c.get("cdcl", 0.0)) for c in comps]
+        values = losses["ce_re"] + w_t * (losses.get("cr", 0.0) + losses.get("ram", 0.0)
+                                          + cfg.lambda_cdcl * losses.get("cdcl", 0.0))
         return values, grad
 
     flat = stacked(params.flat)

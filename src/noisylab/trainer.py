@@ -14,9 +14,12 @@ the pair's reliabilities in one reliability.disentangle call. Mixup pair
 sampling and the contrastive head's row work also run once for the pair:
 each net keeps its own random stream, and the contrastive head's (2B)^2
 passes run net by net in one work matrix. The confidence-filtered
-cross-entropy and consistency heads stay a loop over the two nets, since
-each net keeps its own rows and perfbench/worker.py's row-count probe reads
-one reweighted_ce_grad call per net.
+cross-entropy and consistency heads are the one loop over the two nets left,
+since each net keeps its own rows and perfbench/worker.py's row-count probe
+reads one reweighted_ce_grad call per net. The pair stays a stack up to the
+report: each loss term and the contrastive purity totals come back with the
+net axis, the divergence check tests both nets at once, and _EpochTally
+sums them and builds each epoch's record and the summary's extremes.
 
 Each network step has one form: step_forward runs the stack's shared forward
 (on [weak; strong] views when a strong-view term runs), and step_loss_grad
@@ -216,7 +219,7 @@ def step_loss_grad(params: ModelParams, xw: np.ndarray, fw: BatchForward,
                    pseudo_cls: np.ndarray | None = None,
                    gate_beta: np.ndarray | None = None, y_true: np.ndarray | None = None,
                    *, buffers: Buffers):
-    """Loss components, flat gradients and contrastive purity totals of one
+    """Loss terms, flat gradients and contrastive purity totals of one
     network step of a stack of K networks.
 
     params is the stack (lead (K,)); targets (K, B, C), r, pseudo_cls and
@@ -227,17 +230,20 @@ def step_loss_grad(params: ModelParams, xw: np.ndarray, fw: BatchForward,
     lambda_cdcl folded in, the Mixup rows are forwarded into the rows after
     fw's, and one backward pass over [xw; xs; x_mix] gives each net's
     gradient of total = ce + w_t * (cr + ram + lambda_cdcl * cdcl). Returns
-    a list of K component dicts (each with its "total"), the (K, n_params)
-    gradient and a list of K purity totals (contrastive.cdcl_feature_grad),
-    each None unless the contrastive term runs with y_true given. The
-    gradient lives in `buffers`.
+    {term: (K,) array} for the terms that ran and "total", the (K, n_params)
+    gradient (in `buffers`) and the (K, 4) purity totals of
+    contrastive.cdcl_head, None unless the contrastive term runs with
+    y_true given.
     """
     nets = range(params.flat.shape[0])
     b, n = len(xw), fw.logits.shape[-2]
+    cr = w_t > 0.0 and cfg.use_cr
     ram = w_t > 0.0 and cfg.use_ram
     rows = n + (b if ram else 0)
-    comps = [{} for _ in nets]
-    purity = [None for _ in nets]
+    losses = {"ce_re": np.empty(len(nets))}
+    if cr:
+        losses["cr"] = np.empty(len(nets))
+    purity = None
     dlogits = buffers.array("dlogits", (len(nets), rows, fw.logits.shape[-1]))
     dlogits[:, b:] = 0.0  # the strong-view rows stay zero without the consistency term
     demb = None
@@ -245,32 +251,25 @@ def step_loss_grad(params: ModelParams, xw: np.ndarray, fw: BatchForward,
     for k in nets:
         # bc by keyword: perfbench/worker.py's probe reads it there, and the
         # rows offered from targets[k]
-        comps[k]["ce_re"], dlogits[k, :b] = reweighted_ce_grad(
+        losses["ce_re"][k], dlogits[k, :b] = reweighted_ce_grad(
             fw.logits[k, :b], targets[k], r[k], bc=bc[k], eta_w=eta_w)
-        if w_t > 0.0 and cfg.use_cr:
-            comps[k]["cr"], dcr = consistency_loss_grad(fw.logits[k, b:], targets[k], bc[k])
+        if cr:
+            losses["cr"][k], dcr = consistency_loss_grad(fw.logits[k, b:], targets[k], bc[k])
             np.multiply(w_t, dcr, out=dlogits[k, b:n])
     if w_t > 0.0 and cfg.use_cdcl:
         demb = buffers.array("demb", (len(nets), rows, fw.emb.shape[-1]))
         demb[:, n:] = 0.0
-        losses, _, pur = contrastive.cdcl_head(fw.emb, pseudo_cls, gate_beta, cfg.cdcl,
-                                               y_true, buffers, out=demb[:, :n])
+        losses["cdcl"], _, purity = contrastive.cdcl_head(
+            fw.emb, pseudo_cls, gate_beta, cfg.cdcl, y_true, buffers, out=demb[:, :n])
         demb[:, :n] *= w_t * cfg.lambda_cdcl
-        for k in nets:
-            comps[k]["cdcl"] = float(losses[k])
-        if pur is not None:
-            purity = list(pur)
     if ram:
         mix = forward_batch(params, pairs.x, buffers=buffers, row0=n, total_rows=rows)
-        losses, dram = weighted_ce_head(mix.logits[:, n:], pairs.y, pairs.w)
+        losses["ram"], dram = weighted_ce_head(mix.logits[:, n:], pairs.y, pairs.w)
         np.multiply(w_t, dram, out=dlogits[:, n:])
-        for k in nets:
-            comps[k]["ram"] = float(losses[k])
         cache = mix.cache
-    for c in comps:
-        c["total"] = c["ce_re"] + w_t * (c.get("cr", 0.0) + c.get("ram", 0.0)
-                                         + cfg.lambda_cdcl * c.get("cdcl", 0.0))
-    return comps, backward_batch(params, cache, dlogits, demb, buffers), purity
+    losses["total"] = losses["ce_re"] + w_t * (losses.get("cr", 0.0) + losses.get("ram", 0.0)
+                                               + cfg.lambda_cdcl * losses.get("cdcl", 0.0))
+    return losses, backward_batch(params, cache, dlogits, demb, buffers), purity
 
 
 class DiagnosticsWriter:
@@ -311,10 +310,12 @@ class DiagnosticsWriter:
 
 
 class _EpochTally:
-    """Accumulates per-epoch sums across batches and both networks."""
+    """One epoch's sums across batches and both networks, from which it
+    builds the epoch's record, and the run's reliability extremes so far
+    (the summary's), carried on from the previous epoch's tally."""
 
-    def __init__(self):
-        self.loss_sums = {name: {} for name in NETS}
+    def __init__(self, previous: _EpochTally | None = None):
+        self.losses = {}  # term -> (2,) sums, one per net
         self.batches = 0  # every batch of an epoch runs the same loss terms
         self.alpha = {True: [], False: []}
         self.beta = {True: [], False: []}
@@ -326,22 +327,22 @@ class _EpochTally:
         self.lam_hist = np.zeros((3, 10), dtype=np.int64)
         self.purity = np.zeros(4)  # matches, pairs, gated matches, gate mass
         self.mass_gap = None
+        self.run_lows = dict(previous.run_lows) if previous else {
+            "mass_gap_max": None, "alpha_min": None, "beta_min": None}
 
-    def add_loss(self, comps):
-        """One batch's component dicts, one per net."""
-        self.batches += 1
-        for name, net_comps in zip(NETS, comps):
-            sums = self.loss_sums[name]
-            for key, value in net_comps.items():
-                sums[key] = sums.get(key, 0.0) + value
-
-    def add_reliability(self, rb, clean, gap):
+    def add_reliability(self, rb, clean):
         """One batch's stacked reliabilities, net by net."""
         self.alpha[True].append(rb.alpha[:, clean].ravel())
         self.alpha[False].append(rb.alpha[:, ~clean].ravel())
         self.beta[True].append(rb.beta[:, clean].ravel())
         self.beta[False].append(rb.beta[:, ~clean].ravel())
+        gap = rb.mass_identity_gap()
         self.mass_gap = gap if self.mass_gap is None else max(self.mass_gap, gap)
+        lows = self.run_lows
+        for key, value, pick in (("mass_gap_max", gap, max),
+                                 ("alpha_min", float(rb.alpha.min()), min),
+                                 ("beta_min", float(rb.beta.min()), min)):
+            lows[key] = value if lows[key] is None else pick(lows[key], value)
 
     def add_pairs(self, pairs, clean):
         """One batch's stacked Mixup pairs; the float sums run net by net."""
@@ -356,15 +357,18 @@ class _EpochTally:
         self.lam_counts += np.bincount(kinds.ravel(), minlength=3)
         self.lam_hist += np.bincount((kinds * 10 + bins).ravel(), minlength=30).reshape(3, 10)
 
-    def add_purity(self, counts):
-        self.purity += np.asarray(counts)
+    def add_step(self, losses, purity):
+        """One batch's step_loss_grad losses and purity totals."""
+        self.batches += 1
+        for key, value in losses.items():
+            self.losses[key] = self.losses.get(key, 0.0) + value
+        if purity is not None:
+            for counts in purity:  # net 1's totals before net 2's
+                self.purity += counts
 
-    def loss_means(self):
-        return {name: {key: sums[key] / self.batches if key in sums else None
-                       for key in ("ce_re", "cr", "ram", "cdcl", "total")}
-                for name, sums in self.loss_sums.items()}
-
-    def reliability_stats(self):
+    def record(self, t: int, lr: float, w_t: float, test_acc: dict) -> dict:
+        """The epoch's entry of RunReport.epochs."""
+        means = {key: (sums / self.batches).tolist() for key, sums in self.losses.items()}
         stats = {}
         for label, group in (("clean", True), ("noisy", False)):
             for prefix, store in (("alpha", self.alpha), ("beta", self.beta)):
@@ -372,26 +376,36 @@ class _EpochTally:
                 base = "%s_%s" % (prefix, label)
                 stats[base + "_mean"] = float(values.mean()) if values.size else None
                 stats[base + "_std"] = float(values.std()) if values.size else None
-        return stats
+        lam = None
+        if self.lam_counts.sum():
+            lam = {name: {"count": int(n), "mean": float(s) / int(n) if n else None}
+                   for name, n, s in zip(PAIR_KINDS, self.lam_counts, self.lam_sums)}
+            lam["hist"] = self.lam_hist.sum(axis=0).tolist()
+        pur = self.purity
+        return {
+            "epoch": t,
+            "lr": lr,
+            "warmup_w": w_t,
+            "losses": {name: {key: means[key][k] if key in means else None
+                              for key in ("ce_re", "cr", "ram", "cdcl", "total")}
+                       for k, name in enumerate(NETS)},
+            "test_acc": test_acc,
+            "reliability_stats": stats,
+            "purity_raw": pur[0] / pur[1] if pur[1] > 0 else None,
+            "purity_gated": pur[2] / pur[3] if pur[3] > 0 else None,
+            "mean_wmix": self.wmix_sum / self.wmix_count if self.wmix_count else None,
+            "lambda_stats": lam,
+            "mass_gap_max": self.mass_gap,
+        }
 
-    def lambda_stats(self):
-        if self.lam_counts.sum() == 0:
-            return None
-        out = {}
-        for kind, name in enumerate(PAIR_KINDS):
-            n = int(self.lam_counts[kind])
-            out[name] = {"count": n, "mean": float(self.lam_sums[kind]) / n if n else None}
-        out["hist"] = [int(v) for v in self.lam_hist.sum(axis=0)]
-        return out
 
-
-def _diverged(what: str, t: int, batch_idx: int, k: int, comps: dict,
+def _diverged(what: str, t: int, batch_idx: int, k: int, losses: dict,
               params: ModelParams) -> TrainingDiverged:
-    """The abort of net k's non-finite `what`; params is the stack as it was
-    before the batch."""
+    """The abort of net k's non-finite `what`; losses is step_loss_grad's
+    stacked dict (or empty) and params the stack as it was before the batch."""
     snapshot = {
         "info": {"epoch": t, "batch": batch_idx, "net": NETS[k],
-                 "components": {key: str(v) for key, v in comps.items()}},
+                 "components": {key: str(v[k]) for key, v in losses.items()}},
         "params": {name: params[i] for i, name in enumerate(NETS)},
     }
     return TrainingDiverged("non-finite %s at epoch %d batch %d (%s)"
@@ -441,8 +455,7 @@ def co_train(train: Dataset, meta: MetaSet | None, test: Dataset, cfg: TrainConf
         initial={"test_acc": test_acc},
     )
 
-    lows = []  # each batch's (mass identity gap, smallest alpha, smallest beta)
-
+    tally = _EpochTally()  # a run of no epochs reports its empty extremes
     for t in range(cfg.epochs):
         tick = time.perf_counter()
         w_t = warmup(t, cfg)
@@ -450,7 +463,7 @@ def co_train(train: Dataset, meta: MetaSet | None, test: Dataset, cfg: TrainConf
         order = child_rng(cfg.loop_seed, _ORDER_STREAM, t).permutation(train.n)
         weak_all, strong_all = make_views(train.x, cfg.augment,
                                           child_rng(cfg.loop_seed, _VIEW_STREAM, t))
-        tally = _EpochTally()
+        tally = _EpochTally(tally)
 
         for batch_idx, b0 in enumerate(range(0, train.n, cfg.batch_size)):
             rows = order[b0:b0 + cfg.batch_size]
@@ -482,9 +495,7 @@ def co_train(train: Dataset, meta: MetaSet | None, test: Dataset, cfg: TrainConf
                 if cfg.couple_meta:
                     e1 = e2 = 0.5 * (e1 + e2)
                 rb = disentangle(e1, e2)  # (2, b), each net along its own batch
-                lows.append((rb.mass_identity_gap(), float(rb.alpha.min()),
-                             float(rb.beta.min())))
-                tally.add_reliability(rb, batch_clean, lows[-1][0])
+                tally.add_reliability(rb, batch_clean)
                 if diagnostics is not None:
                     diagnostics.reliability_rows(t, batch_idx, train.ids[rows],
                                                  rb.alpha, rb.beta, batch_clean)
@@ -505,60 +516,41 @@ def co_train(train: Dataset, meta: MetaSet | None, test: Dataset, cfg: TrainConf
                 pairs = mixup.build_pairs(xw, r, targets, cfg.ram, mix_rngs,
                                           symmetric=cfg.sym_ram, gate=cfg.use_grg)
                 tally.add_pairs(pairs, batch_clean)
-            comps, grad, purity = step_loss_grad(
+            losses, grad, purity = step_loss_grad(
                 params, xw, fw, targets, r, bc, eta_eff, w_t, cfg, pairs=pairs,
                 pseudo_cls=pseudo_cls, gate_beta=beta, y_true=train.y_true[rows],
                 buffers=buffers)
 
             # both nets are checked before either moves, so an abort snapshot
             # holds the stack as it was before this batch
-            for k in range(2):
-                finite_loss = np.isfinite(comps[k]["total"])
-                if not (finite_loss and np.isfinite(grad[k]).all()):
-                    raise _diverged("gradient" if finite_loss else "loss", t, batch_idx, k,
-                                    comps[k], params)
-            for p in purity:
-                if p is not None:
-                    tally.add_purity(p)
-            tally.add_loss(comps)
+            finite_loss = np.isfinite(losses["total"])
+            finite = finite_loss & np.isfinite(grad).all(axis=1)
+            if not finite.all():
+                k = int(np.argmin(finite))
+                raise _diverged("gradient" if finite_loss[k] else "loss", t, batch_idx, k,
+                                losses, params)
+            tally.add_step(losses, purity)
             params, velocity = sgd_step(params, grad, velocity, lr_t, cfg.momentum,
                                         cfg.weight_decay)
 
         test_acc, id_scores = _evaluate(params, test, buffers)
-        purity_raw = tally.purity[0] / tally.purity[1] if tally.purity[1] > 0 else None
-        purity_gated = tally.purity[2] / tally.purity[3] if tally.purity[3] > 0 else None
-        rec = {
-            "epoch": t,
-            "lr": lr_t,
-            "warmup_w": w_t,
-            "losses": tally.loss_means(),
-            "test_acc": test_acc,
-            "reliability_stats": tally.reliability_stats(),
-            "purity_raw": purity_raw,
-            "purity_gated": purity_gated,
-            "mean_wmix": tally.wmix_sum / tally.wmix_count if tally.wmix_count else None,
-            "lambda_stats": tally.lambda_stats(),
-            "mass_gap_max": tally.mass_gap,
-        }
+        rec = tally.record(t, lr_t, w_t, test_acc)
         report.epochs.append(rec)
         report.wall_seconds.append(time.perf_counter() - tick)
         if diagnostics is not None:
-            diagnostics.purity_row(t, purity_raw, purity_gated)
-            if tally.lambda_stats() is not None:
+            diagnostics.purity_row(t, rec["purity_raw"], rec["purity_gated"])
+            if rec["lambda_stats"] is not None:
                 diagnostics.lambda_hist(t, tally.lam_hist, np.linspace(0.0, 1.0, 11))
 
     initial = {"epoch": None, "test_acc": report.initial["test_acc"]}
     last = report.epochs[-1] if report.epochs else initial
     # the first epoch of the best ensemble accuracy
     best = max(report.epochs, key=lambda rec: rec["test_acc"]["ensemble"], default=initial)
-    gaps, alpha_lows, beta_lows = zip(*lows) if lows else ((), (), ())
     summary = {
         "last_acc": last["test_acc"],
         "best_acc_ensemble": best["test_acc"]["ensemble"],
         "best_epoch": best["epoch"],
-        "mass_gap_max": max(gaps, default=None),
-        "alpha_min": min(alpha_lows, default=None),
-        "beta_min": min(beta_lows, default=None),
+        **tally.run_lows,
         "ood": None,
     }
     if ood is not None:  # id_scores are the last evaluation's, of the final params

@@ -131,6 +131,37 @@ def _sidecar_without_dim(data_dir, cfg_text):
     return cfg_text
 
 
+def _numeric_leaves(obj, path=()):
+    """(path, value) of every number in parsed JSON, booleans aside."""
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            yield from _numeric_leaves(value, path + (key,))
+    elif isinstance(obj, list):
+        for i, value in enumerate(obj):
+            yield from _numeric_leaves(value, path + (i,))
+    elif isinstance(obj, (int, float)) and not isinstance(obj, bool):
+        yield path, obj
+
+
+def _with_leaf(text, path, token):
+    """JSON text with the leaf at path replaced by the raw JSON token."""
+    raw = json.loads(text)
+    node = raw
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = "@LEAF@"
+    return json.dumps(raw).replace('"@LEAF@"', token)
+
+
+def _sidecar_value(key, token):
+    """A corruption setting the sidecar's key to the raw JSON token."""
+    def corrupt(data_dir, cfg_text):
+        sidecar = data_dir / "dataset.json"
+        sidecar.write_text(_with_leaf(sidecar.read_text(), (key,), token))
+        return cfg_text
+    return corrupt
+
+
 def _dim_mismatch(data_dir, cfg_text):
     # the files were generated with dim = 3; the run asks for 16
     return cfg_text.replace("dim = 3", "dim = 16")
@@ -226,7 +257,13 @@ class TestLoadedDataset:
         (_empty_csv, ["dataset.csv", "no samples"]),
         (_sidecar_without_dim, ["dataset.json", "'dim'"]),
         (_dim_mismatch, ["dataset.dim"]),
-    ], ids=["label_out_of_range", "empty_csv", "sidecar_without_dim", "dim_mismatch"])
+        (_sidecar_value("dim", "Infinity"), ["dataset.json", "OverflowError"]),
+        (_sidecar_value("dim", "1e400"), ["dataset.json", "OverflowError"]),
+        # a dim this large must fail on the header's column count before its
+        # expected header is built
+        (_sidecar_value("dim", "1" + "0" * 29), ["dataset.csv", "header"]),
+    ], ids=["label_out_of_range", "empty_csv", "sidecar_without_dim", "dim_mismatch",
+            "infinite_dim", "overflowing_dim", "huge_dim"])
     def test_malformed_dataset_exit_2(self, corrupt, expected, cfg_path, tmp_path, capsys):
         data_dir = tmp_path / "data"
         assert cli.main(["generate", "--config", cfg_path, "--out", str(data_dir)]) == 0
@@ -327,6 +364,51 @@ class TestTrain:
         pur = open(os.path.join(out, "diag_purity.csv")).read().splitlines()
         assert pur[0] == "epoch,purity_raw,purity_gated"
         assert len(pur) == 4  # 3 epochs + header
+
+    def test_epoch_record_matches_the_diagnostics_streams(self, cfg_path, tmp_path):
+        # each epoch's reliability, lambda and purity statistics, recomputed
+        # from the per-sample and per-epoch streams, equal the record's bits
+        import csv
+
+        out = tmp_path / "diag"
+        assert cli.main(["train", "--config", cfg_path, "--out", str(out),
+                         "--diagnostics"]) == 0
+        read = lambda name: list(csv.DictReader(open(out / name)))
+        cell = lambda v: None if v == "" else float(v)
+        epochs = RunReport.from_json((out / "report.json").read_text()).epochs
+        rel, lam = read("diag_reliability.csv"), read("diag_lambda.csv")
+        pur, met = read("diag_purity.csv"), read("metrics.csv")
+        assert len(pur) == len(met) == len(epochs) == 3
+        pairs_seen = 0
+        for rec, pur_row, met_row in zip(epochs, pur, met):
+            t = rec["epoch"]
+            # the file's order is the tally's: batch by batch, net 1's rows
+            # before net 2's
+            rows = [row for row in rel if int(row["epoch"]) == t]
+            for label, clean in (("clean", "true"), ("noisy", "false")):
+                for name in ("alpha", "beta"):
+                    values = np.array([float(row[name]) for row in rows
+                                       if row["is_label_clean"] == clean])
+                    stats = rec["reliability_stats"]
+                    assert values.size > 0
+                    assert stats["%s_%s_mean" % (name, label)] == values.mean(), (t, name)
+                    assert stats["%s_%s_std" % (name, label)] == values.std(), (t, name)
+            bins = [row for row in lam if int(row["epoch"]) == t]
+            if rec["lambda_stats"] is None:
+                assert bins == []
+            else:
+                counts = {}
+                for row in bins:
+                    counts.setdefault(row["pair_type"], []).append(int(row["count"]))
+                for kind, kind_counts in counts.items():
+                    assert rec["lambda_stats"][kind]["count"] == sum(kind_counts), (t, kind)
+                assert rec["lambda_stats"]["hist"] == [sum(c) for c in zip(*counts.values())]
+                pairs_seen += 1
+            assert int(pur_row["epoch"]) == int(met_row["epoch"]) == t
+            for key in ("purity_raw", "purity_gated"):
+                assert rec[key] == cell(pur_row[key]) == cell(met_row[key]), (t, key)
+        assert pairs_seen == 1  # the ramp is 0, without Mixup pairs, before epoch 2
+        assert epochs[-1]["purity_raw"] is not None
 
     def test_non_finite_gradient_aborts_with_snapshot(self, cfg_path, tmp_path, capsys,
                                                        monkeypatch):
@@ -513,6 +595,21 @@ class TestReport:
         assert cli.main(["report", str(path)]) == 2
         assert "'config'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("leaf, token", [
+        (("schema_version",), "Infinity"),
+        (("summary", "best_acc_ensemble"), "1" + "0" * 400),
+    ], ids=["infinite_schema_version", "integer_beyond_float"])
+    def test_overflowing_value_exit_2(self, leaf, token, cfg_path, tmp_path, capsys):
+        # %d of an infinity, or %.4f of an integer above the float range,
+        # raises OverflowError
+        out = tmp_path / "run"
+        assert cli.main(["train", "--config", cfg_path, "--out", str(out)]) == 0
+        path = tmp_path / "big.json"
+        path.write_text(_with_leaf((out / "report.json").read_text(), leaf, token))
+        capsys.readouterr()
+        assert cli.main(["report", str(path)]) == 2
+        assert str(path) in capsys.readouterr().err
+
 
 class TestNonUtf8Input:
     @pytest.mark.parametrize("target", ["config", "dataset.csv", "dataset.json", "report"])
@@ -657,6 +754,59 @@ class TestFuzz:
                     parsed += "bad value for" not in err
         assert cases == 7 * sum(len(keys) for keys in config.SCHEMA.values())
         assert parsed > cases / 2, (parsed, cases)
+
+    # what test_value_mutations_exit_0_or_name_the_key tries on config keys,
+    # in JSON: besides each leaf's sign flip
+    JSON_VALUES = ("0", "1e308", "1e400", "Infinity", "NaN", "1" + "0" * 29, '"abc"')
+
+    def json_value_cases(self, text):
+        """(label, text) with each numeric leaf of the JSON text set to its
+        sign flip and to each of JSON_VALUES."""
+        for path, value in _numeric_leaves(json.loads(text)):
+            for token in (json.dumps(-value),) + self.JSON_VALUES:
+                yield "%s = %s" % ("/".join(map(str, path)), token), \
+                    _with_leaf(text, path, token)
+
+    def run_value_case(self, argv, label, named, capsys):
+        """The case exits 0, or 2 with `named` in its message."""
+        try:
+            code = cli.main(argv)
+        except Exception as exc:
+            pytest.fail("%s: %s escaped: %s" % (label, type(exc).__name__, exc))
+        err = capsys.readouterr().err
+        assert code == 0 or (code == 2 and named in err), (label, code, err)
+
+    def test_dataset_sidecar_values_exit_0_or_name_the_file(self, cfg_path, tmp_path,
+                                                            capsys):
+        data_dir = tmp_path / "data"
+        assert cli.main(["generate", "--config", cfg_path, "--out", str(data_dir)]) == 0
+        clean = (data_dir / "dataset.json").read_text()
+        path = tmp_path / "load.cfg"
+        path.write_text(self.ONE_EPOCH.replace("[dataset]\n",
+                                               "[dataset]\nload_dir = %s\n" % data_dir))
+        cases = 0
+        for label, text in self.json_value_cases(clean):
+            (data_dir / "dataset.json").write_text(text)
+            # a sidecar value fails in the sidecar, in the CSV that must match
+            # it, or against the config: each message names the directory
+            self.run_value_case(["train", "--config", str(path), "--out", str(tmp_path / "r")],
+                                label, str(data_dir), capsys)
+            cases += 1
+        assert cases == 8 * 5  # dim, num_classes, seed and noise_spec's rate and seed
+
+    def test_report_values_exit_0_or_name_the_file(self, tmp_path, capsys):
+        cfg = tmp_path / "one.cfg"
+        cfg.write_text(self.ONE_EPOCH)
+        out = tmp_path / "run"
+        assert cli.main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+        capsys.readouterr()
+        path = tmp_path / "value.json"
+        cases = 0
+        for label, text in self.json_value_cases((out / "report.json").read_text()):
+            path.write_text(text)
+            self.run_value_case(["report", str(path)], label, str(path), capsys)
+            cases += 1
+        assert cases > 8 * 50
 
     def test_mutated_checkpoints_raise_value_error(self, tmp_path):
         from noisylab import net

@@ -162,7 +162,7 @@ class TestBuffers:
             x = rng.standard_normal((n, 16))
             one_block = np.stack([net.softmax(net.forward_batch(p, x).logits) for p in params])
             got = np.empty((2, n, 4))
-            for chunk, probs in metrics.softmax_chunks(stack, x, net.Buffers()):
+            for chunk, probs, _ in metrics.ensemble_chunks(stack, x, net.Buffers()):
                 got[:, chunk] = probs
             msp = metrics.msp_scores_ensemble(stack, x, net.Buffers())
             one_msp = one_block.mean(axis=0).max(axis=1)
@@ -286,11 +286,15 @@ class TestStacked:
         buffers = net.Buffers()
         for n in (1, 255, 256, 257, 768, 2000):
             x = rng.standard_normal((n, 16))
-            chunks = zip(metrics.softmax_chunks(stack, x, buffers),
-                         *(metrics.softmax_chunks(p, x) for p in singles))
-            for (rows, probs), *ones in chunks:
-                for k, (one_rows, one) in enumerate(ones):
-                    assert one_rows == rows and np.array_equal(probs[k], one), n
+            starts = range(0, n, metrics.EVAL_ROWS)
+            chunks = list(metrics.ensemble_chunks(stack, x, buffers))
+            assert len(chunks) == len(starts), n
+            for start, (rows, probs, ens) in zip(starts, chunks):
+                assert rows == slice(start, start + metrics.EVAL_ROWS), n
+                for k, p in enumerate(singles):
+                    one = net.softmax(net.forward_batch(p, x[rows]).logits)
+                    assert np.array_equal(probs[k], one), n
+                assert np.array_equal(ens, probs.mean(axis=0)), n
 
 
 class TestCeLoss:

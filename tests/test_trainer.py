@@ -235,11 +235,10 @@ class _StepFixture:
         p, (targets, r, pc, beta), bcs, pairs = self.stacked(bc)
         buffers = net.Buffers()
         fw = trainer.step_forward(p, self.xw, self.xs, w_t, cfg, buffers)
-        comps, grad, purity = trainer.step_loss_grad(
+        return trainer.step_loss_grad(
             p, self.xw, fw, targets, r, bcs, cfg.eta_w, w_t, cfg,
             pairs=pairs if w_t > 0 else None, pseudo_cls=pc,
             gate_beta=beta, y_true=self.y, buffers=buffers)
-        return comps, grad, purity
 
 
 class TestTotalLoss(_StepFixture):
@@ -248,26 +247,28 @@ class TestTotalLoss(_StepFixture):
     BC = [0, 2, 3]
 
     def test_warmup_zero_is_ce_only(self):
-        comps, _, _ = self.step(self.BC, 0.0, self.cfg)
-        for c in comps:
-            assert set(c) == {"ce_re", "total"}
-            assert c["total"] == c["ce_re"]
+        losses, _, _ = self.step(self.BC, 0.0, self.cfg)
+        assert set(losses) == {"ce_re", "total"}
+        for k in range(2):
+            assert losses["total"][k] == losses["ce_re"][k]
 
     def test_full_warmup_no_contrastive(self):
         cfg = dataclasses.replace(self.cfg, lambda_cdcl=0.0)
-        comps, _, _ = self.step(self.BC, 1.0, cfg)
-        for c in comps:
-            assert c["cdcl"] != 0.0
-            assert c["total"] == pytest.approx(c["ce_re"] + c["cr"] + c["ram"],
-                                               rel=1e-15, abs=0.0)
+        losses, _, _ = self.step(self.BC, 1.0, cfg)
+        for k in range(2):
+            assert losses["cdcl"][k] != 0.0
+            assert losses["total"][k] == pytest.approx(
+                losses["ce_re"][k] + losses["cr"][k] + losses["ram"][k], rel=1e-15, abs=0.0)
 
     def test_linear_in_contrastive_coefficient(self):
         low, _, _ = self.step(self.BC, 1.0, dataclasses.replace(self.cfg, lambda_cdcl=0.5))
         high, _, _ = self.step(self.BC, 1.0, dataclasses.replace(self.cfg, lambda_cdcl=0.6))
-        for c1, c2 in zip(low, high):
-            assert {key: v for key, v in c1.items() if key != "total"} == \
-                {key: v for key, v in c2.items() if key != "total"}
-            assert c2["total"] - c1["total"] == pytest.approx(0.1 * c1["cdcl"], abs=1e-12)
+        assert set(low) == set(high)
+        for key in set(low) - {"total"}:
+            assert np.array_equal(low[key], high[key]), key
+        for k in range(2):
+            assert high["total"][k] - low["total"][k] == pytest.approx(0.1 * low["cdcl"][k],
+                                                                       abs=1e-12)
 
 
 class TestCoTrain:
@@ -375,7 +376,7 @@ class TestFusedStep(_StepFixture):
                              ids=["empty_bc", "partial_bc", "full_bc"])
     def test_fused_gradient_equals_sum_of_terms(self, bc, w_t):
         cfg, xw, xs = self.cfg, self.xw, self.xs
-        comps, grad, purity = self.step(bc, w_t, cfg)
+        losses, grad, purity = self.step(bc, w_t, cfg)
         p, (targets, r, pc, beta), bcs, pairs = self.stacked(bc)
         for k in range(2):
             pk = p[k]
@@ -391,10 +392,12 @@ class TestFusedStep(_StepFixture):
                 expected = expected + w_t * (terms["cr"][1] + terms["ram"][1]
                                              + cfg.lambda_cdcl * terms["cdcl"][1])
             assert np.linalg.norm(grad[k] - expected) <= 1e-12 * np.linalg.norm(expected)
-            assert set(comps[k]) == set(terms) | {"total"}
+            assert set(losses) == set(terms) | {"total"}
             for key, (loss, _) in terms.items():
-                assert comps[k][key] == pytest.approx(loss, rel=1e-12, abs=1e-15)
-            assert (purity[k] is None) == (w_t == 0)
+                assert losses[key][k] == pytest.approx(loss, rel=1e-12, abs=1e-15)
+        assert (purity is None) == (w_t == 0)
+        if purity is not None:
+            assert purity.shape == (2, 4)
 
     def test_partner_reads_its_shared_forward(self, monkeypatch):
         # each net's frozen co-network probabilities are, bit for bit, the
