@@ -681,13 +681,18 @@ class TestFuzz:
         "warmup_full = 2", "warmup_full = 1")
 
     @staticmethod
-    def run_cli(argv, label, capsys):
+    def run_cli(argv, label, capsys, named=None):
+        """The run ends in exit 0, 1 or 2; given `named`, in exit 0, or 2
+        with `named` in its message."""
         try:
             code = cli.main(argv)
         except Exception as exc:  # the assertion names the input that escaped
             pytest.fail("%s: %s escaped: %s" % (label, type(exc).__name__, exc))
-        capsys.readouterr()
-        assert code in (0, 1, 2), label
+        err = capsys.readouterr().err
+        if named is None:
+            assert code in (0, 1, 2), label
+        else:
+            assert code == 0 or (code == 2 and named in err), (label, code, err)
 
     def test_mutated_configs(self, tmp_path, capsys):
         rng = np.random.default_rng(2026)
@@ -767,15 +772,6 @@ class TestFuzz:
                 yield "%s = %s" % ("/".join(map(str, path)), token), \
                     _with_leaf(text, path, token)
 
-    def run_value_case(self, argv, label, named, capsys):
-        """The case exits 0, or 2 with `named` in its message."""
-        try:
-            code = cli.main(argv)
-        except Exception as exc:
-            pytest.fail("%s: %s escaped: %s" % (label, type(exc).__name__, exc))
-        err = capsys.readouterr().err
-        assert code == 0 or (code == 2 and named in err), (label, code, err)
-
     def test_dataset_sidecar_values_exit_0_or_name_the_file(self, cfg_path, tmp_path,
                                                             capsys):
         data_dir = tmp_path / "data"
@@ -789,8 +785,8 @@ class TestFuzz:
             (data_dir / "dataset.json").write_text(text)
             # a sidecar value fails in the sidecar, in the CSV that must match
             # it, or against the config: each message names the directory
-            self.run_value_case(["train", "--config", str(path), "--out", str(tmp_path / "r")],
-                                label, str(data_dir), capsys)
+            self.run_cli(["train", "--config", str(path), "--out", str(tmp_path / "r")],
+                         label, capsys, named=str(data_dir))
             cases += 1
         assert cases == 8 * 5  # dim, num_classes, seed and noise_spec's rate and seed
 
@@ -804,7 +800,7 @@ class TestFuzz:
         cases = 0
         for label, text in self.json_value_cases((out / "report.json").read_text()):
             path.write_text(text)
-            self.run_value_case(["report", str(path)], label, str(path), capsys)
+            self.run_cli(["report", str(path)], label, capsys, named=str(path))
             cases += 1
         assert cases > 8 * 50
 
