@@ -26,7 +26,7 @@ import typing
 import numpy as np
 
 from .contrastive import CdclConfig
-from .data import (AugmentConfig, Dataset, default_augment_config,
+from .data import (NOISE_MODES, AugmentConfig, Dataset, default_augment_config,
                    displaced_blobs, inject_asymmetric_noise,
                    inject_symmetric_noise, load_dataset, make_blobs, split_meta)
 from .mixup import RamConfig
@@ -246,7 +246,7 @@ def _validate(cfg: dict) -> None:
             raise ConfigError("dataset.%s must be >= %d" % (key, low))
     if ds["spread"] < 0:
         raise ConfigError("dataset.spread must be nonnegative")
-    if ds["noise_mode"] not in ("none", "symmetric", "asymmetric"):
+    if ds["noise_mode"] not in NOISE_MODES:
         raise ConfigError("dataset.noise_mode must be none, symmetric or asymmetric")
     if not 0.0 <= ds["noise_rate"] <= 1.0:
         raise ConfigError("dataset.noise_rate must lie in [0, 1]")

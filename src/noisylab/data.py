@@ -16,11 +16,12 @@ import numpy as np
 from .util import FLOAT_FMT, ConfigError, dumps_deterministic, read_text
 
 CENTER_RADIUS = 2.0
+NOISE_MODES = ("none", "symmetric", "asymmetric")
 
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    mode: str  # "none" | "symmetric" | "asymmetric"
+    mode: str  # one of NOISE_MODES
     rate: float = 0.0
     pair_map: dict | None = None
     seed: int | None = None
@@ -247,6 +248,23 @@ def save_dataset(ds: Dataset, csv_path, json_path, seed: int | None = None) -> N
         fh.write(dumps_deterministic(sidecar))
 
 
+def _noise_spec(raw: dict) -> NoiseSpec:
+    """The sidecar's noise description, as NoiseSpec.to_dict wrote it; a
+    value no noise injection could have written raises ValueError."""
+    if raw["mode"] not in NOISE_MODES:
+        raise ValueError("noise_spec.mode must be none, symmetric or asymmetric")
+    rate, seed = raw.get("rate", 0.0), raw.get("seed")
+    # bool is an int subclass; the range test also rejects NaN
+    if isinstance(rate, bool) or not isinstance(rate, (int, float)) or not 0.0 <= rate <= 1.0:
+        raise ValueError("noise_spec.rate must be a finite number in [0, 1]")
+    if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int) or seed < 0):
+        raise ValueError("noise_spec.seed must be null or a nonnegative integer")
+    pm = raw.get("pair_map")
+    return NoiseSpec(raw["mode"], rate=float(rate),
+                     pair_map={int(k): int(v) for k, v in pm.items()} if pm else None,
+                     seed=seed)
+
+
 def load_dataset(csv_path, json_path) -> Dataset:
     """Read what save_dataset wrote. Malformed files raise ConfigError naming
     the file and the cause."""
@@ -254,13 +272,7 @@ def load_dataset(csv_path, json_path) -> Dataset:
     try:
         sidecar = json.loads(sidecar_text)
         dim, num_classes = int(sidecar["dim"]), int(sidecar["num_classes"])
-        spec = None
-        if sidecar.get("noise_spec"):
-            raw = sidecar["noise_spec"]
-            pm = raw.get("pair_map")
-            spec = NoiseSpec(raw["mode"], rate=float(raw.get("rate", 0.0)),
-                             pair_map={int(k): int(v) for k, v in pm.items()} if pm else None,
-                             seed=raw.get("seed"))
+        spec = _noise_spec(sidecar["noise_spec"]) if sidecar.get("noise_spec") else None
     except (ValueError, KeyError, TypeError, AttributeError, OverflowError) as exc:
         raise ConfigError("%s: malformed dataset sidecar (%s: %s)"
                           % (json_path, type(exc).__name__, exc))

@@ -21,15 +21,15 @@ A training run keeps its large per-step arrays in one Buffers workspace,
 created once and reused, instead of allocating (and having the allocator
 unmap) fresh ones every step. Each array has a role: "x", "h1", "h2",
 "logits" and "emb" for the forward, "grad", "dh1" and "dh2" for the
-backward, and the callers' own. Lifetime rule: an array obtained from a
-Buffers object, directly or inside a forward, cache or gradient computed
-into it, is valid until the next request for the same role; keep anything
-needed longer as a copy or a derived array. So forward_batch(..., row0=k)
-keeps an earlier forward's first k rows, and per_sample_grad_dots borrows
-"dh1" and "dh2" until the next backward. A stack holds each net's rows as
-one block, so a forward that later rows will extend is sized for all of them
-when it runs (total_rows). Without buffers the passes allocate fresh arrays,
-with the same bits.
+backward, "sgd" for sgd_step's temporary, and the callers' own. Lifetime
+rule: an array obtained from a Buffers object, directly or inside a forward,
+cache or gradient computed into it, is valid until the next request for the
+same role; keep anything needed longer as a copy or a derived array. So
+forward_batch(..., row0=k) keeps an earlier forward's first k rows, and
+per_sample_grad_dots borrows "dh1" and "dh2" until the next backward. A
+stack holds each net's rows as one block, so a forward that later rows will
+extend is sized for all of them when it runs (total_rows). Without buffers
+the passes allocate fresh arrays, with the same bits.
 """
 
 from __future__ import annotations
@@ -88,12 +88,19 @@ def _param_views(arch: Architecture, flat: np.ndarray) -> dict:
             for name, shape, start, stop in arch.layout}
 
 
+def _require_finite(flat: np.ndarray) -> None:
+    if not np.isfinite(flat).all():
+        raise ValueError("non-finite parameter entries")
+
+
 class ModelParams:
     """Flat parameter vector plus named views into each weight matrix.
 
     flat has shape lead + (n_params,): one network, or with lead = (K,) a
-    stack of K networks, whose views carry the same leading axis.
-    Treated as immutable by callers; sgd_step returns a fresh instance.
+    stack of K networks, whose views carry the same leading axis. The
+    attributes are fixed, but sgd_step updates flat's entries in place, and
+    the views with them: a training run builds one stack and steps it. Keep
+    a copy of flat for anything that must outlive the next step.
     """
 
     __slots__ = ("arch", "flat", "w1", "b1", "w2", "b2", "wc", "bc", "wp", "bp")
@@ -105,8 +112,7 @@ class ModelParams:
                 "flat vector has %s entries, architecture needs %d"
                 % (flat.shape, arch.n_params)
             )
-        if not np.all(np.isfinite(flat)):
-            raise ValueError("non-finite parameter entries")
+        _require_finite(flat)
         object.__setattr__(self, "arch", arch)
         object.__setattr__(self, "flat", flat)
         for name, view in _param_views(arch, flat).items():
@@ -298,11 +304,17 @@ def weighted_ce_head(logits: np.ndarray, targets: np.ndarray,
 
 
 def weighted_ce_loss_grad(params: ModelParams, x: np.ndarray, targets: np.ndarray,
-                          weights: np.ndarray) -> tuple[float | np.ndarray, np.ndarray]:
-    """Value and gradient of (1/B) * sum_i weights_i * CE(f(x_i), targets_i)."""
+                          weights: np.ndarray,
+                          buffers: Buffers | None = None) -> tuple[float | np.ndarray, np.ndarray]:
+    """Value and gradient of (1/B) * sum_i weights_i * CE(f(x_i), targets_i).
+
+    With `buffers`, the gradient and the backward's temporaries live in its
+    backward roles; the forward always gets fresh arrays, so a forward the
+    caller holds in the same buffers stays valid.
+    """
     out = forward_batch(params, x)
     loss, dlogits = weighted_ce_head(out.logits, targets, weights)
-    return loss, backward_batch(params, out.cache, dlogits)
+    return loss, backward_batch(params, out.cache, dlogits, buffers=buffers)
 
 
 def _matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -353,11 +365,23 @@ def per_sample_grad_dots(params: ModelParams, out: BatchForward,
 
 
 def sgd_step(params: ModelParams, grad: np.ndarray, velocity: np.ndarray, lr: float,
-             momentum: float, weight_decay: float) -> tuple[ModelParams, np.ndarray]:
-    """Momentum SGD with coupled weight decay: the new parameters and
-    velocity (for a network or a stack of them)."""
-    velocity = momentum * velocity + grad + weight_decay * params.flat
-    return ModelParams(params.arch, params.flat - lr * velocity), velocity
+             momentum: float, weight_decay: float, buffers: Buffers) -> None:
+    """Momentum SGD with coupled weight decay, in place (for a network or a
+    stack of them): velocity <- momentum * velocity + grad + weight_decay *
+    theta, then theta <- theta - lr * velocity, with theta params.flat.
+
+    Each operation is the one a fresh expression would run, in its order, so
+    the bits are the same; the one temporary lives in the "sgd" role of
+    `buffers`. Raises ModelParams' ValueError if an updated entry is not
+    finite.
+    """
+    flat = params.flat
+    work = buffers.array("sgd", flat.shape)
+    np.multiply(momentum, velocity, out=velocity)
+    velocity += grad
+    velocity += np.multiply(weight_decay, flat, out=work)
+    flat -= np.multiply(lr, velocity, out=work)
+    _require_finite(flat)
 
 
 def l2_normalize(v: np.ndarray) -> np.ndarray:

@@ -62,8 +62,12 @@ def meta_gradients_closed(params: ModelParams, batch_x: np.ndarray,
     eta_inner; for a stack of networks (with pseudo_targets per net), one
     row of each per net. `out` is batch_x's forward under params, `probs`
     the softmax of its logits and `meta_targets` the one-hot rows of meta.y,
-    when the caller has them;
-    `buffers` holds the per-sample temporaries (net.per_sample_grad_dots).
+    when the caller has them.
+
+    With `buffers`, the held-out gradient and the per-sample temporaries
+    (net.per_sample_grad_dots) live in the backward pass's roles, which are
+    free until the caller's next backward; the held-out forward gets fresh
+    arrays, since the caller's forward of batch_x may hold the forward roles.
     """
     if eta_inner < 0:
         raise ConfigError("eta_inner must be nonnegative")
@@ -73,7 +77,7 @@ def meta_gradients_closed(params: ModelParams, batch_x: np.ndarray,
         out = forward_batch(params, batch_x)
     if meta_targets is None:
         meta_targets = one_hot(meta.y, given_targets.shape[1])
-    mgrad = weighted_ce_loss_grad(params, meta.x, meta_targets, np.ones(meta.m))[1]
+    mgrad = weighted_ce_loss_grad(params, meta.x, meta_targets, np.ones(meta.m), buffers)[1]
     d1, d2 = per_sample_grad_dots(params, out, given_targets, pseudo_targets, mgrad,
                                   buffers, probs)
     return -eta_inner * d1, -eta_inner * d2

@@ -27,14 +27,17 @@ runs every loss head on cached rows, forwards the Mixup rows after the shared
 ones, and assembles each net's objective ce + w_t * (cr + ram + lambda_cdcl *
 cdcl) once, as its "total" and as one backward pass over the summed head
 gradients (backward_batch is linear in them). The meta step's held-out
-gradient keeps its own forward and backward, since alpha and beta depend on it.
+gradient keeps its own forward, since alpha and beta depend on it, and the
+co-network softmax and pseudo-labels are taken only when a term reads them
+(refinement, the meta step or the contrastive term).
 
-A run keeps its large arrays in one net.Buffers workspace. Within a step the
-roles never collide (net's lifetime rule): the meta step's temporaries borrow
-the backward's roles before it runs, and the shared forward, sized for the
-Mixup rows that extend it in place (a stack holds each net's rows as one
-block), lasts through the step. Evaluation, between steps, reuses the
-forward's roles.
+A run builds one parameter stack and one velocity, and net.sgd_step updates
+both in place. It keeps its large arrays in one net.Buffers workspace.
+Within a step the roles never collide (net's lifetime rule): the meta step's
+held-out gradient and per-sample temporaries borrow the backward's roles
+before the step's backward runs, and the shared forward, sized for the Mixup
+rows that extend it in place (a stack holds each net's rows as one block),
+lasts through the step. Evaluation, between steps, reuses the forward's roles.
 """
 
 from __future__ import annotations
@@ -402,7 +405,9 @@ class _EpochTally:
 def _diverged(what: str, t: int, batch_idx: int, k: int, losses: dict,
               params: ModelParams) -> TrainingDiverged:
     """The abort of net k's non-finite `what`; losses is step_loss_grad's
-    stacked dict (or empty) and params the stack as it was before the batch."""
+    stacked dict (or empty) and params the stack as it was before the batch.
+    The snapshot holds views of the stack, which no step updates after the
+    abort."""
     snapshot = {
         "info": {"epoch": t, "batch": batch_idx, "net": NETS[k],
                  "components": {key: str(v[k]) for key, v in losses.items()}},
@@ -476,8 +481,10 @@ def co_train(train: Dataset, meta: MetaSet | None, test: Dataset, cfg: TrainConf
             # are the frozen pre-update co-network outputs (net1 learns from
             # net2's)
             fw = step_forward(params, xw, xs, w_t, cfg, buffers)
-            co_probs = softmax(fw.logits[::-1, :b])
-            pseudo_cls = co_probs.argmax(axis=-1)
+            co_probs = pseudo_cls = None
+            if cfg.use_refine or cfg.use_meta or (cfg.use_cdcl and w_t > 0.0):
+                co_probs = softmax(fw.logits[::-1, :b])
+                pseudo_cls = co_probs.argmax(axis=-1)
 
             if cfg.use_refine:
                 targets = refined_targets(co_probs, given, cfg)
@@ -530,8 +537,7 @@ def co_train(train: Dataset, meta: MetaSet | None, test: Dataset, cfg: TrainConf
                 raise _diverged("gradient" if finite_loss[k] else "loss", t, batch_idx, k,
                                 losses, params)
             tally.add_step(losses, purity)
-            params, velocity = sgd_step(params, grad, velocity, lr_t, cfg.momentum,
-                                        cfg.weight_decay)
+            sgd_step(params, grad, velocity, lr_t, cfg.momentum, cfg.weight_decay, buffers)
 
         test_acc, id_scores = _evaluate(params, test, buffers)
         rec = tally.record(t, lr_t, w_t, test_acc)

@@ -154,10 +154,11 @@ def _with_leaf(text, path, token):
 
 
 def _sidecar_value(key, token):
-    """A corruption setting the sidecar's key to the raw JSON token."""
+    """A corruption setting the sidecar's key (dotted for a nested one) to
+    the raw JSON token."""
     def corrupt(data_dir, cfg_text):
         sidecar = data_dir / "dataset.json"
-        sidecar.write_text(_with_leaf(sidecar.read_text(), (key,), token))
+        sidecar.write_text(_with_leaf(sidecar.read_text(), tuple(key.split(".")), token))
         return cfg_text
     return corrupt
 
@@ -262,8 +263,21 @@ class TestLoadedDataset:
         # a dim this large must fail on the header's column count before its
         # expected header is built
         (_sidecar_value("dim", "1" + "0" * 29), ["dataset.csv", "header"]),
+        # a noise description no noise injection could have written
+        (_sidecar_value("noise_spec.mode", '"bogus"'), ["dataset.json", "noise_spec.mode"]),
+        (_sidecar_value("noise_spec.rate", "NaN"), ["dataset.json", "noise_spec.rate"]),
+        (_sidecar_value("noise_spec.rate", "Infinity"), ["dataset.json", "noise_spec.rate"]),
+        (_sidecar_value("noise_spec.rate", "-0.4"), ["dataset.json", "noise_spec.rate"]),
+        (_sidecar_value("noise_spec.rate", "1.5"), ["dataset.json", "noise_spec.rate"]),
+        (_sidecar_value("noise_spec.rate", '"0.4"'), ["dataset.json", "noise_spec.rate"]),
+        (_sidecar_value("noise_spec.seed", '"abc"'), ["dataset.json", "noise_spec.seed"]),
+        (_sidecar_value("noise_spec.seed", "-772704146"), ["dataset.json", "noise_spec.seed"]),
+        (_sidecar_value("noise_spec.seed", "1.5"), ["dataset.json", "noise_spec.seed"]),
     ], ids=["label_out_of_range", "empty_csv", "sidecar_without_dim", "dim_mismatch",
-            "infinite_dim", "overflowing_dim", "huge_dim"])
+            "infinite_dim", "overflowing_dim", "huge_dim", "unknown_noise_mode",
+            "nan_noise_rate", "infinite_noise_rate", "negative_noise_rate",
+            "noise_rate_above_one", "string_noise_rate", "string_noise_seed",
+            "negative_noise_seed", "fractional_noise_seed"])
     def test_malformed_dataset_exit_2(self, corrupt, expected, cfg_path, tmp_path, capsys):
         data_dir = tmp_path / "data"
         assert cli.main(["generate", "--config", cfg_path, "--out", str(data_dir)]) == 0

@@ -267,7 +267,7 @@ class TestStacked:
             dots = net.per_sample_grad_dots(stack, net.forward_batch(stack, x), given, pseudo,
                                             vec, buffers)
             grad = rng.standard_normal((2, n_params))
-            stack, velocity = net.sgd_step(stack, grad, velocity, 0.05, 0.9, 5e-4)
+            net.sgd_step(stack, grad, velocity, 0.05, 0.9, 5e-4, buffers)
             for k, p in enumerate(singles):
                 loss, dl = net.weighted_ce_head(logits[k], targets[k], weights[k])
                 assert losses[k] == loss and np.array_equal(dlogits[k], dl)
@@ -275,9 +275,8 @@ class TestStacked:
                                                vec[k])
                 for d, r in zip(dots, ref):
                     assert np.array_equal(d[k], r), n
-                singles[k], velocities[k] = net.sgd_step(p, grad[k], velocities[k], 0.05, 0.9,
-                                                         5e-4)
-                assert np.array_equal(stack.flat[k], singles[k].flat)
+                net.sgd_step(p, grad[k], velocities[k], 0.05, 0.9, 5e-4, buffers)
+                assert np.array_equal(stack.flat[k], p.flat)
                 assert np.array_equal(velocity[k], velocities[k])
 
     def test_chunked_evaluation(self):
@@ -418,26 +417,62 @@ class TestPerSampleGrads:
 
 
 class TestSgd:
+    # sgd_step updates the parameters and the velocity in place, so each
+    # test keeps copies of what it compares
     def test_zero_grad_identity(self):
         p = small_params(1)
+        before = p.flat.copy()
         zero = np.zeros(p.arch.n_params)
-        q, _ = net.sgd_step(p, zero, zero, 0.1, 0.0, 0.0)
-        assert np.array_equal(q.flat, p.flat)
+        net.sgd_step(p, zero, zero.copy(), 0.1, 0.0, 0.0, net.Buffers())
+        assert np.array_equal(p.flat, before)
 
     def test_plain_gradient_descent_reduction(self):
         p = small_params(2)
+        before = p.flat.copy()
         g = np.random.default_rng(0).standard_normal(p.arch.n_params)
-        q, _ = net.sgd_step(p, g, np.zeros_like(g), 0.05, 0.0, 0.0)
-        assert np.allclose(q.flat, p.flat - 0.05 * g)
+        net.sgd_step(p, g, np.zeros_like(g), 0.05, 0.0, 0.0, net.Buffers())
+        assert np.allclose(p.flat, before - 0.05 * g)
 
     def test_momentum_two_step_recurrence(self):
         # constant gradient: v1 = g, v2 = (1 + mu) g, so the second
         # displacement is lr * 1.9 * g at mu = 0.9
         p = small_params(3)
         g = np.random.default_rng(1).standard_normal(p.arch.n_params)
-        q1, v1 = net.sgd_step(p, g, np.zeros_like(g), 0.01, 0.9, 0.0)
-        q2, _ = net.sgd_step(q1, g, v1, 0.01, 0.9, 0.0)
-        assert np.allclose(q1.flat - q2.flat, 0.01 * 1.9 * g, atol=1e-15)
+        velocity, buffers = np.zeros_like(g), net.Buffers()
+        net.sgd_step(p, g, velocity, 0.01, 0.9, 0.0, buffers)
+        after_one = p.flat.copy()
+        net.sgd_step(p, g, velocity, 0.01, 0.9, 0.0, buffers)
+        assert np.allclose(after_one - p.flat, 0.01 * 1.9 * g, atol=1e-15)
+
+    @pytest.mark.parametrize("lead", [(), (2,)], ids=["one_net", "stack"])
+    def test_in_place_step_equals_the_fresh_expressions(self, lead):
+        # velocity <- momentum * v + g + wd * theta, then theta <- theta -
+        # lr * v, computed fresh, bit for bit over several steps; the
+        # parameters stay in the same array, and the named views follow it
+        arch = net.Architecture(dim=5, hidden=7, num_classes=3, proj=4)
+        rng = np.random.default_rng(4)
+        p = net.ModelParams(arch, 0.4 * rng.standard_normal(lead + (arch.n_params,)))
+        flat, w1 = p.flat, p.w1
+        theta, v_ref = p.flat.copy(), np.zeros(lead + (arch.n_params,))
+        velocity, buffers = v_ref.copy(), net.Buffers()
+        for lr, momentum, wd in ((0.05, 0.9, 5e-4), (0.05, 0.9, 5e-4), (0.005, 0.5, 1e-3),
+                                 (0.1, 0.0, 0.0)):
+            g = rng.standard_normal(lead + (arch.n_params,))
+            v_ref = momentum * v_ref + g + wd * theta
+            theta = theta - lr * v_ref
+            net.sgd_step(p, g, velocity, lr, momentum, wd, buffers)
+            assert np.array_equal(velocity, v_ref)
+            assert np.array_equal(p.flat, theta)
+        assert p.flat is flat
+        assert np.array_equal(w1, net.ModelParams(arch, theta).w1)
+
+    def test_non_finite_update_raises(self):
+        # finite inputs whose update overflows
+        p = small_params(5)
+        g = np.full(p.arch.n_params, 1e308)
+        with np.errstate(over="ignore"):
+            with pytest.raises(ValueError, match="non-finite parameter entries"):
+                net.sgd_step(p, g, np.zeros_like(g), 10.0, 0.0, 0.0, net.Buffers())
 
     def test_step_decay_schedule(self):
         cfg = TrainConfig(epochs=30, lr=0.05, decay_epochs=(10, 20), decay_factor=0.1)

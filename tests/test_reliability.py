@@ -52,6 +52,22 @@ class TestClosedForm:
             reliability.meta_gradients_closed(params, batch_x, given, pseudo,
                                               empty, ETA)
 
+    def test_workspace_leaves_the_callers_forward(self):
+        # with buffers, the held-out gradient and the per-sample temporaries
+        # live in the backward's roles: the caller's forward of the batch in
+        # the same buffers stays as it was, and the bits match the fresh path
+        params, batch_x, given, pseudo, meta = fixture(4, b=6)
+        buffers = net.Buffers()
+        out = net.forward_batch(params, batch_x, buffers=buffers)
+        held = [a.copy() for a in (out.logits, out.emb) + out.cache]
+        with_buffers = reliability.meta_gradients_closed(
+            params, batch_x, given, pseudo, meta, ETA, out=out, buffers=buffers)
+        fresh = reliability.meta_gradients_closed(params, batch_x, given, pseudo, meta, ETA)
+        for a, b in zip(with_buffers, fresh):
+            assert np.array_equal(a, b)
+        for a, b in zip((out.logits, out.emb) + out.cache, held):
+            assert np.array_equal(a, b)
+
     def test_matches_fd_oracle_on_logistic_fixture(self):
         params, batch_x, given, pseudo, meta = fixture(3)
         closed = reliability.meta_gradients_closed(params, batch_x, given, pseudo, meta, ETA)

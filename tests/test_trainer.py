@@ -434,6 +434,48 @@ class TestFusedStep(_StepFixture):
             checked += 1
         assert checked == cfg.epochs * -(-train.n // cfg.batch_size)
 
+    def test_one_parameter_stack_per_run(self, monkeypatch):
+        # the run steps one stack in place: the two initial nets and their
+        # stack are the only ModelParams it builds, however many batches it
+        # takes
+        counts = []
+        init = net.ModelParams.__init__
+
+        def counting(self, arch, flat):
+            counts[-1] += 1
+            init(self, arch, flat)
+
+        monkeypatch.setattr(net.ModelParams, "__init__", counting)
+        train, meta, test = tiny_data()
+        for epochs, batch_size in ((1, 32), (3, 32), (3, 8)):
+            counts.append(0)
+            trainer.co_train(train, meta, test, tiny_cfg(
+                epochs=epochs, batch_size=batch_size, warmup_start=0, warmup_full=1))
+        assert counts == [3, 3, 3]
+
+    def test_co_network_softmax_only_for_its_readers(self, monkeypatch):
+        # refinement, the meta step and the contrastive term read the
+        # co-network softmax or its pseudo-labels; without them no batch
+        # takes it, and each one alone brings it back on the batches it runs
+        calls = []
+        softmax = trainer.softmax
+
+        def counting(logits):
+            calls.append(logits.shape)
+            return softmax(logits)
+
+        monkeypatch.setattr(trainer, "softmax", counting)
+        train, meta, test = tiny_data()
+        readers = dict(use_refine=False, use_meta=False, use_cdcl=False)
+        trainer.co_train(train, meta, test, tiny_cfg(epochs=3, **readers))
+        assert calls == []
+        batches = -(-train.n // 32)
+        # the contrastive term runs once the warm-up ramp is above zero
+        for key, epochs_read in (("use_refine", 3), ("use_meta", 3), ("use_cdcl", 1)):
+            calls.clear()
+            trainer.co_train(train, meta, test, tiny_cfg(epochs=3, **dict(readers, **{key: True})))
+            assert len(calls) == epochs_read * batches, key
+
     def test_meta_step_reuses_the_weak_view_softmax(self, monkeypatch):
         # the probabilities co_train hands the meta step are, bit for bit,
         # the softmax the meta step would compute from its cached forward
