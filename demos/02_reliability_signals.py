@@ -22,7 +22,7 @@ cfg = TrainConfig(epochs=6, batch_size=64, warmup_start=6, warmup_full=6,
                   decay_epochs=(), hidden=32, proj=8,
                   augment=default_augment_config(0.5),
                   net1_seed=31, net2_seed=32, loop_seed=33)
-_, params = co_train(train, meta, test, cfg, return_state=True)
+_, params = co_train(train, meta, test, cfg)
 
 co_probs = softmax(forward_batch(params[1], train.x).logits)
 pseudo = one_hot(co_probs.argmax(axis=1), 4)

@@ -5,7 +5,7 @@ against a scalar double-loop restatement."""
 import numpy as np
 
 from noisylab import CdclConfig, normalize_beta
-from noisylab.contrastive import FeatureBank, cdcl_feature_grad
+from noisylab.contrastive import cdcl_feature_grad
 from noisylab.net import l2_normalize
 from noisylab.oracles import consensus_weights, naive_infonce, positive_sets
 
@@ -16,21 +16,19 @@ half = 6
 z = l2_normalize(rng.standard_normal((2 * half, 8)))
 pseudo_half = rng.integers(0, 3, half)
 beta_half = rng.random(half)
-bank = FeatureBank(z=z,
-                   pseudo_class=np.concatenate([pseudo_half, pseudo_half]),
-                   beta=np.concatenate([beta_half, beta_half]),
-                   degenerate=np.zeros(2 * half, dtype=bool))
+pseudo_class = np.concatenate([pseudo_half, pseudo_half])  # one entry per bank row
+beta = np.concatenate([beta_half, beta_half])
 
-positives = positive_sets(bank.pseudo_class)
+positives = positive_sets(pseudo_class)
 print("positive set sizes per anchor:", [len(p) for p in positives])
 
-bnorm = normalize_beta(bank.beta)
+bnorm = normalize_beta(beta)
 weights = consensus_weights(bnorm, positives)
 print("normalized reliabilities:", np.round(bnorm, 3))
 print("anchor 0 pair weights   :", np.round(weights[0], 3))
 
-fast, _, _ = cdcl_feature_grad(bank, cfg)
-slow = naive_infonce(bank.z, bank.pseudo_class, bank.beta, cfg.tau)
+fast, _, _ = cdcl_feature_grad(z, pseudo_class, beta, cfg)
+slow = naive_infonce(z, pseudo_class, beta, cfg.tau)
 print("vectorized loss %.12f" % fast)
 print("double loop     %.12f" % slow)
 print("difference      %.2e" % abs(fast - slow))

@@ -14,7 +14,7 @@ cfg = TrainConfig(epochs=14, batch_size=64, warmup_start=4, warmup_full=8,
                   decay_epochs=(9, 12), hidden=48, proj=12,
                   augment=default_augment_config(0.5),
                   net1_seed=71, net2_seed=72, loop_seed=73)
-report = co_train(train, meta, test, cfg)
+report, _ = co_train(train, meta, test, cfg)
 
 print("epoch  w(t)  acc_ens  ce_re    ram     cdcl   mean_wmix  a_clean  a_noisy")
 for rec in report.epochs:

@@ -4,8 +4,8 @@ maximum softmax probability and measure the separation."""
 
 import numpy as np
 
-from noisylab import (OodScoreSet, TrainConfig, auroc, co_train, displaced_blobs,
-                      fpr_at_95_tpr, inject_symmetric_noise, make_blobs, split_meta)
+from noisylab import (OodScoreSet, TrainConfig, auroc, co_train, fpr_at_95_tpr,
+                      inject_symmetric_noise, make_blobs, split_meta)
 from noisylab.data import default_augment_config
 from noisylab.metrics import msp_scores_ensemble
 from noisylab.oracles import pairwise_auroc
@@ -19,14 +19,14 @@ cfg = TrainConfig(epochs=16, batch_size=64, warmup_start=4, warmup_full=9,
                   decay_epochs=(10, 14), hidden=48, proj=12,
                   augment=default_augment_config(0.6),
                   net1_seed=91, net2_seed=92, loop_seed=93)
-report, params = co_train(train, meta, test, cfg, return_state=True)
+report, params = co_train(train, meta, test, cfg)
 print("trained to ensemble accuracy %.3f" % report.summary["last_acc"]["ensemble"])
 
 # displaced blobs: same radius, rotated halfway between the training classes,
 # so they sit outside the training clusters without drifting into the
 # far-field where a rectifier net extrapolates overconfidently
-ood = displaced_blobs(num_classes=4, per_class=100, dim=16, spread=0.6, seed=85,
-                      radius_factor=1.0, angle_frac=0.5)
+ood = make_blobs(num_classes=4, per_class=100, dim=16, spread=0.6, seed=85,
+                 radius_factor=1.0, angle_frac=0.5)
 id_scores = msp_scores_ensemble(params, test.x)
 ood_scores = msp_scores_ensemble(params, ood.x)
 

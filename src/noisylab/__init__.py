@@ -11,8 +11,7 @@ numeric path is checked against an independent brute-force oracle.
 __version__ = "0.1.0"
 
 from .contrastive import CdclConfig, normalize_beta
-from .data import (displaced_blobs, inject_asymmetric_noise, inject_symmetric_noise,
-                   make_blobs, split_meta)
+from .data import inject_asymmetric_noise, inject_symmetric_noise, make_blobs, split_meta
 from .metrics import OodScoreSet, auroc, fpr_at_95_tpr
 from .mixup import RamConfig, total_reliability
 from .reliability import disentangle, meta_gradients_closed

@@ -78,8 +78,7 @@ def cmd_train(config_path: str, out_dir: str | None, seed: int | None,
         report, params = co_train(train_set, meta, test, tcfg, ood=ood,
                                   diagnostics=writer,
                                   config_echo=config.canonical_dict(cfg),
-                                  seeds_echo=config.derived_seeds(cfg),
-                                  return_state=True)
+                                  seeds_echo=config.derived_seeds(cfg))
     except TrainingDiverged as exc:
         snap = exc.snapshot
         with open(os.path.join(target, "abort_snapshot.json"), "w") as fh:

@@ -27,8 +27,8 @@ import numpy as np
 
 from .contrastive import CdclConfig
 from .data import (NOISE_MODES, AugmentConfig, Dataset, default_augment_config,
-                   displaced_blobs, inject_asymmetric_noise,
-                   inject_symmetric_noise, load_dataset, make_blobs, split_meta)
+                   inject_asymmetric_noise, inject_symmetric_noise, load_dataset,
+                   make_blobs, split_meta)
 from .mixup import RamConfig
 from .trainer import TrainConfig
 from .util import ConfigError, fmt_float, read_text
@@ -341,10 +341,10 @@ def make_datasets(cfg: dict):
                       ds_cfg["spread"], seeds["test_seed"])
     ood = None
     if ds_cfg["ood_enabled"]:
-        ood = displaced_blobs(ds_cfg["num_classes"], ds_cfg["ood_per_class"],
-                              ds_cfg["dim"], ds_cfg["spread"], seeds["ood_seed"],
-                              radius_factor=ds_cfg["ood_radius_factor"],
-                              angle_frac=ds_cfg["ood_angle_frac"])
+        ood = make_blobs(ds_cfg["num_classes"], ds_cfg["ood_per_class"], ds_cfg["dim"],
+                         ds_cfg["spread"], seeds["ood_seed"],
+                         radius_factor=ds_cfg["ood_radius_factor"],
+                         angle_frac=ds_cfg["ood_angle_frac"])
     return train, meta, test, ood
 
 

@@ -43,7 +43,8 @@ import numpy as np
 from .net import Buffers, l2_normalize
 from .util import ConfigError
 
-# below this pre-normalization norm a row is flagged degenerate and zeroed
+# below this pre-normalization norm a row is flagged degenerate, zeroed and
+# given a zero gradient
 DEGENERATE_NORM = 1e-6
 # below this spread of a batch's reliabilities the gating is uniform
 RANGE_EPS = 1e-6
@@ -58,20 +59,6 @@ class CdclConfig:
             raise ConfigError("cdcl.tau must be positive")
 
 
-@dataclass
-class FeatureBank:
-    """One network's bank, or with a leading net axis one per net of a stack."""
-
-    z: np.ndarray             # (..., 2N, P) unit rows (or flagged zero rows)
-    pseudo_class: np.ndarray  # (..., 2N) pseudo-label per row, shared across views
-    beta: np.ndarray          # (..., 2N) raw pseudo-label reliability per row
-    degenerate: np.ndarray    # (..., 2N) bool
-
-    @property
-    def rows(self) -> int:
-        return self.z.shape[-2]
-
-
 def normalize_beta(beta: np.ndarray) -> np.ndarray:
     """Min-max normalization of the pseudo-label reliabilities to [0, 1],
     along the last axis (each net of a stack on its own).
@@ -84,19 +71,6 @@ def normalize_beta(beta: np.ndarray) -> np.ndarray:
     lo = beta.min(axis=-1, keepdims=True)
     spread = beta.max(axis=-1, keepdims=True) - lo
     return np.where(spread < RANGE_EPS, 1.0, (beta - lo) / (spread + 1e-8))
-
-
-def _bank_from_raw(raw: np.ndarray, pseudo_class: np.ndarray,
-                   beta: np.ndarray) -> FeatureBank:
-    """The bank of raw (..., 2N, P) embeddings, weak views first: rows
-    normalized, degenerate rows flagged and zeroed, per-sample metadata
-    duplicated."""
-    z = l2_normalize(raw)
-    degenerate = np.linalg.norm(raw, axis=-1) < DEGENERATE_NORM
-    z[degenerate] = 0.0
-    dup = lambda a: np.concatenate([a, a], axis=-1)
-    return FeatureBank(z=z, pseudo_class=dup(np.asarray(pseudo_class)),
-                       beta=dup(np.asarray(beta)), degenerate=degenerate)
 
 
 _BLOCK = 64  # rows per block of the (2N)^2 passes that need a second matrix
@@ -167,7 +141,8 @@ def _pair_passes(z, gates, a, tau, sims, dz):
     return lse[:, 0]
 
 
-def cdcl_feature_grad(bank: FeatureBank, cfg: CdclConfig, y_true: np.ndarray | None = None,
+def cdcl_feature_grad(z: np.ndarray, pseudo_class: np.ndarray, beta: np.ndarray,
+                      cfg: CdclConfig, y_true: np.ndarray | None = None,
                       buffers: Buffers | None = None, out: np.ndarray | None = None):
     """Gated InfoNCE loss (averaged over anchors with a positive, zero when
     none has one), its gradient w.r.t. the normalized bank rows and, given
@@ -175,20 +150,23 @@ def cdcl_feature_grad(bank: FeatureBank, cfg: CdclConfig, y_true: np.ndarray | N
     (true-label matches, pairs, gated matches, gate mass), each pair gated
     by the product of its two normalized reliabilities; otherwise None.
 
-    For a stack of banks (a leading net axis, y_true shared) the losses and
-    purity totals get the same axis, and each net's slice has the bits of
-    its single-bank call. The gradient is written to `out` when given
-    (bank.z's shape). `buffers` holds the (2N)^2 work matrix (a fresh one
-    when None), which the nets use one after another; a smaller bank (the
-    last partial batch) works in a view of its leading entries, C-contiguous
-    at its own size, so the row reductions run in the same order as on a
-    fresh matrix.
+    z holds the (2N, P) unit (or degenerate zero) bank rows, pseudo_class and
+    beta one pseudo-label and raw reliability per row, y_true (N,) the true
+    label of rows i and N + i. For a stack of banks (a leading net axis,
+    y_true shared) the losses and purity totals get the same axis, and each
+    net's slice has the bits of its single-bank call. The gradient is written
+    to `out` when given (z's shape). `buffers` holds the (2N)^2 work matrix
+    (a fresh one when None), which the nets use one after another; a smaller
+    bank (the last partial batch) works in a view of its leading entries,
+    C-contiguous at its own size, so the row reductions run in the same order
+    as on a fresh matrix.
     """
-    stacked = bank.z.ndim == 3
+    stacked = z.ndim == 3
     lift = (lambda a: a) if stacked else (lambda a: a[None])
-    z, cls = lift(bank.z), lift(np.asarray(bank.pseudo_class))
-    bnorm = lift(normalize_beta(bank.beta))
-    dz = lift(np.empty_like(bank.z) if out is None else out)
+    cls = lift(np.asarray(pseudo_class))
+    bnorm = lift(normalize_beta(beta))
+    dz = lift(np.empty_like(z) if out is None else out)
+    z = lift(z)
     nets, n2 = cls.shape
     sims = (buffers or Buffers()).array("cdcl", (n2, n2))
 
@@ -254,8 +232,12 @@ def cdcl_head(raw: np.ndarray, pseudo_class: np.ndarray, beta: np.ndarray,
     """Loss, its gradient w.r.t. the raw (..., 2N, P) bank embeddings (weak
     views first; written to `out` when given) and the purity totals of
     cdcl_feature_grad, for one network or a stack (pseudo_class and beta
-    (..., N), y_true (N,) shared)."""
-    bank = _bank_from_raw(raw, pseudo_class, beta)
-    loss, draw, purity = cdcl_feature_grad(bank, cfg, y_true, buffers, out)
-    _normalization_backward(raw, draw, bank.degenerate)
+    (..., N), shared by a sample's two views; y_true (N,) shared)."""
+    z = l2_normalize(raw)
+    degenerate = np.linalg.norm(raw, axis=-1) < DEGENERATE_NORM
+    z[degenerate] = 0.0
+    dup = lambda a: np.concatenate([a, a], axis=-1)
+    loss, draw, purity = cdcl_feature_grad(z, dup(np.asarray(pseudo_class)),
+                                           dup(np.asarray(beta)), cfg, y_true, buffers, out)
+    _normalization_backward(raw, draw, degenerate)
     return loss, draw, purity

@@ -73,24 +73,28 @@ class MetaSet:
         return self.x.shape[0]
 
 
-def class_centers(num_classes: int, dim: int) -> np.ndarray:
-    """Fixed per-class centers, evenly spaced on a circle in the first two dims."""
-    angles = 2.0 * np.pi * np.arange(num_classes) / num_classes
+def class_centers(num_classes: int, dim: int, radius_factor: float = 1.0,
+                  angle_frac: float = 0.0) -> np.ndarray:
+    """Per-class centers evenly spaced on a circle in the first two dims, of
+    radius_factor * CENTER_RADIUS, rotated by angle_frac of one step."""
+    angles = 2.0 * np.pi * (np.arange(num_classes) + angle_frac) / num_classes
     centers = np.zeros((num_classes, dim))
-    centers[:, 0] = CENTER_RADIUS * np.cos(angles)
-    centers[:, 1] = CENTER_RADIUS * np.sin(angles)
+    centers[:, 0] = radius_factor * CENTER_RADIUS * np.cos(angles)
+    centers[:, 1] = radius_factor * CENTER_RADIUS * np.sin(angles)
     return centers
 
 
 def make_blobs(num_classes: int, per_class: int, dim: int, spread: float,
-               seed: int) -> Dataset:
-    """Isotropic Gaussian blobs, one fixed center per class, clean labels."""
+               seed: int, radius_factor: float = 1.0, angle_frac: float = 0.0) -> Dataset:
+    """Isotropic Gaussian blobs around class_centers, clean labels. The
+    training and test sets take the default centers; the OOD set moves them
+    (dataset.ood_radius_factor and dataset.ood_angle_frac)."""
     if num_classes < 2 or per_class < 1 or dim < 2:
         raise ConfigError("need num_classes >= 2, per_class >= 1, dim >= 2")
     if spread < 0:
         raise ConfigError("spread must be nonnegative")
     rng = np.random.default_rng(seed)
-    centers = class_centers(num_classes, dim)
+    centers = class_centers(num_classes, dim, radius_factor, angle_frac)
     n = num_classes * per_class
     y = np.repeat(np.arange(num_classes), per_class)
     x = centers[y] + spread * rng.standard_normal((n, dim))
@@ -199,29 +203,6 @@ def make_views(x: np.ndarray, cfg: AugmentConfig, rng: np.random.Generator):
     return weak, strong
 
 
-def displaced_blobs(num_classes: int, per_class: int, dim: int, spread: float,
-                    seed: int, radius_factor: float = 2.5,
-                    angle_frac: float = 0.5) -> Dataset:
-    """Blobs from centers pushed outside the in-distribution hull.
-
-    Centers sit at radius_factor times the training radius, rotated by
-    angle_frac of the inter-class angle so they fall between the training
-    cones rather than straight behind a training cluster.
-    """
-    if num_classes < 2 or per_class < 1 or dim < 2:
-        raise ConfigError("need num_classes >= 2, per_class >= 1, dim >= 2")
-    rng = np.random.default_rng(seed)
-    angles = 2.0 * np.pi * (np.arange(num_classes) + angle_frac) / num_classes
-    centers = np.zeros((num_classes, dim))
-    centers[:, 0] = radius_factor * CENTER_RADIUS * np.cos(angles)
-    centers[:, 1] = radius_factor * CENTER_RADIUS * np.sin(angles)
-    n = num_classes * per_class
-    y = np.repeat(np.arange(num_classes), per_class)
-    x = centers[y] + spread * rng.standard_normal((n, dim))
-    return Dataset(x=x, y_true=y, y_obs=y.copy(), ids=np.arange(n),
-                   num_classes=num_classes, noise_spec=NoiseSpec("none", seed=seed))
-
-
 def dataset_csv_text(ds: Dataset) -> str:
     """Flat CSV rendering: header `id,y_true,y_obs,x0..x{D-1}`, one row each."""
     header = "id,y_true,y_obs," + ",".join("x%d" % d for d in range(ds.dim))
@@ -271,7 +252,11 @@ def load_dataset(csv_path, json_path) -> Dataset:
     sidecar_text = read_text(json_path)
     try:
         sidecar = json.loads(sidecar_text)
-        dim, num_classes = int(sidecar["dim"]), int(sidecar["num_classes"])
+        for key, low in (("dim", 1), ("num_classes", 2)):
+            value = sidecar[key]  # bool is an int subclass
+            if isinstance(value, bool) or not isinstance(value, int) or value < low:
+                raise ValueError("%s must be an integer >= %d" % (key, low))
+        dim, num_classes = sidecar["dim"], sidecar["num_classes"]
         spec = _noise_spec(sidecar["noise_spec"]) if sidecar.get("noise_spec") else None
     except (ValueError, KeyError, TypeError, AttributeError, OverflowError) as exc:
         raise ConfigError("%s: malformed dataset sidecar (%s: %s)"

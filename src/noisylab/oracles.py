@@ -108,39 +108,39 @@ def pair_match_counts(positives: list[np.ndarray], weights: list[np.ndarray],
     return matches, pairs, wmatch, wsum
 
 
-def dense_loss_pieces(bank: contrastive.FeatureBank, cfg: contrastive.CdclConfig):
+def dense_loss_pieces(z: np.ndarray, pseudo_class: np.ndarray, beta: np.ndarray,
+                      cfg: contrastive.CdclConfig):
     """Dense (2N)^2 log-softmax, positives mask, gate matrix, positive
-    counts and valid anchors of the gated contrastive loss."""
-    z = bank.z
+    counts and valid anchors of cdcl_feature_grad's gated loss."""
     sims = (z @ z.T) / cfg.tau
     np.fill_diagonal(sims, -np.inf)
     row_max = sims.max(axis=1, keepdims=True)
     logp = sims - (row_max + np.log(np.exp(sims - row_max).sum(axis=1, keepdims=True)))
-    pos = bank.pseudo_class[:, None] == bank.pseudo_class[None, :]
+    pos = pseudo_class[:, None] == pseudo_class[None, :]
     np.fill_diagonal(pos, False)
-    bnorm = contrastive.normalize_beta(bank.beta)
+    bnorm = contrastive.normalize_beta(beta)
     w = np.outer(bnorm, bnorm)
     pos_counts = pos.sum(axis=1)
     valid = pos_counts >= 1
     return logp, pos, w, pos_counts, valid
 
 
-def dense_cdcl_feature_grad(bank: contrastive.FeatureBank, cfg: contrastive.CdclConfig,
-                            y_true: np.ndarray | None = None):
+def dense_cdcl_feature_grad(z: np.ndarray, pseudo_class: np.ndarray, beta: np.ndarray,
+                            cfg: contrastive.CdclConfig, y_true: np.ndarray | None = None):
     """Dense restatement of contrastive.cdcl_feature_grad: the loss and the
     purity totals are sums over the full (2N)^2 masks and gate matrix, and
     the gradient runs production's operation sequence on freshly allocated
     arrays, so the two gradients agree bit for bit."""
-    logp, pos, w, pos_counts, valid = dense_loss_pieces(bank, cfg)
+    logp, pos, w, pos_counts, valid = dense_loss_pieces(z, pseudo_class, beta, cfg)
     purity = None
     if y_true is not None:
         y = np.concatenate([np.asarray(y_true), np.asarray(y_true)])
         hit = pos & (y[:, None] == y[None, :])
         purity = (float(hit.sum()), float(pos_counts.sum()),
                   float(w[hit].sum()), float(w[pos].sum()))
-    n2 = bank.rows
+    n2 = len(z)
     if not valid.any():
-        return 0.0, np.zeros_like(bank.z), purity
+        return 0.0, np.zeros_like(z), purity
     gated = (w * np.where(pos, logp, 0.0)).sum(axis=1)
     loss = float((-gated[valid] / pos_counts[valid]).mean())
     # d loss / d logp_ij = -a_i * w_ij on positives, a_i = 1/(|V| * |P(i)|)
@@ -153,7 +153,7 @@ def dense_cdcl_feature_grad(bank: contrastive.FeatureBank, cfg: contrastive.Cdcl
     softmax_rows *= dlogp.sum(axis=1, keepdims=True)
     dsims = np.subtract(dlogp, softmax_rows, out=dlogp)
     np.fill_diagonal(dsims, 0.0)
-    dz = (dsims + dsims.T) @ bank.z / cfg.tau
+    dz = (dsims + dsims.T) @ z / cfg.tau
     return loss, dz, purity
 
 
@@ -422,12 +422,9 @@ def suite_cdcl(n_seeds: int = 20) -> list[CheckResult]:
         z = net.l2_normalize(rng.standard_normal((n2, 5)))
         pc_half = rng.integers(0, 3, n2 // 2)
         beta_half = rng.random(n2 // 2)
-        bank = contrastive.FeatureBank(
-            z=z, pseudo_class=np.concatenate([pc_half, pc_half]),
-            beta=np.concatenate([beta_half, beta_half]),
-            degenerate=np.zeros(n2, dtype=bool))
-        fast = contrastive.cdcl_feature_grad(bank, cfg)[0]
-        slow = naive_infonce(bank.z, bank.pseudo_class, bank.beta, cfg.tau)
+        pc, beta = np.concatenate([pc_half, pc_half]), np.concatenate([beta_half, beta_half])
+        fast = contrastive.cdcl_feature_grad(z, pc, beta, cfg)[0]
+        slow = naive_infonce(z, pc, beta, cfg.tau)
         worst = max(worst, abs(fast - slow))
     return [_check("contrastive_vs_double_loop_%dbanks" % n_seeds, worst, 1e-10),
             _check_cdcl_vs_dense(n_seeds)]
@@ -448,12 +445,10 @@ def _check_cdcl_vs_dense(n_banks: int) -> CheckResult:
         degenerate = np.arange(2 * half) < seed % 3
         z = net.l2_normalize(rng.standard_normal((2 * half, 5)))
         z[degenerate] = 0.0
-        bank = contrastive.FeatureBank(
-            z=z, pseudo_class=dup(rng.integers(0, 4, half)), beta=dup(rng.random(half)),
-            degenerate=degenerate)
+        pc, beta = dup(rng.integers(0, 4, half)), dup(rng.random(half))
         y = rng.integers(0, 4, half)
-        loss, dz, purity = contrastive.cdcl_feature_grad(bank, cfg, y, buffers)
-        loss_d, dz_d, purity_d = dense_cdcl_feature_grad(bank, cfg, y)
+        loss, dz, purity = contrastive.cdcl_feature_grad(z, pc, beta, cfg, y, buffers)
+        loss_d, dz_d, purity_d = dense_cdcl_feature_grad(z, pc, beta, cfg, y)
         if not np.array_equal(dz, dz_d):
             worst = math.inf
         worst = max(worst, max_rel_error(np.r_[loss, purity], np.r_[loss_d, purity_d],

@@ -432,10 +432,9 @@ def _evaluate(params: ModelParams, test: Dataset, buffers: Buffers):
 
 def co_train(train: Dataset, meta: MetaSet | None, test: Dataset, cfg: TrainConfig,
              ood: Dataset | None = None, diagnostics: DiagnosticsWriter | None = None,
-             config_echo: dict | None = None, seeds_echo: dict | None = None,
-             return_state: bool = False):
-    """Run the full dual-network loop and return the RunReport (and, with
-    return_state, the trained stack's ModelParams: params[k] is NETS[k]).
+             config_echo: dict | None = None, seeds_echo: dict | None = None):
+    """Run the full dual-network loop and return the RunReport and the
+    trained stack's ModelParams (params[k] is NETS[k]).
 
     Supervision for each network comes exclusively from the other network's
     frozen pre-update outputs within each batch.
@@ -566,6 +565,4 @@ def co_train(train: Dataset, meta: MetaSet | None, test: Dataset, cfg: TrainConf
                           "fpr95": metrics.fpr_at_95_tpr(score_set)}
     report.summary = summary
     report.validate()
-    if return_state:
-        return report, params
-    return report
+    return report, params

@@ -74,7 +74,7 @@ def _fixture_config(seed: int, rate: str = "0.4"):
 def _run_variant(cfg, overrides, want_scores=False):
     train_set, meta, test, ood = cfgmod.make_datasets(cfg)
     tcfg = dataclasses.replace(cfgmod.to_train_config(cfg), **overrides)
-    report, params = co_train(train_set, meta, test, tcfg, ood=ood, return_state=True)
+    report, params = co_train(train_set, meta, test, tcfg, ood=ood)
     scores = None
     if want_scores:
         scores = (metrics.msp_scores_ensemble(params, test.x),
@@ -228,10 +228,8 @@ def test_criterion_05_contrastive_oracle_equivalence():
     # the regular-simplex hand case: every anchor term is log 3
     z4 = np.array([[1.0, 1.0, 1.0], [1.0, -1.0, -1.0],
                    [-1.0, 1.0, -1.0], [-1.0, -1.0, 1.0]]) / np.sqrt(3.0)
-    bank = contrastive.FeatureBank(
-        z=z4, pseudo_class=np.array([0, 1, 0, 1]),
-        beta=np.array([0.5, 0.5, 0.5, 0.5]), degenerate=np.zeros(4, dtype=bool))
-    log3_err = abs(contrastive.cdcl_feature_grad(bank, contrastive.CdclConfig())[0]
+    log3_err = abs(contrastive.cdcl_feature_grad(z4, np.array([0, 1, 0, 1]), np.full(4, 0.5),
+                                                 contrastive.CdclConfig())[0]
                    - np.log(3.0))
     ok = all(r.passed for r in results) and log3_err < 1e-9
     _criterion(5, "contrastive oracle equivalence", ok,

@@ -163,6 +163,13 @@ def _sidecar_value(key, token):
     return corrupt
 
 
+def _negative_dim(data_dir, cfg_text):
+    # a CSV whose header and rows hold no feature column, as dim = -1 would
+    # render them, so only the sidecar's value is wrong
+    (data_dir / "dataset.csv").write_text("id,y_true,y_obs,\n0,0,0,\n1,1,1,\n")
+    return _sidecar_value("dim", "-1")(data_dir, cfg_text)
+
+
 def _dim_mismatch(data_dir, cfg_text):
     # the files were generated with dim = 3; the run asks for 16
     return cfg_text.replace("dim = 3", "dim = 16")
@@ -258,8 +265,13 @@ class TestLoadedDataset:
         (_empty_csv, ["dataset.csv", "no samples"]),
         (_sidecar_without_dim, ["dataset.json", "'dim'"]),
         (_dim_mismatch, ["dataset.dim"]),
-        (_sidecar_value("dim", "Infinity"), ["dataset.json", "OverflowError"]),
-        (_sidecar_value("dim", "1e400"), ["dataset.json", "OverflowError"]),
+        (_sidecar_value("dim", "Infinity"), ["dataset.json", "dim must be an integer >= 1"]),
+        (_sidecar_value("dim", "1e400"), ["dataset.json", "dim must be an integer >= 1"]),
+        (_negative_dim, ["dataset.json", "dim must be an integer >= 1"]),
+        (_sidecar_value("dim", "3.5"), ["dataset.json", "dim must be an integer >= 1"]),
+        (_sidecar_value("dim", "true"), ["dataset.json", "dim must be an integer >= 1"]),
+        (_sidecar_value("num_classes", "4.5"), ["dataset.json", "num_classes must be an integer"]),
+        (_sidecar_value("num_classes", "1"), ["dataset.json", "num_classes must be an integer"]),
         # a dim this large must fail on the header's column count before its
         # expected header is built
         (_sidecar_value("dim", "1" + "0" * 29), ["dataset.csv", "header"]),
@@ -274,7 +286,9 @@ class TestLoadedDataset:
         (_sidecar_value("noise_spec.seed", "-772704146"), ["dataset.json", "noise_spec.seed"]),
         (_sidecar_value("noise_spec.seed", "1.5"), ["dataset.json", "noise_spec.seed"]),
     ], ids=["label_out_of_range", "empty_csv", "sidecar_without_dim", "dim_mismatch",
-            "infinite_dim", "overflowing_dim", "huge_dim", "unknown_noise_mode",
+            "infinite_dim", "overflowing_dim", "negative_dim", "fractional_dim",
+            "boolean_dim", "fractional_num_classes", "one_class", "huge_dim",
+            "unknown_noise_mode",
             "nan_noise_rate", "infinite_noise_rate", "negative_noise_rate",
             "noise_rate_above_one", "string_noise_rate", "string_noise_seed",
             "negative_noise_seed", "fractional_noise_seed"])

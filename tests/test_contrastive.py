@@ -1,4 +1,4 @@
-"""Consensus-gated contrastive loss: bank construction, gating algebra,
+"""Consensus-gated contrastive loss: the head's row work, gating algebra,
 the vectorized loss against the scalar double loop, and gradients."""
 
 import numpy as np
@@ -16,17 +16,14 @@ def unit_rows(rng, n, p=5):
     return net.l2_normalize(rng.standard_normal((n, p)))
 
 
-def manual_bank(z, pseudo_half, beta_half):
-    return contrastive.FeatureBank(
-        z=z,
-        pseudo_class=np.concatenate([pseudo_half, pseudo_half]),
-        beta=np.concatenate([beta_half, beta_half]),
-        degenerate=np.zeros(z.shape[0], dtype=bool),
-    )
+def two_views(pseudo_half, beta_half):
+    """Per-row pseudo-labels and reliabilities of a bank whose two halves are
+    the same samples' two views."""
+    return np.concatenate([pseudo_half, pseudo_half]), np.concatenate([beta_half, beta_half])
 
 
-def cdcl_loss(bank, cfg=CFG):
-    return contrastive.cdcl_feature_grad(bank, cfg)[0]
+def cdcl_loss(z, pseudo_class, beta, cfg=CFG):
+    return contrastive.cdcl_feature_grad(z, pseudo_class, beta, cfg)[0]
 
 
 class TestNormalizeBeta:
@@ -99,17 +96,12 @@ class TestCdclLoss:
             [-1.0, 1.0, -1.0],
             [-1.0, -1.0, 1.0],
         ]) / np.sqrt(3.0)
-        bank = manual_bank(z4, np.array([0, 1]), np.array([0.5, 0.5]))
-        assert cdcl_loss(bank) == pytest.approx(np.log(3.0), abs=1e-9)
+        pc, beta = two_views(np.array([0, 1]), np.array([0.5, 0.5]))
+        assert cdcl_loss(z4, pc, beta) == pytest.approx(np.log(3.0), abs=1e-9)
 
     def test_all_zero_gates_zero_loss(self):
-        rng = np.random.default_rng(1)
-        z = unit_rows(rng, 8)
-        bank = manual_bank(z, np.array([0, 0, 1, 1]), np.array([0.3, 0.3, 0.3, 0.3]))
-        bank.beta = np.where(np.arange(8) % 2 == 0, 0.0, 1.0)  # every pair hits a zero
-        pc = np.zeros(8, dtype=int)
-        bank.pseudo_class = pc
-        bnorm = contrastive.normalize_beta(bank.beta)
+        beta = np.where(np.arange(8) % 2 == 0, 0.0, 1.0)  # every pair hits a zero
+        bnorm = contrastive.normalize_beta(beta)
         w = np.outer(bnorm, bnorm)
         assert (w[bnorm == 0.0] == 0.0).all()
 
@@ -118,32 +110,23 @@ class TestCdclLoss:
             rng = np.random.default_rng(seed)
             half = int(rng.integers(2, 17))
             z = unit_rows(rng, 2 * half)
-            pc = rng.integers(0, 3, half)
-            beta = rng.random(half)
-            bank = manual_bank(z, pc, beta)
-            fast = cdcl_loss(bank)
-            slow = naive_infonce(bank.z, bank.pseudo_class, bank.beta, CFG.tau)
+            pc, beta = two_views(rng.integers(0, 3, half), rng.random(half))
+            fast = cdcl_loss(z, pc, beta)
+            slow = naive_infonce(z, pc, beta, CFG.tau)
             assert abs(fast - slow) < 1e-10
 
     def test_no_positives_returns_zero(self):
         z = unit_rows(np.random.default_rng(3), 4)
-        bank = contrastive.FeatureBank(
-            z=z, pseudo_class=np.array([0, 1, 2, 3]),
-            beta=np.array([0.1, 0.4, 0.2, 0.9]), degenerate=np.zeros(4, dtype=bool))
-        assert cdcl_loss(bank) == 0.0
+        assert cdcl_loss(z, np.array([0, 1, 2, 3]), np.array([0.1, 0.4, 0.2, 0.9])) == 0.0
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(4)
         z = unit_rows(rng, 12)
         pc = np.concatenate([rng.integers(0, 2, 6)] * 2)
         beta = np.concatenate([rng.random(6)] * 2)
-        bank = contrastive.FeatureBank(z=z, pseudo_class=pc, beta=beta,
-                                       degenerate=np.zeros(12, dtype=bool))
-        base = cdcl_loss(bank)
+        base = cdcl_loss(z, pc, beta)
         perm = rng.permutation(12)
-        permuted = contrastive.FeatureBank(z=z[perm], pseudo_class=pc[perm], beta=beta[perm],
-                                           degenerate=np.zeros(12, dtype=bool))
-        assert abs(cdcl_loss(permuted) - base) < 1e-10
+        assert abs(cdcl_loss(z[perm], pc[perm], beta[perm]) - base) < 1e-10
 
     def test_large_temperature_limit(self):
         # softmax over candidates approaches uniform: each gated term
@@ -151,13 +134,11 @@ class TestCdclLoss:
         rng = np.random.default_rng(5)
         half = 4
         z = unit_rows(rng, 2 * half)
-        pc = rng.integers(0, 2, half)
-        beta = rng.random(half)
-        bank = manual_bank(z, pc, beta)
+        pc, beta = two_views(rng.integers(0, 2, half), rng.random(half))
         hot = contrastive.CdclConfig(tau=1e4)
-        loss = cdcl_loss(bank, hot)
-        bnorm = contrastive.normalize_beta(bank.beta)
-        pos = positive_sets(bank.pseudo_class)
+        loss = cdcl_loss(z, pc, beta, hot)
+        bnorm = contrastive.normalize_beta(beta)
+        pos = positive_sets(pc)
         expected = np.mean([
             np.log(2 * half - 1) * np.mean(bnorm[i] * bnorm[p])
             for i, p in enumerate(pos) if len(p)
@@ -168,23 +149,18 @@ class TestCdclLoss:
         # the loss is linear in any single gate w_ij for fixed features
         rng = np.random.default_rng(6)
         z = unit_rows(rng, 8)
-        pc = np.array([0, 0, 1, 1])
-        beta = rng.random(4)
+        pc, beta = two_views(np.array([0, 0, 1, 1]), rng.random(4))
+        logp, pos, w, counts, valid = dense_loss_pieces(z, pc, beta, CFG)
 
-        def loss_with_weights(wmat, bank):
-            logp, pos, _, counts, valid = dense_loss_pieces(bank, CFG)
+        def loss_with_weights(wmat):
             gated = (wmat * np.where(pos, logp, 0.0)).sum(axis=1)
             return float((-gated[valid] / counts[valid]).mean())
 
-        bank = manual_bank(z, pc, beta)
-        bnorm = contrastive.normalize_beta(bank.beta)
-        w = np.outer(bnorm, bnorm)
-        base = loss_with_weights(w, bank)
+        base = loss_with_weights(w)
         bumped = w.copy()
         i, j = 0, 4  # a positive pair (same source, two views)
         bumped[i, j] += 0.25
-        delta = loss_with_weights(bumped, bank) - base
-        logp, pos, _, counts, valid = dense_loss_pieces(bank, CFG)
+        delta = loss_with_weights(bumped) - base
         expected = -0.25 * logp[i, j] / (counts[i] * valid.sum())
         assert abs(delta - expected) < 1e-10
 
@@ -196,19 +172,24 @@ class TestBankAndGradient:
         return net.ModelParams(arch, 0.4 * rng.standard_normal(arch.n_params))
 
     def test_build_bank_row_norms_and_duplication(self):
+        # cdcl_head normalizes the raw rows and gives each sample's
+        # pseudo-label and reliability to both its views
         params = self.params(1)
         rng = np.random.default_rng(1)
         weak = rng.standard_normal((5, 3))
         strong = rng.standard_normal((5, 3))
         pc = rng.integers(0, 2, 5)
         beta = rng.random(5)
+        y = rng.integers(0, 2, 5)
         raw = net.forward_batch(params, np.concatenate([weak, strong])).emb
-        bank = contrastive._bank_from_raw(raw, pc, beta)
-        assert bank.rows == 10
-        assert np.allclose(np.linalg.norm(bank.z, axis=1), 1.0, atol=1e-9)
-        assert not bank.degenerate.any()
-        assert np.array_equal(bank.pseudo_class, np.concatenate([pc, pc]))
-        assert np.array_equal(bank.beta, np.concatenate([beta, beta]))
+        z = net.l2_normalize(raw)
+        assert np.allclose(np.linalg.norm(z, axis=1), 1.0, atol=1e-9)
+        loss, draw, purity = contrastive.cdcl_head(raw, pc, beta, CFG, y)
+        loss_z, dz, purity_z = contrastive.cdcl_feature_grad(z, *two_views(pc, beta), CFG, y)
+        contrastive._normalization_backward(raw, dz, np.zeros(10, dtype=bool))
+        assert loss == loss_z
+        assert np.array_equal(draw, dz)
+        assert np.array_equal(purity, purity_z)
 
     def test_observed_labels_cannot_enter(self):
         import inspect
@@ -228,7 +209,7 @@ class TestBankAndGradient:
         def value(flat):
             raw = net.forward_batch(net.ModelParams(params.arch, flat),
                                     np.concatenate([weak, strong])).emb
-            return cdcl_loss(contrastive._bank_from_raw(raw, pc, beta))
+            return contrastive.cdcl_head(raw, pc, beta, CFG)[0]
 
         fd = fd_gradient(value, params.flat)
         assert max_rel_error(fd, grad) < 1e-5
@@ -242,8 +223,8 @@ class TestBankAndGradient:
         beta = rng.random(6)
         loss_g, _ = cdcl_grad(params, weak, strong, pc, beta, CFG)
         raw = net.forward_batch(params, np.concatenate([weak, strong])).emb
-        bank = contrastive._bank_from_raw(raw, pc, beta)
-        assert loss_g == pytest.approx(cdcl_loss(bank), abs=1e-12)
+        assert loss_g == pytest.approx(cdcl_loss(net.l2_normalize(raw), *two_views(pc, beta)),
+                                       abs=1e-12)
 
     def test_purity_counters_agree(self):
         # the totals the fused head gradient returns vs the loop oracle
@@ -270,14 +251,13 @@ class TestDenseParity:
     @staticmethod
     def random_bank(rng, half, classes, degenerate=0, uniform_beta=False):
         beta = np.full(half, 0.4) if uniform_beta else rng.random(half)
-        bank = manual_bank(unit_rows(rng, 2 * half), rng.choice(classes, half), beta)
-        bank.z[:degenerate] = 0.0
-        bank.degenerate[:degenerate] = True
-        return bank, rng.integers(0, 3, half)
+        z = unit_rows(rng, 2 * half)
+        z[:degenerate] = 0.0
+        return (z, *two_views(rng.choice(classes, half), beta)), rng.integers(0, 3, half)
 
     def assert_parity(self, bank, y, buffers):
-        loss, dz, purity = contrastive.cdcl_feature_grad(bank, CFG, y, buffers)
-        loss_d, dz_d, purity_d = dense_cdcl_feature_grad(bank, CFG, y)
+        loss, dz, purity = contrastive.cdcl_feature_grad(*bank, CFG, y, buffers)
+        loss_d, dz_d, purity_d = dense_cdcl_feature_grad(*bank, CFG, y)
         assert np.array_equal(dz, dz_d)
         # relative to 1e-12; values below 1e-2 are compared absolutely to 1e-14,
         # since the 2N = 2 loss is zero only up to rounding
@@ -304,13 +284,11 @@ class TestDenseParity:
         self.assert_parity(bank, y, net.Buffers())
 
     def test_no_anchor_with_a_positive(self):
-        z = unit_rows(np.random.default_rng(3), 4)
-        bank = contrastive.FeatureBank(
-            z=z, pseudo_class=np.array([0, 1, 2, 3]), beta=np.array([0.1, 0.4, 0.2, 0.9]),
-            degenerate=np.zeros(4, dtype=bool))
+        bank = (unit_rows(np.random.default_rng(3), 4), np.array([0, 1, 2, 3]),
+                np.array([0.1, 0.4, 0.2, 0.9]))
         y = np.array([0, 1])
         self.assert_parity(bank, y, net.Buffers())
-        assert contrastive.cdcl_feature_grad(bank, CFG, y)[0] == 0.0
+        assert contrastive.cdcl_feature_grad(*bank, CFG, y)[0] == 0.0
 
     def test_buffers_reused_across_bank_sizes(self):
         # a full batch of several row blocks, the smaller last batch, then a
@@ -385,14 +363,11 @@ class TestStackedHead:
         rng = np.random.default_rng(25)
         z = unit_rows(rng, 8).reshape(2, 4, 5)
         pc = np.array([[0, 1, 0, 1], [0, 1, 2, 3]])  # no positive in net 2
-        stack = contrastive.FeatureBank(z=z, pseudo_class=pc, beta=rng.random((2, 4)),
-                                        degenerate=np.zeros((2, 4), dtype=bool))
+        beta = rng.random((2, 4))
         y = np.array([0, 1])
-        loss, dz, purity = contrastive.cdcl_feature_grad(stack, CFG, y, net.Buffers())
+        loss, dz, purity = contrastive.cdcl_feature_grad(z, pc, beta, CFG, y, net.Buffers())
         for k in range(2):
-            bank = contrastive.FeatureBank(z=z[k], pseudo_class=pc[k], beta=stack.beta[k],
-                                           degenerate=stack.degenerate[k])
-            loss_k, dz_k, purity_k = dense_cdcl_feature_grad(bank, CFG, y)
+            loss_k, dz_k, purity_k = dense_cdcl_feature_grad(z[k], pc[k], beta[k], CFG, y)
             assert np.array_equal(dz[k], dz_k)
             assert loss[k] == pytest.approx(loss_k, rel=1e-12)
             assert np.allclose(purity[k], purity_k, rtol=1e-12)

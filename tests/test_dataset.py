@@ -1,19 +1,32 @@
 """Blob generation, noise injection, meta splitting, augmentation."""
 
+import hashlib
+import os
+
 import numpy as np
 import pytest
 from scipy import stats
 
-from noisylab import data
+from noisylab import config, data
 from noisylab.util import ConfigError, fmt_float
+
+FIXTURE_CFG = os.path.join(os.path.dirname(__file__), "..", "cfg", "fixture.cfg")
 
 
 class TestMakeBlobs:
     def test_zero_spread_collapses_to_centers(self):
         ds = data.make_blobs(2, 1, 2, 0.0, seed=5)
         centers = data.class_centers(2, 2)
-        assert np.allclose(ds.x, centers)
+        assert np.array_equal(ds.x, centers)
         assert list(ds.y_obs) == [0, 1]
+
+    def test_zero_spread_moved_centers(self):
+        # twice the radius, rotated by half the 90-degree inter-class angle:
+        # the centers sit at 45, 135, 225 and 315 degrees, radius 4
+        ds = data.make_blobs(4, 1, 3, 0.0, seed=5, radius_factor=2.0, angle_frac=0.5)
+        r = 2.0 * data.CENTER_RADIUS / np.sqrt(2.0)
+        assert np.allclose(ds.x, [[r, r, 0.0], [-r, r, 0.0], [-r, -r, 0.0], [r, -r, 0.0]],
+                           rtol=0.0, atol=1e-12)
 
     def test_nearest_center_oracle(self):
         # independent nearest-center classifier on the generated data
@@ -229,7 +242,18 @@ class TestSerialization:
         assert lines[1].endswith(",-0,4.9406564584124654e-324,1.0000000000000001e+300,-1e-300")
 
 
-def test_displaced_blobs_outside_hull():
-    ds = data.displaced_blobs(4, 50, 2, 0.2, seed=1, radius_factor=2.0, angle_frac=0.5)
+def test_moved_blobs_outside_hull():
+    ds = data.make_blobs(4, 50, 2, 0.2, seed=1, radius_factor=2.0, angle_frac=0.5)
     radii = np.linalg.norm(ds.x[:, :2], axis=1)
     assert radii.mean() > data.CENTER_RADIUS * 1.5
+
+
+def test_fixture_set_fingerprints():
+    # the seed-1 cfg/fixture.cfg sets, as a run's manifest fingerprints them
+    train, _, test, ood = config.make_datasets(config.load_config(FIXTURE_CFG))
+    digest = lambda ds: hashlib.sha256(data.dataset_csv_text(ds).encode()).hexdigest()
+    assert [digest(ds) for ds in (train, test, ood)] == [
+        "ae2b4c3db2a6cadbc8900730961328593159939b607000203ca7ad4e64bfbb9c",
+        "cc2746025507fffcf344e000e8a5e00918ca83c1ab80a4788efe39ee6ea7b76f",
+        "682d3cae221245d68fea86c2754c34f8ca835a14687532cc11630ebf95e10ccb",
+    ]

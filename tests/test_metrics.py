@@ -67,7 +67,8 @@ class TestPairPurity:
         train, meta = data.split_meta(pool, 4, seed=3)
         cfg = trainer.TrainConfig(epochs=2, batch_size=16, warmup_start=0, warmup_full=1,
                                   hidden=8, proj=4, use_cdcl=False)
-        rec = trainer.co_train(train, meta, data.make_blobs(2, 5, 3, 0.5, seed=4), cfg).epochs[1]
+        report, _ = trainer.co_train(train, meta, data.make_blobs(2, 5, 3, 0.5, seed=4), cfg)
+        rec = report.epochs[1]
         assert rec["warmup_w"] == 1.0
         assert rec["purity_raw"] is None and rec["purity_gated"] is None
 

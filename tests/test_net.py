@@ -491,12 +491,13 @@ class TestL2Normalize:
         assert np.allclose(net.l2_normalize(np.array([3.0, 4.0])), [0.6, 0.8])
 
     def test_zero_vector_flagged(self):
-        # zero rows map to zero; the contrastive bank flags them degenerate
+        # zero rows map to zero; the contrastive head flags them degenerate
+        # and gives them a zero gradient
         assert np.all(net.l2_normalize(np.zeros(4)) == 0.0)
         raw = np.array([[0.0, 0.0, 0.0], [3.0, 4.0, 0.0]])
-        bank = contrastive._bank_from_raw(raw, np.array([0]), np.array([0.5]))
-        assert list(bank.degenerate) == [True, False]
-        assert np.all(bank.z[0] == 0.0)
+        _, draw, _ = contrastive.cdcl_head(raw, np.array([0]), np.array([0.5]),
+                                           contrastive.CdclConfig())
+        assert np.all(draw[0] == 0.0) and np.all(np.isfinite(draw))
 
 
 class TestCheckpoint:

@@ -215,7 +215,7 @@ class TestSeparation:
                           decay_epochs=(), hidden=32, proj=8,
                           augment=default_augment_config(0.5),
                           net1_seed=31, net2_seed=32, loop_seed=33)
-        report, params = co_train(train, meta, test, cfg, return_state=True)
+        report, params = co_train(train, meta, test, cfg)
 
         probs = net.softmax(net.forward_batch(params[1], train.x).logits)
         pseudo = reliability.one_hot(probs.argmax(axis=1), 4)

@@ -274,7 +274,7 @@ class TestTotalLoss(_StepFixture):
 class TestCoTrain:
     def test_zero_epochs_initial_only(self):
         train, meta, test = tiny_data()
-        report = trainer.co_train(train, meta, test, tiny_cfg(epochs=0))
+        report, _ = trainer.co_train(train, meta, test, tiny_cfg(epochs=0))
         assert report.epochs == []
         assert report.summary["best_epoch"] is None
         assert 0.0 <= report.initial["test_acc"]["ensemble"] <= 1.0
@@ -288,14 +288,14 @@ class TestCoTrain:
 
     def test_determinism_bitwise(self):
         train, meta, test = tiny_data()
-        a = trainer.co_train(train, meta, test, tiny_cfg())
-        b = trainer.co_train(train, meta, test, tiny_cfg())
+        a, _ = trainer.co_train(train, meta, test, tiny_cfg())
+        b, _ = trainer.co_train(train, meta, test, tiny_cfg())
         assert a.to_json() == b.to_json()
 
     def test_seed_swap_symmetry(self):
         train, meta, test = tiny_data()
-        ra = trainer.co_train(train, meta, test, tiny_cfg(net1_seed=41, net2_seed=42))
-        rb = trainer.co_train(train, meta, test, tiny_cfg(net1_seed=42, net2_seed=41))
+        ra, _ = trainer.co_train(train, meta, test, tiny_cfg(net1_seed=41, net2_seed=42))
+        rb, _ = trainer.co_train(train, meta, test, tiny_cfg(net1_seed=42, net2_seed=41))
         for rec_a, rec_b in zip(ra.epochs, rb.epochs):
             assert rec_a["test_acc"]["net1"] == rec_b["test_acc"]["net2"]
             assert rec_a["test_acc"]["net2"] == rec_b["test_acc"]["net1"]
@@ -309,13 +309,13 @@ class TestCoTrain:
         train, meta, test = tiny_data()
         on = tiny_cfg(epochs=3, warmup_start=3, warmup_full=3)
         off = dataclasses.replace(on, use_ram=False, use_cdcl=False, use_cr=False)
-        ra = trainer.co_train(train, meta, test, on, config_echo={})
-        rb = trainer.co_train(train, meta, test, off, config_echo={})
+        ra, _ = trainer.co_train(train, meta, test, on, config_echo={})
+        rb, _ = trainer.co_train(train, meta, test, off, config_echo={})
         assert ra.to_json() == rb.to_json()
 
     def test_mass_identity_tracked_under_tolerance(self):
         train, meta, test = tiny_data()
-        report = trainer.co_train(train, meta, test, tiny_cfg())
+        report, _ = trainer.co_train(train, meta, test, tiny_cfg())
         assert report.summary["mass_gap_max"] is not None
         assert report.summary["mass_gap_max"] <= 1e-9
         assert report.summary["alpha_min"] >= 0.0
@@ -341,7 +341,8 @@ class TestCoTrain:
 
     def test_wall_clock_excluded_from_json(self):
         train, meta, test = tiny_data()
-        report = trainer.co_train(train, meta, test, tiny_cfg(epochs=1, warmup_start=0, warmup_full=1))
+        report, _ = trainer.co_train(train, meta, test,
+                                     tiny_cfg(epochs=1, warmup_start=0, warmup_full=1))
         assert len(report.wall_seconds) == 1
         assert "wall" not in report.to_json()
 
