@@ -16,6 +16,8 @@ import numpy as np
 from .util import FLOAT_FMT, ConfigError, dumps_deterministic, read_text
 
 CENTER_RADIUS = 2.0
+# rows per piece of dataset_csv_chunks' text
+CSV_CHUNK_ROWS = 256
 NOISE_MODES = ("none", "symmetric", "asymmetric")
 
 
@@ -190,35 +192,44 @@ def default_augment_config(spread: float) -> AugmentConfig:
     return AugmentConfig(sigma_weak=0.05 * spread, sigma_strong=0.15 * spread)
 
 
-def make_views(x: np.ndarray, cfg: AugmentConfig, rng: np.random.Generator):
+def make_views(x: np.ndarray, cfg: AugmentConfig, rng: np.random.Generator,
+               strong: bool = True):
     """Weak and strong views for a whole (N, D) block, drawn in a fixed order.
 
     weak: Gaussian jitter sigma_weak. strong: Gaussian jitter sigma_strong,
-    then each coordinate zeroed independently with probability p_drop.
+    then each coordinate zeroed independently with probability p_drop. The
+    weak view is drawn first, so strong=False, which returns None for the
+    strong view and draws none of it, leaves the weak view's bits as they are.
     """
     x = np.asarray(x, dtype=np.float64)
     weak = x + cfg.sigma_weak * rng.standard_normal(x.shape)
+    if not strong:
+        return weak, None
     strong = x + cfg.sigma_strong * rng.standard_normal(x.shape)
     strong = strong * (rng.random(x.shape) >= cfg.p_drop)
     return weak, strong
 
 
-def dataset_csv_text(ds: Dataset) -> str:
-    """Flat CSV rendering: header `id,y_true,y_obs,x0..x{D-1}`, one row each."""
-    header = "id,y_true,y_obs," + ",".join("x%d" % d for d in range(ds.dim))
+def dataset_csv_chunks(ds: Dataset):
+    """The flat CSV rendering, header `id,y_true,y_obs,x0..x{D-1}` and one
+    row per sample, as consecutive pieces of text: the header line, then
+    CSV_CHUNK_ROWS rows at a time, each piece ending in a newline. Writers
+    and digests consume it piece by piece, so the whole text never exists
+    at once."""
+    yield "id,y_true,y_obs," + ",".join("x%d" % d for d in range(ds.dim)) + "\n"
     # one % per row, each value formatted as fmt_float formats it
-    row = "%d,%d,%d," + ",".join([FLOAT_FMT] * ds.dim)
-    lines = [header]
-    for i, y_true, y_obs, x in zip(ds.ids.tolist(), ds.y_true.tolist(), ds.y_obs.tolist(),
-                                   ds.x):
-        lines.append(row % (i, y_true, y_obs, *x.tolist()))
-    return "\n".join(lines) + "\n"
+    row = "%d,%d,%d," + ",".join([FLOAT_FMT] * ds.dim) + "\n"
+    for start in range(0, ds.n, CSV_CHUNK_ROWS):
+        rows = slice(start, start + CSV_CHUNK_ROWS)
+        yield "".join([row % (i, y_true, y_obs, *x) for i, y_true, y_obs, x in zip(
+            ds.ids[rows].tolist(), ds.y_true[rows].tolist(), ds.y_obs[rows].tolist(),
+            ds.x[rows].tolist())])
 
 
 def save_dataset(ds: Dataset, csv_path, json_path, seed: int | None = None) -> None:
     """Write the flat CSV plus a sidecar JSON descriptor."""
     with open(csv_path, "w") as fh:
-        fh.write(dataset_csv_text(ds))
+        fh.writelines(dataset_csv_chunks(ds))
     sidecar = {
         "num_classes": ds.num_classes,
         "dim": ds.dim,

@@ -64,9 +64,13 @@ def fpr_at_95_tpr(scores: OodScoreSet) -> float:
     Higher score means more ID-like; a sample counts positive at threshold t
     when its score >= t. The candidate thresholds are the observed scores;
     one searchsorted gives every candidate's recall (oracles.sweep_fpr_at_tpr
-    is the loop over candidates this replaces).
+    is the loop over candidates this replaces). The distinct candidates come
+    from one sort and a mask of the entries that differ from their
+    predecessor; np.unique would import numpy.ma to ask whether they are
+    masked.
     """
-    candidates = np.unique(np.concatenate([scores.id_scores, scores.ood_scores]))
+    candidates = np.sort(np.concatenate([scores.id_scores, scores.ood_scores]))
+    candidates = candidates[np.concatenate(([True], candidates[1:] != candidates[:-1]))]
     n_id = scores.id_scores.size
     kept = n_id - np.searchsorted(np.sort(scores.id_scores), candidates, side="left")
     passing = np.flatnonzero(kept / n_id >= 0.95)

@@ -152,12 +152,14 @@ class Buffers:
     grows on a larger request and keeps its contents when it does, so rows
     written by one call stay readable through a larger view of the next.
     Views are memoized by (role, shape): a step asks for the same few shapes
-    again and again.
+    again and again. The "grad" role's parameter-space array also keeps its
+    named views (grad()), built once until the storage grows.
     """
 
     def __init__(self):
         self._store = {}
         self._views = {}
+        self._named = {}
 
     def array(self, role: str, shape: tuple) -> np.ndarray:
         view = self._views.get((role, shape))
@@ -170,8 +172,19 @@ class Buffers:
                     grown[:store.size] = store
                 self._store[role] = store = grown
                 self._views = {key: v for key, v in self._views.items() if key[0] != role}
+                self._named = {key: v for key, v in self._named.items() if key[0] != role}
             view = self._views[(role, shape)] = store[:size].reshape(shape)
         return view
+
+    def grad(self, arch: Architecture, lead: tuple) -> tuple[np.ndarray, dict]:
+        """The "grad" role's lead + (n_params,) array and its named parameter
+        views (the dict is the same object on every call)."""
+        key = ("grad", arch, lead)
+        entry = self._named.get(key)
+        if entry is None:
+            flat = self.array("grad", lead + (arch.n_params,))
+            entry = self._named[key] = (flat, _param_views(arch, flat))
+        return entry
 
 
 @dataclass
@@ -265,8 +278,7 @@ def backward_batch(params: ModelParams, cache: tuple, dlogits: np.ndarray,
     arch = params.arch
     lead = params.flat.shape[:-1]
     n = x.shape[-2]
-    grad = buffers.array("grad", lead + (arch.n_params,))
-    g = _param_views(arch, grad)
+    grad, g = buffers.grad(arch, lead)
     np.matmul(h2.mT, dlogits, out=g["wc"])
     np.add.reduce(dlogits, axis=-2, out=g["bc"])
     dh2 = buffers.array("dh2", lead + (n, arch.hidden))
@@ -334,8 +346,10 @@ def per_sample_grad_dots(params: ModelParams, out: BatchForward,
     each layer's per-sample gradient is an outer product, so its inner
     product with vec's matching block is (activation @ block) . delta. With
     `buffers`, the (B, hidden) temporaries live in the backward pass's
-    "dh1" and "dh2" roles, which are free until the next backward. `probs`
-    is softmax(out.logits) when the caller has it.
+    "dh1" and "dh2" roles, which are free until the next backward, and a vec
+    that is the workspace's gradient (a held-out gradient computed there)
+    reads its memoized named views. `probs` is softmax(out.logits) when the
+    caller has it.
     """
     x, h1, h2 = out.cache
     arch = params.arch
@@ -346,7 +360,9 @@ def per_sample_grad_dots(params: ModelParams, out: BatchForward,
     dh2p, dh1p = work.array("dh2", (2,) + lead + (b, arch.hidden))
     if probs is None:
         probs = softmax(out.logits)
-    v = _param_views(arch, np.asarray(vec, dtype=np.float64))
+    vec = np.asarray(vec, dtype=np.float64)
+    grad, named = work.grad(arch, lead)
+    v = named if vec is grad else _param_views(arch, vec)
     np.matmul(x, v["w1"], out=xv1)
     np.matmul(h1, v["w2"], out=h1v2)
     h2vc = h2 @ v["wc"]

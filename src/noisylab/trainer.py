@@ -16,7 +16,9 @@ each net keeps its own random stream, and the contrastive head's (2B)^2
 passes run net by net in one work matrix. The confidence-filtered
 cross-entropy and consistency heads are the one loop over the two nets left,
 since each net keeps its own rows and perfbench/worker.py's row-count probe
-reads one reweighted_ce_grad call per net. The pair stays a stack up to the
+reads one reweighted_ce_grad call per net; when the filter passes every row
+(warm-up, no refinement, or a whole confident batch) they run on the cached
+rows as they are, with no gather or scatter. The pair stays a stack up to the
 report: each loss term and the contrastive purity totals come back with the
 net axis, the divergence check tests both nets at once, and _EpochTally
 sums them and builds each epoch's record and the summary's extremes.
@@ -31,8 +33,12 @@ gradient keeps its own forward, since alpha and beta depend on it, and the
 co-network softmax and pseudo-labels are taken only when a term reads them
 (refinement, the meta step or the contrastive term).
 
-A run builds one parameter stack and one velocity, and net.sgd_step updates
-both in place. It keeps its large arrays in one net.Buffers workspace.
+Once per epoch, co_train puts the views, the one-hot observed labels, the
+clean mask and the true labels in that epoch's batch order, so each batch
+takes slices of them; the strong views are drawn only in epochs that run a
+strong-view term. A run builds one parameter stack and one velocity, and
+net.sgd_step updates both in place. It keeps its large arrays in one
+net.Buffers workspace.
 Within a step the roles never collide (net's lifetime rule): the meta step's
 held-out gradient and per-sample temporaries borrow the backward's roles
 before the step's backward runs, and the shared forward, sized for the Mixup
@@ -178,11 +184,15 @@ def reweighted_ce_grad(logits: np.ndarray, targets, reliabilities: np.ndarray,
     1 + eta_w * r_tilde, where r_tilde is each sample's reliability over the
     filtered-batch mean (plus mixup.DELTA, which guards an all-zero mean).
 
+    bc holds increasing row indices, as confidence_filter returns them.
     Returns the loss and its gradient w.r.t. the logits.
     """
     bc = np.asarray(bc, dtype=np.int64)
-    r = np.asarray(reliabilities, dtype=np.float64)[bc]
-    weights = 1.0 + eta_w * (r / (r.mean() + DELTA)) if bc.size else r
+    r = np.asarray(reliabilities, dtype=np.float64)
+    if bc.size < len(logits):
+        r = r[bc]
+    # np.add.reduce(r) / r.size has the bits of r.mean(), without its wrapper
+    weights = 1.0 + eta_w * (r / (np.add.reduce(r) / r.size + DELTA)) if bc.size else r
     return _filtered_ce(logits, targets, weights, bc)
 
 
@@ -195,7 +205,11 @@ def consistency_loss_grad(logits: np.ndarray, targets, bc: np.ndarray):
 
 def _filtered_ce(logits, targets, weights, bc):
     """(1/|bc|) * sum over rows bc of weights * CE(logits, targets) and its
-    gradient w.r.t. the logits (zero outside bc)."""
+    gradient w.r.t. the logits (zero outside bc). When bc holds every row,
+    the head runs on the rows as they are, with no gather or scatter: the
+    same bits."""
+    if 0 < bc.size == len(logits):
+        return weighted_ce_head(logits, targets, weights)
     dlogits = np.zeros_like(logits)
     if bc.size == 0:
         return 0.0, dlogits
@@ -464,17 +478,29 @@ def co_train(train: Dataset, meta: MetaSet | None, test: Dataset, cfg: TrainConf
         tick = time.perf_counter()
         w_t = warmup(t, cfg)
         lr_t = lr_at(t, cfg)
+        strong_term = w_t > 0.0 and (cfg.use_cr or cfg.use_cdcl)
+        # the epoch's rows in batch order, so each batch is a slice of them
         order = child_rng(cfg.loop_seed, _ORDER_STREAM, t).permutation(train.n)
         weak_all, strong_all = make_views(train.x, cfg.augment,
-                                          child_rng(cfg.loop_seed, _VIEW_STREAM, t))
+                                          child_rng(cfg.loop_seed, _VIEW_STREAM, t),
+                                          strong=strong_term)
+        weak_all = weak_all[order]
+        strong_all = strong_all[order] if strong_term else None
+        given_epoch = eye[train.y_obs[order]]
+        # the observed labels of both nets; a slice of it keeps the net axis
+        targets_epoch = None if cfg.use_refine else np.broadcast_to(
+            given_epoch, (2,) + given_epoch.shape)
+        clean_epoch = clean_mask[order]
+        y_true_epoch = train.y_true[order]
         tally = _EpochTally(tally)
 
         for batch_idx, b0 in enumerate(range(0, train.n, cfg.batch_size)):
-            rows = order[b0:b0 + cfg.batch_size]
-            xw, xs = weak_all[rows], strong_all[rows]
-            given = eye[train.y_obs[rows]]
-            batch_clean = clean_mask[rows]
-            b = len(rows)
+            rows = slice(b0, b0 + cfg.batch_size)
+            xw = weak_all[rows]
+            xs = strong_all[rows] if strong_term else None
+            given = given_epoch[rows]
+            batch_clean = clean_epoch[rows]
+            b = len(xw)
 
             # one shared forward of the stack per batch; its weak-view rows
             # are the frozen pre-update co-network outputs (net1 learns from
@@ -490,7 +516,7 @@ def co_train(train: Dataset, meta: MetaSet | None, test: Dataset, cfg: TrainConf
                 bc = [confidence_filter(co_probs[k], cfg, warmup_active=(w_t == 0.0))
                       for k in range(2)]
             else:
-                targets = np.broadcast_to(given, (2,) + given.shape)
+                targets = targets_epoch[:, rows]
                 bc = [np.arange(b)] * 2
 
             if cfg.use_meta:
@@ -503,7 +529,7 @@ def co_train(train: Dataset, meta: MetaSet | None, test: Dataset, cfg: TrainConf
                 rb = disentangle(e1, e2)  # (2, b), each net along its own batch
                 tally.add_reliability(rb, batch_clean)
                 if diagnostics is not None:
-                    diagnostics.reliability_rows(t, batch_idx, train.ids[rows],
+                    diagnostics.reliability_rows(t, batch_idx, train.ids[order[rows]],
                                                  rb.alpha, rb.beta, batch_clean)
                 beta = rb.beta
                 r = total_reliability(rb.alpha, beta, cfg.ram)
@@ -524,7 +550,7 @@ def co_train(train: Dataset, meta: MetaSet | None, test: Dataset, cfg: TrainConf
                 tally.add_pairs(pairs, batch_clean)
             losses, grad, purity = step_loss_grad(
                 params, xw, fw, targets, r, bc, eta_eff, w_t, cfg, pairs=pairs,
-                pseudo_cls=pseudo_cls, gate_beta=beta, y_true=train.y_true[rows],
+                pseudo_cls=pseudo_cls, gate_beta=beta, y_true=y_true_epoch[rows],
                 buffers=buffers)
 
             # both nets are checked before either moves, so an abort snapshot

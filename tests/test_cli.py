@@ -588,6 +588,28 @@ class TestBenchmarkContract:
         assert 0 < sum(kept) < 2 * run["n_train"] * cfg.epochs
 
 
+class TestTrainImports:
+    def test_train_leaves_oracles_and_numpy_ma_unimported(self, cfg_path, tmp_path):
+        # a fresh interpreter, without bytecode files, as the benchmark runs
+        import subprocess
+        import sys
+
+        out = str(tmp_path / "run")
+        script = ("import json, sys\n"
+                  "from noisylab import cli\n"
+                  "code = cli.main(['train', '--config', %r, '--out', %r])\n"
+                  "print(json.dumps([code, sorted(m for m in ('noisylab.oracles', 'numpy.ma')"
+                  " if m in sys.modules)]))\n" % (cfg_path, out))
+        env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+                   PYTHONPATH=os.path.join(ROOT, "src"))
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, check=True)
+        assert json.loads(proc.stdout.splitlines()[-1]) == [0, []]
+        # the run scored its OOD set, the step that used to import numpy.ma
+        with open(os.path.join(out, "report.json")) as fh:
+            assert json.load(fh)["summary"]["ood"]["fpr95"] is not None
+
+
 class TestOracle:
     def test_suite_all_passes(self, capsys):
         assert cli.main(["oracle", "auroc"]) == 0

@@ -99,11 +99,27 @@ class TestCdclLoss:
         pc, beta = two_views(np.array([0, 1]), np.array([0.5, 0.5]))
         assert cdcl_loss(z4, pc, beta) == pytest.approx(np.log(3.0), abs=1e-9)
 
-    def test_all_zero_gates_zero_loss(self):
-        beta = np.where(np.arange(8) % 2 == 0, 0.0, 1.0)  # every pair hits a zero
+    def test_zero_reliability_anchors_add_nothing(self):
+        # beta alternates 0 and 1 across samples, so half the anchors have a
+        # normalized reliability of 0: their terms drop out of the sum, while
+        # each still counts in the mean over anchors with a positive
+        rng = np.random.default_rng(7)
+        z = unit_rows(rng, 16)
+        pc, beta = two_views(rng.integers(0, 3, 8), np.where(np.arange(8) % 2 == 0, 0.0, 1.0))
         bnorm = contrastive.normalize_beta(beta)
-        w = np.outer(bnorm, bnorm)
-        assert (w[bnorm == 0.0] == 0.0).all()
+        loss = cdcl_loss(z, pc, beta)
+        assert loss == pytest.approx(naive_infonce(z, pc, beta, CFG.tau), rel=1e-12)
+        anchors = [i for i, p in enumerate(positive_sets(pc)) if len(p)]
+        live = [i for i in anchors if bnorm[i] > 0.0]
+        assert 0 < len(live) < len(anchors)
+        kept = 0.0  # the terms of the anchors with a nonzero reliability only
+        for i in live:
+            others = np.delete(z, i, axis=0) @ z[i] / CFG.tau
+            log_denom = np.log(np.exp(others).sum())
+            positives = positive_sets(pc)[i]
+            kept -= np.mean(bnorm[i] * bnorm[positives] * (z[positives] @ z[i] / CFG.tau
+                                                            - log_denom))
+        assert loss == pytest.approx(kept / len(anchors), rel=1e-12)
 
     def test_matches_naive_double_loop(self):
         for seed in range(10):

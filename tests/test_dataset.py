@@ -201,6 +201,13 @@ class TestAugment:
         assert np.array_equal(w1, w2) and np.array_equal(s1, s2)
         assert w1.shape == s1.shape == x.shape
 
+    def test_weak_view_alone_has_the_same_bits(self):
+        cfg = data.AugmentConfig(0.1, 0.2, 0.3)
+        x = np.random.default_rng(1).standard_normal((20, 4))
+        weak, _ = data.make_views(x, cfg, np.random.default_rng(6))
+        alone, strong = data.make_views(x, cfg, np.random.default_rng(6), strong=False)
+        assert strong is None and np.array_equal(alone, weak)
+
 
 class TestSerialization:
     def test_roundtrip(self, tmp_path):
@@ -233,7 +240,7 @@ class TestSerialization:
         ds.x[0] = [-0.0, 5e-324, 1e300, -1e-300]
         ds.x[1] = [0.1, -2.5, 1.0 / 3.0, np.nextafter(1.0, 2.0)]
         ds.x[2] = [np.inf, -np.inf, np.nan, 1.7976931348623157e308]
-        lines = data.dataset_csv_text(ds).splitlines()
+        lines = "".join(data.dataset_csv_chunks(ds)).splitlines()
         assert lines[0] == "id,y_true,y_obs,x0,x1,x2,x3"
         assert len(lines) == ds.n + 1
         for i, line in enumerate(lines[1:]):
@@ -248,12 +255,36 @@ def test_moved_blobs_outside_hull():
     assert radii.mean() > data.CENTER_RADIUS * 1.5
 
 
+# the seed-1 cfg/fixture.cfg train, test and OOD sets' sha256 digests
+FIXTURE_FINGERPRINTS = [
+    "ae2b4c3db2a6cadbc8900730961328593159939b607000203ca7ad4e64bfbb9c",
+    "cc2746025507fffcf344e000e8a5e00918ca83c1ab80a4788efe39ee6ea7b76f",
+    "682d3cae221245d68fea86c2754c34f8ca835a14687532cc11630ebf95e10ccb",
+]
+
+
 def test_fixture_set_fingerprints():
     # the seed-1 cfg/fixture.cfg sets, as a run's manifest fingerprints them
     train, _, test, ood = config.make_datasets(config.load_config(FIXTURE_CFG))
-    digest = lambda ds: hashlib.sha256(data.dataset_csv_text(ds).encode()).hexdigest()
-    assert [digest(ds) for ds in (train, test, ood)] == [
-        "ae2b4c3db2a6cadbc8900730961328593159939b607000203ca7ad4e64bfbb9c",
-        "cc2746025507fffcf344e000e8a5e00918ca83c1ab80a4788efe39ee6ea7b76f",
-        "682d3cae221245d68fea86c2754c34f8ca835a14687532cc11630ebf95e10ccb",
-    ]
+    digest = lambda ds: hashlib.sha256(
+        "".join(data.dataset_csv_chunks(ds)).encode()).hexdigest()
+    assert [digest(ds) for ds in (train, test, ood)] == FIXTURE_FINGERPRINTS
+
+
+def test_cli_streamed_fingerprints_equal_the_pinned_digests():
+    # cli._fingerprint hashes the CSV piece by piece, without the whole text
+    from noisylab import cli
+
+    train, _, test, ood = config.make_datasets(config.load_config(FIXTURE_CFG))
+    assert len(train.x) > data.CSV_CHUNK_ROWS  # more than one piece of rows
+    assert [cli._fingerprint(ds) for ds in (train, test, ood)] == FIXTURE_FINGERPRINTS
+
+
+@pytest.mark.parametrize("n", [1, 255, 256, 257, 513])
+def test_csv_chunks_split_rows_at_the_chunk_size(n):
+    ds = data.make_blobs(2, 300, 3, 0.5, seed=2)
+    ds = data.Dataset(ds.x[:n], ds.y_true[:n], ds.y_obs[:n], ds.ids[:n], 2)
+    chunks = list(data.dataset_csv_chunks(ds))
+    assert [c.count("\n") for c in chunks[1:]] == [
+        min(data.CSV_CHUNK_ROWS, n - start) for start in range(0, n, data.CSV_CHUNK_ROWS)]
+    assert all(c.endswith("\n") for c in chunks)

@@ -160,6 +160,25 @@ class TestFpr95:
         s = metrics.OodScoreSet(np.full(19, 0.5), np.array([0.5, 0.4]))
         assert metrics.fpr_at_95_tpr(s) == 0.5
 
+    def test_matches_loop_form_on_signed_zeros_and_ties(self):
+        # -0.0 and 0.0 are one candidate threshold, which either sign stands
+        # for; each case puts the 95% threshold at or next to the zeros
+        cases = [
+            ([-0.0] * 10 + [0.0] * 9 + [-0.5], [0.0, -0.0, -0.0, -0.5, 0.5]),
+            ([0.0] * 19 + [-1.0], [-0.0, -0.0, -1.0, -1.0]),
+            ([-0.0, 0.0] * 10, [0.0, -0.0, 0.25, -0.25]),
+            ([0.5] * 18 + [-0.0, 0.0], [-0.0, 0.5, 0.0, 0.5, -0.1]),
+            ([0.25] * 10 + [-0.0] * 9 + [0.0], [0.25, 0.25, -0.0, 0.0, -0.0]),
+        ]
+        rng = np.random.default_rng(6)
+        for _ in range(200):
+            cases.append((rng.choice([-0.0, 0.0, 0.5, -0.5], int(rng.integers(1, 30))),
+                          rng.choice([-0.0, 0.0, 0.5, -0.5], int(rng.integers(1, 30)))))
+        for id_s, ood_s in cases:
+            id_s, ood_s = np.array(id_s), np.array(ood_s)
+            s = metrics.OodScoreSet(id_s, ood_s)
+            assert metrics.fpr_at_95_tpr(s) == sweep_fpr_at_tpr(id_s, ood_s), (id_s, ood_s)
+
     def test_matches_exhaustive_sweep_randomized(self):
         rng = np.random.default_rng(4)
         for _ in range(20):

@@ -132,6 +132,48 @@ class TestBuffers:
             for a, b in zip(both.cache, fresh.cache):
                 assert np.array_equal(a, b)
 
+    def test_gradient_views_built_once_until_the_storage_grows(self):
+        arch = net.Architecture(16, 64, 4, 16)
+        stack = net.stack_params([small_params(27, arch=arch), small_params(28, arch=arch)])
+        rng = np.random.default_rng(27)
+        buffers = net.Buffers()
+        held = None
+        for lead_params in (stack, stack, net.stack_params([stack[0], stack[1], stack[0]])):
+            lead = lead_params.flat.shape[:-1]
+            x = rng.standard_normal((9, 16))
+            out = net.forward_batch(lead_params, x)
+            dlogits = rng.standard_normal(lead + (9, 4))
+            grad = net.backward_batch(lead_params, out.cache, dlogits, buffers=buffers)
+            assert np.array_equal(grad, net.backward_batch(lead_params, out.cache, dlogits))
+            entry = buffers.grad(arch, lead)
+            assert entry[0] is grad
+            for name, view in entry[1].items():
+                assert np.shares_memory(view, grad)
+                assert np.array_equal(view, getattr(net.ModelParams(arch, grad.copy()), name))
+            if lead == (2,):
+                # the same array and dict on every step of one shape
+                held = held or entry
+                assert entry[0] is held[0] and entry[1] is held[1]
+        # the three-net gradient grew the storage: the two-net entry is rebuilt
+        assert buffers.grad(arch, (2,))[1] is not held[1]
+
+    def test_per_sample_dots_read_the_workspace_gradient_views(self):
+        arch = net.Architecture(16, 64, 4, 16)
+        stack = net.stack_params([small_params(29, arch=arch), small_params(30, arch=arch)])
+        rng = np.random.default_rng(29)
+        buffers = net.Buffers()
+        meta_x, batch_x = rng.standard_normal((7, 16)), rng.standard_normal((9, 16))
+        held_out = net.weighted_ce_loss_grad(stack, meta_x, np.eye(4)[rng.integers(0, 4, 7)],
+                                             np.ones(7), buffers)[1]
+        assert held_out is buffers.grad(arch, (2,))[0]
+        out = net.forward_batch(stack, batch_x)
+        given = np.eye(4)[rng.integers(0, 4, 9)]
+        pseudo = np.eye(4)[rng.integers(0, 4, (2, 9))]
+        fresh = net.per_sample_grad_dots(stack, out, given, pseudo, held_out.copy())
+        reused = net.per_sample_grad_dots(stack, out, given, pseudo, held_out, buffers)
+        for a, b in zip(fresh, reused):
+            assert np.array_equal(a, b)
+
     def test_row0_needs_buffers(self):
         with pytest.raises(ValueError):
             net.forward_batch(small_params(), np.zeros((2, 3)), row0=2)

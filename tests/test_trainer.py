@@ -194,6 +194,87 @@ class TestConsistency:
         assert max_rel_error(fd, grad) < 1e-5
 
 
+def gathered_ce(logits, targets, reliabilities, bc, eta_w, reweighted=True):
+    """The gather-and-scatter form of the filtered cross-entropy heads, the
+    reference of their full-batch path: the filtered rows gathered, the
+    multiplier from their reliabilities' ndarray.mean, and the gradient
+    scattered into zeros. reweighted=False is consistency_loss_grad."""
+    bc = np.asarray(bc, dtype=np.int64)
+    r = np.asarray(reliabilities, dtype=np.float64)[bc]
+    if not reweighted:
+        weights = np.ones(bc.size)
+    else:
+        weights = 1.0 + eta_w * (r / (r.mean() + mixup.DELTA)) if bc.size else r
+    dlogits = np.zeros_like(logits)
+    if bc.size == 0:
+        return 0.0, dlogits
+    loss, dlogits[bc] = net.weighted_ce_head(logits[bc], np.asarray(targets)[bc], weights)
+    return loss, dlogits
+
+
+class TestFullBatchPath:
+    """With every row in bc, the heads run on the cached rows as they are,
+    bit for bit as the gather-and-scatter form."""
+
+    @pytest.mark.parametrize("eta_w", [0.0, 1.0])
+    def test_stacked_rows_and_short_last_batch_equal_the_gathered_form(self, eta_w):
+        arch = net.Architecture(16, 64, 4, 16)
+        rng = np.random.default_rng(31)
+        p = net.stack_params([net.init_params(arch, seed) for seed in (1, 2)])
+        buffers = net.Buffers()  # one workspace: the short batch reuses its leading entries
+        for b in (32, 13):
+            x = rng.standard_normal((2 * b, 16))  # [weak; strong], sized for Mixup rows
+            fw = net.forward_batch(p, x, buffers=buffers, total_rows=3 * b)
+            given = np.eye(4)[rng.integers(0, 4, 3 * b)]
+            t = rng.random((2, b, 4))
+            target_sets = (np.broadcast_to(given, (2,) + given.shape)[:, b:2 * b],
+                           t / t.sum(axis=-1, keepdims=True))
+            for targets in target_sets:
+                for r in (rng.uniform(0.0, 3.0, (2, b)), np.ones((2, b))):
+                    bc = np.arange(b)
+                    for k in range(2):
+                        weak, strong = fw.logits[k, :b], fw.logits[k, b:]
+                        loss, grad = trainer.reweighted_ce_grad(weak, targets[k], r[k], bc=bc,
+                                                                eta_w=eta_w)
+                        ref_loss, ref_grad = gathered_ce(weak, targets[k], r[k], bc, eta_w)
+                        assert loss == ref_loss and np.array_equal(grad, ref_grad), (b, k)
+                        loss, grad = trainer.consistency_loss_grad(strong, targets[k], bc)
+                        ref_loss, ref_grad = gathered_ce(strong, targets[k], r[k], bc, eta_w,
+                                                         reweighted=False)
+                        assert loss == ref_loss and np.array_equal(grad, ref_grad), (b, k)
+
+    @pytest.mark.parametrize("bc", [[], [0], [1, 2, 4], [0, 1, 2, 3, 4]])
+    def test_filtered_rows_equal_the_gathered_form(self, bc):
+        rng = np.random.default_rng(32)
+        logits = rng.standard_normal((6, 3))
+        t = rng.random((6, 3))
+        targets, r = t / t.sum(axis=1, keepdims=True), rng.uniform(0.1, 2.0, 6)
+        for eta_w in (0.0, 1.0):
+            loss, grad = trainer.reweighted_ce_grad(logits, targets, r, bc=bc, eta_w=eta_w)
+            ref_loss, ref_grad = gathered_ce(logits, targets, r, bc, eta_w)
+            assert loss == ref_loss and np.array_equal(grad, ref_grad)
+        loss, grad = trainer.consistency_loss_grad(logits, targets, bc)
+        ref_loss, ref_grad = gathered_ce(logits, targets, r, bc, 0.0, reweighted=False)
+        assert loss == ref_loss and np.array_equal(grad, ref_grad)
+
+    def test_no_gather_without_a_filter_or_before_the_ramp(self, monkeypatch):
+        # without refinement every batch passes whole, as does every batch
+        # of an epoch whose warm-up ramp is zero: every head then reads views
+        # of the forward's rows, never a gathered copy
+        owned = []
+        head = trainer.weighted_ce_head
+
+        def recording(logits, targets, weights):
+            owned.append(logits.flags.owndata)
+            return head(logits, targets, weights)
+
+        monkeypatch.setattr(trainer, "weighted_ce_head", recording)
+        train, meta, test = tiny_data()
+        trainer.co_train(train, meta, test, tiny_cfg(epochs=2, use_refine=False))
+        trainer.co_train(train, meta, test, tiny_cfg(epochs=1, warmup_start=1, warmup_full=1))
+        assert len(owned) > 0 and not any(owned)
+
+
 class _StepFixture:
     """One batch of a stack of two nets: the second has its own parameters
     and every per-sample input in reverse row order, with the complementary
@@ -476,6 +557,24 @@ class TestFusedStep(_StepFixture):
             calls.clear()
             trainer.co_train(train, meta, test, tiny_cfg(epochs=3, **dict(readers, **{key: True})))
             assert len(calls) == epochs_read * batches, key
+
+    def test_strong_views_drawn_only_for_a_strong_view_term(self, monkeypatch):
+        # the strong views are drawn in the epochs whose ramp is above zero,
+        # and only when the consistency or the contrastive term runs
+        calls = []
+        make_views = trainer.make_views
+
+        def recording(x, cfg, rng, strong=True):
+            calls.append(strong)
+            return make_views(x, cfg, rng, strong=strong)
+
+        monkeypatch.setattr(trainer, "make_views", recording)
+        train, meta, test = tiny_data()
+        trainer.co_train(train, meta, test, tiny_cfg(epochs=3))  # the ramp is 0, 0, 1
+        assert calls == [False, False, True]
+        calls.clear()
+        trainer.co_train(train, meta, test, tiny_cfg(epochs=3, use_cr=False, use_cdcl=False))
+        assert calls == [False, False, False]
 
     def test_meta_step_reuses_the_weak_view_softmax(self, monkeypatch):
         # the probabilities co_train hands the meta step are, bit for bit,
