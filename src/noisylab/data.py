@@ -193,17 +193,18 @@ def default_augment_config(spread: float) -> AugmentConfig:
 
 
 def make_views(x: np.ndarray, cfg: AugmentConfig, rng: np.random.Generator,
-               strong: bool = True):
+               draw_strong: bool = True):
     """Weak and strong views for a whole (N, D) block, drawn in a fixed order.
 
     weak: Gaussian jitter sigma_weak. strong: Gaussian jitter sigma_strong,
     then each coordinate zeroed independently with probability p_drop. The
-    weak view is drawn first, so strong=False, which returns None for the
-    strong view and draws none of it, leaves the weak view's bits as they are.
+    weak view is drawn first, so draw_strong=False, which returns None for
+    the strong view and draws none of it, leaves the weak view's bits as they
+    are.
     """
     x = np.asarray(x, dtype=np.float64)
     weak = x + cfg.sigma_weak * rng.standard_normal(x.shape)
-    if not strong:
+    if not draw_strong:
         return weak, None
     strong = x + cfg.sigma_strong * rng.standard_normal(x.shape)
     strong = strong * (rng.random(x.shape) >= cfg.p_drop)

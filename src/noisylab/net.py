@@ -346,10 +346,8 @@ def per_sample_grad_dots(params: ModelParams, out: BatchForward,
     each layer's per-sample gradient is an outer product, so its inner
     product with vec's matching block is (activation @ block) . delta. With
     `buffers`, the (B, hidden) temporaries live in the backward pass's
-    "dh1" and "dh2" roles, which are free until the next backward, and a vec
-    that is the workspace's gradient (a held-out gradient computed there)
-    reads its memoized named views. `probs` is softmax(out.logits) when the
-    caller has it.
+    "dh1" and "dh2" roles, which are free until the next backward. `probs`
+    is softmax(out.logits) when the caller has it.
     """
     x, h1, h2 = out.cache
     arch = params.arch
@@ -360,9 +358,7 @@ def per_sample_grad_dots(params: ModelParams, out: BatchForward,
     dh2p, dh1p = work.array("dh2", (2,) + lead + (b, arch.hidden))
     if probs is None:
         probs = softmax(out.logits)
-    vec = np.asarray(vec, dtype=np.float64)
-    grad, named = work.grad(arch, lead)
-    v = named if vec is grad else _param_views(arch, vec)
+    v = _param_views(arch, np.asarray(vec, dtype=np.float64))
     np.matmul(x, v["w1"], out=xv1)
     np.matmul(h1, v["w2"], out=h1v2)
     h2vc = h2 @ v["wc"]

@@ -187,33 +187,40 @@ def reweighted_ce_grad(logits: np.ndarray, targets, reliabilities: np.ndarray,
     bc holds increasing row indices, as confidence_filter returns them.
     Returns the loss and its gradient w.r.t. the logits.
     """
-    bc = np.asarray(bc, dtype=np.int64)
-    r = np.asarray(reliabilities, dtype=np.float64)
-    if bc.size < len(logits):
-        r = r[bc]
-    # np.add.reduce(r) / r.size has the bits of r.mean(), without its wrapper
-    weights = 1.0 + eta_w * (r / (np.add.reduce(r) / r.size + DELTA)) if bc.size else r
-    return _filtered_ce(logits, targets, weights, bc)
+    return _filtered_ce(logits, targets, bc, np.asarray(reliabilities, dtype=np.float64),
+                        eta_w)
 
 
 def consistency_loss_grad(logits: np.ndarray, targets, bc: np.ndarray):
     """Cross-entropy of the strong view's cached logits against the same
     refined targets; returns what reweighted_ce_grad returns."""
+    return _filtered_ce(logits, targets, bc)
+
+
+def _filtered_ce(logits, targets, bc, reliabilities=None, eta_w=0.0):
+    """(1/|bc|) * sum over rows bc of w * CE(logits, targets) and its
+    gradient w.r.t. the logits (zero outside bc). w is 1, or with
+    reliabilities r it is reweighted_ce_grad's 1 + eta_w * r_tilde. When bc
+    holds every row, the head runs on the rows as they are, with no gather
+    or scatter: the same bits."""
     bc = np.asarray(bc, dtype=np.int64)
-    return _filtered_ce(logits, targets, np.ones(bc.size), bc)
-
-
-def _filtered_ce(logits, targets, weights, bc):
-    """(1/|bc|) * sum over rows bc of weights * CE(logits, targets) and its
-    gradient w.r.t. the logits (zero outside bc). When bc holds every row,
-    the head runs on the rows as they are, with no gather or scatter: the
-    same bits."""
-    if 0 < bc.size == len(logits):
-        return weighted_ce_head(logits, targets, weights)
-    dlogits = np.zeros_like(logits)
     if bc.size == 0:
-        return 0.0, dlogits
-    loss, dlogits[bc] = weighted_ce_head(logits[bc], np.asarray(targets)[bc], weights)
+        return 0.0, np.zeros_like(logits)
+    full = bc.size == len(logits)
+
+    def rows(a):
+        return a if full else np.asarray(a)[bc]
+
+    if reliabilities is None:
+        weights = np.ones(bc.size)
+    else:
+        r = rows(reliabilities)
+        weights = 1.0 + eta_w * (r / (r.mean() + DELTA))
+    loss, dl = weighted_ce_head(rows(logits), rows(targets), weights)
+    if full:
+        return loss, dl
+    dlogits = np.zeros_like(logits)
+    dlogits[bc] = dl
     return loss, dlogits
 
 
@@ -483,7 +490,7 @@ def co_train(train: Dataset, meta: MetaSet | None, test: Dataset, cfg: TrainConf
         order = child_rng(cfg.loop_seed, _ORDER_STREAM, t).permutation(train.n)
         weak_all, strong_all = make_views(train.x, cfg.augment,
                                           child_rng(cfg.loop_seed, _VIEW_STREAM, t),
-                                          strong=strong_term)
+                                          draw_strong=strong_term)
         weak_all = weak_all[order]
         strong_all = strong_all[order] if strong_term else None
         given_epoch = eye[train.y_obs[order]]

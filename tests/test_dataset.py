@@ -205,7 +205,8 @@ class TestAugment:
         cfg = data.AugmentConfig(0.1, 0.2, 0.3)
         x = np.random.default_rng(1).standard_normal((20, 4))
         weak, _ = data.make_views(x, cfg, np.random.default_rng(6))
-        alone, strong = data.make_views(x, cfg, np.random.default_rng(6), strong=False)
+        alone, strong = data.make_views(x, cfg, np.random.default_rng(6),
+                                         draw_strong=False)
         assert strong is None and np.array_equal(alone, weak)
 
 

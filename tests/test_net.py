@@ -157,7 +157,10 @@ class TestBuffers:
         # the three-net gradient grew the storage: the two-net entry is rebuilt
         assert buffers.grad(arch, (2,))[1] is not held[1]
 
-    def test_per_sample_dots_read_the_workspace_gradient_views(self):
+    def test_per_sample_dots_leave_the_workspace_gradient(self):
+        # the meta step's held-out gradient lives in the workspace's grad
+        # role; per_sample_grad_dots borrows only dh1 and dh2, so it reads
+        # that gradient intact and leaves it so
         arch = net.Architecture(16, 64, 4, 16)
         stack = net.stack_params([small_params(29, arch=arch), small_params(30, arch=arch)])
         rng = np.random.default_rng(29)
@@ -169,10 +172,12 @@ class TestBuffers:
         out = net.forward_batch(stack, batch_x)
         given = np.eye(4)[rng.integers(0, 4, 9)]
         pseudo = np.eye(4)[rng.integers(0, 4, (2, 9))]
-        fresh = net.per_sample_grad_dots(stack, out, given, pseudo, held_out.copy())
+        kept = held_out.copy()
+        fresh = net.per_sample_grad_dots(stack, out, given, pseudo, kept)
         reused = net.per_sample_grad_dots(stack, out, given, pseudo, held_out, buffers)
         for a, b in zip(fresh, reused):
             assert np.array_equal(a, b)
+        assert np.array_equal(held_out, kept)
 
     def test_row0_needs_buffers(self):
         with pytest.raises(ValueError):

@@ -564,9 +564,9 @@ class TestFusedStep(_StepFixture):
         calls = []
         make_views = trainer.make_views
 
-        def recording(x, cfg, rng, strong=True):
-            calls.append(strong)
-            return make_views(x, cfg, rng, strong=strong)
+        def recording(x, cfg, rng, draw_strong=True):
+            calls.append(draw_strong)
+            return make_views(x, cfg, rng, draw_strong=draw_strong)
 
         monkeypatch.setattr(trainer, "make_views", recording)
         train, meta, test = tiny_data()
