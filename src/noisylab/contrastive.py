@@ -15,15 +15,20 @@ steer training, come from per-pseudo-class sums of b, b * z and b per true
 class in O(2N * K). Only the softmax denominator and the gradient need the
 (2N)^2 similarity matrix. The gradient keeps the dense operation order of
 oracles.dense_cdcl_feature_grad, bit for bit, in one work matrix reused across
-a run's steps (the "cdcl" role of a net.Buffers) and row blocks of it: its
-float rounding steers the whole trajectory, and a per-class gradient, equal up
-to reassociation, moved an ablation seed enough to flip acceptance criterion
-6, whose margin is about 0.005.
+a run's steps (the "cdcl" role of a net.Buffers), swept once in row blocks
+with one block's temporaries in the "cdcl_block" role: its float rounding
+steers the whole trajectory, and a per-class gradient, equal up to
+reassociation, moved an ablation seed enough to flip acceptance criterion 6,
+whose margin is about 0.005.
 
-For the same reason the similarities stay np.matmul(z, z.T, out=sims). Handing
-BLAS a contiguous copy of z.T is about 3x faster at 2N = 512, but it takes a
-different kernel path and differs from z @ z.T in the last bits on most banks
-(475 of 546 random 16-wide banks), which would move the trajectory.
+The similarities are np.matmul(z, np.ascontiguousarray(z.T)): BLAS gemm,
+about 3x faster than z @ z.T at 2N = 512, for which numpy calls syrk. The two
+kernels agree bit for bit on every 16-wide bank whose 2N is a multiple of 8
+(numpy 2.4.6 with scipy-openblas 0.3.31, checked at every 2N from 1 to 300),
+as every bank of the shipped configs is; on other sizes they mostly differ
+in the last bits, so a batch size not divisible by 4, or a last partial
+batch of such a size, follows a trajectory other than the syrk one.
+oracles.dense_loss_pieces takes the similarities the same way.
 
 A stack of banks (one per co-trained network, along a leading axis) runs in
 one call: the row normalization, the reliability normalization, the class
@@ -40,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .net import Buffers, l2_normalize
+from .net import Buffers
 from .util import ConfigError
 
 # below this pre-normalization norm a row is flagged degenerate, zeroed and
@@ -73,19 +78,7 @@ def normalize_beta(beta: np.ndarray) -> np.ndarray:
     return np.where(spread < RANGE_EPS, 1.0, (beta - lo) / (spread + 1e-8))
 
 
-_BLOCK = 64  # rows per block of the (2N)^2 passes that need a second matrix
-
-
-def _symmetrize(m: np.ndarray) -> None:
-    """m += m.T in place, block by block (each entry is m_ij + m_ji)."""
-    n = m.shape[0]
-    for i in range(0, n, _BLOCK):
-        for j in range(i, n, _BLOCK):
-            rows, cols = slice(i, i + _BLOCK), slice(j, j + _BLOCK)
-            t = m[rows, cols] + m[cols, rows].T
-            m[rows, cols] = t
-            if j > i:
-                m[cols, rows] = t.T
+_BLOCK = 64  # rows per block of the (2N)^2 sweep
 
 
 def _positive_sums(z, bnorm, member, off, own):
@@ -105,40 +98,48 @@ def _positive_sums(z, bnorm, member, off, own):
     return b_sums.ravel()[off] - bnorm, np.einsum("...ij,...ij->...i", z, bz_pos)
 
 
-def _pair_passes(z, gates, a, tau, sims, dz):
-    """The (2N)^2 passes of one bank in the work matrix sims: the
-    log-softmax of the similarities, then, into dz, the gradient w.r.t. the
-    normalized rows in the dense operation order of
-    oracles.dense_cdcl_feature_grad, one block of rows at a time,
-    overwriting logp with dsims. a holds each anchor's 1/(|V| * |P(i)|).
-    Returns each row's log-sum-exp."""
+def _pair_passes(z, gates, a, tau, sims, block, dz):
+    """The (2N)^2 passes of one bank: the similarities into the work matrix
+    sims, then one sweep over row blocks. Each block's similarities become
+    its log-softmax and then, in place, its rows of d loss / d sims, in the
+    dense operation order of oracles.dense_cdcl_feature_grad; each block
+    pair whose rows are both final is then added to its transpose (the
+    gradient's dsims + dsims.T). block is one row block's workspace, holding
+    the sum-of-exps terms and then dlogp. The gradient w.r.t. the normalized
+    rows goes into dz; a holds each anchor's 1/(|V| * |P(i)|). Returns each
+    row's log-sum-exp."""
     n2 = len(z)
-    blocks = [slice(i, min(i + _BLOCK, n2)) for i in range(0, n2, _BLOCK)]
-    # logp_ij = log softmax over j != i of the similarities z_i.z_j / tau
-    np.matmul(z, z.T, out=sims)
-    sims /= tau
-    np.fill_diagonal(sims, -np.inf)
-    row_max = sims.max(axis=1, keepdims=True)
-    sumexp = np.empty_like(row_max)
-    for r in blocks:
-        sumexp[r] = np.exp(sims[r] - row_max[r]).sum(axis=1, keepdims=True)
-    lse = row_max + np.log(sumexp)
-    logp = np.subtract(sims, lse, out=sims)
-    for r in blocks:
+    np.matmul(z, np.ascontiguousarray(z.T), out=sims)
+    lse = np.empty(n2)
+    for i in range(0, n2, _BLOCK):
+        r = slice(i, min(i + _BLOCK, n2))
+        s, work = sims[r], block[:r.stop - i]
+        # logp_ij = log softmax over j != i of the similarities z_i.z_j / tau
+        s /= tau
+        np.fill_diagonal(s[:, r], -np.inf)
+        row_max = s.max(axis=1, keepdims=True)
+        np.exp(np.subtract(s, row_max, out=work), out=work)
+        lse[r] = (row_max + np.log(work.sum(axis=1, keepdims=True)))[:, 0]
+        logp = np.subtract(s, lse[r, None], out=s)
         # np.where(positive, b_i * b_j, 0.0): each entry sums one product
         # b_i * b_j (same class) or none, so it is exact in any summation order
-        dlogp = gates[:, r].T @ gates
+        dlogp = np.matmul(gates[:, r].T, gates, out=work)
         np.fill_diagonal(dlogp[:, r], 0.0)
         dlogp *= -a[r, None]
-        softmax_rows = np.exp(logp[r], out=logp[r])
+        softmax_rows = np.exp(logp, out=logp)
         softmax_rows *= dlogp.sum(axis=1, keepdims=True)
-        np.subtract(dlogp, softmax_rows, out=softmax_rows)
-    dsims = logp
-    np.fill_diagonal(dsims, 0.0)
-    _symmetrize(dsims)
-    np.matmul(dsims, z, out=dz)
+        dsims = np.subtract(dlogp, softmax_rows, out=s)
+        np.fill_diagonal(dsims[:, r], 0.0)
+        # each entry of a finished block pair becomes m_ij + m_ji
+        for j in range(0, i, _BLOCK):
+            c = slice(j, j + _BLOCK)
+            sims[c, r] += dsims[:, c].T
+            dsims[:, c] = sims[c, r].T
+        diag = dsims[:, r]
+        diag += diag.T  # numpy buffers an operand that overlaps the output
+    np.matmul(sims, z, out=dz)
     dz /= tau
-    return lse[:, 0]
+    return lse
 
 
 def cdcl_feature_grad(z: np.ndarray, pseudo_class: np.ndarray, beta: np.ndarray,
@@ -156,10 +157,10 @@ def cdcl_feature_grad(z: np.ndarray, pseudo_class: np.ndarray, beta: np.ndarray,
     y_true shared) the losses and purity totals get the same axis, and each
     net's slice has the bits of its single-bank call. The gradient is written
     to `out` when given (z's shape). `buffers` holds the (2N)^2 work matrix
-    (a fresh one when None), which the nets use one after another; a smaller
-    bank (the last partial batch) works in a view of its leading entries,
-    C-contiguous at its own size, so the row reductions run in the same order
-    as on a fresh matrix.
+    and the (64, 2N) row-block workspace (fresh ones when None), which the
+    nets use one after another; a smaller bank (the last partial batch) works
+    in views of their leading entries, C-contiguous at its own size, so the
+    row reductions run in the same order as on fresh arrays.
     """
     stacked = z.ndim == 3
     lift = (lambda a: a) if stacked else (lambda a: a[None])
@@ -168,7 +169,9 @@ def cdcl_feature_grad(z: np.ndarray, pseudo_class: np.ndarray, beta: np.ndarray,
     dz = lift(np.empty_like(z) if out is None else out)
     z = lift(z)
     nets, n2 = cls.shape
-    sims = (buffers or Buffers()).array("cdcl", (n2, n2))
+    buffers = buffers or Buffers()
+    sims = buffers.array("cdcl", (n2, n2))
+    block = buffers.array("cdcl_block", (min(_BLOCK, n2), n2))
 
     # the positives of row i are the other rows of its class, and each gate
     # b_i * b_j factors, so a sum over positives comes from class sums; a net
@@ -198,7 +201,7 @@ def cdcl_feature_grad(z: np.ndarray, pseudo_class: np.ndarray, beta: np.ndarray,
     lse = np.zeros((nets, n2))
     for k in range(nets):
         if n_valid[k]:
-            lse[k] = _pair_passes(z[k], gates[k, :own[k]], a[k], cfg.tau, sims, dz[k])
+            lse[k] = _pair_passes(z[k], gates[k, :own[k]], a[k], cfg.tau, sims, block, dz[k])
         else:
             dz[k] = 0.0
     # sum over positives j of b_j * logp_ij = z_i . (sum_j b_j z_j) / tau - lse_i * b_pos_i
@@ -214,10 +217,11 @@ def cdcl_feature_grad(z: np.ndarray, pseudo_class: np.ndarray, beta: np.ndarray,
     return float(loss[0]), dz[0], None if purity is None else purity[0]
 
 
-def _normalization_backward(raw: np.ndarray, dz: np.ndarray, degenerate: np.ndarray) -> None:
-    """Backward through row-wise v / (||v|| + 1e-12), in place on dz; zero
-    on flagged rows."""
-    norms = np.linalg.norm(raw, axis=-1, keepdims=True)
+def _normalization_backward(raw: np.ndarray, norms: np.ndarray, dz: np.ndarray,
+                            degenerate: np.ndarray) -> None:
+    """Backward through row-wise v / (||v|| + 1e-12), in place on dz, given
+    the rows' (..., 1) norms (which it overwrites on flagged rows); zero on
+    flagged rows."""
     norms[degenerate] = 1.0  # flagged rows get zero grad anyway
     denom = norms + 1e-12
     inner = (raw * dz).sum(axis=-1, keepdims=True)
@@ -232,12 +236,16 @@ def cdcl_head(raw: np.ndarray, pseudo_class: np.ndarray, beta: np.ndarray,
     """Loss, its gradient w.r.t. the raw (..., 2N, P) bank embeddings (weak
     views first; written to `out` when given) and the purity totals of
     cdcl_feature_grad, for one network or a stack (pseudo_class and beta
-    (..., N), shared by a sample's two views; y_true (N,) shared)."""
-    z = l2_normalize(raw)
-    degenerate = np.linalg.norm(raw, axis=-1) < DEGENERATE_NORM
+    (..., N), shared by a sample's two views; y_true (N,) shared). The rows
+    are normalized as net.l2_normalize does, from one norm per row that the
+    degenerate flag and the normalization backward read too."""
+    raw = np.asarray(raw, dtype=np.float64)
+    norms = np.linalg.norm(raw, axis=-1, keepdims=True)
+    z = raw / (norms + 1e-12)
+    degenerate = norms[..., 0] < DEGENERATE_NORM
     z[degenerate] = 0.0
     dup = lambda a: np.concatenate([a, a], axis=-1)
     loss, draw, purity = cdcl_feature_grad(z, dup(np.asarray(pseudo_class)),
                                            dup(np.asarray(beta)), cfg, y_true, buffers, out)
-    _normalization_backward(raw, draw, degenerate)
+    _normalization_backward(raw, norms, draw, degenerate)
     return loss, draw, purity

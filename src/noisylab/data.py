@@ -58,7 +58,9 @@ class Dataset:
         for arr in (self.y_true, self.y_obs):
             if arr.min(initial=0) < 0 or arr.max(initial=0) >= self.num_classes:
                 raise ValueError("class index out of range")
-        if len(np.unique(self.ids)) != self.n:
+        # a sort and an adjacent compare: np.unique would import numpy.ma
+        ids = np.sort(self.ids)
+        if np.any(ids[1:] == ids[:-1]):
             raise ValueError("duplicate sample ids")
 
 

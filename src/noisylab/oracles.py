@@ -111,8 +111,10 @@ def pair_match_counts(positives: list[np.ndarray], weights: list[np.ndarray],
 def dense_loss_pieces(z: np.ndarray, pseudo_class: np.ndarray, beta: np.ndarray,
                       cfg: contrastive.CdclConfig):
     """Dense (2N)^2 log-softmax, positives mask, gate matrix, positive
-    counts and valid anchors of cdcl_feature_grad's gated loss."""
-    sims = (z @ z.T) / cfg.tau
+    counts and valid anchors of cdcl_feature_grad's gated loss. The
+    similarities take production's BLAS path: a product with a contiguous
+    copy of z.T (gemm), where z @ z.T would call syrk."""
+    sims = (z @ np.ascontiguousarray(z.T)) / cfg.tau
     np.fill_diagonal(sims, -np.inf)
     row_max = sims.max(axis=1, keepdims=True)
     logp = sims - (row_max + np.log(np.exp(sims - row_max).sum(axis=1, keepdims=True)))
@@ -434,13 +436,15 @@ def _check_cdcl_vs_dense(n_banks: int) -> CheckResult:
     """cdcl_feature_grad vs dense_cdcl_feature_grad on raw banks of varying
     size (sharing one set of work buffers, as a run does) with degenerate
     rows: the gradient must agree bit for bit (otherwise the check reads
-    inf), the loss and purity totals to 1e-12 (absolutely below 1e-2)."""
+    inf), the loss and purity totals to 1e-12 (absolutely below 1e-2). The
+    banks reach 2N = 200, so they span several row blocks of the production
+    sweep, end in a partial block and include sizes off a multiple of 8."""
     cfg = contrastive.CdclConfig()
     buffers = net.Buffers()
     worst = 0.0
     for seed in range(n_banks):
         rng = np.random.default_rng(seed)
-        half = int(rng.integers(1, 65))
+        half = int(rng.integers(1, 101))
         dup = lambda a: np.concatenate([a, a])
         degenerate = np.arange(2 * half) < seed % 3
         z = net.l2_normalize(rng.standard_normal((2 * half, 5)))

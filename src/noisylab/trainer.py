@@ -13,15 +13,16 @@ with lead (2,)), one pass per layer for the pair, and clamps and normalizes
 the pair's reliabilities in one reliability.disentangle call. Mixup pair
 sampling and the contrastive head's row work also run once for the pair:
 each net keeps its own random stream, and the contrastive head's (2B)^2
-passes run net by net in one work matrix. The confidence-filtered
-cross-entropy and consistency heads are the one loop over the two nets left,
-since each net keeps its own rows and perfbench/worker.py's row-count probe
-reads one reweighted_ce_grad call per net; when the filter passes every row
-(warm-up, no refinement, or a whole confident batch) they run on the cached
-rows as they are, with no gather or scatter. The pair stays a stack up to the
-report: each loss term and the contrastive purity totals come back with the
-net axis, the divergence check tests both nets at once, and _EpochTally
-sums them and builds each epoch's record and the summary's extremes.
+passes run net by net, each as one sweep over row blocks of one work matrix.
+The confidence-filtered cross-entropy and consistency heads are the one loop
+over the two nets left, since each net keeps its own rows and
+perfbench/worker.py's row-count probe reads one reweighted_ce_grad call per
+net; when the filter passes every row (warm-up, no refinement, or a whole
+confident batch) they run on the cached rows as they are, with no gather or
+scatter. The pair stays a stack up to the report: each loss term and the
+contrastive purity totals come back with the net axis, the divergence check
+tests both nets at once, and _EpochTally sums them and builds each epoch's
+record and the summary's extremes.
 
 Each network step has one form: step_forward runs the stack's shared forward
 (on [weak; strong] views when a strong-view term runs), and step_loss_grad

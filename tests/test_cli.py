@@ -589,11 +589,19 @@ class TestBenchmarkContract:
 
 
 class TestTrainImports:
-    def test_train_leaves_oracles_and_numpy_ma_unimported(self, cfg_path, tmp_path):
+    @pytest.mark.parametrize("loaded", [False, True], ids=["generated", "load_dir"])
+    def test_train_leaves_oracles_and_numpy_ma_unimported(self, loaded, cfg_path, tmp_path):
         # a fresh interpreter, without bytecode files, as the benchmark runs
         import subprocess
         import sys
 
+        if loaded:  # load_dataset checks the sample ids for duplicates
+            data_dir = tmp_path / "data"
+            assert cli.main(["generate", "--config", cfg_path, "--out", str(data_dir)]) == 0
+            cfg_path = tmp_path / "load.cfg"
+            cfg_path.write_text(SMALL_RUN.replace("[dataset]\n",
+                                                  "[dataset]\nload_dir = %s\n" % data_dir))
+            cfg_path = str(cfg_path)
         out = str(tmp_path / "run")
         script = ("import json, sys\n"
                   "from noisylab import cli\n"

@@ -202,7 +202,8 @@ class TestBankAndGradient:
         assert np.allclose(np.linalg.norm(z, axis=1), 1.0, atol=1e-9)
         loss, draw, purity = contrastive.cdcl_head(raw, pc, beta, CFG, y)
         loss_z, dz, purity_z = contrastive.cdcl_feature_grad(z, *two_views(pc, beta), CFG, y)
-        contrastive._normalization_backward(raw, dz, np.zeros(10, dtype=bool))
+        contrastive._normalization_backward(raw, np.linalg.norm(raw, axis=1, keepdims=True),
+                                            dz, np.zeros(10, dtype=bool))
         assert loss == loss_z
         assert np.array_equal(draw, dz)
         assert np.array_equal(purity, purity_z)
@@ -293,7 +294,10 @@ class TestDenseParity:
         (9, [0, 3], 0, False),
         (9, [0, 1, 2], 0, True),
         (1, [0, 1], 0, False),
-    ], ids=["single_class", "degenerate_rows", "class_ids_0_3", "uniform_beta", "2N_2"])
+        (65, [0, 1, 2], 3, False),
+        (100, [0], 2, False),
+    ], ids=["single_class", "degenerate_rows", "class_ids_0_3", "uniform_beta", "2N_2",
+            "2N_130_degenerate_rows", "2N_200_single_class"])
     def test_edge_banks(self, half, classes, degenerate, uniform_beta):
         rng = np.random.default_rng(half + len(classes))
         bank, y = self.random_bank(rng, half, classes, degenerate, uniform_beta)
@@ -308,12 +312,29 @@ class TestDenseParity:
 
     def test_buffers_reused_across_bank_sizes(self):
         # a full batch of several row blocks, the smaller last batch, then a
-        # full batch again
+        # full batch again; first at the wide benchmark's sizes
         buffers = net.Buffers()
         rng = np.random.default_rng(11)
-        for half in (80, 7, 80):
+        for half in (256, 168, 80, 7, 80):
             bank, y = self.random_bank(rng, half, np.arange(4))
             self.assert_parity(bank, y, buffers)
+
+    def test_warm_sweep_allocates_less_than_one_row_block(self):
+        # the sweep's block temporaries live in the workspace, so a warm call
+        # at 2N = 512 peaks below one fresh 64-row block of the matrix
+        import tracemalloc
+
+        rng = np.random.default_rng(5)
+        (z, pc, beta), y = self.random_bank(rng, 256, np.arange(4))
+        buffers, out = net.Buffers(), np.empty_like(z)
+        contrastive.cdcl_feature_grad(z, pc, beta, CFG, y, buffers, out)
+        tracemalloc.start()
+        try:
+            contrastive.cdcl_feature_grad(z, pc, beta, CFG, y, buffers, out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 512 * 8
 
 
 class TestStackedHead:
