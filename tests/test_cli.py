@@ -589,20 +589,14 @@ class TestBenchmarkContract:
 
 
 class TestTrainImports:
-    @pytest.mark.parametrize("loaded", [False, True], ids=["generated", "load_dir"])
-    def test_train_leaves_oracles_and_numpy_ma_unimported(self, loaded, cfg_path, tmp_path):
-        # a fresh interpreter, without bytecode files, as the benchmark runs
+    @staticmethod
+    def train_in_fresh_interpreter(cfg_path, out):
+        """noisylab train in a fresh interpreter, without bytecode files, as
+        the benchmark runs it: its exit code and which of noisylab.oracles
+        and numpy.ma it left imported."""
         import subprocess
         import sys
 
-        if loaded:  # load_dataset checks the sample ids for duplicates
-            data_dir = tmp_path / "data"
-            assert cli.main(["generate", "--config", cfg_path, "--out", str(data_dir)]) == 0
-            cfg_path = tmp_path / "load.cfg"
-            cfg_path.write_text(SMALL_RUN.replace("[dataset]\n",
-                                                  "[dataset]\nload_dir = %s\n" % data_dir))
-            cfg_path = str(cfg_path)
-        out = str(tmp_path / "run")
         script = ("import json, sys\n"
                   "from noisylab import cli\n"
                   "code = cli.main(['train', '--config', %r, '--out', %r])\n"
@@ -612,10 +606,22 @@ class TestTrainImports:
                    PYTHONPATH=os.path.join(ROOT, "src"))
         proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                               text=True, check=True)
-        assert json.loads(proc.stdout.splitlines()[-1]) == [0, []]
+        return json.loads(proc.stdout.splitlines()[-1])
+
+    def test_train_leaves_oracles_and_numpy_ma_unimported(self, cfg_path, tmp_path):
+        out = str(tmp_path / "run")
+        assert self.train_in_fresh_interpreter(cfg_path, out) == [0, []]
         # the run scored its OOD set, the step that used to import numpy.ma
         with open(os.path.join(out, "report.json")) as fh:
             assert json.load(fh)["summary"]["ood"]["fpr95"] is not None
+
+    def test_load_dir_train_leaves_numpy_ma_unimported(self, cfg_path, tmp_path):
+        # load_dataset checks the loaded sample ids for duplicates
+        data_dir = tmp_path / "data"
+        assert cli.main(["generate", "--config", cfg_path, "--out", str(data_dir)]) == 0
+        load = tmp_path / "load.cfg"
+        load.write_text(SMALL_RUN.replace("[dataset]\n", "[dataset]\nload_dir = %s\n" % data_dir))
+        assert self.train_in_fresh_interpreter(str(load), str(tmp_path / "run")) == [0, []]
 
 
 class TestOracle:
