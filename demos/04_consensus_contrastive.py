@@ -6,8 +6,7 @@ import numpy as np
 
 from noisylab import CdclConfig, normalize_beta
 from noisylab.contrastive import cdcl_feature_grad
-from noisylab.net import l2_normalize
-from noisylab.oracles import consensus_weights, naive_infonce, positive_sets
+from noisylab.oracles import consensus_weights, l2_normalize, naive_infonce, positive_sets
 
 cfg = CdclConfig()
 rng = np.random.default_rng(5)

@@ -17,9 +17,9 @@ import time
 
 from . import __version__, config
 from .data import dataset_csv_chunks, save_dataset
-from .metrics import RunReport, metrics_csv
+from .metrics import NETS, DiagnosticsWriter, RunReport, metrics_csv
 from .net import save_checkpoint
-from .trainer import NETS, DiagnosticsWriter, co_train
+from .trainer import co_train
 from .util import ConfigError, TrainingDiverged, dumps_deterministic, read_text
 
 
@@ -48,10 +48,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _make_out_dir(cfg: dict) -> str:
+    """run.out_dir, created if it does not exist yet."""
+    target = cfg["run"]["out_dir"]
+    try:
+        os.makedirs(target, exist_ok=True)
+    except (FileExistsError, FileNotFoundError, NotADirectoryError) as exc:
+        raise ConfigError("run.out_dir %r: %s" % (target, exc.strerror))
+    return target
+
+
 def cmd_generate(config_path: str, out_dir: str | None, seed: int | None) -> int:
     cfg = config.load_config(config_path, seed_override=seed, out_override=out_dir)
-    target = cfg["run"]["out_dir"]
-    os.makedirs(target, exist_ok=True)
+    target = _make_out_dir(cfg)
     pool = config.make_training_pool(cfg)
     save_dataset(pool, os.path.join(target, "dataset.csv"),
                  os.path.join(target, "dataset.json"),
@@ -71,8 +80,7 @@ def _fingerprint(ds) -> str:
 def cmd_train(config_path: str, out_dir: str | None, seed: int | None,
               diagnostics: bool = False) -> int:
     cfg = config.load_config(config_path, seed_override=seed, out_override=out_dir)
-    target = cfg["run"]["out_dir"]
-    os.makedirs(target, exist_ok=True)
+    target = _make_out_dir(cfg)
     started = time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime())
 
     train_set, meta, test, ood = config.make_datasets(cfg)

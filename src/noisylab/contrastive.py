@@ -237,7 +237,7 @@ def cdcl_head(raw: np.ndarray, pseudo_class: np.ndarray, beta: np.ndarray,
     views first; written to `out` when given) and the purity totals of
     cdcl_feature_grad, for one network or a stack (pseudo_class and beta
     (..., N), shared by a sample's two views; y_true (N,) shared). The rows
-    are normalized as net.l2_normalize does, from one norm per row that the
+    are normalized as oracles.l2_normalize does, from one norm per row that the
     degenerate flag and the normalization backward read too."""
     raw = np.asarray(raw, dtype=np.float64)
     norms = np.linalg.norm(raw, axis=-1, keepdims=True)

@@ -28,8 +28,8 @@ same role; keep anything needed longer as a copy or a derived array. So
 forward_batch(..., row0=k) keeps an earlier forward's first k rows, and
 per_sample_grad_dots borrows "dh1" and "dh2" until the next backward. A
 stack holds each net's rows as one block, so a forward that later rows will
-extend is sized for all of them when it runs (total_rows). Without buffers
-the passes allocate fresh arrays, with the same bits.
+extend is sized for all of them when it runs (total_rows), or the extension
+raises. Without buffers the passes allocate fresh arrays, with the same bits.
 """
 
 from __future__ import annotations
@@ -148,18 +148,17 @@ class Buffers:
 
     array(role, shape) hands out a C-contiguous view of the leading entries
     of the role's storage, so a smaller request (the last partial batch)
-    computes in the same memory order as a fresh array of its shape. Storage
-    grows on a larger request and keeps its contents when it does, so rows
-    written by one call stay readable through a larger view of the next.
-    Views are memoized by (role, shape): a step asks for the same few shapes
-    again and again. The "grad" role's parameter-space array also keeps its
-    named views (grad()), built once until the storage grows.
+    computes in the same memory order as a fresh array of its shape; a larger
+    request gets fresh storage. Views are memoized by (role, shape): a step
+    asks for the same few shapes again and again. The "grad" role's array
+    also keeps its named views (grad()), built once until the storage grows.
     """
 
     def __init__(self):
         self._store = {}
         self._views = {}
         self._named = {}
+        self.forward_rows = None  # lead + (rows,) of the last forward_batch here
 
     def array(self, role: str, shape: tuple) -> np.ndarray:
         view = self._views.get((role, shape))
@@ -167,10 +166,7 @@ class Buffers:
             size = math.prod(shape)
             store = self._store.get(role)
             if store is None or store.size < size:
-                grown = np.empty(size)
-                if store is not None:
-                    grown[:store.size] = store
-                self._store[role] = store = grown
+                self._store[role] = store = np.empty(size)
                 self._views = {key: v for key, v in self._views.items() if key[0] != role}
                 self._named = {key: v for key, v in self._named.items() if key[0] != role}
             view = self._views[(role, shape)] = store[:size].reshape(shape)
@@ -207,11 +203,11 @@ def forward_batch(params: ModelParams, x: np.ndarray, eval_mode: bool = False,
 
     With `buffers`, every array of the result lives there, in arrays of
     total_rows rows per net (default row0 + B), and x's rows go after the
-    first row0 rows, which an earlier forward into the same buffers with the
-    same total_rows wrote and which stay as they are: the result covers all
-    row0 + B rows, so one backward pass can run over both blocks (a network
-    step's Mixup rows extend its shared forward this way). Without buffers,
-    row0 must be 0 and the arrays are fresh.
+    first row0 rows, which the last forward into the same buffers wrote with
+    the same total_rows (else ValueError) and which stay as they are:
+    the result covers all row0 + B rows, so one backward pass can run over
+    both blocks (a network step's Mixup rows extend its shared forward this
+    way). Without buffers, row0 must be 0 and the arrays are fresh.
 
     This architecture has no train-time-only state, so eval_mode changes
     nothing. The keyword stays because perfbench/worker.py's checkpoint
@@ -223,13 +219,14 @@ def forward_batch(params: ModelParams, x: np.ndarray, eval_mode: bool = False,
     if x.ndim not in (2, 2 + len(lead)) or x.shape[-1] != arch.dim:
         raise ValueError("expected inputs of shape (B, %d)" % arch.dim)
     if buffers is None:
-        if row0:
-            raise ValueError("row0 needs the buffers holding the earlier rows")
         buffers = Buffers()
     n = row0 + x.shape[-2]
     total = n if total_rows is None else total_rows
     if total < n:
         raise ValueError("total_rows %d is below the %d rows written" % (total, n))
+    if row0 and buffers.forward_rows != lead + (total,):
+        raise ValueError("row0 needs the last forward into buffers to reserve %d rows" % total)
+    buffers.forward_rows = lead + (total,)
     rows = tuple(buffers.array(role, lead + (total, width)) for role, width in
                  (("x", arch.dim), ("h1", arch.hidden), ("h2", arch.hidden),
                   ("logits", arch.num_classes), ("emb", arch.proj)))
@@ -394,14 +391,6 @@ def sgd_step(params: ModelParams, grad: np.ndarray, velocity: np.ndarray, lr: fl
     velocity += np.multiply(weight_decay, flat, out=work)
     flat -= np.multiply(lr, velocity, out=work)
     _require_finite(flat)
-
-
-def l2_normalize(v: np.ndarray) -> np.ndarray:
-    """Rows scaled to unit norm via v / (||v|| + 1e-12); an exactly zero
-    vector maps to the zero vector."""
-    v = np.asarray(v, dtype=np.float64)
-    norms = np.linalg.norm(v, axis=-1, keepdims=True)
-    return v / (norms + 1e-12)
 
 
 def save_checkpoint(params: ModelParams, path) -> None:

@@ -52,6 +52,15 @@ def max_rel_error(a: np.ndarray, b: np.ndarray, zero_floor: float = 1e-8) -> flo
     return float((np.abs(a - b) / denom).max()) if a.size else 0.0
 
 
+def l2_normalize(v: np.ndarray) -> np.ndarray:
+    """Rows scaled to unit norm via v / (||v|| + 1e-12); an exactly zero
+    vector maps to the zero vector. contrastive.cdcl_head normalizes its
+    bank this way, from norms it also reads for the degenerate flag."""
+    v = np.asarray(v, dtype=np.float64)
+    norms = np.linalg.norm(v, axis=-1, keepdims=True)
+    return v / (norms + 1e-12)
+
+
 def naive_infonce(z: np.ndarray, pseudo_class: np.ndarray, beta: np.ndarray,
                   tau: float) -> float:
     """Scalar-math double-loop restatement of the gated contrastive loss."""
@@ -421,7 +430,7 @@ def suite_cdcl(n_seeds: int = 20) -> list[CheckResult]:
     for seed in range(n_seeds):
         rng = np.random.default_rng(seed)
         n2 = int(rng.integers(2, 17)) * 2
-        z = net.l2_normalize(rng.standard_normal((n2, 5)))
+        z = l2_normalize(rng.standard_normal((n2, 5)))
         pc_half = rng.integers(0, 3, n2 // 2)
         beta_half = rng.random(n2 // 2)
         pc, beta = np.concatenate([pc_half, pc_half]), np.concatenate([beta_half, beta_half])
@@ -447,7 +456,7 @@ def _check_cdcl_vs_dense(n_banks: int) -> CheckResult:
         half = int(rng.integers(1, 101))
         dup = lambda a: np.concatenate([a, a])
         degenerate = np.arange(2 * half) < seed % 3
-        z = net.l2_normalize(rng.standard_normal((2 * half, 5)))
+        z = l2_normalize(rng.standard_normal((2 * half, 5)))
         z[degenerate] = 0.0
         pc, beta = dup(rng.integers(0, 4, half)), dup(rng.random(half))
         y = rng.integers(0, 4, half)

@@ -21,8 +21,8 @@ net; when the filter passes every row (warm-up, no refinement, or a whole
 confident batch) they run on the cached rows as they are, with no gather or
 scatter. The pair stays a stack up to the report: each loss term and the
 contrastive purity totals come back with the net axis, the divergence check
-tests both nets at once, and _EpochTally sums them and builds each epoch's
-record and the summary's extremes.
+tests both nets at once, and metrics.EpochTally sums them and builds each
+epoch's record and the summary's extremes; the record is metrics' alone.
 
 Each network step has one form: step_forward runs the stack's shared forward
 (on [weak; strong] views when a strong-view term runs), and step_loss_grad
@@ -62,16 +62,11 @@ from .net import (Architecture, BatchForward, Buffers, ModelParams, backward_bat
                   forward_batch, init_params, sgd_step, softmax, stack_params,
                   weighted_ce_head)
 from .reliability import disentangle, meta_gradients_closed
-from .util import ConfigError, TrainingDiverged, child_rng, csv_line
+from .util import ConfigError, TrainingDiverged, child_rng
 
 _ORDER_STREAM = 11
 _VIEW_STREAM = 12
 _MIX_STREAM = 13
-
-# Mixup pair kinds, indexed by the number of clean-labeled endpoints
-PAIR_KINDS = ("noisy_noisy", "clean_noisy", "clean_clean")
-# the co-trained networks, in the order of the stack's leading axis
-NETS = ("net1", "net2")
 
 
 @dataclass(frozen=True)
@@ -297,133 +292,6 @@ def step_loss_grad(params: ModelParams, xw: np.ndarray, fw: BatchForward,
     return losses, backward_batch(params, cache, dlogits, demb, buffers), purity
 
 
-class DiagnosticsWriter:
-    """Optional CSV streams: per-sample reliabilities, interpolation
-    histograms by pair type, and per-epoch positive-pair purity."""
-
-    def __init__(self, out_dir):
-        import os
-
-        os.makedirs(out_dir, exist_ok=True)
-        self._rel = open(os.path.join(out_dir, "diag_reliability.csv"), "w")
-        self._rel.write("epoch,batch,id,alpha,beta,is_label_clean\n")
-        self._lam = open(os.path.join(out_dir, "diag_lambda.csv"), "w")
-        self._lam.write("epoch,pair_type,bin_lo,bin_hi,count\n")
-        self._pur = open(os.path.join(out_dir, "diag_purity.csv"), "w")
-        self._pur.write("epoch,purity_raw,purity_gated\n")
-
-    def reliability_rows(self, epoch, batch_idx, ids, alpha, beta, clean):
-        """One row per sample of each net; alpha and beta hold a row per net."""
-        for alpha_k, beta_k in zip(alpha, beta):
-            for i in range(len(ids)):
-                self._rel.write(csv_line([epoch, batch_idx, int(ids[i]), float(alpha_k[i]),
-                                          float(beta_k[i]), bool(clean[i])]))
-
-    def lambda_hist(self, epoch, hist_by_kind, edges):
-        for kind in (2, 1, 0):  # clean_clean first
-            counts = hist_by_kind[kind]
-            for b in range(len(counts)):
-                self._lam.write(csv_line([epoch, PAIR_KINDS[kind], float(edges[b]),
-                                          float(edges[b + 1]), int(counts[b])]))
-
-    def purity_row(self, epoch, raw, gated):
-        self._pur.write(csv_line([epoch, raw, gated]))
-
-    def close(self):
-        for fh in (self._rel, self._lam, self._pur):
-            fh.close()
-
-
-class _EpochTally:
-    """One epoch's sums across batches and both networks, from which it
-    builds the epoch's record, and the run's reliability extremes so far
-    (the summary's), carried on from the previous epoch's tally."""
-
-    def __init__(self, previous: _EpochTally | None = None):
-        self.losses = {}  # term -> (2,) sums, one per net
-        self.batches = 0  # every batch of an epoch runs the same loss terms
-        self.alpha = {True: [], False: []}
-        self.beta = {True: [], False: []}
-        self.wmix_sum = 0.0
-        self.wmix_count = 0
-        # indexed by pair kind, the number of clean endpoints (PAIR_KINDS)
-        self.lam_sums = np.zeros(3)
-        self.lam_counts = np.zeros(3, dtype=np.int64)
-        self.lam_hist = np.zeros((3, 10), dtype=np.int64)
-        self.purity = np.zeros(4)  # matches, pairs, gated matches, gate mass
-        self.mass_gap = None
-        self.run_lows = dict(previous.run_lows) if previous else {
-            "mass_gap_max": None, "alpha_min": None, "beta_min": None}
-
-    def add_reliability(self, rb, clean):
-        """One batch's stacked reliabilities, net by net."""
-        self.alpha[True].append(rb.alpha[:, clean].ravel())
-        self.alpha[False].append(rb.alpha[:, ~clean].ravel())
-        self.beta[True].append(rb.beta[:, clean].ravel())
-        self.beta[False].append(rb.beta[:, ~clean].ravel())
-        gap = rb.mass_identity_gap()
-        self.mass_gap = gap if self.mass_gap is None else max(self.mass_gap, gap)
-        lows = self.run_lows
-        for key, value, pick in (("mass_gap_max", gap, max),
-                                 ("alpha_min", float(rb.alpha.min()), min),
-                                 ("beta_min", float(rb.beta.min()), min)):
-            lows[key] = value if lows[key] is None else pick(lows[key], value)
-
-    def add_pairs(self, pairs, clean):
-        """One batch's stacked Mixup pairs; the float sums run net by net."""
-        lam = pairs.lam
-        kinds = clean.astype(np.int64) + clean[pairs.j]
-        for w, lam_k, kinds_k in zip(pairs.w, lam, kinds):
-            self.wmix_sum += float(w.sum())
-            for kind in range(3):
-                self.lam_sums[kind] += lam_k[kinds_k == kind].sum()
-        self.wmix_count += lam.size
-        bins = np.minimum((lam * 10.0).astype(np.int64), 9)
-        self.lam_counts += np.bincount(kinds.ravel(), minlength=3)
-        self.lam_hist += np.bincount((kinds * 10 + bins).ravel(), minlength=30).reshape(3, 10)
-
-    def add_step(self, losses, purity):
-        """One batch's step_loss_grad losses and purity totals."""
-        self.batches += 1
-        for key, value in losses.items():
-            self.losses[key] = self.losses.get(key, 0.0) + value
-        if purity is not None:
-            for counts in purity:  # net 1's totals before net 2's
-                self.purity += counts
-
-    def record(self, t: int, lr: float, w_t: float, test_acc: dict) -> dict:
-        """The epoch's entry of RunReport.epochs."""
-        means = {key: (sums / self.batches).tolist() for key, sums in self.losses.items()}
-        stats = {}
-        for label, group in (("clean", True), ("noisy", False)):
-            for prefix, store in (("alpha", self.alpha), ("beta", self.beta)):
-                values = np.concatenate(store[group]) if store[group] else np.array([])
-                base = "%s_%s" % (prefix, label)
-                stats[base + "_mean"] = float(values.mean()) if values.size else None
-                stats[base + "_std"] = float(values.std()) if values.size else None
-        lam = None
-        if self.lam_counts.sum():
-            lam = {name: {"count": int(n), "mean": float(s) / int(n) if n else None}
-                   for name, n, s in zip(PAIR_KINDS, self.lam_counts, self.lam_sums)}
-            lam["hist"] = self.lam_hist.sum(axis=0).tolist()
-        pur = self.purity
-        return {
-            "epoch": t,
-            "lr": lr,
-            "warmup_w": w_t,
-            "losses": {name: {key: means[key][k] if key in means else None
-                              for key in ("ce_re", "cr", "ram", "cdcl", "total")}
-                       for k, name in enumerate(NETS)},
-            "test_acc": test_acc,
-            "reliability_stats": stats,
-            "purity_raw": pur[0] / pur[1] if pur[1] > 0 else None,
-            "purity_gated": pur[2] / pur[3] if pur[3] > 0 else None,
-            "mean_wmix": self.wmix_sum / self.wmix_count if self.wmix_count else None,
-            "lambda_stats": lam,
-            "mass_gap_max": self.mass_gap,
-        }
-
-
 def _diverged(what: str, t: int, batch_idx: int, k: int, losses: dict,
               params: ModelParams) -> TrainingDiverged:
     """The abort of net k's non-finite `what`; losses is step_loss_grad's
@@ -431,12 +299,12 @@ def _diverged(what: str, t: int, batch_idx: int, k: int, losses: dict,
     The snapshot holds views of the stack, which no step updates after the
     abort."""
     snapshot = {
-        "info": {"epoch": t, "batch": batch_idx, "net": NETS[k],
+        "info": {"epoch": t, "batch": batch_idx, "net": metrics.NETS[k],
                  "components": {key: str(v[k]) for key, v in losses.items()}},
-        "params": {name: params[i] for i, name in enumerate(NETS)},
+        "params": {name: params[i] for i, name in enumerate(metrics.NETS)},
     }
     return TrainingDiverged("non-finite %s at epoch %d batch %d (%s)"
-                            % (what, t, batch_idx, NETS[k]), snapshot)
+                            % (what, t, batch_idx, metrics.NETS[k]), snapshot)
 
 
 def _evaluate(params: ModelParams, test: Dataset, buffers: Buffers):
@@ -453,10 +321,11 @@ def _evaluate(params: ModelParams, test: Dataset, buffers: Buffers):
 
 
 def co_train(train: Dataset, meta: MetaSet | None, test: Dataset, cfg: TrainConfig,
-             ood: Dataset | None = None, diagnostics: DiagnosticsWriter | None = None,
+             ood: Dataset | None = None,
+             diagnostics: metrics.DiagnosticsWriter | None = None,
              config_echo: dict | None = None, seeds_echo: dict | None = None):
     """Run the full dual-network loop and return the RunReport and the
-    trained stack's ModelParams (params[k] is NETS[k]).
+    trained stack's ModelParams (params[k] is metrics.NETS[k]).
 
     Supervision for each network comes exclusively from the other network's
     frozen pre-update outputs within each batch.
@@ -481,7 +350,7 @@ def co_train(train: Dataset, meta: MetaSet | None, test: Dataset, cfg: TrainConf
         initial={"test_acc": test_acc},
     )
 
-    tally = _EpochTally()  # a run of no epochs reports its empty extremes
+    tally = metrics.EpochTally()  # a run of no epochs reports its empty extremes
     for t in range(cfg.epochs):
         tick = time.perf_counter()
         w_t = warmup(t, cfg)
@@ -500,7 +369,7 @@ def co_train(train: Dataset, meta: MetaSet | None, test: Dataset, cfg: TrainConf
             given_epoch, (2,) + given_epoch.shape)
         clean_epoch = clean_mask[order]
         y_true_epoch = train.y_true[order]
-        tally = _EpochTally(tally)
+        tally = metrics.EpochTally(tally)
 
         for batch_idx, b0 in enumerate(range(0, train.n, cfg.batch_size)):
             rows = slice(b0, b0 + cfg.batch_size)
@@ -576,10 +445,8 @@ def co_train(train: Dataset, meta: MetaSet | None, test: Dataset, cfg: TrainConf
         rec = tally.record(t, lr_t, w_t, test_acc)
         report.epochs.append(rec)
         report.wall_seconds.append(time.perf_counter() - tick)
-        if diagnostics is not None:
-            diagnostics.purity_row(t, rec["purity_raw"], rec["purity_gated"])
-            if rec["lambda_stats"] is not None:
-                diagnostics.lambda_hist(t, tally.lam_hist, np.linspace(0.0, 1.0, 11))
+        if diagnostics is not None and rec["lambda_stats"] is not None:
+            diagnostics.lambda_hist(t, tally.lam_hist)
 
     initial = {"epoch": None, "test_acc": report.initial["test_acc"]}
     last = report.epochs[-1] if report.epochs else initial
@@ -598,5 +465,4 @@ def co_train(train: Dataset, meta: MetaSet | None, test: Dataset, cfg: TrainConf
         summary["ood"] = {"auroc": metrics.auroc(score_set),
                           "fpr95": metrics.fpr_at_95_tpr(score_set)}
     report.summary = summary
-    report.validate()
     return report, params

@@ -89,6 +89,22 @@ class TestGenerate:
         err = capsys.readouterr().err
         assert "configuration error" in err and str(folder) in err
 
+    @pytest.mark.parametrize("command", ["generate", "train"])
+    def test_unusable_out_dir_exit_2(self, command, cfg_path, tmp_path, capsys):
+        # an empty value, from the file or the flag, an existing regular file
+        # and a path through one name the key and leave the file as it was
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory\n")
+        empty = tmp_path / "empty_out.cfg"
+        empty.write_text(SMALL_RUN.replace("seed = 5", "seed = 5\nout_dir ="))
+        for config_path, out in ((str(empty), []), (cfg_path, ["--out", ""]),
+                                 (cfg_path, ["--out", str(taken)]),
+                                 (cfg_path, ["--out", str(taken / "sub")])):
+            assert cli.main([command, "--config", config_path] + out) == 2, out
+            err = capsys.readouterr().err
+            assert err.startswith("configuration error") and "run.out_dir" in err, err
+        assert taken.read_text() == "not a directory\n"
+
     def test_removed_fd_step_key_exit_2(self, tmp_path, capsys):
         # keys that once existed are unknown now, like any other; the whole
         # [reliability] section is gone, so its keys fail on the section name
@@ -389,13 +405,13 @@ class TestTrain:
         assert len(rel) > 1
         lam = open(os.path.join(out, "diag_lambda.csv")).read().splitlines()
         assert lam[0] == "epoch,pair_type,bin_lo,bin_hi,count"
-        pur = open(os.path.join(out, "diag_purity.csv")).read().splitlines()
-        assert pur[0] == "epoch,purity_raw,purity_gated"
-        assert len(pur) == 4  # 3 epochs + header
+        # each epoch's purity is in metrics.csv, with no stream of its own
+        assert sorted(name for name in os.listdir(out) if name.startswith("diag_")) == [
+            "diag_lambda.csv", "diag_reliability.csv"]
 
     def test_epoch_record_matches_the_diagnostics_streams(self, cfg_path, tmp_path):
-        # each epoch's reliability, lambda and purity statistics, recomputed
-        # from the per-sample and per-epoch streams, equal the record's bits
+        # each epoch's reliability and lambda statistics, recomputed from the
+        # streams, equal the record's bits, and so do metrics.csv's purities
         import csv
 
         out = tmp_path / "diag"
@@ -405,10 +421,10 @@ class TestTrain:
         cell = lambda v: None if v == "" else float(v)
         epochs = RunReport.from_json((out / "report.json").read_text()).epochs
         rel, lam = read("diag_reliability.csv"), read("diag_lambda.csv")
-        pur, met = read("diag_purity.csv"), read("metrics.csv")
-        assert len(pur) == len(met) == len(epochs) == 3
+        met = read("metrics.csv")
+        assert len(met) == len(epochs) == 3
         pairs_seen = 0
-        for rec, pur_row, met_row in zip(epochs, pur, met):
+        for rec, met_row in zip(epochs, met):
             t = rec["epoch"]
             # the file's order is the tally's: batch by batch, net 1's rows
             # before net 2's
@@ -432,9 +448,9 @@ class TestTrain:
                     assert rec["lambda_stats"][kind]["count"] == sum(kind_counts), (t, kind)
                 assert rec["lambda_stats"]["hist"] == [sum(c) for c in zip(*counts.values())]
                 pairs_seen += 1
-            assert int(pur_row["epoch"]) == int(met_row["epoch"]) == t
+            assert int(met_row["epoch"]) == t
             for key in ("purity_raw", "purity_gated"):
-                assert rec[key] == cell(pur_row[key]) == cell(met_row[key]), (t, key)
+                assert rec[key] == cell(met_row[key]), (t, key)
         assert pairs_seen == 1  # the ramp is 0, without Mixup pairs, before epoch 2
         assert epochs[-1]["purity_raw"] is not None
 

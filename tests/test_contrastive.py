@@ -6,14 +6,14 @@ import pytest
 
 from noisylab import contrastive, net
 from noisylab.oracles import (cdcl_grad, consensus_weights, dense_cdcl_feature_grad,
-                              dense_loss_pieces, fd_gradient, max_rel_error, naive_infonce,
-                              pair_match_counts, positive_sets)
+                              dense_loss_pieces, fd_gradient, l2_normalize, max_rel_error,
+                              naive_infonce, pair_match_counts, positive_sets)
 
 CFG = contrastive.CdclConfig()
 
 
 def unit_rows(rng, n, p=5):
-    return net.l2_normalize(rng.standard_normal((n, p)))
+    return l2_normalize(rng.standard_normal((n, p)))
 
 
 def two_views(pseudo_half, beta_half):
@@ -198,7 +198,7 @@ class TestBankAndGradient:
         beta = rng.random(5)
         y = rng.integers(0, 2, 5)
         raw = net.forward_batch(params, np.concatenate([weak, strong])).emb
-        z = net.l2_normalize(raw)
+        z = l2_normalize(raw)
         assert np.allclose(np.linalg.norm(z, axis=1), 1.0, atol=1e-9)
         loss, draw, purity = contrastive.cdcl_head(raw, pc, beta, CFG, y)
         loss_z, dz, purity_z = contrastive.cdcl_feature_grad(z, *two_views(pc, beta), CFG, y)
@@ -240,7 +240,7 @@ class TestBankAndGradient:
         beta = rng.random(6)
         loss_g, _ = cdcl_grad(params, weak, strong, pc, beta, CFG)
         raw = net.forward_batch(params, np.concatenate([weak, strong])).emb
-        assert loss_g == pytest.approx(cdcl_loss(net.l2_normalize(raw), *two_views(pc, beta)),
+        assert loss_g == pytest.approx(cdcl_loss(l2_normalize(raw), *two_views(pc, beta)),
                                        abs=1e-12)
 
     def test_purity_counters_agree(self):

@@ -249,12 +249,6 @@ class TestRunReport:
         back = metrics.RunReport.from_json(text)
         assert back.to_json() == text
 
-    def test_validate_monotone_epochs(self):
-        report = self.make_report()
-        report.epochs.append(dict(report.epochs[0]))
-        with pytest.raises(ValueError):
-            report.validate()
-
     def test_metrics_csv_shape(self):
         text = metrics.metrics_csv(self.make_report())
         lines = text.strip().split("\n")

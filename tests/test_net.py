@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from noisylab import contrastive, metrics, net
-from noisylab.oracles import fd_gradient, max_rel_error, per_sample_grads
+from noisylab.oracles import fd_gradient, l2_normalize, max_rel_error, per_sample_grads
 from noisylab.trainer import TrainConfig, lr_at
 
 
@@ -123,9 +123,10 @@ class TestBuffers:
         buffers = net.Buffers()
         for head, tail in ((64, 32), (512, 256), (32, 16)):
             x = rng.standard_normal((head + tail, 16))
-            first = net.forward_batch(p, x[:head], buffers=buffers)
+            first = net.forward_batch(p, x[:head], buffers=buffers, total_rows=head + tail)
             first_logits = first.logits.copy()
-            both = net.forward_batch(p, x[head:], buffers=buffers, row0=head)
+            both = net.forward_batch(p, x[head:], buffers=buffers, row0=head,
+                                     total_rows=head + tail)
             fresh = net.forward_batch(p, x)
             assert np.array_equal(both.logits, fresh.logits)
             assert np.array_equal(both.logits[:head], first_logits)
@@ -286,9 +287,25 @@ class TestStacked:
             assert np.array_equal(both.logits[:, :head], first_logits)
             for k, p in enumerate(singles):
                 single_buffers = net.Buffers()
-                net.forward_batch(p, shared, buffers=single_buffers)
+                net.forward_batch(p, shared, buffers=single_buffers, total_rows=head + tail)
                 self.assert_forward_equal(both, k, net.forward_batch(
-                    p, mix[k], buffers=single_buffers, row0=head))
+                    p, mix[k], buffers=single_buffers, row0=head, total_rows=head + tail))
+
+    def test_unreserved_extension_raises(self):
+        # the earlier forward's arrays hold each net's rows as one block of
+        # its own row count, which a longer view cannot line up with
+        _, stack = self.nets(35)
+        rng = np.random.default_rng(35)
+        for first_total in (None, 8):
+            buffers = net.Buffers()
+            net.forward_batch(stack, rng.standard_normal((6, 16)), buffers=buffers,
+                              total_rows=first_total)
+            with pytest.raises(ValueError, match="to reserve"):
+                net.forward_batch(stack, rng.standard_normal((2, 4, 16)), buffers=buffers,
+                                  row0=6)
+            with pytest.raises(ValueError, match="to reserve"):
+                net.forward_batch(stack, rng.standard_normal((2, 4, 16)), buffers=buffers,
+                                  row0=6, total_rows=10)
 
     def test_total_rows_must_cover_the_rows_written(self):
         _, stack = self.nets(33)
@@ -532,15 +549,15 @@ class TestSgd:
 class TestL2Normalize:
     def test_unit_vector_fixed(self):
         v = np.array([1.0, 0.0, 0.0])
-        assert np.allclose(net.l2_normalize(v), v)
+        assert np.allclose(l2_normalize(v), v)
 
     def test_three_four_five(self):
-        assert np.allclose(net.l2_normalize(np.array([3.0, 4.0])), [0.6, 0.8])
+        assert np.allclose(l2_normalize(np.array([3.0, 4.0])), [0.6, 0.8])
 
     def test_zero_vector_flagged(self):
         # zero rows map to zero; the contrastive head flags them degenerate
         # and gives them a zero gradient
-        assert np.all(net.l2_normalize(np.zeros(4)) == 0.0)
+        assert np.all(l2_normalize(np.zeros(4)) == 0.0)
         raw = np.array([[0.0, 0.0, 0.0], [3.0, 4.0, 0.0]])
         _, draw, _ = contrastive.cdcl_head(raw, np.array([0]), np.array([0.5]),
                                            contrastive.CdclConfig())

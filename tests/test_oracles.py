@@ -1,11 +1,13 @@
 """The oracles must themselves be trustworthy: cross-check the analytic
 moment formulas against scipy and exercise the suite runner."""
 
+import os
+
 import numpy as np
 import pytest
 from scipy import stats
 
-from noisylab import oracles
+from noisylab import config, oracles
 from noisylab.util import ConfigError
 
 
@@ -63,17 +65,37 @@ class TestBruteForceScores:
         assert oracles.pairwise_auroc(np.array([0.5]), np.array([0.5])) == 0.5
 
 
+@pytest.fixture(scope="module")
+def suite_results():
+    """Each registered suite's results by name, and run_suite("all") over
+    those same results: every suite runs once."""
+    per_suite = {name: oracles.run_suite(name) for name in sorted(oracles.SUITES)}
+    with pytest.MonkeyPatch.context() as mp:
+        for name, results in per_suite.items():
+            mp.setitem(oracles.SUITES, name, lambda results=results: results)
+        union = oracles.run_suite("all")
+    return per_suite, union
+
+
 class TestSuites:
-    def test_all_registered_suites_pass(self):
-        for name in sorted(oracles.SUITES):
-            results = oracles.run_suite(name)
+    def test_all_registered_suites_pass(self, suite_results):
+        for name, results in suite_results[0].items():
             assert results, name
             for res in results:
                 assert res.passed, "%s: %s" % (name, res.line())
 
-    def test_all_union(self):
-        per_suite = sum(len(oracles.run_suite(n)) for n in oracles.SUITES)
-        assert len(oracles.run_suite("all")) == per_suite
+    def test_all_union(self, suite_results):
+        per_suite, union = suite_results
+        assert union == [res for name in sorted(per_suite) for res in per_suite[name]]
+
+    def test_readme_counts(self, suite_results):
+        # the README states how many checks `noisylab oracle all` runs and
+        # how many keys a config has
+        with open(os.path.join(os.path.dirname(__file__), "..", "README.md"),
+                  encoding="utf-8") as fh:
+            readme = fh.read()
+        assert "runs %d checks" % len(suite_results[1]) in readme
+        assert "(%d keys)" % sum(len(keys) for keys in config.SCHEMA.values()) in readme
 
     def test_unknown_suite_rejected(self):
         with pytest.raises(ConfigError):

@@ -6,7 +6,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from noisylab import data, mixup, net, reliability, trainer
+from noisylab import data, metrics, mixup, net, reliability, trainer
 from noisylab.data import AugmentConfig
 from noisylab.oracles import (cdcl_grad, fd_gradient, fused_step_fd_error, head_grad,
                               max_rel_error)
@@ -373,6 +373,26 @@ class TestCoTrain:
         b, _ = trainer.co_train(train, meta, test, tiny_cfg())
         assert a.to_json() == b.to_json()
 
+    def test_ground_truth_never_steers_training(self):
+        # training reads the observed labels and the clean meta set only:
+        # with the true labels permuted, the parameters, losses and
+        # accuracies keep their bits, and only the purity and the statistics
+        # split by clean and corrupted labels may move
+        train, meta, test = tiny_data()
+        shuffled = dataclasses.replace(
+            train, y_true=np.random.default_rng(9).permutation(train.y_true))
+        cfg = tiny_cfg(epochs=6, decay_epochs=(4,))
+        ra, pa = trainer.co_train(train, meta, test, cfg)
+        rb, pb = trainer.co_train(shuffled, meta, test, cfg)
+        assert pa.flat.tobytes() == pb.flat.tobytes()
+        truth_read = {"purity_raw", "purity_gated", "reliability_stats", "lambda_stats"}
+        for rec_a, rec_b in zip(ra.epochs, rb.epochs, strict=True):
+            assert ({k: v for k, v in rec_a.items() if k not in truth_read}
+                    == {k: v for k, v in rec_b.items() if k not in truth_read})
+        assert ra.summary == rb.summary
+        assert any(rec_a["purity_raw"] != rec_b["purity_raw"]
+                   for rec_a, rec_b in zip(ra.epochs, rb.epochs))
+
     def test_seed_swap_symmetry(self):
         train, meta, test = tiny_data()
         ra, _ = trainer.co_train(train, meta, test, tiny_cfg(net1_seed=41, net2_seed=42))
@@ -604,7 +624,7 @@ class TestEpochTally:
         b, cfg = 40, mixup.RamConfig()
         clean = rng.random(b) < 0.6
         gens = [np.random.default_rng(1), np.random.default_rng(2)]
-        tally = trainer._EpochTally()
+        tally = metrics.EpochTally()
         lam_sums, wmix, kinds_all, lam_all = np.zeros(3), 0.0, [], []
         for _ in range(5):
             x, r = rng.standard_normal((b, 2)), rng.uniform(0.1, 2.0, (2, b))
@@ -617,10 +637,10 @@ class TestEpochTally:
                     lam_sums[kind] += pairs.lam[k][kinds == kind].sum()
                 kinds_all.append(kinds)
                 lam_all.append(pairs.lam[k])
-        assert tally.wmix_sum == wmix and tally.wmix_count == 5 * 2 * b
+        assert tally.wmix_sum == wmix and tally.lam_hist.sum() == 5 * 2 * b
         assert np.array_equal(tally.lam_sums, lam_sums)
         kinds, lam = np.concatenate(kinds_all), np.concatenate(lam_all)
-        assert np.array_equal(tally.lam_counts, np.bincount(kinds, minlength=3))
+        assert np.array_equal(tally.lam_hist.sum(axis=1), np.bincount(kinds, minlength=3))
         bins = np.minimum((lam * 10).astype(np.int64), 9)
         assert np.array_equal(tally.lam_hist,
                               np.bincount(kinds * 10 + bins, minlength=30).reshape(3, 10))
