@@ -1,6 +1,7 @@
 """Run configuration: a flat sectioned key-value file, strict validation,
-canonicalization for hashing, and construction of datasets and the trainer
-configuration from one top-level seed.
+one canonical form (the report's echo, whose JSON text is hashed), and
+construction of datasets and the trainer configuration from one top-level
+seed.
 
 Format example::
 
@@ -31,7 +32,7 @@ from .data import (NOISE_MODES, AugmentConfig, Dataset, default_augment_config,
                    make_blobs, split_meta)
 from .mixup import RamConfig
 from .trainer import TrainConfig
-from .util import ConfigError, fmt_float, read_text
+from .util import ConfigError, dumps_deterministic, read_text
 
 # seed-stream tags for everything derived from the one top-level seed
 _SEED_BLOBS = 10
@@ -46,6 +47,10 @@ _SEED_LOOP = 23
 # Every float setting is a rate, scale or tolerance of order one or below; a
 # larger magnitude only overflows the arithmetic downstream.
 FLOAT_LIMIT = 1e6
+# Every int setting but run.seed is a size, count or epoch index. Three of
+# them multiplied, times 8 bytes, stay below 2**63 at this bound, so a large
+# size ends in numpy's MemoryError (exit 1) rather than an overflow.
+INT_LIMIT = 10 ** 6
 
 
 def _parse_bool(text: str) -> bool:
@@ -84,35 +89,15 @@ def _parse_sigma(text: str):
     return "auto" if text == "auto" else float(text)
 
 
-def _fmt_int_list(value) -> str:
-    if value == "auto":
-        return "auto"
-    return ",".join(str(v) for v in value)
-
-
-def _fmt_pair_map(value) -> str:
-    if value is None:
-        return ""
-    return ",".join("%d:%d" % (k, value[k]) for k in sorted(value))
-
-
-def _fmt_sigma(value) -> str:
-    return "auto" if value == "auto" else fmt_float(value)
-
-
-def _fmt_bool(value) -> str:
-    return "true" if value else "false"
-
-
-# a typed field's (parser, formatter), by its annotated type
-_KINDS = {int: (int, str), float: (float, fmt_float), bool: (_parse_bool, _fmt_bool)}
+# a typed field's parser, by its annotated type
+_KINDS = {int: int, float: float, bool: _parse_bool}
 
 
 def _fields(cls, keys=None, **written) -> dict:
     """SCHEMA entries for the fields `keys` of the typed config `cls` (all of
-    them by default): each is parsed and formatted by its annotated type and
-    defaults to the field's own default. `written` holds the entries of the
-    fields that have no typed default."""
+    them by default): each is parsed by its annotated type and defaults to
+    the field's own default. `written` holds the entries of the fields that
+    have no typed default."""
     types = typing.get_type_hints(cls)
     defaults = {f.name: f.default for f in dataclasses.fields(cls)}
     out = {}
@@ -120,34 +105,33 @@ def _fields(cls, keys=None, **written) -> dict:
         if key in written:
             out[key] = written[key]
         else:
-            parser, formatter = _KINDS[types[key]]
-            out[key] = (parser, defaults[key], formatter)
+            out[key] = (_KINDS[types[key]], defaults[key])
     return out
 
 
-_AUTO_SIGMA = (_parse_sigma, "auto", _fmt_sigma)
+_AUTO_SIGMA = (_parse_sigma, "auto")
 
-# key -> (parser, default, formatter)
+# key -> (parser, default)
 SCHEMA: dict = {
     "run": {
-        "seed": (int, 7, str),
-        "out_dir": (str, "runs/out", str),
+        "seed": (int, 7),
+        "out_dir": (str, "runs/out"),
     },
     "dataset": {
-        "num_classes": (int, 4, str),
-        "per_class": (int, 500, str),
-        "dim": (int, 2, str),
-        "spread": (float, 0.9, fmt_float),
-        "noise_mode": (str, "symmetric", str),
-        "noise_rate": (float, 0.4, fmt_float),
-        "pair_map": (_parse_pair_map, None, _fmt_pair_map),
-        "meta_size": (int, 40, str),
-        "test_per_class": (int, 250, str),
-        "load_dir": (str, "", str),
-        "ood_enabled": (_parse_bool, True, _fmt_bool),
-        "ood_per_class": (int, 250, str),
-        "ood_radius_factor": (float, 1.0, fmt_float),
-        "ood_angle_frac": (float, 0.5, fmt_float),
+        "num_classes": (int, 4),
+        "per_class": (int, 500),
+        "dim": (int, 2),
+        "spread": (float, 0.9),
+        "noise_mode": (str, "symmetric"),
+        "noise_rate": (float, 0.4),
+        "pair_map": (_parse_pair_map, None),
+        "meta_size": (int, 40),
+        "test_per_class": (int, 250),
+        "load_dir": (str, ""),
+        "ood_enabled": (_parse_bool, True),
+        "ood_per_class": (int, 250),
+        "ood_radius_factor": (float, 1.0),
+        "ood_angle_frac": (float, 0.5),
     },
     "augment": _fields(AugmentConfig, sigma_weak=_AUTO_SIGMA, sigma_strong=_AUTO_SIGMA),
     "net": _fields(TrainConfig, ("hidden", "proj")),
@@ -159,7 +143,7 @@ SCHEMA: dict = {
          "conf_threshold", "sharpen_temp", "lr", "momentum", "weight_decay", "decay_epochs",
          "decay_factor", "use_meta", "use_ram", "use_grg", "use_cdcl", "use_cr",
          "use_refine", "couple_meta", "sym_ram"),
-        decay_epochs=(_parse_int_list, "auto", _fmt_int_list)),
+        decay_epochs=(_parse_int_list, "auto")),
 }
 
 
@@ -200,7 +184,7 @@ def build_run_config(raw: dict, seed_override: int | None = None,
                 raise ConfigError("unknown config key '%s.%s'" % (section, key))
     for section, keys in SCHEMA.items():
         values[section] = {}
-        for key, (parser, default, _) in keys.items():
+        for key, (parser, default) in keys.items():
             if section in raw and key in raw[section]:
                 try:
                     values[section][key] = parser(raw[section][key])
@@ -222,17 +206,18 @@ def load_config(path, seed_override: int | None = None,
                             seed_override=seed_override, out_override=out_override)
 
 
-def _check_float(name: str, value: float) -> None:
-    if not abs(value) <= FLOAT_LIMIT:  # also rejects NaN
-        raise ConfigError("%s must be finite and at most %g in magnitude" % (name, FLOAT_LIMIT))
-
-
 def _validate(cfg: dict) -> None:
     # first, so that a NaN, which passes no range check, is named as such
     for section, values in cfg.items():
         for key, value in values.items():
-            if isinstance(value, float):
-                _check_float("%s.%s" % (section, key), value)
+            name = "%s.%s" % (section, key)
+            if isinstance(value, float) and not abs(value) <= FLOAT_LIMIT:
+                raise ConfigError("%s must be finite and at most %g in magnitude"
+                                  % (name, FLOAT_LIMIT))
+            # bool is an int subclass; seeds are not sizes
+            if isinstance(value, int) and not isinstance(value, bool) \
+                    and name != "run.seed" and not abs(value) <= INT_LIMIT:
+                raise ConfigError("%s must be at most %d in magnitude" % (name, INT_LIMIT))
     if cfg["run"]["seed"] < 0:  # seeds feed np.random.SeedSequence
         raise ConfigError("run.seed must be nonnegative")
     ds = cfg["dataset"]
@@ -354,18 +339,18 @@ _NON_EXPERIMENT_KEYS = {("run", "out_dir")}
 
 
 def canonical_dict(cfg: dict) -> dict:
-    """Nested plain dict with resolved values, ready for the report echo."""
+    """Nested plain dict with resolved values: the report's config echo, and
+    the one canonical form of a configuration (config_hash hashes its JSON
+    text, whose keys dumps_deterministic sorts)."""
     out: dict = {}
-    for section in sorted(SCHEMA):
+    for section, keys in SCHEMA.items():
         out[section] = {}
-        for key in sorted(SCHEMA[section]):
+        for key in keys:
             if (section, key) in _NON_EXPERIMENT_KEYS:
                 continue
             value = cfg[section][key]
-            if isinstance(value, tuple):
-                value = list(value)
-            elif isinstance(value, dict):  # pair_map: JSON keys are strings
-                value = {str(k): v for k, v in sorted(value.items())}
+            if isinstance(value, dict):  # pair_map: JSON keys are strings
+                value = {str(k): v for k, v in value.items()}
             out[section][key] = value
     tcfg = to_train_config(cfg)
     out["resolved"] = {
@@ -376,17 +361,7 @@ def canonical_dict(cfg: dict) -> dict:
     return out
 
 
-def canonical_text(cfg: dict) -> str:
-    """Sorted section.key=value lines with normalized float formatting."""
-    lines = []
-    for section in sorted(SCHEMA):
-        for key in sorted(SCHEMA[section]):
-            if (section, key) in _NON_EXPERIMENT_KEYS:
-                continue
-            _, _, formatter = SCHEMA[section][key]
-            lines.append("%s.%s=%s" % (section, key, formatter(cfg[section][key])))
-    return "\n".join(lines) + "\n"
-
-
 def config_hash(cfg: dict) -> str:
-    return hashlib.sha256(canonical_text(cfg).encode()).hexdigest()
+    """sha256 of the report's config echo as dumps_deterministic writes it,
+    so a run's provenance can be checked from its report.json alone."""
+    return hashlib.sha256(dumps_deterministic(canonical_dict(cfg)).encode()).hexdigest()

@@ -293,7 +293,7 @@ def load_dataset(csv_path, json_path) -> Dataset:
         try:
             ids[i], y_true[i], y_obs[i] = int(cells[0]), int(cells[1]), int(cells[2])
             x[i] = [float(v) for v in cells[3:]]
-        except (ValueError, IndexError) as exc:
+        except (ValueError, IndexError, OverflowError) as exc:  # overflow: int64 cells
             raise ConfigError("%s row %d: %s" % (csv_path, i + 1, exc))
     ds = Dataset(x=x, y_true=y_true, y_obs=y_obs, ids=ids,
                  num_classes=num_classes, noise_spec=spec)

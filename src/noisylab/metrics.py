@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .net import Buffers, ModelParams, forward_batch, softmax
-from .util import csv_line, dumps_deterministic
+from .util import FLOAT_FMT, csv_line, dumps_deterministic
 
 REPORT_SCHEMA_VERSION = 1
 # Evaluation forwards run on chunks of this many rows per network, so their
@@ -118,10 +118,10 @@ def msp_scores_ensemble(params: ModelParams, inputs: np.ndarray,
 class RunReport:
     """Per-epoch metrics plus the final summary for one training run.
 
-    Serialization is deterministic (sorted keys, fixed float format) so
-    identical configs and seeds reproduce the JSON byte for byte. Wall-clock
-    timings are kept on the object but excluded from the JSON; the manifest
-    records them.
+    Serialization goes through util.dumps_deterministic (sorted keys,
+    shortest round-trip floats), so identical configs and seeds reproduce
+    the JSON byte for byte. Wall-clock timings are kept on the object but
+    excluded from the JSON; the manifest records them.
     """
 
     config: dict
@@ -284,11 +284,13 @@ class DiagnosticsWriter:
         self._lam.write("epoch,pair_type,bin_lo,bin_hi,count\n")
 
     def reliability_rows(self, epoch, batch_idx, ids, alpha, beta, clean):
-        """One row per sample of each net; alpha and beta hold a row per net."""
+        """One row per sample of each net; alpha and beta hold a row per net.
+        One % per row, each cell formatted as csv_cell formats it."""
+        row = "%d,%d,%d," + FLOAT_FMT + "," + FLOAT_FMT + ",%s\n"
+        cells = list(zip(ids.tolist(), ["true" if c else "false" for c in clean.tolist()]))
         for alpha_k, beta_k in zip(alpha, beta):
-            for i in range(len(ids)):
-                self._rel.write(csv_line([epoch, batch_idx, int(ids[i]), float(alpha_k[i]),
-                                          float(beta_k[i]), bool(clean[i])]))
+            self._rel.write("".join([row % (epoch, batch_idx, i, a, b, flag) for (i, flag), a, b
+                                     in zip(cells, alpha_k.tolist(), beta_k.tolist())]))
 
     def lambda_hist(self, epoch, hist_by_kind):
         """Each bin of EpochTally.lam_hist, bins splitting [0, 1] evenly."""

@@ -152,26 +152,25 @@ def sharpen(probs: np.ndarray, temp: float) -> np.ndarray:
     return powered / powered.sum(axis=-1, keepdims=True)
 
 
-def refined_targets(co_probs: np.ndarray, given_targets: np.ndarray,
-                    cfg: TrainConfig) -> np.ndarray:
-    """(..., B, C) targets: the sharpened co-network prediction where it is
-    confident, otherwise the observed label's one-hot row of given_targets."""
-    co_probs = np.asarray(co_probs, dtype=np.float64)
-    confident = co_probs.max(axis=-1) >= cfg.conf_threshold
-    return np.where(confident[..., None], sharpen(co_probs, cfg.sharpen_temp), given_targets)
+def refined_targets(co_probs: np.ndarray, given_targets: np.ndarray, w_t: float,
+                    cfg: TrainConfig):
+    """A stack's (K, B, C) co-network probabilities -> its (K, B, C) targets
+    and each net's kept rows bc, both from one confident mask (the maximum
+    probability clears conf_threshold).
 
-
-def confidence_filter(co_probs: np.ndarray, cfg: TrainConfig,
-                      warmup_active: bool = False) -> np.ndarray:
-    """Indices where the co-network clears the confidence threshold.
-
-    While the warm-up ramp is still at zero the model has no meaningful
-    confidence, so the whole batch passes.
+    A confident row's target is the sharpened co-network prediction, any
+    other row's the observed label's one-hot row of given_targets. bc holds,
+    per net, the increasing indices of its confident rows; while the warm-up
+    ramp w_t is still at zero the model has no meaningful confidence, so the
+    whole batch passes.
     """
     co_probs = np.asarray(co_probs, dtype=np.float64)
-    if warmup_active:
-        return np.arange(co_probs.shape[0])
-    return np.flatnonzero(co_probs.max(axis=1) >= cfg.conf_threshold)
+    confident = co_probs.max(axis=-1) >= cfg.conf_threshold
+    targets = np.where(confident[..., None], sharpen(co_probs, cfg.sharpen_temp),
+                       given_targets)
+    if w_t == 0.0:
+        return targets, [np.arange(confident.shape[-1])] * len(confident)
+    return targets, [np.flatnonzero(kept) for kept in confident]
 
 
 def reweighted_ce_grad(logits: np.ndarray, targets, reliabilities: np.ndarray,
@@ -180,7 +179,7 @@ def reweighted_ce_grad(logits: np.ndarray, targets, reliabilities: np.ndarray,
     1 + eta_w * r_tilde, where r_tilde is each sample's reliability over the
     filtered-batch mean (plus mixup.DELTA, which guards an all-zero mean).
 
-    bc holds increasing row indices, as confidence_filter returns them.
+    bc holds increasing row indices, as refined_targets returns them.
     Returns the loss and its gradient w.r.t. the logits.
     """
     return _filtered_ce(logits, targets, bc, np.asarray(reliabilities, dtype=np.float64),
@@ -389,9 +388,7 @@ def co_train(train: Dataset, meta: MetaSet | None, test: Dataset, cfg: TrainConf
                 pseudo_cls = co_probs.argmax(axis=-1)
 
             if cfg.use_refine:
-                targets = refined_targets(co_probs, given, cfg)
-                bc = [confidence_filter(co_probs[k], cfg, warmup_active=(w_t == 0.0))
-                      for k in range(2)]
+                targets, bc = refined_targets(co_probs, given, w_t, cfg)
             else:
                 targets = targets_epoch[:, rows]
                 bc = [np.arange(b)] * 2

@@ -1,5 +1,6 @@
 """Shared plumbing: errors, text input, seeded RNG streams, deterministic
-JSON/CSV text."""
+text: JSON records through the standard encoder (dumps_deterministic), CSV
+cells with floats at 17 significant digits."""
 
 from __future__ import annotations
 
@@ -7,7 +8,7 @@ import json
 
 import numpy as np
 
-# 17 significant digits round-trips any float64 exactly.
+# CSV floats: 17 significant digits round-trips any float64 exactly.
 FLOAT_FMT = "%.17g"
 
 
@@ -45,53 +46,12 @@ def fmt_float(x: float) -> str:
     return FLOAT_FMT % float(x)
 
 
-def _emit(obj, out: list) -> None:
-    if obj is None:
-        out.append("null")
-    elif obj is True:
-        out.append("true")
-    elif obj is False:
-        out.append("false")
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj))
-    elif isinstance(obj, (int, np.integer)):
-        out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        x = float(obj)
-        if not np.isfinite(x):
-            raise ValueError("non-finite float in deterministic JSON: %r" % x)
-        out.append(fmt_float(x))
-    elif isinstance(obj, dict):
-        out.append("{")
-        for n, key in enumerate(sorted(obj)):
-            if not isinstance(key, str):
-                raise TypeError("JSON keys must be strings, got %r" % (key,))
-            if n:
-                out.append(", ")
-            out.append(json.dumps(key))
-            out.append(": ")
-            _emit(obj[key], out)
-        out.append("}")
-    elif isinstance(obj, (list, tuple, np.ndarray)):
-        out.append("[")
-        for n, item in enumerate(obj):
-            if n:
-                out.append(", ")
-            _emit(item, out)
-        out.append("]")
-    else:
-        raise TypeError("cannot serialize %r" % type(obj))
-
-
 def dumps_deterministic(obj) -> str:
-    """JSON with sorted keys and 17-significant-digit floats.
-
-    Byte-identical across runs for equal inputs; parseable by json.loads.
-    """
-    out: list = []
-    _emit(obj, out)
-    out.append("\n")
-    return "".join(out)
+    """The one JSON writer of every record: the standard encoder with sorted
+    keys, its default separators and shortest round-trip float spelling, and
+    a trailing newline. Byte-identical across runs for equal inputs; a NaN or
+    infinity raises ValueError rather than writing non-standard JSON."""
+    return json.dumps(obj, sort_keys=True, allow_nan=False) + "\n"
 
 
 def csv_cell(value) -> str:

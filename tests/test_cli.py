@@ -1,5 +1,6 @@
 """Command-line contract: subcommands, exit codes, reproducible outputs."""
 
+import hashlib
 import json
 import os
 
@@ -9,6 +10,7 @@ import pytest
 from noisylab import cli, config
 from noisylab.data import load_dataset
 from noisylab.metrics import RunReport
+from noisylab.util import dumps_deterministic
 
 SMALL_RUN = """
 [run]
@@ -123,15 +125,18 @@ class TestGenerate:
             assert "unknown config" in err and named in err, key
 
 
-def _label_out_of_range(data_dir, cfg_text):
-    # y_obs of the first sample set to 7 with 4 classes
-    csv = data_dir / "dataset.csv"
-    lines = csv.read_text().splitlines()
-    cells = lines[1].split(",")
-    cells[2] = "7"
-    lines[1] = ",".join(cells)
-    csv.write_text("\n".join(lines) + "\n")
-    return cfg_text
+def _csv_cell(column, token):
+    """A corruption setting the first sample's cell in CSV column `column`
+    (0 id, 1 y_true, 2 y_obs) to token."""
+    def corrupt(data_dir, cfg_text):
+        csv = data_dir / "dataset.csv"
+        lines = csv.read_text().splitlines()
+        cells = lines[1].split(",")
+        cells[column] = token
+        lines[1] = ",".join(cells)
+        csv.write_text("\n".join(lines) + "\n")
+        return cfg_text
+    return corrupt
 
 
 def _empty_csv(data_dir, cfg_text):
@@ -201,7 +206,7 @@ def _small_run_with(section, key, value):
 
 # every float key, and the sigmas, which are floats unless 'auto'
 NUMERIC_KEYS = [(section, key) for section, keys in config.SCHEMA.items()
-                for key, (parser, _, _) in keys.items() if parser is float]
+                for key, (parser, _) in keys.items() if parser is float]
 NUMERIC_KEYS += [("augment", "sigma_weak"), ("augment", "sigma_strong")]
 
 
@@ -277,7 +282,8 @@ class TestInvalidValues:
 
 class TestLoadedDataset:
     @pytest.mark.parametrize("corrupt, expected", [
-        (_label_out_of_range, ["dataset.csv", "class index out of range"]),
+        # y_obs of the first sample set to 7 with 4 classes
+        (_csv_cell(2, "7"), ["dataset.csv", "class index out of range"]),
         (_empty_csv, ["dataset.csv", "no samples"]),
         (_sidecar_without_dim, ["dataset.json", "'dim'"]),
         (_dim_mismatch, ["dataset.dim"]),
@@ -301,13 +307,18 @@ class TestLoadedDataset:
         (_sidecar_value("noise_spec.seed", '"abc"'), ["dataset.json", "noise_spec.seed"]),
         (_sidecar_value("noise_spec.seed", "-772704146"), ["dataset.json", "noise_spec.seed"]),
         (_sidecar_value("noise_spec.seed", "1.5"), ["dataset.json", "noise_spec.seed"]),
+        # integer cells too large for int64
+        (_csv_cell(0, "1" + "0" * 25), ["dataset.csv", "row 1"]),
+        (_csv_cell(1, "1" + "0" * 25), ["dataset.csv", "row 1"]),
+        (_csv_cell(2, "1" + "0" * 25), ["dataset.csv", "row 1"]),
     ], ids=["label_out_of_range", "empty_csv", "sidecar_without_dim", "dim_mismatch",
             "infinite_dim", "overflowing_dim", "negative_dim", "fractional_dim",
             "boolean_dim", "fractional_num_classes", "one_class", "huge_dim",
             "unknown_noise_mode",
             "nan_noise_rate", "infinite_noise_rate", "negative_noise_rate",
             "noise_rate_above_one", "string_noise_rate", "string_noise_seed",
-            "negative_noise_seed", "fractional_noise_seed"])
+            "negative_noise_seed", "fractional_noise_seed",
+            "huge_id", "huge_y_true", "huge_y_obs"])
     def test_malformed_dataset_exit_2(self, corrupt, expected, cfg_path, tmp_path, capsys):
         data_dir = tmp_path / "data"
         assert cli.main(["generate", "--config", cfg_path, "--out", str(data_dir)]) == 0
@@ -527,6 +538,11 @@ class TestTrain:
         manifest = json.load(open(os.path.join(out, "manifest.json")))
         cfg = cfgmod.load_config(cfg_path, out_override=out)
         assert cfgmod.config_hash(cfg) == manifest["config_hash"]
+        # the hash is over the report's config echo, so the report alone
+        # checks a run's provenance
+        report = json.load(open(os.path.join(out, "report.json")))
+        echo = dumps_deterministic(report["config"]).encode()
+        assert hashlib.sha256(echo).hexdigest() == manifest["config_hash"]
 
 
 class TestPairMap:
@@ -574,15 +590,15 @@ class TestBenchmarkContract:
             return out
 
         kept = []
-        confidence_filter = trainer.confidence_filter
+        refined_targets = trainer.refined_targets
 
-        def counting_filter(*args, **kwargs):
-            rows = confidence_filter(*args, **kwargs)
-            kept.append(len(rows))
-            return rows
+        def counting_refined(*args, **kwargs):
+            targets, bc = refined_targets(*args, **kwargs)
+            kept.extend(len(rows) for rows in bc)
+            return targets, bc
 
         monkeypatch.setattr(cli, "co_train", recording_co_train)
-        monkeypatch.setattr(trainer, "confidence_filter", counting_filter)
+        monkeypatch.setattr(trainer, "refined_targets", counting_refined)
         monkeypatch.setattr(trainer, "warmup", trainer.warmup)  # restored afterwards
         tracer = Tracer()
         for span, probe in worker.PROBES.items():
@@ -731,6 +747,13 @@ def _mutate(blob: bytes, rng) -> bytes:
     return bytes(out)
 
 
+def _config_text(default) -> str:
+    """A SCHEMA default as it would be written in a config file."""
+    if isinstance(default, bool):
+        return "true" if default else "false"
+    return "" if default is None else str(default)
+
+
 def _set_value(text: str, section: str, key: str, value: str) -> str:
     """Config text with section.key set to value, in place or appended to
     its section (which is added when missing)."""
@@ -810,21 +833,23 @@ class TestFuzz:
             self.run_cli(["report", str(path)], "report case %d" % case, capsys)
 
     def test_value_mutations_exit_0_or_name_the_key(self, tmp_path, capsys):
-        # every key of the schema set to its sign flip, zero, a huge number,
-        # nan/inf and a non-numeric token, in a one-epoch run whose every
-        # loss term runs from the first batch: each run completes or exits 2
-        # naming the key, and most values get past the parser to the checks
-        # behind it, which the byte flips above mostly do not reach
+        # every key of the schema set to its sign flip, zero, a huge float, an
+        # integer too large for int64, nan/inf and a non-numeric token, in a
+        # one-epoch run whose every loss term runs from the first batch: each
+        # run completes or exits 2 naming the key, and most values get past
+        # the parser to the checks behind it, which the byte flips above
+        # mostly do not reach
         base = self.ONE_EPOCH.replace("warmup_start = 1", "warmup_start = 0").replace(
             "warmup_full = 1", "warmup_full = 0")
         raw = config.parse_config_text(base)
         path = tmp_path / "value.cfg"
         parsed = cases = 0
         for section, keys in config.SCHEMA.items():
-            for key, (_, default, formatter) in keys.items():
-                current = raw.get(section, {}).get(key, formatter(default))
+            for key, (_, default) in keys.items():
+                current = raw.get(section, {}).get(key, _config_text(default))
                 flipped = current[1:] if current.startswith("-") else "-" + current
-                for value in (flipped, "0", "1e308", "nan", "inf", "-inf", "abc"):
+                for value in (flipped, "0", "1e308", "1" + "0" * 25, "nan", "inf", "-inf",
+                              "abc"):
                     path.write_text(_set_value(base, section, key, value))
                     label = "%s.%s = %s" % (section, key, value)
                     try:
@@ -837,7 +862,7 @@ class TestFuzz:
                     assert code == 0 or (code == 2 and named), (label, code, err)
                     cases += 1
                     parsed += "bad value for" not in err
-        assert cases == 7 * sum(len(keys) for keys in config.SCHEMA.values())
+        assert cases == 8 * sum(len(keys) for keys in config.SCHEMA.values())
         assert parsed > cases / 2, (parsed, cases)
 
     # what test_value_mutations_exit_0_or_name_the_key tries on config keys,

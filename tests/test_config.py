@@ -1,13 +1,14 @@
 """Config parsing, strict validation, canonicalization and hashing."""
 
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
 
 from noisylab import config
 from noisylab.trainer import TrainConfig
-from noisylab.util import ConfigError
+from noisylab.util import ConfigError, dumps_deterministic
 
 MINIMAL = """
 [run]
@@ -150,7 +151,7 @@ class TestResolution:
 
 # every key that holds a float, and the sigmas, which are floats unless 'auto'
 FLOAT_KEYS = [(section, key) for section, keys in config.SCHEMA.items()
-              for key, (_, default, _) in keys.items() if isinstance(default, float)]
+              for key, (_, default) in keys.items() if isinstance(default, float)]
 FLOAT_KEYS += [("augment", "sigma_weak"), ("augment", "sigma_strong")]
 
 
@@ -173,8 +174,8 @@ class TestCanonicalization:
 
     def test_auto_sigma_stays_auto(self):
         cfg = _with("augment", "sigma_weak", "auto")
-        assert "augment.sigma_weak=auto\n" in config.canonical_text(cfg)
         assert config.canonical_dict(cfg)["augment"]["sigma_weak"] == "auto"
+        assert '"sigma_weak": "auto"' in dumps_deterministic(config.canonical_dict(cfg))
         with pytest.raises(ConfigError, match="augment.sigma_weak"):
             _with("augment", "sigma_weak", "automatic")
 
@@ -192,15 +193,21 @@ class TestCanonicalization:
         assert config.config_hash(a) != config.config_hash(b)
 
     def test_canonical_text_contains_defaults(self):
+        # the canonical text is the JSON of the echo, which config_hash hashes
         cfg = config.build_run_config(config.parse_config_text(MINIMAL))
-        text = config.canonical_text(cfg)
-        assert "ram.gamma=4" in text
-        assert "cdcl.tau=0.2" in text
-        assert text == config.canonical_text(cfg)
+        text = dumps_deterministic(config.canonical_dict(cfg))
+        assert '"ram": {"gamma": 4.0' in text
+        assert '"tau": 0.2' in text
+        assert text == dumps_deterministic(config.canonical_dict(cfg))
+        assert config.config_hash(cfg) == hashlib.sha256(text.encode()).hexdigest()
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")],
+                             ids=["nan", "inf", "-inf"])
+    def test_non_finite_json_raises(self, value):
+        with pytest.raises(ValueError):
+            dumps_deterministic({"summary": {"last": [1.0, value]}})
 
     def test_canonical_dict_json_ready(self):
-        from noisylab.util import dumps_deterministic
-
         cfg = config.build_run_config(config.parse_config_text(MINIMAL))
         text = dumps_deterministic(config.canonical_dict(cfg))
         assert "resolved" in text

@@ -6,7 +6,8 @@ code: the package itself, the demos or the benchmark worker. A form that only
 tests or oracles call belongs in oracles.py. Every parameter of a function
 defined there is read in its body, and every field of a typed run
 configuration is read as an attribute outside its own class: a parameter or
-setting nothing reads is a no-op.
+setting nothing reads is a no-op. JSON is written in one place,
+util.dumps_deterministic.
 """
 
 import ast
@@ -171,3 +172,20 @@ def test_every_config_field_has_a_key():
         if qual.split(".")[-1] not in named | DERIVED_FIELDS:
             keyless.append(qual)
     assert keyless == [], "config fields with no config key: %s" % ", ".join(keyless)
+
+
+def test_one_json_writer():
+    # every JSON artifact goes through util.dumps_deterministic, the one
+    # place that holds the record format
+    calls = []
+    for path in sorted(glob.glob(os.path.join(PACKAGE, "*.py"))):
+        if os.path.basename(path) == "util.py":
+            continue
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, ast.ImportFrom) and node.module == "json":
+                calls += ["%s imports json.%s" % (os.path.basename(path), alias.name)
+                          for alias in node.names if alias.name in ("dump", "dumps")]
+            elif isinstance(node, ast.Attribute) and node.attr in ("dump", "dumps") \
+                    and isinstance(node.value, ast.Name) and node.value.id == "json":
+                calls.append("%s:%d json.%s" % (os.path.basename(path), node.lineno, node.attr))
+    assert calls == []

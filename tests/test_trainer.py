@@ -58,14 +58,14 @@ class TestRefinedTargets:
     CFG = tiny_cfg(epochs=10, warmup_start=2, warmup_full=4)
 
     def test_one_hot_co_prediction_fixed_point(self):
-        co = np.array([[1.0, 0.0, 0.0, 0.0]])
-        ref = trainer.refined_targets(co, reliability.one_hot([2], 4), self.CFG)
-        assert np.allclose(ref[0], co[0])
+        co = np.array([[[1.0, 0.0, 0.0, 0.0]]])
+        ref, _ = trainer.refined_targets(co, reliability.one_hot([2], 4), 1.0, self.CFG)
+        assert np.allclose(ref[0, 0], co[0, 0])
 
     def test_low_confidence_falls_back_to_given(self):
-        co = np.full((1, 4), 0.25)
-        ref = trainer.refined_targets(co, reliability.one_hot([2], 4), self.CFG)
-        assert np.array_equal(ref[0], [0, 0, 1, 0])
+        co = np.full((1, 1, 4), 0.25)
+        ref, _ = trainer.refined_targets(co, reliability.one_hot([2], 4), 1.0, self.CFG)
+        assert np.array_equal(ref[0, 0], [0, 0, 1, 0])
 
     def test_uniform_stays_uniform_under_sharpening(self):
         assert np.allclose(trainer.sharpen(np.full((1, 4), 0.25), 0.5), 0.25)
@@ -78,35 +78,53 @@ class TestRefinedTargets:
 
     def test_distributions_sum_to_one(self):
         rng = np.random.default_rng(0)
-        co = rng.random((10, 4))
-        co /= co.sum(axis=1, keepdims=True)
-        ref = trainer.refined_targets(co, reliability.one_hot(rng.integers(0, 4, 10), 4),
-                                      self.CFG)
-        assert np.allclose(ref.sum(axis=1), 1.0, atol=1e-9)
+        co = rng.random((2, 10, 4))
+        co /= co.sum(axis=-1, keepdims=True)
+        ref, _ = trainer.refined_targets(co, reliability.one_hot(rng.integers(0, 4, 10), 4),
+                                         1.0, self.CFG)
+        assert np.allclose(ref.sum(axis=-1), 1.0, atol=1e-9)
 
 
 class TestConfidenceFilter:
+    """The kept rows bc that refined_targets returns beside the targets."""
     CFG = tiny_cfg(epochs=10, conf_threshold=0.9)
+
+    @staticmethod
+    def kept(co, cfg, w_t=1.0):
+        """bc of a two-net stack whose nets both see co (B, C)."""
+        given = reliability.one_hot(np.zeros(len(co), dtype=np.int64), co.shape[1])
+        _, bc = trainer.refined_targets(np.stack([co, co]), given, w_t, cfg)
+        assert len(bc) == 2 and np.array_equal(bc[0], bc[1])
+        return bc[0]
 
     def test_threshold_zero_keeps_all(self):
         cfg = tiny_cfg(conf_threshold=1e-9)
         co = np.full((5, 4), 0.25)
-        assert len(trainer.confidence_filter(co, cfg)) == 5
+        assert len(self.kept(co, cfg)) == 5
 
     def test_uniform_predictions_empty_outside_warmup(self):
         co = np.full((5, 4), 0.25)
-        assert len(trainer.confidence_filter(co, self.CFG)) == 0
+        assert len(self.kept(co, self.CFG)) == 0
 
     def test_warmup_passes_full_batch(self):
         co = np.full((5, 4), 0.25)
-        assert len(trainer.confidence_filter(co, self.CFG, warmup_active=True)) == 5
+        assert len(self.kept(co, self.CFG, w_t=0.0)) == 5
 
     def test_enumerated_fixture(self):
         co = np.array([[0.95, 0.05, 0.0, 0.0],
                        [0.50, 0.50, 0.0, 0.0],
                        [0.05, 0.91, 0.04, 0.0],
                        [0.89, 0.11, 0.0, 0.0]])
-        assert list(trainer.confidence_filter(co, self.CFG)) == [0, 2]
+        assert list(self.kept(co, self.CFG)) == [0, 2]
+        # each net keeps the rows where its own co-network is confident, and
+        # the mask that keeps them is the one that picks the sharpened targets
+        targets, bc = trainer.refined_targets(np.stack([co, co[::-1]]),
+                                              reliability.one_hot([1, 1, 1, 1], 4),
+                                              1.0, self.CFG)
+        assert [list(rows) for rows in bc] == [[0, 2], [1, 3]]
+        sharp = trainer.sharpen(co, self.CFG.sharpen_temp)
+        assert np.array_equal(targets[0, [0, 2]], sharp[[0, 2]])
+        assert np.array_equal(targets[0, [1, 3]], reliability.one_hot([1, 1], 4))
 
 
 class TestReweightedCe:
@@ -426,9 +444,9 @@ class TestCoTrain:
         # a confident row takes the sharpened co-prediction, the other its label
         cfg = tiny_cfg(epochs=10)
         co = np.array([[0.97, 0.01, 0.01, 0.01], [0.4, 0.3, 0.2, 0.1]])
-        ref = trainer.refined_targets(co, reliability.one_hot([3, 3], 4), cfg)
-        assert np.array_equal(ref[0], trainer.sharpen(co[:1], cfg.sharpen_temp)[0])
-        assert np.array_equal(ref[1], reliability.one_hot([3], 4)[0])
+        ref, _ = trainer.refined_targets(co[None], reliability.one_hot([3, 3], 4), 1.0, cfg)
+        assert np.array_equal(ref[0, 0], trainer.sharpen(co[:1], cfg.sharpen_temp)[0])
+        assert np.array_equal(ref[0, 1], reliability.one_hot([3], 4)[0])
 
     def test_divergence_guard(self):
         train, meta, test = tiny_data()
@@ -515,9 +533,9 @@ class TestFusedStep(_StepFixture):
             events.append(("forward", row0, out.logits.copy()))
             return out
 
-        def recording_refined(co_probs, given_targets, cfg):
+        def recording_refined(co_probs, given_targets, w_t, cfg):
             events.append(("co", None, co_probs))
-            return refined(co_probs, given_targets, cfg)
+            return refined(co_probs, given_targets, w_t, cfg)
 
         monkeypatch.setattr(trainer, "forward_batch", recording_forward)
         monkeypatch.setattr(trainer, "refined_targets", recording_refined)
