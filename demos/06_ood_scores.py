@@ -6,7 +6,7 @@ import numpy as np
 
 from noisylab import (OodScoreSet, TrainConfig, auroc, co_train, fpr_at_95_tpr,
                       inject_symmetric_noise, make_blobs, split_meta)
-from noisylab.data import default_augment_config
+from noisylab.data import OOD_ANGLE_FRAC, default_augment_config
 from noisylab.metrics import msp_scores_ensemble
 from noisylab.oracles import pairwise_auroc
 
@@ -22,11 +22,12 @@ cfg = TrainConfig(epochs=16, batch_size=64, warmup_start=4, warmup_full=9,
 report, params = co_train(train, meta, test, cfg)
 print("trained to ensemble accuracy %.3f" % report.summary["last_acc"]["ensemble"])
 
-# displaced blobs: same radius, rotated halfway between the training classes,
-# so they sit outside the training clusters without drifting into the
-# far-field where a rectifier net extrapolates overconfidently
+# displaced blobs, the OOD set `noisylab train` scores: same radius, rotated
+# halfway between the training classes, so they sit outside the training
+# clusters without drifting into the far field where a rectifier net
+# extrapolates overconfidently
 ood = make_blobs(num_classes=4, per_class=100, dim=16, spread=0.6, seed=85,
-                 radius_factor=1.0, angle_frac=0.5)
+                 angle_frac=OOD_ANGLE_FRAC)
 id_scores = msp_scores_ensemble(params, test.x)
 ood_scores = msp_scores_ensemble(params, ood.x)
 

@@ -17,7 +17,8 @@ import time
 
 from . import __version__, config
 from .data import dataset_csv_chunks, save_dataset
-from .metrics import NETS, DiagnosticsWriter, RunReport, metrics_csv
+from .metrics import (NETS, DiagnosticsWriter, OodScoreSet, RunReport, auroc, fpr_at_95_tpr,
+                      metrics_csv, msp_scores_ensemble)
 from .net import save_checkpoint
 from .trainer import co_train
 from .util import ConfigError, TrainingDiverged, dumps_deterministic, read_text
@@ -87,8 +88,7 @@ def cmd_train(config_path: str, out_dir: str | None, seed: int | None,
     tcfg = config.to_train_config(cfg)
     writer = DiagnosticsWriter(target) if diagnostics else None
     try:
-        report, params = co_train(train_set, meta, test, tcfg, ood=ood,
-                                  diagnostics=writer,
+        report, params = co_train(train_set, meta, test, tcfg, diagnostics=writer,
                                   config_echo=config.canonical_dict(cfg),
                                   seeds_echo=config.derived_seeds(cfg))
     except TrainingDiverged as exc:
@@ -103,6 +103,10 @@ def cmd_train(config_path: str, out_dir: str | None, seed: int | None,
         if writer is not None:
             writer.close()
 
+    # the OOD sanity check: the trained ensemble's max-softmax scores
+    # (Hendrycks & Gimpel 2017) should rank test inputs above OOD ones
+    scores = OodScoreSet(msp_scores_ensemble(params, test.x), msp_scores_ensemble(params, ood.x))
+    report.summary["ood"] = {"auroc": auroc(scores), "fpr95": fpr_at_95_tpr(scores)}
     with open(os.path.join(target, "report.json"), "w") as fh:
         fh.write(report.to_json())
     with open(os.path.join(target, "metrics.csv"), "w") as fh:
@@ -119,7 +123,7 @@ def cmd_train(config_path: str, out_dir: str | None, seed: int | None,
         "dataset_fingerprints": {
             "train": _fingerprint(train_set),
             "test": _fingerprint(test),
-            "ood": _fingerprint(ood) if ood is not None else None,
+            "ood": _fingerprint(ood),
         },
         "started_at": started,
         "finished_at": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),

@@ -27,9 +27,9 @@ import typing
 import numpy as np
 
 from .contrastive import CdclConfig
-from .data import (NOISE_MODES, AugmentConfig, Dataset, default_augment_config,
-                   inject_asymmetric_noise, inject_symmetric_noise, load_dataset,
-                   make_blobs, split_meta)
+from .data import (NOISE_MODES, OOD_ANGLE_FRAC, AugmentConfig, Dataset,
+                   default_augment_config, inject_asymmetric_noise, inject_symmetric_noise,
+                   load_dataset, make_blobs, split_meta)
 from .mixup import RamConfig
 from .trainer import TrainConfig
 from .util import ConfigError, dumps_deterministic, read_text
@@ -128,10 +128,6 @@ SCHEMA: dict = {
         "meta_size": (int, 40),
         "test_per_class": (int, 250),
         "load_dir": (str, ""),
-        "ood_enabled": (_parse_bool, True),
-        "ood_per_class": (int, 250),
-        "ood_radius_factor": (float, 1.0),
-        "ood_angle_frac": (float, 0.5),
     },
     "augment": _fields(AugmentConfig, sigma_weak=_AUTO_SIGMA, sigma_strong=_AUTO_SIGMA),
     "net": _fields(TrainConfig, ("hidden", "proj")),
@@ -224,8 +220,6 @@ def _validate(cfg: dict) -> None:
     # the generators check these too, but cannot name the key
     sizes = [("num_classes", 2), ("per_class", 1), ("dim", 2), ("test_per_class", 1),
              ("meta_size", 1 if cfg["trainer"]["use_meta"] else 0)]
-    if ds["ood_enabled"]:
-        sizes.append(("ood_per_class", 1))
     for key, low in sizes:
         if ds[key] < low:
             raise ConfigError("dataset.%s must be >= %d" % (key, low))
@@ -297,10 +291,20 @@ def make_training_pool(cfg: dict) -> Dataset:
             raise ConfigError("dataset.load_dir %r is not a directory" % base)
         pool = load_dataset(os.path.join(base, "dataset.csv"),
                             os.path.join(base, "dataset.json"))
-        # the test and OOD sets are generated from these keys
-        for key, loaded in (("dim", pool.dim), ("num_classes", pool.num_classes)):
+        # the test and OOD sets are generated from dim and num_classes, and
+        # the report echoes the noise keys; the noise seed may differ, so that
+        # one saved pool trains under many run seeds
+        checked = [("dim", pool.dim), ("num_classes", pool.num_classes)]
+        spec = pool.noise_spec
+        if spec is not None:
+            checked.append(("noise_mode", spec.mode))
+            if spec.mode != "none":
+                checked.append(("noise_rate", spec.rate))
+            if spec.mode == "asymmetric":
+                checked.append(("pair_map", spec.pair_map))
+        for key, loaded in checked:
             if loaded != ds_cfg[key]:
-                raise ConfigError("dataset in %s has %s %d, but dataset.%s = %d"
+                raise ConfigError("dataset in %s has %s %r, but dataset.%s = %r"
                                   % (base, key, loaded, key, ds_cfg[key]))
         return pool
     pool = make_blobs(ds_cfg["num_classes"], ds_cfg["per_class"], ds_cfg["dim"],
@@ -314,7 +318,9 @@ def make_training_pool(cfg: dict) -> Dataset:
 
 
 def make_datasets(cfg: dict):
-    """(train, meta, test, ood-or-None) for one run."""
+    """(train, meta, test, ood) for one run. The OOD set is built as the test
+    set is, from its own seed stream, around centers rotated by
+    data.OOD_ANGLE_FRAC."""
     ds_cfg = cfg["dataset"]
     seeds = derived_seeds(cfg)
     pool = make_training_pool(cfg)
@@ -324,12 +330,8 @@ def make_datasets(cfg: dict):
     train, meta = split_meta(pool, ds_cfg["meta_size"], seeds["split_seed"])
     test = make_blobs(ds_cfg["num_classes"], ds_cfg["test_per_class"], ds_cfg["dim"],
                       ds_cfg["spread"], seeds["test_seed"])
-    ood = None
-    if ds_cfg["ood_enabled"]:
-        ood = make_blobs(ds_cfg["num_classes"], ds_cfg["ood_per_class"], ds_cfg["dim"],
-                         ds_cfg["spread"], seeds["ood_seed"],
-                         radius_factor=ds_cfg["ood_radius_factor"],
-                         angle_frac=ds_cfg["ood_angle_frac"])
+    ood = make_blobs(ds_cfg["num_classes"], ds_cfg["test_per_class"], ds_cfg["dim"],
+                     ds_cfg["spread"], seeds["ood_seed"], angle_frac=OOD_ANGLE_FRAC)
     return train, meta, test, ood
 
 

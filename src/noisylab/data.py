@@ -16,6 +16,11 @@ import numpy as np
 from .util import FLOAT_FMT, ConfigError, dumps_deterministic, read_text
 
 CENTER_RADIUS = 2.0
+# The OOD set's centers are the class centers rotated by this fraction of one
+# step: the same radius, halfway between classes, so its blobs sit outside the
+# training clusters without reaching the far field, where a rectifier net
+# extrapolates overconfidently.
+OOD_ANGLE_FRAC = 0.5
 # rows per piece of dataset_csv_chunks' text
 CSV_CHUNK_ROWS = 256
 NOISE_MODES = ("none", "symmetric", "asymmetric")
@@ -77,28 +82,27 @@ class MetaSet:
         return self.x.shape[0]
 
 
-def class_centers(num_classes: int, dim: int, radius_factor: float = 1.0,
-                  angle_frac: float = 0.0) -> np.ndarray:
-    """Per-class centers evenly spaced on a circle in the first two dims, of
-    radius_factor * CENTER_RADIUS, rotated by angle_frac of one step."""
+def class_centers(num_classes: int, dim: int, angle_frac: float = 0.0) -> np.ndarray:
+    """Per-class centers evenly spaced on the circle of radius CENTER_RADIUS
+    in the first two dims, rotated by angle_frac of one step."""
     angles = 2.0 * np.pi * (np.arange(num_classes) + angle_frac) / num_classes
     centers = np.zeros((num_classes, dim))
-    centers[:, 0] = radius_factor * CENTER_RADIUS * np.cos(angles)
-    centers[:, 1] = radius_factor * CENTER_RADIUS * np.sin(angles)
+    centers[:, 0] = CENTER_RADIUS * np.cos(angles)
+    centers[:, 1] = CENTER_RADIUS * np.sin(angles)
     return centers
 
 
 def make_blobs(num_classes: int, per_class: int, dim: int, spread: float,
-               seed: int, radius_factor: float = 1.0, angle_frac: float = 0.0) -> Dataset:
+               seed: int, angle_frac: float = 0.0) -> Dataset:
     """Isotropic Gaussian blobs around class_centers, clean labels. The
-    training and test sets take the default centers; the OOD set moves them
-    (dataset.ood_radius_factor and dataset.ood_angle_frac)."""
+    training and test sets take the default centers; the OOD set rotates
+    them by OOD_ANGLE_FRAC."""
     if num_classes < 2 or per_class < 1 or dim < 2:
         raise ConfigError("need num_classes >= 2, per_class >= 1, dim >= 2")
     if spread < 0:
         raise ConfigError("spread must be nonnegative")
     rng = np.random.default_rng(seed)
-    centers = class_centers(num_classes, dim, radius_factor, angle_frac)
+    centers = class_centers(num_classes, dim, angle_frac)
     n = num_classes * per_class
     y = np.repeat(np.arange(num_classes), per_class)
     x = centers[y] + spread * rng.standard_normal((n, dim))

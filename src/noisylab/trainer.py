@@ -306,21 +306,17 @@ def _diverged(what: str, t: int, batch_idx: int, k: int, losses: dict,
                             % (what, t, batch_idx, metrics.NETS[k]), snapshot)
 
 
-def _evaluate(params: ModelParams, test: Dataset, buffers: Buffers):
-    """Test accuracy of each net and of the ensemble, and the ensemble's MSP
-    scores (metrics.msp_scores_ensemble) on the test set."""
+def _evaluate(params: ModelParams, test: Dataset, buffers: Buffers) -> dict:
+    """Test accuracy of each net and of the ensemble."""
     preds = np.empty((3, test.n), dtype=np.int64)  # net1, net2, ensemble
-    scores = np.empty(test.n)
     for rows, probs, ens in metrics.ensemble_chunks(params, test.x, buffers):
         preds[:2, rows] = probs.argmax(axis=-1)
         preds[2, rows] = ens.argmax(axis=1)
-        scores[rows] = ens.max(axis=1)
     acc1, acc2, acc_ens = (metrics.accuracy(p, test.y_true) for p in preds)
-    return {"net1": acc1, "net2": acc2, "ensemble": acc_ens}, scores
+    return {"net1": acc1, "net2": acc2, "ensemble": acc_ens}
 
 
 def co_train(train: Dataset, meta: MetaSet | None, test: Dataset, cfg: TrainConfig,
-             ood: Dataset | None = None,
              diagnostics: metrics.DiagnosticsWriter | None = None,
              config_echo: dict | None = None, seeds_echo: dict | None = None):
     """Run the full dual-network loop and return the RunReport and the
@@ -341,7 +337,7 @@ def co_train(train: Dataset, meta: MetaSet | None, test: Dataset, cfg: TrainConf
     meta_targets = eye[meta.y] if cfg.use_meta else None
     buffers = Buffers()  # the run's one workspace: forward, step and evaluation
 
-    test_acc, id_scores = _evaluate(params, test, buffers)
+    test_acc = _evaluate(params, test, buffers)
     report = metrics.RunReport(
         config=config_echo if config_echo is not None else {"trainer": asdict(cfg)},
         seeds=seeds_echo if seeds_echo is not None else {
@@ -438,7 +434,7 @@ def co_train(train: Dataset, meta: MetaSet | None, test: Dataset, cfg: TrainConf
             tally.add_step(losses, purity)
             sgd_step(params, grad, velocity, lr_t, cfg.momentum, cfg.weight_decay, buffers)
 
-        test_acc, id_scores = _evaluate(params, test, buffers)
+        test_acc = _evaluate(params, test, buffers)
         rec = tally.record(t, lr_t, w_t, test_acc)
         report.epochs.append(rec)
         report.wall_seconds.append(time.perf_counter() - tick)
@@ -449,17 +445,10 @@ def co_train(train: Dataset, meta: MetaSet | None, test: Dataset, cfg: TrainConf
     last = report.epochs[-1] if report.epochs else initial
     # the first epoch of the best ensemble accuracy
     best = max(report.epochs, key=lambda rec: rec["test_acc"]["ensemble"], default=initial)
-    summary = {
+    report.summary = {
         "last_acc": last["test_acc"],
         "best_acc_ensemble": best["test_acc"]["ensemble"],
         "best_epoch": best["epoch"],
         **tally.run_lows,
-        "ood": None,
     }
-    if ood is not None:  # id_scores are the last evaluation's, of the final params
-        ood_scores = metrics.msp_scores_ensemble(params, ood.x, buffers)
-        score_set = metrics.OodScoreSet(id_scores, ood_scores)
-        summary["ood"] = {"auroc": metrics.auroc(score_set),
-                          "fpr95": metrics.fpr_at_95_tpr(score_set)}
-    report.summary = summary
     return report, params

@@ -34,10 +34,6 @@ noise_mode = symmetric
 noise_rate = %s
 meta_size = 40
 test_per_class = 500
-ood_enabled = true
-ood_per_class = 500
-ood_radius_factor = 1.0
-ood_angle_frac = 0.5
 
 [trainer]
 epochs = 40
@@ -74,7 +70,7 @@ def _fixture_config(seed: int, rate: str = "0.4"):
 def _run_variant(cfg, overrides, want_scores=False):
     train_set, meta, test, ood = cfgmod.make_datasets(cfg)
     tcfg = dataclasses.replace(cfgmod.to_train_config(cfg), **overrides)
-    report, params = co_train(train_set, meta, test, tcfg, ood=ood)
+    report, params = co_train(train_set, meta, test, tcfg)
     scores = None
     if want_scores:
         scores = (metrics.msp_scores_ensemble(params, test.x),
@@ -307,7 +303,6 @@ def test_criterion_10_run_determinism(tmp_path):
     cfg_text = FIXTURE_TEMPLATE % (PRIMARY_SEED, "0.4")
     cfg_text = cfg_text.replace("per_class = 500", "per_class = 40")
     cfg_text = cfg_text.replace("test_per_class = 500", "test_per_class = 20")
-    cfg_text = cfg_text.replace("ood_per_class = 500", "ood_per_class = 20")
     cfg_text = cfg_text.replace("epochs = 40", "epochs = 4")
     cfg_text = cfg_text.replace("warmup_start = 8", "warmup_start = 1")
     cfg_text = cfg_text.replace("warmup_full = 20", "warmup_full = 2")

@@ -25,7 +25,6 @@ noise_mode = symmetric
 noise_rate = 0.4
 meta_size = 8
 test_per_class = 20
-ood_per_class = 20
 
 [trainer]
 epochs = 3
@@ -331,6 +330,51 @@ class TestLoadedDataset:
         for fragment in expected:
             assert fragment in err
 
+    # SMALL_RUN's pool is symmetric at 0.4; each case trains on a pool
+    # whose noise the [dataset] keys misstate
+    @pytest.mark.parametrize("generated, trained, key", [
+        ({}, {"noise_mode": "none"}, "noise_mode"),
+        ({}, {"noise_rate": "0.2"}, "noise_rate"),
+        ({"noise_mode": "asymmetric", "pair_map": "0:1,1:2"},
+         {"noise_mode": "asymmetric", "pair_map": "0:1,1:3"}, "pair_map"),
+    ], ids=["mode", "rate", "pair_map"])
+    def test_noise_setting_mismatch_exit_2(self, generated, trained, key, tmp_path, capsys):
+        data_dir = tmp_path / "data"
+        gen, load = tmp_path / "gen.cfg", tmp_path / "load.cfg"
+        text = SMALL_RUN
+        for name, value in generated.items():
+            text = _set_value(text, "dataset", name, value)
+        gen.write_text(text)
+        assert cli.main(["generate", "--config", str(gen), "--out", str(data_dir)]) == 0
+        text = _set_value(text, "dataset", "load_dir", str(data_dir))
+        for name, value in trained.items():
+            text = _set_value(text, "dataset", name, value)
+        load.write_text(text)
+        capsys.readouterr()
+        out = tmp_path / "run"
+        assert cli.main(["train", "--config", str(load), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert str(data_dir) in err and "dataset.%s" % key in err
+        assert not (out / "report.json").exists()
+
+    def test_matching_noise_trains_under_any_seed(self, cfg_path, tmp_path):
+        # the noise seed is not compared: one saved pool serves every run seed
+        data_dir = tmp_path / "data"
+        assert cli.main(["generate", "--config", cfg_path, "--out", str(data_dir)]) == 0
+        load = tmp_path / "load.cfg"
+        load.write_text(_set_value(SMALL_RUN, "dataset", "load_dir", str(data_dir)))
+        assert cli.main(["train", "--config", str(load), "--out", str(tmp_path / "run"),
+                         "--seed", "9"]) == 0
+
+    def test_null_noise_spec_loads_under_any_noise_keys(self, cfg_path, tmp_path):
+        data_dir = tmp_path / "data"
+        assert cli.main(["generate", "--config", cfg_path, "--out", str(data_dir)]) == 0
+        _sidecar_value("noise_spec", "null")(data_dir, SMALL_RUN)
+        load = tmp_path / "load.cfg"
+        text = _set_value(SMALL_RUN, "dataset", "load_dir", str(data_dir))
+        load.write_text(_set_value(text, "dataset", "noise_rate", "0.2"))
+        assert cli.main(["train", "--config", str(load), "--out", str(tmp_path / "run")]) == 0
+
 
 class TestTrain:
     def test_full_run_outputs(self, cfg_path, tmp_path):
@@ -529,6 +573,23 @@ class TestTrain:
         cli.main(["train", "--config", cfg_path, "--out", out])
         params = load_checkpoint(os.path.join(out, "checkpoint_net1.bin"))
         assert params.arch.hidden == 16
+
+    def test_ood_summary_belongs_to_the_final_pair(self, cfg_path, tmp_path):
+        # the saved checkpoints, stacked, score the regenerated test and OOD
+        # sets to the AUROC and FPR95 the report holds
+        from noisylab import metrics
+        from noisylab.net import load_checkpoint, stack_params
+
+        out = tmp_path / "run"
+        assert cli.main(["train", "--config", cfg_path, "--out", str(out)]) == 0
+        params = stack_params([load_checkpoint(out / ("checkpoint_%s.bin" % name))
+                               for name in metrics.NETS])
+        _, _, test, ood = config.make_datasets(config.load_config(cfg_path))
+        scores = metrics.OodScoreSet(metrics.msp_scores_ensemble(params, test.x),
+                                     metrics.msp_scores_ensemble(params, ood.x))
+        summary = json.loads((out / "report.json").read_text())["summary"]
+        assert summary["ood"] == {"auroc": metrics.auroc(scores),
+                                  "fpr95": metrics.fpr_at_95_tpr(scores)}
 
     def test_manifest_hash_recomputable(self, cfg_path, tmp_path):
         from noisylab import config as cfgmod

@@ -23,7 +23,6 @@ noise_mode = symmetric
 noise_rate = 0.4
 meta_size = 8
 test_per_class = 25
-ood_per_class = 25
 
 [trainer]
 epochs = 2
@@ -144,7 +143,7 @@ class TestResolution:
         train, meta, test, ood = config.make_datasets(cfg)
         assert train.n == 192 and meta.m == 8
         assert test.n == 100
-        assert ood is not None and ood.n == 100
+        assert ood.n == 100
         clean = train.y_obs != train.y_true
         assert 0.2 < clean.mean() < 0.6
 

@@ -21,10 +21,10 @@ class TestMakeBlobs:
         assert list(ds.y_obs) == [0, 1]
 
     def test_zero_spread_moved_centers(self):
-        # twice the radius, rotated by half the 90-degree inter-class angle:
-        # the centers sit at 45, 135, 225 and 315 degrees, radius 4
-        ds = data.make_blobs(4, 1, 3, 0.0, seed=5, radius_factor=2.0, angle_frac=0.5)
-        r = 2.0 * data.CENTER_RADIUS / np.sqrt(2.0)
+        # the OOD rotation, half the 90-degree inter-class angle: the centers
+        # sit at 45, 135, 225 and 315 degrees, at the same radius
+        ds = data.make_blobs(4, 1, 3, 0.0, seed=5, angle_frac=data.OOD_ANGLE_FRAC)
+        r = data.CENTER_RADIUS / np.sqrt(2.0)
         assert np.allclose(ds.x, [[r, r, 0.0], [-r, r, 0.0], [-r, -r, 0.0], [r, -r, 0.0]],
                            rtol=0.0, atol=1e-12)
 
@@ -251,9 +251,15 @@ class TestSerialization:
 
 
 def test_moved_blobs_outside_hull():
-    ds = data.make_blobs(4, 50, 2, 0.2, seed=1, radius_factor=2.0, angle_frac=0.5)
+    # the class centers' hull is the square |x| + |y| <= CENTER_RADIUS; the
+    # OOD centers lie on its circumcircle, midway between its corners, so at
+    # spread 0.2 a point falls inside only beyond 2.9 standard deviations
+    ds = data.make_blobs(4, 50, 2, 0.2, seed=1, angle_frac=data.OOD_ANGLE_FRAC)
+    outside = np.abs(ds.x[:, :2]).sum(axis=1) > data.CENTER_RADIUS
+    assert outside.mean() >= 0.99
+    # at the class radius, not in the far field
     radii = np.linalg.norm(ds.x[:, :2], axis=1)
-    assert radii.mean() > data.CENTER_RADIUS * 1.5
+    assert abs(radii.mean() - data.CENTER_RADIUS) < 0.1
 
 
 # the seed-1 cfg/fixture.cfg train, test and OOD sets' sha256 digests

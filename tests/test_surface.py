@@ -6,8 +6,9 @@ code: the package itself, the demos or the benchmark worker. A form that only
 tests or oracles call belongs in oracles.py. Every parameter of a function
 defined there is read in its body, and every field of a typed run
 configuration is read as an attribute outside its own class: a parameter or
-setting nothing reads is a no-op. JSON is written in one place,
-util.dumps_deterministic.
+setting nothing reads is a no-op. So is a key of the dict-held [run] and
+[dataset] sections that no production module subscripts by name. JSON is
+written in one place, util.dumps_deterministic.
 """
 
 import ast
@@ -172,6 +173,29 @@ def test_every_config_field_has_a_key():
         if qual.split(".")[-1] not in named | DERIVED_FIELDS:
             keyless.append(qual)
     assert keyless == [], "config fields with no config key: %s" % ", ".join(keyless)
+
+
+def _constant_subscripts():
+    """Every string constant used as a subscript, x["name"], in the
+    production modules."""
+    return {node.slice.value for path in _production_modules() for node in ast.walk(_tree(path))
+            if isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Constant)
+            and isinstance(node.slice.value, str)}
+
+
+def test_every_dict_held_key_is_read():
+    """The keys of the sections no typed configuration holds stay in the
+    loaded {section: {key: value}} dict and are read as cfg[section]["key"];
+    a key no production module subscripts by name is a no-op."""
+    from noisylab import config
+
+    typed = {section for sections in CONFIG_SECTIONS.values() for section in sections}
+    dict_held = sorted(set(config.SCHEMA) - typed)
+    assert dict_held == ["dataset", "run"]
+    subscripts = _constant_subscripts()
+    unread = ["%s.%s" % (section, key) for section in dict_held
+              for key in config.SCHEMA[section] if key not in subscripts]
+    assert unread == [], "config keys nothing reads; delete them: %s" % ", ".join(unread)
 
 
 def test_one_json_writer():
