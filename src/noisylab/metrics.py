@@ -7,10 +7,12 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
+from itertools import groupby
 
 import numpy as np
 
 from .net import Buffers, ModelParams, forward_batch, softmax
+from .reliability import ReliabilityBatch
 from .util import FLOAT_FMT, csv_line, dumps_deterministic
 
 REPORT_SCHEMA_VERSION = 1
@@ -195,29 +197,18 @@ class EpochTally:
     def __init__(self, previous: EpochTally | None = None):
         self.losses = {}  # term -> (2,) sums, one per net
         self.batches = 0  # every batch of an epoch runs the same loss terms
-        self.alpha = {True: [], False: []}
-        self.beta = {True: [], False: []}
+        self.reliability = []  # each batch's stacked ReliabilityBatch and clean mask
         self.wmix_sum = 0.0
         # by pair kind (PAIR_KINDS); lam_hist's row sums are the pair counts
         self.lam_sums = np.zeros(len(PAIR_KINDS))
         self.lam_hist = np.zeros((len(PAIR_KINDS), LAMBDA_BINS), dtype=np.int64)
         self.purity = np.zeros(4)  # matches, pairs, gated matches, gate mass
-        self.mass_gap = None
         self.run_lows = dict(previous.run_lows) if previous else {
             "mass_gap_max": None, "alpha_min": None, "beta_min": None}
 
     def add_reliability(self, rb, clean):
-        """One batch's stacked reliabilities, net by net."""
-        for store, values in ((self.alpha, rb.alpha), (self.beta, rb.beta)):
-            store[True].append(values[:, clean].ravel())
-            store[False].append(values[:, ~clean].ravel())
-        gap = rb.mass_identity_gap()
-        self.mass_gap = gap if self.mass_gap is None else max(self.mass_gap, gap)
-        lows = self.run_lows
-        for key, value, pick in (("mass_gap_max", gap, max),
-                                 ("alpha_min", float(rb.alpha.min()), min),
-                                 ("beta_min", float(rb.beta.min()), min)):
-            lows[key] = value if lows[key] is None else pick(lows[key], value)
+        """One batch's stacked reliabilities; record reads them."""
+        self.reliability.append((rb, clean))
 
     def add_pairs(self, pairs, clean):
         """One batch's stacked Mixup pairs; the float sums run net by net."""
@@ -228,7 +219,8 @@ class EpochTally:
             for kind in range(len(PAIR_KINDS)):
                 self.lam_sums[kind] += lam_k[kinds_k == kind].sum()
         bins = np.minimum((lam * LAMBDA_BINS).astype(np.int64), LAMBDA_BINS - 1)
-        np.add.at(self.lam_hist, (kinds, bins), 1)
+        self.lam_hist += np.bincount((kinds * LAMBDA_BINS + bins).ravel(),
+                                     minlength=self.lam_hist.size).reshape(self.lam_hist.shape)
 
     def add_step(self, losses, purity):
         """One batch's trainer.step_loss_grad losses and purity totals."""
@@ -242,10 +234,30 @@ class EpochTally:
     def record(self, t: int, lr: float, w_t: float, test_acc: dict) -> dict:
         """The epoch's entry of RunReport.epochs."""
         means = {key: (sums / self.batches).tolist() for key, sums in self.losses.items()}
+        # batches of one size stack into one (batches, nets, B) block, and the
+        # masks keep (batch, net, row) order: each batch's rows in turn
+        parts = {}
+        mass_gap = None
+        lows = self.run_lows
+        for _, group in groupby(self.reliability, key=lambda entry: entry[0].alpha.shape):
+            rbs, cleans = zip(*group)
+            rb = ReliabilityBatch(*(np.stack([getattr(one, key) for one in rbs])
+                                    for key in ("alpha", "beta", "mass")))
+            clean = np.broadcast_to(np.stack(cleans)[:, None, :], rb.alpha.shape)
+            for prefix in ("alpha", "beta"):
+                values = getattr(rb, prefix)
+                parts.setdefault((prefix, "clean"), []).append(values[clean])
+                parts.setdefault((prefix, "noisy"), []).append(values[~clean])
+            gap = rb.mass_identity_gap()
+            mass_gap = gap if mass_gap is None else max(mass_gap, gap)
+            for key, value, pick in (("mass_gap_max", gap, max),
+                                     ("alpha_min", float(rb.alpha.min()), min),
+                                     ("beta_min", float(rb.beta.min()), min)):
+                lows[key] = value if lows[key] is None else pick(lows[key], value)
         stats = {}
-        for label, group in (("clean", True), ("noisy", False)):
-            for prefix, store in (("alpha", self.alpha), ("beta", self.beta)):
-                values = np.concatenate(store[group]) if store[group] else np.array([])
+        for label in ("clean", "noisy"):
+            for prefix in ("alpha", "beta"):
+                values = np.concatenate(parts.get((prefix, label), [np.array([])]))
                 base = "%s_%s" % (prefix, label)
                 stats[base + "_mean"] = float(values.mean()) if values.size else None
                 stats[base + "_std"] = float(values.std()) if values.size else None
@@ -269,7 +281,7 @@ class EpochTally:
             "purity_gated": pur[2] / pur[3] if pur[3] > 0 else None,
             "mean_wmix": self.wmix_sum / n_pairs if n_pairs else None,
             "lambda_stats": lam,
-            "mass_gap_max": self.mass_gap,
+            "mass_gap_max": mass_gap,
         }
 
 

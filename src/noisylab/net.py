@@ -29,7 +29,10 @@ forward_batch(..., row0=k) keeps an earlier forward's first k rows, and
 per_sample_grad_dots borrows "dh1" and "dh2" until the next backward. A
 stack holds each net's rows as one block, so a forward that later rows will
 extend is sized for all of them when it runs (total_rows), or the extension
-raises. Without buffers the passes allocate fresh arrays, with the same bits.
+raises. A forward's blocks of rows are forwards of their own (rows()): a
+network step forwards the meta step's held-out rows with its batch, and
+backward_batch runs on either block. Without buffers the passes allocate
+fresh arrays, with the same bits.
 """
 
 from __future__ import annotations
@@ -310,20 +313,6 @@ def weighted_ce_head(logits: np.ndarray, targets: np.ndarray,
     loss = (weights * per).sum(axis=-1) / b
     return (loss if loss.ndim else float(loss),
             (np.exp(logp) - targets) * (weights / b)[..., None])
-
-
-def weighted_ce_loss_grad(params: ModelParams, x: np.ndarray, targets: np.ndarray,
-                          weights: np.ndarray,
-                          buffers: Buffers | None = None) -> tuple[float | np.ndarray, np.ndarray]:
-    """Value and gradient of (1/B) * sum_i weights_i * CE(f(x_i), targets_i).
-
-    With `buffers`, the gradient and the backward's temporaries live in its
-    backward roles; the forward always gets fresh arrays, so a forward the
-    caller holds in the same buffers stays valid.
-    """
-    out = forward_batch(params, x)
-    loss, dlogits = weighted_ce_head(out.logits, targets, weights)
-    return loss, backward_batch(params, out.cache, dlogits, buffers=buffers)
 
 
 def _matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -178,6 +178,14 @@ def head_grad(params: net.ModelParams, x: np.ndarray, head, *args,
     return loss, net.backward_batch(params, out.cache, dlogits)
 
 
+def weighted_ce_loss_grad(params: net.ModelParams, x: np.ndarray, targets: np.ndarray,
+                          weights: np.ndarray) -> tuple[float | np.ndarray, np.ndarray]:
+    """Value and flat parameter gradient of (1/B) * sum_i weights_i *
+    CE(f(x_i), targets_i), through x's own forward: the held-out gradient of
+    the meta step and the Mixup term, each on its own."""
+    return head_grad(params, x, net.weighted_ce_head, targets, weights)
+
+
 def cdcl_grad(params: net.ModelParams, weak_x: np.ndarray, strong_x: np.ndarray,
               pseudo_class: np.ndarray, beta: np.ndarray,
               cfg: contrastive.CdclConfig) -> tuple[float, np.ndarray]:
@@ -212,7 +220,7 @@ def fused_step_fd_error(params: net.ModelParams, xw: np.ndarray, xs: np.ndarray,
     def step(flat):
         p = net.ModelParams(params.arch, flat)
         buffers = net.Buffers()
-        fw = trainer.step_forward(p, xw, xs, w_t, cfg, buffers)
+        _, fw = trainer.step_forward(p, None, xw, xs, w_t, cfg, buffers)
         losses, grad, _ = trainer.step_loss_grad(
             p, xw, fw, targets2, r2, bc2, cfg.eta_w, w_t, cfg,
             pairs=pairs2 if w_t > 0.0 else None, pseudo_cls=pc2, gate_beta=beta2,
@@ -257,8 +265,8 @@ def meta_gradients_fd(params: net.ModelParams, batch_x: np.ndarray,
     b = len(batch_x)
 
     def held_out_after_step(w: np.ndarray) -> float:
-        g = (net.weighted_ce_loss_grad(params, batch_x, given_targets, w[:b])[1]
-             + net.weighted_ce_loss_grad(params, batch_x, pseudo_targets, w[b:])[1])
+        g = (weighted_ce_loss_grad(params, batch_x, given_targets, w[:b])[1]
+             + weighted_ce_loss_grad(params, batch_x, pseudo_targets, w[b:])[1])
         stepped = net.ModelParams(params.arch, params.flat - eta_inner * g)
         return meta_loss(stepped, meta, given_targets.shape[1])
 
@@ -395,15 +403,15 @@ def suite_losses() -> list[CheckResult]:
         fd = fd_gradient(lambda flat: value_fn(net.ModelParams(arch, flat)), params.flat)
         results.append(_check(name, max_rel_error(fd, grad), tol))
 
-    loss, grad = net.weighted_ce_loss_grad(params, x, targets, weights)
-    fd_vs("weighted_ce_gradient", lambda p: net.weighted_ce_loss_grad(p, x, targets, weights)[0], grad)
+    loss, grad = weighted_ce_loss_grad(params, x, targets, weights)
+    fd_vs("weighted_ce_gradient", lambda p: weighted_ce_loss_grad(p, x, targets, weights)[0], grad)
 
     ram_cfg = mixup.RamConfig()
     r = rng.random(4) * 1.5 + 0.2
     pairs = mixup.build_pairs(x, r, targets.astype(float), ram_cfg, np.random.default_rng(3))
-    _, gram = net.weighted_ce_loss_grad(params, pairs.x, pairs.y, pairs.w)
+    _, gram = weighted_ce_loss_grad(params, pairs.x, pairs.y, pairs.w)
     fd_vs("mixup_loss_gradient",
-          lambda p: net.weighted_ce_loss_grad(p, pairs.x, pairs.y, pairs.w)[0], gram)
+          lambda p: weighted_ce_loss_grad(p, pairs.x, pairs.y, pairs.w)[0], gram)
 
     cd_cfg = contrastive.CdclConfig()
     strong = rng.standard_normal((4, 3))

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import MetaSet
-from .net import (BatchForward, Buffers, ModelParams, forward_batch,
-                  per_sample_grad_dots, weighted_ce_loss_grad)
+from .net import (BatchForward, Buffers, ModelParams, backward_batch, forward_batch,
+                  per_sample_grad_dots, weighted_ce_head)
 from .util import ConfigError
 
 # guards the batch normalization of alpha and beta against a mass S = 0
@@ -52,6 +52,7 @@ def meta_gradients_closed(params: ModelParams, batch_x: np.ndarray,
                           meta: MetaSet, eta_inner: float,
                           out: BatchForward | None = None,
                           probs: np.ndarray | None = None,
+                          meta_out: BatchForward | None = None,
                           meta_targets: np.ndarray | None = None,
                           buffers: Buffers | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Exact derivative of the held-out loss w.r.t. each per-sample weight.
@@ -61,13 +62,13 @@ def meta_gradients_closed(params: ModelParams, batch_x: np.ndarray,
     at zero perturbation through a single virtual SGD step of learning rate
     eta_inner; for a stack of networks (with pseudo_targets per net), one
     row of each per net. `out` is batch_x's forward under params, `probs`
-    the softmax of its logits and `meta_targets` the one-hot rows of meta.y,
-    when the caller has them.
+    the softmax of its logits, `meta_out` meta.x's forward under params and
+    `meta_targets` the one-hot rows of meta.y, when the caller has them;
+    co_train takes both forwards from its step's shared forward.
 
     With `buffers`, the held-out gradient and the per-sample temporaries
     (net.per_sample_grad_dots) live in the backward pass's roles, which are
-    free until the caller's next backward; the held-out forward gets fresh
-    arrays, since the caller's forward of batch_x may hold the forward roles.
+    free until the caller's next backward.
     """
     if eta_inner < 0:
         raise ConfigError("eta_inner must be nonnegative")
@@ -75,9 +76,12 @@ def meta_gradients_closed(params: ModelParams, batch_x: np.ndarray,
         raise ConfigError("meta set must be nonempty")
     if out is None:
         out = forward_batch(params, batch_x)
+    if meta_out is None:
+        meta_out = forward_batch(params, meta.x)
     if meta_targets is None:
         meta_targets = one_hot(meta.y, given_targets.shape[1])
-    mgrad = weighted_ce_loss_grad(params, meta.x, meta_targets, np.ones(meta.m), buffers)[1]
+    dlogits = weighted_ce_head(meta_out.logits, meta_targets, np.ones(meta.m))[1]
+    mgrad = backward_batch(params, meta_out.cache, dlogits, buffers=buffers)
     d1, d2 = per_sample_grad_dots(params, out, given_targets, pseudo_targets, mgrad,
                                   buffers, probs)
     return -eta_inner * d1, -eta_inner * d2

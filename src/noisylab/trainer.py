@@ -25,12 +25,14 @@ tests both nets at once, and metrics.EpochTally sums them and builds each
 epoch's record and the summary's extremes; the record is metrics' alone.
 
 Each network step has one form: step_forward runs the stack's shared forward
-(on [weak; strong] views when a strong-view term runs), and step_loss_grad
+(on [held-out; weak; strong] rows: the meta set's rows when the meta step
+runs, the strong views when a strong-view term runs), and step_loss_grad
 runs every loss head on cached rows, forwards the Mixup rows after the shared
 ones, and assembles each net's objective ce + w_t * (cr + ram + lambda_cdcl *
 cdcl) once, as its "total" and as one backward pass over the summed head
-gradients (backward_batch is linear in them). The meta step's held-out
-gradient keeps its own forward, since alpha and beta depend on it, and the
+gradients (backward_batch is linear in them). The meta step reads the
+held-out rows and the weak-view rows of that forward and runs its own
+backward on the held-out rows, since alpha and beta depend on it; the
 co-network softmax and pseudo-labels are taken only when a term reads them
 (refinement, the meta step or the contrastive term).
 
@@ -44,7 +46,9 @@ Within a step the roles never collide (net's lifetime rule): the meta step's
 held-out gradient and per-sample temporaries borrow the backward's roles
 before the step's backward runs, and the shared forward, sized for the Mixup
 rows that extend it in place (a stack holds each net's rows as one block),
-lasts through the step. Evaluation, between steps, reuses the forward's roles.
+lasts through the step. Its held-out rows lead it, so the step's rows
+[weak; strong; Mixup] stay one block for the backward. Evaluation, between
+steps, reuses the forward's roles.
 """
 
 from __future__ import annotations
@@ -219,17 +223,29 @@ def _filtered_ce(logits, targets, bc, reliabilities=None, eta_w=0.0):
     return loss, dlogits
 
 
-def step_forward(params: ModelParams, xw: np.ndarray, xs: np.ndarray, w_t: float,
-                 cfg: TrainConfig, buffers: Buffers) -> BatchForward:
+def step_forward(params: ModelParams, held_x: np.ndarray | None, xw: np.ndarray,
+                 xs: np.ndarray, w_t: float, cfg: TrainConfig,
+                 buffers: Buffers) -> tuple[BatchForward | None, BatchForward]:
     """The stack's shared forward of one network step, in `buffers`: on
-    [xw; xs] when a strong-view term runs (w_t > 0 with use_cr or use_cdcl),
-    otherwise on xw alone, in arrays sized for the Mixup rows (len(xw) more
-    per net) that step_loss_grad forwards after it when those run (w_t > 0
-    and use_ram)."""
+    [held_x; xw; xs] when a strong-view term runs (w_t > 0 with use_cr or
+    use_cdcl), otherwise on [held_x; xw], in arrays sized for the Mixup rows
+    (len(xw) more per net) that step_loss_grad forwards after it when those
+    run (w_t > 0 and use_ram). held_x is the meta step's held-out set, None
+    when the meta step does not run; its rows go first, so the step's own
+    rows stay one block for the backward pass.
+
+    Returns the forward of held_x's rows (None without held_x) and the
+    forward of the step's rows [xw; xs].
+    """
     strong = w_t > 0.0 and (cfg.use_cr or cfg.use_cdcl)
-    x_in = np.concatenate([xw, xs]) if strong else xw
+    blocks = ([] if held_x is None else [held_x]) + [xw] + ([xs] if strong else [])
+    x_in = np.concatenate(blocks) if len(blocks) > 1 else xw
     mix_rows = len(xw) if w_t > 0.0 and cfg.use_ram else 0
-    return forward_batch(params, x_in, buffers=buffers, total_rows=len(x_in) + mix_rows)
+    fw = forward_batch(params, x_in, buffers=buffers, total_rows=len(x_in) + mix_rows)
+    if held_x is None:
+        return None, fw
+    m = len(held_x)
+    return fw.rows(slice(0, m)), fw.rows(slice(m, None))
 
 
 def step_loss_grad(params: ModelParams, xw: np.ndarray, fw: BatchForward,
@@ -243,12 +259,13 @@ def step_loss_grad(params: ModelParams, xw: np.ndarray, fw: BatchForward,
 
     params is the stack (lead (K,)); targets (K, B, C), r, pseudo_cls and
     gate_beta (K, B) and every field of pairs (a stacked mixup.MixBatch)
-    hold one block per net, and bc one entry per net. fw is step_forward's
-    result in the same `buffers`.
+    hold one block per net, and bc one entry per net. fw is the step rows'
+    forward of step_forward, the last forward into the same `buffers`.
     Each term's head gradient comes from the cached outputs with w_t and
-    lambda_cdcl folded in, the Mixup rows are forwarded into the rows after
-    fw's, and one backward pass over [xw; xs; x_mix] gives each net's
-    gradient of total = ce + w_t * (cr + ram + lambda_cdcl * cdcl). Returns
+    lambda_cdcl folded in, the Mixup rows are forwarded into the rows
+    step_forward reserved after fw's, and one backward pass over [xw; xs;
+    x_mix] gives each net's gradient of total = ce + w_t * (cr + ram +
+    lambda_cdcl * cdcl). Returns
     {term: (K,) array} for the terms that ran and "total", the (K, n_params)
     gradient (in `buffers`) and the (K, 4) purity totals of
     contrastive.cdcl_head, None unless the contrastive term runs with
@@ -282,10 +299,12 @@ def step_loss_grad(params: ModelParams, xw: np.ndarray, fw: BatchForward,
             fw.emb, pseudo_cls, gate_beta, cfg.cdcl, y_true, buffers, out=demb[:, :n])
         demb[:, :n] *= w_t * cfg.lambda_cdcl
     if ram:
-        mix = forward_batch(params, pairs.x, buffers=buffers, row0=n, total_rows=rows)
-        losses["ram"], dram = weighted_ce_head(mix.logits[:, n:], pairs.y, pairs.w)
+        # the Mixup rows end step_forward's reservation; any held-out rows lead it
+        total = buffers.forward_rows[-1]
+        mix = forward_batch(params, pairs.x, buffers=buffers, row0=total - b, total_rows=total)
+        losses["ram"], dram = weighted_ce_head(mix.logits[:, total - b:], pairs.y, pairs.w)
         np.multiply(w_t, dram, out=dlogits[:, n:])
-        cache = mix.cache
+        cache = mix.rows(slice(total - rows, None)).cache
     losses["total"] = losses["ce_re"] + w_t * (losses.get("cr", 0.0) + losses.get("ram", 0.0)
                                                + cfg.lambda_cdcl * losses.get("cdcl", 0.0))
     return losses, backward_batch(params, cache, dlogits, demb, buffers), purity
@@ -334,6 +353,7 @@ def co_train(train: Dataset, meta: MetaSet | None, test: Dataset, cfg: TrainConf
     mix_rngs = [child_rng(seed, _MIX_STREAM) for seed in seeds]  # one stream per net
     clean_mask = train.y_obs == train.y_true
     eye = np.eye(train.num_classes)  # one-hot rows of every label
+    meta_x = meta.x if cfg.use_meta else None  # the held-out rows of every shared forward
     meta_targets = eye[meta.y] if cfg.use_meta else None
     buffers = Buffers()  # the run's one workspace: forward, step and evaluation
 
@@ -374,10 +394,10 @@ def co_train(train: Dataset, meta: MetaSet | None, test: Dataset, cfg: TrainConf
             batch_clean = clean_epoch[rows]
             b = len(xw)
 
-            # one shared forward of the stack per batch; its weak-view rows
-            # are the frozen pre-update co-network outputs (net1 learns from
-            # net2's)
-            fw = step_forward(params, xw, xs, w_t, cfg, buffers)
+            # one shared forward of the stack per batch, the meta step's
+            # held-out rows first; its weak-view rows are the frozen
+            # pre-update co-network outputs (net1 learns from net2's)
+            held, fw = step_forward(params, meta_x, xw, xs, w_t, cfg, buffers)
             co_probs = pseudo_cls = None
             if cfg.use_refine or cfg.use_meta or (cfg.use_cdcl and w_t > 0.0):
                 co_probs = softmax(fw.logits[::-1, :b])
@@ -392,7 +412,7 @@ def co_train(train: Dataset, meta: MetaSet | None, test: Dataset, cfg: TrainConf
             if cfg.use_meta:
                 e1, e2 = meta_gradients_closed(
                     params, xw, given, eye[pseudo_cls], meta, lr_t,
-                    out=fw.rows(slice(0, b)), probs=co_probs[::-1],
+                    out=fw.rows(slice(0, b)), probs=co_probs[::-1], meta_out=held,
                     meta_targets=meta_targets, buffers=buffers)
                 if cfg.couple_meta:
                     e1 = e2 = 0.5 * (e1 + e2)

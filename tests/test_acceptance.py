@@ -157,7 +157,7 @@ def test_criterion_02_loss_gradient_integrity():
         ce, _ = oracles.head_grad(p, xw, trainer.reweighted_ce_grad, targets, r, bc,
                                   tcfg.eta_w)
         cr, _ = oracles.head_grad(p, xs, trainer.consistency_loss_grad, targets, bc)
-        ram, _ = net.weighted_ce_loss_grad(p, pairs.x, pairs.y, pairs.w)
+        ram, _ = oracles.weighted_ce_loss_grad(p, pairs.x, pairs.y, pairs.w)
         cdcl, _ = oracles.cdcl_grad(p, xw, xs, pc, beta, tcfg.cdcl)
         return {"ce_re": ce, "cr": cr, "ram": ram, "cdcl": cdcl}
 
@@ -168,7 +168,7 @@ def test_criterion_02_loss_gradient_integrity():
     _, g_ce = oracles.head_grad(params, xw, trainer.reweighted_ce_grad, targets, r, bc,
                                 tcfg.eta_w)
     _, g_cr = oracles.head_grad(params, xs, trainer.consistency_loss_grad, targets, bc)
-    _, g_ram = net.weighted_ce_loss_grad(params, pairs.x, pairs.y, pairs.w)
+    _, g_ram = oracles.weighted_ce_loss_grad(params, pairs.x, pairs.y, pairs.w)
     _, g_cd = oracles.cdcl_grad(params, xw, xs, pc, beta, tcfg.cdcl)
     grads = {"ce_re": g_ce, "cr": g_cr, "ram": g_ram, "cdcl": g_cd,
              "total": g_ce + w_t * (g_cr + g_ram + tcfg.lambda_cdcl * g_cd)}
@@ -301,8 +301,9 @@ def test_criterion_10_run_determinism(tmp_path):
     from noisylab import cli
 
     cfg_text = FIXTURE_TEMPLATE % (PRIMARY_SEED, "0.4")
-    cfg_text = cfg_text.replace("per_class = 500", "per_class = 40")
+    # test_per_class first: "per_class = 500" is also the tail of its line
     cfg_text = cfg_text.replace("test_per_class = 500", "test_per_class = 20")
+    cfg_text = cfg_text.replace("per_class = 500", "per_class = 40")
     cfg_text = cfg_text.replace("epochs = 40", "epochs = 4")
     cfg_text = cfg_text.replace("warmup_start = 8", "warmup_start = 1")
     cfg_text = cfg_text.replace("warmup_full = 20", "warmup_full = 2")

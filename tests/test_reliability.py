@@ -68,6 +68,23 @@ class TestClosedForm:
         for a, b in zip((out.logits, out.emb) + out.cache, held):
             assert np.array_equal(a, b)
 
+    def test_supplied_held_out_forward_gives_the_same_bits(self):
+        # co_train hands the meta step the held-out rows of its shared
+        # forward, which lead the batch's rows; without them the meta step
+        # forwards meta.x itself, and e1, e2 are the same either way
+        params, batch_x, given, _, meta = fixture(5, b=6)
+        stack = net.stack_params([params, net.ModelParams(params.arch, params.flat[::-1])])
+        pseudo = reliability.one_hot(np.random.default_rng(5).integers(0, 2, (2, 6)), 2)
+        buffers = net.Buffers()
+        shared = net.forward_batch(stack, np.concatenate([meta.x, batch_x]), buffers=buffers)
+        supplied = reliability.meta_gradients_closed(
+            stack, batch_x, given, pseudo, meta, ETA, out=shared.rows(slice(meta.m, None)),
+            meta_out=shared.rows(slice(0, meta.m)), buffers=buffers)
+        own = reliability.meta_gradients_closed(stack, batch_x, given, pseudo, meta, ETA)
+        for a, b in zip(supplied, own):
+            assert a.shape == (2, 6)
+            assert np.array_equal(a, b)
+
     def test_matches_fd_oracle_on_logistic_fixture(self):
         params, batch_x, given, pseudo, meta = fixture(3)
         closed = reliability.meta_gradients_closed(params, batch_x, given, pseudo, meta, ETA)

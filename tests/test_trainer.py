@@ -9,7 +9,7 @@ import pytest
 from noisylab import data, metrics, mixup, net, reliability, trainer
 from noisylab.data import AugmentConfig
 from noisylab.oracles import (cdcl_grad, fd_gradient, fused_step_fd_error, head_grad,
-                              max_rel_error)
+                              max_rel_error, weighted_ce_loss_grad)
 from noisylab.util import ConfigError
 
 
@@ -329,11 +329,12 @@ class _StepFixture:
                                y=stack(self.pairs.y))
         return p, per_net, bcs, pairs
 
-    def step(self, bc, w_t, cfg):
-        """step_loss_grad as co_train calls it, with the stack and its inputs."""
+    def step(self, bc, w_t, cfg, held_x=None):
+        """step_loss_grad as co_train calls it, with the stack and its inputs
+        (and held_x's rows leading the shared forward, when given)."""
         p, (targets, r, pc, beta), bcs, pairs = self.stacked(bc)
         buffers = net.Buffers()
-        fw = trainer.step_forward(p, self.xw, self.xs, w_t, cfg, buffers)
+        _, fw = trainer.step_forward(p, held_x, self.xw, self.xs, w_t, cfg, buffers)
         return trainer.step_loss_grad(
             p, self.xw, fw, targets, r, bcs, cfg.eta_w, w_t, cfg,
             pairs=pairs if w_t > 0 else None, pseudo_cls=pc,
@@ -506,8 +507,7 @@ class TestFusedStep(_StepFixture):
             if w_t > 0:
                 terms["cr"] = head_grad(pk, xs, trainer.consistency_loss_grad, targets[k],
                                         bcs[k])
-                terms["ram"] = net.weighted_ce_loss_grad(pk, pairs.x[k], pairs.y[k],
-                                                         pairs.w[k])
+                terms["ram"] = weighted_ce_loss_grad(pk, pairs.x[k], pairs.y[k], pairs.w[k])
                 terms["cdcl"] = cdcl_grad(pk, xw, xs, pc[k], beta[k], cfg.cdcl)
                 expected = expected + w_t * (terms["cr"][1] + terms["ram"][1]
                                              + cfg.lambda_cdcl * terms["cdcl"][1])
@@ -521,9 +521,9 @@ class TestFusedStep(_StepFixture):
 
     def test_partner_reads_its_shared_forward(self, monkeypatch):
         # each net's frozen co-network probabilities are, bit for bit, the
-        # softmax of the weak-view rows of its partner's slice of the stack's
-        # shared forward; the forward's logits live in reused buffers, so the
-        # record keeps a copy
+        # softmax of the weak-view rows, after the meta set's held-out rows,
+        # of its partner's slice of the stack's shared forward; the forward's
+        # logits live in reused buffers, so the record keeps a copy
         events = []
         forward, refined = trainer.forward_batch, trainer.refined_targets
 
@@ -548,11 +548,71 @@ class TestFusedStep(_StepFixture):
                 continue
             # the batch's shared forward: the last forward from row 0
             shared = [e[2] for e in events[:k] if e[0] == "forward" and e[1] == 0][-1]
-            b = co_probs.shape[1]
-            assert np.array_equal(net.softmax(shared[1, :b]), co_probs[0])  # net1's partner
-            assert np.array_equal(net.softmax(shared[0, :b]), co_probs[1])  # net2's partner
+            weak = slice(meta.m, meta.m + co_probs.shape[1])
+            assert np.array_equal(net.softmax(shared[1, weak]), co_probs[0])  # net1's partner
+            assert np.array_equal(net.softmax(shared[0, weak]), co_probs[1])  # net2's partner
             checked += 1
         assert checked == cfg.epochs * -(-train.n // cfg.batch_size)
+
+    @pytest.mark.parametrize("w_t", [0.0, 1.0])
+    def test_held_out_rows_lead_the_shared_forward(self, w_t):
+        # the meta set's rows of the shared forward are, bit for bit, a
+        # fresh forward of them, and the step's rows a fresh forward of the
+        # views; the losses and the gradient are those of a step without them
+        p = self.stacked([0, 2, 3])[0]
+        held_x = np.random.default_rng(5).standard_normal((7, 3))
+        held, fw = trainer.step_forward(p, held_x, self.xw, self.xs, w_t, self.cfg,
+                                        net.Buffers())
+        views = np.concatenate([self.xw, self.xs]) if w_t > 0 else self.xw
+        for got, x in ((held, held_x), (fw, views)):
+            fresh = net.forward_batch(p, x)
+            for a, b in zip((got.logits, got.emb) + got.cache,
+                            (fresh.logits, fresh.emb) + fresh.cache):
+                assert np.array_equal(a, b)
+        losses, grad, purity = self.step([0, 2, 3], w_t, self.cfg, held_x=held_x)
+        losses0, grad0, purity0 = self.step([0, 2, 3], w_t, self.cfg)
+        assert losses.keys() == losses0.keys()
+        for key in losses:
+            assert np.array_equal(losses[key], losses0[key])
+        assert np.array_equal(grad, grad0)
+        assert (purity is None) == (purity0 is None)
+        assert purity is None or np.array_equal(purity, purity0)
+
+    @pytest.mark.parametrize("use_meta", [True, False])
+    def test_one_shared_forward_per_batch(self, monkeypatch, use_meta):
+        # each batch forwards the stack once from row 0, the held-out rows
+        # first when the meta step runs, and once the ramp is above zero
+        # with Mixup on it extends that forward with the Mixup rows; nothing
+        # else forwards in a step (evaluation runs its own chunks)
+        calls = []
+
+        def recording(module):
+            inner = module.forward_batch
+
+            def forward(params, x, eval_mode=False, buffers=None, row0=0, total_rows=None):
+                calls.append((module.__name__, row0, x.shape[-2]))
+                return inner(params, x, eval_mode, buffers, row0, total_rows)
+            return forward
+
+        for module in (net, trainer, reliability, metrics):
+            monkeypatch.setattr(module, "forward_batch", recording(module))
+        train, meta, test = tiny_data()
+        cfg = tiny_cfg(epochs=3, use_meta=use_meta)  # the ramp is 0, 1, 1
+        trainer.co_train(train, meta, test, cfg)
+        m = meta.m if use_meta else 0
+        expected = []
+        for t in range(cfg.epochs):
+            w_t = trainer.warmup(t, cfg)
+            for b0 in range(0, train.n, cfg.batch_size):
+                b = min(cfg.batch_size, train.n - b0)
+                rows = m + (2 * b if w_t > 0 else b)
+                expected.append(("noisylab.trainer", 0, rows))
+                if w_t > 0:
+                    expected.append(("noisylab.trainer", rows, b))
+        assert b < cfg.batch_size  # a short last batch
+        assert [c for c in calls if c[0] != "noisylab.metrics"] == expected
+        assert [c for c in calls if c[0] == "noisylab.metrics"] == [
+            ("noisylab.metrics", 0, test.n)] * (cfg.epochs + 1)
 
     def test_one_parameter_stack_per_run(self, monkeypatch):
         # the run steps one stack in place: the two initial nets and their
@@ -662,6 +722,49 @@ class TestEpochTally:
         bins = np.minimum((lam * 10).astype(np.int64), 9)
         assert np.array_equal(tally.lam_hist,
                               np.bincount(kinds * 10 + bins, minlength=30).reshape(3, 10))
+
+    def test_epoch_record_equals_the_per_batch_form(self):
+        # record stacks the epoch's batches (the short last one on its own);
+        # its reliability statistics, the epoch's mass gap, the run's
+        # extremes across two epochs and the lambda histogram equal a
+        # batch-by-batch recomputation, bit for bit
+        rng = np.random.default_rng(8)
+        gens = [np.random.default_rng(1), np.random.default_rng(2)]
+        tally = metrics.EpochTally()
+        gaps, alpha_mins, beta_mins = [], [], []
+        for t in range(2):
+            tally = metrics.EpochTally(tally)
+            parts = {(p, g): [] for p in ("alpha", "beta") for g in (True, False)}
+            hist, epoch_gaps = np.zeros((3, 10), dtype=np.int64), []
+            for b in (32, 32, 32, 20):
+                rb = reliability.disentangle(*rng.standard_normal((2, 2, b)))
+                clean = rng.random(b) < 0.6
+                tally.add_reliability(rb, clean)
+                x, r = rng.standard_normal((b, 2)), rng.uniform(0.1, 2.0, (2, b))
+                pairs = mixup.build_pairs(x, r, np.full((2, b, 2), 0.5), mixup.RamConfig(),
+                                          gens)
+                tally.add_pairs(pairs, clean)
+                for (prefix, group), store in parts.items():
+                    store.append(getattr(rb, prefix)[:, clean == group].ravel())
+                s = rb.mass[:, 0]
+                epoch_gaps.append(float(np.max(np.abs(
+                    rb.alpha.sum(axis=1) + rb.beta.sum(axis=1) - b * s / (s + reliability.XI)))))
+                alpha_mins.append(float(rb.alpha.min()))
+                beta_mins.append(float(rb.beta.min()))
+                kinds = clean.astype(np.int64) + clean[pairs.j]
+                bins = np.minimum((pairs.lam * 10).astype(np.int64), 9)
+                np.add.at(hist, (kinds, bins), 1)
+            gaps += epoch_gaps
+            rec = tally.record(t, 0.1, 1.0, {})
+            for (prefix, group), store in parts.items():
+                values = np.concatenate(store)
+                base = "%s_%s" % (prefix, "clean" if group else "noisy")
+                assert rec["reliability_stats"][base + "_mean"] == float(values.mean())
+                assert rec["reliability_stats"][base + "_std"] == float(values.std())
+            assert rec["mass_gap_max"] == max(epoch_gaps)
+            assert tally.run_lows == {"mass_gap_max": max(gaps), "alpha_min": min(alpha_mins),
+                                      "beta_min": min(beta_mins)}
+            assert np.array_equal(tally.lam_hist, hist)
 
 
 class TestConfigValidation:
