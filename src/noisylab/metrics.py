@@ -211,13 +211,16 @@ class EpochTally:
         self.reliability.append((rb, clean))
 
     def add_pairs(self, pairs, clean):
-        """One batch's stacked Mixup pairs; the float sums run net by net."""
+        """One batch's stacked Mixup pairs. The pair kinds are compared and
+        the gates summed once for the stack; the float sums still add one
+        masked sum per net and kind, net by net, so lambda_stats and
+        mean_wmix keep their order of summation."""
         lam = pairs.lam
         kinds = clean.astype(np.int64) + clean[pairs.j]
-        for w, lam_k, kinds_k in zip(pairs.w, lam, kinds):
-            self.wmix_sum += float(w.sum())
-            for kind in range(len(PAIR_KINDS)):
-                self.lam_sums[kind] += lam_k[kinds_k == kind].sum()
+        masks = kinds == np.arange(len(PAIR_KINDS))[:, None, None]  # (kind, net, B)
+        for k, w_sum in enumerate(pairs.w.sum(axis=-1).tolist()):
+            self.wmix_sum += w_sum
+            self.lam_sums += [lam[k][mask].sum() for mask in masks[:, k]]
         bins = np.minimum((lam * LAMBDA_BINS).astype(np.int64), LAMBDA_BINS - 1)
         self.lam_hist += np.bincount((kinds * LAMBDA_BINS + bins).ravel(),
                                      minlength=self.lam_hist.size).reshape(self.lam_hist.shape)

@@ -11,7 +11,9 @@ Pairs for a stack of networks are built in one call with one generator per
 net: each generator makes exactly the draws, in the same order, of its
 net's single-net call (permutation, then the rejection rounds and boost
 draws of the first Gamma sample, then those of the second), while each
-rejection round tests all nets' pending draws at once.
+rejection round tests all nets' pending draws at once, drawn into one array
+from a count of pending draws per generator. The partner gathers of a stack
+are flat takes over its rows.
 """
 
 from __future__ import annotations
@@ -63,14 +65,22 @@ def _generators(rng) -> list:
     return [rng] if isinstance(rng, np.random.Generator) else list(rng)
 
 
-def _draws(rngs: list, bounds: list, method: str) -> np.ndarray:
-    """One array of draws in which generator k fills [bounds[k], bounds[k+1])
-    by its `method` (standard_normal or random); an empty slice draws nothing,
-    so each generator sees only its own draws."""
-    out = np.empty(bounds[-1])
-    for g, lo, hi in zip(rngs, bounds, bounds[1:]):
-        if hi > lo:
-            getattr(g, method)(out=out[lo:hi])
+def _draws(rngs: list, counts: list, normal: bool) -> np.ndarray:
+    """One array of draws in which generator k fills counts[k] columns,
+    after the earlier generators' columns: with `normal`, a row of standard
+    normals over a row of uniforms (each generator draws its normals
+    first), else one row of uniforms. A generator with no draws is not
+    called, so each generator sees only its own draws."""
+    n = sum(counts)
+    out = np.empty((2 if normal else 1, n))
+    lo = 0
+    for g, c in zip(rngs, counts):
+        if c:
+            hi = lo + c
+            if normal:
+                g.standard_normal(out=out[0, lo:hi])
+            g.random(out=out[-1, lo:hi])
+            lo = hi
     return out
 
 
@@ -82,40 +92,45 @@ def gamma_sample(shape, rng) -> np.ndarray:
     gamma_sample(shape[k], rng[k]), and each rejection round tests every
     row's pending draws in one pass. Shapes below 1 are boosted: draw
     Gamma(shape+1) and scale by U^(1/shape).
+
+    A round writes every pending draw and keeps the rejected ones pending,
+    so a later round overwrites them; the log-form test runs only on rounds
+    whose squeeze test rejects a draw.
     """
     rngs = _generators(rng)
     a = np.asarray(shape, dtype=np.float64).ravel()  # row after row
     # a NaN shape would never be accepted below; both comparisons reject it
     if not np.all((a > 0) & (a < np.inf)):
         raise ValueError("gamma shape must be positive and finite")
-    edges = np.arange(1, len(rngs)) * (a.size // len(rngs))  # first draw of rows 1..K-1
-    split = lambda idx: [0, *np.searchsorted(idx, edges).tolist(), idx.size]
+    per = a.size // len(rngs)  # the draws of each generator's row
     boost = a < 1.0
     d = np.where(boost, a + 1.0, a) - 1.0 / 3.0
     dc = np.array((d, 1.0 / np.sqrt(9.0 * d)))
     di, ci = dc
     out = np.empty_like(d)
     idx = np.arange(d.size)  # the draws still pending, in increasing order
+    counts = [per] * len(rngs)  # of them, each generator's
     # each round draws one normal and one uniform per pending draw; a draw
     # with v <= 0 needs |x| >= 3*sqrt(d) >= 2.45, where the squeeze test
     # fails, and its log(v) is nan or -inf, which fails the full test, so it
     # is rejected without a guard; errstate silences those logs and log(0)
     with np.errstate(divide="ignore", invalid="ignore"):
         while True:
-            bounds = split(idx)
-            x = _draws(rngs, bounds, "standard_normal")
-            u = _draws(rngs, bounds, "random")
+            x, u = _draws(rngs, counts, normal=True)
             v = (1.0 + ci * x) ** 3
-            accept = ((u < 1.0 - 0.0331 * x ** 4)
-                      | (np.log(u) < 0.5 * x * x + di * (1.0 - v + np.log(v))))
-            out[idx[accept]] = (di * v)[accept]
-            idx = idx[~accept]
-            if not idx.size:
+            out[idx] = di * v
+            accept = u < 1.0 - 0.0331 * x ** 4
+            if accept.all():
                 break
+            accept |= np.log(u) < 0.5 * x * x + di * (1.0 - v + np.log(v))
+            if accept.all():
+                break
+            idx = idx[~accept]
+            counts = np.bincount(idx // per, minlength=len(rngs)).tolist()
             di, ci = dc.take(idx, axis=1)
     if boost.any():
-        u2 = _draws(rngs, split(np.flatnonzero(boost)), "random")
-        out[boost] *= u2 ** (1.0 / a[boost])
+        counts = np.count_nonzero(boost.reshape(len(rngs), per), axis=1).tolist()
+        out[boost] *= _draws(rngs, counts, normal=False)[0] ** (1.0 / a[boost])
     return out.reshape(np.shape(shape)) if np.ndim(shape) else float(out[0])
 
 
@@ -147,7 +162,10 @@ def _partner_permutation(b: int, rng: np.random.Generator) -> np.ndarray:
         swap = (k + 1) % b
         perm[k], perm[swap] = perm[swap], perm[k]
     elif fixed.size > 1:
-        perm[fixed] = perm[np.roll(fixed, 1)]
+        # a cycle through the fixed points: each takes the previous one's
+        # index, the first the last's
+        perm[fixed[1:]] = fixed[:-1]
+        perm[fixed[0]] = fixed[-1]
     return perm
 
 
@@ -171,8 +189,11 @@ def build_pairs(batch_x: np.ndarray, reliabilities: np.ndarray,
     if b == 0:
         raise ValueError("batch must be nonempty")
     rngs = _generators(rng)
-    perm = np.stack([_partner_permutation(b, g) for g in rngs]).reshape(r.shape)
-    r_perm = np.take_along_axis(r, perm, axis=-1)
+    perms = np.stack([_partner_permutation(b, g) for g in rngs])
+    perm = perms.reshape(r.shape)
+    # each partner's row among the stack's rows, for flat takes
+    partner = (perms + np.arange(0, perms.size, b)[:, None]).ravel()
+    r_perm = r.take(partner).reshape(r.shape)
     if symmetric:
         shapes = np.full(r.shape, cfg.gamma)
         lam = _beta_from_gammas(shapes, shapes, rngs)
@@ -181,6 +202,6 @@ def build_pairs(batch_x: np.ndarray, reliabilities: np.ndarray,
     # gating weight: the stronger endpoint's reliability
     w = np.maximum(r, r_perm) if gate else np.ones(r.shape)
     keep, rest = lam[..., None], (1.0 - lam)[..., None]
+    y_perm = refined_targets.reshape(-1, refined_targets.shape[-1]).take(partner, axis=0)
     return MixBatch(j=perm, lam=lam, w=w, x=keep * batch_x + rest * batch_x[perm],
-                    y=keep * refined_targets
-                    + rest * np.take_along_axis(refined_targets, perm[..., None], axis=-2))
+                    y=keep * refined_targets + rest * y_perm.reshape(refined_targets.shape))

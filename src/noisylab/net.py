@@ -33,6 +33,12 @@ raises. A forward's blocks of rows are forwards of their own (rows()): a
 network step forwards the meta step's held-out rows with its batch, and
 backward_batch runs on either block. Without buffers the passes allocate
 fresh arrays, with the same bits.
+
+The cross-entropy heads read log-probabilities, not logits: a caller takes
+one log_softmax per block of rows (for a stack, for every net at once) and
+its exp, and every head that reads those rows, or a subset of them, uses
+the same two arrays. ce_grad is the heads' one gradient formula; the meta
+step's held-out head, which needs no loss value, calls it alone.
 """
 
 from __future__ import annotations
@@ -301,18 +307,24 @@ def backward_batch(params: ModelParams, cache: tuple, dlogits: np.ndarray,
     return grad
 
 
-def weighted_ce_head(logits: np.ndarray, targets: np.ndarray,
-                     weights: np.ndarray) -> tuple[float | np.ndarray, np.ndarray]:
+def weighted_ce_head(logp: np.ndarray, targets: np.ndarray, weights: np.ndarray,
+                     probs: np.ndarray | None = None) -> tuple[float | np.ndarray, np.ndarray]:
     """Value of (1/B) * sum_i weights_i * CE(logits_i, targets_i) and its
-    gradient w.r.t. the logits; for a stack of logits, one value per net."""
+    gradient w.r.t. the logits (ce_grad), from logp = log_softmax(logits)
+    and probs its exp when the caller has it; for a stack, one value per
+    net."""
     targets = np.asarray(targets, dtype=np.float64)
     weights = np.asarray(weights, dtype=np.float64)
-    b = logits.shape[-2]
-    logp = log_softmax(logits)
     per = -(targets * logp).sum(axis=-1)
-    loss = (weights * per).sum(axis=-1) / b
+    loss = (weights * per).sum(axis=-1) / logp.shape[-2]
     return (loss if loss.ndim else float(loss),
-            (np.exp(logp) - targets) * (weights / b)[..., None])
+            ce_grad(np.exp(logp) if probs is None else probs, targets, weights))
+
+
+def ce_grad(probs: np.ndarray, targets: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """The gradient of weighted_ce_head's value w.r.t. the logits, from
+    their softmax probs: (probs - targets) * weights / B, row by row."""
+    return (probs - targets) * (weights / probs.shape[-2])[..., None]
 
 
 def _matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:

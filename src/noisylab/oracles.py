@@ -170,11 +170,12 @@ def dense_cdcl_feature_grad(z: np.ndarray, pseudo_class: np.ndarray, beta: np.nd
 
 def head_grad(params: net.ModelParams, x: np.ndarray, head, *args,
               **kwargs) -> tuple[float, np.ndarray]:
-    """A cross-entropy head on its own (trainer.reweighted_ce_grad or
-    trainer.consistency_loss_grad, called on x's logits with the remaining
-    arguments): loss and flat parameter gradient through x's forward."""
+    """A cross-entropy head on its own (trainer.reweighted_ce_grad,
+    trainer.consistency_loss_grad or net.weighted_ce_head, called on the
+    log-softmax of x's logits with the remaining arguments): loss and flat
+    parameter gradient through x's forward."""
     out = net.forward_batch(params, x)
-    loss, dlogits = head(out.logits, *args, **kwargs)
+    loss, dlogits = head(net.log_softmax(out.logits), *args, **kwargs)
     return loss, net.backward_batch(params, out.cache, dlogits)
 
 
@@ -224,7 +225,7 @@ def fused_step_fd_error(params: net.ModelParams, xw: np.ndarray, xs: np.ndarray,
         losses, grad, _ = trainer.step_loss_grad(
             p, xw, fw, targets2, r2, bc2, cfg.eta_w, w_t, cfg,
             pairs=pairs2 if w_t > 0.0 else None, pseudo_cls=pc2, gate_beta=beta2,
-            buffers=buffers)
+            weak=trainer.block_log_probs(fw.logits[:, :b]), buffers=buffers)
         values = losses["ce_re"] + w_t * (losses.get("cr", 0.0) + losses.get("ram", 0.0)
                                           + cfg.lambda_cdcl * losses.get("cdcl", 0.0))
         return values, grad

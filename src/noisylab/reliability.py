@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import MetaSet
-from .net import (BatchForward, Buffers, ModelParams, backward_batch, forward_batch,
-                  per_sample_grad_dots, weighted_ce_head)
+from .net import (BatchForward, Buffers, ModelParams, backward_batch, ce_grad, forward_batch,
+                  per_sample_grad_dots, softmax)
 from .util import ConfigError
 
 # guards the batch normalization of alpha and beta against a mass S = 0
@@ -66,6 +66,8 @@ def meta_gradients_closed(params: ModelParams, batch_x: np.ndarray,
     `meta_targets` the one-hot rows of meta.y, when the caller has them;
     co_train takes both forwards from its step's shared forward.
 
+    The held-out rows' head is net.ce_grad on their softmax (one
+    log-softmax for a stack), since no one reads the held-out loss's value.
     With `buffers`, the held-out gradient and the per-sample temporaries
     (net.per_sample_grad_dots) live in the backward pass's roles, which are
     free until the caller's next backward.
@@ -80,7 +82,7 @@ def meta_gradients_closed(params: ModelParams, batch_x: np.ndarray,
         meta_out = forward_batch(params, meta.x)
     if meta_targets is None:
         meta_targets = one_hot(meta.y, given_targets.shape[1])
-    dlogits = weighted_ce_head(meta_out.logits, meta_targets, np.ones(meta.m))[1]
+    dlogits = ce_grad(softmax(meta_out.logits), meta_targets, np.ones(meta.m))
     mgrad = backward_batch(params, meta_out.cache, dlogits, buffers=buffers)
     d1, d2 = per_sample_grad_dots(params, out, given_targets, pseudo_targets, mgrad,
                                   buffers, probs)

@@ -17,9 +17,11 @@ passes run net by net, each as one sweep over row blocks of one work matrix.
 The confidence-filtered cross-entropy and consistency heads are the one loop
 over the two nets left, since each net keeps its own rows and
 perfbench/worker.py's row-count probe reads one reweighted_ce_grad call per
-net; when the filter passes every row (warm-up, no refinement, or a whole
-confident batch) they run on the cached rows as they are, with no gather or
-scatter. The pair stays a stack up to the report: each loss term and the
+net. They read log-probabilities and probabilities taken once per block of
+rows for the stack (block_log_probs), each net gathering its kept rows bc;
+when the filter passes every row (warm-up, no refinement, or a whole
+confident batch) they run on the block's rows as they are, with no gather
+or scatter. The pair stays a stack up to the report: each loss term and the
 contrastive purity totals come back with the net axis, the divergence check
 tests both nets at once, and metrics.EpochTally sums them and builds each
 epoch's record and the summary's extremes; the record is metrics' alone.
@@ -32,9 +34,13 @@ ones, and assembles each net's objective ce + w_t * (cr + ram + lambda_cdcl *
 cdcl) once, as its "total" and as one backward pass over the summed head
 gradients (backward_batch is linear in them). The meta step reads the
 held-out rows and the weak-view rows of that forward and runs its own
-backward on the held-out rows, since alpha and beta depend on it; the
-co-network softmax and pseudo-labels are taken only when a term reads them
-(refinement, the meta step or the contrastive term).
+backward on the held-out rows, since alpha and beta depend on it. Each block
+of rows gets one log-softmax for the stack: the weak rows' on every step,
+since both nets' cross-entropy heads read it, and the co-network softmax is
+its exp read in partner order; the held-out rows' in the meta step, which
+takes only the gradient of its head; the strong rows' for the consistency
+heads and the Mixup rows' for the Mixup head. The pseudo-labels are taken
+only when a term reads them (the meta step or the contrastive term).
 
 Once per epoch, co_train puts the views, the one-hot observed labels, the
 clean mask and the true labels in that epoch's batch order, so each batch
@@ -63,7 +69,7 @@ from .contrastive import CdclConfig
 from .data import AugmentConfig, Dataset, MetaSet, default_augment_config, make_views
 from .mixup import DELTA, RamConfig, total_reliability
 from .net import (Architecture, BatchForward, Buffers, ModelParams, backward_batch,
-                  forward_batch, init_params, sgd_step, softmax, stack_params,
+                  forward_batch, init_params, log_softmax, sgd_step, stack_params,
                   weighted_ce_head)
 from .reliability import disentangle, meta_gradients_closed
 from .util import ConfigError, TrainingDiverged, child_rng
@@ -177,48 +183,61 @@ def refined_targets(co_probs: np.ndarray, given_targets: np.ndarray, w_t: float,
     return targets, [np.flatnonzero(kept) for kept in confident]
 
 
-def reweighted_ce_grad(logits: np.ndarray, targets, reliabilities: np.ndarray,
-                       bc: np.ndarray, eta_w: float):
-    """Confidence-filtered cross-entropy of cached logits with multiplier
-    1 + eta_w * r_tilde, where r_tilde is each sample's reliability over the
-    filtered-batch mean (plus mixup.DELTA, which guards an all-zero mean).
+def block_log_probs(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The log-softmax of one block of cached logits (for a stack, every
+    net's at once) and its exp, the softmax: what the cross-entropy heads
+    that read the block's rows, or some of them, take."""
+    logp = log_softmax(logits)
+    return logp, np.exp(logp)
+
+
+def reweighted_ce_grad(logp: np.ndarray, targets, reliabilities: np.ndarray,
+                       bc: np.ndarray, eta_w: float, probs: np.ndarray | None = None):
+    """Confidence-filtered cross-entropy of cached log-probabilities logp =
+    log_softmax(logits), probs their exp when the caller has it, with
+    multiplier 1 + eta_w * r_tilde, where r_tilde is each sample's
+    reliability over the filtered-batch mean (plus mixup.DELTA, which guards
+    an all-zero mean).
 
     bc holds increasing row indices, as refined_targets returns them.
     Returns the loss and its gradient w.r.t. the logits.
     """
-    return _filtered_ce(logits, targets, bc, np.asarray(reliabilities, dtype=np.float64),
-                        eta_w)
+    return _filtered_ce(logp, probs, targets, bc,
+                        np.asarray(reliabilities, dtype=np.float64), eta_w)
 
 
-def consistency_loss_grad(logits: np.ndarray, targets, bc: np.ndarray):
-    """Cross-entropy of the strong view's cached logits against the same
-    refined targets; returns what reweighted_ce_grad returns."""
-    return _filtered_ce(logits, targets, bc)
+def consistency_loss_grad(logp: np.ndarray, targets, bc: np.ndarray,
+                          probs: np.ndarray | None = None):
+    """Cross-entropy of the strong view's cached log-probabilities against
+    the same refined targets; takes and returns what reweighted_ce_grad
+    does."""
+    return _filtered_ce(logp, probs, targets, bc)
 
 
-def _filtered_ce(logits, targets, bc, reliabilities=None, eta_w=0.0):
-    """(1/|bc|) * sum over rows bc of w * CE(logits, targets) and its
-    gradient w.r.t. the logits (zero outside bc). w is 1, or with
-    reliabilities r it is reweighted_ce_grad's 1 + eta_w * r_tilde. When bc
-    holds every row, the head runs on the rows as they are, with no gather
-    or scatter: the same bits."""
+def _filtered_ce(logp, probs, targets, bc, reliabilities=None, eta_w=0.0):
+    """(1/|bc|) * sum over rows bc of w * CE and its gradient w.r.t. the
+    logits (zero outside bc), from the rows' log-probabilities and, when
+    given, probabilities. w is 1, or with reliabilities r it is
+    reweighted_ce_grad's 1 + eta_w * r_tilde. When bc holds every row, the
+    head runs on the rows as they are, with no gather or scatter: the same
+    bits."""
     bc = np.asarray(bc, dtype=np.int64)
     if bc.size == 0:
-        return 0.0, np.zeros_like(logits)
-    full = bc.size == len(logits)
+        return 0.0, np.zeros_like(logp)
+    full = bc.size == len(logp)
 
     def rows(a):
-        return a if full else np.asarray(a)[bc]
+        return a if full or a is None else np.asarray(a)[bc]
 
     if reliabilities is None:
         weights = np.ones(bc.size)
     else:
         r = rows(reliabilities)
         weights = 1.0 + eta_w * (r / (r.mean() + DELTA))
-    loss, dl = weighted_ce_head(rows(logits), rows(targets), weights)
+    loss, dl = weighted_ce_head(rows(logp), rows(targets), weights, rows(probs))
     if full:
         return loss, dl
-    dlogits = np.zeros_like(logits)
+    dlogits = np.zeros_like(logp)
     dlogits[bc] = dl
     return loss, dlogits
 
@@ -253,15 +272,17 @@ def step_loss_grad(params: ModelParams, xw: np.ndarray, fw: BatchForward,
                    cfg: TrainConfig, pairs: mixup.MixBatch | None = None,
                    pseudo_cls: np.ndarray | None = None,
                    gate_beta: np.ndarray | None = None, y_true: np.ndarray | None = None,
-                   *, buffers: Buffers):
+                   *, weak: tuple[np.ndarray, np.ndarray], buffers: Buffers):
     """Loss terms, flat gradients and contrastive purity totals of one
     network step of a stack of K networks.
 
     params is the stack (lead (K,)); targets (K, B, C), r, pseudo_cls and
     gate_beta (K, B) and every field of pairs (a stacked mixup.MixBatch)
     hold one block per net, and bc one entry per net. fw is the step rows'
-    forward of step_forward, the last forward into the same `buffers`.
-    Each term's head gradient comes from the cached outputs with w_t and
+    forward of step_forward, the last forward into the same `buffers`, and
+    weak its weak-view rows' block_log_probs, which the caller took for the
+    co-network. Each term's head gradient comes from the cached outputs,
+    one log-softmax per block of rows for the stack, with w_t and
     lambda_cdcl folded in, the Mixup rows are forwarded into the rows
     step_forward reserved after fw's, and one backward pass over [xw; xs;
     x_mix] gives each net's gradient of total = ce + w_t * (cr + ram +
@@ -284,13 +305,17 @@ def step_loss_grad(params: ModelParams, xw: np.ndarray, fw: BatchForward,
     dlogits[:, b:] = 0.0  # the strong-view rows stay zero without the consistency term
     demb = None
     cache = fw.cache
+    logp_w, probs_w = weak
+    if cr:
+        logp_s, probs_s = block_log_probs(fw.logits[:, b:])
     for k in nets:
         # bc by keyword: perfbench/worker.py's probe reads it there, and the
         # rows offered from targets[k]
         losses["ce_re"][k], dlogits[k, :b] = reweighted_ce_grad(
-            fw.logits[k, :b], targets[k], r[k], bc=bc[k], eta_w=eta_w)
+            logp_w[k], targets[k], r[k], bc=bc[k], eta_w=eta_w, probs=probs_w[k])
         if cr:
-            losses["cr"][k], dcr = consistency_loss_grad(fw.logits[k, b:], targets[k], bc[k])
+            losses["cr"][k], dcr = consistency_loss_grad(logp_s[k], targets[k], bc[k],
+                                                         probs=probs_s[k])
             np.multiply(w_t, dcr, out=dlogits[k, b:n])
     if w_t > 0.0 and cfg.use_cdcl:
         demb = buffers.array("demb", (len(nets), rows, fw.emb.shape[-1]))
@@ -302,7 +327,8 @@ def step_loss_grad(params: ModelParams, xw: np.ndarray, fw: BatchForward,
         # the Mixup rows end step_forward's reservation; any held-out rows lead it
         total = buffers.forward_rows[-1]
         mix = forward_batch(params, pairs.x, buffers=buffers, row0=total - b, total_rows=total)
-        losses["ram"], dram = weighted_ce_head(mix.logits[:, total - b:], pairs.y, pairs.w)
+        losses["ram"], dram = weighted_ce_head(log_softmax(mix.logits[:, total - b:]), pairs.y,
+                                               pairs.w)
         np.multiply(w_t, dram, out=dlogits[:, n:])
         cache = mix.rows(slice(total - rows, None)).cache
     losses["total"] = losses["ce_re"] + w_t * (losses.get("cr", 0.0) + losses.get("ram", 0.0)
@@ -395,12 +421,14 @@ def co_train(train: Dataset, meta: MetaSet | None, test: Dataset, cfg: TrainConf
             b = len(xw)
 
             # one shared forward of the stack per batch, the meta step's
-            # held-out rows first; its weak-view rows are the frozen
-            # pre-update co-network outputs (net1 learns from net2's)
+            # held-out rows first; the softmax of its weak-view rows, which
+            # both nets' cross-entropy heads read, is in partner order the
+            # frozen pre-update co-network output (net1 learns from net2's)
             held, fw = step_forward(params, meta_x, xw, xs, w_t, cfg, buffers)
-            co_probs = pseudo_cls = None
-            if cfg.use_refine or cfg.use_meta or (cfg.use_cdcl and w_t > 0.0):
-                co_probs = softmax(fw.logits[::-1, :b])
+            weak = block_log_probs(fw.logits[:, :b])
+            co_probs = weak[1][::-1]
+            pseudo_cls = None
+            if cfg.use_meta or (cfg.use_cdcl and w_t > 0.0):
                 pseudo_cls = co_probs.argmax(axis=-1)
 
             if cfg.use_refine:
@@ -412,7 +440,7 @@ def co_train(train: Dataset, meta: MetaSet | None, test: Dataset, cfg: TrainConf
             if cfg.use_meta:
                 e1, e2 = meta_gradients_closed(
                     params, xw, given, eye[pseudo_cls], meta, lr_t,
-                    out=fw.rows(slice(0, b)), probs=co_probs[::-1], meta_out=held,
+                    out=fw.rows(slice(0, b)), probs=weak[1], meta_out=held,
                     meta_targets=meta_targets, buffers=buffers)
                 if cfg.couple_meta:
                     e1 = e2 = 0.5 * (e1 + e2)
@@ -441,7 +469,7 @@ def co_train(train: Dataset, meta: MetaSet | None, test: Dataset, cfg: TrainConf
             losses, grad, purity = step_loss_grad(
                 params, xw, fw, targets, r, bc, eta_eff, w_t, cfg, pairs=pairs,
                 pseudo_cls=pseudo_cls, gate_beta=beta, y_true=y_true_epoch[rows],
-                buffers=buffers)
+                weak=weak, buffers=buffers)
 
             # both nets are checked before either moves, so an abort snapshot
             # holds the stack as it was before this batch

@@ -181,7 +181,39 @@ class TestGrgWeight:
             assert gate_weights([a + 0.05, b])[0] >= gate_weights([a, b])[0]
 
 
+def reference_partner_permutation(b, rng):
+    """mixup._partner_permutation as first written, with its np.roll repair
+    of two or more fixed points, kept as the reference of the production
+    form."""
+    perm = rng.permutation(b)
+    fixed = np.flatnonzero(perm == np.arange(b))
+    if b > 1 and fixed.size == 1:
+        k = int(fixed[0])
+        swap = (k + 1) % b
+        perm[k], perm[swap] = perm[swap], perm[k]
+    elif fixed.size > 1:
+        perm[fixed] = perm[np.roll(fixed, 1)]
+    return perm
+
+
 class TestBuildPairs:
+    @pytest.mark.parametrize("b", [1, 2, 3, 4, 5, 8, 32, 256])
+    def test_partner_permutation_equals_the_reference(self, b):
+        # the same permutation, and the generator left in the same state,
+        # as the np.roll form; small batches hit one and several fixed points
+        fixed_counts = set()
+        for seed in range(2000):
+            new_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = mixup._partner_permutation(b, new_rng)
+            want = reference_partner_permutation(b, ref_rng)
+            assert np.array_equal(got, want), seed
+            assert new_rng.bit_generator.state == ref_rng.bit_generator.state, seed
+            fixed_counts.add(int(np.count_nonzero(
+                np.random.default_rng(seed).permutation(b) == np.arange(b))))
+        # the swap (one fixed point) and the cycle (two or more) both ran
+        assert b < 3 or 1 in fixed_counts
+        assert b < 2 or max(fixed_counts) >= 2
+
     def test_single_sample_self_pair(self):
         x = np.array([[1.0, 2.0]])
         targets = np.array([[1.0, 0.0]])
@@ -368,4 +400,27 @@ class TestStackedSampler:
         for k, seed in enumerate(found):
             rng = np.random.default_rng(seed)
             assert np.array_equal(draws[k], mixup.gamma_sample(shapes[k], rng))
+            assert stack_rngs[k].random() == rng.random()
+
+    def test_boosted_row_beside_a_row_of_many_rounds(self):
+        # net 1's row has shapes below one, so it makes a boost draw, and
+        # finishes in fewer rounds than net 2's row, which needs three or
+        # more: each round and the boost draw give each generator its own
+        # count of draws
+        shapes = np.array([np.where(np.arange(24) % 3, 0.4, 2.5), np.full(24, 1.5)])
+        found = None
+        for s in range(400):
+            counts = [CountingRng(seed) for seed in (2 * s, 2 * s + 1)]
+            for k, g in enumerate(counts):
+                mixup.gamma_sample(shapes[k:k + 1], [g])
+            if counts[1].rounds >= 3 and counts[0].rounds < counts[1].rounds:
+                found = (2 * s, 2 * s + 1)
+                break
+        assert found is not None
+        stack_rngs = [CountingRng(seed) for seed in found]
+        draws = mixup.gamma_sample(shapes, stack_rngs)
+        for k, seed in enumerate(found):
+            rng = CountingRng(seed)
+            assert np.array_equal(draws[k], mixup.gamma_sample(shapes[k:k + 1], [rng])[0])
+            assert stack_rngs[k].rounds == rng.rounds
             assert stack_rngs[k].random() == rng.random()

@@ -169,8 +169,8 @@ class TestBuffers:
         buffers = net.Buffers()
         meta_x, batch_x = rng.standard_normal((7, 16)), rng.standard_normal((9, 16))
         held = net.forward_batch(stack, meta_x)
-        dlogits = net.weighted_ce_head(held.logits, np.eye(4)[rng.integers(0, 4, 7)],
-                                       np.ones(7))[1]
+        dlogits = net.ce_grad(net.softmax(held.logits), np.eye(4)[rng.integers(0, 4, 7)],
+                              np.ones(7))
         held_out = net.backward_batch(stack, held.cache, dlogits, buffers=buffers)
         assert held_out is buffers.grad(arch, (2,))[0]
         out = net.forward_batch(stack, batch_x)
@@ -326,7 +326,7 @@ class TestStacked:
             logits = rng.standard_normal((2, n, 4))
             targets = rng.random((2, n, 4))
             weights = rng.random((2, n))
-            losses, dlogits = net.weighted_ce_head(logits, targets, weights)
+            losses, dlogits = net.weighted_ce_head(net.log_softmax(logits), targets, weights)
             x = rng.standard_normal((n, 16))
             given = one_hot(rng.integers(0, 4, n), 4)
             pseudo = one_hot(rng.integers(0, 4, (2, n)), 4)
@@ -336,7 +336,8 @@ class TestStacked:
             grad = rng.standard_normal((2, n_params))
             net.sgd_step(stack, grad, velocity, 0.05, 0.9, 5e-4, buffers)
             for k, p in enumerate(singles):
-                loss, dl = net.weighted_ce_head(logits[k], targets[k], weights[k])
+                loss, dl = net.weighted_ce_head(net.log_softmax(logits[k]), targets[k],
+                                                weights[k])
                 assert losses[k] == loss and np.array_equal(dlogits[k], dl)
                 ref = net.per_sample_grad_dots(p, net.forward_batch(p, x), given, pseudo[k],
                                                vec[k])
@@ -368,8 +369,8 @@ class TestCeLoss:
 
     @staticmethod
     def ce(logits, target):
-        return net.weighted_ce_head(np.atleast_2d(logits), np.atleast_2d(target),
-                                    np.ones(1))[0]
+        return net.weighted_ce_head(net.log_softmax(np.atleast_2d(logits)),
+                                    np.atleast_2d(target), np.ones(1))[0]
 
     def test_uniform_logits_log_c(self):
         logits = np.full(10, 1.7)
@@ -465,7 +466,8 @@ class TestPerSampleGrads:
         def scaled_loss(flat):
             q = net.ModelParams(p.arch, flat)
             logits = net.forward_batch(q, x[i:i + 1]).logits
-            return net.weighted_ce_head(logits, given[i:i + 1], np.ones(1))[0] / 3.0
+            return net.weighted_ce_head(net.log_softmax(logits), given[i:i + 1],
+                                        np.ones(1))[0] / 3.0
 
         fd = fd_gradient(scaled_loss, p.flat)
         assert max_rel_error(fd, g1[i]) < 1e-5

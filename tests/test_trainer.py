@@ -6,7 +6,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from noisylab import data, metrics, mixup, net, reliability, trainer
+from noisylab import contrastive, data, metrics, mixup, net, reliability, trainer
 from noisylab.data import AugmentConfig
 from noisylab.oracles import (cdcl_grad, fd_gradient, fused_step_fd_error, head_grad,
                               max_rel_error, weighted_ce_loss_grad)
@@ -171,9 +171,11 @@ class TestReweightedCe:
     def test_logit_gradient_matches_fd_and_is_zero_outside_filter(self):
         bc = np.array([1, 2, 4])
         logits = net.forward_batch(self.params, self.x).logits
-        _, dlogits = trainer.reweighted_ce_grad(logits, self.targets, self.r, bc, 1.0)
+        _, dlogits = trainer.reweighted_ce_grad(net.log_softmax(logits), self.targets, self.r,
+                                                bc, 1.0)
         fd = fd_gradient(lambda flat: trainer.reweighted_ce_grad(
-            flat.reshape(logits.shape), self.targets, self.r, bc, 1.0)[0], logits.ravel())
+            net.log_softmax(flat.reshape(logits.shape)), self.targets, self.r, bc, 1.0)[0],
+            logits.ravel())
         assert max_rel_error(fd, dlogits) < 1e-5
         assert np.all(dlogits[[0, 3, 5]] == 0.0)
 
@@ -190,15 +192,16 @@ class TestConsistency:
 
     def test_equals_unweighted_ce_of_same_inputs(self):
         bc = np.arange(5)
-        ce, dce = trainer.reweighted_ce_grad(self.logits, self.targets, np.ones(5), bc, 0.0)
-        cr, dcr = trainer.consistency_loss_grad(self.logits, self.targets, bc)
+        logp = net.log_softmax(self.logits)
+        ce, dce = trainer.reweighted_ce_grad(logp, self.targets, np.ones(5), bc, 0.0)
+        cr, dcr = trainer.consistency_loss_grad(logp, self.targets, bc)
         assert cr == pytest.approx(ce, abs=1e-12)
         assert np.allclose(dcr, dce, rtol=0.0, atol=1e-15)
 
     def test_self_target_gives_entropy(self):
         probs = net.softmax(self.logits)
         bc = np.arange(5)
-        loss, _ = trainer.consistency_loss_grad(self.logits, probs, bc)
+        loss, _ = trainer.consistency_loss_grad(net.log_softmax(self.logits), probs, bc)
         entropy = float(-(probs * np.log(probs)).sum(axis=1).mean())
         assert loss == pytest.approx(entropy, abs=1e-10)
 
@@ -214,9 +217,11 @@ class TestConsistency:
 
 def gathered_ce(logits, targets, reliabilities, bc, eta_w, reweighted=True):
     """The gather-and-scatter form of the filtered cross-entropy heads, the
-    reference of their full-batch path: the filtered rows gathered, the
-    multiplier from their reliabilities' ndarray.mean, and the gradient
-    scattered into zeros. reweighted=False is consistency_loss_grad."""
+    reference of their full-batch path and of their reading a block's
+    log-softmax: the filtered rows' logits gathered and their own
+    log-softmax taken, the multiplier from their reliabilities'
+    ndarray.mean, and the gradient scattered into zeros. reweighted=False
+    is consistency_loss_grad."""
     bc = np.asarray(bc, dtype=np.int64)
     r = np.asarray(reliabilities, dtype=np.float64)[bc]
     if not reweighted:
@@ -226,13 +231,15 @@ def gathered_ce(logits, targets, reliabilities, bc, eta_w, reweighted=True):
     dlogits = np.zeros_like(logits)
     if bc.size == 0:
         return 0.0, dlogits
-    loss, dlogits[bc] = net.weighted_ce_head(logits[bc], np.asarray(targets)[bc], weights)
+    loss, dlogits[bc] = net.weighted_ce_head(net.log_softmax(logits[bc]),
+                                             np.asarray(targets)[bc], weights)
     return loss, dlogits
 
 
 class TestFullBatchPath:
     """With every row in bc, the heads run on the cached rows as they are,
-    bit for bit as the gather-and-scatter form."""
+    and with any bc they read the block's log-softmax (for the stack at
+    once), bit for bit as the gather-and-scatter form."""
 
     @pytest.mark.parametrize("eta_w", [0.0, 1.0])
     def test_stacked_rows_and_short_last_batch_equal_the_gathered_form(self, eta_w):
@@ -250,13 +257,16 @@ class TestFullBatchPath:
             for targets in target_sets:
                 for r in (rng.uniform(0.0, 3.0, (2, b)), np.ones((2, b))):
                     bc = np.arange(b)
+                    logp_w, probs_w = trainer.block_log_probs(fw.logits[:, :b])
+                    logp_s, probs_s = trainer.block_log_probs(fw.logits[:, b:])
                     for k in range(2):
                         weak, strong = fw.logits[k, :b], fw.logits[k, b:]
-                        loss, grad = trainer.reweighted_ce_grad(weak, targets[k], r[k], bc=bc,
-                                                                eta_w=eta_w)
+                        loss, grad = trainer.reweighted_ce_grad(
+                            logp_w[k], targets[k], r[k], bc=bc, eta_w=eta_w, probs=probs_w[k])
                         ref_loss, ref_grad = gathered_ce(weak, targets[k], r[k], bc, eta_w)
                         assert loss == ref_loss and np.array_equal(grad, ref_grad), (b, k)
-                        loss, grad = trainer.consistency_loss_grad(strong, targets[k], bc)
+                        loss, grad = trainer.consistency_loss_grad(logp_s[k], targets[k], bc,
+                                                                   probs=probs_s[k])
                         ref_loss, ref_grad = gathered_ce(strong, targets[k], r[k], bc, eta_w,
                                                          reweighted=False)
                         assert loss == ref_loss and np.array_equal(grad, ref_grad), (b, k)
@@ -267,24 +277,28 @@ class TestFullBatchPath:
         logits = rng.standard_normal((6, 3))
         t = rng.random((6, 3))
         targets, r = t / t.sum(axis=1, keepdims=True), rng.uniform(0.1, 2.0, 6)
+        logp, probs = trainer.block_log_probs(logits)
         for eta_w in (0.0, 1.0):
-            loss, grad = trainer.reweighted_ce_grad(logits, targets, r, bc=bc, eta_w=eta_w)
+            loss, grad = trainer.reweighted_ce_grad(logp, targets, r, bc=bc, eta_w=eta_w,
+                                                    probs=probs)
             ref_loss, ref_grad = gathered_ce(logits, targets, r, bc, eta_w)
             assert loss == ref_loss and np.array_equal(grad, ref_grad)
-        loss, grad = trainer.consistency_loss_grad(logits, targets, bc)
+        loss, grad = trainer.consistency_loss_grad(logp, targets, bc, probs=probs)
         ref_loss, ref_grad = gathered_ce(logits, targets, r, bc, 0.0, reweighted=False)
         assert loss == ref_loss and np.array_equal(grad, ref_grad)
 
     def test_no_gather_without_a_filter_or_before_the_ramp(self, monkeypatch):
         # without refinement every batch passes whole, as does every batch
-        # of an epoch whose warm-up ramp is zero: every head then reads views
-        # of the forward's rows, never a gathered copy
+        # of an epoch whose warm-up ramp is zero: every filtered head (one
+        # net's rows, hence 2-D) then reads views of its block's
+        # log-softmax and softmax, never a gathered copy
         owned = []
         head = trainer.weighted_ce_head
 
-        def recording(logits, targets, weights):
-            owned.append(logits.flags.owndata)
-            return head(logits, targets, weights)
+        def recording(logp, targets, weights, probs=None):
+            if logp.ndim == 2:
+                owned.append(logp.flags.owndata or probs.flags.owndata)
+            return head(logp, targets, weights, probs)
 
         monkeypatch.setattr(trainer, "weighted_ce_head", recording)
         train, meta, test = tiny_data()
@@ -338,7 +352,8 @@ class _StepFixture:
         return trainer.step_loss_grad(
             p, self.xw, fw, targets, r, bcs, cfg.eta_w, w_t, cfg,
             pairs=pairs if w_t > 0 else None, pseudo_cls=pc,
-            gate_beta=beta, y_true=self.y, buffers=buffers)
+            gate_beta=beta, y_true=self.y,
+            weak=trainer.block_log_probs(fw.logits[:, :self.B]), buffers=buffers)
 
 
 class TestTotalLoss(_StepFixture):
@@ -578,6 +593,74 @@ class TestFusedStep(_StepFixture):
         assert (purity is None) == (purity0 is None)
         assert purity is None or np.array_equal(purity, purity0)
 
+    @pytest.mark.parametrize("w_t, split", [(0.0, False), (0.4, False), (0.4, True)],
+                             ids=["warmup", "confident", "filtered"])
+    def test_one_log_softmax_per_row_block(self, monkeypatch, w_t, split):
+        # a network step with every term on, as co_train runs it: the weak,
+        # held-out, strong and Mixup rows each get one log-softmax for the
+        # stack (the last two once the ramp is above zero), and the meta
+        # step's sensitivities, the losses, the gradient and the purity
+        # totals equal, bit for bit, each net's own step with fresh heads,
+        # each taking the log-softmax of its own (kept) rows. The filtered
+        # batch keeps different rows in each net; a confident one keeps all
+        cfg, b = self.cfg, self.B
+        p, (targets, r, pc, beta), bcs, pairs = self.stacked([0, 2, 3])
+        if not split:
+            bcs = [np.arange(b)] * 2
+        rng = np.random.default_rng(12)
+        meta = data.MetaSet(rng.standard_normal((7, 3)), rng.integers(0, 3, 7), np.arange(7))
+        given = np.eye(3)[rng.integers(0, 3, b)]
+        calls = []
+        inner = net.log_softmax
+
+        def counting(logits):
+            calls.append(logits.shape)
+            return inner(logits)
+
+        for module in (net, trainer):
+            monkeypatch.setattr(module, "log_softmax", counting)
+        buffers = net.Buffers()
+        held, fw = trainer.step_forward(p, meta.x, self.xw, self.xs, w_t, cfg, buffers)
+        weak = trainer.block_log_probs(fw.logits[:, :b])
+        e1, e2 = reliability.meta_gradients_closed(
+            p, self.xw, given, np.eye(3)[pc], meta, cfg.lr, out=fw.rows(slice(0, b)),
+            probs=weak[1], meta_out=held, meta_targets=np.eye(3)[meta.y], buffers=buffers)
+        losses, grad, purity = trainer.step_loss_grad(
+            p, self.xw, fw, targets, r, bcs, cfg.eta_w, w_t, cfg,
+            pairs=pairs if w_t > 0 else None, pseudo_cls=pc, gate_beta=beta, y_true=self.y,
+            weak=weak, buffers=buffers)
+        monkeypatch.undo()
+        assert calls == [(2, b, 3), (2, meta.m, 3)] + [(2, b, 3)] * (2 if w_t > 0 else 0)
+        assert (purity is None) == (w_t == 0)
+        for k in range(2):
+            pk = p[k]
+            ref_e1, ref_e2 = reliability.meta_gradients_closed(
+                pk, self.xw, given, np.eye(3)[pc[k]], meta, cfg.lr)
+            assert np.array_equal(e1[k], ref_e1) and np.array_equal(e2[k], ref_e2)
+            out = net.forward_batch(pk, np.concatenate([self.xw, self.xs]) if w_t > 0 else self.xw)
+            ref = {}
+            ref["ce_re"], dce = gathered_ce(out.logits[:b], targets[k], r[k], bcs[k], cfg.eta_w)
+            dlogits, demb, cache = [dce], None, out.cache
+            if w_t > 0:
+                ref["cr"], dcr = gathered_ce(out.logits[b:], targets[k], r[k], bcs[k], 0.0,
+                                             reweighted=False)
+                mix = net.forward_batch(pk, pairs.x[k])
+                ref["ram"], dram = net.weighted_ce_head(net.log_softmax(mix.logits), pairs.y[k],
+                                                        pairs.w[k])
+                ref["cdcl"], draw, ref_purity = contrastive.cdcl_head(
+                    out.emb, pc[k], beta[k], cfg.cdcl, self.y)
+                assert np.array_equal(purity[k], ref_purity)
+                dlogits += [w_t * dcr, w_t * dram]
+                demb = np.concatenate([draw * (w_t * cfg.lambda_cdcl), np.zeros((b, 4))])
+                cache = tuple(np.concatenate(pair) for pair in zip(out.cache, mix.cache))
+            ref["total"] = ref["ce_re"] + w_t * (ref.get("cr", 0.0) + ref.get("ram", 0.0)
+                                                 + cfg.lambda_cdcl * ref.get("cdcl", 0.0))
+            assert losses.keys() == ref.keys()
+            for key, value in ref.items():
+                assert losses[key][k] == value, (key, k)
+            ref_grad = net.backward_batch(pk, cache, np.concatenate(dlogits), demb)
+            assert np.array_equal(grad[k], ref_grad), k
+
     @pytest.mark.parametrize("use_meta", [True, False])
     def test_one_shared_forward_per_batch(self, monkeypatch, use_meta):
         # each batch forwards the stack once from row 0, the held-out rows
@@ -633,28 +716,40 @@ class TestFusedStep(_StepFixture):
                 epochs=epochs, batch_size=batch_size, warmup_start=0, warmup_full=1))
         assert counts == [3, 3, 3]
 
-    def test_co_network_softmax_only_for_its_readers(self, monkeypatch):
-        # refinement, the meta step and the contrastive term read the
-        # co-network softmax or its pseudo-labels; without them no batch
-        # takes it, and each one alone brings it back on the batches it runs
+    def test_one_log_softmax_per_row_block_per_batch(self, monkeypatch):
+        # both nets' cross-entropy heads read the weak rows' log-softmax, so
+        # every batch takes it once for the stack, first, whatever else runs
+        # (the co-network softmax is its exp); then the meta step's held-out
+        # rows, and, once the ramp is above zero, the strong rows for the
+        # consistency term and the Mixup rows, each once. Evaluation takes
+        # one per chunk, before the first epoch and after each
         calls = []
-        softmax = trainer.softmax
+        inner = net.log_softmax
 
         def counting(logits):
             calls.append(logits.shape)
-            return softmax(logits)
+            return inner(logits)
 
-        monkeypatch.setattr(trainer, "softmax", counting)
+        for module in (net, trainer):
+            monkeypatch.setattr(module, "log_softmax", counting)
         train, meta, test = tiny_data()
         readers = dict(use_refine=False, use_meta=False, use_cdcl=False)
-        trainer.co_train(train, meta, test, tiny_cfg(epochs=3, **readers))
-        assert calls == []
-        batches = -(-train.n // 32)
-        # the contrastive term runs once the warm-up ramp is above zero
-        for key, epochs_read in (("use_refine", 3), ("use_meta", 3), ("use_cdcl", 1)):
+        for terms in ({}, readers, dict(use_cr=False, use_ram=False), dict(use_meta=False)):
             calls.clear()
-            trainer.co_train(train, meta, test, tiny_cfg(epochs=3, **dict(readers, **{key: True})))
-            assert len(calls) == epochs_read * batches, key
+            cfg = tiny_cfg(epochs=3, **terms)  # the ramp is 0, 1, 1
+            trainer.co_train(train, meta, test, cfg)
+            evaluation = [(2, test.n, 4)]
+            expected = list(evaluation)
+            for t in range(cfg.epochs):
+                w_t = trainer.warmup(t, cfg)
+                for b0 in range(0, train.n, cfg.batch_size):
+                    block = (2, min(cfg.batch_size, train.n - b0), 4)
+                    expected.append(block)
+                    if cfg.use_meta:
+                        expected.append((2, meta.m, 4))
+                    expected += [block] * ((w_t > 0 and cfg.use_cr) + (w_t > 0 and cfg.use_ram))
+                expected += evaluation
+            assert calls == expected, terms
 
     def test_strong_views_drawn_only_for_a_strong_view_term(self, monkeypatch):
         # the strong views are drawn in the epochs whose ramp is above zero,
