@@ -33,10 +33,15 @@ oracles.dense_loss_pieces takes the similarities the same way.
 A stack of banks (one per co-trained network, along a leading axis) runs in
 one call: the row normalization, the reliability normalization, the class
 counts and purity totals (one bincount, with a net offset on the class
-index), the loss and the normalization backward run once for the stack, and
-the (2N)^2 passes run net by net in the one work matrix. Each net's class
-sums run over its own class count, since padding the class axis changes the
-BLAS kernel path and the bits.
+index), the loss and the normalization backward run once for the stack.
+When a bank fits one row block (2N <= 64, every step of the shipped batch
+size of 32), the (2N)^2 passes run as one sweep for the whole stack, with
+one work matrix per bank; a larger bank's passes run net by net in the one
+(2N)^2 work matrix, so the largest array of a step does not double. Either
+way each net's slice has its single-bank bits. Each net's class sums run
+over its own class count, since padding the class axis changes the BLAS
+kernel path and the bits; the gate products of the passes are exact over
+any number of empty classes, so the stacked sweep pads them.
 """
 
 from __future__ import annotations
@@ -99,44 +104,52 @@ def _positive_sums(z, bnorm, member, off, own):
 
 
 def _pair_passes(z, gates, a, tau, sims, block, dz):
-    """The (2N)^2 passes of one bank: the similarities into the work matrix
-    sims, then one sweep over row blocks. Each block's similarities become
-    its log-softmax and then, in place, its rows of d loss / d sims, in the
-    dense operation order of oracles.dense_cdcl_feature_grad; each block
-    pair whose rows are both final is then added to its transpose (the
-    gradient's dsims + dsims.T). block is one row block's workspace, holding
-    the sum-of-exps terms and then dlogp. The gradient w.r.t. the normalized
-    rows goes into dz; a holds each anchor's 1/(|V| * |P(i)|). Returns each
-    row's log-sum-exp."""
-    n2 = len(z)
-    np.matmul(z, np.ascontiguousarray(z.T), out=sims)
-    lse = np.empty(n2)
+    """The (2N)^2 passes of a leading axis of banks: the similarities into
+    the work matrices sims, then one sweep over row blocks for all of them.
+    Each block's similarities become its log-softmax and then, in place, its
+    rows of d loss / d sims, in the dense operation order of
+    oracles.dense_cdcl_feature_grad; each block pair whose rows are both
+    final is then added to its transpose (the gradient's dsims + dsims.T).
+    block is one row block's workspace per bank, holding the sum-of-exps
+    terms and then dlogp. The diagonals are written through strided views
+    of the flat (C-contiguous) work arrays. The gradient w.r.t. the
+    normalized rows goes into dz; a holds each anchor's 1/(|V| * |P(i)|).
+    Returns each row's log-sum-exp."""
+    n2 = z.shape[-2]
+    step = n2 + 1  # from one diagonal entry to the next in a flat (., 2N) array
+    np.matmul(z, np.ascontiguousarray(z.mT), out=sims)
+    sims_flat = sims.reshape(len(sims), -1)
+    lse = np.empty(a.shape)
     for i in range(0, n2, _BLOCK):
         r = slice(i, min(i + _BLOCK, n2))
-        s, work = sims[r], block[:r.stop - i]
+        rb = r.stop - i
+        s, work = sims[:, r], block[:, :rb]
+        s_diag = sims_flat[:, i * step:r.stop * step:step]  # s[:, :, r]'s diagonal
+        work_diag = work.reshape(len(work), -1)[:, i:i + rb * step:step]
         # logp_ij = log softmax over j != i of the similarities z_i.z_j / tau
         s /= tau
-        np.fill_diagonal(s[:, r], -np.inf)
-        row_max = s.max(axis=1, keepdims=True)
+        s_diag[...] = -np.inf
+        row_max = s.max(axis=-1, keepdims=True)
         np.exp(np.subtract(s, row_max, out=work), out=work)
-        lse[r] = (row_max + np.log(work.sum(axis=1, keepdims=True)))[:, 0]
-        logp = np.subtract(s, lse[r, None], out=s)
+        lse[:, r] = (row_max + np.log(work.sum(axis=-1, keepdims=True)))[..., 0]
+        logp = np.subtract(s, lse[:, r, None], out=s)
         # np.where(positive, b_i * b_j, 0.0): each entry sums one product
-        # b_i * b_j (same class) or none, so it is exact in any summation order
-        dlogp = np.matmul(gates[:, r].T, gates, out=work)
-        np.fill_diagonal(dlogp[:, r], 0.0)
-        dlogp *= -a[r, None]
+        # b_i * b_j (same class) or none, so it is exact in any summation
+        # order and over any number of empty classes
+        dlogp = np.matmul(gates[..., r].mT, gates, out=work)
+        work_diag[...] = 0.0
+        dlogp *= -a[:, r, None]
         softmax_rows = np.exp(logp, out=logp)
-        softmax_rows *= dlogp.sum(axis=1, keepdims=True)
+        softmax_rows *= dlogp.sum(axis=-1, keepdims=True)
         dsims = np.subtract(dlogp, softmax_rows, out=s)
-        np.fill_diagonal(dsims[:, r], 0.0)
+        s_diag[...] = 0.0
         # each entry of a finished block pair becomes m_ij + m_ji
         for j in range(0, i, _BLOCK):
             c = slice(j, j + _BLOCK)
-            sims[c, r] += dsims[:, c].T
-            dsims[:, c] = sims[c, r].T
-        diag = dsims[:, r]
-        diag += diag.T  # numpy buffers an operand that overlaps the output
+            sims[:, c, r] += dsims[..., c].mT
+            dsims[..., c] = sims[:, c, r].mT
+        diag = dsims[..., r]
+        diag += diag.mT  # numpy buffers an operand that overlaps the output
     np.matmul(sims, z, out=dz)
     dz /= tau
     return lse
@@ -156,11 +169,13 @@ def cdcl_feature_grad(z: np.ndarray, pseudo_class: np.ndarray, beta: np.ndarray,
     label of rows i and N + i. For a stack of banks (a leading net axis,
     y_true shared) the losses and purity totals get the same axis, and each
     net's slice has the bits of its single-bank call. The gradient is written
-    to `out` when given (z's shape). `buffers` holds the (2N)^2 work matrix
-    and the (64, 2N) row-block workspace (fresh ones when None), which the
-    nets use one after another; a smaller bank (the last partial batch) works
-    in views of their leading entries, C-contiguous at its own size, so the
-    row reductions run in the same order as on fresh arrays.
+    to `out` when given (z's shape). `buffers` holds the work arrays (fresh
+    ones when None): for a bank of one row block (2N <= 64) one (2N)^2
+    matrix and one block workspace per net, swept together; for a larger
+    bank one (2N)^2 matrix and one (64, 2N) block workspace, which the nets
+    use one after another. A smaller bank (the last partial batch) works in
+    views of their leading entries, C-contiguous at its own size, so the row
+    reductions run in the same order as on fresh arrays.
     """
     stacked = z.ndim == 3
     lift = (lambda a: a) if stacked else (lambda a: a[None])
@@ -170,8 +185,6 @@ def cdcl_feature_grad(z: np.ndarray, pseudo_class: np.ndarray, beta: np.ndarray,
     z = lift(z)
     nets, n2 = cls.shape
     buffers = buffers or Buffers()
-    sims = buffers.array("cdcl", (n2, n2))
-    block = buffers.array("cdcl_block", (min(_BLOCK, n2), n2))
 
     # the positives of row i are the other rows of its class, and each gate
     # b_i * b_j factors, so a sum over positives comes from class sums; a net
@@ -198,12 +211,24 @@ def cdcl_feature_grad(z: np.ndarray, pseudo_class: np.ndarray, beta: np.ndarray,
     a = np.divide(1.0, np.reshape(n_valid, (nets, 1)) * pos_counts,
                   out=np.zeros((nets, n2)), where=valid)
     gates = np.multiply(member, bnorm[:, None, :], out=member)
-    lse = np.zeros((nets, n2))
-    for k in range(nets):
-        if n_valid[k]:
-            lse[k] = _pair_passes(z[k], gates[k, :own[k]], a[k], cfg.tau, sims, block, dz[k])
-        else:
-            dz[k] = 0.0
+    if n2 <= _BLOCK:
+        # one row block: one sweep for the whole stack; a net with no valid
+        # anchor runs it too, and its a = 0 gives it a zero gradient
+        sims = buffers.array("cdcl", (nets, n2, n2))
+        block = buffers.array("cdcl_block", (nets, n2, n2))
+        lse = _pair_passes(z, gates, a, cfg.tau, sims, block, dz)
+    else:
+        # net by net in one (2N)^2 work matrix, so a large bank's work
+        # stays one matrix
+        sims = buffers.array("cdcl", (1, n2, n2))
+        block = buffers.array("cdcl_block", (1, _BLOCK, n2))
+        lse = np.zeros((nets, n2))
+        for k in range(nets):
+            if n_valid[k]:
+                lse[k] = _pair_passes(z[k:k + 1], gates[k:k + 1, :own[k]], a[k:k + 1],
+                                      cfg.tau, sims, block, dz[k:k + 1])[0]
+            else:
+                dz[k] = 0.0
     # sum over positives j of b_j * logp_ij = z_i . (sum_j b_j z_j) / tau - lse_i * b_pos_i
     gated = bnorm * (zb / cfg.tau - lse * b_pos)
     terms = -gated[valid] / pos_counts[valid]
@@ -240,7 +265,7 @@ def cdcl_head(raw: np.ndarray, pseudo_class: np.ndarray, beta: np.ndarray,
     are normalized as oracles.l2_normalize does, from one norm per row that the
     degenerate flag and the normalization backward read too."""
     raw = np.asarray(raw, dtype=np.float64)
-    norms = np.linalg.norm(raw, axis=-1, keepdims=True)
+    norms = np.sqrt(np.add.reduce(raw * raw, axis=-1, keepdims=True))  # np.linalg.norm's form
     z = raw / (norms + 1e-12)
     degenerate = norms[..., 0] < DEGENERATE_NORM
     z[degenerate] = 0.0

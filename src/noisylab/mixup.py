@@ -94,8 +94,10 @@ def gamma_sample(shape, rng) -> np.ndarray:
     Gamma(shape+1) and scale by U^(1/shape).
 
     A round writes every pending draw and keeps the rejected ones pending,
-    so a later round overwrites them; the log-form test runs only on rounds
-    whose squeeze test rejects a draw.
+    so a later round overwrites them; the first round, which draws them all,
+    writes its draws as they are, and only later rounds index d and c by
+    the pending draws. The log-form test runs only on rounds whose squeeze
+    test rejects a draw.
     """
     rngs = _generators(rng)
     a = np.asarray(shape, dtype=np.float64).ravel()  # row after row
@@ -108,7 +110,7 @@ def gamma_sample(shape, rng) -> np.ndarray:
     dc = np.array((d, 1.0 / np.sqrt(9.0 * d)))
     di, ci = dc
     out = np.empty_like(d)
-    idx = np.arange(d.size)  # the draws still pending, in increasing order
+    idx = None  # the draws still pending, in increasing order (None: all)
     counts = [per] * len(rngs)  # of them, each generator's
     # each round draws one normal and one uniform per pending draw; a draw
     # with v <= 0 needs |x| >= 3*sqrt(d) >= 2.45, where the squeeze test
@@ -118,14 +120,17 @@ def gamma_sample(shape, rng) -> np.ndarray:
         while True:
             x, u = _draws(rngs, counts, normal=True)
             v = (1.0 + ci * x) ** 3
-            out[idx] = di * v
+            if idx is None:
+                np.multiply(di, v, out=out)
+            else:
+                out[idx] = di * v
             accept = u < 1.0 - 0.0331 * x ** 4
             if accept.all():
                 break
             accept |= np.log(u) < 0.5 * x * x + di * (1.0 - v + np.log(v))
             if accept.all():
                 break
-            idx = idx[~accept]
+            idx = np.flatnonzero(~accept) if idx is None else idx[~accept]
             counts = np.bincount(idx // per, minlength=len(rngs)).tolist()
             di, ci = dc.take(idx, axis=1)
     if boost.any():
@@ -138,8 +143,9 @@ def _beta_from_gammas(a_shapes: np.ndarray, b_shapes: np.ndarray, rng) -> np.nda
     ga = gamma_sample(a_shapes, rng)
     gb = gamma_sample(b_shapes, rng)
     total = ga + gb
-    lam = np.where(total > 0, ga / np.where(total > 0, total, 1.0), 0.5)
-    # keep draws strictly inside (0, 1) even if a gamma draw underflows
+    # both draws underflowing to 0 give 0.5; clipping keeps draws strictly
+    # inside (0, 1) when one of them does
+    lam = np.divide(ga, total, out=np.full_like(total, 0.5), where=total > 0)
     return np.clip(lam, 1e-12, 1.0 - 1e-12)
 
 

@@ -35,10 +35,12 @@ backward_batch runs on either block. Without buffers the passes allocate
 fresh arrays, with the same bits.
 
 The cross-entropy heads read log-probabilities, not logits: a caller takes
-one log_softmax per block of rows (for a stack, for every net at once) and
-its exp, and every head that reads those rows, or a subset of them, uses
-the same two arrays. ce_grad is the heads' one gradient formula; the meta
-step's held-out head, which needs no loss value, calls it alone.
+one log_softmax over a contiguous block of rows (for a stack, for every net
+at once) and its exp, and every head that reads some of those rows reads a
+slice of the same two arrays; a network step takes one over its shared
+forward's leading rows and one over its Mixup rows. ce_grad is the heads'
+one gradient formula; the meta step's held-out head, which needs no loss
+value, calls it alone.
 """
 
 from __future__ import annotations
@@ -152,6 +154,9 @@ def init_params(arch: Architecture, seed: int) -> ModelParams:
     return ModelParams(arch, np.concatenate(parts))
 
 
+_FORWARD_ROLES = ("x", "h1", "h2", "logits", "emb")
+
+
 class Buffers:
     """Arrays reused across the steps of one run, one per role.
 
@@ -160,7 +165,8 @@ class Buffers:
     computes in the same memory order as a fresh array of its shape; a larger
     request gets fresh storage. Views are memoized by (role, shape): a step
     asks for the same few shapes again and again. The "grad" role's array
-    also keeps its named views (grad()), built once until the storage grows.
+    also keeps its named views (grad()), and the forward its five role arrays
+    (forward()), each built once until one of its roles' storage grows.
     """
 
     def __init__(self):
@@ -177,18 +183,30 @@ class Buffers:
             if store is None or store.size < size:
                 self._store[role] = store = np.empty(size)
                 self._views = {key: v for key, v in self._views.items() if key[0] != role}
-                self._named = {key: v for key, v in self._named.items() if key[0] != role}
+                self._named = {key: v for key, v in self._named.items() if role not in key[0]}
             view = self._views[(role, shape)] = store[:size].reshape(shape)
         return view
 
     def grad(self, arch: Architecture, lead: tuple) -> tuple[np.ndarray, dict]:
         """The "grad" role's lead + (n_params,) array and its named parameter
         views (the dict is the same object on every call)."""
-        key = ("grad", arch, lead)
+        key = (("grad",), arch, lead)
         entry = self._named.get(key)
         if entry is None:
             flat = self.array("grad", lead + (arch.n_params,))
             entry = self._named[key] = (flat, _param_views(arch, flat))
+        return entry
+
+    def forward(self, arch: Architecture, rows: tuple) -> tuple:
+        """The forward's "x", "h1", "h2", "logits" and "emb" arrays for
+        rows = lead + (total rows,) (the tuple is the same object on every
+        call)."""
+        key = (_FORWARD_ROLES, arch, rows)
+        entry = self._named.get(key)
+        if entry is None:
+            widths = (arch.dim, arch.hidden, arch.hidden, arch.num_classes, arch.proj)
+            entry = self._named[key] = tuple(self.array(role, rows + (width,))
+                                             for role, width in zip(_FORWARD_ROLES, widths))
         return entry
 
 
@@ -236,9 +254,7 @@ def forward_batch(params: ModelParams, x: np.ndarray, eval_mode: bool = False,
     if row0 and buffers.forward_rows != lead + (total,):
         raise ValueError("row0 needs the last forward into buffers to reserve %d rows" % total)
     buffers.forward_rows = lead + (total,)
-    rows = tuple(buffers.array(role, lead + (total, width)) for role, width in
-                 (("x", arch.dim), ("h1", arch.hidden), ("h2", arch.hidden),
-                  ("logits", arch.num_classes), ("emb", arch.proj)))
+    rows = buffers.forward(arch, buffers.forward_rows)
     x_new, h1_new, h2_new, logits_new, emb_new = (a[..., row0:n, :] for a in rows)
     # h = max(x @ w + b, 0) and the heads, each step in place: the same bits
     # as fresh arrays
@@ -338,7 +354,9 @@ def per_sample_grad_dots(params: ModelParams, out: BatchForward,
                          buffers: Buffers | None = None,
                          probs: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """<g_k_i, vec> for every sample of the cached forward `out` (per net of
-    a stack, with one vec each), without materializing the gradients.
+    a stack, with one vec each), without materializing the gradients. vec
+    is a lead + (n_params,) vector or its named views (Buffers.grad's dict,
+    when it is the "grad" role's array).
 
     Same quantities as dotting oracles.per_sample_grads output with vec:
     each layer's per-sample gradient is an outer product, so its inner
@@ -356,7 +374,7 @@ def per_sample_grad_dots(params: ModelParams, out: BatchForward,
     dh2p, dh1p = work.array("dh2", (2,) + lead + (b, arch.hidden))
     if probs is None:
         probs = softmax(out.logits)
-    v = _param_views(arch, np.asarray(vec, dtype=np.float64))
+    v = vec if isinstance(vec, dict) else _param_views(arch, np.asarray(vec, dtype=np.float64))
     np.matmul(x, v["w1"], out=xv1)
     np.matmul(h1, v["w2"], out=h1v2)
     h2vc = h2 @ v["wc"]

@@ -221,11 +221,11 @@ def fused_step_fd_error(params: net.ModelParams, xw: np.ndarray, xs: np.ndarray,
     def step(flat):
         p = net.ModelParams(params.arch, flat)
         buffers = net.Buffers()
-        _, fw = trainer.step_forward(p, None, xw, xs, w_t, cfg, buffers)
+        _, fw, lp = trainer.step_forward(p, None, xw, xs, w_t, cfg, buffers)
         losses, grad, _ = trainer.step_loss_grad(
             p, xw, fw, targets2, r2, bc2, cfg.eta_w, w_t, cfg,
             pairs=pairs2 if w_t > 0.0 else None, pseudo_cls=pc2, gate_beta=beta2,
-            weak=trainer.block_log_probs(fw.logits[:, :b]), buffers=buffers)
+            lp=lp, buffers=buffers)
         values = losses["ce_re"] + w_t * (losses.get("cr", 0.0) + losses.get("ram", 0.0)
                                           + cfg.lambda_cdcl * losses.get("cdcl", 0.0))
         return values, grad

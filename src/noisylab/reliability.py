@@ -53,6 +53,7 @@ def meta_gradients_closed(params: ModelParams, batch_x: np.ndarray,
                           out: BatchForward | None = None,
                           probs: np.ndarray | None = None,
                           meta_out: BatchForward | None = None,
+                          meta_probs: np.ndarray | None = None,
                           meta_targets: np.ndarray | None = None,
                           buffers: Buffers | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Exact derivative of the held-out loss w.r.t. each per-sample weight.
@@ -62,15 +63,18 @@ def meta_gradients_closed(params: ModelParams, batch_x: np.ndarray,
     at zero perturbation through a single virtual SGD step of learning rate
     eta_inner; for a stack of networks (with pseudo_targets per net), one
     row of each per net. `out` is batch_x's forward under params, `probs`
-    the softmax of its logits, `meta_out` meta.x's forward under params and
-    `meta_targets` the one-hot rows of meta.y, when the caller has them;
-    co_train takes both forwards from its step's shared forward.
+    the softmax of its logits, `meta_out` meta.x's forward under params,
+    `meta_probs` the softmax of its logits and `meta_targets` the one-hot
+    rows of meta.y, when the caller has them; co_train takes both forwards
+    from its step's shared forward and both softmaxes from its one
+    log-softmax of that forward's leading rows.
 
-    The held-out rows' head is net.ce_grad on their softmax (one
-    log-softmax for a stack), since no one reads the held-out loss's value.
-    With `buffers`, the held-out gradient and the per-sample temporaries
-    (net.per_sample_grad_dots) live in the backward pass's roles, which are
-    free until the caller's next backward.
+    The held-out rows' head is net.ce_grad on their softmax, since no one
+    reads the held-out loss's value. The held-out gradient lives in the
+    backward pass's roles of `buffers` (a fresh workspace when None), and
+    net.per_sample_grad_dots reads its named views from there (Buffers.grad)
+    and borrows the backward's temporaries, which are free until the
+    caller's next backward.
     """
     if eta_inner < 0:
         raise ConfigError("eta_inner must be nonnegative")
@@ -82,8 +86,12 @@ def meta_gradients_closed(params: ModelParams, batch_x: np.ndarray,
         meta_out = forward_batch(params, meta.x)
     if meta_targets is None:
         meta_targets = one_hot(meta.y, given_targets.shape[1])
-    dlogits = ce_grad(softmax(meta_out.logits), meta_targets, np.ones(meta.m))
-    mgrad = backward_batch(params, meta_out.cache, dlogits, buffers=buffers)
+    if meta_probs is None:
+        meta_probs = softmax(meta_out.logits)
+    buffers = buffers or Buffers()
+    dlogits = ce_grad(meta_probs, meta_targets, np.ones(meta.m))
+    backward_batch(params, meta_out.cache, dlogits, buffers=buffers)
+    mgrad = buffers.grad(params.arch, params.flat.shape[:-1])[1]
     d1, d2 = per_sample_grad_dots(params, out, given_targets, pseudo_targets, mgrad,
                                   buffers, probs)
     return -eta_inner * d1, -eta_inner * d2

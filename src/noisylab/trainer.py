@@ -13,12 +13,14 @@ with lead (2,)), one pass per layer for the pair, and clamps and normalizes
 the pair's reliabilities in one reliability.disentangle call. Mixup pair
 sampling and the contrastive head's row work also run once for the pair:
 each net keeps its own random stream, and the contrastive head's (2B)^2
-passes run net by net, each as one sweep over row blocks of one work matrix.
+passes sweep both banks at once when a bank fits one row block, and net by
+net in one work matrix otherwise.
 The confidence-filtered cross-entropy and consistency heads are the one loop
 over the two nets left, since each net keeps its own rows and
 perfbench/worker.py's row-count probe reads one reweighted_ce_grad call per
-net. They read log-probabilities and probabilities taken once per block of
-rows for the stack (block_log_probs), each net gathering its kept rows bc;
+net. They read slices of one block of log-probabilities and probabilities
+taken once per step for the stack (block_log_probs), each net gathering its
+kept rows bc;
 when the filter passes every row (warm-up, no refinement, or a whole
 confident batch) they run on the block's rows as they are, with no gather
 or scatter. The pair stays a stack up to the report: each loss term and the
@@ -34,13 +36,15 @@ ones, and assembles each net's objective ce + w_t * (cr + ram + lambda_cdcl *
 cdcl) once, as its "total" and as one backward pass over the summed head
 gradients (backward_batch is linear in them). The meta step reads the
 held-out rows and the weak-view rows of that forward and runs its own
-backward on the held-out rows, since alpha and beta depend on it. Each block
-of rows gets one log-softmax for the stack: the weak rows' on every step,
-since both nets' cross-entropy heads read it, and the co-network softmax is
-its exp read in partner order; the held-out rows' in the meta step, which
-takes only the gradient of its head; the strong rows' for the consistency
-heads and the Mixup rows' for the Mixup head. The pseudo-labels are taken
-only when a term reads them (the meta step or the contrastive term).
+backward on the held-out rows, since alpha and beta depend on it. A step
+takes two log-softmaxes for the stack: one over the shared forward's leading
+rows that a cross-entropy head reads (held-out, weak, and strong when the
+consistency term runs), and one over the Mixup rows when those run. Every
+head reads a slice of the first: the meta step's held-out head, which takes
+only its gradient, both nets' cross-entropy heads, the consistency heads, and
+the co-network softmax, the weak rows' probabilities read in partner order.
+The pseudo-labels are taken only when a term reads them (the meta step or
+the contrastive term).
 
 Once per epoch, co_train puts the views, the one-hot observed labels, the
 clean mask and the true labels in that epoch's batch order, so each batch
@@ -243,8 +247,8 @@ def _filtered_ce(logp, probs, targets, bc, reliabilities=None, eta_w=0.0):
 
 
 def step_forward(params: ModelParams, held_x: np.ndarray | None, xw: np.ndarray,
-                 xs: np.ndarray, w_t: float, cfg: TrainConfig,
-                 buffers: Buffers) -> tuple[BatchForward | None, BatchForward]:
+                 xs: np.ndarray, w_t: float, cfg: TrainConfig, buffers: Buffers
+                 ) -> tuple[BatchForward | None, BatchForward, tuple[np.ndarray, np.ndarray]]:
     """The stack's shared forward of one network step, in `buffers`: on
     [held_x; xw; xs] when a strong-view term runs (w_t > 0 with use_cr or
     use_cdcl), otherwise on [held_x; xw], in arrays sized for the Mixup rows
@@ -253,18 +257,23 @@ def step_forward(params: ModelParams, held_x: np.ndarray | None, xw: np.ndarray,
     when the meta step does not run; its rows go first, so the step's own
     rows stay one block for the backward pass.
 
-    Returns the forward of held_x's rows (None without held_x) and the
-    forward of the step's rows [xw; xs].
+    Returns the forward of held_x's rows (None without held_x), the forward
+    of the step's rows [xw; xs], and the block_log_probs of the leading rows
+    that cross-entropy heads read, in the forward's order: held_x's, xw's
+    and, when the consistency term runs (w_t > 0 and use_cr), xs's. That is
+    one log-softmax for the stack, and every head reads a slice of it.
     """
     strong = w_t > 0.0 and (cfg.use_cr or cfg.use_cdcl)
     blocks = ([] if held_x is None else [held_x]) + [xw] + ([xs] if strong else [])
     x_in = np.concatenate(blocks) if len(blocks) > 1 else xw
     mix_rows = len(xw) if w_t > 0.0 and cfg.use_ram else 0
     fw = forward_batch(params, x_in, buffers=buffers, total_rows=len(x_in) + mix_rows)
+    m = 0 if held_x is None else len(held_x)
+    heads = m + len(xw) * (2 if w_t > 0.0 and cfg.use_cr else 1)
+    lp = block_log_probs(fw.logits[..., :heads, :])
     if held_x is None:
-        return None, fw
-    m = len(held_x)
-    return fw.rows(slice(0, m)), fw.rows(slice(m, None))
+        return None, fw, lp
+    return fw.rows(slice(0, m)), fw.rows(slice(m, None)), lp
 
 
 def step_loss_grad(params: ModelParams, xw: np.ndarray, fw: BatchForward,
@@ -272,7 +281,7 @@ def step_loss_grad(params: ModelParams, xw: np.ndarray, fw: BatchForward,
                    cfg: TrainConfig, pairs: mixup.MixBatch | None = None,
                    pseudo_cls: np.ndarray | None = None,
                    gate_beta: np.ndarray | None = None, y_true: np.ndarray | None = None,
-                   *, weak: tuple[np.ndarray, np.ndarray], buffers: Buffers):
+                   *, lp: tuple[np.ndarray, np.ndarray], buffers: Buffers):
     """Loss terms, flat gradients and contrastive purity totals of one
     network step of a stack of K networks.
 
@@ -280,10 +289,11 @@ def step_loss_grad(params: ModelParams, xw: np.ndarray, fw: BatchForward,
     gate_beta (K, B) and every field of pairs (a stacked mixup.MixBatch)
     hold one block per net, and bc one entry per net. fw is the step rows'
     forward of step_forward, the last forward into the same `buffers`, and
-    weak its weak-view rows' block_log_probs, which the caller took for the
-    co-network. Each term's head gradient comes from the cached outputs,
-    one log-softmax per block of rows for the stack, with w_t and
-    lambda_cdcl folded in, the Mixup rows are forwarded into the rows
+    lp the log-softmax and softmax of its leading rows, the weak rows and
+    then, when the consistency term runs, the strong rows (step_forward's
+    block after any held-out rows). Each term's head gradient comes from
+    the cached outputs, with w_t and lambda_cdcl folded in, the Mixup rows
+    (their own log-softmax for the stack) are forwarded into the rows
     step_forward reserved after fw's, and one backward pass over [xw; xs;
     x_mix] gives each net's gradient of total = ce + w_t * (cr + ram +
     lambda_cdcl * cdcl). Returns
@@ -305,17 +315,15 @@ def step_loss_grad(params: ModelParams, xw: np.ndarray, fw: BatchForward,
     dlogits[:, b:] = 0.0  # the strong-view rows stay zero without the consistency term
     demb = None
     cache = fw.cache
-    logp_w, probs_w = weak
-    if cr:
-        logp_s, probs_s = block_log_probs(fw.logits[:, b:])
+    logp, probs = lp
     for k in nets:
         # bc by keyword: perfbench/worker.py's probe reads it there, and the
         # rows offered from targets[k]
         losses["ce_re"][k], dlogits[k, :b] = reweighted_ce_grad(
-            logp_w[k], targets[k], r[k], bc=bc[k], eta_w=eta_w, probs=probs_w[k])
+            logp[k, :b], targets[k], r[k], bc=bc[k], eta_w=eta_w, probs=probs[k, :b])
         if cr:
-            losses["cr"][k], dcr = consistency_loss_grad(logp_s[k], targets[k], bc[k],
-                                                         probs=probs_s[k])
+            losses["cr"][k], dcr = consistency_loss_grad(logp[k, b:], targets[k], bc[k],
+                                                         probs=probs[k, b:])
             np.multiply(w_t, dcr, out=dlogits[k, b:n])
     if w_t > 0.0 and cfg.use_cdcl:
         demb = buffers.array("demb", (len(nets), rows, fw.emb.shape[-1]))
@@ -421,12 +429,14 @@ def co_train(train: Dataset, meta: MetaSet | None, test: Dataset, cfg: TrainConf
             b = len(xw)
 
             # one shared forward of the stack per batch, the meta step's
-            # held-out rows first; the softmax of its weak-view rows, which
-            # both nets' cross-entropy heads read, is in partner order the
-            # frozen pre-update co-network output (net1 learns from net2's)
-            held, fw = step_forward(params, meta_x, xw, xs, w_t, cfg, buffers)
-            weak = block_log_probs(fw.logits[:, :b])
-            co_probs = weak[1][::-1]
+            # held-out rows first, and one log-softmax of its leading rows;
+            # the softmax of its weak-view rows, which both nets'
+            # cross-entropy heads read, is in partner order the frozen
+            # pre-update co-network output (net1 learns from net2's)
+            held, fw, (logp, probs) = step_forward(params, meta_x, xw, xs, w_t, cfg, buffers)
+            m = 0 if held is None else meta.m
+            weak_probs = probs[:, m:m + b]
+            co_probs = weak_probs[::-1]
             pseudo_cls = None
             if cfg.use_meta or (cfg.use_cdcl and w_t > 0.0):
                 pseudo_cls = co_probs.argmax(axis=-1)
@@ -440,8 +450,8 @@ def co_train(train: Dataset, meta: MetaSet | None, test: Dataset, cfg: TrainConf
             if cfg.use_meta:
                 e1, e2 = meta_gradients_closed(
                     params, xw, given, eye[pseudo_cls], meta, lr_t,
-                    out=fw.rows(slice(0, b)), probs=weak[1], meta_out=held,
-                    meta_targets=meta_targets, buffers=buffers)
+                    out=fw.rows(slice(0, b)), probs=weak_probs, meta_out=held,
+                    meta_probs=probs[:, :m], meta_targets=meta_targets, buffers=buffers)
                 if cfg.couple_meta:
                     e1 = e2 = 0.5 * (e1 + e2)
                 rb = disentangle(e1, e2)  # (2, b), each net along its own batch
@@ -469,7 +479,7 @@ def co_train(train: Dataset, meta: MetaSet | None, test: Dataset, cfg: TrainConf
             losses, grad, purity = step_loss_grad(
                 params, xw, fw, targets, r, bc, eta_eff, w_t, cfg, pairs=pairs,
                 pseudo_cls=pseudo_cls, gate_beta=beta, y_true=y_true_epoch[rows],
-                weak=weak, buffers=buffers)
+                lp=(logp[:, m:], probs[:, m:]), buffers=buffers)
 
             # both nets are checked before either moves, so an abort snapshot
             # holds the stack as it was before this batch

@@ -409,3 +409,32 @@ class TestStackedHead:
             assert loss[k] == pytest.approx(loss_k, rel=1e-12)
             assert np.allclose(purity[k], purity_k, rtol=1e-12)
         assert loss[1] == 0.0 and np.all(dz[1] == 0.0)
+
+    @pytest.mark.parametrize("half", [8, 32, 33], ids=["2N_16", "2N_64", "2N_66"])
+    def test_one_block_sweep_equals_the_per_net_sweep(self, half):
+        # up to 2N = 64 the stack's (2N)^2 passes run as one sweep, at 2N = 66
+        # net by net; either way each net's slice has the bits of its own
+        # call, whose gradient has the dense form's bits. The nets'
+        # pseudo-labels cover 4 and 2 classes, then net 2 has no anchor with
+        # a positive (every row its own class); the gradients' bytes are
+        # compared, which tells zeros' signs apart
+        rng = np.random.default_rng(half)
+        z = unit_rows(rng, 4 * half).reshape(2, 2 * half, 5)
+        beta = np.stack([np.concatenate([b, b]) for b in rng.random((2, half))])
+        y = rng.integers(0, 3, half)
+        two_nets = np.stack([np.tile(rng.integers(0, c, half), 2) for c in (4, 2)])
+        no_anchor = np.stack([two_nets[0], np.arange(2 * half)])
+        buffers = net.Buffers()  # shared, as a run's steps share it
+        for pc in (two_nets, no_anchor):
+            loss, dz, purity = contrastive.cdcl_feature_grad(z, pc, beta, CFG, y, buffers)
+            for k in range(2):
+                loss_k, dz_k, purity_k = contrastive.cdcl_feature_grad(z[k], pc[k], beta[k],
+                                                                       CFG, y, net.Buffers())
+                assert loss[k] == loss_k
+                assert dz[k].tobytes() == dz_k.tobytes()
+                assert np.array_equal(purity[k], purity_k)
+                assert np.array_equal(dz_k, dense_cdcl_feature_grad(z[k], pc[k], beta[k],
+                                                                    CFG, y)[1])
+        assert loss[1] == 0.0 and np.all(dz[1] == 0.0)
+        raw, pc, beta, y = self.random_stack(rng, half, classes=(4, 2))
+        self.assert_slices(raw, pc, beta, y)

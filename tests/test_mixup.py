@@ -143,6 +143,15 @@ class TestSampleLambda:
         assert np.all(draws > 0.0) and np.all(draws < 1.0)
         assert np.all(np.isfinite(draws))
 
+    def test_gamma_underflow_guard(self, monkeypatch):
+        # Gamma draws that underflow to 0: both at 0 give lambda = 0.5, one
+        # at 0 gives 0 or 1, clipped to [1e-12, 1 - 1e-12]
+        ga, gb = np.array([0.0, 0.0, 2.0, 1.0]), np.array([0.0, 3.0, 0.0, 3.0])
+        draws = iter((ga, gb))
+        monkeypatch.setattr(mixup, "gamma_sample", lambda shape, rng: next(draws))
+        lam = mixup._beta_from_gammas(np.ones(4), np.ones(4), None)
+        assert lam.tolist() == [0.5, 1e-12, 1.0 - 1e-12, 0.25]
+
     def test_shape_parameters_sum_below_gamma(self):
         for r_i, r_j in [(0.1, 0.1), (2.0, 2.0), (0.1, 2.0)]:
             denom = r_i + r_j + mixup.DELTA

@@ -159,6 +159,31 @@ class TestBuffers:
         # the three-net gradient grew the storage: the two-net entry is rebuilt
         assert buffers.grad(arch, (2,))[1] is not held[1]
 
+    def test_forward_arrays_follow_storage_growth(self):
+        # a step's forward reuses one memoized set of role arrays; an
+        # evaluation-sized forward grows the roles, and the next step's
+        # forward lives in the new storage, where buffers.array hands it out
+        arch = net.Architecture(16, 64, 4, 16)
+        stack = net.stack_params([small_params(31, arch=arch), small_params(32, arch=arch)])
+        rng = np.random.default_rng(31)
+        buffers = net.Buffers()
+        widths = {"x": 16, "h1": 64, "h2": 64, "logits": 4}
+        memos = []
+        for rows, total in ((40, 48), (40, 48), (500, 500), (40, 48)):  # the third evaluates
+            x = rng.standard_normal((rows, 16))
+            out = net.forward_batch(stack, x, buffers=buffers, total_rows=total)
+            fresh = net.forward_batch(stack, x)
+            for got, want in zip((out.logits, out.emb) + out.cache,
+                                 (fresh.logits, fresh.emb) + fresh.cache):
+                assert np.array_equal(got, want)
+            for role, a in zip(("logits", "x", "h1", "h2"), (out.logits,) + out.cache):
+                assert np.shares_memory(a, buffers.array(role, (2, total, widths[role])))
+            memos.append(buffers.forward(arch, (2, total)))
+        assert memos[1] is memos[0]
+        assert memos[3] is not memos[0] and not np.shares_memory(memos[3][3], memos[0][3])
+        with pytest.raises(ValueError):  # the last forward reserved 48 rows, not 56
+            net.forward_batch(stack, x[:8], buffers=buffers, row0=40, total_rows=56)
+
     def test_per_sample_dots_leave_the_workspace_gradient(self):
         # the meta step's held-out gradient lives in the workspace's grad
         # role; per_sample_grad_dots borrows only dh1 and dh2, so it reads

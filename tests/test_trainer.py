@@ -238,8 +238,9 @@ def gathered_ce(logits, targets, reliabilities, bc, eta_w, reweighted=True):
 
 class TestFullBatchPath:
     """With every row in bc, the heads run on the cached rows as they are,
-    and with any bc they read the block's log-softmax (for the stack at
-    once), bit for bit as the gather-and-scatter form."""
+    and with any bc they read slices of one log-softmax of the weak and
+    strong rows (for the stack at once), bit for bit as the
+    gather-and-scatter form."""
 
     @pytest.mark.parametrize("eta_w", [0.0, 1.0])
     def test_stacked_rows_and_short_last_batch_equal_the_gathered_form(self, eta_w):
@@ -257,16 +258,16 @@ class TestFullBatchPath:
             for targets in target_sets:
                 for r in (rng.uniform(0.0, 3.0, (2, b)), np.ones((2, b))):
                     bc = np.arange(b)
-                    logp_w, probs_w = trainer.block_log_probs(fw.logits[:, :b])
-                    logp_s, probs_s = trainer.block_log_probs(fw.logits[:, b:])
+                    logp, probs = trainer.block_log_probs(fw.logits)
                     for k in range(2):
                         weak, strong = fw.logits[k, :b], fw.logits[k, b:]
                         loss, grad = trainer.reweighted_ce_grad(
-                            logp_w[k], targets[k], r[k], bc=bc, eta_w=eta_w, probs=probs_w[k])
+                            logp[k, :b], targets[k], r[k], bc=bc, eta_w=eta_w,
+                            probs=probs[k, :b])
                         ref_loss, ref_grad = gathered_ce(weak, targets[k], r[k], bc, eta_w)
                         assert loss == ref_loss and np.array_equal(grad, ref_grad), (b, k)
-                        loss, grad = trainer.consistency_loss_grad(logp_s[k], targets[k], bc,
-                                                                   probs=probs_s[k])
+                        loss, grad = trainer.consistency_loss_grad(logp[k, b:], targets[k], bc,
+                                                                   probs=probs[k, b:])
                         ref_loss, ref_grad = gathered_ce(strong, targets[k], r[k], bc, eta_w,
                                                          reweighted=False)
                         assert loss == ref_loss and np.array_equal(grad, ref_grad), (b, k)
@@ -348,12 +349,13 @@ class _StepFixture:
         (and held_x's rows leading the shared forward, when given)."""
         p, (targets, r, pc, beta), bcs, pairs = self.stacked(bc)
         buffers = net.Buffers()
-        _, fw = trainer.step_forward(p, held_x, self.xw, self.xs, w_t, cfg, buffers)
+        _, fw, (logp, probs) = trainer.step_forward(p, held_x, self.xw, self.xs, w_t, cfg,
+                                                    buffers)
+        m = 0 if held_x is None else len(held_x)
         return trainer.step_loss_grad(
             p, self.xw, fw, targets, r, bcs, cfg.eta_w, w_t, cfg,
             pairs=pairs if w_t > 0 else None, pseudo_cls=pc,
-            gate_beta=beta, y_true=self.y,
-            weak=trainer.block_log_probs(fw.logits[:, :self.B]), buffers=buffers)
+            gate_beta=beta, y_true=self.y, lp=(logp[:, m:], probs[:, m:]), buffers=buffers)
 
 
 class TestTotalLoss(_StepFixture):
@@ -576,8 +578,8 @@ class TestFusedStep(_StepFixture):
         # views; the losses and the gradient are those of a step without them
         p = self.stacked([0, 2, 3])[0]
         held_x = np.random.default_rng(5).standard_normal((7, 3))
-        held, fw = trainer.step_forward(p, held_x, self.xw, self.xs, w_t, self.cfg,
-                                        net.Buffers())
+        held, fw, _ = trainer.step_forward(p, held_x, self.xw, self.xs, w_t, self.cfg,
+                                           net.Buffers())
         views = np.concatenate([self.xw, self.xs]) if w_t > 0 else self.xw
         for got, x in ((held, held_x), (fw, views)):
             fresh = net.forward_batch(p, x)
@@ -596,9 +598,10 @@ class TestFusedStep(_StepFixture):
     @pytest.mark.parametrize("w_t, split", [(0.0, False), (0.4, False), (0.4, True)],
                              ids=["warmup", "confident", "filtered"])
     def test_one_log_softmax_per_row_block(self, monkeypatch, w_t, split):
-        # a network step with every term on, as co_train runs it: the weak,
-        # held-out, strong and Mixup rows each get one log-softmax for the
-        # stack (the last two once the ramp is above zero), and the meta
+        # a network step with every term on, as co_train runs it: one
+        # log-softmax for the stack over the shared forward's held-out, weak
+        # and (once the ramp is above zero) strong rows, and one over the
+        # Mixup rows once the ramp is above zero; the meta
         # step's sensitivities, the losses, the gradient and the purity
         # totals equal, bit for bit, each net's own step with fresh heads,
         # each taking the log-softmax of its own (kept) rows. The filtered
@@ -620,17 +623,22 @@ class TestFusedStep(_StepFixture):
         for module in (net, trainer):
             monkeypatch.setattr(module, "log_softmax", counting)
         buffers = net.Buffers()
-        held, fw = trainer.step_forward(p, meta.x, self.xw, self.xs, w_t, cfg, buffers)
-        weak = trainer.block_log_probs(fw.logits[:, :b])
+        held, fw, (logp, probs) = trainer.step_forward(p, meta.x, self.xw, self.xs, w_t, cfg,
+                                                       buffers)
+        m = meta.m
         e1, e2 = reliability.meta_gradients_closed(
             p, self.xw, given, np.eye(3)[pc], meta, cfg.lr, out=fw.rows(slice(0, b)),
-            probs=weak[1], meta_out=held, meta_targets=np.eye(3)[meta.y], buffers=buffers)
+            probs=probs[:, m:m + b], meta_out=held, meta_probs=probs[:, :m],
+            meta_targets=np.eye(3)[meta.y], buffers=buffers)
         losses, grad, purity = trainer.step_loss_grad(
             p, self.xw, fw, targets, r, bcs, cfg.eta_w, w_t, cfg,
             pairs=pairs if w_t > 0 else None, pseudo_cls=pc, gate_beta=beta, y_true=self.y,
-            weak=weak, buffers=buffers)
+            lp=(logp[:, m:], probs[:, m:]), buffers=buffers)
         monkeypatch.undo()
-        assert calls == [(2, b, 3), (2, meta.m, 3)] + [(2, b, 3)] * (2 if w_t > 0 else 0)
+        if w_t > 0:
+            assert calls == [(2, m + 2 * b, 3), (2, b, 3)]
+        else:
+            assert calls == [(2, m + b, 3)]
         assert (purity is None) == (w_t == 0)
         for k in range(2):
             pk = p[k]
@@ -717,11 +725,12 @@ class TestFusedStep(_StepFixture):
         assert counts == [3, 3, 3]
 
     def test_one_log_softmax_per_row_block_per_batch(self, monkeypatch):
-        # both nets' cross-entropy heads read the weak rows' log-softmax, so
-        # every batch takes it once for the stack, first, whatever else runs
-        # (the co-network softmax is its exp); then the meta step's held-out
-        # rows, and, once the ramp is above zero, the strong rows for the
-        # consistency term and the Mixup rows, each once. Evaluation takes
+        # every batch takes one log-softmax for the stack over the shared
+        # forward's leading rows, whatever else runs: the meta step's
+        # held-out rows, the weak rows (both nets' cross-entropy heads read
+        # them, and the co-network softmax is their exp) and, once the ramp
+        # is above zero, the strong rows for the consistency term; then one
+        # over the Mixup rows once the ramp is above zero. Evaluation takes
         # one per chunk, before the first epoch and after each
         calls = []
         inner = net.log_softmax
@@ -743,11 +752,11 @@ class TestFusedStep(_StepFixture):
             for t in range(cfg.epochs):
                 w_t = trainer.warmup(t, cfg)
                 for b0 in range(0, train.n, cfg.batch_size):
-                    block = (2, min(cfg.batch_size, train.n - b0), 4)
-                    expected.append(block)
-                    if cfg.use_meta:
-                        expected.append((2, meta.m, 4))
-                    expected += [block] * ((w_t > 0 and cfg.use_cr) + (w_t > 0 and cfg.use_ram))
+                    b = min(cfg.batch_size, train.n - b0)
+                    shared = (meta.m if cfg.use_meta else 0) + b * (1 + (w_t > 0 and cfg.use_cr))
+                    expected.append((2, shared, 4))
+                    if w_t > 0 and cfg.use_ram:
+                        expected.append((2, b, 4))
                 expected += evaluation
             assert calls == expected, terms
 
