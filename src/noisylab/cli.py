@@ -15,6 +15,8 @@ import os
 import sys
 import time
 
+import numpy as np
+
 from . import __version__, config
 from .data import dataset_csv_chunks, save_dataset
 from .metrics import (NETS, DiagnosticsWriter, OodScoreSet, RunReport, auroc, fpr_at_95_tpr,
@@ -88,9 +90,12 @@ def cmd_train(config_path: str, out_dir: str | None, seed: int | None,
     tcfg = config.to_train_config(cfg)
     writer = DiagnosticsWriter(target) if diagnostics else None
     try:
-        report, params = co_train(train_set, meta, test, tcfg, diagnostics=writer,
-                                  config_echo=config.canonical_dict(cfg),
-                                  seeds_echo=config.derived_seeds(cfg))
+        # a diverging run overflows on its way to the divergence guard, whose
+        # abort line names the cause; numpy's warnings would only precede it
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            report, params = co_train(train_set, meta, test, tcfg, diagnostics=writer,
+                                      config_echo=config.canonical_dict(cfg),
+                                      seeds_echo=config.derived_seeds(cfg))
     except TrainingDiverged as exc:
         snap = exc.snapshot
         with open(os.path.join(target, "abort_snapshot.json"), "w") as fh:

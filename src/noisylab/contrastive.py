@@ -34,14 +34,15 @@ A stack of banks (one per co-trained network, along a leading axis) runs in
 one call: the row normalization, the reliability normalization, the class
 counts and purity totals (one bincount, with a net offset on the class
 index), the loss and the normalization backward run once for the stack.
-When a bank fits one row block (2N <= 64, every step of the shipped batch
-size of 32), the (2N)^2 passes run as one sweep for the whole stack, with
-one work matrix per bank; a larger bank's passes run net by net in the one
-(2N)^2 work matrix, so the largest array of a step does not double. Either
-way each net's slice has its single-bank bits. Each net's class sums run
-over its own class count, since padding the class axis changes the BLAS
-kernel path and the bits; the gate products of the passes are exact over
-any number of empty classes, so the stacked sweep pads them.
+The (2N)^2 passes run in one loop over groups of banks: the whole stack is
+one group when a bank fits one row block (2N <= 64, every step of the
+shipped batch size of 32), each bank its own group otherwise, so a larger
+bank's passes reuse the one (2N)^2 work matrix and the largest array of a
+step does not double. Either way each net's slice has its single-bank bits.
+Each net's class sums run over its own class count, since padding the class
+axis changes the BLAS kernel path and the bits; the gate products of the
+passes are exact over any number of empty classes, so a group pads them to
+its largest count.
 """
 
 from __future__ import annotations
@@ -111,24 +112,22 @@ def _pair_passes(z, gates, a, tau, sims, block, dz):
     oracles.dense_cdcl_feature_grad; each block pair whose rows are both
     final is then added to its transpose (the gradient's dsims + dsims.T).
     block is one row block's workspace per bank, holding the sum-of-exps
-    terms and then dlogp. The diagonals are written through strided views
-    of the flat (C-contiguous) work arrays. The gradient w.r.t. the
-    normalized rows goes into dz; a holds each anchor's 1/(|V| * |P(i)|).
-    Returns each row's log-sum-exp."""
+    terms and then dlogp. Each block's three diagonals (the masked
+    self-similarity, the zeroed self-gate and the zeroed self-gradient) are
+    written through one index tuple. The gradient w.r.t. the normalized rows
+    goes into dz; a holds each anchor's 1/(|V| * |P(i)|), and a bank whose a
+    is all zero gets a zero gradient. Returns each row's log-sum-exp."""
     n2 = z.shape[-2]
-    step = n2 + 1  # from one diagonal entry to the next in a flat (., 2N) array
     np.matmul(z, np.ascontiguousarray(z.mT), out=sims)
-    sims_flat = sims.reshape(len(sims), -1)
     lse = np.empty(a.shape)
     for i in range(0, n2, _BLOCK):
         r = slice(i, min(i + _BLOCK, n2))
         rb = r.stop - i
         s, work = sims[:, r], block[:, :rb]
-        s_diag = sims_flat[:, i * step:r.stop * step:step]  # s[:, :, r]'s diagonal
-        work_diag = work.reshape(len(work), -1)[:, i:i + rb * step:step]
+        diag = (slice(None), np.arange(rb), np.arange(i, r.stop))  # the block's diagonal
         # logp_ij = log softmax over j != i of the similarities z_i.z_j / tau
         s /= tau
-        s_diag[...] = -np.inf
+        s[diag] = -np.inf
         row_max = s.max(axis=-1, keepdims=True)
         np.exp(np.subtract(s, row_max, out=work), out=work)
         lse[:, r] = (row_max + np.log(work.sum(axis=-1, keepdims=True)))[..., 0]
@@ -137,19 +136,19 @@ def _pair_passes(z, gates, a, tau, sims, block, dz):
         # b_i * b_j (same class) or none, so it is exact in any summation
         # order and over any number of empty classes
         dlogp = np.matmul(gates[..., r].mT, gates, out=work)
-        work_diag[...] = 0.0
+        dlogp[diag] = 0.0
         dlogp *= -a[:, r, None]
         softmax_rows = np.exp(logp, out=logp)
         softmax_rows *= dlogp.sum(axis=-1, keepdims=True)
         dsims = np.subtract(dlogp, softmax_rows, out=s)
-        s_diag[...] = 0.0
+        dsims[diag] = 0.0
         # each entry of a finished block pair becomes m_ij + m_ji
         for j in range(0, i, _BLOCK):
             c = slice(j, j + _BLOCK)
             sims[:, c, r] += dsims[..., c].mT
             dsims[..., c] = sims[:, c, r].mT
-        diag = dsims[..., r]
-        diag += diag.mT  # numpy buffers an operand that overlaps the output
+        tile = dsims[..., r]
+        tile += tile.mT  # numpy buffers an operand that overlaps the output
     np.matmul(sims, z, out=dz)
     dz /= tau
     return lse
@@ -169,13 +168,14 @@ def cdcl_feature_grad(z: np.ndarray, pseudo_class: np.ndarray, beta: np.ndarray,
     label of rows i and N + i. For a stack of banks (a leading net axis,
     y_true shared) the losses and purity totals get the same axis, and each
     net's slice has the bits of its single-bank call. The gradient is written
-    to `out` when given (z's shape). `buffers` holds the work arrays (fresh
-    ones when None): for a bank of one row block (2N <= 64) one (2N)^2
-    matrix and one block workspace per net, swept together; for a larger
-    bank one (2N)^2 matrix and one (64, 2N) block workspace, which the nets
-    use one after another. A smaller bank (the last partial batch) works in
-    views of their leading entries, C-contiguous at its own size, so the row
-    reductions run in the same order as on fresh arrays.
+    to `out` when given (z's shape); a net with no anchor that has a
+    positive gets a zero loss and gradient. `buffers` holds the work arrays
+    (fresh ones when None): for a bank of one row block (2N <= 64) one
+    (2N)^2 matrix and one block workspace per net, swept together; for a
+    larger bank one (2N)^2 matrix and one (64, 2N) block workspace, which
+    the nets use one after another. A smaller bank (the last partial batch)
+    works in views of their leading entries, C-contiguous at its own size,
+    so the row reductions run in the same order as on fresh arrays.
     """
     stacked = z.ndim == 3
     lift = (lambda a: a) if stacked else (lambda a: a[None])
@@ -200,10 +200,10 @@ def cdcl_feature_grad(z: np.ndarray, pseudo_class: np.ndarray, beta: np.ndarray,
     purity = None
     if y_true is not None:
         y = np.concatenate([np.asarray(y_true), np.asarray(y_true)])
-        group = (off * (y.max() + 1) + y).ravel()  # (net, pseudo-class, true class)
-        b_hit = np.bincount(group, weights=bnorm.ravel())[group].reshape(nets, n2) - bnorm
+        cell = (off * (y.max() + 1) + y).ravel()  # (net, pseudo-class, true class)
+        b_hit = np.bincount(cell, weights=bnorm.ravel())[cell].reshape(nets, n2) - bnorm
         purity = np.empty((nets, 4))
-        purity[:, 0] = (np.bincount(group)[group].reshape(nets, n2) - 1).sum(axis=1)
+        purity[:, 0] = (np.bincount(cell)[cell].reshape(nets, n2) - 1).sum(axis=1)
         purity[:, 1] = pos_counts.sum(axis=1)
         purity[:, 2] = (bnorm * b_hit).sum(axis=1)
         purity[:, 3] = (bnorm * b_pos).sum(axis=1)
@@ -211,24 +211,17 @@ def cdcl_feature_grad(z: np.ndarray, pseudo_class: np.ndarray, beta: np.ndarray,
     a = np.divide(1.0, np.reshape(n_valid, (nets, 1)) * pos_counts,
                   out=np.zeros((nets, n2)), where=valid)
     gates = np.multiply(member, bnorm[:, None, :], out=member)
-    if n2 <= _BLOCK:
-        # one row block: one sweep for the whole stack; a net with no valid
-        # anchor runs it too, and its a = 0 gives it a zero gradient
-        sims = buffers.array("cdcl", (nets, n2, n2))
-        block = buffers.array("cdcl_block", (nets, n2, n2))
-        lse = _pair_passes(z, gates, a, cfg.tau, sims, block, dz)
-    else:
-        # net by net in one (2N)^2 work matrix, so a large bank's work
-        # stays one matrix
-        sims = buffers.array("cdcl", (1, n2, n2))
-        block = buffers.array("cdcl_block", (1, _BLOCK, n2))
-        lse = np.zeros((nets, n2))
-        for k in range(nets):
-            if n_valid[k]:
-                lse[k] = _pair_passes(z[k:k + 1], gates[k:k + 1, :own[k]], a[k:k + 1],
-                                      cfg.tau, sims, block, dz[k:k + 1])[0]
-            else:
-                dz[k] = 0.0
+    # a bank of one row block sweeps the whole stack at once, a larger one
+    # net by net in one (2N)^2 work matrix, so the largest array of a step
+    # does not double; a net with no valid anchor has a = 0 and a zero gradient
+    group = nets if n2 <= _BLOCK else 1
+    sims = buffers.array("cdcl", (group, n2, n2))
+    block = buffers.array("cdcl_block", (group, min(n2, _BLOCK), n2))
+    lse = np.empty((nets, n2))
+    for k in range(0, nets, group):
+        ks = slice(k, k + group)
+        lse[ks] = _pair_passes(z[ks], gates[ks, :max(own[ks])], a[ks], cfg.tau, sims, block,
+                               dz[ks])
     # sum over positives j of b_j * logp_ij = z_i . (sum_j b_j z_j) / tau - lse_i * b_pos_i
     gated = bnorm * (zb / cfg.tau - lse * b_pos)
     terms = -gated[valid] / pos_counts[valid]

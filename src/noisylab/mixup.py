@@ -94,10 +94,8 @@ def gamma_sample(shape, rng) -> np.ndarray:
     Gamma(shape+1) and scale by U^(1/shape).
 
     A round writes every pending draw and keeps the rejected ones pending,
-    so a later round overwrites them; the first round, which draws them all,
-    writes its draws as they are, and only later rounds index d and c by
-    the pending draws. The log-form test runs only on rounds whose squeeze
-    test rejects a draw.
+    so a later round overwrites them. The log-form test runs only on rounds
+    whose squeeze test rejects a draw.
     """
     rngs = _generators(rng)
     a = np.asarray(shape, dtype=np.float64).ravel()  # row after row
@@ -110,7 +108,7 @@ def gamma_sample(shape, rng) -> np.ndarray:
     dc = np.array((d, 1.0 / np.sqrt(9.0 * d)))
     di, ci = dc
     out = np.empty_like(d)
-    idx = None  # the draws still pending, in increasing order (None: all)
+    idx = np.arange(a.size)  # the draws still pending, in increasing order
     counts = [per] * len(rngs)  # of them, each generator's
     # each round draws one normal and one uniform per pending draw; a draw
     # with v <= 0 needs |x| >= 3*sqrt(d) >= 2.45, where the squeeze test
@@ -120,17 +118,14 @@ def gamma_sample(shape, rng) -> np.ndarray:
         while True:
             x, u = _draws(rngs, counts, normal=True)
             v = (1.0 + ci * x) ** 3
-            if idx is None:
-                np.multiply(di, v, out=out)
-            else:
-                out[idx] = di * v
+            out[idx] = di * v
             accept = u < 1.0 - 0.0331 * x ** 4
             if accept.all():
                 break
             accept |= np.log(u) < 0.5 * x * x + di * (1.0 - v + np.log(v))
             if accept.all():
                 break
-            idx = np.flatnonzero(~accept) if idx is None else idx[~accept]
+            idx = idx[~accept]
             counts = np.bincount(idx // per, minlength=len(rngs)).tolist()
             di, ci = dc.take(idx, axis=1)
     if boost.any():

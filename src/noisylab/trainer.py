@@ -18,15 +18,14 @@ net in one work matrix otherwise.
 The confidence-filtered cross-entropy and consistency heads are the one loop
 over the two nets left, since each net keeps its own rows and
 perfbench/worker.py's row-count probe reads one reweighted_ce_grad call per
-net. They read slices of one block of log-probabilities and probabilities
-taken once per step for the stack (block_log_probs), each net gathering its
-kept rows bc;
-when the filter passes every row (warm-up, no refinement, or a whole
-confident batch) they run on the block's rows as they are, with no gather
-or scatter. The pair stays a stack up to the report: each loss term and the
-contrastive purity totals come back with the net axis, the divergence check
-tests both nets at once, and metrics.EpochTally sums them and builds each
-epoch's record and the summary's extremes; the record is metrics' alone.
+net. They read slices of the step's one log-softmax of the shared forward
+and its exp, each net gathering its kept rows bc; when the filter passes
+every row (warm-up, no refinement, or a whole confident batch) they run on
+the block's rows as they are, with no gather or scatter. The pair stays a
+stack up to the report: each loss term and the contrastive purity totals
+come back with the net axis, the divergence check tests both nets at once,
+and metrics.EpochTally sums them and builds each epoch's record and the
+summary's extremes; the record is metrics' alone.
 
 Each network step has one form: step_forward runs the stack's shared forward
 (on [held-out; weak; strong] rows: the meta set's rows when the meta step
@@ -51,14 +50,9 @@ clean mask and the true labels in that epoch's batch order, so each batch
 takes slices of them; the strong views are drawn only in epochs that run a
 strong-view term. A run builds one parameter stack and one velocity, and
 net.sgd_step updates both in place. It keeps its large arrays in one
-net.Buffers workspace.
-Within a step the roles never collide (net's lifetime rule): the meta step's
-held-out gradient and per-sample temporaries borrow the backward's roles
-before the step's backward runs, and the shared forward, sized for the Mixup
-rows that extend it in place (a stack holds each net's rows as one block),
-lasts through the step. Its held-out rows lead it, so the step's rows
-[weak; strong; Mixup] stay one block for the backward. Evaluation, between
-steps, reuses the forward's roles.
+net.Buffers workspace, whose roles never collide within a step (net's
+lifetime rule). The held-out rows lead the shared forward, so the step's
+rows [weak; strong; Mixup] stay one block for the backward.
 """
 
 from __future__ import annotations
@@ -187,14 +181,6 @@ def refined_targets(co_probs: np.ndarray, given_targets: np.ndarray, w_t: float,
     return targets, [np.flatnonzero(kept) for kept in confident]
 
 
-def block_log_probs(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The log-softmax of one block of cached logits (for a stack, every
-    net's at once) and its exp, the softmax: what the cross-entropy heads
-    that read the block's rows, or some of them, take."""
-    logp = log_softmax(logits)
-    return logp, np.exp(logp)
-
-
 def reweighted_ce_grad(logp: np.ndarray, targets, reliabilities: np.ndarray,
                        bc: np.ndarray, eta_w: float, probs: np.ndarray | None = None):
     """Confidence-filtered cross-entropy of cached log-probabilities logp =
@@ -258,10 +244,11 @@ def step_forward(params: ModelParams, held_x: np.ndarray | None, xw: np.ndarray,
     rows stay one block for the backward pass.
 
     Returns the forward of held_x's rows (None without held_x), the forward
-    of the step's rows [xw; xs], and the block_log_probs of the leading rows
-    that cross-entropy heads read, in the forward's order: held_x's, xw's
-    and, when the consistency term runs (w_t > 0 and use_cr), xs's. That is
-    one log-softmax for the stack, and every head reads a slice of it.
+    of the step's rows [xw; xs], and the log-softmax and its exp of the
+    leading rows that cross-entropy heads read, in the forward's order:
+    held_x's, xw's and, when the consistency term runs (w_t > 0 and
+    use_cr), xs's. That is one log-softmax for the stack, and every head
+    reads a slice of it.
     """
     strong = w_t > 0.0 and (cfg.use_cr or cfg.use_cdcl)
     blocks = ([] if held_x is None else [held_x]) + [xw] + ([xs] if strong else [])
@@ -270,7 +257,8 @@ def step_forward(params: ModelParams, held_x: np.ndarray | None, xw: np.ndarray,
     fw = forward_batch(params, x_in, buffers=buffers, total_rows=len(x_in) + mix_rows)
     m = 0 if held_x is None else len(held_x)
     heads = m + len(xw) * (2 if w_t > 0.0 and cfg.use_cr else 1)
-    lp = block_log_probs(fw.logits[..., :heads, :])
+    logp = log_softmax(fw.logits[..., :heads, :])
+    lp = logp, np.exp(logp)
     if held_x is None:
         return None, fw, lp
     return fw.rows(slice(0, m)), fw.rows(slice(m, None)), lp

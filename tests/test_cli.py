@@ -566,6 +566,28 @@ class TestTrain:
             saved = load_checkpoint(out / ("abort_%s.bin" % name))
             assert np.array_equal(saved.flat, seen[1][k]), name
 
+    def test_diverging_run_prints_only_its_abort_line(self, tmp_path):
+        # a step size that blows the run up overflows on its way to the
+        # divergence guard; in a fresh interpreter, where numpy's warnings
+        # reach stderr, the abort line is all the run prints there
+        import subprocess
+        import sys
+
+        cfg = tmp_path / "diverge.cfg"
+        cfg.write_text(SMALL_RUN.replace("decay_epochs = 2\n", "decay_epochs = 2\nlr = 1000000\n"))
+        out = tmp_path / "diverged"
+        env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+        proc = subprocess.run([sys.executable, "-m", "noisylab.cli", "train", "--config",
+                               str(cfg), "--out", str(out)], env=env, capture_output=True,
+                              text=True)
+        assert proc.returncode == 1
+        assert proc.stderr == ("training aborted: non-finite reliability at epoch 1 batch 1"
+                               " (net1)\n")
+        snap = json.loads((out / "abort_snapshot.json").read_text())
+        assert (snap["epoch"], snap["batch"], snap["net"]) == (1, 1, "net1")
+        for name in ("abort_net1.bin", "abort_net2.bin"):
+            assert (out / name).exists()
+
     def test_checkpoints_loadable(self, cfg_path, tmp_path):
         from noisylab.net import load_checkpoint
 

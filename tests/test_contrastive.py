@@ -410,14 +410,15 @@ class TestStackedHead:
             assert np.allclose(purity[k], purity_k, rtol=1e-12)
         assert loss[1] == 0.0 and np.all(dz[1] == 0.0)
 
-    @pytest.mark.parametrize("half", [8, 32, 33], ids=["2N_16", "2N_64", "2N_66"])
+    @pytest.mark.parametrize("half", [8, 32, 33, 65], ids=["2N_16", "2N_64", "2N_66", "2N_130"])
     def test_one_block_sweep_equals_the_per_net_sweep(self, half):
-        # up to 2N = 64 the stack's (2N)^2 passes run as one sweep, at 2N = 66
-        # net by net; either way each net's slice has the bits of its own
-        # call, whose gradient has the dense form's bits. The nets'
-        # pseudo-labels cover 4 and 2 classes, then net 2 has no anchor with
-        # a positive (every row its own class); the gradients' bytes are
-        # compared, which tells zeros' signs apart
+        # up to 2N = 64 the stack's (2N)^2 passes run as one sweep, above it
+        # net by net (at 2N = 130 over three row blocks, the last partial);
+        # either way each net's slice has the bits of its own call, whose
+        # gradient has the dense form's bits. The nets' pseudo-labels cover
+        # 4 and 2 classes, then net 2 has no anchor with a positive (every
+        # row its own class), so its a = 0 must give a +0.0 gradient; the
+        # gradients' bytes are compared, which tells zeros' signs apart
         rng = np.random.default_rng(half)
         z = unit_rows(rng, 4 * half).reshape(2, 2 * half, 5)
         beta = np.stack([np.concatenate([b, b]) for b in rng.random((2, half))])
@@ -435,6 +436,6 @@ class TestStackedHead:
                 assert np.array_equal(purity[k], purity_k)
                 assert np.array_equal(dz_k, dense_cdcl_feature_grad(z[k], pc[k], beta[k],
                                                                     CFG, y)[1])
-        assert loss[1] == 0.0 and np.all(dz[1] == 0.0)
+        assert loss[1] == 0.0 and dz[1].tobytes() == np.zeros_like(dz[1]).tobytes()
         raw, pc, beta, y = self.random_stack(rng, half, classes=(4, 2))
         self.assert_slices(raw, pc, beta, y)

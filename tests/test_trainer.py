@@ -258,7 +258,8 @@ class TestFullBatchPath:
             for targets in target_sets:
                 for r in (rng.uniform(0.0, 3.0, (2, b)), np.ones((2, b))):
                     bc = np.arange(b)
-                    logp, probs = trainer.block_log_probs(fw.logits)
+                    logp = net.log_softmax(fw.logits)
+                    probs = np.exp(logp)
                     for k in range(2):
                         weak, strong = fw.logits[k, :b], fw.logits[k, b:]
                         loss, grad = trainer.reweighted_ce_grad(
@@ -278,7 +279,8 @@ class TestFullBatchPath:
         logits = rng.standard_normal((6, 3))
         t = rng.random((6, 3))
         targets, r = t / t.sum(axis=1, keepdims=True), rng.uniform(0.1, 2.0, 6)
-        logp, probs = trainer.block_log_probs(logits)
+        logp = net.log_softmax(logits)
+        probs = np.exp(logp)
         for eta_w in (0.0, 1.0):
             loss, grad = trainer.reweighted_ce_grad(logp, targets, r, bc=bc, eta_w=eta_w,
                                                     probs=probs)
@@ -467,14 +469,17 @@ class TestCoTrain:
         assert np.array_equal(ref[0, 1], reliability.one_hot([3], 4)[0])
 
     def test_divergence_guard(self):
-        train, meta, test = tiny_data()
-        cfg = tiny_cfg(lr=1e6, epochs=4)  # guaranteed blow-up
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(Exception) as exc_info:
-                trainer.co_train(train, meta, test, cfg)
+        # a blow-up, with or without the meta step, ends in the guard's
+        # TrainingDiverged, which noisylab train turns into its abort line; a
+        # bare ValueError would reach the user as a traceback
         from noisylab.util import TrainingDiverged
 
-        assert isinstance(exc_info.value, (TrainingDiverged, ValueError))
+        train, meta, test = tiny_data()
+        for use_meta in (True, False):
+            cfg = tiny_cfg(lr=1e6, epochs=4, use_meta=use_meta)  # guaranteed blow-up
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                with pytest.raises(TrainingDiverged, match="non-finite"):
+                    trainer.co_train(train, meta, test, cfg)
 
     def test_wall_clock_excluded_from_json(self):
         train, meta, test = tiny_data()
