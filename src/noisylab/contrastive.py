@@ -4,10 +4,14 @@ Positives are defined purely from pseudo-label agreement across the 2N rows
 (weak views first, strong views second); observed labels never enter this
 module, by interface, and true labels enter only the purity diagnostics. Each
 positive pair's attraction is gated by the product of the two sides'
-normalized pseudo-label reliabilities. Training calls cdcl_head, which
+normalized pseudo-label reliabilities (uniform ones in a run without the
+meta step, which normalize to weight one). Training calls cdcl_head, which
 returns the gradient w.r.t. the raw bank embeddings for the network step's
-one backward pass; the reference forms (explicit positive sets and weights,
-the double loop, the dense form, the parameter gradient) live in oracles.py.
+one backward pass. The bank is the step's weak and strong rows, which the
+term projects through the projection head from their cached h2 in the
+step's shared forward (net.project), the only projection a run computes;
+the reference forms (explicit positive sets and weights, the double loop,
+the dense form, the parameter gradient) live in oracles.py.
 
 A positive is any other row of the same pseudo-class and each gate b_i * b_j
 factors, so the loss value and the purity totals, which only report and never

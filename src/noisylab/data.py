@@ -294,10 +294,14 @@ def load_dataset(csv_path, json_path) -> Dataset:
     x = np.empty((n, dim))
     for i, row in enumerate(rows[1:]):
         cells = row.split(",")
+        # numpy would broadcast a single feature cell across the row
+        if len(cells) != 3 + dim:
+            raise ConfigError("%s row %d: %d cells, expected %d (id, y_true, y_obs and %d "
+                              "features)" % (csv_path, i + 1, len(cells), 3 + dim, dim))
         try:
             ids[i], y_true[i], y_obs[i] = int(cells[0]), int(cells[1]), int(cells[2])
             x[i] = [float(v) for v in cells[3:]]
-        except (ValueError, IndexError, OverflowError) as exc:  # overflow: int64 cells
+        except (ValueError, OverflowError) as exc:  # overflow: int64 cells
             raise ConfigError("%s row %d: %s" % (csv_path, i + 1, exc))
     ds = Dataset(x=x, y_true=y_true, y_obs=y_obs, ids=ids,
                  num_classes=num_classes, noise_spec=spec)

@@ -5,7 +5,12 @@ finite-difference-checkable gradient.
 Architecture: rectifier MLP trunk (dim -> hidden -> hidden), a linear
 classification head (hidden -> num_classes) and a linear projection head
 (hidden -> proj). Parameters live in one flat float64 vector so gradients
-support addition, scaling and inner products directly.
+support addition, scaling and inner products directly. A forward
+(forward_batch) runs the trunk and the classification head only: the
+projection head serves the contrastive term alone, which projects its bank
+rows from a forward's cached h2 (project), so evaluation and every step
+without that term never run it. backward_batch takes the projection's
+gradient (demb) when there is one.
 
 One network or a stack of them: a flat vector of shape lead + (n_params,)
 holds one network when lead is () and a stack of networks side by side when
@@ -19,20 +24,20 @@ steps its two networks as one stack this way.
 
 A training run keeps its large per-step arrays in one Buffers workspace,
 created once and reused, instead of allocating (and having the allocator
-unmap) fresh ones every step. Each array has a role: "x", "h1", "h2",
-"logits" and "emb" for the forward, "grad", "dh1" and "dh2" for the
-backward, "sgd" for sgd_step's temporary, and the callers' own. Lifetime
-rule: an array obtained from a Buffers object, directly or inside a forward,
-cache or gradient computed into it, is valid until the next request for the
-same role; keep anything needed longer as a copy or a derived array. So
-forward_batch(..., row0=k) keeps an earlier forward's first k rows, and
-per_sample_grad_dots borrows "dh1" and "dh2" until the next backward. A
-stack holds each net's rows as one block, so a forward that later rows will
-extend is sized for all of them when it runs (total_rows), or the extension
-raises. A forward's blocks of rows are forwards of their own (rows()): a
-network step forwards the meta step's held-out rows with its batch, and
-backward_batch runs on either block. Without buffers the passes allocate
-fresh arrays, with the same bits.
+unmap) fresh ones every step. Each array has a role: "x", "h1", "h2" and
+"logits" for the forward, "emb" for the projection, "grad", "dh1" and "dh2"
+for the backward, "sgd" for sgd_step's temporary, and the callers' own.
+Lifetime rule: an array obtained from a Buffers object, directly or inside a
+forward, projection, cache or gradient computed into it, is valid until the
+next request for the same role; keep anything needed longer as a copy or a
+derived array. So forward_batch(..., row0=k) keeps an earlier forward's
+first k rows, and per_sample_grad_dots borrows "dh1" and "dh2" until the
+next backward. A stack holds each net's rows as one block, so a forward
+that later rows will extend is sized for all of them when it runs
+(total_rows), or the extension raises. A forward's blocks of rows are
+forwards of their own (rows()): a network step forwards the meta step's
+held-out rows with its batch, and backward_batch runs on either block.
+Without buffers the passes allocate fresh arrays, with the same bits.
 
 The cross-entropy heads read log-probabilities, not logits: a caller takes
 one log_softmax over a contiguous block of rows (for a stack, for every net
@@ -154,7 +159,7 @@ def init_params(arch: Architecture, seed: int) -> ModelParams:
     return ModelParams(arch, np.concatenate(parts))
 
 
-_FORWARD_ROLES = ("x", "h1", "h2", "logits", "emb")
+_FORWARD_ROLES = ("x", "h1", "h2", "logits")
 
 
 class Buffers:
@@ -165,7 +170,7 @@ class Buffers:
     computes in the same memory order as a fresh array of its shape; a larger
     request gets fresh storage. Views are memoized by (role, shape): a step
     asks for the same few shapes again and again. The "grad" role's array
-    also keeps its named views (grad()), and the forward its five role arrays
+    also keeps its named views (grad()), and the forward its four role arrays
     (forward()), each built once until one of its roles' storage grows.
     """
 
@@ -198,13 +203,12 @@ class Buffers:
         return entry
 
     def forward(self, arch: Architecture, rows: tuple) -> tuple:
-        """The forward's "x", "h1", "h2", "logits" and "emb" arrays for
-        rows = lead + (total rows,) (the tuple is the same object on every
-        call)."""
+        """The forward's "x", "h1", "h2" and "logits" arrays for rows =
+        lead + (total rows,) (the tuple is the same object on every call)."""
         key = (_FORWARD_ROLES, arch, rows)
         entry = self._named.get(key)
         if entry is None:
-            widths = (arch.dim, arch.hidden, arch.hidden, arch.num_classes, arch.proj)
+            widths = (arch.dim, arch.hidden, arch.hidden, arch.num_classes)
             entry = self._named[key] = tuple(self.array(role, rows + (width,))
                                              for role, width in zip(_FORWARD_ROLES, widths))
         return entry
@@ -213,20 +217,19 @@ class Buffers:
 @dataclass
 class BatchForward:
     logits: np.ndarray  # lead + (B, C)
-    emb: np.ndarray     # lead + (B, P), pre-normalization
-    cache: tuple        # (x, h1, h2) for the backward pass
+    cache: tuple        # (x, h1, h2) for the backward pass and the projection
 
     def rows(self, sl: slice) -> "BatchForward":
         """The forward of a contiguous block of rows (views, no copy)."""
-        return BatchForward(self.logits[..., sl, :], self.emb[..., sl, :],
-                            tuple(a[..., sl, :] for a in self.cache))
+        return BatchForward(self.logits[..., sl, :], tuple(a[..., sl, :] for a in self.cache))
 
 
 def forward_batch(params: ModelParams, x: np.ndarray, eval_mode: bool = False,
                   buffers: Buffers | None = None, row0: int = 0,
                   total_rows: int | None = None) -> BatchForward:
-    """Run the MLP (or each net of a stack) on a batch of inputs: (B, dim),
-    shared by a stack, or lead + (B, dim), one block per net.
+    """Run the trunk and the classification head (or those of each net of a
+    stack) on a batch of inputs: (B, dim), shared by a stack, or
+    lead + (B, dim), one block per net. The projection head runs in project.
 
     With `buffers`, every array of the result lives there, in arrays of
     total_rows rows per net (default row0 + B), and x's rows go after the
@@ -255,8 +258,8 @@ def forward_batch(params: ModelParams, x: np.ndarray, eval_mode: bool = False,
         raise ValueError("row0 needs the last forward into buffers to reserve %d rows" % total)
     buffers.forward_rows = lead + (total,)
     rows = buffers.forward(arch, buffers.forward_rows)
-    x_new, h1_new, h2_new, logits_new, emb_new = (a[..., row0:n, :] for a in rows)
-    # h = max(x @ w + b, 0) and the heads, each step in place: the same bits
+    x_new, h1_new, h2_new, logits_new = (a[..., row0:n, :] for a in rows)
+    # h = max(x @ w + b, 0) and the head, each step in place: the same bits
     # as fresh arrays
     x_new[...] = x
     np.matmul(x, params.w1, out=h1_new)
@@ -267,10 +270,23 @@ def forward_batch(params: ModelParams, x: np.ndarray, eval_mode: bool = False,
     np.maximum(h2_new, 0.0, out=h2_new)
     np.matmul(h2_new, params.wc, out=logits_new)
     logits_new += params.bc[..., None, :]
-    np.matmul(h2_new, params.wp, out=emb_new)
-    emb_new += params.bp[..., None, :]
-    xs, h1, h2, logits, emb = (a[..., :n, :] if n < total else a for a in rows)
-    return BatchForward(logits, emb, (xs, h1, h2))
+    xs, h1, h2, logits = (a[..., :n, :] if n < total else a for a in rows)
+    return BatchForward(logits, (xs, h1, h2))
+
+
+def project(params: ModelParams, h2: np.ndarray, buffers: Buffers | None = None) -> np.ndarray:
+    """The projection head on cached second-layer activations h2 (a
+    forward's cache[2], or a block of its rows): h2 @ wp + bp, the raw
+    embeddings of the contrastive bank, lead + (rows, proj). The gemm of a
+    block of rows has the bits of those rows of the whole forward's gemm
+    (numpy 2.4.6 with scipy-openblas 0.3.31, checked for hidden 64 and 16
+    on banks of 2 to 512 rows behind 0, 8 or 40 leading rows). With
+    `buffers`, the result lives in the "emb" role."""
+    shape = h2.shape[:-1] + (params.arch.proj,)
+    emb = np.empty(shape) if buffers is None else buffers.array("emb", shape)
+    np.matmul(h2, params.wp, out=emb)
+    emb += params.bp[..., None, :]
+    return emb
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:

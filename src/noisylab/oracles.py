@@ -193,7 +193,8 @@ def cdcl_grad(params: net.ModelParams, weak_x: np.ndarray, strong_x: np.ndarray,
     """The contrastive term on its own: loss and flat parameter gradient
     through both view embeddings."""
     out = net.forward_batch(params, np.concatenate([weak_x, strong_x]))
-    loss, draw, _ = contrastive.cdcl_head(out.emb, pseudo_class, beta, cfg)
+    loss, draw, _ = contrastive.cdcl_head(net.project(params, out.cache[2]), pseudo_class,
+                                          beta, cfg)
     return loss, net.backward_batch(params, out.cache, np.zeros_like(out.logits), draw)
 
 
@@ -223,7 +224,7 @@ def fused_step_fd_error(params: net.ModelParams, xw: np.ndarray, xs: np.ndarray,
         buffers = net.Buffers()
         _, fw, lp = trainer.step_forward(p, None, xw, xs, w_t, cfg, buffers)
         losses, grad, _ = trainer.step_loss_grad(
-            p, xw, fw, targets2, r2, bc2, cfg.eta_w, w_t, cfg,
+            p, xw, fw, targets2, r2, bc2, w_t, cfg,
             pairs=pairs2 if w_t > 0.0 else None, pseudo_cls=pc2, gate_beta=beta2,
             lp=lp, buffers=buffers)
         values = losses["ce_re"] + w_t * (losses.get("cr", 0.0) + losses.get("ram", 0.0)

@@ -30,20 +30,26 @@ summary's extremes; the record is metrics' alone.
 Each network step has one form: step_forward runs the stack's shared forward
 (on [held-out; weak; strong] rows: the meta set's rows when the meta step
 runs, the strong views when a strong-view term runs), and step_loss_grad
-runs every loss head on cached rows, forwards the Mixup rows after the shared
-ones, and assembles each net's objective ce + w_t * (cr + ram + lambda_cdcl *
-cdcl) once, as its "total" and as one backward pass over the summed head
-gradients (backward_batch is linear in them). The meta step reads the
-held-out rows and the weak-view rows of that forward and runs its own
-backward on the held-out rows, since alpha and beta depend on it. A step
-takes two log-softmaxes for the stack: one over the shared forward's leading
-rows that a cross-entropy head reads (held-out, weak, and strong when the
-consistency term runs), and one over the Mixup rows when those run. Every
-head reads a slice of the first: the meta step's held-out head, which takes
-only its gradient, both nets' cross-entropy heads, the consistency heads, and
-the co-network softmax, the weak rows' probabilities read in partner order.
-The pseudo-labels are taken only when a term reads them (the meta step or
-the contrastive term).
+runs every loss head on cached rows, forwards the Mixup rows after the
+shared ones, and assembles each net's objective ce + w_t * (cr + ram +
+lambda_cdcl * cdcl) once, as its "total" and as one backward pass over the
+summed head gradients (backward_batch is linear in them). The contrastive
+term alone reads the projection head: it projects its bank, the step's weak
+and strong rows, from their cached h2 in the shared forward (net.project),
+so the held-out rows, the Mixup rows, evaluation and every step without that
+term never run it. The meta step reads the held-out rows and the weak-view
+rows of that forward and runs its own backward on the held-out rows, since
+alpha and beta depend on it. A run without the meta step takes no
+reliabilities: its cross-entropy runs unweighted (reliabilities=None), and
+Mixup and the contrastive gate read uniform ones, built only on the batches
+where they run. A step takes two log-softmaxes for the stack: one over the
+shared forward's leading rows that a cross-entropy head reads (held-out,
+weak, and strong when the consistency term runs), and one over the Mixup
+rows when those run. Every head reads a slice of the first: the meta step's
+held-out head, which takes only its gradient, both nets' cross-entropy
+heads, the consistency heads, and the co-network softmax, the weak rows'
+probabilities read in partner order. The pseudo-labels are taken only when a
+term reads them (the meta step or the contrastive term).
 
 Once per epoch, co_train puts the views, the one-hot observed labels, the
 clean mask and the true labels in that epoch's batch order, so each batch
@@ -67,7 +73,7 @@ from .contrastive import CdclConfig
 from .data import AugmentConfig, Dataset, MetaSet, default_augment_config, make_views
 from .mixup import DELTA, RamConfig, total_reliability
 from .net import (Architecture, BatchForward, Buffers, ModelParams, backward_batch,
-                  forward_batch, init_params, log_softmax, sgd_step, stack_params,
+                  forward_batch, init_params, log_softmax, project, sgd_step, stack_params,
                   weighted_ce_head)
 from .reliability import disentangle, meta_gradients_closed
 from .util import ConfigError, TrainingDiverged, child_rng
@@ -181,19 +187,20 @@ def refined_targets(co_probs: np.ndarray, given_targets: np.ndarray, w_t: float,
     return targets, [np.flatnonzero(kept) for kept in confident]
 
 
-def reweighted_ce_grad(logp: np.ndarray, targets, reliabilities: np.ndarray,
+def reweighted_ce_grad(logp: np.ndarray, targets, reliabilities: np.ndarray | None,
                        bc: np.ndarray, eta_w: float, probs: np.ndarray | None = None):
     """Confidence-filtered cross-entropy of cached log-probabilities logp =
     log_softmax(logits), probs their exp when the caller has it, with
     multiplier 1 + eta_w * r_tilde, where r_tilde is each sample's
     reliability over the filtered-batch mean (plus mixup.DELTA, which guards
-    an all-zero mean).
+    an all-zero mean). reliabilities=None (a run without the meta step)
+    gives every row multiplier 1, the bits of all-ones reliabilities at
+    eta_w = 0.
 
     bc holds increasing row indices, as refined_targets returns them.
     Returns the loss and its gradient w.r.t. the logits.
     """
-    return _filtered_ce(logp, probs, targets, bc,
-                        np.asarray(reliabilities, dtype=np.float64), eta_w)
+    return _filtered_ce(logp, probs, targets, bc, reliabilities, eta_w)
 
 
 def consistency_loss_grad(logp: np.ndarray, targets, bc: np.ndarray,
@@ -222,7 +229,7 @@ def _filtered_ce(logp, probs, targets, bc, reliabilities=None, eta_w=0.0):
     if reliabilities is None:
         weights = np.ones(bc.size)
     else:
-        r = rows(reliabilities)
+        r = rows(np.asarray(reliabilities, dtype=np.float64))
         weights = 1.0 + eta_w * (r / (r.mean() + DELTA))
     loss, dl = weighted_ce_head(rows(logp), rows(targets), weights, rows(probs))
     if full:
@@ -265,7 +272,7 @@ def step_forward(params: ModelParams, held_x: np.ndarray | None, xw: np.ndarray,
 
 
 def step_loss_grad(params: ModelParams, xw: np.ndarray, fw: BatchForward,
-                   targets: np.ndarray, r: np.ndarray, bc, eta_w: float, w_t: float,
+                   targets: np.ndarray, r: np.ndarray | None, bc, w_t: float,
                    cfg: TrainConfig, pairs: mixup.MixBatch | None = None,
                    pseudo_cls: np.ndarray | None = None,
                    gate_beta: np.ndarray | None = None, y_true: np.ndarray | None = None,
@@ -275,16 +282,19 @@ def step_loss_grad(params: ModelParams, xw: np.ndarray, fw: BatchForward,
 
     params is the stack (lead (K,)); targets (K, B, C), r, pseudo_cls and
     gate_beta (K, B) and every field of pairs (a stacked mixup.MixBatch)
-    hold one block per net, and bc one entry per net. fw is the step rows'
+    hold one block per net, and bc one entry per net. r holds the
+    cross-entropy's reliabilities, reweighted with cfg.eta_w, and is None
+    without the meta step (every multiplier 1). fw is the step rows'
     forward of step_forward, the last forward into the same `buffers`, and
     lp the log-softmax and softmax of its leading rows, the weak rows and
     then, when the consistency term runs, the strong rows (step_forward's
     block after any held-out rows). Each term's head gradient comes from
-    the cached outputs, with w_t and lambda_cdcl folded in, the Mixup rows
-    (their own log-softmax for the stack) are forwarded into the rows
-    step_forward reserved after fw's, and one backward pass over [xw; xs;
-    x_mix] gives each net's gradient of total = ce + w_t * (cr + ram +
-    lambda_cdcl * cdcl). Returns
+    the cached outputs, with w_t and lambda_cdcl folded in: the contrastive
+    term projects its bank, fw's weak and strong rows, from their cached
+    h2. The Mixup rows (their own log-softmax for the stack) are forwarded
+    into the rows step_forward reserved after fw's, and one backward pass
+    over [xw; xs; x_mix] gives each net's gradient of total = ce + w_t *
+    (cr + ram + lambda_cdcl * cdcl). Returns
     {term: (K,) array} for the terms that ran and "total", the (K, n_params)
     gradient (in `buffers`) and the (K, 4) purity totals of
     contrastive.cdcl_head, None unless the contrastive term runs with
@@ -308,16 +318,18 @@ def step_loss_grad(params: ModelParams, xw: np.ndarray, fw: BatchForward,
         # bc by keyword: perfbench/worker.py's probe reads it there, and the
         # rows offered from targets[k]
         losses["ce_re"][k], dlogits[k, :b] = reweighted_ce_grad(
-            logp[k, :b], targets[k], r[k], bc=bc[k], eta_w=eta_w, probs=probs[k, :b])
+            logp[k, :b], targets[k], None if r is None else r[k], bc=bc[k], eta_w=cfg.eta_w,
+            probs=probs[k, :b])
         if cr:
             losses["cr"][k], dcr = consistency_loss_grad(logp[k, b:], targets[k], bc[k],
                                                          probs=probs[k, b:])
             np.multiply(w_t, dcr, out=dlogits[k, b:n])
     if w_t > 0.0 and cfg.use_cdcl:
-        demb = buffers.array("demb", (len(nets), rows, fw.emb.shape[-1]))
+        emb = project(params, fw.cache[2], buffers)  # the bank: the weak and strong rows
+        demb = buffers.array("demb", (len(nets), rows, emb.shape[-1]))
         demb[:, n:] = 0.0
         losses["cdcl"], _, purity = contrastive.cdcl_head(
-            fw.emb, pseudo_cls, gate_beta, cfg.cdcl, y_true, buffers, out=demb[:, :n])
+            emb, pseudo_cls, gate_beta, cfg.cdcl, y_true, buffers, out=demb[:, :n])
         demb[:, :n] *= w_t * cfg.lambda_cdcl
     if ram:
         # the Mixup rows end step_forward's reservation; any held-out rows lead it
@@ -449,23 +461,23 @@ def co_train(train: Dataset, meta: MetaSet | None, test: Dataset, cfg: TrainConf
                                                  rb.alpha, rb.beta, batch_clean)
                 beta = rb.beta
                 r = total_reliability(rb.alpha, beta, cfg.ram)
-                eta_eff = cfg.eta_w
+                finite_r = np.isfinite(r).all(axis=1)
+                if not finite_r.all():  # the Beta sampler needs finite shapes
+                    raise _diverged("reliability", t, batch_idx, int(np.argmin(finite_r)), {},
+                                    params)
             else:
-                beta = np.ones((2, b))
-                r = np.ones((2, b))
-                eta_eff = 0.0
-            finite_r = np.isfinite(r).all(axis=1)
-            if not finite_r.all():  # the Beta sampler needs finite shapes
-                raise _diverged("reliability", t, batch_idx, int(np.argmin(finite_r)), {},
-                                params)
+                # the cross-entropy takes no reliabilities; Mixup and the
+                # contrastive gate read uniform ones, built when they run
+                r = None
+                beta = np.ones((2, b)) if w_t > 0.0 and (cfg.use_ram or cfg.use_cdcl) else None
 
             pairs = None
             if w_t > 0.0 and cfg.use_ram:
-                pairs = mixup.build_pairs(xw, r, targets, cfg.ram, mix_rngs,
-                                          symmetric=cfg.sym_ram, gate=cfg.use_grg)
+                pairs = mixup.build_pairs(xw, beta if r is None else r, targets, cfg.ram,
+                                          mix_rngs, symmetric=cfg.sym_ram, gate=cfg.use_grg)
                 tally.add_pairs(pairs, batch_clean)
             losses, grad, purity = step_loss_grad(
-                params, xw, fw, targets, r, bc, eta_eff, w_t, cfg, pairs=pairs,
+                params, xw, fw, targets, r, bc, w_t, cfg, pairs=pairs,
                 pseudo_cls=pseudo_cls, gate_beta=beta, y_true=y_true_epoch[rows],
                 lp=(logp[:, m:], probs[:, m:]), buffers=buffers)
 

@@ -1,6 +1,7 @@
 """Command-line contract: subcommands, exit codes, reproducible outputs."""
 
 import hashlib
+import importlib.util
 import json
 import os
 
@@ -133,6 +134,17 @@ def _csv_cell(column, token):
         cells = lines[1].split(",")
         cells[column] = token
         lines[1] = ",".join(cells)
+        csv.write_text("\n".join(lines) + "\n")
+        return cfg_text
+    return corrupt
+
+
+def _csv_first_row(edit):
+    """A corruption replacing the first sample's CSV cells by edit(cells)."""
+    def corrupt(data_dir, cfg_text):
+        csv = data_dir / "dataset.csv"
+        lines = csv.read_text().splitlines()
+        lines[1] = ",".join(edit(lines[1].split(",")))
         csv.write_text("\n".join(lines) + "\n")
         return cfg_text
     return corrupt
@@ -310,6 +322,10 @@ class TestLoadedDataset:
         (_csv_cell(0, "1" + "0" * 25), ["dataset.csv", "row 1"]),
         (_csv_cell(1, "1" + "0" * 25), ["dataset.csv", "row 1"]),
         (_csv_cell(2, "1" + "0" * 25), ["dataset.csv", "row 1"]),
+        # SMALL_RUN's dim is 3: a row of 4 or 7 cells, not 6
+        (_csv_first_row(lambda cells: cells[:4]), ["dataset.csv", "row 1", "4 cells, expected 6"]),
+        (_csv_first_row(lambda cells: cells + ["0.5"]),
+         ["dataset.csv", "row 1", "7 cells, expected 6"]),
     ], ids=["label_out_of_range", "empty_csv", "sidecar_without_dim", "dim_mismatch",
             "infinite_dim", "overflowing_dim", "negative_dim", "fractional_dim",
             "boolean_dim", "fractional_num_classes", "one_class", "huge_dim",
@@ -317,7 +333,7 @@ class TestLoadedDataset:
             "nan_noise_rate", "infinite_noise_rate", "negative_noise_rate",
             "noise_rate_above_one", "string_noise_rate", "string_noise_seed",
             "negative_noise_seed", "fractional_noise_seed",
-            "huge_id", "huge_y_true", "huge_y_obs"])
+            "huge_id", "huge_y_true", "huge_y_obs", "one_feature_cell", "extra_cell"])
     def test_malformed_dataset_exit_2(self, corrupt, expected, cfg_path, tmp_path, capsys):
         data_dir = tmp_path / "data"
         assert cli.main(["generate", "--config", cfg_path, "--out", str(data_dir)]) == 0
@@ -647,22 +663,35 @@ class TestPairMap:
         assert "epochs recorded : 3" in capsys.readouterr().out
 
 
+def _perfbench_module(name, monkeypatch):
+    """perfbench/<name>.py, imported as it is; the BLAS thread variables
+    that run.py pins on import are restored afterwards."""
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "perfbench"))
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, os.environ.get(var, "1"))
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_" + name, os.path.join(ROOT, "perfbench", name + ".py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 class TestBenchmarkContract:
     """What the benchmark worker (perfbench/worker.py, imported as it is)
-    reads of the program, on a small CLI run: its artifact checks, its
-    epoch-start hook on trainer.warmup and its row-count probes."""
+    reads of the program, on a small CLI run of the full pipeline and of
+    perfbench's plain_ce workload: its artifact checks, its epoch-start hook
+    on trainer.warmup and its row-count probes."""
 
-    def test_worker_reads_a_small_run(self, cfg_path, tmp_path, monkeypatch):
-        import importlib.util
-
+    @pytest.mark.parametrize("workload", ["fixture", "plain_ce"])
+    def test_worker_reads_a_small_run(self, workload, tmp_path, monkeypatch):
         from noisylab import trainer
 
-        spec = importlib.util.spec_from_file_location(
-            "perfbench_worker", os.path.join(ROOT, "perfbench", "worker.py"))
-        worker = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(worker)
-        monkeypatch.syspath_prepend(os.path.join(ROOT, "perfbench"))
+        worker = _perfbench_module("worker", monkeypatch)
+        run_py = _perfbench_module("run", monkeypatch)
         from tracer import Tracer
+
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(run_py.set_keys(SMALL_RUN, run_py.WORKLOADS[workload]))
 
         run = {}
         co_train = cli.co_train
@@ -692,15 +721,21 @@ class TestBenchmarkContract:
         epoch_refs = worker.install_epoch_reference()
 
         out = str(tmp_path / "run")
-        assert cli.main(["train", "--config", cfg_path, "--out", out]) == 0
+        assert cli.main(["train", "--config", str(cfg_path), "--out", out]) == 0
         tracer.stop()
         cfg = run["cfg"]
+        assert cfg.use_meta == (workload == "fixture")
         assert worker.check_run(out, run["report"], run["test"], cfg) == []
         assert len(epoch_refs) == cfg.epochs
         # every row of every batch is offered to each net's cross-entropy
-        assert tracer.counters["ce_rows_offered"] == 2 * run["n_train"] * cfg.epochs
-        assert tracer.counters["ce_rows_kept"] == sum(kept)
-        assert 0 < sum(kept) < 2 * run["n_train"] * cfg.epochs
+        offered = 2 * run["n_train"] * cfg.epochs
+        assert tracer.counters["ce_rows_offered"] == offered
+        if cfg.use_refine:
+            assert tracer.counters["ce_rows_kept"] == sum(kept)
+            assert 0 < sum(kept) < offered
+        else:  # no filter: every offered row is kept
+            assert kept == []
+            assert tracer.counters["ce_rows_kept"] == offered
 
 
 class TestTrainImports:

@@ -22,6 +22,11 @@ def two_views(pseudo_half, beta_half):
     return np.concatenate([pseudo_half, pseudo_half]), np.concatenate([beta_half, beta_half])
 
 
+def embed(params, x):
+    """The raw bank rows of inputs x: the projection of their forward."""
+    return net.project(params, net.forward_batch(params, x).cache[2])
+
+
 def cdcl_loss(z, pseudo_class, beta, cfg=CFG):
     return contrastive.cdcl_feature_grad(z, pseudo_class, beta, cfg)[0]
 
@@ -197,7 +202,7 @@ class TestBankAndGradient:
         pc = rng.integers(0, 2, 5)
         beta = rng.random(5)
         y = rng.integers(0, 2, 5)
-        raw = net.forward_batch(params, np.concatenate([weak, strong])).emb
+        raw = embed(params, np.concatenate([weak, strong]))
         z = l2_normalize(raw)
         assert np.allclose(np.linalg.norm(z, axis=1), 1.0, atol=1e-9)
         loss, draw, purity = contrastive.cdcl_head(raw, pc, beta, CFG, y)
@@ -224,8 +229,7 @@ class TestBankAndGradient:
         _, grad = cdcl_grad(params, weak, strong, pc, beta, CFG)
 
         def value(flat):
-            raw = net.forward_batch(net.ModelParams(params.arch, flat),
-                                    np.concatenate([weak, strong])).emb
+            raw = embed(net.ModelParams(params.arch, flat), np.concatenate([weak, strong]))
             return contrastive.cdcl_head(raw, pc, beta, CFG)[0]
 
         fd = fd_gradient(value, params.flat)
@@ -239,7 +243,7 @@ class TestBankAndGradient:
         pc = rng.integers(0, 2, 6)
         beta = rng.random(6)
         loss_g, _ = cdcl_grad(params, weak, strong, pc, beta, CFG)
-        raw = net.forward_batch(params, np.concatenate([weak, strong])).emb
+        raw = embed(params, np.concatenate([weak, strong]))
         assert loss_g == pytest.approx(cdcl_loss(l2_normalize(raw), *two_views(pc, beta)),
                                        abs=1e-12)
 
@@ -252,7 +256,7 @@ class TestBankAndGradient:
         pc = rng.integers(0, 3, 7)
         beta = rng.random(7)
         y = rng.integers(0, 3, 7)
-        raw = net.forward_batch(params, np.concatenate([weak, strong])).emb
+        raw = embed(params, np.concatenate([weak, strong]))
         _, _, fused = contrastive.cdcl_head(raw, pc, beta, CFG, y)
         pc2, y2 = np.concatenate([pc, pc]), np.concatenate([y, y])
         positives = positive_sets(pc2)

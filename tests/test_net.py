@@ -77,7 +77,7 @@ class TestForward:
         out = net.forward_batch(p, x)
         logits, emb = naive_forward(p, x)
         assert max_rel_error(out.logits, logits) < 1e-12
-        assert max_rel_error(out.emb, emb) < 1e-12
+        assert max_rel_error(net.project(p, out.cache[2]), emb) < 1e-12
 
     def test_dimension_mismatch_rejected(self):
         p = small_params()
@@ -108,7 +108,8 @@ class TestBuffers:
             fresh = net.forward_batch(p, x)
             reused = net.forward_batch(p, x, buffers=buffers)
             assert np.array_equal(fresh.logits, reused.logits), n
-            assert np.array_equal(fresh.emb, reused.emb), n
+            assert np.array_equal(net.project(p, fresh.cache[2]),
+                                  net.project(p, reused.cache[2], buffers)), n
             for a, b in zip(fresh.cache, reused.cache):
                 assert np.array_equal(a, b), n
             dlogits = rng.standard_normal((n, 4))
@@ -173,8 +174,9 @@ class TestBuffers:
             x = rng.standard_normal((rows, 16))
             out = net.forward_batch(stack, x, buffers=buffers, total_rows=total)
             fresh = net.forward_batch(stack, x)
-            for got, want in zip((out.logits, out.emb) + out.cache,
-                                 (fresh.logits, fresh.emb) + fresh.cache):
+            emb = net.project(stack, out.cache[2], buffers)
+            for got, want in zip((out.logits, emb) + out.cache,
+                                 (fresh.logits, net.project(stack, fresh.cache[2])) + fresh.cache):
                 assert np.array_equal(got, want)
             for role, a in zip(("logits", "x", "h1", "h2"), (out.logits,) + out.cache):
                 assert np.shares_memory(a, buffers.array(role, (2, total, widths[role])))
@@ -263,9 +265,10 @@ class TestStacked:
         return singles, net.stack_params(singles)
 
     @staticmethod
-    def assert_forward_equal(stacked, k, one):
+    def assert_forward_equal(stack, stacked, k, p, one):
         assert np.array_equal(stacked.logits[k], one.logits)
-        assert np.array_equal(stacked.emb[k], one.emb)
+        assert np.array_equal(net.project(stack, stacked.cache[2])[k],
+                              net.project(p, one.cache[2]))
         for a, b in zip(stacked.cache, one.cache):
             assert np.array_equal(a[k], b)
 
@@ -288,8 +291,8 @@ class TestStacked:
             reused = net.forward_batch(stack, x, buffers=buffers)
             ones = [net.forward_batch(p, x) for p in singles]
             for k, one in enumerate(ones):
-                self.assert_forward_equal(fresh, k, one)
-                self.assert_forward_equal(reused, k, one)
+                self.assert_forward_equal(stack, fresh, k, singles[k], one)
+                self.assert_forward_equal(stack, reused, k, singles[k], one)
             for d in (None, demb):
                 grads = (net.backward_batch(stack, fresh.cache, dlogits, d),
                          net.backward_batch(stack, reused.cache, dlogits, d, buffers))
@@ -316,7 +319,7 @@ class TestStacked:
             for k, p in enumerate(singles):
                 single_buffers = net.Buffers()
                 net.forward_batch(p, shared, buffers=single_buffers, total_rows=head + tail)
-                self.assert_forward_equal(both, k, net.forward_batch(
+                self.assert_forward_equal(stack, both, k, p, net.forward_batch(
                     p, mix[k], buffers=single_buffers, row0=head, total_rows=head + tail))
 
     def test_unreserved_extension_raises(self):

@@ -59,13 +59,14 @@ class TestClosedForm:
         params, batch_x, given, pseudo, meta = fixture(4, b=6)
         buffers = net.Buffers()
         out = net.forward_batch(params, batch_x, buffers=buffers)
-        held = [a.copy() for a in (out.logits, out.emb) + out.cache]
+        emb = net.project(params, out.cache[2], buffers)
+        held = [a.copy() for a in (out.logits, emb) + out.cache]
         with_buffers = reliability.meta_gradients_closed(
             params, batch_x, given, pseudo, meta, ETA, out=out, buffers=buffers)
         fresh = reliability.meta_gradients_closed(params, batch_x, given, pseudo, meta, ETA)
         for a, b in zip(with_buffers, fresh):
             assert np.array_equal(a, b)
-        for a, b in zip((out.logits, out.emb) + out.cache, held):
+        for a, b in zip((out.logits, emb) + out.cache, held):
             assert np.array_equal(a, b)
 
     def test_supplied_held_out_forward_gives_the_same_bits(self):

@@ -190,13 +190,17 @@ class TestConsistency:
         t = np.abs(rng.standard_normal((5, 2)))
         self.targets = t / t.sum(axis=1, keepdims=True)
 
-    def test_equals_unweighted_ce_of_same_inputs(self):
-        bc = np.arange(5)
+    @pytest.mark.parametrize("bc", [[0, 1, 2, 3, 4], [0, 2, 3]], ids=["full_bc", "filtered_bc"])
+    def test_equals_unweighted_ce_of_same_inputs(self, bc):
+        # all-ones reliabilities at eta_w = 0, the unweighted head and the
+        # cross-entropy without reliabilities (a run without the meta step)
+        # agree bit for bit
         logp = net.log_softmax(self.logits)
         ce, dce = trainer.reweighted_ce_grad(logp, self.targets, np.ones(5), bc, 0.0)
         cr, dcr = trainer.consistency_loss_grad(logp, self.targets, bc)
-        assert cr == pytest.approx(ce, abs=1e-12)
-        assert np.allclose(dcr, dce, rtol=0.0, atol=1e-15)
+        plain, dplain = trainer.reweighted_ce_grad(logp, self.targets, None, bc, 1.0)
+        assert cr == ce == plain
+        assert np.array_equal(dcr, dce) and np.array_equal(dplain, dce)
 
     def test_self_target_gives_entropy(self):
         probs = net.softmax(self.logits)
@@ -355,7 +359,7 @@ class _StepFixture:
                                                     buffers)
         m = 0 if held_x is None else len(held_x)
         return trainer.step_loss_grad(
-            p, self.xw, fw, targets, r, bcs, cfg.eta_w, w_t, cfg,
+            p, self.xw, fw, targets, r, bcs, w_t, cfg,
             pairs=pairs if w_t > 0 else None, pseudo_cls=pc,
             gate_beta=beta, y_true=self.y, lp=(logp[:, m:], probs[:, m:]), buffers=buffers)
 
@@ -588,8 +592,8 @@ class TestFusedStep(_StepFixture):
         views = np.concatenate([self.xw, self.xs]) if w_t > 0 else self.xw
         for got, x in ((held, held_x), (fw, views)):
             fresh = net.forward_batch(p, x)
-            for a, b in zip((got.logits, got.emb) + got.cache,
-                            (fresh.logits, fresh.emb) + fresh.cache):
+            for a, b in zip((got.logits, net.project(p, got.cache[2])) + got.cache,
+                            (fresh.logits, net.project(p, fresh.cache[2])) + fresh.cache):
                 assert np.array_equal(a, b)
         losses, grad, purity = self.step([0, 2, 3], w_t, self.cfg, held_x=held_x)
         losses0, grad0, purity0 = self.step([0, 2, 3], w_t, self.cfg)
@@ -636,7 +640,7 @@ class TestFusedStep(_StepFixture):
             probs=probs[:, m:m + b], meta_out=held, meta_probs=probs[:, :m],
             meta_targets=np.eye(3)[meta.y], buffers=buffers)
         losses, grad, purity = trainer.step_loss_grad(
-            p, self.xw, fw, targets, r, bcs, cfg.eta_w, w_t, cfg,
+            p, self.xw, fw, targets, r, bcs, w_t, cfg,
             pairs=pairs if w_t > 0 else None, pseudo_cls=pc, gate_beta=beta, y_true=self.y,
             lp=(logp[:, m:], probs[:, m:]), buffers=buffers)
         monkeypatch.undo()
@@ -661,7 +665,7 @@ class TestFusedStep(_StepFixture):
                 ref["ram"], dram = net.weighted_ce_head(net.log_softmax(mix.logits), pairs.y[k],
                                                         pairs.w[k])
                 ref["cdcl"], draw, ref_purity = contrastive.cdcl_head(
-                    out.emb, pc[k], beta[k], cfg.cdcl, self.y)
+                    net.project(pk, out.cache[2]), pc[k], beta[k], cfg.cdcl, self.y)
                 assert np.array_equal(purity[k], ref_purity)
                 dlogits += [w_t * dcr, w_t * dram]
                 demb = np.concatenate([draw * (w_t * cfg.lambda_cdcl), np.zeros((b, 4))])
@@ -709,6 +713,60 @@ class TestFusedStep(_StepFixture):
         assert [c for c in calls if c[0] != "noisylab.metrics"] == expected
         assert [c for c in calls if c[0] == "noisylab.metrics"] == [
             ("noisylab.metrics", 0, test.n)] * (cfg.epochs + 1)
+
+    @pytest.mark.parametrize("use_cdcl", [True, False])
+    def test_projection_runs_only_on_the_contrastive_bank(self, monkeypatch, use_cdcl):
+        # the projection head runs once per batch whose ramp is above zero
+        # with the contrastive term on, on exactly the step's weak and strong
+        # rows of that batch's shared forward (their cached h2, after the
+        # meta set's rows); never in evaluation, on the held-out or Mixup
+        # rows, or without the contrastive term
+        shared, calls = [], []
+        forward, project = trainer.forward_batch, net.project
+
+        def recording_forward(params, x, eval_mode=False, buffers=None, row0=0,
+                              total_rows=None):
+            out = forward(params, x, eval_mode, buffers, row0, total_rows)
+            if row0 == 0:  # a batch's shared forward, not its Mixup rows
+                shared.append(out.cache[2].copy())
+            return out
+
+        def recording_project(params, h2, buffers=None):
+            calls.append((len(shared) - 1, h2.copy()))
+            return project(params, h2, buffers)
+
+        monkeypatch.setattr(trainer, "forward_batch", recording_forward)
+        for module in (net, trainer):
+            monkeypatch.setattr(module, "project", recording_project)
+        train, meta, test = tiny_data()
+        cfg = tiny_cfg(epochs=3, use_cdcl=use_cdcl)  # the ramp is 0, 0, 1
+        trainer.co_train(train, meta, test, cfg)
+        batches = -(-train.n // cfg.batch_size)
+        assert len(shared) == cfg.epochs * batches
+        expected = list(range(2 * batches, 3 * batches)) if use_cdcl else []
+        assert [batch for batch, _ in calls] == expected
+        for batch, h2 in calls:
+            b = min(cfg.batch_size, train.n - (batch % batches) * cfg.batch_size)
+            assert shared[batch].shape[1] == meta.m + 2 * b
+            assert np.array_equal(h2, shared[batch][:, meta.m:])
+
+    def test_no_reliabilities_without_the_meta_step(self, monkeypatch):
+        # without the meta step each net's cross-entropy takes no
+        # reliabilities (every multiplier 1); with it, every batch's
+        calls = []
+        inner = trainer.reweighted_ce_grad
+
+        def recording(logp, targets, reliabilities, bc, eta_w, probs=None):
+            calls.append(reliabilities is None)
+            return inner(logp, targets, reliabilities, bc, eta_w, probs)
+
+        monkeypatch.setattr(trainer, "reweighted_ce_grad", recording)
+        train, meta, test = tiny_data()
+        for use_meta in (False, True):
+            calls.clear()
+            cfg = tiny_cfg(epochs=3, use_meta=use_meta)
+            trainer.co_train(train, meta, test, cfg)
+            assert calls == [not use_meta] * (2 * cfg.epochs * -(-train.n // cfg.batch_size))
 
     def test_one_parameter_stack_per_run(self, monkeypatch):
         # the run steps one stack in place: the two initial nets and their
